@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-full race bench bench-smoke staticcheck govulncheck fmt fmt-check vet ci linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
+.PHONY: all build test test-benchmark test-full race bench bench-smoke staticcheck govulncheck fmt fmt-check vet ci linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
 
 all: build test
 
@@ -13,6 +13,13 @@ build:
 # Fast suite, what CI runs on every push (experiment harness skipped).
 test:
 	$(GO) test -short ./...
+
+# The benchmark harness is a module of its own (benchmark/go.mod) that
+# imports internal/anonymizer; `go test ./...` does not reach it, so a
+# signature change there would otherwise break the judge silently (the
+# CI benchmark-module job).
+test-benchmark:
+	cd benchmark && $(GO) test .
 
 # Full suite including the ~30s experiment harness (tier-1 verify).
 test-full:
@@ -48,10 +55,11 @@ staticcheck:
 govulncheck:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-# Durability experiments only, tiny iteration counts (the CI bench-smoke
-# job): fails fast on WAL / fsync / group-commit regressions.
+# Service experiments only, tiny iteration counts: fails fast on WAL /
+# fsync / group-commit regressions. This target is the one list of smoke
+# experiments — the CI bench-smoke job runs `make bench-smoke`.
 bench-smoke:
-	$(GO) run ./cmd/reversecloak-bench -only E17,E18,E22,E23 -trials 2 -junctions 400 -segments 540
+	$(GO) run ./cmd/reversecloak-bench -only E17,E18,E21,E22,E23 -trials 2 -junctions 400 -segments 540
 
 # Short native-fuzz pass over the byte-facing decoders (the CI
 # fuzz-smoke step): corrupt input must never panic or over-read, and
@@ -89,4 +97,4 @@ examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" -short || exit 1; done
 
 # Everything the blocking CI jobs run.
-ci: fmt-check vet build test race linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
+ci: fmt-check vet build test test-benchmark race linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants

@@ -10,11 +10,15 @@ import (
 )
 
 // A backup archive is one self-describing stream that carries a complete
-// durable data directory: META.json, every shard snapshot and every WAL
-// tail. It reuses the WAL's CRC frame (length + CRC-32C + payload), so the
-// same torn-write detection that guards recovery guards restore — but with
-// the opposite policy: a WAL tolerates a torn tail, an archive is either
-// complete or rejected.
+// durable store independently of any directory layout: the header names
+// the shard count, and each shard contributes its snapshot
+// (shard-NNNN.snap) and the records after it (shard-NNNN.wal, the
+// shard's tail). Archives from binaries that kept a per-shard directory
+// layout also carry that directory's META.json; restore checks it and
+// writes its own. The archive reuses the WAL's CRC frame (length +
+// CRC-32C + payload), so the same torn-write detection that guards
+// recovery guards restore — but with the opposite policy: a WAL
+// tolerates a torn tail, an archive is either complete or rejected.
 //
 // Record sequence:
 //
@@ -135,7 +139,7 @@ func (a *archiveWriter) header(shards int, nextID uint64, since []uint64) {
 }
 
 // file writes one complete file as a file record plus data chunks; seq
-// is the owning shard's stream offset at copy time (0 for META).
+// is the owning shard's stream offset at copy time.
 func (a *archiveWriter) file(name string, seq uint64, content []byte) {
 	a.record(&archiveRecord{
 		Type: arcFile, Name: name, Size: int64(len(content)),
@@ -165,7 +169,7 @@ func badArchive(format string, args ...any) error {
 
 // validArchiveFileName rejects names that could escape the destination
 // directory (or hide state in odd places). Restore additionally pins the
-// exact META/shard naming; this is the format-level floor every reader
+// exact entry naming; this is the format-level floor every reader
 // enforces, fuzzed input included.
 func validArchiveFileName(name string) bool {
 	if name == "" || len(name) > 255 {

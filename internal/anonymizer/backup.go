@@ -2,6 +2,7 @@ package anonymizer
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,18 +36,19 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 // WriteBackup streams a consistent hot backup of the store to w as one
-// CRC-framed archive and returns the byte count written. Archives keep
-// the version-1 per-shard interchange format — one snapshot plus one WAL
-// tail per shard, version-1 META — whatever the live layout, so any
-// archive restores anywhere and the restored directory migrates on its
-// first open. It first forces a compaction of every shard (Snapshot), so
-// an fsync failure anywhere in the snapshot path fails the backup rather
-// than shipping an unsynced image; it then copies each shard's snapshot
-// and synthesizes its WAL tail from the unified log under that shard's
-// read lock, so every shard in the archive is a consistent prefix of its
-// mutation stream — exactly the guarantee crash recovery relies on. The
-// store stays live throughout: mutations landing while the backup streams
-// are captured per shard up to the moment its lock is taken.
+// CRC-framed archive and returns the byte count written. An archive is
+// layout-independent: the header names the shard count, and each shard
+// contributes its snapshot plus its post-snapshot record tail (the
+// shard-NNNN.snap / shard-NNNN.wal entries), which RestoreArchive lands
+// in whatever layout the restoring binary writes. It first forces a
+// compaction of every shard (Snapshot), so an fsync failure anywhere in
+// the snapshot path fails the backup rather than shipping an unsynced
+// image; it then copies each shard's snapshot and gathers its tail from
+// the unified log under that shard's read lock, so every shard in the
+// archive is a consistent prefix of its mutation stream — exactly the
+// guarantee crash recovery relies on. The store stays live throughout:
+// mutations landing while the backup streams are captured per shard up to
+// the moment its lock is taken.
 func (s *DurableStore) WriteBackup(w io.Writer) (int64, error) {
 	if s.closed.Load() {
 		return 0, ErrStoreClosed
@@ -57,11 +59,6 @@ func (s *DurableStore) WriteBackup(w io.Writer) (int64, error) {
 	cw := &countWriter{w: w}
 	aw := newArchiveWriter(cw)
 	aw.header(len(s.shards), s.nextID.Load(), nil)
-	meta, err := encodeMeta(len(s.shards))
-	if err != nil {
-		return cw.n, err
-	}
-	aw.file(metaFile, 0, meta)
 	for i, sh := range s.shards {
 		if aw.err != nil {
 			break
@@ -81,16 +78,16 @@ func (s *DurableStore) WriteBackup(w io.Writer) (int64, error) {
 		// time, so the archive's watermark — the position an incremental
 		// backup can continue from — is readable from the archive itself.
 		aw.file(shardSnapName(i), seq, snap)
-		aw.file(shardWALName(i), seq, wal)
+		aw.file(archiveTailName(i), seq, wal)
 	}
 	return cw.n, aw.finish()
 }
 
 // shardTailLocked copies the shard's post-snapshot records out of the
-// unified log as contiguous WAL-style bytes (the caller holds the shard
-// lock, which pins the entries' segments against reclaim). These are the
-// exact frames the shard appended, so a restored shard WAL is
-// byte-identical to what the version-1 engine would have held.
+// unified log as contiguous frame bytes (the caller holds the shard lock,
+// which pins the entries' segments against reclaim). These are the exact
+// frames the shard appended, so a restored store serves the same stream
+// bytes to followers as the source did.
 func (s *DurableStore) shardTailLocked(sh *durableShard) ([]byte, error) {
 	if len(sh.entries) == 0 {
 		return nil, nil
@@ -111,80 +108,38 @@ func (s *DurableStore) shardTailLocked(sh *durableShard) ([]byte, error) {
 }
 
 // BackupDir streams a closed data directory to w as one CRC-framed archive
-// and returns the byte count written. Both layouts are accepted — a
-// version-2 directory's unified log is demultiplexed back into per-shard
-// WAL tails, because archives keep the version-1 per-shard interchange
-// format. The directory must not be open in a live store (stop the
-// server, or use WriteBackup / the serve backup op for hot backups):
-// BackupDir reads the files as they are, and a concurrent writer could
-// tear them mid-record.
+// and returns the byte count written: the unified log is demultiplexed
+// into the per-shard tails an archive carries. The directory must not be
+// open in a live store (stop the server, or use WriteBackup / the serve
+// backup op for hot backups): BackupDir reads the files as they are, and a
+// concurrent writer could tear them mid-record.
 func BackupDir(w io.Writer, dir string) (int64, error) {
-	shards, version, err := readMeta(dir)
+	shards, err := readMeta(dir)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, fmt.Errorf("anonymizer: %s is not a durable data directory (no %s)", dir, metaFile)
-		}
+		return 0, err
+	}
+	streams, _, err := readDirStreams(dir, shards)
+	if err != nil {
 		return 0, err
 	}
 	cw := &countWriter{w: w}
 	aw := newArchiveWriter(cw)
 	aw.header(shards, 0, nil)
-	meta, err := encodeMeta(shards)
-	if err != nil {
-		return cw.n, err
-	}
-	aw.file(metaFile, 0, meta)
-	if version >= 2 {
-		streams, _, err := readDirStreams(dir, shards)
-		if err != nil {
-			return cw.n, err
+	var buf []byte
+	for i, st := range streams {
+		var wal bytes.Buffer
+		for _, fr := range st.frames {
+			if buf, err = appendFrame(buf, fr.payload); err != nil {
+				return cw.n, err
+			}
+			wal.Write(buf)
 		}
-		var buf []byte
-		for i, st := range streams {
-			var wal bytes.Buffer
-			for _, fr := range st.frames {
-				if buf, err = appendFrame(buf, fr.payload); err != nil {
-					return cw.n, err
-				}
-				wal.Write(buf)
-			}
-			seq := st.end()
-			if st.snap != nil {
-				aw.file(shardSnapName(i), seq, st.snap)
-			}
-			if wal.Len() > 0 {
-				aw.file(shardWALName(i), seq, wal.Bytes())
-			}
-			if aw.err != nil {
-				break
-			}
+		seq := st.end()
+		if st.snap != nil {
+			aw.file(shardSnapName(i), seq, st.snap)
 		}
-		return cw.n, aw.finish()
-	}
-	for i := 0; i < shards; i++ {
-		var snap, wal []byte
-		for _, p := range []struct {
-			name string
-			dst  *[]byte
-		}{{shardSnapName(i), &snap}, {shardWALName(i), &wal}} {
-			content, err := os.ReadFile(filepath.Join(dir, p.name))
-			if errors.Is(err, os.ErrNotExist) {
-				continue // a never-compacted shard has no snapshot yet
-			}
-			if err != nil {
-				return cw.n, fmt.Errorf("anonymizer: backup read: %w", err)
-			}
-			*p.dst = content
-		}
-		seq, err := shardStreamEnd(snap, wal)
-		if err != nil {
-			return cw.n, fmt.Errorf("anonymizer: backup shard %d: %w", i, err)
-		}
-		if snap != nil {
-			aw.file(shardSnapName(i), seq, snap)
-		}
-		if wal != nil {
-			aw.file(shardWALName(i), seq, wal)
+		if wal.Len() > 0 {
+			aw.file(archiveTailName(i), seq, wal.Bytes())
 		}
 		if aw.err != nil {
 			break
@@ -201,8 +156,7 @@ type dirFrame struct {
 }
 
 // dirShardStream is one shard's logical stream as read from a closed
-// version-2 directory: the snapshot image plus the unified-log records
-// after it.
+// directory: the snapshot image plus the unified-log records after it.
 type dirShardStream struct {
 	snap    []byte
 	snapSeq uint64
@@ -217,12 +171,13 @@ func (st *dirShardStream) end() uint64 {
 	return st.snapSeq
 }
 
-// readDirStreams demultiplexes a closed version-2 directory into its
-// per-shard logical streams, for the offline tools (cold backup,
-// incremental backup, reshard) that consume shard streams without opening
-// a live store. It also returns the torn tail bytes skipped. The damage
-// rules match recovery read-only: a torn tail is tolerated only in the
-// last non-empty segment; damage anywhere else is corruption.
+// readDirStreams demultiplexes a closed directory into its per-shard
+// logical streams. It is the one offline reader of a data directory: cold
+// backup, incremental backup and reshard all consume shard streams through
+// it without opening a live store. It also returns the torn tail bytes
+// skipped. The damage rules match recovery read-only: a torn tail is
+// tolerated only in the last non-empty segment; damage anywhere else is
+// corruption.
 func readDirStreams(dir string, shards int) ([]dirShardStream, int64, error) {
 	out := make([]dirShardStream, shards)
 	for i := range out {
@@ -298,35 +253,6 @@ func readDirStreams(dir string, shards int) ([]dirShardStream, int64, error) {
 		}
 	}
 	return out, truncated, nil
-}
-
-// shardStreamEnd derives a shard's stream position from its raw snapshot
-// and WAL bytes: the snapshot header's StreamSeq plus the WAL records
-// after it, numbered exactly the way recovery numbers them. A torn WAL
-// tail is tolerated (the intact prefix determines the position).
-func shardStreamEnd(snap, wal []byte) (uint64, error) {
-	var seq uint64
-	if len(snap) > 0 {
-		_, err := readRecords(bytes.NewReader(snap), func(rec *walRecord) error {
-			if rec.Type == recSnapHeader {
-				seq = rec.StreamSeq
-			}
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	if len(wal) > 0 {
-		_, err := readRecords(bytes.NewReader(wal), func(rec *walRecord) error {
-			seq = nextStreamSeq(seq, rec.Seq)
-			return nil
-		})
-		if err != nil && !errors.Is(err, errTornTail) {
-			return 0, err
-		}
-	}
-	return seq, nil
 }
 
 // --- Incremental backup -------------------------------------------------
@@ -409,107 +335,44 @@ func (s *DurableStore) WriteIncrementalBackup(w io.Writer, since Watermark) (int
 // directory: it scans each shard's files read-only and ships the records
 // after since. The directory must not be open in a live store.
 func IncrementalBackupDir(w io.Writer, dir string, since Watermark) (int64, *IncrementalStats, error) {
-	shards, version, err := readMeta(dir)
+	shards, err := readMeta(dir)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil, fmt.Errorf("anonymizer: %s is not a durable data directory (no %s)", dir, metaFile)
-		}
 		return 0, nil, err
 	}
 	if len(since) != shards {
 		return 0, nil, fmt.Errorf("%w: watermark of %d elements for %d shards",
 			ErrBadOp, len(since), shards)
 	}
+	streams, _, err := readDirStreams(dir, shards)
+	if err != nil {
+		return 0, nil, err
+	}
 	stats := &IncrementalStats{Shards: shards, Since: since.Clone(), End: make(Watermark, shards)}
 	cw := &countWriter{w: w}
 	aw := newArchiveWriter(cw)
 	aw.header(shards, 0, since.Clone())
 	var buf []byte
-	if version >= 2 {
-		streams, _, err := readDirStreams(dir, shards)
-		if err != nil {
-			return cw.n, nil, err
-		}
-		for i, st := range streams {
-			if aw.err != nil {
-				break
-			}
-			if since[i] < st.snapSeq {
-				return cw.n, nil, fmt.Errorf("%w: shard %d offset %d, oldest streamable %d — take a full backup",
-					ErrStreamGap, i, since[i], st.snapSeq)
-			}
-			var delta bytes.Buffer
-			frames := 0
-			for _, fr := range st.frames {
-				if fr.seq <= since[i] {
-					continue
-				}
-				if buf, err = appendFrame(buf, fr.payload); err != nil {
-					return cw.n, nil, err
-				}
-				delta.Write(buf)
-				frames++
-			}
-			stats.Frames += frames
-			stats.End[i] = st.end()
-			aw.file(shardDeltaName(i), stats.End[i], delta.Bytes())
-		}
-		return cw.n, stats, aw.finish()
-	}
-	for i := 0; i < shards; i++ {
+	for i, st := range streams {
 		if aw.err != nil {
 			break
 		}
-		snap, err := os.ReadFile(filepath.Join(dir, shardSnapName(i)))
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return cw.n, nil, fmt.Errorf("anonymizer: incremental backup read: %w", err)
-		}
-		wal, err := os.ReadFile(filepath.Join(dir, shardWALName(i)))
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			return cw.n, nil, fmt.Errorf("anonymizer: incremental backup read: %w", err)
-		}
-		var snapSeq uint64
-		if len(snap) > 0 {
-			if _, err := readRecords(bytes.NewReader(snap), func(rec *walRecord) error {
-				if rec.Type == recSnapHeader {
-					snapSeq = rec.StreamSeq
-				}
-				return nil
-			}); err != nil {
-				return cw.n, nil, err
-			}
-		}
-		if since[i] < snapSeq {
+		if since[i] < st.snapSeq {
 			return cw.n, nil, fmt.Errorf("%w: shard %d offset %d, oldest streamable %d — take a full backup",
-				ErrStreamGap, i, since[i], snapSeq)
+				ErrStreamGap, i, since[i], st.snapSeq)
 		}
 		var delta bytes.Buffer
-		seq := snapSeq
-		frames := 0
-		_, err = readFrames(bytes.NewReader(wal), func(payload []byte) error {
-			var hdr struct {
-				Seq uint64 `json:"seq"`
+		for _, fr := range st.frames {
+			if fr.seq <= since[i] {
+				continue
 			}
-			if jerr := json.Unmarshal(payload, &hdr); jerr != nil {
-				return fmt.Errorf("%w: %v", ErrCorruptLog, jerr)
-			}
-			seq = nextStreamSeq(seq, hdr.Seq)
-			if seq <= since[i] {
-				return nil
-			}
-			if buf, err = appendFrame(buf, payload); err != nil {
-				return err
+			if buf, err = appendFrame(buf, fr.payload); err != nil {
+				return cw.n, nil, err
 			}
 			delta.Write(buf)
-			frames++
-			return nil
-		})
-		if err != nil && !errors.Is(err, errTornTail) {
-			return cw.n, nil, err
+			stats.Frames++
 		}
-		stats.Frames += frames
-		stats.End[i] = seq
-		aw.file(shardDeltaName(i), seq, delta.Bytes())
+		stats.End[i] = st.end()
+		aw.file(shardDeltaName(i), stats.End[i], delta.Bytes())
 	}
 	return cw.n, stats, aw.finish()
 }
@@ -662,7 +525,7 @@ func (s *watermarkSink) Header(shards int, _ uint64, _ []uint64) error {
 }
 
 func (s *watermarkSink) File(name string, seq uint64) error {
-	for _, re := range []*regexp.Regexp{storeFileName, deltaFileName} {
+	for _, re := range []*regexp.Regexp{archiveShardEntry, deltaFileName} {
 		if m := re.FindStringSubmatch(name); m != nil {
 			if idx, err := strconv.Atoi(m[1]); err == nil && idx < len(s.wm) && seq > s.wm[idx] {
 				s.wm[idx] = seq
@@ -677,26 +540,39 @@ func (s *watermarkSink) Data([]byte) error { return nil }
 func (s *watermarkSink) CloseFile() error  { return nil }
 func (s *watermarkSink) End(int) error     { return nil }
 
-// shardWALName returns shard i's WAL file name.
-func shardWALName(i int) string { return fmt.Sprintf("shard-%04d.wal", i) }
-
-// shardSnapName returns shard i's snapshot file name.
+// shardSnapName returns shard i's snapshot file name — in a data directory
+// and in an archive alike.
 func shardSnapName(i int) string { return fmt.Sprintf("shard-%04d.snap", i) }
 
-// storeFileName matches the files a durable data directory may contain,
-// capturing the shard index. The index is minimum-width (%04d), so counts
-// beyond 9999 shards produce longer names — the pattern must accept them
-// or a large store's own backup would be unrestorable.
-var storeFileName = regexp.MustCompile(`^shard-([0-9]{4,})\.(wal|snap)$`)
+// archiveTailName returns the archive entry name of shard i's record
+// tail. The name dates from the layout that kept one WAL file per shard;
+// it survives only as an archive entry, so archives old and new restore
+// through the same reader.
+func archiveTailName(i int) string { return fmt.Sprintf("shard-%04d.wal", i) }
 
-// restoreSink materializes an archive into a staging directory.
+// archiveShardEntry matches a full archive's per-shard entries, capturing
+// the shard index and the kind (snap: snapshot image, wal: record tail).
+// The index is minimum-width (%04d), so counts beyond 9999 shards produce
+// longer names — the pattern must accept them or a large store's own
+// backup would be unrestorable.
+var archiveShardEntry = regexp.MustCompile(`^shard-([0-9]{4,})\.(wal|snap)$`)
+
+// restoreSink materializes a full archive as a current-layout data
+// directory under a staging path: snapshots are copied verbatim, every
+// shard's record tail is landed in one log segment, and META is written
+// by the sink itself from the archive header.
 type restoreSink struct {
-	dir      string
-	shards   int
-	seen     map[string]bool
-	cur      *os.File
-	curName  string
-	metaSeen bool
+	dir    string
+	shards int
+	seen   map[string]bool
+	seg    *os.File // the staged wal-00000001.seg every tail lands in
+
+	// The entry in flight: a snapshot streams straight to its file; a
+	// record tail or an archived META is buffered until its checksum has
+	// been verified (CloseFile) and only then examined.
+	name string
+	snap *os.File
+	buf  bytes.Buffer
 }
 
 // Header implements archiveSink. Incremental archives are refused: a
@@ -706,86 +582,153 @@ func (r *restoreSink) Header(shards int, _ uint64, since []uint64) error {
 		return badArchive("incremental archive; apply it to an existing directory with restore -apply")
 	}
 	r.shards = shards
+	seg, err := os.OpenFile(filepath.Join(r.dir, segName(1)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
+	if err != nil {
+		return fmt.Errorf("anonymizer: restore create: %w", err)
+	}
+	r.seg = seg
 	return nil
 }
 
-// File implements archiveSink: it opens the next staged file, pinning the
-// exact naming a data directory uses so an archive cannot plant strays.
-// The shard index must lie inside the header's shard count: a file the
-// restored store would never read is worse than a stray — it is key
-// material sitting invisibly in the data dir.
+// File implements archiveSink, pinning the exact entry naming so an
+// archive cannot plant strays. The shard index must lie inside the
+// header's shard count: state the restored store would never read is
+// worse than a stray — it is key material sitting invisibly in the data
+// dir.
 func (r *restoreSink) File(name string, _ uint64) error {
-	if name != metaFile {
-		m := storeFileName.FindStringSubmatch(name)
-		if m == nil {
-			return badArchive("%q is not a durable-store file", name)
-		}
-		idx, err := strconv.Atoi(m[1])
-		if err != nil || idx >= r.shards {
-			return badArchive("%q is outside the archive's %d shards", name, r.shards)
-		}
-	}
 	if r.seen[name] {
 		return badArchive("duplicate file %q", name)
 	}
 	r.seen[name] = true
-	f, err := os.OpenFile(filepath.Join(r.dir, name), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
-	if err != nil {
-		return fmt.Errorf("anonymizer: restore create: %w", err)
+	r.name = name
+	r.buf.Reset()
+	if name == metaFile {
+		return nil
 	}
-	r.cur, r.curName = f, name
+	m := archiveShardEntry.FindStringSubmatch(name)
+	if m == nil {
+		return badArchive("%q is not a durable-store file", name)
+	}
+	idx, err := strconv.Atoi(m[1])
+	if err != nil || idx >= r.shards {
+		return badArchive("%q is outside the archive's %d shards", name, r.shards)
+	}
+	if m[2] == "snap" {
+		f, err := os.OpenFile(filepath.Join(r.dir, name), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
+		if err != nil {
+			return fmt.Errorf("anonymizer: restore create: %w", err)
+		}
+		r.snap = f
+	}
 	return nil
 }
 
 // Data implements archiveSink.
 func (r *restoreSink) Data(chunk []byte) error {
-	if _, err := r.cur.Write(chunk); err != nil {
+	if r.snap == nil {
+		r.buf.Write(chunk)
+		return nil
+	}
+	if _, err := r.snap.Write(chunk); err != nil {
 		return fmt.Errorf("anonymizer: restore write: %w", err)
 	}
 	return nil
 }
 
-// CloseFile implements archiveSink: the content is already checksum-
-// verified, so all that remains is making it durable.
+// CloseFile implements archiveSink: the entry's content is complete and
+// checksum-verified.
 func (r *restoreSink) CloseFile() error {
-	if r.curName == metaFile {
-		r.metaSeen = true
+	switch {
+	case r.snap != nil:
+		err := syncClose(r.snap)
+		r.snap = nil
+		if err != nil {
+			return fmt.Errorf("anonymizer: restore sync: %w", err)
+		}
+		return nil
+	case r.name == metaFile:
+		// Archives from binaries that kept a per-shard directory layout
+		// carry that directory's META. Its version says nothing about the
+		// layout staged here; only its shard count is checked.
+		var m storeMeta
+		if err := json.Unmarshal(r.buf.Bytes(), &m); err != nil {
+			return badArchive("archived %s: %v", metaFile, err)
+		}
+		if m.Shards != r.shards {
+			return badArchive("%s shard count %d disagrees with archive header %d",
+				metaFile, m.Shards, r.shards)
+		}
+		return nil
+	default:
+		return r.landTail()
 	}
-	err := r.cur.Sync()
-	if cerr := r.cur.Close(); err == nil {
-		err = cerr
+}
+
+// landTail appends the buffered record tail to the staged segment.
+// Records are self-describing — the shard follows from the region-ID
+// hash, the stream offset rides in the payload — so the frames land
+// verbatim and recovery routes them exactly as it routes a live log. Only
+// whole, CRC-clean frames are written: a tail whose LAST frame is torn (a
+// cold backup of a crashed per-shard directory copied the file as it was)
+// restores to its intact prefix, the bytes recovery would have truncated;
+// damage with more data behind it is corruption, and a torn frame
+// mid-segment would make the store unopenable, so it fails the archive.
+func (r *restoreSink) landTail() error {
+	tail := r.buf.Bytes()
+	intact, err := readFrames(bytes.NewReader(tail), func([]byte) error { return nil })
+	if err != nil && !errors.Is(err, errTornTail) {
+		return err
 	}
-	r.cur = nil
-	if err != nil {
-		return fmt.Errorf("anonymizer: restore sync: %w", err)
+	if rest := tail[intact:]; len(rest) >= walHeaderSize {
+		// The damaged frame's declared extent: reaching the end of the
+		// tail makes it the torn last write; stopping short of it means
+		// intact-looking data follows a bad frame.
+		if n := int64(binary.LittleEndian.Uint32(rest[0:4])); walHeaderSize+n < int64(len(rest)) {
+			return badArchive("%s: damaged record at offset %d with %d bytes after it",
+				r.name, intact, int64(len(rest))-walHeaderSize-n)
+		}
+	}
+	if _, err := r.seg.Write(tail[:intact]); err != nil {
+		return fmt.Errorf("anonymizer: restore write: %w", err)
 	}
 	return nil
 }
 
-// End implements archiveSink: the restored directory must be openable, so
-// its META must exist and agree with the archive header.
+// End implements archiveSink: seal the staged segment and write the
+// header that makes the staging directory a data directory.
 func (r *restoreSink) End(int) error {
-	if !r.metaSeen {
-		return badArchive("archive carries no %s", metaFile)
-	}
-	shards, _, err := readMeta(r.dir)
+	err := syncClose(r.seg)
+	r.seg = nil
 	if err != nil {
-		return badArchive("restored %s unreadable: %v", metaFile, err)
+		return fmt.Errorf("anonymizer: restore sync: %w", err)
 	}
-	if shards != r.shards {
-		return badArchive("%s shard count %d disagrees with archive header %d",
-			metaFile, shards, r.shards)
+	if err := writeMeta(r.dir, r.shards); err != nil {
+		return err
 	}
 	return syncDir(r.dir)
 }
 
+// close releases whatever handles a failed restore left open (after a
+// successful one there are none).
+func (r *restoreSink) close() {
+	for _, f := range []*os.File{r.seg, r.snap} {
+		if f != nil {
+			_ = f.Close()
+		}
+	}
+}
+
 // RestoreArchive seeds a fresh durable data directory at dir from the
-// archive in r. The archive is staged into a sibling temp directory and
-// verified completely — framing, per-file checksums, file naming, the end
-// record — before a single rename publishes it as dir, so a truncated or
-// corrupted archive fails cleanly without ever creating dir, and a crash
-// mid-restore leaves only a removable staging directory. dir must not
-// already exist: restoring over live state is refused, not merged.
+// archive in r, always in the current layout (storeMetaVersion) whatever
+// binary took the archive — so the first OpenDurableStore of the result
+// is an ordinary recovery, with nothing to convert and nothing to
+// truncate. The archive is staged into a sibling temp directory and
+// verified completely — framing, per-file checksums, file naming, every
+// tail record's frame, the end record — before a single rename publishes
+// it as dir, so a truncated or corrupted archive fails cleanly without
+// ever creating dir, and a crash mid-restore leaves only a removable
+// staging directory. dir must not already exist: restoring over live
+// state is refused, not merged.
 func RestoreArchive(r io.Reader, dir string) error {
 	if _, err := os.Stat(dir); err == nil {
 		return fmt.Errorf("anonymizer: restore target %s already exists", dir)
@@ -801,9 +744,7 @@ func RestoreArchive(r io.Reader, dir string) error {
 	}
 	sink := &restoreSink{dir: tmp, seen: make(map[string]bool)}
 	err := readArchive(r, sink)
-	if sink.cur != nil {
-		_ = sink.cur.Close()
-	}
+	sink.close()
 	if err != nil {
 		_ = os.RemoveAll(tmp)
 		return err

@@ -118,11 +118,6 @@ func TestRestoreRejectsForeignFileNames(t *testing.T) {
 		var buf bytes.Buffer
 		aw := newArchiveWriter(&buf)
 		aw.header(1, 0, nil)
-		meta, err := encodeMeta(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aw.file(metaFile, 0, meta)
 		aw.file(name, 0, []byte("payload"))
 		if err := aw.finish(); err != nil {
 			t.Fatal(err)

@@ -430,9 +430,9 @@ func derivationTrial(t *testing.T, seed int64, shards int, reshardTo []int) {
 		t.Fatalf("replication watermarks diverged: stored %v, derived %v", sw, dw)
 	}
 
-	// Backup → restore across the schema boundary: the archive's interchange
-	// format is schema-agnostic; the restored dir migrates on open and must
-	// digest identically — but only with the keyring at hand.
+	// Backup → restore of derived-key records: the archive carries key
+	// references, never key material, so the restored dir must digest
+	// identically — but only with the keyring at hand.
 	var archive bytes.Buffer
 	if _, err := dst.WriteBackup(&archive); err != nil {
 		t.Fatal(err)
@@ -492,6 +492,153 @@ func dirBytes(t *testing.T, dir string) int64 {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// catchUp ships every record the leader holds past the follower's
+// watermark through IngestFrame, the way the replication loop does. A
+// stream gap — the follower's position not addressable on the leader — is
+// fatal: a follower seeded from an archive must be able to continue from
+// exactly where the archive ends.
+func catchUp(t *testing.T, label string, leader, follower *DurableStore) {
+	t.Helper()
+	from := follower.Watermark()
+	for i := 0; i < leader.ShardCount(); i++ {
+		frames, _, err := leader.TailFrom(i, from[i], 0)
+		if err != nil {
+			t.Fatalf("%s: TailFrom(leader, %d, %d): %v", label, i, from[i], err)
+		}
+		for _, f := range frames {
+			if _, err := follower.IngestFrame(f); err != nil {
+				t.Fatalf("%s: IngestFrame(%d/%d): %v", label, f.Shard, f.Seq, err)
+			}
+		}
+	}
+	if lw, fw := leader.Watermark(), follower.Watermark(); !reflect.DeepEqual(lw, fw) {
+		t.Fatalf("%s: watermarks diverged: leader %v, follower %v", label, lw, fw)
+	}
+}
+
+// restoredFollowerTrial is the replication arm of the lifecycle harness:
+// a follower whose directory was seeded by RestoreArchive must pick up
+// the leader's stream at the archive's watermark — per-shard offsets line
+// up exactly across the restore — and converge byte-identically. It runs
+// twice per trial: from a hot archive (tails empty: WriteBackup compacts
+// first) against the still-running leader, and from a cold archive whose
+// tails carry every uncompacted record, against the reopened leader.
+func restoredFollowerTrial(t *testing.T, seed int64, shards int) {
+	rng := rand.New(rand.NewSource(seed))
+	clk := newFakeClock()
+	dir := filepath.Join(t.TempDir(), "leader")
+	// The leader compacts only when WriteBackup makes it: a compaction
+	// folding records a follower has not fetched yet is a genuine stream
+	// gap (the follower re-bootstraps), which is not the property here.
+	opts := []DurabilityOption{
+		WithDurableShards(shards), WithSnapshotEvery(0), WithGCInterval(0), withDurableClock(clk.Now),
+	}
+	leader, err := OpenDurableStore(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = leader.Close() }()
+
+	var ids []string
+	requesters := []string{"alice", "bob", "carol"}
+	mutate := func(ops int) {
+		for i := 0; i < ops; i++ {
+			if len(ids) < 6 || rng.Intn(3) == 0 {
+				reg := fakeRegistration(t, 1+rng.Intn(3))
+				if rng.Intn(3) == 0 {
+					reg.SetExpiry(clk.Now().Add(time.Duration(1+rng.Intn(60)) * time.Second))
+				}
+				id, err := leader.Register(reg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+				continue
+			}
+			id := ids[rng.Intn(len(ids))]
+			var err error
+			switch rng.Intn(5) {
+			case 0, 1:
+				err = leader.SetTrust(id, requesters[rng.Intn(len(requesters))], rng.Intn(2))
+			case 2:
+				err = leader.Deregister(id)
+			case 3:
+				clk.Advance(time.Duration(1+rng.Intn(15)) * time.Second)
+				_, err = leader.SweepExpired()
+			case 4:
+				_, err = leader.Touch(id, time.Duration(1+rng.Intn(90))*time.Second)
+			}
+			if err != nil && !errors.Is(err, ErrUnknownRegion) {
+				t.Fatal(err)
+			}
+		}
+	}
+	// seed restores archive as a follower and checks it starts exactly at
+	// the archive's watermark.
+	seedFollower := func(label string, archive []byte) *DurableStore {
+		wm, err := ArchiveWatermark(bytes.NewReader(archive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fdir := filepath.Join(t.TempDir(), label)
+		if err := RestoreArchive(bytes.NewReader(archive), fdir); err != nil {
+			t.Fatal(err)
+		}
+		f := openDurable(t, fdir, WithReplica(), WithGCInterval(0), withDurableClock(clk.Now))
+		if got := f.Recovery().TruncatedBytes; got != 0 {
+			t.Fatalf("%s: restored follower truncated %d bytes at open", label, got)
+		}
+		if !reflect.DeepEqual(f.Watermark(), wm) {
+			t.Fatalf("%s: follower opens at %v, archive ends at %v", label, f.Watermark(), wm)
+		}
+		return f
+	}
+	converged := func(label string, f *DurableStore) {
+		catchUp(t, label, leader, f)
+		requireSameState(t, fmt.Sprintf("%s(k=%d)", label, shards),
+			digestStore(t, leader, ids, nil, nil), digestStore(t, f, ids, nil, nil),
+			leader.Len(), f.Len())
+	}
+
+	mutate(40)
+	var hot bytes.Buffer
+	if _, err := leader.WriteBackup(&hot); err != nil {
+		t.Fatal(err)
+	}
+	hotFollower := seedFollower("hot", hot.Bytes())
+	mutate(30)
+	converged("hot-follower", hotFollower)
+
+	// Cold archive: stop the leader mid-log, archive the directory as it
+	// lies (uncompacted records ride in the tails), bring the leader back.
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var cold bytes.Buffer
+	if _, err := BackupDir(&cold, dir); err != nil {
+		t.Fatal(err)
+	}
+	if leader, err = OpenDurableStore(dir, opts...); err != nil {
+		t.Fatal(err)
+	}
+	coldFollower := seedFollower("cold", cold.Bytes())
+	mutate(30)
+	converged("cold-follower", coldFollower)
+	converged("hot-follower-across-leader-restart", hotFollower)
+}
+
+// TestConformanceRestoredFollower runs the restored-follower arm over
+// one-shard and multi-shard stores.
+func TestConformanceRestoredFollower(t *testing.T) {
+	for i, k := range []int{1, 4} {
+		k := k
+		seed := int64(4000*i + 23)
+		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
+			restoredFollowerTrial(t, seed, k)
+		})
+	}
 }
 
 // TestConformanceDerivationEquivalence runs the stored-vs-derived arm

@@ -351,9 +351,9 @@ type DurableStore struct {
 // (wal-NNNNNNNN.seg segments); recovery loads each shard's snapshot,
 // replays the log once — routing each record to its shard by region-ID
 // hash — and truncates any torn tail a crash left behind (see Recovery
-// for what was found). A directory still in the version-1 per-shard
-// layout (a pre-upgrade data dir, or one restored from a backup archive)
-// is migrated in place first, crash-safely.
+// for what was found). This is the only layout the store reads or writes:
+// a directory whose META names any other version is refused with
+// ErrUnsupportedLayout before a byte of it is touched.
 func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, error) {
 	cfg := defaultDurabilityConfig()
 	for _, opt := range opts {
@@ -362,7 +362,7 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("anonymizer: durable dir: %w", err)
 	}
-	size, version, err := loadOrInitMeta(dir, cfg.shards)
+	size, err := loadOrInitMeta(dir, cfg.shards)
 	if err != nil {
 		return nil, err
 	}
@@ -376,24 +376,6 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 	s.gc.init()
 	s.replica.Store(cfg.replica)
 	if err := s.loadEpoch(); err != nil {
-		return nil, err
-	}
-	if version == 1 {
-		truncated, err := migrateStoreV1(dir, size, cfg.segBytes)
-		if err != nil {
-			return nil, err
-		}
-		s.stats.TruncatedBytes += truncated
-	} else if version == 2 {
-		// Version 2 directories hold only stored-key records the v3 reader
-		// decodes unchanged; migration is a crash-safe META bump that
-		// admits the derived-key record vocabulary.
-		if err := migrateStoreV2(dir, size); err != nil {
-			return nil, err
-		}
-	} else if err := cleanupRetiredV1(dir); err != nil {
-		// A crash between a migration's commit rename and its cleanup
-		// leaves retired per-shard WALs next to a valid current layout.
 		return nil, err
 	}
 
@@ -436,8 +418,7 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 			note(rec.ID)
 			if seq <= sh.snapSeq {
 				// Covered by the snapshot (crash between snapshot rename and
-				// segment reclaim); skip, like the v1 replay skipped records a
-				// WAL truncation hadn't yet dropped.
+				// segment reclaim); skip.
 				return shard, seq, nil
 			}
 			m, err := mutationFromRecord(rec, s.cfg.keyring)
@@ -514,99 +495,97 @@ type storeMeta struct {
 // metaFile is the data-directory header file name.
 const metaFile = "META.json"
 
-// storeMetaVersion is the current data-directory layout version: 3, the
-// unified-log layout whose register records may carry derived-key
-// references instead of key material. Version 2 (unified log, stored keys
-// only) and version 1 (one WAL file per shard) are still read —
-// OpenDurableStore migrates them in place — and version 1 is still WRITTEN
-// into backup archives, which keep the per-shard format as the interchange
-// encoding.
+// storeMetaVersion is the one data-directory layout version this code
+// reads and writes: 3, the unified-log layout (shard-NNNN.snap snapshots +
+// wal-NNNNNNNN.seg segments) whose register records may carry derived-key
+// references instead of key material. Directories in any other version are
+// refused (ErrUnsupportedLayout); a backup archive is the bridge between
+// versions, because RestoreArchive always stages this layout.
 const storeMetaVersion = 3
 
+// ErrUnsupportedLayout reports a data directory whose META names a layout
+// version other than the one this binary reads and writes. Nothing in the
+// directory has been created, renamed or deleted when it is returned; the
+// way across is to restore the directory from a backup archive.
+var ErrUnsupportedLayout = errors.New("anonymizer: unsupported data directory layout version")
+
 // readMeta parses an existing data directory's header and returns its
-// shard count and layout version. A missing header reports os.ErrNotExist
-// (wrapped): the directory was never initialized as a durable store.
-func readMeta(dir string) (int, int, error) {
+// shard count. A missing header reports os.ErrNotExist (wrapped): the
+// directory was never initialized as a durable store. A header at any
+// layout version but the current one reports ErrUnsupportedLayout.
+func readMeta(dir string) (int, error) {
 	path := filepath.Join(dir, metaFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("anonymizer: reading %s: %w", path, err)
+		return 0, fmt.Errorf("anonymizer: no durable data directory at %s: %w", dir, err)
 	}
 	var m storeMeta
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return 0, 0, fmt.Errorf("anonymizer: parsing %s: %w", path, err)
+		return 0, fmt.Errorf("anonymizer: parsing %s: %w", path, err)
 	}
-	if m.Version < 1 || m.Version > storeMetaVersion ||
-		m.Shards < 1 || m.Shards&(m.Shards-1) != 0 {
-		return 0, 0, fmt.Errorf("anonymizer: unsupported store meta %+v in %s", m, path)
+	if m.Version != storeMetaVersion {
+		return 0, fmt.Errorf("%w: %s is version %d, this binary supports only version %d (restore the directory from a backup archive)",
+			ErrUnsupportedLayout, path, m.Version, storeMetaVersion)
 	}
-	return m.Shards, m.Version, nil
+	if m.Shards < 1 || m.Shards&(m.Shards-1) != 0 {
+		return 0, fmt.Errorf("anonymizer: unsupported store meta %+v in %s", m, path)
+	}
+	return m.Shards, nil
 }
 
-// encodeMeta renders the version-1 header for a store of the given shard
-// count — the encoding backup archives carry, so a restored directory is
-// a valid per-shard-layout store that migrates on its first open.
-func encodeMeta(shards int) ([]byte, error) {
-	return encodeMetaVersion(shards, 1)
-}
-
-// encodeMetaVersion renders a header file at an explicit layout version.
-func encodeMetaVersion(shards, version int) ([]byte, error) {
-	raw, err := json.Marshal(storeMeta{Version: version, Shards: shards})
+// writeMeta writes dir's header for a store of the given shard count at
+// the current layout version — write + fsync + rename, like snapshots:
+// the rename must never be able to outlive the file contents on a machine
+// crash, or the store would reopen to an unparseable META.json. The
+// caller syncs dir.
+func writeMeta(dir string, shards int) error {
+	raw, err := json.Marshal(storeMeta{Version: storeMetaVersion, Shards: shards})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return append(raw, '\n'), nil
-}
-
-// loadOrInitMeta returns the directory's shard count and layout version,
-// initializing the meta file (atomically, at the current version) on
-// first open. An existing meta overrides the requested count; resharding
-// an existing directory is an offline migration (Reshard), not an
-// open-time option.
-func loadOrInitMeta(dir string, requested int) (int, int, error) {
-	size, version, err := readMeta(dir)
-	if err == nil {
-		return size, version, nil
-	}
-	if !errors.Is(err, os.ErrNotExist) {
-		return 0, 0, err
-	}
-	size = 1
-	for size < requested {
-		size <<= 1
-	}
-	raw, err := encodeMetaVersion(size, storeMetaVersion)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Write + fsync + rename, like snapshots: the rename must never be
-	// able to outlive the file contents on a machine crash, or the store
-	// would reopen to an unparseable META.json.
 	path := filepath.Join(dir, metaFile)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
 	if err != nil {
-		return 0, 0, fmt.Errorf("anonymizer: writing store meta: %w", err)
+		return fmt.Errorf("anonymizer: writing store meta: %w", err)
 	}
-	_, err = f.Write(raw)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	_, err = f.Write(append(raw, '\n'))
+	if serr := syncClose(f); err == nil {
+		err = serr
 	}
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
 		_ = os.Remove(tmp)
-		return 0, 0, fmt.Errorf("anonymizer: writing store meta: %w", err)
+		return fmt.Errorf("anonymizer: writing store meta: %w", err)
+	}
+	return nil
+}
+
+// loadOrInitMeta returns the directory's shard count, initializing the
+// meta file on first open. An existing meta overrides the requested
+// count; resharding an existing directory is an offline migration
+// (Reshard), not an open-time option.
+func loadOrInitMeta(dir string, requested int) (int, error) {
+	size, err := readMeta(dir)
+	if err == nil {
+		return size, nil
+	}
+	if !errors.Is(err, os.ErrNotExist) {
+		return 0, err
+	}
+	size = 1
+	for size < requested {
+		size <<= 1
+	}
+	if err := writeMeta(dir, size); err != nil {
+		return 0, err
 	}
 	if err := syncDir(dir); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return size, storeMetaVersion, nil
+	return size, nil
 }
 
 // loadShardSnapshot loads one shard's snapshot image (the unified-log
@@ -1061,6 +1040,16 @@ func (s *DurableStore) snapshotShardLocked(sh *durableShard) error {
 	}
 	s.snapshots.Add(1)
 	return nil
+}
+
+// syncClose fsyncs and closes f, returning the first failure: a file is
+// durable only once both have succeeded.
+func syncClose(f *os.File) error {
+	err := f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // syncDir fsyncs a directory so a just-renamed file is reachable after a

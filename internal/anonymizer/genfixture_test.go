@@ -1,15 +1,21 @@
 package anonymizer
 
-// One-off generator for testdata/v2store (run manually, never in CI):
+// One-off generator for testdata/v3store (run manually, never in CI):
 //
-//	GEN_V2_FIXTURE=1 go test ./internal/anonymizer/ -run TestGenerateV2Fixture -count=1
+//	GEN_V3_FIXTURE=1 go test ./internal/anonymizer/ -run TestGenerateV3Fixture -count=1
 //
 // It cuts regions on the CLI's default map (preset "small", default seed,
-// 2000 cars) so `anonymizer dump` can recompute every reduction, writes a
-// unified-log store, and lowers its META to version 2. Refresh the golden
-// with:
+// 2000 cars) so `anonymizer dump` can recompute every reduction, and
+// writes a current-layout store with stored-key records, part compacted
+// into snapshots and part still in the log. The keys are random, so a
+// regenerated fixture needs its golden refreshed:
 //
-//	go run ./cmd/anonymizer dump -data-dir <copy of testdata/v2store>
+//	go run ./cmd/anonymizer dump -data-dir <copy of testdata/v3store> \
+//	    >internal/anonymizer/testdata/v3store.dump
+//
+// The checked-in bytes predate the generator's current form (they were
+// written under a version-2 META, same file layout); regenerate only when
+// the format changes on purpose.
 
 import (
 	"math/rand"
@@ -26,9 +32,9 @@ import (
 	"github.com/reversecloak/reversecloak/internal/trace"
 )
 
-func TestGenerateV2Fixture(t *testing.T) {
-	if os.Getenv("GEN_V2_FIXTURE") == "" {
-		t.Skip("fixture generator; set GEN_V2_FIXTURE=1 to run")
+func TestGenerateV3Fixture(t *testing.T) {
+	if os.Getenv("GEN_V3_FIXTURE") == "" {
+		t.Skip("fixture generator; set GEN_V3_FIXTURE=1 to run")
 	}
 	seed := []byte("reversecloak-default-map-seed-01")
 	g, err := mapgen.Small(seed)
@@ -44,7 +50,7 @@ func TestGenerateV2Fixture(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := filepath.Join("testdata", "v2store")
+	dir := filepath.Join("testdata", "v3store")
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +100,5 @@ func TestGenerateV2Fixture(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	meta, err := encodeMetaVersion(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, metaFile), meta, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	t.Logf("wrote %s: %d registrations (one deregistered)", dir, len(ids))
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -288,6 +289,42 @@ func TestReplicationConformance(t *testing.T) {
 	requireSame(t, "after restart", digest(t, leader.store, ids), digest(t, f2.Store(), ids))
 	if leader.store.Len() != f2.Store().Len() {
 		t.Fatalf("Len: leader %d, follower %d", leader.store.Len(), f2.Store().Len())
+	}
+}
+
+// TestBootstrapStagesCurrentLayout: a follower bootstrapped from the
+// leader's hot backup gets a directory in the layout the store writes
+// today — nothing for its first open to convert or truncate.
+func TestBootstrapStagesCurrentLayout(t *testing.T) {
+	leader := newLeader(t, filepath.Join(t.TempDir(), "leader"))
+	const regs = 10
+	for i := 0; i < regs; i++ {
+		if _, err := leader.store.Register(fakeReg(t, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := filepath.Join(t.TempDir(), "follower")
+	f, err := Start(Config{LeaderAddr: leader.addr, DataDir: dir, PollInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	if rec := f.Store().Recovery(); rec.Registrations != regs || rec.TruncatedBytes != 0 {
+		t.Fatalf("bootstrapped follower recovered %d registrations, truncated %d bytes; want %d and 0",
+			rec.Registrations, rec.TruncatedBytes, regs)
+	}
+	meta, err := os.ReadFile(filepath.Join(dir, "META.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(meta), `"version":3`) {
+		t.Errorf("bootstrapped META = %s, want layout version 3", meta)
+	}
+	if stale, _ := filepath.Glob(filepath.Join(dir, "shard-*.wal")); len(stale) != 0 {
+		t.Errorf("bootstrap staged per-shard WAL files: %v", stale)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) == 0 {
+		t.Error("bootstrap staged no log segment")
 	}
 }
 

@@ -3,11 +3,8 @@ package anonymizer
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 )
 
 // ReshardStats describes what an offline Reshard migration moved.
@@ -37,7 +34,7 @@ type ReshardStats struct {
 }
 
 // Reshard migrates a durable data directory to a new shard count: it
-// streams every source shard's snapshot and WAL in order, decodes each
+// streams every source shard's snapshot and log records in order, decodes each
 // record back into its typed Mutation, and replays it through the shared
 // regTable.apply path into a fresh store at dstDir — the same code path
 // recovery uses, so the migrated state can no more drift from the source
@@ -61,11 +58,8 @@ func Reshard(srcDir, dstDir string, shards int, opts ...DurabilityOption) (*Resh
 	if shards < 1 {
 		return nil, fmt.Errorf("%w: reshard to %d shards", ErrBadOp, shards)
 	}
-	srcShards, srcVersion, err := readMeta(srcDir)
+	srcShards, err := readMeta(srcDir)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("anonymizer: %s is not a durable data directory (no %s)", srcDir, metaFile)
-		}
 		return nil, err
 	}
 	if entries, err := os.ReadDir(dstDir); err == nil && len(entries) > 0 {
@@ -103,16 +97,8 @@ func Reshard(srcDir, dstDir string, shards int, opts ...DurabilityOption) (*Resh
 		return nil
 	}
 
-	if srcVersion >= 2 {
-		if err := reshardV2Source(srcDir, srcShards, stats, &maxID, ingest); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := 0; i < srcShards; i++ {
-			if err := reshardShard(srcDir, i, stats, &maxID, ingest); err != nil {
-				return nil, err
-			}
-		}
+	if err := reshardSource(srcDir, srcShards, stats, &maxID, ingest); err != nil {
+		return nil, err
 	}
 	stats.TrustUpdates = tally.TrustUpdates
 	stats.Deregistrations = tally.Deregistrations
@@ -140,71 +126,12 @@ func Reshard(srcDir, dstDir string, shards int, opts ...DurabilityOption) (*Resh
 	return stats, nil
 }
 
-// reshardShard streams one source shard — snapshot first, then WAL — into
-// ingest, reading the files strictly read-only. A torn WAL tail is
-// tolerated (and counted) like recovery tolerates it; a damaged snapshot
-// is real corruption and aborts the migration.
-func reshardShard(
-	srcDir string,
-	i int,
-	stats *ReshardStats,
-	maxID *uint64,
-	ingest func(*walRecord) error,
-) error {
-	snapPath := filepath.Join(srcDir, shardSnapName(i))
-	if snap, err := os.Open(snapPath); err == nil {
-		_, rerr := readRecords(snap, func(rec *walRecord) error {
-			if rec.Type == recSnapHeader {
-				if rec.NextID > *maxID {
-					*maxID = rec.NextID
-				}
-				return nil
-			}
-			if rec.Type != recRegister {
-				return fmt.Errorf("%w: unexpected %q record in snapshot", ErrCorruptLog, rec.Type)
-			}
-			return ingest(rec)
-		})
-		_ = snap.Close()
-		if rerr != nil {
-			if errors.Is(rerr, errTornTail) {
-				rerr = fmt.Errorf("%w: truncated snapshot %s", ErrCorruptLog, snapPath)
-			}
-			return rerr
-		}
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("anonymizer: reshard snapshot open: %w", err)
-	}
-
-	walPath := filepath.Join(srcDir, shardWALName(i))
-	wal, err := os.Open(walPath)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("anonymizer: reshard wal open: %w", err)
-	}
-	defer func() { _ = wal.Close() }()
-	intact, rerr := readRecords(wal, func(rec *walRecord) error {
-		if rec.Type == recSnapHeader {
-			return fmt.Errorf("%w: unexpected %q record in wal", ErrCorruptLog, rec.Type)
-		}
-		return ingest(rec)
-	})
-	if rerr != nil && !errors.Is(rerr, errTornTail) {
-		return fmt.Errorf("anonymizer: reshard replaying %s: %w", walPath, rerr)
-	}
-	if end, err := wal.Seek(0, io.SeekEnd); err == nil && end > intact {
-		stats.TruncatedBytes += end - intact
-	}
-	return nil
-}
-
-// reshardV2Source streams every shard of a unified-log source directory —
-// snapshot records first, then the shard's post-snapshot log records —
-// into ingest, reading strictly read-only. The per-shard ordering matches
-// reshardShard's, so the destination is independent of the source layout.
-func reshardV2Source(
+// reshardSource streams every shard of the source directory — snapshot
+// records first, then the shard's post-snapshot log records — into
+// ingest, reading strictly read-only. A torn log tail is tolerated (and
+// counted) like recovery tolerates it; a damaged snapshot is real
+// corruption and aborts the migration.
+func reshardSource(
 	srcDir string,
 	srcShards int,
 	stats *ReshardStats,

@@ -15,17 +15,16 @@ import (
 	"time"
 )
 
-// This file is the store-wide append-only log of the version-2 data
+// This file is the store-wide append-only log of the data directory
 // layout: ONE physical journal for every shard, segmented so compaction
-// can drop fully-snapshotted prefixes. Records keep the per-shard CRC
-// framing and walRecord payload of the per-shard era — a record's shard
-// is derivable from its region ID (shardIndex), and its stream offset
-// rides in the payload (walRecord.Seq) — so the per-shard logical
-// streams that replication, incremental backup and reshard consume are
-// unchanged; only their physical home moved. The point of the merge is
+// can drop fully-snapshotted prefixes. Records are self-describing — a
+// record's shard is derivable from its region ID (shardIndex), and its
+// stream offset rides in the payload (walRecord.Seq) — so the per-shard
+// logical streams that replication, incremental backup and reshard
+// consume need no file of their own. The point of the single journal is
 // group commit: with one file there is one fsync per cohort for the
-// WHOLE store, where the per-shard layout paid one per shard and watched
-// them serialize in the filesystem journal (E18).
+// WHOLE store, where one log per shard pays one fsync per shard and
+// watches them serialize in the filesystem journal (E18).
 //
 // Invariants the rest of the engine leans on:
 //

@@ -183,8 +183,11 @@ func TestDoRegionSingleflightCollapsesConcurrentMisses(t *testing.T) {
 			results[i] = r
 		}(i)
 	}
-	// Wait until the leader is inside compute, then release everyone.
-	for computes.Load() == 0 {
+	// Wait until the leader is inside compute and every other caller has
+	// joined its flight (a waiter is counted before it blocks), then
+	// release everyone. Releasing on the leader alone lets a late caller
+	// arrive after the result is cached and count as a hit, not a wait.
+	for computes.Load() == 0 || c.Stats().SingleflightWaits < callers-1 {
 		runtime.Gosched()
 	}
 	close(release)

@@ -300,6 +300,11 @@ var (
 	// ErrBadArchive reports a truncated or corrupted backup archive;
 	// RestoreArchive never touches the destination once it is returned.
 	ErrBadArchive = anonymizer.ErrBadArchive
+	// ErrUnsupportedLayout reports a data directory whose META.json names
+	// a layout version this binary does not read; nothing in the
+	// directory is touched. Restoring from a backup archive is the way
+	// across versions.
+	ErrUnsupportedLayout = anonymizer.ErrUnsupportedLayout
 	// ErrNotLeader reports a mutation attempted on a replication
 	// follower; the wire response names the leader to retry against.
 	ErrNotLeader = anonymizer.ErrNotLeader
@@ -470,7 +475,7 @@ func WithStoreGCInterval(d time.Duration) StoreOption {
 
 // WithDurability makes the server's registration store crash-safe: it
 // opens (or recovers) a DurableStore rooted at dir, journals every
-// mutation to its write-ahead logs, and closes it on Server.Close.
+// mutation to its write-ahead log, and closes it on Server.Close.
 func WithDurability(dir string, opts ...DurabilityOption) ServerOption {
 	return anonymizer.WithDurability(dir, opts...)
 }
@@ -497,7 +502,7 @@ func WithSnapshotInterval(d time.Duration) DurabilityOption {
 	return anonymizer.WithSnapshotInterval(d)
 }
 
-// WithDurableShards sets the durable store's shard (and WAL file) count.
+// WithDurableShards sets the durable store's shard count.
 // The count is fixed at directory initialization; reopening an existing
 // directory keeps its original count.
 func WithDurableShards(n int) DurabilityOption { return anonymizer.WithDurableShards(n) }
@@ -520,9 +525,10 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return anonymizer.ParseFs
 func BackupDir(w io.Writer, dir string) (int64, error) { return anonymizer.BackupDir(w, dir) }
 
 // RestoreArchive seeds a fresh durable data directory at dir from a
-// backup archive, verifying framing and checksums completely before the
-// directory is created; a truncated or corrupted archive fails with
-// ErrBadArchive and leaves nothing behind.
+// backup archive — always in the current on-disk layout, whichever
+// binary took the archive — verifying framing and checksums completely
+// before the directory is created; a truncated or corrupted archive
+// fails with ErrBadArchive and leaves nothing behind.
 func RestoreArchive(r io.Reader, dir string) error { return anonymizer.RestoreArchive(r, dir) }
 
 // Reshard migrates a durable data directory (offline) to a new shard

@@ -4,7 +4,9 @@
 #   serve (durable) -> loadgen -> HOT backup over the wire -> stop server
 #   -> restore into a fresh dir -> reshard into another -> dump all three
 #   -> every dump byte-identical (same regions, same reductions at every
-#      level, same trust tables, same expiries).
+#      level, same trust tables, same expiries);
+#   then the checked-in fixtures against their golden dumps, the refusal
+#   of a retired-layout directory, and the derived-keys round trip.
 #
 # Everything runs under a temp dir and cleans up after itself.
 set -eu
@@ -58,6 +60,8 @@ SERVE_PID=""
 
 echo "== restore into a fresh dir"
 "$WORK/anonymizer" restore -in "$WORK/backup.rca" -data-dir "$WORK/d2"
+grep -q '"version":3' "$WORK/d2/META.json" || { echo "FAIL: restore did not stage a version-3 directory"; exit 1; }
+ls "$WORK/d2"/shard-*.wal >/dev/null 2>&1 && { echo "FAIL: restore staged per-shard WAL files"; exit 1; }
 
 echo "== a truncated archive must restore nothing"
 head -c 1000 "$WORK/backup.rca" >"$WORK/torn.rca"
@@ -81,64 +85,33 @@ cmp "$WORK/d1.dump" "$WORK/d3.dump" || { echo "FAIL: reshard diverged from sourc
 
 echo "== OK: $(wc -l <"$WORK/d1.dump") registrations identical across serve/restore/reshard"
 
-# Migration leg: a checked-in version-1 (per-shard WAL) data directory
-# must upgrade to the unified-log layout on first open with its visible
-# state bit-for-bit intact, and the migrated directory must serve, hot
-# backup and restore like any other.
-echo "== migration: v1-layout fixture upgrades on first open"
-FIXTURE=internal/anonymizer/testdata/v1store
-GOLDEN=internal/anonymizer/testdata/v1store.dump
-cp -r "$FIXTURE" "$WORK/v1"
-chmod -R u+w "$WORK/v1"
-"$WORK/anonymizer" dump -data-dir "$WORK/v1" >"$WORK/v1.dump" # first open migrates
-cmp "$GOLDEN" "$WORK/v1.dump" || { echo "FAIL: migrated dump diverged from golden"; exit 1; }
-[ -e "$WORK/v1/shard-0000.wal" ] && { echo "FAIL: retired v1 WAL survived migration"; exit 1; }
-ls "$WORK/v1"/wal-*.seg >/dev/null 2>&1 || { echo "FAIL: migration produced no log segments"; exit 1; }
-# The migrated directory must reopen (now down the v2 path) identically.
-"$WORK/anonymizer" dump -data-dir "$WORK/v1" >"$WORK/v1-reopen.dump"
-cmp "$GOLDEN" "$WORK/v1-reopen.dump" || { echo "FAIL: migrated dir reopened differently"; exit 1; }
-
-echo "== migration: serve + hot backup + restore of the migrated dir"
-"$WORK/anonymizer" serve -addr "$ADDR" -data-dir "$WORK/v1" -ttl 0 \
-    >"$WORK/serve-v1.log" 2>&1 &
-SERVE_PID=$!
-ready=""
-for _ in $(seq 1 50); do
-    if "$WORK/anonymizer" backup -addr "$ADDR" -out /dev/null 2>/dev/null; then
-        ready=yes
-        break
-    fi
-    sleep 0.2
-done
-[ -n "$ready" ] || { echo "migrated server never became ready"; cat "$WORK/serve-v1.log"; exit 1; }
-"$WORK/anonymizer" backup -addr "$ADDR" -out "$WORK/v1.rca"
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
-"$WORK/anonymizer" restore -in "$WORK/v1.rca" -data-dir "$WORK/v1r"
+# Fixture leg: the checked-in current-layout directory and the checked-in
+# archive of a retired-layout one must dump to their goldens, reduction
+# digests included — today's reader on yesterday's bytes.
+echo "== fixtures: v3 directory and pre-v3 archive against their golden dumps"
+TESTDATA=internal/anonymizer/testdata
+cp -r "$TESTDATA/v3store" "$WORK/v3"
+chmod -R u+w "$WORK/v3"
+"$WORK/anonymizer" dump -data-dir "$WORK/v3" >"$WORK/v3.dump"
+cmp "$TESTDATA/v3store.dump" "$WORK/v3.dump" || { echo "FAIL: v3 fixture dump diverged from golden"; exit 1; }
+"$WORK/anonymizer" restore -in "$TESTDATA/v1store.rca" -data-dir "$WORK/v1r"
 "$WORK/anonymizer" dump -data-dir "$WORK/v1r" >"$WORK/v1r.dump"
-cmp "$GOLDEN" "$WORK/v1r.dump" || { echo "FAIL: backup/restore of migrated dir diverged"; exit 1; }
+cmp "$TESTDATA/v1store.dump" "$WORK/v1r.dump" || { echo "FAIL: restored pre-v3 archive diverged from golden"; exit 1; }
 
-echo "== OK: v1 fixture migrated, served, backed up and restored byte-identically"
+# Refusal leg: a directory in any other layout version is refused, by
+# name, with nothing in it touched.
+echo "== refusal: a version-1 directory is refused untouched"
+mkdir "$WORK/old" && printf '{"version":1,"shards":4}\n' >"$WORK/old/META.json" && cp -r "$WORK/old" "$WORK/old.orig"
+for cmd in "dump -data-dir $WORK/old" "backup -data-dir $WORK/old -out $WORK/old.rca" \
+    "reshard -src $WORK/old -dst $WORK/old-resharded -shards 2" \
+    "restore -apply -in $WORK/backup.rca -data-dir $WORK/old" "serve -addr $ADDR -data-dir $WORK/old"; do
+    # shellcheck disable=SC2086
+    if "$WORK/anonymizer" $cmd >/dev/null 2>"$WORK/refusal.log"; then echo "FAIL: '$cmd' accepted a version-1 directory"; exit 1; fi
+    grep -q "layout version.*version 1" "$WORK/refusal.log" || { echo "FAIL: '$cmd' refusal does not name the layout version"; cat "$WORK/refusal.log"; exit 1; }
+    diff -r "$WORK/old.orig" "$WORK/old" || { echo "FAIL: '$cmd' changed the refused directory"; exit 1; }
+done
 
-# Schema-v2 migration leg: a checked-in version-2 (unified log, stored
-# keys) data directory must take the META-only v2→v3 upgrade on first
-# open with its visible state bit-for-bit intact.
-echo "== migration: v2-layout fixture upgrades on first open"
-FIXTURE2=internal/anonymizer/testdata/v2store
-GOLDEN2=internal/anonymizer/testdata/v2store.dump
-cp -r "$FIXTURE2" "$WORK/v2"
-chmod -R u+w "$WORK/v2"
-"$WORK/anonymizer" dump -data-dir "$WORK/v2" >"$WORK/v2.dump" # first open migrates
-cmp "$GOLDEN2" "$WORK/v2.dump" || { echo "FAIL: migrated v2 dump diverged from golden"; exit 1; }
-grep -q '"version":3' "$WORK/v2/META.json" || { echo "FAIL: v2 fixture META not upgraded to v3"; exit 1; }
-ls "$WORK/v2"/wal-*.seg >/dev/null 2>&1 || { echo "FAIL: v2 migration lost its log segments"; exit 1; }
-# The migrated directory must reopen (now down the current-version path)
-# identically, and still hot backup + restore like any other.
-"$WORK/anonymizer" dump -data-dir "$WORK/v2" >"$WORK/v2-reopen.dump"
-cmp "$GOLDEN2" "$WORK/v2-reopen.dump" || { echo "FAIL: migrated v2 dir reopened differently"; exit 1; }
-
-echo "== OK: v2 fixture migrated byte-identically"
+echo "== OK: fixtures match their goldens; retired layouts are refused untouched"
 
 # Derived-keys leg: a server handed a master key file must journal key
 # references instead of key material, and backup/restore/dump must all
