@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-benchmark test-full race bench bench-smoke staticcheck govulncheck fmt fmt-check vet ci linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
+.PHONY: all build test test-benchmark test-full race bench bench-engine bench-smoke staticcheck govulncheck fmt fmt-check vet ci linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
 
 all: build test
 
@@ -29,9 +29,19 @@ race:
 	$(GO) test -race -short ./internal/anonymizer ./internal/anonymizer/repl ./internal/anonymizer/tenant ./internal/cloak
 
 # Full experiment harness + service throughput benchmarks (the nightly job).
-bench:
+bench: bench-engine
 	$(GO) run ./cmd/reversecloak-bench -json bench-results.json
 	$(GO) test -run xxx -bench 'BenchmarkServerThroughput|BenchmarkAnonymizeBatch' -benchtime 2000x ./internal/anonymizer
+
+# The cloak engine alone at the paper's scale (atlanta, 10 000 cars, the
+# default profile, density-weighted requesters): ns, allocs and the exact
+# nodes / exhausted searches / tagged levels per op, for RGE and RPLE,
+# Anonymize and Deanonymize. About 10 s, most of it building RPLE's
+# tables; the place an engine change starts before the full harness.
+# BENCHTIME=3x is what the CI bench-smoke job runs.
+BENCHTIME ?= 20x
+bench-engine:
+	$(GO) test -run xxx -bench BenchmarkPaper -benchtime $(BENCHTIME) ./internal/cloak
 
 fmt:
 	gofmt -w .
@@ -60,6 +70,7 @@ govulncheck:
 # experiments — the CI bench-smoke job runs `make bench-smoke`.
 bench-smoke:
 	$(GO) run ./cmd/reversecloak-bench -only E17,E18,E21,E22,E23 -trials 2 -junctions 400 -segments 540
+	$(MAKE) bench-engine BENCHTIME=3x
 
 # Short native-fuzz pass over the byte-facing decoders (the CI
 # fuzz-smoke step): corrupt input must never panic or over-read, and

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"github.com/reversecloak/reversecloak/internal/cloak"
 )
 
 // serverMetrics is the server's always-on operational instrumentation:
@@ -92,6 +94,52 @@ func (m *serverMetrics) observe(op Op, d time.Duration, ok bool) {
 	m.forOp(op).observe(d, ok)
 }
 
+// writeEngineMetrics renders the cloak engines' own counters
+// (cloak.Engine.Stats): what requests cost inside the engine — reversal
+// searches and the nodes they expanded, its unit of work — and how levels
+// were settled. Work series are summed over the enabled engines; outcome
+// series carry the algorithm.
+func (s *Server) writeEngineMetrics(w io.Writer) {
+	algos := make([]cloak.Algorithm, 0, len(s.engines))
+	for a := range s.engines {
+		algos = append(algos, a)
+	}
+	sort.Slice(algos, func(i, j int) bool { return algos[i] < algos[j] })
+	stats := make([]cloak.Stats, len(algos))
+	var sum cloak.Stats
+	for i, a := range algos {
+		st := s.engines[a].Stats()
+		stats[i] = st
+		sum.Searches += st.Searches
+		sum.SearchesExhausted += st.SearchesExhausted
+		sum.SearchesEmpty += st.SearchesEmpty
+		sum.SearchNodes += st.SearchNodes
+		sum.SaltRetries += st.SaltRetries
+	}
+	fmt.Fprintf(w, "# HELP anonymizer_cloak_search_nodes_total Reversal-search nodes expanded by the cloak engines (their unit of work: anonymize verifies every level by searching it backward, reduce searches every tagless level).\n")
+	fmt.Fprintf(w, "# TYPE anonymizer_cloak_search_nodes_total counter\n")
+	fmt.Fprintf(w, "anonymizer_cloak_search_nodes_total %d\n", sum.SearchNodes)
+	fmt.Fprintf(w, "# HELP anonymizer_cloak_searches_total Reversal searches by outcome (ok = a removal chain was found, exhausted = the node budget ran out first, none = no hypothesis survived).\n")
+	fmt.Fprintf(w, "# TYPE anonymizer_cloak_searches_total counter\n")
+	fmt.Fprintf(w, "anonymizer_cloak_searches_total{outcome=\"ok\"} %d\n", sum.Searches-sum.SearchesExhausted-sum.SearchesEmpty)
+	fmt.Fprintf(w, "anonymizer_cloak_searches_total{outcome=\"exhausted\"} %d\n", sum.SearchesExhausted)
+	fmt.Fprintf(w, "anonymizer_cloak_searches_total{outcome=\"none\"} %d\n", sum.SearchesEmpty)
+	fmt.Fprintf(w, "# HELP anonymizer_cloak_levels_total Privacy levels published by anonymize, by algorithm and whether the level needed disambiguation tags.\n")
+	fmt.Fprintf(w, "# TYPE anonymizer_cloak_levels_total counter\n")
+	for i, a := range algos {
+		fmt.Fprintf(w, "anonymizer_cloak_levels_total{algorithm=%q,mode=\"tagless\"} %d\n", a.String(), stats[i].TaglessLevels)
+		fmt.Fprintf(w, "anonymizer_cloak_levels_total{algorithm=%q,mode=\"tagged\"} %d\n", a.String(), stats[i].TaggedLevels)
+	}
+	fmt.Fprintf(w, "# HELP anonymizer_cloak_salt_retries_total Level attempts rejected and re-expanded under the next salt (stuck expansion or unverifiable reversal).\n")
+	fmt.Fprintf(w, "# TYPE anonymizer_cloak_salt_retries_total counter\n")
+	fmt.Fprintf(w, "anonymizer_cloak_salt_retries_total %d\n", sum.SaltRetries)
+	fmt.Fprintf(w, "# HELP anonymizer_cloak_refused_total Anonymize requests no salt could satisfy, by algorithm.\n")
+	fmt.Fprintf(w, "# TYPE anonymizer_cloak_refused_total counter\n")
+	for i, a := range algos {
+		fmt.Fprintf(w, "anonymizer_cloak_refused_total{algorithm=%q} %d\n", a.String(), stats[i].Refusals)
+	}
+}
+
 // writeMetrics renders the full Prometheus text exposition: server-wide
 // counters, per-op histograms, per-tenant usage, WAL/group-commit stats
 // and replication lag. It is the /metrics endpoint's body.
@@ -166,6 +214,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 			fmt.Fprintf(w, "anonymizer_tenant_rejected_total{tenant=%q,reason=\"throttled\"} %d\n", u.Name, u.Throttled)
 		}
 	}
+
+	s.writeEngineMetrics(w)
 
 	// Read-path cache (WithReduceCacheBytes). Absent when disabled.
 	if c := s.cache; c != nil {

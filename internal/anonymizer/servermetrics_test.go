@@ -1,0 +1,112 @@
+package anonymizer
+
+import (
+	"bufio"
+	"bytes"
+	"strconv"
+	"strings"
+	"testing"
+
+	"github.com/reversecloak/reversecloak/internal/profile"
+	"github.com/reversecloak/reversecloak/internal/roadnet"
+)
+
+// scrape renders /metrics and returns every sample line as series -> value.
+func scrape(t *testing.T, srv *Server) map[string]uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	srv.writeMetrics(&buf)
+	out := map[string]uint64{}
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		line := sc.Text()
+		i := strings.LastIndexByte(line, ' ')
+		if strings.HasPrefix(line, "#") || i < 0 {
+			continue
+		}
+		if v, err := strconv.ParseUint(line[i+1:], 10, 64); err == nil {
+			out[line[:i]] = v
+		}
+	}
+	return out
+}
+
+// TestEngineMetrics scrapes the cloak-engine series after a request mix
+// whose outcomes are known from the answers: published levels by
+// algorithm and tag mode, one refusal, and the searches behind a reduce.
+func TestEngineMetrics(t *testing.T) {
+	srv, addr, _ := startServer(t)
+	c := dial(t, addr)
+	if got := scrape(t, srv)["anonymizer_cloak_search_nodes_total"]; got != 0 {
+		t.Fatalf("fresh server reports %d search nodes", got)
+	}
+
+	want := map[string]uint64{}
+	var lastID string
+	for i, algo := range []string{"RGE", "RGE", "RGE", "RPLE", "RPLE"} {
+		id, region, err := c.Anonymize(roadnet.SegmentID(20+7*i), testProfile(), algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lm := range region.Levels {
+			mode := "tagless"
+			if lm.Tags != nil {
+				mode = "tagged"
+			}
+			want[`anonymizer_cloak_levels_total{algorithm="`+algo+`",mode="`+mode+`"}`]++
+		}
+		lastID = id
+	}
+	// One metre of tolerance fits no second segment: refused after the
+	// whole retry budget.
+	impossible := profile.Profile{Levels: []profile.Level{{K: 50, L: 20, SigmaS: 1}}}
+	if _, _, err := c.Anonymize(3, impossible, "RGE"); err == nil {
+		t.Fatal("infeasible profile was cloaked")
+	}
+	want[`anonymizer_cloak_refused_total{algorithm="RGE"}`] = 1
+	want[`anonymizer_cloak_refused_total{algorithm="RPLE"}`] = 0
+
+	before := scrape(t, srv)
+	if err := c.SetTrust(lastID, "reader", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Reduce(lastID, "reader", 0); err != nil {
+		t.Fatal(err)
+	}
+	got := scrape(t, srv)
+
+	for _, algo := range []string{"RGE", "RPLE"} {
+		for _, mode := range []string{"tagless", "tagged"} {
+			series := `anonymizer_cloak_levels_total{algorithm="` + algo + `",mode="` + mode + `"}`
+			if _, ok := got[series]; !ok {
+				t.Errorf("/metrics missing %s", series)
+			}
+		}
+	}
+	for series, v := range want {
+		if got[series] != v {
+			t.Errorf("%s = %d, want %d", series, got[series], v)
+		}
+	}
+	if got["anonymizer_cloak_salt_retries_total"] < 32 {
+		t.Errorf("salt retries = %d, want at least the refused request's 32",
+			got["anonymizer_cloak_salt_retries_total"])
+	}
+	searches := func(m map[string]uint64) (n uint64) {
+		for _, o := range []string{"ok", "exhausted", "none"} {
+			n += m[`anonymizer_cloak_searches_total{outcome="`+o+`"}`]
+		}
+		return n
+	}
+	if searches(got) == 0 || got["anonymizer_cloak_search_nodes_total"] < searches(got) {
+		t.Errorf("implausible search counts: %d searches, %d nodes",
+			searches(got), got["anonymizer_cloak_search_nodes_total"])
+	}
+	// The reduce peeled two levels; each tagless one is a search that
+	// must have found its chain.
+	ok := `anonymizer_cloak_searches_total{outcome="ok"}`
+	if grew := searches(got) - searches(before); grew > 2 || got[ok]-before[ok] != grew {
+		t.Errorf("reduce ran %d searches, %d ok; want at most one per level, all ok",
+			grew, got[ok]-before[ok])
+	}
+}

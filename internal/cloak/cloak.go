@@ -32,8 +32,9 @@ type Algorithm int
 // Supported algorithms.
 const (
 	// RGE is Reversible Global Expansion: the candidate set is every segment
-	// adjacent to the current region, and the transition table is rebuilt at
-	// every step.
+	// adjacent to the current region, so the transition table changes at
+	// every step (the engine keeps its rows and columns in order as the
+	// region changes instead of rebuilding them).
 	RGE Algorithm = iota + 1
 	// RPLE is Reversible Pre-assignment-based Local Expansion: transitions
 	// come from per-segment forward/backward lists pre-assigned once per
@@ -169,18 +170,6 @@ func (c *CloakedRegion) validate(g *roadnet.Graph) error {
 		}
 	}
 	return nil
-}
-
-// streamLabel namespaces the pseudo-random stream of one (level, salt)
-// pair. Both sides derive it identically from public metadata.
-func streamLabel(level int, salt uint32) string {
-	return fmt.Sprintf("reversecloak/level=%d/salt=%d", level, salt)
-}
-
-// tagLabel namespaces a step's disambiguation tag.
-func tagLabel(level int, salt uint32, step int, seg roadnet.SegmentID) string {
-	return fmt.Sprintf("reversecloak/tag/level=%d/salt=%d/step=%d/seg=%d",
-		level, salt, step, seg)
 }
 
 // tagSize is the truncated PRF tag length in bytes: 8 bytes gives a 2^-64

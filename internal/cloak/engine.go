@@ -2,6 +2,7 @@ package cloak
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/reversecloak/reversecloak/internal/profile"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
@@ -60,15 +61,21 @@ type Trace struct {
 }
 
 // Engine anonymizes and de-anonymizes locations over one road network.
-// An Engine is safe for concurrent use: all state is per-call.
+// An Engine is safe for concurrent use: the graph tables are immutable and
+// every call works in its own arena from the engine's pool.
 type Engine struct {
 	g       *roadnet.Graph
 	density DensityFunc
 	opts    Options
+	tb      *tables
+	arenas  sync.Pool
+	stats   engineStats
 }
 
-// NewEngine validates the configuration and returns an engine.
-// density may be nil only for engines used exclusively to de-anonymize.
+// NewEngine validates the configuration and returns an engine. It sorts
+// the graph's segments into canonical order once, so that no request has
+// to. density may be nil only for engines used exclusively to
+// de-anonymize.
 func NewEngine(g *roadnet.Graph, density DensityFunc, opts Options) (*Engine, error) {
 	if g == nil || g.NumSegments() == 0 {
 		return nil, fmt.Errorf("%w: empty graph", ErrBadRequest)
@@ -86,18 +93,34 @@ func NewEngine(g *roadnet.Graph, density DensityFunc, opts Options) (*Engine, er
 	default:
 		return nil, fmt.Errorf("%w: unknown algorithm %d", ErrBadRequest, int(opts.Algorithm))
 	}
-	return &Engine{g: g, density: density, opts: opts.withDefaults()}, nil
+	if opts.MaxRetries < 0 || opts.MaxSteps < 0 {
+		return nil, fmt.Errorf("%w: negative MaxRetries (%d) or MaxSteps (%d)",
+			ErrBadRequest, opts.MaxRetries, opts.MaxSteps)
+	}
+	return &Engine{g: g, density: density, opts: opts.withDefaults(), tb: newTables(g)}, nil
 }
 
 // Graph returns the engine's road network.
 func (e *Engine) Graph() *roadnet.Graph { return e.g }
 
-// newStepper builds the per-(level, salt) stepper.
-func (e *Engine) newStepper(key []byte, level int, salt uint32) stepper {
-	if e.opts.Algorithm == RPLE {
-		return newRPLEStepper(e.opts.Pre, key, level, salt)
+// Stats returns the engine's cumulative counts.
+func (e *Engine) Stats() Stats { return e.stats.snapshot() }
+
+// acquire takes an arena from the pool, emptied for a call that reads
+// density (nil for reversal).
+func (e *Engine) acquire(density DensityFunc) *arena {
+	a, _ := e.arenas.Get().(*arena)
+	if a == nil {
+		a = newArena(e.tb)
 	}
-	return newRGEStepper(key, level, salt)
+	a.st.reset(density)
+	return a
+}
+
+// release folds the call's counts into the engine's and returns the arena.
+func (e *Engine) release(a *arena) {
+	e.stats.fold(&a.stats)
+	e.arenas.Put(a)
 }
 
 // Anonymize transforms the user's segment into a multi-level cloaked
@@ -106,61 +129,82 @@ func (e *Engine) newStepper(key []byte, level int, salt uint32) stepper {
 // state it grew from; if reversal is ambiguous the level is re-expanded
 // under the next salt ("links rebuilt ... to avoid collisions"). The salt
 // is public metadata.
+//
+// One arena carries the whole request: each level expands from the state
+// the previous one left, a rejected salt rolls its own additions back, and
+// verification walks that same state backward and forward again rather
+// than rebuilding it from the member list.
 func (e *Engine) Anonymize(req Request) (*CloakedRegion, *Trace, error) {
 	if err := e.validateRequest(req); err != nil {
 		return nil, nil, err
 	}
+	a := e.acquire(e.density)
+	defer e.release(a)
+	st := a.st
+	st.add(req.UserSegment)
 
-	members := []roadnet.SegmentID{req.UserSegment}
 	head := req.UserSegment
-	tr := &Trace{}
-	metas := make([]LevelMeta, 0, len(req.Profile.Levels))
+	n := len(req.Profile.Levels)
+	tr := &Trace{
+		LevelSeqs:    make([][]roadnet.SegmentID, 0, n),
+		StartHeads:   make([]roadnet.SegmentID, 0, n),
+		Salts:        make([]uint32, 0, n),
+		UsersCovered: make([]int, 0, n),
+	}
+	metas := make([]LevelMeta, 0, n)
 
 	for li, lv := range req.Profile.Levels {
 		level := li + 1
-		key := req.Keys[li]
+		a.key.begin(req.Keys[li], level)
+		st.sigma = lv.SigmaS
 		accepted := false
 		for salt := uint32(0); int(salt) < e.opts.MaxRetries; salt++ {
-			seq, ok := e.expandLevel(members, head, lv, key, level, salt)
-			if !ok {
+			stp := a.stepper(e.opts.Algorithm, e.opts.Pre, salt)
+			if !e.expandLevel(a, stp, head, lv) {
+				a.stats.SaltRetries++
 				continue
 			}
-			post := append(append([]roadnet.SegmentID(nil), members...), seq...)
-			meta := LevelMeta{Steps: len(seq), Salt: salt, SigmaS: lv.SigmaS}
-			if !e.levelReverses(post, seq, head, key, level, meta) {
+			meta := LevelMeta{Steps: len(a.seq), Salt: salt, SigmaS: lv.SigmaS}
+			if !a.levelReverses(stp, head, meta, level) {
 				// Tagless reversal is ambiguous or over budget for this
 				// region shape: publish keyed disambiguation tags instead
 				// ("links ... rebuilt on the fly to avoid collisions").
-				meta.Tags = makeTags(key, level, salt, seq)
-				if !e.levelReverses(post, seq, head, key, level, meta) {
-					continue // freak tag collision: another salt fixes it
+				meta.Tags = a.key.makeTags(a.seq)
+				if !a.levelReverses(stp, head, meta, level) {
+					// Freak tag collision: another salt fixes it.
+					a.rollback()
+					a.stats.SaltRetries++
+					continue
 				}
 			}
-			members = post
+			seq := make([]roadnet.SegmentID, len(a.seq)) // non-nil even when empty
+			copy(seq, a.seq)
+			tr.StartHeads = append(tr.StartHeads, head)
 			if len(seq) > 0 {
-				tr.StartHeads = append(tr.StartHeads, head)
 				head = seq[len(seq)-1]
-			} else {
-				tr.StartHeads = append(tr.StartHeads, head)
 			}
 			tr.LevelSeqs = append(tr.LevelSeqs, seq)
 			tr.Salts = append(tr.Salts, salt)
-			tr.UsersCovered = append(tr.UsersCovered, e.usersOf(members))
+			tr.UsersCovered = append(tr.UsersCovered, st.users)
 			metas = append(metas, meta)
+			if meta.Tags != nil {
+				a.stats.TaggedLevels++
+			} else {
+				a.stats.TaglessLevels++
+			}
 			accepted = true
 			break
 		}
 		if !accepted {
+			a.stats.Refusals++
 			return nil, nil, fmt.Errorf("%w: level %d (k=%d, l=%d, sigma=%.0f) not satisfiable within %d retries",
 				ErrCloakFailed, level, lv.K, lv.L, lv.SigmaS, e.opts.MaxRetries)
 		}
 	}
 
-	segs := append([]roadnet.SegmentID(nil), members...)
-	sortIDs(segs)
 	return &CloakedRegion{
 		Algorithm: e.opts.Algorithm,
-		Segments:  segs,
+		Segments:  st.membersByID(),
 		Levels:    metas,
 	}, tr, nil
 }
@@ -188,85 +232,69 @@ func (e *Engine) validateRequest(req Request) error {
 	return nil
 }
 
-// usersOf sums density over a segment list.
-func (e *Engine) usersOf(members []roadnet.SegmentID) int {
-	var n int
-	for _, id := range members {
-		n += e.density(id)
-	}
-	return n
-}
-
-// expandLevel grows the region from `members` (head `head`) until the level
-// requirement is met, returning the insertion sequence. ok=false reports a
-// stuck expansion (no eligible candidate, or step budget exhausted).
-func (e *Engine) expandLevel(
-	members []roadnet.SegmentID,
-	head roadnet.SegmentID,
-	lv profile.Level,
-	key []byte,
-	level int,
-	salt uint32,
-) ([]roadnet.SegmentID, bool) {
-	st := newState(e.g, members, e.density)
-	st.sigma = lv.SigmaS
-	stp := e.newStepper(key, level, salt)
-
-	seq := make([]roadnet.SegmentID, 0, 8)
+// expandLevel grows the arena's region (head `head`) until the level
+// requirement is met, logging the insertion sequence in a.seq. false
+// reports a stuck expansion (no eligible candidate, or step budget
+// exhausted), with the additions rolled back.
+func (e *Engine) expandLevel(a *arena, stp stepper, head roadnet.SegmentID, lv profile.Level) bool {
+	st := a.st
+	a.seq = a.seq[:0]
 	for t := 0; !(st.users >= lv.K && st.size() >= lv.L); t++ {
-		if t >= e.opts.MaxSteps {
-			return nil, false
+		next, ok := roadnet.InvalidSegment, false
+		if t < e.opts.MaxSteps { // else: step budget exhausted
+			next, ok = stp.forward(st, head, uint64(t))
 		}
-		next, ok := stp.forward(st, head, uint64(t))
 		if !ok {
-			return nil, false
-		}
-		st.add(next)
-		seq = append(seq, next)
-		head = next
-	}
-	return seq, true
-}
-
-// levelReverses runs the de-anonymizer's unconstrained search on the
-// expanded region and accepts only if it deterministically recovers exactly
-// the true chain: the removal order must be the reverse of seq and (in
-// search mode) the recovered start head must match. This is the
-// collision-avoidance step.
-func (e *Engine) levelReverses(
-	post, seq []roadnet.SegmentID,
-	head roadnet.SegmentID,
-	key []byte,
-	level int,
-	meta LevelMeta,
-) bool {
-	rr, err := reverseLevel(e.g, e.opts.Algorithm, e.opts.Pre, post, meta,
-		key, level, roadnet.InvalidSegment)
-	if err != nil {
-		return false
-	}
-	if len(rr.removed) != len(seq) {
-		return false
-	}
-	for i, id := range rr.removed {
-		if id != seq[len(seq)-1-i] {
+			a.rollback()
 			return false
 		}
-	}
-	if meta.Tags == nil && len(seq) > 0 && rr.startHead != head {
-		return false
+		st.add(next)
+		a.seq = append(a.seq, next)
+		head = next
 	}
 	return true
 }
 
-// makeTags derives the per-step disambiguation tags for a level's
-// insertion sequence.
-func makeTags(key []byte, level int, salt uint32, seq []roadnet.SegmentID) [][]byte {
-	tags := make([][]byte, len(seq))
-	for i, s := range seq {
-		tags[i] = stepTag(key, level, salt, i+1, s)
+// rollback removes the level logged in a.seq from the region, last-added
+// first.
+func (a *arena) rollback() {
+	for i := len(a.seq) - 1; i >= 0; i-- {
+		a.st.remove(a.seq[i])
 	}
-	return tags
+}
+
+// levelReverses runs the de-anonymizer's unconstrained reversal on the
+// expanded region and accepts only if it deterministically recovers exactly
+// the true chain: the removal order must be the reverse of a.seq and (in
+// search mode) the recovered start head must match. This is the
+// collision-avoidance step. The region is the same on return, whatever the
+// verdict.
+func (a *arena) levelReverses(stp stepper, head roadnet.SegmentID, meta LevelMeta, level int) bool {
+	if meta.Steps == 0 {
+		return true
+	}
+	// The de-anonymizer has no density; verify without it, as it will run
+	// (and without re-sampling density on every restore).
+	st := a.st
+	density := st.density
+	st.density = nil
+	startHead, err := a.reverseLevel(stp, meta, level, roadnet.InvalidSegment)
+	ok := err == nil
+	if ok {
+		// The reversal left the region unwound; put the level back.
+		// Members, frontier and bounds are functions of the member set
+		// alone, so this is the state expansion left.
+		removed := a.search.chain
+		for i := len(removed) - 1; i >= 0; i-- {
+			st.add(removed[i])
+		}
+		for i, id := range removed {
+			ok = ok && id == a.seq[len(a.seq)-1-i]
+		}
+		ok = ok && (meta.Tags != nil || startHead == head)
+	}
+	st.density = density
+	return ok
 }
 
 // Deanonymize reduces a cloaked region from its current privacy level down
@@ -274,6 +302,10 @@ func makeTags(key []byte, level int, salt uint32, seq []roadnet.SegmentID) [][]b
 // engine must be configured with the same algorithm (and, for RPLE, the
 // same preassignment) as the anonymizer. toLevel = 0 recovers the user's
 // own segment.
+//
+// The region is loaded into an arena once and walked backward level by
+// level; a region that is not connected cannot have been produced by
+// Anonymize and is refused before any level is tried.
 func (e *Engine) Deanonymize(
 	cr *CloakedRegion,
 	levelKeys map[int][]byte,
@@ -294,29 +326,37 @@ func (e *Engine) Deanonymize(
 		return nil, fmt.Errorf("%w: cannot reduce level-%d region to level %d",
 			ErrBadRequest, cur, toLevel)
 	}
-
-	members := append([]roadnet.SegmentID(nil), cr.Segments...)
-	hint := roadnet.InvalidSegment
 	out := cr.Clone()
+	if toLevel == cur {
+		return out, nil
+	}
+
+	a := e.acquire(nil)
+	defer e.release(a)
+	st := a.st
+	for _, id := range cr.Segments {
+		st.add(id)
+	}
+	if !st.connected() {
+		return nil, fmt.Errorf("%w: region is not connected", ErrIrreversible)
+	}
+	hint := roadnet.InvalidSegment
 	for lv := cur; lv > toLevel; lv-- {
 		meta := out.Levels[lv-1]
 		key, ok := levelKeys[lv]
 		if !ok || len(key) == 0 {
 			return nil, fmt.Errorf("%w: level %d", ErrMissingKey, lv)
 		}
-		rr, err := reverseLevel(e.g, cr.Algorithm, e.opts.Pre, members, meta,
-			key, lv, hint)
+		a.key.begin(key, lv)
+		startHead, err := a.reverseLevel(a.stepper(cr.Algorithm, e.opts.Pre, meta.Salt), meta, lv, hint)
 		if err != nil {
 			return nil, fmt.Errorf("%w: level %d: %v", ErrIrreversible, lv, err)
 		}
-		members = rr.preMembers
 		if meta.Steps > 0 {
-			hint = rr.startHead // InvalidSegment after tag-mode levels
+			hint = startHead // InvalidSegment after tag-mode levels
 		}
 		out.Levels = out.Levels[:lv-1]
 	}
-	segs := append([]roadnet.SegmentID(nil), members...)
-	sortIDs(segs)
-	out.Segments = segs
+	out.Segments = st.membersByID()
 	return out, nil
 }

@@ -2,6 +2,7 @@ package cloak
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/reversecloak/reversecloak/internal/profile"
@@ -341,6 +342,35 @@ func TestDeanonymizeTamperedRegion(t *testing.T) {
 	}
 }
 
+// TestDeanonymizeDisconnectedRegion: a region that passes the structural
+// checks but is not connected cannot have come from Anonymize; it is
+// refused at entry — before any hypothesis is tried, and even when the
+// level to peel added nothing — as irreversible.
+func TestDeanonymizeDisconnectedRegion(t *testing.T) {
+	for _, algo := range []Algorithm{RGE, RPLE} {
+		e := newTestEngine(t, algo, 10, 10, constDensity(2))
+		far := roadnet.SegmentID(e.Graph().NumSegments() - 1)
+		if e.Graph().Adjacent(0, far) {
+			t.Fatal("test needs two non-adjacent segments")
+		}
+		before := e.Stats()
+		for _, lv := range [][]LevelMeta{
+			{{Steps: 1}},
+			{{Steps: 1}, {Steps: 0}},
+			{{Steps: 1, Tags: [][]byte{make([]byte, tagSize)}}},
+		} {
+			bad := &CloakedRegion{Algorithm: algo, Segments: []roadnet.SegmentID{0, far}, Levels: lv}
+			_, err := e.Deanonymize(bad, map[int][]byte{1: seed(1), 2: seed(2)}, len(lv)-1)
+			if !errors.Is(err, ErrIrreversible) || !strings.Contains(err.Error(), "not connected") {
+				t.Errorf("%v, levels %+v: err = %v, want ErrIrreversible (not connected)", algo, lv, err)
+			}
+		}
+		if got := e.Stats(); got != before {
+			t.Errorf("%v: a disconnected region must be refused before any search: stats %+v", algo, got)
+		}
+	}
+}
+
 func TestZeroStepLevel(t *testing.T) {
 	// Level 2 repeats level 1's requirements, so it should add nothing and
 	// still round-trip.
@@ -443,6 +473,12 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 	if _, err := NewEngine(g, constDensity(1), Options{Algorithm: RPLE, Pre: pre}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("mismatched preassignment err = %v", err)
+	}
+	// Negative budgets would refuse every request; zero means "default".
+	for _, o := range []Options{{Algorithm: RGE, MaxRetries: -1}, {Algorithm: RGE, MaxSteps: -1}} {
+		if _, err := NewEngine(g, constDensity(1), o); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("options %+v err = %v", o, err)
+		}
 	}
 	// Dean-only engine (nil density) builds fine but refuses to anonymize.
 	e, err := NewEngine(g, nil, Options{Algorithm: RGE})

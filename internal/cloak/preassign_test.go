@@ -190,11 +190,12 @@ func TestFigure3(t *testing.T) {
 
 	// Use segment 8 as the head, matching the figure's s8.
 	head := roadnet.SegmentID(8)
-	stream := prng.New(seed(42), streamLabel(1, 0))
-
 	// Region = {head}; the stepper picks from FT[head].
-	st := newState(g, []roadnet.SegmentID{head}, nil)
-	stp := &rpleStepper{pre: pre, stream: stream}
+	st := newArena(newTables(g)).st
+	st.reset(nil)
+	st.add(head)
+	stp := &rpleStepper{pre: pre}
+	stp.draws.rekey(prng.Derive(seed(42), string(appendStreamLabel(nil, 1, 0))))
 	next, ok := stp.forward(st, head, 0)
 	if !ok {
 		t.Fatal("forward from s8 found no eligible candidate")
@@ -214,7 +215,7 @@ func TestFigure3(t *testing.T) {
 
 	// Backward: with the same key and the same pre-state, the removed
 	// segment maps back to the head — and only to the head.
-	heads := stp.backward(st, next, 0)
+	heads := stp.backward(st, next, 0, nil)
 	if len(heads) != 1 || heads[0] != head {
 		t.Fatalf("backward(%d) = %v, want [s8 (%d)]", next, heads, head)
 	}

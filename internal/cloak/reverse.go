@@ -2,25 +2,10 @@ package cloak
 
 import (
 	"fmt"
+	"slices"
 
-	"github.com/reversecloak/reversecloak/internal/prng"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
 )
-
-// prngDerive aliases the keyed derivation used for step tags.
-func prngDerive(key []byte, label string) []byte { return prng.Derive(key, label) }
-
-// reverseResult is the outcome of unwinding one privacy level.
-type reverseResult struct {
-	// removed lists the removed segments, last-added first.
-	removed []roadnet.SegmentID
-	// preMembers is the region before the level was added (sorted by ID).
-	preMembers []roadnet.SegmentID
-	// startHead is the head at the start of the level (the last segment
-	// added by the level below) — the hint that seeds the next peel.
-	// InvalidSegment when steps == 0.
-	startHead roadnet.SegmentID
-}
 
 // searchBudget bounds the de-anonymizer's DFS to keep worst-case reversal
 // cost near-linear: when a region grows much larger than its candidate set
@@ -38,9 +23,24 @@ func searchBudget(regionSize, steps int) int {
 // understates the adversary's confusion.
 const enumBudget = 20000
 
-// reverseLevel unwinds `steps` segments of one privacy level from `region`
-// using the level key. It implements the paper's backward transitions plus
-// a depth-first hypothesis search:
+// checkSteps rejects step counts a region of that size cannot carry.
+func checkSteps(steps, regionSize int) error {
+	if steps < 0 || steps >= regionSize {
+		return fmt.Errorf("%w: %d steps for a %d-segment region", ErrBadRegion, steps, regionSize)
+	}
+	return nil
+}
+
+// reverseLevel unwinds the `meta.Steps` segments of one privacy level from
+// the arena's state (which must hold the level's region, connected, with
+// the level key begun) and leaves the state at the region the level grew
+// from. It returns the head at the start of the level — the last segment
+// added by the level below, the hint that seeds the next peel;
+// InvalidSegment for a zero-step or tagged level. On error the state is as
+// it was on entry.
+//
+// It implements the paper's backward transitions plus a depth-first
+// hypothesis search:
 //
 //   - The first removal of the level is unknown to the de-anonymizer; every
 //     region segment is tried as the hypothesis "this was added last"
@@ -61,148 +61,89 @@ const enumBudget = 20000
 // The search needs no density information: step counts come from public
 // metadata, so data requesters can run it offline with just the map, the
 // keys and the cloaked region.
-func reverseLevel(
-	g *roadnet.Graph,
-	algo Algorithm,
-	pre *Preassignment,
-	region []roadnet.SegmentID,
-	meta LevelMeta,
-	key []byte,
-	level int,
-	hint roadnet.SegmentID,
-) (*reverseResult, error) {
-	steps := meta.Steps
-	if steps < 0 || steps >= len(region) {
-		return nil, fmt.Errorf("%w: %d steps for a %d-segment region",
-			ErrBadRegion, steps, len(region))
+func (a *arena) reverseLevel(stp stepper, meta LevelMeta, level int, hint roadnet.SegmentID) (roadnet.SegmentID, error) {
+	st := a.st
+	if err := checkSteps(meta.Steps, st.size()); err != nil {
+		return roadnet.InvalidSegment, err
 	}
-	if steps == 0 {
-		return &reverseResult{
-			preMembers: sortedCopy(region),
-			startHead:  roadnet.InvalidSegment,
-		}, nil
+	if meta.Steps == 0 {
+		return roadnet.InvalidSegment, nil
 	}
-
-	stp, err := makeStepper(algo, pre, key, level, meta.Salt)
-	if err != nil {
-		return nil, err
-	}
-	st := newState(g, region, nil)
 	st.sigma = meta.SigmaS
-
 	if meta.Tags != nil {
-		return reverseWithTags(st, stp, meta, key, level)
+		return roadnet.InvalidSegment, a.unwindTagged(stp, meta)
 	}
-
-	search := &reverseSearch{st: st, stp: stp, max: 1,
-		budget: searchBudget(len(region), steps)}
-
-	// Candidate first removals: the hint when available, otherwise every
-	// member in canonical order (the deterministic order both sides share).
-	var firsts []roadnet.SegmentID
-	if hint != roadnet.InvalidSegment {
-		if !st.has(hint) {
-			return nil, fmt.Errorf("%w: hint segment %d not in region", ErrBadRegion, hint)
+	if hint != roadnet.InvalidSegment && !st.has(hint) {
+		return roadnet.InvalidSegment, fmt.Errorf("%w: hint segment %d not in region", ErrBadRegion, hint)
+	}
+	rs := a.runSearch(stp, meta.Steps, hint, 1, searchBudget(st.size(), meta.Steps), nil)
+	switch {
+	case rs.found > 0:
+		for _, s := range rs.chain {
+			st.remove(s)
 		}
-		firsts = []roadnet.SegmentID{hint}
-	} else {
-		firsts = st.canonicalMembers()
+		return rs.startHead, nil
+	case rs.exhausted:
+		return roadnet.InvalidSegment, fmt.Errorf("%w: reversal search budget exceeded for level %d (%d steps)",
+			ErrIrreversible, level, meta.Steps)
 	}
-
-	for _, first := range firsts {
-		if search.undo(steps, first) {
-			break
-		}
-	}
-	if len(search.results) > 0 {
-		return search.results[0], nil
-	}
-	if search.exhausted {
-		return nil, fmt.Errorf("%w: reversal search budget exceeded for level %d (%d steps)",
-			ErrIrreversible, level, steps)
-	}
-	return nil, fmt.Errorf("%w: no consistent removal chain for level %d (%d steps)",
-		ErrIrreversible, level, steps)
+	return roadnet.InvalidSegment, fmt.Errorf("%w: no consistent removal chain for level %d (%d steps)",
+		ErrIrreversible, level, meta.Steps)
 }
 
-// makeStepper builds the per-(algorithm, key, level, salt) stepper.
-func makeStepper(algo Algorithm, pre *Preassignment, key []byte, level int, salt uint32) (stepper, error) {
-	switch algo {
-	case RPLE:
-		if pre == nil {
-			return nil, fmt.Errorf("%w: RPLE reversal requires a preassignment", ErrBadRequest)
-		}
-		return newRPLEStepper(pre, key, level, salt), nil
-	case RGE:
-		return newRGEStepper(key, level, salt), nil
-	default:
-		return nil, fmt.Errorf("%w: unknown algorithm %d", ErrBadRegion, int(algo))
-	}
-}
-
-// reverseWithTags resolves each removal directly: the segment whose keyed
-// tag matches the published step tag is the one added at that step. Each
+// unwindTagged resolves each removal directly: the segment whose keyed tag
+// matches the published step tag is the one added at that step. Each
 // removal is additionally validated against the backward transition, so a
-// wrong key (whose tags match nothing) fails loudly.
-func reverseWithTags(
-	st *state,
-	stp stepper,
-	meta LevelMeta,
-	key []byte,
-	level int,
-) (*reverseResult, error) {
-	removed := make([]roadnet.SegmentID, 0, meta.Steps)
+// wrong key (whose tags match nothing) fails loudly. On success the state
+// is unwound and a.search.chain lists the removals, last-added first; on
+// error they are put back.
+//
+// The start head stays unknown in tag mode: the backward row lookup can be
+// ambiguous for large regions, and the next level de-anonymizes correctly
+// without a hint.
+func (a *arena) unwindTagged(stp stepper, meta LevelMeta) error {
+	rs := &a.search
+	rs.chain = rs.chain[:0]
+	err := a.walkTags(stp, meta)
+	if err != nil {
+		for i := len(rs.chain) - 1; i >= 0; i-- {
+			a.st.add(rs.chain[i])
+		}
+	}
+	return err
+}
+
+// walkTags is unwindTagged's walk; it stops at the first step that fails,
+// with the removals so far logged in a.search.chain.
+func (a *arena) walkTags(stp stepper, meta LevelMeta) error {
+	st, rs := a.st, &a.search
+	// Members are tried in ascending ID order, the order a region is
+	// published in.
+	a.byID = append(a.byID[:0], st.rows...)
+	slices.Sort(a.byID)
 	for t := meta.Steps; t >= 1; t-- {
-		want := meta.Tags[t-1]
-		found := roadnet.InvalidSegment
-		for _, s := range st.memberSlice() {
-			if matchTag(key, level, meta.Salt, t, s, want) {
-				found = s
+		at := -1
+		for i, s := range a.byID {
+			if a.key.matches(t, s, meta.Tags[t-1]) {
+				at = i
 				break
 			}
 		}
-		if found == roadnet.InvalidSegment {
-			return nil, fmt.Errorf("%w: step %d tag matches no region segment (wrong key?)",
-				ErrIrreversible, t)
+		if at < 0 {
+			return fmt.Errorf("%w: step %d tag matches no region segment (wrong key?)", ErrIrreversible, t)
 		}
+		found := a.byID[at]
 		if !st.connectedWithout(found) {
-			return nil, fmt.Errorf("%w: step %d removal disconnects the region",
-				ErrIrreversible, t)
+			return fmt.Errorf("%w: step %d removal disconnects the region", ErrIrreversible, t)
 		}
 		st.remove(found)
-		removed = append(removed, found)
-		heads := stp.backward(st, found, uint64(t-1))
-		if len(heads) == 0 {
-			return nil, fmt.Errorf("%w: step %d fails the backward transition",
-				ErrIrreversible, t)
+		a.byID = slices.Delete(a.byID, at, at+1)
+		rs.chain = append(rs.chain, found)
+		if rs.heads = stp.backward(st, found, uint64(t-1), rs.heads[:0]); len(rs.heads) == 0 {
+			return fmt.Errorf("%w: step %d fails the backward transition", ErrIrreversible, t)
 		}
-		// The start head stays InvalidSegment in tag mode: the backward row
-		// lookup can be ambiguous for large regions, and the next level
-		// de-anonymizes correctly without a hint.
 	}
-	return &reverseResult{
-		removed:    removed,
-		preMembers: st.memberSlice(),
-		startHead:  roadnet.InvalidSegment,
-	}, nil
-}
-
-// stepTag derives the keyed disambiguation tag for one step.
-func stepTag(key []byte, level int, salt uint32, step int, seg roadnet.SegmentID) []byte {
-	return prngDerive(key, tagLabel(level, salt, step, seg))[:tagSize]
-}
-
-// matchTag compares a published tag against the derived one.
-func matchTag(key []byte, level int, salt uint32, step int, seg roadnet.SegmentID, want []byte) bool {
-	if len(want) != tagSize {
-		return false
-	}
-	got := stepTag(key, level, salt, step, seg)
-	var diff byte
-	for i := range got {
-		diff |= got[i] ^ want[i]
-	}
-	return diff == 0
+	return nil
 }
 
 // EnumerateReversals returns up to limit complete removal chains that are
@@ -210,6 +151,9 @@ func matchTag(key []byte, level int, salt uint32, step int, seg roadnet.SegmentI
 // real one — survives the engine's collision avoidance; with a wrong or
 // guessed key the count measures the adversary's remaining ambiguity
 // (experiment E11). Each returned chain lists removals last-added first.
+//
+// This is the analysis path, not the request path: it takes a bare graph,
+// so every call builds its own rank and bounds tables and its own scratch.
 func EnumerateReversals(
 	g *roadnet.Graph,
 	algo Algorithm,
@@ -222,9 +166,8 @@ func EnumerateReversals(
 	sigma float64,
 	limit int,
 ) ([][]roadnet.SegmentID, error) {
-	if steps < 0 || steps >= len(region) {
-		return nil, fmt.Errorf("%w: %d steps for a %d-segment region",
-			ErrBadRegion, steps, len(region))
+	if err := checkSteps(steps, len(region)); err != nil {
+		return nil, err
 	}
 	if limit < 1 {
 		return nil, fmt.Errorf("%w: non-positive limit", ErrBadRequest)
@@ -232,47 +175,99 @@ func EnumerateReversals(
 	if steps == 0 {
 		return [][]roadnet.SegmentID{{}}, nil
 	}
-	stp, err := makeStepper(algo, pre, key, level, salt)
-	if err != nil {
-		return nil, err
+	switch {
+	case algo == RPLE && pre == nil:
+		return nil, fmt.Errorf("%w: RPLE reversal requires a preassignment", ErrBadRequest)
+	case algo != RGE && algo != RPLE:
+		return nil, fmt.Errorf("%w: unknown algorithm %d", ErrBadRegion, int(algo))
 	}
-	st := newState(g, region, nil)
+	a := newArena(newTables(g))
+	a.key.begin(key, level)
+	stp := a.stepper(algo, pre, salt)
+	st := a.st
+	st.reset(nil)
 	st.sigma = sigma
+	out := [][]roadnet.SegmentID{}
+	// A region that is not connected (or names segments the graph lacks)
+	// has no removal chain: no hypothesis leaves it connected and adjacent
+	// to what it removed.
+	for _, id := range region {
+		if !g.HasSegment(id) {
+			return out, nil
+		}
+		st.add(id)
+	}
+	if !st.connected() {
+		return out, nil
+	}
 	// Ambiguity analysis keeps a bounded search: exceeding the budget
 	// just truncates the enumeration (the ambiguity is the finding).
-	search := &reverseSearch{st: st, stp: stp, max: limit, budget: enumBudget}
-	for _, first := range st.canonicalMembers() {
-		if search.undo(steps, first) {
-			break
-		}
-	}
-	out := make([][]roadnet.SegmentID, 0, len(search.results))
-	for _, r := range search.results {
-		out = append(out, r.removed)
-	}
+	a.runSearch(stp, steps, roadnet.InvalidSegment, limit, enumBudget, &out)
 	return out, nil
 }
 
-// reverseSearch carries the DFS state for one level reversal. It collects
-// up to max complete chains; the de-anonymizer uses max=1 (first hit in the
+// reverseSearch carries the DFS state for one level reversal. It stops at
+// max complete chains; the de-anonymizer uses max=1 (first hit in the
 // deterministic order is the verified truth), the ambiguity analysis uses
-// larger budgets. The node budget caps total expansions; exceeding it stops
-// the search with whatever was found.
+// larger ones. The node budget caps total expansions; exceeding it stops
+// the search with whatever was found. Its slices are stacks reused from
+// search to search: a node allocates nothing.
 type reverseSearch struct {
-	st        *state
-	stp       stepper
-	removed   []roadnet.SegmentID
-	results   []*reverseResult
-	max       int
-	budget    int
-	nodes     int
-	exhausted bool
+	st  *state
+	stp stepper
+	// removed is the removal log of the branch being explored; heads holds
+	// one frame of backward() results per depth.
+	removed []roadnet.SegmentID
+	heads   []roadnet.SegmentID
+	// chain and startHead are the first complete chain (removals,
+	// last-added first) and the level's start head it implies; every
+	// chain is also appended to *all when that is set.
+	chain     []roadnet.SegmentID
+	startHead roadnet.SegmentID
+	all       *[][]roadnet.SegmentID
+
+	found, max    int
+	nodes, budget int
+	exhausted     bool
+}
+
+// runSearch searches the arena's state for removal chains of the given
+// length: from the hint when the level above revealed it, otherwise from
+// every member in canonical order (the deterministic order both sides
+// share). The state is unchanged when it returns.
+func (a *arena) runSearch(stp stepper, steps int, hint roadnet.SegmentID,
+	max, budget int, all *[][]roadnet.SegmentID) *reverseSearch {
+	rs := &a.search
+	*rs = reverseSearch{st: a.st, stp: stp, max: max, budget: budget, all: all,
+		removed: rs.removed[:0], heads: rs.heads[:0], chain: rs.chain[:0]}
+	if hint != roadnet.InvalidSegment {
+		rs.undo(steps, hint)
+	} else {
+		// undo restores the state, so the rows are the same slice contents
+		// at every iteration.
+		for i := 0; i < len(rs.st.rows); i++ {
+			if rs.undo(steps, rs.st.rows[i]) {
+				break
+			}
+		}
+	}
+	a.stats.Searches++
+	a.stats.SearchNodes += uint64(rs.nodes)
+	switch {
+	case rs.found > 0:
+	case rs.exhausted:
+		a.stats.SearchesExhausted++
+	default:
+		a.stats.SearchesEmpty++
+	}
+	return rs
 }
 
 // undo attempts to remove `added` as the segment of forward step t
 // (1-based) and recursively unwind the remaining steps. The state must be
-// R_{t+1} on entry; it returns true when the search should stop (result or
-// node budget exhausted). The state is always restored before returning.
+// R_{t+1} on entry; it returns true when the search should stop (enough
+// chains or node budget exhausted). The state is always restored before
+// returning.
 func (rs *reverseSearch) undo(t int, added roadnet.SegmentID) bool {
 	rs.nodes++
 	if rs.nodes > rs.budget {
@@ -287,43 +282,35 @@ func (rs *reverseSearch) undo(t int, added roadnet.SegmentID) bool {
 	rs.removed = append(rs.removed, added)
 
 	// Backward transition: which heads could have produced this addition?
-	heads := rs.stp.backward(st, added, uint64(t-1))
+	base := len(rs.heads)
+	rs.heads = rs.stp.backward(st, added, uint64(t-1), rs.heads)
 
 	full := false
 	if t == 1 {
 		// Fully unwound: the surviving head is the level's start head.
-		if len(heads) > 0 {
-			rs.results = append(rs.results, &reverseResult{
-				removed:    append([]roadnet.SegmentID(nil), rs.removed...),
-				preMembers: st.memberSlice(),
-				startHead:  heads[0],
-			})
-			full = len(rs.results) >= rs.max
+		if len(rs.heads) > base {
+			if rs.found++; rs.found == 1 {
+				rs.chain = append(rs.chain[:0], rs.removed...)
+				rs.startHead = rs.heads[base]
+			}
+			if rs.all != nil {
+				*rs.all = append(*rs.all, slices.Clone(rs.removed))
+			}
+			full = rs.found >= rs.max
 		}
 	} else {
 		// The previous head is the next segment to remove (removal order is
-		// reverse insertion order). Fork on collisions.
-		for _, h := range heads {
-			if rs.undo(t-1, h) {
+		// reverse insertion order). Fork on collisions. Deeper frames sit
+		// above this one on the stack and are popped when they return.
+		for k := base; k < len(rs.heads); k++ {
+			if rs.undo(t-1, rs.heads[k]) {
 				full = true
 				break
 			}
 		}
 	}
-	rs.restore(added)
-	return full
-}
-
-// restore re-adds a segment and pops the removal log after exploring a
-// branch.
-func (rs *reverseSearch) restore(added roadnet.SegmentID) {
-	rs.st.add(added)
+	rs.heads = rs.heads[:base]
+	st.add(added)
 	rs.removed = rs.removed[:len(rs.removed)-1]
-}
-
-// sortedCopy returns ids sorted ascending without mutating the input.
-func sortedCopy(ids []roadnet.SegmentID) []roadnet.SegmentID {
-	out := append([]roadnet.SegmentID(nil), ids...)
-	sortIDs(out)
-	return out
+	return full
 }

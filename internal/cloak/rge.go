@@ -1,8 +1,6 @@
 package cloak
 
 import (
-	"fmt"
-
 	"github.com/reversecloak/reversecloak/internal/prng"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
 )
@@ -10,7 +8,7 @@ import (
 // stepper abstracts the per-step transition logic that differs between RGE
 // and RPLE. Both directions operate on the *pre-addition* state: forward
 // selects the segment to add; backward, given the segment that was added
-// from this state, returns every head (previously added segment) that could
+// from this state, yields every head (previously added segment) that could
 // have produced that addition.
 type stepper interface {
 	// forward returns the segment selected at draw index t when the region
@@ -18,25 +16,50 @@ type stepper interface {
 	// roadnet.InvalidSegment with ok=false when expansion is stuck (no
 	// eligible candidate).
 	forward(st *state, head roadnet.SegmentID, t uint64) (roadnet.SegmentID, bool)
-	// backward returns the candidate heads for the transition that added
-	// `added` at draw index t from state st. An empty result means the
-	// hypothesis "added was selected from st" is inconsistent with the key.
-	backward(st *state, added roadnet.SegmentID, t uint64) []roadnet.SegmentID
+	// backward appends to heads the candidate heads for the transition that
+	// added `added` at draw index t from state st, in ascending row order.
+	// Nothing appended means the hypothesis "added was selected from st"
+	// is inconsistent with the key.
+	backward(st *state, added roadnet.SegmentID, t uint64, heads []roadnet.SegmentID) []roadnet.SegmentID
 }
 
-// rgeStepper implements Reversible Global Expansion. The candidate set is
-// recomputed from the whole region at every step ("global"), which costs
-// time but needs no precomputed storage.
+// draws is one (key, level, salt) pseudo-random stream with its draws
+// memoised per index: the reversal search revisits the same few indices
+// at every node, and expansion and its verification share the stream, so
+// each R_t costs one HMAC per level attempt instead of one per node.
+type draws struct {
+	mac  *prng.Keyed
+	vals []uint64
+	have []bool
+}
+
+// rekey points the memo at a new stream.
+func (d *draws) rekey(streamKey []byte) {
+	d.mac = prng.NewKeyed(streamKey)
+	d.vals, d.have = d.vals[:0], d.have[:0]
+}
+
+// pick returns the paper's pick value p_t = R_t mod n; n must be positive.
+func (d *draws) pick(t uint64, n int) int {
+	for uint64(len(d.vals)) <= t {
+		d.vals, d.have = append(d.vals, 0), append(d.have, false)
+	}
+	if !d.have[t] {
+		d.vals[t], d.have[t] = d.mac.Uint64(t), true
+	}
+	return int(d.vals[t] % uint64(n))
+}
+
+// rgeStepper implements Reversible Global Expansion. The transition table
+// is "global" — its rows are the whole region and its columns the whole
+// candidate set — but it is never materialised: the dense state keeps both
+// in canonical order as it goes, so a transition is a rank lookup, one
+// modular step and an index.
 type rgeStepper struct {
-	stream *prng.Stream
+	draws draws
 }
 
 var _ stepper = (*rgeStepper)(nil)
-
-// newRGEStepper returns the stepper for one (key, level, salt) stream.
-func newRGEStepper(key []byte, level int, salt uint32) *rgeStepper {
-	return &rgeStepper{stream: prng.New(key, streamLabel(level, salt))}
-}
 
 // forward implements the Fig. 2 forward transition: pick value
 // p = R_t mod |CanA|; the head's row contains exactly one cell with value
@@ -46,12 +69,11 @@ func (r *rgeStepper) forward(st *state, head roadnet.SegmentID, t uint64) (roadn
 	if len(can) == 0 {
 		return roadnet.InvalidSegment, false
 	}
-	rows := st.canonicalMembers()
-	i := indexOf(rows, head)
+	i := st.tb.index(st.rows, head)
 	if i < 0 {
 		return roadnet.InvalidSegment, false
 	}
-	pick := r.stream.Pick(t, len(can))
+	pick := r.draws.pick(t, len(can))
 	j := forwardColumn(i+1, pick, len(can))
 	return can[j-1], true
 }
@@ -60,20 +82,15 @@ func (r *rgeStepper) forward(st *state, head roadnet.SegmentID, t uint64) (roadn
 // column determines the row(s) carrying the pick value; those rows are the
 // possible previously-added segments. For the hypothesis to be consistent,
 // `added` must be a member of the state's candidate set at all.
-func (r *rgeStepper) backward(st *state, added roadnet.SegmentID, t uint64) []roadnet.SegmentID {
+func (r *rgeStepper) backward(st *state, added roadnet.SegmentID, t uint64, heads []roadnet.SegmentID) []roadnet.SegmentID {
 	can := st.candidates()
-	j := indexOf(can, added)
+	j := st.tb.index(can, added)
 	if j < 0 {
-		return nil
+		return heads
 	}
-	pick := r.stream.Pick(t, len(can))
-	rows := st.canonicalMembers()
-	var heads []roadnet.SegmentID
-	for _, i := range backwardRowIndices(j+1, pick, len(rows), len(can)) {
-		heads = append(heads, rows[i-1])
+	pick := r.draws.pick(t, len(can))
+	for i := backwardFirstRow(j+1, pick, len(can)); i <= len(st.rows); i += len(can) {
+		heads = append(heads, st.rows[i-1])
 	}
 	return heads
 }
-
-// describe aids error messages.
-func (r *rgeStepper) describe() string { return fmt.Sprintf("%v stepper", RGE) }

@@ -1,7 +1,6 @@
 package cloak
 
 import (
-	"github.com/reversecloak/reversecloak/internal/prng"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
 )
 
@@ -17,22 +16,17 @@ import (
 // current region, which keeps cloaking regions connected (a documented
 // design decision; see DESIGN.md §2.3).
 type rpleStepper struct {
-	pre    *Preassignment
-	stream *prng.Stream
+	pre   *Preassignment
+	draws draws
 }
 
 var _ stepper = (*rpleStepper)(nil)
-
-// newRPLEStepper returns the stepper for one (key, level, salt) stream.
-func newRPLEStepper(pre *Preassignment, key []byte, level int, salt uint32) *rpleStepper {
-	return &rpleStepper{pre: pre, stream: prng.New(key, streamLabel(level, salt))}
-}
 
 // forward picks the next segment from FT[head]: slot (p+q) mod T for the
 // smallest probe q >= 0 whose entry is eligible.
 func (r *rpleStepper) forward(st *state, head roadnet.SegmentID, t uint64) (roadnet.SegmentID, bool) {
 	tLen := r.pre.T()
-	p := r.stream.Pick(t, tLen)
+	p := r.draws.pick(t, tLen)
 	for q := 0; q < tLen; q++ {
 		idx := (p + q) % tLen
 		c := r.pre.forwardAt(head, idx)
@@ -46,18 +40,17 @@ func (r *rpleStepper) forward(st *state, head roadnet.SegmentID, t uint64) (road
 	return roadnet.InvalidSegment, false
 }
 
-// backward returns every head h consistent with "added was selected from
+// backward yields every head h consistent with "added was selected from
 // state st at draw t": BT[added] must map some probed slot to h, h must be
 // a region member, and — mirroring forward probing — no earlier probe slot
 // of FT[h] may hold an eligible entry (otherwise forward would have stopped
 // there instead).
-func (r *rpleStepper) backward(st *state, added roadnet.SegmentID, t uint64) []roadnet.SegmentID {
+func (r *rpleStepper) backward(st *state, added roadnet.SegmentID, t uint64, heads []roadnet.SegmentID) []roadnet.SegmentID {
 	if !st.eligible(added) {
-		return nil
+		return heads
 	}
 	tLen := r.pre.T()
-	p := r.stream.Pick(t, tLen)
-	var heads []roadnet.SegmentID
+	p := r.draws.pick(t, tLen)
 	for q := 0; q < tLen; q++ {
 		idx := (p + q) % tLen
 		h := r.pre.backwardAt(added, idx)

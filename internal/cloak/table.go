@@ -113,18 +113,24 @@ func forwardColumn(i, pick, nCols int) int {
 	return j + 1
 }
 
-// backwardRowIndices returns every 1-based row index i (up to nRows) whose
-// cell in column j is pick: i-1 ≡ (pick - (j-1)) mod nCols. When
-// nRows > nCols the residue class can hit multiple rows — the collision
-// case of the paper.
-func backwardRowIndices(j, pick, nRows, nCols int) []int {
+// backwardFirstRow returns the smallest 1-based row index i whose cell in
+// column j is pick: i-1 ≡ (pick - (j-1)) mod nCols. Every further match
+// lies nCols rows on; when nRows > nCols the residue class hits several
+// rows — the collision case of the paper.
+func backwardFirstRow(j, pick, nCols int) int {
 	r := (pick - (j - 1)) % nCols
 	if r < 0 {
 		r += nCols
 	}
+	return r + 1
+}
+
+// backwardRowIndices returns every 1-based row index i (up to nRows) whose
+// cell in column j is pick.
+func backwardRowIndices(j, pick, nRows, nCols int) []int {
 	var out []int
-	for i := r; i < nRows; i += nCols {
-		out = append(out, i+1)
+	for i := backwardFirstRow(j, pick, nCols); i <= nRows; i += nCols {
+		out = append(out, i)
 	}
 	return out
 }

@@ -1,9 +1,11 @@
 package cloak
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
+	"github.com/reversecloak/reversecloak/internal/prng"
 	"github.com/reversecloak/reversecloak/internal/profile"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
 )
@@ -115,25 +117,45 @@ func TestSmallRegionsStayTagless(t *testing.T) {
 }
 
 func TestStepTagDeterminism(t *testing.T) {
-	a := stepTag(seed(1), 2, 3, 4, roadnet.SegmentID(5))
-	b := stepTag(seed(1), 2, 3, 4, roadnet.SegmentID(5))
+	newKey := func(b byte) *levelKey {
+		lk := &levelKey{}
+		lk.begin(seed(b), 2)
+		lk.streamKey(3) // binds the tags to salt 3
+		return lk
+	}
+	lk := newKey(1)
+	a := bytes.Clone(lk.tag(4, roadnet.SegmentID(5)))
+	b := bytes.Clone(newKey(1).tag(4, roadnet.SegmentID(5)))
 	if string(a) != string(b) {
-		t.Error("stepTag must be deterministic")
+		t.Error("step tags must be deterministic")
 	}
 	if len(a) != tagSize {
 		t.Errorf("tag size = %d", len(a))
 	}
-	c := stepTag(seed(1), 2, 3, 4, roadnet.SegmentID(6))
+	// The reused MAC and the append-built labels must publish the bytes the
+	// one-shot derivation over the documented label does.
+	want := prng.Derive(seed(1), "reversecloak/tag/level=2/salt=3/step=4/seg=5")[:tagSize]
+	if string(a) != string(want) {
+		t.Errorf("tag = %x, want %x", a, want)
+	}
+	if got := string(appendStreamLabel(nil, 2, 3)); got != "reversecloak/level=2/salt=3" {
+		t.Errorf("stream label = %q", got)
+	}
+	c := lk.tag(4, roadnet.SegmentID(6))
 	if string(a) == string(c) {
 		t.Error("different segments must tag differently")
 	}
-	if !matchTag(seed(1), 2, 3, 4, roadnet.SegmentID(5), a) {
-		t.Error("matchTag must accept its own tag")
+	if !lk.matches(4, roadnet.SegmentID(5), a) {
+		t.Error("matches must accept its own tag")
 	}
-	if matchTag(seed(1), 2, 3, 4, roadnet.SegmentID(5), a[:4]) {
+	if lk.matches(4, roadnet.SegmentID(5), a[:4]) {
 		t.Error("short tag must not match")
 	}
-	if matchTag(seed(2), 2, 3, 4, roadnet.SegmentID(5), a) {
+	if newKey(2).matches(4, roadnet.SegmentID(5), a) {
 		t.Error("wrong key must not match")
+	}
+	tags := lk.makeTags([]roadnet.SegmentID{9, 5, 7})
+	if len(tags) != 3 || !lk.matches(2, 5, tags[1]) || lk.matches(1, 5, tags[1]) {
+		t.Error("makeTags must bind tag i to step i+1 of the sequence")
 	}
 }

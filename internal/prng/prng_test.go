@@ -242,3 +242,30 @@ func TestBoxMullerFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyedMatchesStreamAndDerive pins the reusable MAC to the one-shot
+// functions it stands in for, message after message on one instance.
+func TestKeyedMatchesStreamAndDerive(t *testing.T) {
+	key := testKey(3)
+	k := NewKeyed(key)
+	for _, label := range []string{"", "a", "reversecloak/level=2/salt=7", string(make([]byte, 200))} {
+		if got, want := k.Sum([]byte(label)), Derive(key, label); string(got) != string(want) {
+			t.Errorf("Sum(%q) = %x, want Derive's %x", label, got, want)
+		}
+	}
+	s := New(key, "level:1")
+	ks := NewKeyed(Derive(key, "level:1"))
+	for _, i := range []uint64{0, 1, 2, 1, 1 << 40, math.MaxUint64} {
+		if got, want := ks.Uint64(i), s.At(i); got != want {
+			t.Errorf("Uint64(%d) = %d, want At's %d", i, got, want)
+		}
+	}
+	// A key longer than the hash block is hashed first, as in crypto/hmac.
+	long := make([]byte, 100)
+	if got, want := NewKeyed(long).Sum([]byte("x")), Derive(long, "x"); string(got) != string(want) {
+		t.Error("long-key MAC differs from Derive")
+	}
+	if n := testing.AllocsPerRun(100, func() { ks.Uint64(9) }); n != 0 {
+		t.Errorf("steady-state Uint64 allocates %v times, want 0", n)
+	}
+}

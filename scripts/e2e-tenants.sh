@@ -194,6 +194,21 @@ require_pos 'anonymizer_op_errors_total{op="backup"}'
 # The repeated-reduce leg must have been served from the cache, not
 # recomputed per request.
 require_pos 'anonymizer_reduce_cache_hits_total{tier="region"}'
+# The engine's own counters must agree with the op counters: every
+# anonymize this scenario sent carried loadgen's default one-level
+# profile, so the levels the cloak engines published (summed over
+# algorithm and tag mode) are exactly the anonymizes answered ok.
+metric() {
+    grep -F "$1" "$WORK/metrics.txt" | grep -v '^#' | awk '{s += $NF} END {print s + 0}'
+}
+levels="$(metric 'anonymizer_cloak_levels_total{')"
+anonymized=$(( $(metric 'anonymizer_op_duration_seconds_count{op="anonymize"}') \
+    - $(metric 'anonymizer_op_errors_total{op="anonymize"}') ))
+[ "$levels" -gt 0 ] && [ "$levels" -eq "$anonymized" ] || {
+    echo "FAIL: engines published $levels levels, but $anonymized one-level anonymizes succeeded"
+    exit 1
+}
+require_pos 'anonymizer_cloak_search_nodes_total'
 if [ "$CODEC" = binary ]; then
     # The binary leg must actually have upgraded its connections.
     require_pos 'anonymizer_connections_codec_total{codec="binary"}'
