@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-benchmark test-full race bench bench-engine bench-smoke staticcheck govulncheck fmt fmt-check vet ci linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
+.PHONY: all build test test-benchmark test-full race bench bench-engine bench-smoke check-allocs staticcheck govulncheck fmt fmt-check vet ci linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
 
 all: build test
 
@@ -72,6 +72,12 @@ bench-smoke:
 	$(GO) run ./cmd/reversecloak-bench -only E17,E18,E21,E22,E23 -trials 2 -junctions 400 -segments 540
 	$(MAKE) bench-engine BENCHTIME=3x
 
+# Allocation regression gate over the wire hot path: allocs/op of the
+# pinned benchmarks against internal/anonymizer/testdata/alloc_baseline.json
+# (the CI test job's blocking step).
+check-allocs:
+	bash scripts/check-allocs.sh
+
 # Short native-fuzz pass over the byte-facing decoders (the CI
 # fuzz-smoke step): corrupt input must never panic or over-read, and
 # the JSON and binary wire codecs must decode identically.
@@ -108,4 +114,4 @@ examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" -short || exit 1; done
 
 # Everything the blocking CI jobs run.
-ci: fmt-check vet build test test-benchmark race linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
+ci: fmt-check vet build test test-benchmark race linkcheck examples fuzz-smoke check-allocs e2e e2e-repl e2e-tenants

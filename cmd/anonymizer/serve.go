@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 // runServe starts the trusted anonymization server over a preset map and
 // blocks until SIGINT/SIGTERM. With -data-dir the registration store is
 // durable: every registration, trust update and deregistration is
-// journaled to per-shard write-ahead logs and recovered on restart. With
+// journaled to the store's write-ahead log and recovered on restart. With
 // -replicate-from the server runs as a replication follower of another
 // anonymizer: it bootstraps from a hot backup if its data dir is fresh,
 // tails the leader's mutation stream, serves reads locally, redirects
@@ -80,6 +81,22 @@ func runServe(argv []string) error {
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
+	// The journal flags are refused without -data-dir rather than silently
+	// buying no durability; their defaults stay accepted, so a bare `serve`
+	// still starts.
+	if *dataDir == "" {
+		var stray []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "fsync", "fsync-every", "snapshot-every", "snapshot-interval":
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			return fmt.Errorf("%s set without -data-dir: nothing would be journaled",
+				strings.Join(stray, ", "))
+		}
+	}
 
 	g, err := loadMap(*preset, []byte(*seedStr))
 	if err != nil {
@@ -125,9 +142,23 @@ func runServe(argv []string) error {
 			reg.Len(), *tenantsFile, *tenantsReload)
 		opts = append(opts, rc.WithTenants(reg))
 	}
-	var keyring *rc.Keyring
+	// One store, one option list; without -data-dir the journal options
+	// in it are inert.
+	policy, err := rc.ParseFsyncPolicy(*fsyncStr)
+	if err != nil {
+		return err
+	}
+	storeOpts := []rc.DurabilityOption{
+		rc.WithFsyncPolicy(policy),
+		rc.WithFsyncEvery(*fsyncEvery),
+		rc.WithSnapshotEvery(*snapEvery),
+		rc.WithSnapshotInterval(*snapInterval),
+		rc.WithDurableShards(*shards),
+		rc.WithTTL(*ttl),
+		rc.WithGCInterval(*gcInterval),
+	}
 	if *masterKeyFile != "" {
-		keyring, err = rc.LoadMasterKeys(*masterKeyFile)
+		keyring, err := rc.LoadMasterKeys(*masterKeyFile)
 		if err != nil {
 			return err
 		}
@@ -139,32 +170,15 @@ func runServe(argv []string) error {
 		}
 		fmt.Printf("master keys: %s (active epoch %d, %d epochs, reload every %s)\n",
 			*masterKeyFile, keyring.ActiveEpoch(), len(keyring.Epochs()), *masterKeyReload)
-		opts = append(opts, rc.WithMasterKeyring(keyring))
+		storeOpts = append(storeOpts, rc.WithKeyring(keyring))
 	}
 	if *advertise == "" {
 		*advertise = *addr
 	}
-	switch {
-	case *replicateFrom != "":
+	var st *rc.DurableStore
+	if *replicateFrom != "" {
 		if *dataDir == "" {
 			return fmt.Errorf("-replicate-from requires -data-dir")
-		}
-		policy, err := rc.ParseFsyncPolicy(*fsyncStr)
-		if err != nil {
-			return err
-		}
-		durOpts := []rc.DurabilityOption{
-			rc.WithFsyncPolicy(policy),
-			rc.WithFsyncEvery(*fsyncEvery),
-			rc.WithSnapshotEvery(*snapEvery),
-			rc.WithTTL(*ttl),
-			rc.WithGCInterval(*gcInterval),
-		}
-		if *snapInterval > 0 {
-			durOpts = append(durOpts, rc.WithSnapshotInterval(*snapInterval))
-		}
-		if keyring != nil {
-			durOpts = append(durOpts, rc.WithKeyring(keyring))
 		}
 		upstreamCodec, err := rc.ParseCodec(*replCodec)
 		if err != nil {
@@ -177,7 +191,7 @@ func runServe(argv []string) error {
 			Tenant:       *replTenant,
 			Token:        *replToken,
 			Codec:        upstreamCodec,
-			StoreOptions: durOpts,
+			StoreOptions: storeOpts,
 			Logf: func(format string, args ...any) {
 				fmt.Printf(format+"\n", args...)
 			},
@@ -186,32 +200,12 @@ func runServe(argv []string) error {
 			return err
 		}
 		defer func() { _ = f.Close() }()
-		opts = append(opts, rc.WithStore(f.Store()), rc.WithReplicator(f))
-	case *dataDir != "":
-		policy, err := rc.ParseFsyncPolicy(*fsyncStr)
-		if err != nil {
-			return err
-		}
-		durOpts := []rc.DurabilityOption{
-			rc.WithFsyncPolicy(policy),
-			rc.WithFsyncEvery(*fsyncEvery),
-			rc.WithSnapshotEvery(*snapEvery),
-			rc.WithTTL(*ttl),
-			rc.WithGCInterval(*gcInterval),
-		}
-		if *snapInterval > 0 {
-			durOpts = append(durOpts, rc.WithSnapshotInterval(*snapInterval))
-		}
-		if *shards > 0 {
-			durOpts = append(durOpts, rc.WithDurableShards(*shards))
-		}
-		if keyring != nil {
-			durOpts = append(durOpts, rc.WithKeyring(keyring))
-		}
-		// Open the store ourselves (rather than via WithDurability) so we
-		// can report what recovery found before serving traffic.
-		st, err := rc.OpenDurableStore(*dataDir, durOpts...)
-		if err != nil {
+		st = f.Store()
+		opts = append(opts, rc.WithReplicator(f))
+	} else {
+		// Opened here, not by the server, so what recovery found is
+		// reported before any traffic is served.
+		if st, err = rc.OpenDurableStore(*dataDir, storeOpts...); err != nil {
 			return err
 		}
 		defer func() { _ = st.Close() }()
@@ -223,25 +217,19 @@ func runServe(argv []string) error {
 				"start it with -replicate-from, or promote it first (anonymizer promote)",
 				*dataDir, epoch)
 		}
-		rec := st.Recovery()
-		fmt.Printf("durable store %s (fsync=%s): recovered %d registrations, "+
-			"%d trust updates, %d deregistrations, %d renewals, %d expired",
-			*dataDir, policy, rec.Registrations, rec.TrustUpdates,
-			rec.Deregistrations, rec.Renewals, rec.Expired)
-		if rec.TruncatedBytes > 0 {
-			fmt.Printf(" (dropped %d torn tail bytes)", rec.TruncatedBytes)
+		if *dataDir != "" {
+			rec := st.Recovery()
+			fmt.Printf("durable store %s (fsync=%s): recovered %d registrations, "+
+				"%d trust updates, %d deregistrations, %d renewals, %d expired",
+				*dataDir, policy, rec.Registrations, rec.TrustUpdates,
+				rec.Deregistrations, rec.Renewals, rec.Expired)
+			if rec.TruncatedBytes > 0 {
+				fmt.Printf(" (dropped %d torn tail bytes)", rec.TruncatedBytes)
+			}
+			fmt.Println()
 		}
-		fmt.Println()
-		opts = append(opts, rc.WithStore(st))
-	default:
-		// Construct the in-memory store ourselves so the lifecycle flags
-		// apply to it; the server does not close caller-installed stores,
-		// so arrange that here.
-		st := rc.NewShardedStore(*shards,
-			rc.WithStoreTTL(*ttl), rc.WithStoreGCInterval(*gcInterval))
-		defer func() { _ = st.Close() }()
-		opts = append(opts, rc.WithStore(st))
 	}
+	opts = append(opts, rc.WithStore(st))
 	if *ttl > 0 {
 		fmt.Printf("registration ttl %s (sweep every %s)\n", *ttl, *gcInterval)
 	}

@@ -53,6 +53,9 @@ func (s *DurableStore) WriteBackup(w io.Writer) (int64, error) {
 	if s.closed.Load() {
 		return 0, ErrStoreClosed
 	}
+	if err := s.needsJournal("backup"); err != nil {
+		return 0, err
+	}
 	if err := s.Snapshot(); err != nil {
 		return 0, fmt.Errorf("anonymizer: backup quiesce: %w", err)
 	}
@@ -299,6 +302,9 @@ type IncrementalStats struct {
 func (s *DurableStore) WriteIncrementalBackup(w io.Writer, since Watermark) (int64, *IncrementalStats, error) {
 	if s.closed.Load() {
 		return 0, nil, ErrStoreClosed
+	}
+	if err := s.needsJournal("replication"); err != nil {
+		return 0, nil, err
 	}
 	if len(since) != len(s.shards) {
 		return 0, nil, fmt.Errorf("%w: watermark of %d elements for %d shards",

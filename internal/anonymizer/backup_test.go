@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -271,11 +272,11 @@ func TestHotBackupUnderLoad(t *testing.T) {
 
 // TestBackupOverWire drives the backup op end to end through the server
 // and client: hot archive over TCP, restore, reopen, byte-identical
-// regions — and an in-memory server must reject the op.
+// regions.
 func TestBackupOverWire(t *testing.T) {
 	g, density := testGrid(t)
 	dir := t.TempDir()
-	srv := newTestServer(t, g, density, WithDurability(dir))
+	srv := newTestServer(t, g, density, WithStore(openDurable(t, dir)))
 	addr := startTestServer(t, srv)
 	c := dial(t, addr)
 
@@ -312,7 +313,7 @@ func TestBackupOverWire(t *testing.T) {
 	if err := RestoreArchive(bytes.NewReader(buf.Bytes()), dst); err != nil {
 		t.Fatal(err)
 	}
-	srv2 := newTestServer(t, g, density, WithDurability(dst))
+	srv2 := newTestServer(t, g, density, WithStore(openDurable(t, dst)))
 	addr2 := startTestServer(t, srv2)
 	c2 := dial(t, addr2)
 	got, _, err := c2.GetRegion(id)
@@ -337,12 +338,38 @@ func TestBackupOverWire(t *testing.T) {
 	if gotLv != wantLv || !bytes.Equal(gotReducedRaw, wantReducedRaw) {
 		t.Error("reduction not byte-identical after wire backup + restore")
 	}
+}
 
-	// A memory-backed server has nothing durable to back up.
-	srv3 := newTestServer(t, g, density)
-	addr3 := startTestServer(t, srv3)
-	c3 := dial(t, addr3)
-	if _, err := c3.Backup(&bytes.Buffer{}); !errors.Is(err, ErrRemote) {
-		t.Fatalf("backup op against in-memory server: err = %v, want ErrRemote", err)
+// TestJournalLessServerRefusesStreamOps: a server over a journal-less
+// store has nothing to back up and no stream to ship, and says so in-band
+// — an ErrBadOp answer over either codec that leaves the connection
+// usable, never a dropped connection.
+func TestJournalLessServerRefusesStreamOps(t *testing.T) {
+	_, addr, _ := startServer(t)
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) {
+			c, err := Dial(addr, WithCodec(codec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = c.Close() }()
+			wm := Watermark{0}
+			for op, call := range map[string]func() error{
+				"backup":         func() error { _, err := c.Backup(&bytes.Buffer{}); return err },
+				"backup -since":  func() error { _, err := c.BackupSince(&bytes.Buffer{}, wm); return err },
+				"repl_subscribe": func() error { _, err := c.ReplSubscribe(0, false, "127.0.0.1:1", nil); return err },
+				"repl_frames":    func() error { _, _, err := c.ReplFrames(1, wm, 0); return err },
+			} {
+				err := call()
+				if !errors.Is(err, ErrRemote) ||
+					!strings.Contains(err.Error(), ErrBadOp.Error()) ||
+					!strings.Contains(err.Error(), "requires a durable store") {
+					t.Errorf("%s against a journal-less server: %v, want an in-band ErrBadOp", op, err)
+				}
+				if err := c.Ping(); err != nil {
+					t.Fatalf("connection unusable after refused %s: %v", op, err)
+				}
+			}
+		})
 	}
 }

@@ -135,7 +135,7 @@ func conformanceTrial(t *testing.T, seed int64, shards int, reshardTo []int) {
 		WithDurableShards(shards),
 		WithSnapshotEvery(7), // small: compaction interleaves with the log
 		WithGCInterval(0),    // sweeps are explicit, so the log is deterministic
-		withDurableClock(clk.Now))
+		WithClock(clk.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func conformanceTrial(t *testing.T, seed int64, shards int, reshardTo []int) {
 	if err := RestoreArchive(bytes.NewReader(archive.Bytes()), restored); err != nil {
 		t.Fatal(err)
 	}
-	rst := openDurable(t, restored, withDurableClock(clk.Now), WithGCInterval(0))
+	rst := openDurable(t, restored, WithClock(clk.Now), WithGCInterval(0))
 	requireSameState(t, fmt.Sprintf("restore(k=%d)", shards),
 		want, digestStore(t, rst, ids, engine, engineMade), wantLen, rst.Len())
 
@@ -251,14 +251,14 @@ func conformanceTrial(t *testing.T, seed int64, shards int, reshardTo []int) {
 	}
 	for _, k := range reshardTo {
 		dst := filepath.Join(t.TempDir(), fmt.Sprintf("reshard-%d", k))
-		stats, err := Reshard(dir, dst, k, withDurableClock(clk.Now), WithGCInterval(0))
+		stats, err := Reshard(dir, dst, k, WithClock(clk.Now), WithGCInterval(0))
 		if err != nil {
 			t.Fatalf("Reshard(%d->%d): %v", shards, k, err)
 		}
 		if stats.TargetShards != k {
 			t.Fatalf("Reshard(%d->%d): TargetShards = %d", shards, k, stats.TargetShards)
 		}
-		mst := openDurable(t, dst, withDurableClock(clk.Now), WithGCInterval(0))
+		mst := openDurable(t, dst, WithClock(clk.Now), WithGCInterval(0))
 		requireSameState(t, fmt.Sprintf("reshard(%d->%d)", shards, k),
 			want, digestStore(t, mst, ids, engine, engineMade), wantLen, mst.Len())
 		// A fresh registration in the migrated store must not collide with
@@ -300,7 +300,7 @@ func derivationTrial(t *testing.T, seed int64, shards int, reshardTo []int) {
 		WithDurableShards(shards),
 		WithSnapshotEvery(7),
 		WithGCInterval(0),
-		withDurableClock(clk.Now),
+		WithClock(clk.Now),
 	}
 	sst := openDurable(t, storedDir, common...)
 	dst, err := OpenDurableStore(derivedDir, append([]DurabilityOption{WithKeyring(kr)}, common...)...)
@@ -441,11 +441,11 @@ func derivationTrial(t *testing.T, seed int64, shards int, reshardTo []int) {
 	if err := RestoreArchive(bytes.NewReader(archive.Bytes()), restored); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := OpenDurableStore(restored, withDurableClock(clk.Now), WithGCInterval(0)); err == nil {
+	if st, err := OpenDurableStore(restored, WithClock(clk.Now), WithGCInterval(0)); err == nil {
 		_ = st.Close()
 		t.Fatal("restored derived store opened without a keyring")
 	}
-	rst := openDurable(t, restored, WithKeyring(kr), withDurableClock(clk.Now), WithGCInterval(0))
+	rst := openDurable(t, restored, WithKeyring(kr), WithClock(clk.Now), WithGCInterval(0))
 	requireSameState(t, fmt.Sprintf("derived-restore(k=%d)", shards),
 		want, digestStore(t, rst, ids, engine, engineMade), wantLen, rst.Len())
 
@@ -464,10 +464,10 @@ func derivationTrial(t *testing.T, seed int64, shards int, reshardTo []int) {
 	for _, k := range reshardTo {
 		out := filepath.Join(t.TempDir(), fmt.Sprintf("reshard-%d", k))
 		if _, err := Reshard(derivedDir, out, k,
-			WithKeyring(kr), withDurableClock(clk.Now), WithGCInterval(0)); err != nil {
+			WithKeyring(kr), WithClock(clk.Now), WithGCInterval(0)); err != nil {
 			t.Fatalf("Reshard(%d->%d): %v", shards, k, err)
 		}
-		mst := openDurable(t, out, WithKeyring(kr), withDurableClock(clk.Now), WithGCInterval(0))
+		mst := openDurable(t, out, WithKeyring(kr), WithClock(clk.Now), WithGCInterval(0))
 		requireSameState(t, fmt.Sprintf("derived-reshard(%d->%d)", shards, k),
 			want, digestStore(t, mst, ids, engine, engineMade), wantLen, mst.Len())
 	}
@@ -533,7 +533,7 @@ func restoredFollowerTrial(t *testing.T, seed int64, shards int) {
 	// folding records a follower has not fetched yet is a genuine stream
 	// gap (the follower re-bootstraps), which is not the property here.
 	opts := []DurabilityOption{
-		WithDurableShards(shards), WithSnapshotEvery(0), WithGCInterval(0), withDurableClock(clk.Now),
+		WithDurableShards(shards), WithSnapshotEvery(0), WithGCInterval(0), WithClock(clk.Now),
 	}
 	leader, err := OpenDurableStore(dir, opts...)
 	if err != nil {
@@ -586,7 +586,7 @@ func restoredFollowerTrial(t *testing.T, seed int64, shards int) {
 		if err := RestoreArchive(bytes.NewReader(archive), fdir); err != nil {
 			t.Fatal(err)
 		}
-		f := openDurable(t, fdir, WithReplica(), WithGCInterval(0), withDurableClock(clk.Now))
+		f := openDurable(t, fdir, WithReplica(), WithGCInterval(0), WithClock(clk.Now))
 		if got := f.Recovery().TruncatedBytes; got != 0 {
 			t.Fatalf("%s: restored follower truncated %d bytes at open", label, got)
 		}

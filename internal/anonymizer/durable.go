@@ -15,7 +15,7 @@ import (
 	"github.com/reversecloak/reversecloak/internal/keys"
 )
 
-// ErrStoreClosed reports use of a closed durable store.
+// ErrStoreClosed reports use of a closed store.
 var ErrStoreClosed = errors.New("anonymizer: store closed")
 
 // FsyncPolicy selects when the durable store forces WAL appends to disk.
@@ -70,10 +70,10 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	}
 }
 
-// DurabilityOption customizes a durable store.
+// DurabilityOption customizes a store (OpenDurableStore).
 type DurabilityOption func(*durabilityConfig)
 
-// durabilityConfig collects the durable-store tunables.
+// durabilityConfig collects the store tunables.
 type durabilityConfig struct {
 	shards           int
 	fsync            FsyncPolicy
@@ -89,13 +89,9 @@ type durabilityConfig struct {
 }
 
 // defaultDurabilityConfig returns the config before options are applied.
-// The durable store defaults to fewer shards than the in-memory one:
-// shards are lock-striping and stream-parallelism units (every shard
-// journals into the one store-wide log), and 16 keeps per-shard index
-// overhead low while spreading lock contention.
 func defaultDurabilityConfig() durabilityConfig {
 	return durabilityConfig{
-		shards:        16,
+		shards:        DefaultShards,
 		fsync:         FsyncInterval,
 		fsyncEvery:    100 * time.Millisecond,
 		snapshotEvery: 4096,
@@ -196,11 +192,17 @@ func WithReplica() DurabilityOption {
 	return func(c *durabilityConfig) { c.replica = true }
 }
 
-// WithKeyring installs the master keyring derived-key registrations
-// resolve through: recovery, replication ingest and reshard use it to
-// decode register records that carry a key reference (epoch + levels)
-// instead of key material. A store holding derived registrations cannot
-// open without a keyring covering their epochs.
+// WithKeyring installs the master keyring, and with it derived
+// per-registration keys: a server over this store derives every new
+// registration's cloak keys from the keyring's active epoch and the
+// registration's ID instead of generating and storing random ones, and the
+// registration records only the (epoch, levels) reference. Rotating the
+// active epoch switches new registrations to it; existing ones keep
+// deriving under the epoch they were cut with. Recovery, replication
+// ingest and reshard resolve those references through the same keyring,
+// which is why it is configured here and nowhere else: a store holding
+// derived registrations cannot open without a keyring covering their
+// epochs. The keyring is caller-owned (it may be watching a key file).
 func WithKeyring(kr *keys.Keyring) DurabilityOption {
 	return func(c *durabilityConfig) { c.keyring = kr }
 }
@@ -213,11 +215,6 @@ func WithClock(now func() time.Time) DurabilityOption {
 			c.now = now
 		}
 	}
-}
-
-// withDurableClock substitutes the expiry clock (tests).
-func withDurableClock(now func() time.Time) DurabilityOption {
-	return WithClock(now)
 }
 
 // RecoveryStats describes what OpenDurableStore found on disk.
@@ -253,7 +250,7 @@ type streamEntry struct {
 	n   int32 // framed size (header + payload)
 }
 
-// durableShard is one partition of the durable store: the in-memory
+// durableShard is one partition of the store: the in-memory
 // registration table plus the shard's slice of the store-wide log,
 // addressed through the offset index.
 type durableShard struct {
@@ -280,18 +277,24 @@ type durableShard struct {
 	entries []streamEntry
 }
 
-// DurableStore is a crash-safe Store: every lifecycle mutation is
-// journaled to the store-wide CRC-framed write-ahead log before it is
-// acknowledged, shards are periodically compacted into snapshots, and
-// OpenDurableStore replays snapshot + log through the same apply path the
-// live store uses — preserving the paper's reversibility guarantee across
-// restarts, since a region is only de-anonymizable while the service
-// still holds its keys. Registrations with a TTL expire on schedule: the
-// GC sweeper journals expire mutations, and recovery is expiry-aware, so
-// a reopened store never resurrects a dead region.
+// DurableStore is the registration store — the one place a region, its
+// per-level keys and its owner's trust policy are held. Every mutation of
+// registration state is a typed Mutation (register, set-trust, deregister,
+// touch, expire) that runs check → journal → apply under its shard's lock,
+// applied by one shared implementation (regTable.apply).
 //
-// It is safe for concurrent use and satisfies Store; plug it into a
-// server with WithStore, or let WithDurability construct one for you.
+// Opened over a directory it is crash-safe: every mutation is journaled to
+// the store-wide CRC-framed write-ahead log before it is acknowledged,
+// shards are periodically compacted into snapshots, and OpenDurableStore
+// replays snapshot + log through the same apply path the live store uses —
+// preserving the paper's reversibility guarantee across restarts, since a
+// region is only de-anonymizable while the service still holds its keys.
+// Registrations with a TTL expire on schedule: the GC sweeper journals
+// expire mutations, and recovery is expiry-aware, so a reopened store
+// never resurrects a dead region. Opened without a directory it is the
+// same store minus the journal step (see OpenDurableStore).
+//
+// It is safe for concurrent use; plug it into a server with WithStore.
 type DurableStore struct {
 	dir    string
 	cfg    durabilityConfig
@@ -300,9 +303,10 @@ type DurableStore struct {
 	nextID atomic.Uint64
 	stats  RecoveryStats
 
-	// log is the store-wide unified journal every shard appends into; gc
-	// is the store-wide group commit over it — ONE fsync per cohort for
-	// the whole store, which is the point of the single-log layout.
+	// log is the store-wide unified journal every shard appends into (nil
+	// in a journal-less store); gc is the store-wide group commit over it —
+	// ONE fsync per cohort for the whole store, which is the point of the
+	// single-log layout.
 	log *storeLog
 	gc  groupCommit
 
@@ -354,17 +358,31 @@ type DurableStore struct {
 // for what was found). This is the only layout the store reads or writes:
 // a directory whose META names any other version is refused with
 // ErrUnsupportedLayout before a byte of it is touched.
+//
+// An empty dir opens a journal-less store: the same shards, lifecycle,
+// TTLs, sweeper and closed-store semantics with nothing on disk — no log,
+// no snapshots, no group commit, and no record encoding on the write path.
+// Its state dies with the process. One rule covers everything that exists
+// only for the journal: the options that configure it (WithFsyncPolicy,
+// WithFsyncEvery, WithSnapshotEvery, WithSnapshotInterval,
+// WithLogSegmentBytes, WithReplica) are accepted and inert, and the methods
+// that read or ship it (Snapshot, WriteBackup, WriteIncrementalBackup,
+// TailFrom, IngestFrame, SetEpoch) fail with ErrBadOp "… requires a
+// durable store".
 func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, error) {
 	cfg := defaultDurabilityConfig()
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("anonymizer: durable dir: %w", err)
-	}
-	size, err := loadOrInitMeta(dir, cfg.shards)
-	if err != nil {
-		return nil, err
+	size := shardCount(cfg.shards)
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o700); err != nil {
+			return nil, fmt.Errorf("anonymizer: durable dir: %w", err)
+		}
+		var err error
+		if size, err = loadOrInitMeta(dir, size); err != nil {
+			return nil, err
+		}
 	}
 	s := &DurableStore{
 		dir:    dir,
@@ -374,6 +392,16 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 		stop:   make(chan struct{}),
 	}
 	s.gc.init()
+	if dir == "" {
+		// Journal-less: nothing to recover, no sync or snapshot loops, and
+		// (WithReplica being inert) always a leader — the standalone epoch
+		// state loadEpoch defaults to.
+		s.epochVal, s.epochLeader = 1, true
+		for i := range s.shards {
+			s.shards[i] = &durableShard{tab: newRegTable(), idx: i}
+		}
+		return s, nil
+	}
 	s.replica.Store(cfg.replica)
 	if err := s.loadEpoch(); err != nil {
 		return nil, err
@@ -564,9 +592,9 @@ func writeMeta(dir string, shards int) error {
 }
 
 // loadOrInitMeta returns the directory's shard count, initializing the
-// meta file on first open. An existing meta overrides the requested
-// count; resharding an existing directory is an offline migration
-// (Reshard), not an open-time option.
+// meta file with the requested one (a power of two) on first open. An
+// existing meta overrides the requested count; resharding an existing
+// directory is an offline migration (Reshard), not an open-time option.
 func loadOrInitMeta(dir string, requested int) (int, error) {
 	size, err := readMeta(dir)
 	if err == nil {
@@ -575,10 +603,7 @@ func loadOrInitMeta(dir string, requested int) (int, error) {
 	if !errors.Is(err, os.ErrNotExist) {
 		return 0, err
 	}
-	size = 1
-	for size < requested {
-		size <<= 1
-	}
+	size = requested
 	if err := writeMeta(dir, size); err != nil {
 		return 0, err
 	}
@@ -666,8 +691,8 @@ func (s *DurableStore) shardFor(id string) *durableShard {
 	return s.shards[shardIndex(id, s.mask)]
 }
 
-// setCacheInvalidator implements cacheInvalidating: every shard's table
-// reports removed registrations to fn from the shared apply path, so
+// setCacheInvalidator routes fn into every shard's table, which reports
+// removed registrations to it from the shared apply path, so
 // live mutations, follower frame ingest, the GC sweeper and snapshot
 // compaction's expiry sweep all invalidate the server's read-path cache
 // identically.
@@ -722,11 +747,31 @@ func (s *DurableStore) writeFrameLocked(sh *durableShard, frame []byte, seq uint
 	return end, nil
 }
 
+// needsJournal is the one refusal of everything that reads or ships the
+// journal (backup, the replication stream) on a journal-less store.
+func (s *DurableStore) needsJournal(what string) error {
+	if s.log != nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %s requires a durable store", ErrBadOp, what)
+}
+
+// journalLocked appends m's record to the log under the shard's lock and
+// returns the group-commit wait target. A journal-less store writes
+// nothing — and encodes nothing, which keeps its register path
+// allocation-flat.
+func (s *DurableStore) journalLocked(sh *durableShard, m *Mutation) (int64, error) {
+	if s.log == nil {
+		return 0, nil
+	}
+	return s.appendLocked(sh, recordFromMutation(m))
+}
+
 // mutate runs one lifecycle mutation through the event-sourced pipeline:
 // precondition check, journal, apply, optional compaction, and — under
 // FsyncAlways — a group-commit wait for the record's offset. This is the
-// durable store's only write path; recovery replays the same records
-// through the same apply.
+// store's only write path; recovery replays the same records through the
+// same apply.
 //
 // A failed group-commit fsync is returned to every cohort waiter whose
 // record may sit in the unsynced tail. Their mutations remain applied in
@@ -747,7 +792,7 @@ func (s *DurableStore) mutate(m *Mutation) error {
 		sh.mu.Unlock()
 		return err
 	}
-	off, err := s.appendLocked(sh, recordFromMutation(m))
+	off, err := s.journalLocked(sh, m)
 	if err != nil {
 		sh.mu.Unlock()
 		return err
@@ -760,7 +805,7 @@ func (s *DurableStore) mutate(m *Mutation) error {
 	}
 	s.maybeSnapshotLocked(sh)
 	sh.mu.Unlock()
-	if s.cfg.fsync == FsyncAlways {
+	if s.log != nil && s.cfg.fsync == FsyncAlways {
 		return s.gc.wait(s.log, off)
 	}
 	return nil
@@ -775,12 +820,14 @@ func (s *DurableStore) AllocateID() string {
 	return fmt.Sprintf("r%d", s.nextID.Add(1))
 }
 
-// Register implements Store: the registration is journaled (and, under
-// FsyncAlways, on disk) before its ID is returned. A store-default TTL,
-// when configured, is stamped here so the journaled expiry is exactly the
-// one enforced. A derived registration already owns its ID (its keys were
-// derived from it), so it registers under that ID instead of drawing a
-// fresh one.
+// Register stores a registration and returns its region ID: the
+// registration is journaled (and, under FsyncAlways, on disk) before the
+// ID is returned, and an error means it could not be made durable under
+// the fsync policy and must not be acknowledged to the client. A
+// store-default TTL, when configured, is stamped here so the journaled
+// expiry is exactly the one enforced. A derived registration already owns
+// its ID (its keys were derived from it), so it registers under that ID
+// instead of drawing a fresh one.
 func (s *DurableStore) Register(reg *Registration) (string, error) {
 	if s.closed.Load() {
 		return "", ErrStoreClosed
@@ -799,8 +846,10 @@ func (s *DurableStore) Register(reg *Registration) (string, error) {
 	return id, nil
 }
 
-// Lookup implements Store. Expired registrations are unknown the instant
-// their TTL elapses, whether or not the sweeper has reclaimed them yet.
+// Lookup resolves a region ID. It returns ErrUnknownRegion (wrapped) for
+// IDs that were never registered, were deregistered, or whose TTL has
+// elapsed — expired registrations are unknown the instant their TTL
+// elapses, whether or not the sweeper has reclaimed them yet.
 func (s *DurableStore) Lookup(id string) (*Registration, error) {
 	if id == "" {
 		return nil, fmt.Errorf("%w: missing region id", ErrBadOp)
@@ -816,9 +865,9 @@ func (s *DurableStore) Lookup(id string) (*Registration, error) {
 	return reg, nil
 }
 
-// SetTrust implements Store: the trust change is journaled before the
-// policy mutates, so a recovered store grants exactly what the live one
-// did.
+// SetTrust updates the registration's access-control policy for one
+// requester: the trust change is journaled before the policy mutates, so a
+// recovered store grants exactly what the live one did.
 func (s *DurableStore) SetTrust(id, requester string, toLevel int) error {
 	if s.closed.Load() {
 		return ErrStoreClosed
@@ -826,8 +875,9 @@ func (s *DurableStore) SetTrust(id, requester string, toLevel int) error {
 	return s.mutate(&Mutation{Op: MutSetTrust, ID: id, Requester: requester, ToLevel: toLevel})
 }
 
-// Deregister implements Store: once journaled, the registration's keys
-// are gone for good and the region is no longer recoverable.
+// Deregister removes a registration, ending the region's recoverability:
+// once journaled, the registration's keys are gone for good and no
+// requester can reduce the region again.
 func (s *DurableStore) Deregister(id string) error {
 	if s.closed.Load() {
 		return ErrStoreClosed
@@ -838,11 +888,12 @@ func (s *DurableStore) Deregister(id string) error {
 	return s.mutate(&Mutation{Op: MutDeregister, ID: id})
 }
 
-// Touch implements Store: it renews a live registration's lease to
-// ttl from now (ttl <= 0 selects the store's default TTL; with no
-// default either, the expiry bound is cleared). The renewal is journaled
-// as a touch mutation through the same pipeline as every other
-// lifecycle change, so recovery and replication replay it identically.
+// Touch renews a live registration's lease to ttl from now (ttl <= 0
+// selects the store's default TTL; with no default either, the expiry
+// bound is cleared) and returns the new expiry instant (zero when the
+// bound was cleared). The renewal is journaled as a touch mutation through
+// the same pipeline as every other lifecycle change, so recovery and
+// replication replay it identically.
 func (s *DurableStore) Touch(id string, ttl time.Duration) (time.Time, error) {
 	if s.closed.Load() {
 		return time.Time{}, ErrStoreClosed
@@ -867,7 +918,8 @@ func (s *DurableStore) Touch(id string, ttl time.Duration) (time.Time, error) {
 	return time.Unix(0, expiresAt).UTC(), nil
 }
 
-// Len implements Store.
+// Len reports the number of stored registrations, counting expired
+// entries the sweeper has not yet reclaimed.
 func (s *DurableStore) Len() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -878,11 +930,13 @@ func (s *DurableStore) Len() int {
 	return n
 }
 
-// SweepExpired implements Store: it journals an expire mutation for
-// every registration whose TTL has elapsed and removes it. Expire
-// records are not group-committed: nothing is acknowledged on their
-// back, and recovery re-drops expired registrations regardless, so
-// losing one to a crash is harmless.
+// SweepExpired journals an expire mutation for every registration whose
+// TTL has elapsed, removes it, and reports how many it removed. The
+// background sweeper calls it on its GC interval; operators can force a
+// pass when that sweeper is disabled. Expire records are not
+// group-committed: nothing is acknowledged on their back, and recovery
+// re-drops expired registrations regardless, so losing one to a crash is
+// harmless.
 func (s *DurableStore) SweepExpired() (int, error) {
 	if s.closed.Load() {
 		return 0, ErrStoreClosed
@@ -904,7 +958,7 @@ func (s *DurableStore) SweepExpired() (int, error) {
 		}
 		for _, id := range ids {
 			m := &Mutation{Op: MutExpire, ID: id}
-			if _, err := s.appendLocked(sh, recordFromMutation(m)); err != nil {
+			if _, err := s.journalLocked(sh, m); err != nil {
 				sh.mu.Unlock()
 				return n, err
 			}
@@ -1082,6 +1136,9 @@ func (s *DurableStore) Snapshot() error {
 	if s.closed.Load() {
 		return ErrStoreClosed
 	}
+	if err := s.needsJournal("snapshot"); err != nil {
+		return err
+	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		err := s.snapshotShardLocked(sh)
@@ -1096,11 +1153,14 @@ func (s *DurableStore) Snapshot() error {
 // Sync forces the unified log to disk (under FsyncAlways a safety net;
 // the group commit already synced every acknowledged record).
 func (s *DurableStore) Sync() error {
+	if s.log == nil {
+		return nil
+	}
 	return s.log.sync()
 }
 
-// WALStats is the durable store's journaling counters, as exposed on
-// the admin listener's /metrics.
+// WALStats is the store's journaling counters, as exposed on the admin
+// listener's /metrics.
 type WALStats struct {
 	// Records counts mutation records journaled since open (live
 	// mutations and ingested stream frames; recovery replay not
@@ -1123,8 +1183,11 @@ type WALStats struct {
 	LogSegments int64
 }
 
-// WALStats snapshots the journaling counters.
+// WALStats snapshots the journaling counters (all zero without a journal).
 func (s *DurableStore) WALStats() WALStats {
+	if s.log == nil {
+		return WALStats{}
+	}
 	bytes, segs := s.log.stats()
 	return WALStats{
 		Records:               s.recordsTotal.Load(),
@@ -1160,7 +1223,7 @@ func (s *DurableStore) Range(fn func(id string, reg *Registration) bool) {
 // Recovery reports what OpenDurableStore found on disk.
 func (s *DurableStore) Recovery() RecoveryStats { return s.stats }
 
-// Dir returns the store's data directory.
+// Dir returns the store's data directory ("" for a journal-less store).
 func (s *DurableStore) Dir() string { return s.dir }
 
 // Snapshots returns the number of compactions performed since open (for
@@ -1179,9 +1242,10 @@ func (s *DurableStore) snapshotDirty() {
 	}
 }
 
-// Close flushes and closes the unified log. Operations issued after
-// Close fail with ErrStoreClosed; the on-disk state reopens to exactly
-// the acknowledged mutations.
+// Close stops background work (GC sweeper, sync and snapshot loops) and
+// flushes and closes the unified log. Operations issued after Close fail
+// with ErrStoreClosed; the on-disk state reopens to exactly the
+// acknowledged mutations.
 func (s *DurableStore) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -1193,5 +1257,8 @@ func (s *DurableStore) Close() error {
 	close(s.stop)
 	s.gcMu.Unlock()
 	s.bg.Wait()
+	if s.log == nil {
+		return nil
+	}
 	return s.log.close()
 }

@@ -514,21 +514,35 @@ func TestDurableStoreConcurrentMixed(t *testing.T) {
 
 // TestDurableStoreClosedErrors pins the post-Close behavior.
 func TestDurableStoreClosedErrors(t *testing.T) {
-	st, err := OpenDurableStore(t.TempDir(), WithDurableShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Register(fakeRegistration(t, 1)); !errors.Is(err, ErrStoreClosed) {
-		t.Errorf("Register after Close: %v, want ErrStoreClosed", err)
-	}
-	if err := st.Deregister("r1"); !errors.Is(err, ErrStoreClosed) {
-		t.Errorf("Deregister after Close: %v, want ErrStoreClosed", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
+	for _, mode := range storeModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			st := openDurable(t, mode.dir, WithDurableShards(1))
+			id, err := st.Register(fakeRegistration(t, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Register(fakeRegistration(t, 1)); !errors.Is(err, ErrStoreClosed) {
+				t.Errorf("Register after Close: %v, want ErrStoreClosed", err)
+			}
+			if err := st.SetTrust(id, "doctor", 0); !errors.Is(err, ErrStoreClosed) {
+				t.Errorf("SetTrust after Close: %v, want ErrStoreClosed", err)
+			}
+			if _, err := st.Touch(id, time.Hour); !errors.Is(err, ErrStoreClosed) {
+				t.Errorf("Touch after Close: %v, want ErrStoreClosed", err)
+			}
+			if err := st.Deregister(id); !errors.Is(err, ErrStoreClosed) {
+				t.Errorf("Deregister after Close: %v, want ErrStoreClosed", err)
+			}
+			if _, err := st.SweepExpired(); !errors.Is(err, ErrStoreClosed) {
+				t.Errorf("SweepExpired after Close: %v, want ErrStoreClosed", err)
+			}
+			if err := st.Close(); err != nil {
+				t.Errorf("second Close: %v", err)
+			}
+		})
 	}
 }
 
@@ -539,7 +553,8 @@ func TestServerDurabilityEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	g, density := testGrid(t)
 
-	srv1 := newTestServer(t, g, density, WithDurability(dir, WithFsyncPolicy(FsyncAlways)))
+	st1 := openDurable(t, dir, WithFsyncPolicy(FsyncAlways))
+	srv1 := newTestServer(t, g, density, WithStore(st1))
 	addr1 := startTestServer(t, srv1)
 	c1 := dial(t, addr1)
 
@@ -572,8 +587,11 @@ func TestServerDurabilityEndToEnd(t *testing.T) {
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	srv2 := newTestServer(t, g, density, WithDurability(dir))
+	srv2 := newTestServer(t, g, density, WithStore(openDurable(t, dir)))
 	addr2 := startTestServer(t, srv2)
 	c2 := dial(t, addr2)
 

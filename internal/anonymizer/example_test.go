@@ -149,3 +149,69 @@ func Example_durableStore() {
 	// recovered 1 registration(s)
 	// region covers user after restart: true
 }
+
+// ExampleWithStore shows where a server's store comes from. The caller
+// opens it — the directory (none here: the journal-less mode), TTLs, fsync
+// policy and master keyring are all the store's configuration — hands it
+// to the server, and closes it after the server. NewServer without
+// WithStore opens and owns a journal-less store with default options.
+func ExampleWithStore() {
+	g, err := mapgen.Grid(10, 10, 100)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	engine, err := cloak.NewEngine(g,
+		func(roadnet.SegmentID) int { return 2 },
+		cloak.Options{Algorithm: cloak.RGE})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	kr, err := keys.NewKeyring(1, map[uint32][]byte{1: []byte("example-master-secret-0001")})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	st, err := OpenDurableStore("", WithKeyring(kr), WithTTL(DefaultRegistrationTTL))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer func() { _ = st.Close() }() // runs after srv.Close below
+	srv, err := NewServer(map[cloak.Algorithm]*cloak.Engine{cloak.RGE: engine}, WithStore(st))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer func() { _ = srv.Close() }()
+	c, err := Dial(addr.String())
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer func() { _ = c.Close() }()
+
+	id, _, err := c.Anonymize(42, profile.Profile{Levels: []profile.Level{{K: 6, L: 3}}}, "RGE")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	reg, err := st.Lookup(id)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	fmt.Printf("%s: keys derived under master epoch %d, expires: %v\n",
+		id, reg.KeyEpoch(), !reg.Expiry().IsZero())
+	_, err = c.Backup(os.Stdout)
+	fmt.Println(err)
+	// Output:
+	// r1: keys derived under master epoch 1, expires: true
+	// anonymizer: remote error: anonymizer: bad operation: backup requires a durable store
+}

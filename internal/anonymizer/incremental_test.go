@@ -19,7 +19,7 @@ func TestIncrementalBackupRoundTrip(t *testing.T) {
 	clk := newFakeClock()
 	dir := filepath.Join(t.TempDir(), "src")
 	st := openDurable(t, dir,
-		WithDurableShards(4), WithGCInterval(0), withDurableClock(clk.Now))
+		WithDurableShards(4), WithGCInterval(0), WithClock(clk.Now))
 
 	var ids []string
 	register := func(n int, ttl time.Duration) {
@@ -98,14 +98,14 @@ func TestIncrementalBackupRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		stats, err := ApplyIncremental(bytes.NewReader(delta.Bytes()), restored,
-			WithGCInterval(0), withDurableClock(clk.Now))
+			WithGCInterval(0), WithClock(clk.Now))
 		if err != nil {
 			t.Fatalf("%s: ApplyIncremental: %v", name, err)
 		}
 		if stats.Applied == 0 {
 			t.Fatalf("%s: nothing applied", name)
 		}
-		rst := openDurable(t, restored, WithGCInterval(0), withDurableClock(clk.Now))
+		rst := openDurable(t, restored, WithGCInterval(0), WithClock(clk.Now))
 		requireSameState(t, "full+"+name+" delta",
 			want, digestStore(t, rst, ids, nil, nil), wantLen, rst.Len())
 		// Applying the same delta twice is a no-op, not a corruption.
@@ -113,7 +113,7 @@ func TestIncrementalBackupRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		stats, err = ApplyIncremental(bytes.NewReader(delta.Bytes()), restored,
-			WithGCInterval(0), withDurableClock(clk.Now))
+			WithGCInterval(0), WithClock(clk.Now))
 		if err != nil {
 			t.Fatalf("%s: re-apply: %v", name, err)
 		}
@@ -133,7 +133,7 @@ func TestApplyIncrementalIsExpiryPassive(t *testing.T) {
 	clk := newFakeClock()
 	dir := filepath.Join(t.TempDir(), "src")
 	st := openDurable(t, dir,
-		WithDurableShards(1), WithGCInterval(0), withDurableClock(clk.Now))
+		WithDurableShards(1), WithGCInterval(0), WithClock(clk.Now))
 
 	reg := fakeRegistration(t, 1)
 	reg.SetExpiry(clk.Now().Add(10 * time.Second))
@@ -175,10 +175,10 @@ func TestApplyIncrementalIsExpiryPassive(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ApplyIncremental(bytes.NewReader(delta.Bytes()), restored,
-		WithSnapshotEvery(2), WithGCInterval(0), withDurableClock(clk.Now)); err != nil {
+		WithSnapshotEvery(2), WithGCInterval(0), WithClock(clk.Now)); err != nil {
 		t.Fatal(err)
 	}
-	rst := openDurable(t, restored, WithGCInterval(0), withDurableClock(clk.Now))
+	rst := openDurable(t, restored, WithGCInterval(0), WithClock(clk.Now))
 	got, err := rst.Lookup(id)
 	if err != nil {
 		t.Fatalf("renewed registration lost by the incremental apply: %v", err)

@@ -23,96 +23,102 @@ func newFakeClock() *fakeClock {
 func (c *fakeClock) Now() time.Time          { return time.Unix(0, c.ns.Load()).UTC() }
 func (c *fakeClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
 
-// TestShardedStoreTTLLifecycle walks the in-memory store through the full
-// registered → expired lifecycle on a manual clock: default TTLs apply,
-// expiry is visible immediately (lazy), mutations on expired entries fail
-// like unknown regions, and the sweeper returns the store to its pre-load
-// entry count.
+// TestShardedStoreTTLLifecycle walks the store, in both modes, through
+// the full registered → expired lifecycle on a manual clock: default TTLs
+// apply, expiry is visible immediately (lazy), mutations on expired
+// entries fail like unknown regions, and the sweeper returns the store to
+// its pre-load entry count.
 func TestShardedStoreTTLLifecycle(t *testing.T) {
-	clock := newFakeClock()
-	st := NewShardedStore(4,
-		WithStoreTTL(time.Minute), WithStoreGCInterval(0),
-		withStoreClock(clock.Now)).(*shardedStore)
+	for _, mode := range storeModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			clock := newFakeClock()
+			st := openDurable(t, mode.dir, WithDurableShards(4),
+				WithTTL(time.Minute), WithGCInterval(0), WithClock(clock.Now))
 
-	var defIDs, longIDs []string
-	for i := 0; i < 20; i++ {
-		id, err := st.Register(fakeRegistration(t, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defIDs = append(defIDs, id)
-	}
-	for i := 0; i < 5; i++ {
-		reg := fakeRegistration(t, 2)
-		reg.SetExpiry(clock.Now().Add(time.Hour))
-		id, err := st.Register(reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		longIDs = append(longIDs, id)
-	}
-	if got := st.Len(); got != 25 {
-		t.Fatalf("Len = %d, want 25", got)
-	}
-	for _, id := range defIDs {
-		if _, err := st.Lookup(id); err != nil {
-			t.Fatalf("Lookup(%q) before expiry: %v", id, err)
-		}
-	}
+			var defIDs, longIDs []string
+			for i := 0; i < 20; i++ {
+				id, err := st.Register(fakeRegistration(t, 2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defIDs = append(defIDs, id)
+			}
+			for i := 0; i < 5; i++ {
+				reg := fakeRegistration(t, 2)
+				reg.SetExpiry(clock.Now().Add(time.Hour))
+				id, err := st.Register(reg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				longIDs = append(longIDs, id)
+			}
+			if got := st.Len(); got != 25 {
+				t.Fatalf("Len = %d, want 25", got)
+			}
+			for _, id := range defIDs {
+				if _, err := st.Lookup(id); err != nil {
+					t.Fatalf("Lookup(%q) before expiry: %v", id, err)
+				}
+			}
 
-	clock.Advance(61 * time.Second)
-	for _, id := range defIDs[:3] {
-		if _, err := st.Lookup(id); !errors.Is(err, ErrUnknownRegion) {
-			t.Errorf("Lookup(%q) after expiry: %v, want ErrUnknownRegion", id, err)
-		}
-		if err := st.SetTrust(id, "x", 0); !errors.Is(err, ErrUnknownRegion) {
-			t.Errorf("SetTrust(%q) after expiry: %v, want ErrUnknownRegion", id, err)
-		}
-		if err := st.Deregister(id); !errors.Is(err, ErrUnknownRegion) {
-			t.Errorf("Deregister(%q) after expiry: %v, want ErrUnknownRegion", id, err)
-		}
-	}
-	for _, id := range longIDs {
-		if _, err := st.Lookup(id); err != nil {
-			t.Fatalf("Lookup(%q) of long-TTL entry: %v", id, err)
-		}
-	}
-	if n, _ := st.SweepExpired(); n != 20 {
-		t.Fatalf("SweepExpired = %d, want 20", n)
-	}
-	if got := st.Len(); got != 5 {
-		t.Fatalf("Len after sweep = %d, want 5", got)
-	}
+			clock.Advance(61 * time.Second)
+			for _, id := range defIDs[:3] {
+				if _, err := st.Lookup(id); !errors.Is(err, ErrUnknownRegion) {
+					t.Errorf("Lookup(%q) after expiry: %v, want ErrUnknownRegion", id, err)
+				}
+				if err := st.SetTrust(id, "x", 0); !errors.Is(err, ErrUnknownRegion) {
+					t.Errorf("SetTrust(%q) after expiry: %v, want ErrUnknownRegion", id, err)
+				}
+				if err := st.Deregister(id); !errors.Is(err, ErrUnknownRegion) {
+					t.Errorf("Deregister(%q) after expiry: %v, want ErrUnknownRegion", id, err)
+				}
+			}
+			for _, id := range longIDs {
+				if _, err := st.Lookup(id); err != nil {
+					t.Fatalf("Lookup(%q) of long-TTL entry: %v", id, err)
+				}
+			}
+			if n, _ := st.SweepExpired(); n != 20 {
+				t.Fatalf("SweepExpired = %d, want 20", n)
+			}
+			if got := st.Len(); got != 5 {
+				t.Fatalf("Len after sweep = %d, want 5", got)
+			}
 
-	clock.Advance(time.Hour)
-	if n, _ := st.SweepExpired(); n != 5 {
-		t.Fatalf("second SweepExpired = %d, want 5", n)
-	}
-	if got := st.Len(); got != 0 {
-		t.Fatalf("Len after full expiry = %d, want 0 (pre-load count)", got)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+			clock.Advance(time.Hour)
+			if n, _ := st.SweepExpired(); n != 5 {
+				t.Fatalf("second SweepExpired = %d, want 5", n)
+			}
+			if got := st.Len(); got != 0 {
+				t.Fatalf("Len after full expiry = %d, want 0 (pre-load count)", got)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // TestShardedStoreSweeperBackground checks the lazily-started background
 // sweeper actually reclaims expired registrations on its own.
 func TestShardedStoreSweeperBackground(t *testing.T) {
-	st := NewShardedStore(4, WithStoreTTL(5*time.Millisecond),
-		WithStoreGCInterval(5*time.Millisecond))
-	defer func() { _ = st.Close() }()
-	for i := 0; i < 10; i++ {
-		if _, err := st.Register(fakeRegistration(t, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for st.Len() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sweeper left %d registrations after 5s", st.Len())
-		}
-		time.Sleep(2 * time.Millisecond)
+	for _, mode := range storeModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			st := openDurable(t, mode.dir, WithDurableShards(4),
+				WithTTL(5*time.Millisecond), WithGCInterval(5*time.Millisecond))
+			for i := 0; i < 10; i++ {
+				if _, err := st.Register(fakeRegistration(t, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for st.Len() > 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("sweeper left %d registrations after 5s", st.Len())
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -127,7 +133,7 @@ func TestDurableStoreTTLSweepAndRecovery(t *testing.T) {
 	open := func() *DurableStore {
 		st, err := OpenDurableStore(dir,
 			WithDurableShards(2), WithFsyncPolicy(FsyncAlways),
-			WithGCInterval(0), withDurableClock(clock.Now))
+			WithGCInterval(0), WithClock(clock.Now))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +229,7 @@ func TestDurableStoreCompactionReclaimsExpired(t *testing.T) {
 	clock := newFakeClock()
 	dir := t.TempDir()
 	st, err := OpenDurableStore(dir, WithDurableShards(1),
-		WithGCInterval(0), WithSnapshotEvery(0), withDurableClock(clock.Now))
+		WithGCInterval(0), WithSnapshotEvery(0), WithClock(clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +260,7 @@ func TestDurableStoreCompactionReclaimsExpired(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenDurableStore(dir, WithGCInterval(0), withDurableClock(clock.Now))
+	st2, err := OpenDurableStore(dir, WithGCInterval(0), WithClock(clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +301,7 @@ func TestDurableStoreDefaultTTLJournaled(t *testing.T) {
 	clock := newFakeClock()
 	dir := t.TempDir()
 	st, err := OpenDurableStore(dir, WithDurableShards(1),
-		WithTTL(time.Minute), WithGCInterval(0), withDurableClock(clock.Now))
+		WithTTL(time.Minute), WithGCInterval(0), WithClock(clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +321,7 @@ func TestDurableStoreDefaultTTLJournaled(t *testing.T) {
 	}
 
 	clock.Advance(2 * time.Minute)
-	st2, err := OpenDurableStore(dir, WithGCInterval(0), withDurableClock(clock.Now))
+	st2, err := OpenDurableStore(dir, WithGCInterval(0), WithClock(clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,39 +415,42 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 // registers with a TTL against a fake-clock store, and the registration
 // vanishes for every operation once the clock passes the expiry.
 func TestServerTTLEndToEnd(t *testing.T) {
-	clock := newFakeClock()
-	st := NewShardedStore(4, WithStoreGCInterval(0), withStoreClock(clock.Now))
-	defer func() { _ = st.Close() }()
-	g, density := testGrid(t)
-	srv := newTestServer(t, g, density, WithStore(st))
-	addr := startTestServer(t, srv)
-	c := dial(t, addr)
+	for _, mode := range storeModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			clock := newFakeClock()
+			st := openDurable(t, mode.dir, WithDurableShards(4), WithGCInterval(0), WithClock(clock.Now))
+			g, density := testGrid(t)
+			srv := newTestServer(t, g, density, WithStore(st))
+			addr := startTestServer(t, srv)
+			c := dial(t, addr)
 
-	id, _, err := c.AnonymizeTTL(42, testProfile(), "RGE", time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.GetRegion(id); err != nil {
-		t.Fatalf("GetRegion before expiry: %v", err)
-	}
-	clock.Advance(2 * time.Minute)
-	if _, _, err := c.GetRegion(id); err == nil ||
-		!strings.Contains(err.Error(), "unknown region") {
-		t.Errorf("GetRegion after expiry: %v, want unknown region", err)
-	}
-	if _, _, err := c.Reduce(id, "anyone", 0); err == nil {
-		t.Error("Reduce after expiry succeeded")
-	}
+			id, _, err := c.AnonymizeTTL(42, testProfile(), "RGE", time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.GetRegion(id); err != nil {
+				t.Fatalf("GetRegion before expiry: %v", err)
+			}
+			clock.Advance(2 * time.Minute)
+			if _, _, err := c.GetRegion(id); err == nil ||
+				!strings.Contains(err.Error(), "unknown region") {
+				t.Errorf("GetRegion after expiry: %v, want unknown region", err)
+			}
+			if _, _, err := c.Reduce(id, "anyone", 0); err == nil {
+				t.Error("Reduce after expiry succeeded")
+			}
 
-	// Negative and absurdly large TTLs are rejected at the protocol
-	// level (the latter would overflow the expiry arithmetic).
-	if _, _, err := c.AnonymizeTTL(42, testProfile(), "RGE", -time.Second); err == nil ||
-		!strings.Contains(err.Error(), "ttl_ms") {
-		t.Errorf("negative ttl error = %v", err)
-	}
-	if _, _, err := c.AnonymizeTTL(42, testProfile(), "RGE", 200*365*24*time.Hour); err == nil ||
-		!strings.Contains(err.Error(), "ttl_ms") {
-		t.Errorf("oversized ttl error = %v", err)
+			// Negative and absurdly large TTLs are rejected at the protocol
+			// level (the latter would overflow the expiry arithmetic).
+			if _, _, err := c.AnonymizeTTL(42, testProfile(), "RGE", -time.Second); err == nil ||
+				!strings.Contains(err.Error(), "ttl_ms") {
+				t.Errorf("negative ttl error = %v", err)
+			}
+			if _, _, err := c.AnonymizeTTL(42, testProfile(), "RGE", 200*365*24*time.Hour); err == nil ||
+				!strings.Contains(err.Error(), "ttl_ms") {
+				t.Errorf("oversized ttl error = %v", err)
+			}
+		})
 	}
 }
 

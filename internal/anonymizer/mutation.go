@@ -51,10 +51,9 @@ func (op MutationOp) String() string {
 }
 
 // Mutation is one event of the registration lifecycle: the single typed
-// unit that flows through every store. The in-memory store applies
-// mutations directly; the durable store journals a mutation to its WAL and
-// then applies it; recovery replays journaled mutations through the same
-// apply path. There is exactly one apply implementation (regTable.apply),
+// unit that flows through the store. The live store journals a mutation
+// to its WAL (when it has one) and then applies it; recovery replays
+// journaled mutations through the same apply path. There is exactly one apply implementation (regTable.apply),
 // so the live state, the log, and the recovered state can never drift
 // apart structurally.
 type Mutation struct {
@@ -125,9 +124,9 @@ func (t *replayTally) note(m *Mutation, applied bool) {
 	}
 }
 
-// regTable is the in-memory registration state of one store shard. Both
-// store implementations hold one per shard and route every mutation
-// through apply below; the caller provides the locking.
+// regTable is the in-memory registration state of one store shard. Every
+// mutation of the shard routes through apply below; the caller provides
+// the locking.
 type regTable struct {
 	regs map[string]*Registration
 	// inval, when set, is called (under the shard lock) with the ID of
@@ -201,9 +200,9 @@ func (t regTable) check(m *Mutation, now int64) error {
 }
 
 // apply transitions the table by one mutation. This is the system's
-// single mutation-apply implementation: the in-memory store, the durable
-// store's journal-then-apply flow and WAL/snapshot replay all route
-// through it. It reports whether the mutation changed state — replay
+// single mutation-apply implementation: the live store's
+// journal-then-apply flow, follower ingest and WAL/snapshot replay all
+// route through it. It reports whether the mutation changed state — replay
 // counts recovery statistics off that flag — and now is the clock reading
 // expiry is evaluated against (the current instant live, the open instant
 // during replay, in unix nanoseconds).

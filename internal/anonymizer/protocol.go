@@ -15,10 +15,11 @@
 // reduce_batch) additionally amortize one round-trip over many items.
 // docs/PROTOCOL.md is the authoritative wire specification.
 //
-// Registrations live in a pluggable Store. The default is in-memory; a
-// server built WithDurability journals every mutation to per-shard
-// write-ahead logs and recovers them on restart, so the reversibility of
-// every acknowledged region survives a crash.
+// Registrations live in one store (DurableStore). Opened over a data
+// directory it journals every mutation to a write-ahead log and recovers
+// it on restart, so the reversibility of every acknowledged region
+// survives a crash; a server given no store keeps its registrations in a
+// journal-less one, in memory only.
 package anonymizer
 
 import (

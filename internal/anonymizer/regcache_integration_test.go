@@ -39,7 +39,7 @@ func cacheTestProfile() profile.Profile {
 // Returns ok=false when the cloak is infeasible for that user.
 func registerReducible(
 	t *testing.T,
-	st Store,
+	st *DurableStore,
 	engine *cloak.Engine,
 	user roadnet.SegmentID,
 	prof profile.Profile,
@@ -76,7 +76,7 @@ func registerReducible(
 
 // reduciblePool registers n engine-made regions, scanning user segments
 // until enough cloaks are feasible.
-func reduciblePool(t *testing.T, st Store, engine *cloak.Engine, g *roadnet.Graph, n int, prof profile.Profile) []string {
+func reduciblePool(t *testing.T, st *DurableStore, engine *cloak.Engine, g *roadnet.Graph, n int, prof profile.Profile) []string {
 	t.Helper()
 	ids := make([]string, 0, n)
 	for u := 0; u < g.NumSegments() && len(ids) < n; u++ {
@@ -91,7 +91,7 @@ func reduciblePool(t *testing.T, st Store, engine *cloak.Engine, g *roadnet.Grap
 }
 
 // TestReduceCacheConformance runs a cache-enabled and a cache-free server
-// over ONE shared store (reduce is read-only) and requires byte-identical
+// over ONE shared store (reduce is read-only), in both store modes, and requires byte-identical
 // reduce output for every id at every level. Levels are requested
 // coarse-to-fine so the cached server's second request peels from a
 // memoized coarser region (the incremental fast path) rather than from
@@ -99,91 +99,95 @@ func reduciblePool(t *testing.T, st Store, engine *cloak.Engine, g *roadnet.Grap
 // hits. A derived-keys registration rides along so the key-set tier is
 // held to the same standard through request_keys.
 func TestReduceCacheConformance(t *testing.T) {
-	g, density := testGrid(t)
-	st := NewShardedStore(4)
-	cached := newTestServer(t, g, density, WithStore(st), WithReduceCacheBytes(-1))
-	plain := newTestServer(t, g, density, WithStore(st))
-	eng := cached.engines[cloak.RGE]
+	for _, mode := range storeModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			g, density := testGrid(t)
+			st := openDurable(t, mode.dir, WithDurableShards(4))
+			cached := newTestServer(t, g, density, WithStore(st), WithReduceCacheBytes(-1))
+			plain := newTestServer(t, g, density, WithStore(st))
+			eng := cached.engines[cloak.RGE]
 
-	prof := cacheTestProfile()
-	levels := len(prof.Levels)
-	ids := reduciblePool(t, st, eng, g, 6, prof)
+			prof := cacheTestProfile()
+			levels := len(prof.Levels)
+			ids := reduciblePool(t, st, eng, g, 6, prof)
 
-	// One derived-keys registration: its reduces exercise GetKeys/PutKeys.
-	kr, err := keys.NewKeyring(1, map[uint32][]byte{
-		1: []byte("regcache-conformance-master-secret-01"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const derivedID = "conf-cache-derived"
-	dks, err := kr.DeriveSet(1, derivedID, levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dregion *cloak.CloakedRegion
-	for u := 0; u < g.NumSegments() && dregion == nil; u++ {
-		dregion, _, _ = eng.Anonymize(cloak.Request{
-			UserSegment: roadnet.SegmentID(u), Profile: prof, Keys: dks.All(),
-		})
-	}
-	if dregion == nil {
-		t.Fatal("no feasible cloak for the derived registration")
-	}
-	dpolicy, err := accessctl.NewPolicy(levels, levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id, err := st.Register(NewDerivedRegistration(dregion, kr, 1, derivedID, levels, dpolicy)); err != nil || id != derivedID {
-		t.Fatalf("derived register = (%q, %v)", id, err)
-	}
-	if err := st.SetTrust(derivedID, "reader", 0); err != nil {
-		t.Fatal(err)
-	}
-	ids = append(ids, derivedID)
+			// One derived-keys registration: its reduces exercise GetKeys/PutKeys.
+			kr, err := keys.NewKeyring(1, map[uint32][]byte{
+				1: []byte("regcache-conformance-master-secret-01"),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const derivedID = "conf-cache-derived"
+			dks, err := kr.DeriveSet(1, derivedID, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dregion *cloak.CloakedRegion
+			for u := 0; u < g.NumSegments() && dregion == nil; u++ {
+				dregion, _, _ = eng.Anonymize(cloak.Request{
+					UserSegment: roadnet.SegmentID(u), Profile: prof, Keys: dks.All(),
+				})
+			}
+			if dregion == nil {
+				t.Fatal("no feasible cloak for the derived registration")
+			}
+			dpolicy, err := accessctl.NewPolicy(levels, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id, err := st.Register(NewDerivedRegistration(dregion, kr, 1, derivedID, levels, dpolicy)); err != nil || id != derivedID {
+				t.Fatalf("derived register = (%q, %v)", id, err)
+			}
+			if err := st.SetTrust(derivedID, "reader", 0); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, derivedID)
 
-	reduce := func(s *Server, id string, lv int) (string, string) {
-		resp := s.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: lv})
-		if !resp.OK {
-			return "", resp.Error
-		}
-		raw, err := json.Marshal(resp.Region)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("level=%d %s", *resp.Level, raw), ""
-	}
-	for pass := 0; pass < 2; pass++ {
-		for _, id := range ids {
-			for lv := levels; lv >= 0; lv-- { // levels = the no-peel case
-				want, werr := reduce(plain, id, lv)
-				got, gerr := reduce(cached, id, lv)
-				if werr != gerr {
-					t.Fatalf("pass %d: reduce(%q, %d) errors diverged: plain %q, cached %q",
-						pass, id, lv, werr, gerr)
+			reduce := func(s *Server, id string, lv int) (string, string) {
+				resp := s.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: lv})
+				if !resp.OK {
+					return "", resp.Error
 				}
-				if want != got {
-					t.Fatalf("pass %d: reduce(%q, %d) diverged:\n plain  %s\n cached %s",
-						pass, id, lv, want, got)
+				raw, err := json.Marshal(resp.Region)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprintf("level=%d %s", *resp.Level, raw), ""
+			}
+			for pass := 0; pass < 2; pass++ {
+				for _, id := range ids {
+					for lv := levels; lv >= 0; lv-- { // levels = the no-peel case
+						want, werr := reduce(plain, id, lv)
+						got, gerr := reduce(cached, id, lv)
+						if werr != gerr {
+							t.Fatalf("pass %d: reduce(%q, %d) errors diverged: plain %q, cached %q",
+								pass, id, lv, werr, gerr)
+						}
+						if want != got {
+							t.Fatalf("pass %d: reduce(%q, %d) diverged:\n plain  %s\n cached %s",
+								pass, id, lv, want, got)
+						}
+					}
+				}
+				wantKeys := plain.handleRequestKeys(&Request{Op: OpRequestKeys, RegionID: derivedID, Requester: "reader"})
+				gotKeys := cached.handleRequestKeys(&Request{Op: OpRequestKeys, RegionID: derivedID, Requester: "reader"})
+				if !wantKeys.OK || !gotKeys.OK || !reflect.DeepEqual(wantKeys.Keys, gotKeys.Keys) {
+					t.Fatalf("pass %d: request_keys diverged: plain (%v, %v), cached (%v, %v)",
+						pass, wantKeys.OK, wantKeys.Keys, gotKeys.OK, gotKeys.Keys)
 				}
 			}
-		}
-		wantKeys := plain.handleRequestKeys(&Request{Op: OpRequestKeys, RegionID: derivedID, Requester: "reader"})
-		gotKeys := cached.handleRequestKeys(&Request{Op: OpRequestKeys, RegionID: derivedID, Requester: "reader"})
-		if !wantKeys.OK || !gotKeys.OK || !reflect.DeepEqual(wantKeys.Keys, gotKeys.Keys) {
-			t.Fatalf("pass %d: request_keys diverged: plain (%v, %v), cached (%v, %v)",
-				pass, wantKeys.OK, wantKeys.Keys, gotKeys.OK, gotKeys.Keys)
-		}
-	}
-	cs, ok := cached.ReduceCacheStats()
-	if !ok {
-		t.Fatal("cached server reports no cache")
-	}
-	if cs.RegionHits == 0 || cs.KeyHits == 0 {
-		t.Fatalf("conformance ran past the cache: %+v", cs)
-	}
-	if _, ok := plain.ReduceCacheStats(); ok {
-		t.Fatal("cache-free server reports a cache")
+			cs, ok := cached.ReduceCacheStats()
+			if !ok {
+				t.Fatal("cached server reports no cache")
+			}
+			if cs.RegionHits == 0 || cs.KeyHits == 0 {
+				t.Fatalf("conformance ran past the cache: %+v", cs)
+			}
+			if _, ok := plain.ReduceCacheStats(); ok {
+				t.Fatal("cache-free server reports a cache")
+			}
+		})
 	}
 }
 
@@ -193,63 +197,67 @@ func TestReduceCacheConformance(t *testing.T) {
 // reduce may serve that ID from the cache — regardless of how the
 // invalidation interleaves with in-flight computations. Run with -race.
 func TestReduceCacheDeregisterStaleness(t *testing.T) {
-	g, density := testGrid(t)
-	st := NewShardedStore(4)
-	srv := newTestServer(t, g, density, WithStore(st), WithReduceCacheBytes(-1))
-	prof := cacheTestProfile()
-	ids := reduciblePool(t, st, srv.engines[cloak.RGE], g, 12, prof)
+	for _, mode := range storeModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			g, density := testGrid(t)
+			st := openDurable(t, mode.dir, WithDurableShards(4))
+			srv := newTestServer(t, g, density, WithStore(st), WithReduceCacheBytes(-1))
+			prof := cacheTestProfile()
+			ids := reduciblePool(t, st, srv.engines[cloak.RGE], g, 12, prof)
 
-	// Warm every (id, level) so the deregisters race against a hot cache.
-	for _, id := range ids {
-		for lv := 0; lv < len(prof.Levels); lv++ {
-			if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: lv}); !resp.OK {
-				t.Fatalf("warm reduce(%q, %d): %s", id, lv, resp.Error)
-			}
-		}
-	}
-
-	dead := make([]atomic.Bool, len(ids))
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)*7919 + 13))
-			for !stop.Load() {
-				i := rng.Intn(len(ids))
-				wasDead := dead[i].Load() // sampled BEFORE the reduce
-				resp := srv.handleReduce(&Request{
-					Op: OpReduce, RegionID: ids[i],
-					Requester: "reader", ToLevel: rng.Intn(len(prof.Levels)),
-				})
-				if wasDead && resp.OK {
-					t.Errorf("reduce(%q) served a region after Deregister returned", ids[i])
-					return
+			// Warm every (id, level) so the deregisters race against a hot cache.
+			for _, id := range ids {
+				for lv := 0; lv < len(prof.Levels); lv++ {
+					if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: lv}); !resp.OK {
+						t.Fatalf("warm reduce(%q, %d): %s", id, lv, resp.Error)
+					}
 				}
 			}
-		}(w)
-	}
-	for i, id := range ids {
-		time.Sleep(time.Millisecond) // let readers interleave
-		if err := st.Deregister(id); err != nil {
-			t.Fatal(err)
-		}
-		dead[i].Store(true)
-	}
-	time.Sleep(5 * time.Millisecond)
-	stop.Store(true)
-	wg.Wait()
 
-	for _, id := range ids {
-		if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: 0}); resp.OK {
-			t.Fatalf("reduce(%q) still OK after deregistration", id)
-		} else if !strings.Contains(resp.Error, "unknown region") {
-			t.Fatalf("reduce(%q) = %q, want unknown region", id, resp.Error)
-		}
-	}
-	if cs, _ := srv.ReduceCacheStats(); cs.Entries != 0 || cs.Bytes != 0 {
-		t.Fatalf("cache retains entries for dead IDs: %+v", cs)
+			dead := make([]atomic.Bool, len(ids))
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)*7919 + 13))
+					for !stop.Load() {
+						i := rng.Intn(len(ids))
+						wasDead := dead[i].Load() // sampled BEFORE the reduce
+						resp := srv.handleReduce(&Request{
+							Op: OpReduce, RegionID: ids[i],
+							Requester: "reader", ToLevel: rng.Intn(len(prof.Levels)),
+						})
+						if wasDead && resp.OK {
+							t.Errorf("reduce(%q) served a region after Deregister returned", ids[i])
+							return
+						}
+					}
+				}(w)
+			}
+			for i, id := range ids {
+				time.Sleep(time.Millisecond) // let readers interleave
+				if err := st.Deregister(id); err != nil {
+					t.Fatal(err)
+				}
+				dead[i].Store(true)
+			}
+			time.Sleep(5 * time.Millisecond)
+			stop.Store(true)
+			wg.Wait()
+
+			for _, id := range ids {
+				if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: 0}); resp.OK {
+					t.Fatalf("reduce(%q) still OK after deregistration", id)
+				} else if !strings.Contains(resp.Error, "unknown region") {
+					t.Fatalf("reduce(%q) = %q, want unknown region", id, resp.Error)
+				}
+			}
+			if cs, _ := srv.ReduceCacheStats(); cs.Entries != 0 || cs.Bytes != 0 {
+				t.Fatalf("cache retains entries for dead IDs: %+v", cs)
+			}
+		})
 	}
 }
 
@@ -259,34 +267,38 @@ func TestReduceCacheDeregisterStaleness(t *testing.T) {
 // lazy-expiry Lookup gates every request), and a sweep must leave the
 // cache empty via the same invalidation hook the deregister path uses.
 func TestReduceCacheExpiryStaleness(t *testing.T) {
-	clk := newFakeClock()
-	g, density := testGrid(t)
-	st := NewShardedStore(4, WithStoreGCInterval(0), withStoreClock(clk.Now))
-	srv := newTestServer(t, g, density, WithStore(st), WithReduceCacheBytes(-1))
-	id, ok := registerReducible(t, st, srv.engines[cloak.RGE], 7, cacheTestProfile(),
-		clk.Now().Add(10*time.Second))
-	if !ok {
-		t.Fatal("no feasible cloak for segment 7")
-	}
-	if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: 0}); !resp.OK {
-		t.Fatalf("warm reduce: %s", resp.Error)
-	}
-	if cs, _ := srv.ReduceCacheStats(); cs.Entries == 0 {
-		t.Fatal("warm reduce did not populate the cache")
-	}
+	for _, mode := range storeModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			clk := newFakeClock()
+			g, density := testGrid(t)
+			st := openDurable(t, mode.dir, WithDurableShards(4), WithGCInterval(0), WithClock(clk.Now))
+			srv := newTestServer(t, g, density, WithStore(st), WithReduceCacheBytes(-1))
+			id, ok := registerReducible(t, st, srv.engines[cloak.RGE], 7, cacheTestProfile(),
+				clk.Now().Add(10*time.Second))
+			if !ok {
+				t.Fatal("no feasible cloak for segment 7")
+			}
+			if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: 0}); !resp.OK {
+				t.Fatalf("warm reduce: %s", resp.Error)
+			}
+			if cs, _ := srv.ReduceCacheStats(); cs.Entries == 0 {
+				t.Fatal("warm reduce did not populate the cache")
+			}
 
-	clk.Advance(time.Minute)
-	if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: 0}); resp.OK {
-		t.Fatal("reduce served a cached region for an expired registration")
-	}
-	if _, err := st.SweepExpired(); err != nil {
-		t.Fatal(err)
-	}
-	if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: 0}); resp.OK {
-		t.Fatal("reduce served a cached region after the sweep")
-	}
-	if cs, _ := srv.ReduceCacheStats(); cs.Entries != 0 {
-		t.Fatalf("cache retains entries for the expired ID: %+v", cs)
+			clk.Advance(time.Minute)
+			if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: 0}); resp.OK {
+				t.Fatal("reduce served a cached region for an expired registration")
+			}
+			if _, err := st.SweepExpired(); err != nil {
+				t.Fatal(err)
+			}
+			if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: 0}); resp.OK {
+				t.Fatal("reduce served a cached region after the sweep")
+			}
+			if cs, _ := srv.ReduceCacheStats(); cs.Entries != 0 {
+				t.Fatalf("cache retains entries for the expired ID: %+v", cs)
+			}
+		})
 	}
 }
 

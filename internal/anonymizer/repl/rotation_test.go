@@ -76,7 +76,7 @@ func TestMasterKeyRotationLiveServer(t *testing.T) {
 	}
 	srv, err := anonymizer.NewServer(
 		map[cloak.Algorithm]*cloak.Engine{cloak.RGE: engine},
-		anonymizer.WithStore(st), anonymizer.WithMasterKeyring(kr))
+		anonymizer.WithStore(st))
 	if err != nil {
 		_ = st.Close()
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package anonymizer
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -60,17 +59,6 @@ type FollowerStatus struct {
 	// LastAckMillis is the unix-millisecond timestamp of the last ack
 	// (or subscription, before the first ack).
 	LastAckMillis int64 `json:"last_ack_ms"`
-}
-
-// replStore is the store capability the replication ops require — the
-// stream face the durable store implements; the in-memory store has no
-// log to ship.
-type replStore interface {
-	TailFrom(shard int, after uint64, max int) ([]StreamFrame, uint64, error)
-	Watermark() Watermark
-	ShardCount() int
-	Epoch() (uint64, bool)
-	WriteIncrementalBackup(w io.Writer, since Watermark) (int64, *IncrementalStats, error)
 }
 
 // followerReg tracks one subscribed follower's acked position on the
@@ -151,13 +139,14 @@ func writeOp(op Op) bool {
 	}
 }
 
-// replstore resolves the store's stream capability or fails the request.
-func (s *Server) replstore() (replStore, *Response) {
-	st, ok := s.store.(replStore)
-	if !ok {
-		return nil, fail(fmt.Errorf("%w: replication requires a durable store", ErrBadOp))
+// needsStream fails a request for the store's mutation stream (the
+// replication ops, incremental backup) in-band when the store has no
+// journal to ship.
+func (s *Server) needsStream() *Response {
+	if err := s.store.needsJournal("replication"); err != nil {
+		return fail(err)
 	}
-	return st, nil
+	return nil
 }
 
 // handleReplSubscribe is the replication handshake. Fencing happens
@@ -171,14 +160,13 @@ func (s *Server) replstore() (replStore, *Response) {
 //     hold acknowledged writes the promotion never saw, so it must
 //     re-bootstrap from a backup of the current leader, not resume.
 func (s *Server) handleReplSubscribe(req *Request) *Response {
-	st, errResp := s.replstore()
-	if errResp != nil {
-		return errResp
+	if resp := s.needsStream(); resp != nil {
+		return resp
 	}
 	if !s.isLeader() {
 		return s.notLeader()
 	}
-	epoch, _ := st.Epoch()
+	epoch, _ := s.store.Epoch()
 	if req.Epoch > epoch {
 		return fail(fmt.Errorf("%w: subscriber reports epoch %d, this node is at %d",
 			ErrFenced, req.Epoch, epoch))
@@ -187,8 +175,8 @@ func (s *Server) handleReplSubscribe(req *Request) *Response {
 		return fail(fmt.Errorf("%w: subscriber's data directory led epoch %d (current %d); re-bootstrap it from a backup of this leader",
 			ErrFenced, req.Epoch, epoch))
 	}
-	shards := st.ShardCount()
-	current := st.Watermark()
+	shards := s.store.ShardCount()
+	current := s.store.Watermark()
 	if len(req.Watermark) != 0 {
 		if len(req.Watermark) != shards {
 			return fail(fmt.Errorf("%w: watermark of %d elements for %d shards",
@@ -220,19 +208,18 @@ const (
 // handleReplFrames serves the mutation stream after the follower's
 // watermark, shard by shard in stream order.
 func (s *Server) handleReplFrames(req *Request) *Response {
-	st, errResp := s.replstore()
-	if errResp != nil {
-		return errResp
+	if resp := s.needsStream(); resp != nil {
+		return resp
 	}
 	if !s.isLeader() {
 		return s.notLeader()
 	}
-	epoch, _ := st.Epoch()
+	epoch, _ := s.store.Epoch()
 	if req.Epoch != epoch {
 		return fail(fmt.Errorf("%w: subscribed at epoch %d, leader is at %d — re-subscribe",
 			ErrFenced, req.Epoch, epoch))
 	}
-	shards := st.ShardCount()
+	shards := s.store.ShardCount()
 	if len(req.Watermark) != shards {
 		return fail(fmt.Errorf("%w: watermark of %d elements for %d shards",
 			ErrBadOp, len(req.Watermark), shards))
@@ -247,10 +234,10 @@ func (s *Server) handleReplFrames(req *Request) *Response {
 	// The watermark is read up front (not per TailFrom) so shards skipped
 	// once the budget is spent still report a position; a moving tail
 	// just means the follower polls again.
-	current := st.Watermark()
+	current := s.store.Watermark()
 	var frames []StreamFrame
 	for i := 0; i < shards && len(frames) < budget; i++ {
-		fs, _, err := st.TailFrom(i, req.Watermark[i], budget-len(frames))
+		fs, _, err := s.store.TailFrom(i, req.Watermark[i], budget-len(frames))
 		if err != nil {
 			return fail(err)
 		}
@@ -265,21 +252,20 @@ func (s *Server) handleReplFrames(req *Request) *Response {
 
 // handleReplAck records a follower's durably applied position.
 func (s *Server) handleReplAck(req *Request) *Response {
-	st, errResp := s.replstore()
-	if errResp != nil {
-		return errResp
+	if resp := s.needsStream(); resp != nil {
+		return resp
 	}
 	if !s.isLeader() {
 		return s.notLeader()
 	}
-	epoch, _ := st.Epoch()
+	epoch, _ := s.store.Epoch()
 	if req.Epoch != epoch {
 		return fail(fmt.Errorf("%w: ack for epoch %d, leader is at %d",
 			ErrFenced, req.Epoch, epoch))
 	}
-	if len(req.Watermark) != st.ShardCount() {
+	if len(req.Watermark) != s.store.ShardCount() {
 		return fail(fmt.Errorf("%w: watermark of %d elements for %d shards",
-			ErrBadOp, len(req.Watermark), st.ShardCount()))
+			ErrBadOp, len(req.Watermark), s.store.ShardCount()))
 	}
 	s.replFollowers.note(req.Follower, req.Watermark)
 	return newResp(true)
@@ -287,12 +273,11 @@ func (s *Server) handleReplAck(req *Request) *Response {
 
 // handleReplStatus reports the node's replication state.
 func (s *Server) handleReplStatus() *Response {
-	st, errResp := s.replstore()
-	if errResp != nil {
-		return errResp
+	if resp := s.needsStream(); resp != nil {
+		return resp
 	}
-	epoch, _ := st.Epoch()
-	wm := st.Watermark()
+	epoch, _ := s.store.Epoch()
+	wm := s.store.Watermark()
 	status := &ReplStatus{Epoch: epoch, Watermark: wm}
 	if s.isLeader() {
 		status.Role = "leader"

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -43,46 +42,23 @@ type ServerOption func(*serverConfig)
 
 // serverConfig collects the tunables behind the options.
 type serverConfig struct {
-	store        Store
-	shards       int
-	durableDir   string
-	durableOpts  []DurabilityOption
+	store        *DurableStore
 	connWorkers  int
 	queueDepth   int
 	maxBatchSize int
 	repl         Replicator
 	tenants      *tenant.Registry
-	keyring      *keys.Keyring
 	cacheBytes   int64
 }
 
-// WithStore installs an alternative registration backend. The default is
-// NewShardedStore(DefaultShards). A store installed this way is owned by
-// the caller: the server does not close it.
-func WithStore(st Store) ServerOption {
+// WithStore installs the registration store the server serves from — one
+// the caller opened (OpenDurableStore) with the directory, shard count,
+// TTLs, fsync policy and master keyring it wants, may have inspected
+// (Recovery), and closes itself after the server: the server does not
+// close a store installed this way. Without it the server opens, and on
+// Close closes, a journal-less store with default options.
+func WithStore(st *DurableStore) ServerOption {
 	return func(c *serverConfig) { c.store = st }
-}
-
-// WithDurability makes the server's registration store crash-safe: the
-// server opens a DurableStore rooted at dir (recovering any state a
-// previous process left there), journals every lifecycle mutation to its
-// write-ahead logs, and closes the store on Close. It overrides WithStore
-// and WithShards.
-func WithDurability(dir string, opts ...DurabilityOption) ServerOption {
-	return func(c *serverConfig) {
-		c.durableDir = dir
-		c.durableOpts = opts
-	}
-}
-
-// WithShards selects the shard count of the default in-memory store
-// (rounded up to a power of two). Ignored when WithStore is also given.
-func WithShards(n int) ServerOption {
-	return func(c *serverConfig) {
-		if n > 0 {
-			c.shards = n
-		}
-	}
 }
 
 // WithConnWorkers sets the per-connection worker pool size used to execute
@@ -135,18 +111,6 @@ func WithTenants(reg *tenant.Registry) ServerOption {
 	return func(c *serverConfig) { c.tenants = reg }
 }
 
-// WithMasterKeyring turns on derived per-registration keys: instead of
-// generating and storing fresh random cloak keys for every anonymize
-// request, the server derives them from the keyring's active master-key
-// epoch and the registration's ID, and the registration stores only the
-// (epoch, levels) reference. Rotating the keyring's active epoch switches
-// new registrations to the new epoch; existing ones keep deriving under
-// the epoch they were cut with. The keyring is caller-owned (it may be
-// watching a key file); the server does not close it.
-func WithMasterKeyring(kr *keys.Keyring) ServerOption {
-	return func(c *serverConfig) { c.keyring = kr }
-}
-
 // WithReduceCacheBytes turns on the server's read-path cache with the
 // given byte budget (n < 0 = unbounded; 0, the default, disables it).
 // The cache memoizes reduced regions by (region ID, level) and derived
@@ -155,9 +119,7 @@ func WithMasterKeyring(kr *keys.Keyring) ServerOption {
 // Reduce semantics are unchanged: reductions are deterministic functions
 // of immutable inputs, and entries are invalidated from the store's
 // shared mutation-apply path on deregister and expiry (trust changes
-// never touch the cached bytes). Requires a built-in store; against a
-// custom WithStore backend that cannot report removals the option is
-// ignored.
+// never touch the cached bytes).
 func WithReduceCacheBytes(n int64) ServerOption {
 	return func(c *serverConfig) { c.cacheBytes = n }
 }
@@ -182,18 +144,18 @@ func defaultServerConfig() serverConfig {
 // with Start, stop with Close.
 //
 // The service layer is fully concurrent: registrations live in a sharded
-// Store, connections are served by a per-connection pipeline (reader,
+// store, connections are served by a per-connection pipeline (reader,
 // bounded worker pool, order-preserving writer), and the cloak engines are
 // themselves safe for concurrent use, so throughput scales with cores and
 // with the number of connected clients.
 type Server struct {
 	engines map[cloak.Algorithm]*cloak.Engine
-	store   Store
-	// ownedStore is the store the server created itself (the default
-	// in-memory store, WithShards, or WithDurability) and must close on
-	// Close; nil when the caller installed one via WithStore.
-	ownedStore Store
-	cfg        serverConfig
+	store   *DurableStore
+	// ownsStore marks the default journal-less store the server opened
+	// itself and must close on Close; false when the caller installed one
+	// via WithStore.
+	ownsStore bool
+	cfg       serverConfig
 
 	// cache is the read-path cache behind WithReduceCacheBytes; nil when
 	// disabled. Every cached read is gated by a store Lookup, so a cache
@@ -216,7 +178,11 @@ type Server struct {
 }
 
 // NewServer builds a server with one engine per supported algorithm.
-// Engines must share the same graph.
+// Engines must share the same graph. Registrations live in the store
+// installed with WithStore — durable, replicated, deriving keys from a
+// master keyring: whatever that store was opened as — or, without one, in
+// a journal-less store the server owns, which is all a test, an example or
+// a throwaway server needs.
 func NewServer(engines map[cloak.Algorithm]*cloak.Engine, opts ...ServerOption) (*Server, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("%w: no engines", ErrBadOp)
@@ -225,41 +191,26 @@ func NewServer(engines map[cloak.Algorithm]*cloak.Engine, opts ...ServerOption) 
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	var owned Store
-	if cfg.durableDir != "" {
-		if cfg.keyring != nil {
-			// The store must resolve the derived-key records this server
-			// writes; installing the server keyring saves every caller the
-			// duplicate WithKeyring durability option.
-			cfg.durableOpts = append(cfg.durableOpts, WithKeyring(cfg.keyring))
-		}
-		st, err := OpenDurableStore(cfg.durableDir, cfg.durableOpts...)
+	ownsStore := cfg.store == nil
+	if ownsStore {
+		st, err := OpenDurableStore("")
 		if err != nil {
 			return nil, err
 		}
 		cfg.store = st
-		owned = st
-	}
-	if cfg.store == nil {
-		cfg.store = NewShardedStore(cfg.shards)
-		owned = cfg.store
 	}
 	s := &Server{
-		engines:    engines,
-		store:      cfg.store,
-		ownedStore: owned,
-		cfg:        cfg,
-		conns:      make(map[net.Conn]struct{}),
-		metrics:    newServerMetrics(),
+		engines:   engines,
+		store:     cfg.store,
+		ownsStore: ownsStore,
+		cfg:       cfg,
+		conns:     make(map[net.Conn]struct{}),
+		metrics:   newServerMetrics(),
 	}
 	if cfg.cacheBytes != 0 {
-		// Build the read-path cache only when the store can report
-		// removals into it; invalidation must flow from the one shared
-		// apply path or not at all.
-		if ci, ok := cfg.store.(cacheInvalidating); ok {
-			s.cache = regcache.New(regcache.Config{MaxBytes: cfg.cacheBytes})
-			ci.setCacheInvalidator(s.cache.Invalidate)
-		}
+		// Invalidation flows from the store's one shared apply path.
+		s.cache = regcache.New(regcache.Config{MaxBytes: cfg.cacheBytes})
+		s.store.setCacheInvalidator(s.cache.Invalidate)
 	}
 	return s, nil
 }
@@ -358,10 +309,9 @@ func (s *Server) Close() error {
 		_ = c.Close() // unblocks the connection's reader
 	}
 	s.wg.Wait()
-	if s.ownedStore != nil {
-		// Handlers have drained; flush and close the server-owned store
-		// last so every acknowledged mutation is on disk.
-		if serr := s.ownedStore.Close(); err == nil {
+	if s.ownsStore {
+		// Handlers have drained; close the server-owned store last.
+		if serr := s.store.Close(); err == nil {
 			err = serr
 		}
 	}
@@ -552,24 +502,21 @@ func (s *Server) handleAnonymize(req *Request) *Response {
 	if levels == 0 {
 		return fail(fmt.Errorf("%w: empty profile", ErrBadOp))
 	}
-	// Derived-key mode: allocate the registration's ID up front (the keys
-	// are a function of it), derive the per-level keys from the active
-	// master epoch, and record only the (epoch, levels) reference. Without
-	// a keyring — or against a store that cannot pre-allocate IDs — fresh
-	// random keys are generated and stored, as before.
+	// Derived-key mode (the store carries a master keyring): allocate the
+	// registration's ID up front (the keys are a function of it), derive
+	// the per-level keys from the active master epoch, and record only the
+	// (epoch, levels) reference. Without a keyring fresh random keys are
+	// generated and stored.
 	var (
 		keySet *keys.Set
-		alloc  idAllocator
 		regID  string
 		epoch  uint32
 	)
-	if s.cfg.keyring != nil {
-		alloc, _ = s.store.(idAllocator)
-	}
-	if alloc != nil {
-		regID = alloc.AllocateID()
-		epoch = s.cfg.keyring.ActiveEpoch()
-		ks, err := s.cfg.keyring.DeriveSet(epoch, regID, levels)
+	keyring := s.store.cfg.keyring
+	if keyring != nil {
+		regID = s.store.AllocateID()
+		epoch = keyring.ActiveEpoch()
+		ks, err := keyring.DeriveSet(epoch, regID, levels)
 		if err != nil {
 			return fail(fmt.Errorf("anonymizer: key derivation: %w", err))
 		}
@@ -597,8 +544,8 @@ func (s *Server) handleAnonymize(req *Request) *Response {
 		return fail(ErrServerClosed)
 	}
 	var reg *Registration
-	if alloc != nil {
-		reg = NewDerivedRegistration(region, s.cfg.keyring, epoch, regID, levels, policy)
+	if keyring != nil {
+		reg = NewDerivedRegistration(region, keyring, epoch, regID, levels, policy)
 	} else {
 		reg = &Registration{region: region, keySet: keySet, policy: policy}
 	}
@@ -637,7 +584,7 @@ func (s *Server) handleGetRegion(req *Request) *Response {
 }
 
 // handleSetTrust updates the owner's policy. The mutation goes through
-// the store so durable backends can journal it.
+// the store, which journals it.
 func (s *Server) handleSetTrust(req *Request) *Response {
 	if req.RegionID == "" {
 		return fail(fmt.Errorf("%w: missing region id", ErrBadOp))
@@ -664,43 +611,27 @@ func (s *Server) handleDeregister(req *Request) *Response {
 	return newResp(true)
 }
 
-// backuper is the optional store capability the backup op requires; the
-// durable store implements it, the in-memory one (nothing to back up —
-// its state dies with the process anyway) does not.
-type backuper interface {
-	WriteBackup(w io.Writer) (int64, error)
-}
-
-// handleBackup streams a hot backup of a durable store into the response.
+// handleBackup streams a hot backup of the store into the response (a
+// journal-less store has nothing to back up and refuses in-band).
 // The archive is consistent per shard (each shard is copied under its
 // lock as a prefix of its mutation stream) and self-verifying: restore
 // rejects any truncation or corruption the transport may introduce. A
 // request with a since watermark ships an incremental archive instead:
 // only the stream records after that position.
 func (s *Server) handleBackup(req *Request) *Response {
+	var buf bytes.Buffer
 	if req.Since != "" {
-		st, errResp := s.replstore()
-		if errResp != nil {
-			return errResp
+		if resp := s.needsStream(); resp != nil {
+			return resp
 		}
 		since, err := ParseWatermark(req.Since)
 		if err != nil {
 			return fail(err)
 		}
-		var buf bytes.Buffer
-		if _, _, err := st.WriteIncrementalBackup(&buf, since); err != nil {
+		if _, _, err := s.store.WriteIncrementalBackup(&buf, since); err != nil {
 			return fail(err)
 		}
-		resp := newResp(true)
-		resp.Archive = buf.Bytes()
-		return resp
-	}
-	b, ok := s.store.(backuper)
-	if !ok {
-		return fail(fmt.Errorf("%w: backup requires a durable store", ErrBadOp))
-	}
-	var buf bytes.Buffer
-	if _, err := b.WriteBackup(&buf); err != nil {
+	} else if _, err := s.store.WriteBackup(&buf); err != nil {
 		return fail(err)
 	}
 	resp := newResp(true)

@@ -242,9 +242,29 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "anonymizer_reduce_cache_entries %d\n", cs.Entries)
 	}
 
-	// Durable-store internals: WAL fsyncs, group commit, snapshots,
-	// stream position. Absent on in-memory servers.
-	if ds, ok := s.store.(*DurableStore); ok {
+	// Registrations by master-key epoch (epoch 0 = stored keys), so an
+	// operator can watch a rotation drain the old epoch.
+	byEpoch := map[uint32]int{}
+	s.store.Range(func(_ string, reg *Registration) bool {
+		byEpoch[reg.KeyEpoch()]++
+		return true
+	})
+	if len(byEpoch) > 0 {
+		epochs := make([]uint32, 0, len(byEpoch))
+		for e := range byEpoch {
+			epochs = append(epochs, e)
+		}
+		sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
+		fmt.Fprintf(w, "# HELP anonymizer_registrations_by_key_epoch Live registrations by master-key epoch (0 = stored keys).\n")
+		fmt.Fprintf(w, "# TYPE anonymizer_registrations_by_key_epoch gauge\n")
+		for _, e := range epochs {
+			fmt.Fprintf(w, "anonymizer_registrations_by_key_epoch{epoch=\"%d\"} %d\n", e, byEpoch[e])
+		}
+	}
+
+	// Journal internals: WAL fsyncs, group commit, snapshots, stream
+	// position. Absent when the store has no journal.
+	if ds := s.store; ds.log != nil {
 		ws := ds.WALStats()
 		fmt.Fprintf(w, "# HELP anonymizer_wal_records_total Mutation records journaled.\n")
 		fmt.Fprintf(w, "# TYPE anonymizer_wal_records_total counter\n")
@@ -281,25 +301,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 			fmt.Fprintf(w, "# TYPE anonymizer_repl_epoch gauge\n")
 			fmt.Fprintf(w, "anonymizer_repl_epoch %d\n", epoch)
 		}
-		// Registrations by master-key epoch (epoch 0 = stored keys), so an
-		// operator can watch a rotation drain the old epoch.
-		byEpoch := map[uint32]int{}
-		ds.Range(func(_ string, reg *Registration) bool {
-			byEpoch[reg.KeyEpoch()]++
-			return true
-		})
-		if len(byEpoch) > 0 {
-			epochs := make([]uint32, 0, len(byEpoch))
-			for e := range byEpoch {
-				epochs = append(epochs, e)
-			}
-			sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-			fmt.Fprintf(w, "# HELP anonymizer_registrations_by_key_epoch Live registrations by master-key epoch (0 = stored keys).\n")
-			fmt.Fprintf(w, "# TYPE anonymizer_registrations_by_key_epoch gauge\n")
-			for _, e := range epochs {
-				fmt.Fprintf(w, "anonymizer_registrations_by_key_epoch{epoch=\"%d\"} %d\n", e, byEpoch[e])
-			}
-		}
 	}
 
 	// Replication lag: follower-side backlog, or the leader's view of
@@ -316,14 +317,12 @@ func (s *Server) writeMetrics(w io.Writer) {
 		}
 	}
 	if s.isLeader() {
-		if ds, ok := s.store.(*DurableStore); ok {
-			followers := s.replFollowers.snapshot(ds.Watermark())
-			if len(followers) > 0 {
-				fmt.Fprintf(w, "# HELP anonymizer_repl_follower_behind Stream records each subscribed follower trails by.\n")
-				fmt.Fprintf(w, "# TYPE anonymizer_repl_follower_behind gauge\n")
-				for _, f := range followers {
-					fmt.Fprintf(w, "anonymizer_repl_follower_behind{follower=%q} %d\n", f.Addr, f.Behind)
-				}
+		followers := s.replFollowers.snapshot(s.store.Watermark())
+		if len(followers) > 0 {
+			fmt.Fprintf(w, "# HELP anonymizer_repl_follower_behind Stream records each subscribed follower trails by.\n")
+			fmt.Fprintf(w, "# TYPE anonymizer_repl_follower_behind gauge\n")
+			for _, f := range followers {
+				fmt.Fprintf(w, "anonymizer_repl_follower_behind{follower=%q} %d\n", f.Addr, f.Behind)
 			}
 		}
 	}

@@ -110,3 +110,53 @@ func TestEngineMetrics(t *testing.T) {
 			grew, got[ok]-before[ok])
 	}
 }
+
+// TestStoreMetricsByMode pins which store series a server exports:
+// registrations by master-key epoch for any store (a keyring needs no
+// data directory), the journal's series — WAL, snapshots, stream
+// watermark — only when there is a journal.
+func TestStoreMetricsByMode(t *testing.T) {
+	journalSeries := []string{
+		"anonymizer_wal_records_total",
+		"anonymizer_wal_fsyncs_total",
+		"anonymizer_wal_group_commit_rounds_total",
+		"anonymizer_wal_log_bytes",
+		"anonymizer_wal_log_segments",
+		"anonymizer_wal_fsync_duration_seconds_count",
+		"anonymizer_snapshots_total",
+		"anonymizer_stream_watermark_sum",
+	}
+	for _, mode := range storeModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			kr := testMasterKeyring(t, 3)
+			st := openDurable(t, mode.dir, WithKeyring(kr))
+			g, density := testGrid(t)
+			srv := newTestServer(t, g, density, WithStore(st))
+			c := dial(t, startTestServer(t, srv))
+			for _, user := range []roadnet.SegmentID{20, 27} {
+				if _, _, err := c.Anonymize(user, testProfile(), "RGE"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stored, err := st.Register(fakeRegistration(t, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := scrape(t, srv)
+			if n := got[`anonymizer_registrations_by_key_epoch{epoch="3"}`]; n != 2 {
+				t.Errorf("registrations under epoch 3 = %d, want 2", n)
+			}
+			if n := got[`anonymizer_registrations_by_key_epoch{epoch="0"}`]; n != 1 {
+				t.Errorf("stored-key registrations (epoch 0) = %d, want 1 (%s)", n, stored)
+			}
+			for _, series := range journalSeries {
+				if _, ok := got[series]; ok != (mode.dir != "") {
+					t.Errorf("%s exported = %v with data dir %q", series, ok, mode.dir)
+				}
+			}
+			if mode.dir != "" && got["anonymizer_wal_records_total"] != 3 {
+				t.Errorf("wal records = %d, want 3", got["anonymizer_wal_records_total"])
+			}
+		})
+	}
+}

@@ -3,7 +3,6 @@ package anonymizer
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/reversecloak/reversecloak/internal/accessctl"
@@ -165,78 +164,11 @@ func withDefaultExpiry(reg *Registration, ttl time.Duration, now time.Time) *Reg
 	return &cp
 }
 
-// Store holds the server-side registrations. Implementations must be safe
-// for concurrent use; the default is the in-memory sharded store below,
-// and OpenDurableStore provides a crash-safe WAL-backed variant behind the
-// same interface, so alternative backends (replicated, remote, ...) can
-// slot in behind the server.
-//
-// Every mutation of registration state flows through the Store as a typed
-// Mutation — register, set-trust, deregister, expire — applied by one
-// shared implementation (regTable.apply), so a durable implementation can
-// write-ahead-log each one and replay it identically.
-type Store interface {
-	// Register stores a registration and returns its fresh region ID. A
-	// durable store returns an error when the registration could not be
-	// made durable under its fsync policy; the registration is then not
-	// acknowledged to the client.
-	Register(reg *Registration) (string, error)
-	// Lookup resolves a region ID. It returns ErrUnknownRegion (wrapped)
-	// for IDs that were never registered, were deregistered, or whose TTL
-	// has elapsed — expiry is effective immediately, before the sweeper
-	// reclaims the entry.
-	Lookup(id string) (*Registration, error)
-	// SetTrust updates the registration's access-control policy for one
-	// requester (and journals the change in durable implementations).
-	SetTrust(id, requester string, toLevel int) error
-	// Deregister removes a registration, ending the region's
-	// recoverability: after it returns, the keys are gone and no requester
-	// can reduce the region again.
-	Deregister(id string) error
-	// Touch renews a live registration's lease: the expiry becomes ttl
-	// from now (ttl <= 0 selects the store's default TTL; with no default
-	// either, the bound is cleared and the registration lives until
-	// deregistered). It returns the new expiry instant (zero when the
-	// bound was cleared). Durable implementations journal the renewal so
-	// recovery replays it.
-	Touch(id string, ttl time.Duration) (time.Time, error)
-	// Len reports the number of stored registrations, counting expired
-	// entries the sweeper has not yet reclaimed.
-	Len() int
-	// SweepExpired reclaims every registration whose TTL has elapsed
-	// (as expire mutations through the shared apply path) and reports
-	// how many it removed. The background sweeper calls it on its GC
-	// interval; it is part of the interface so operators can force a
-	// pass when the background sweeper is disabled.
-	SweepExpired() (int, error)
-	// Close stops background work (GC sweeper, sync and snapshot loops)
-	// and releases resources. The server closes the store it created
-	// itself; a store installed with WithStore is closed by its owner.
-	Close() error
-}
-
-// idAllocator is the optional Store capability derived-key registration
-// needs: an ID must exist before the region is cut, because the per-level
-// keys are derived from it. Both built-in stores implement it.
-type idAllocator interface {
-	AllocateID() string
-}
-
-// cacheInvalidating is the optional Store capability the server's
-// read-path cache needs: the store routes fn into every shard's
-// regTable, where the shared apply path calls it for each registration
-// it removes or replaces. Both built-in stores implement it; against a
-// store that does not, the server still serves correctly (Lookup gates
-// every cached read) but leaves the cache's memory reclamation to the
-// LRU alone, so it declines to build one.
-type cacheInvalidating interface {
-	setCacheInvalidator(fn func(id string))
-}
-
-// DefaultShards is the shard count of the default store: enough to keep
-// shard contention negligible at hundreds of concurrent connections while
-// staying cache-friendly.
-const DefaultShards = 64
+// DefaultShards is the store's default shard count. Shards are
+// lock-striping and stream-parallelism units (every shard journals into
+// the one store-wide log), and 16 keeps per-shard index overhead low while
+// spreading lock contention.
+const DefaultShards = 16
 
 // DefaultRegistrationTTL is the registration lifetime `anonymizer serve`
 // applies by default, derived from the temporal cloak: a request is only
@@ -249,106 +181,14 @@ const DefaultRegistrationTTL = 2 * temporal.DefaultSigmaT
 // DefaultGCInterval is the default period of the expiry sweeper.
 const DefaultGCInterval = time.Minute
 
-// StoreOption tunes the in-memory sharded store's registration lifecycle.
-type StoreOption func(*storeConfig)
-
-// storeConfig collects the in-memory store tunables.
-type storeConfig struct {
-	ttl        time.Duration
-	gcInterval time.Duration
-	now        func() time.Time
-}
-
-// defaultStoreConfig returns the config before options are applied: no
-// default TTL (registrations live until deregistered, the historical
-// behavior) and the default sweep period for registrations that do carry
-// a TTL.
-func defaultStoreConfig() storeConfig {
-	return storeConfig{gcInterval: DefaultGCInterval, now: time.Now}
-}
-
-// WithStoreTTL gives every registration without an expiry of its own a
-// default lifetime of d (0 disables the default; registrations then only
-// expire when the client set a TTL).
-func WithStoreTTL(d time.Duration) StoreOption {
-	return func(c *storeConfig) {
-		if d >= 0 {
-			c.ttl = d
-		}
-	}
-}
-
-// WithStoreGCInterval sets the expiry sweep period (default one minute;
-// 0 disables the background sweeper — expired registrations are still
-// invisible immediately, but their memory is then only reclaimed by
-// explicit SweepExpired calls).
-func WithStoreGCInterval(d time.Duration) StoreOption {
-	return func(c *storeConfig) {
-		if d >= 0 {
-			c.gcInterval = d
-		}
-	}
-}
-
-// withStoreClock substitutes the expiry clock (tests).
-func withStoreClock(now func() time.Time) StoreOption {
-	return func(c *storeConfig) { c.now = now }
-}
-
-// storeShard is one lock-striped partition of the sharded store.
-type storeShard struct {
-	mu  sync.RWMutex
-	tab regTable
-}
-
-// shardedStore is an N-way lock-striped in-memory store. Region IDs are
-// allocated from a single atomic counter (no lock) and mapped to shards by
-// FNV-1a hash, so independent registrations proceed on independent locks.
-// All four lifecycle mutations route through the shared regTable.apply.
-type shardedStore struct {
-	shards []storeShard
-	mask   uint32
-	nextID atomic.Uint64
-	cfg    storeConfig
-
-	// The sweeper starts lazily, on the first registration that can
-	// expire, so TTL-free stores stay goroutine-free and need no Close.
-	gcMu      sync.Mutex
-	gcStarted bool
-	closed    bool
-	stop      chan struct{}
-	bg        sync.WaitGroup
-}
-
-// NewShardedStore builds the default in-memory store with n shards,
-// rounded up to a power of two. n <= 0 selects DefaultShards. Options
-// configure the registration TTL and its GC sweeper; a store that never
-// sees an expiring registration runs no background work.
-func NewShardedStore(n int, opts ...StoreOption) Store {
-	cfg := defaultStoreConfig()
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	s := &shardedStore{cfg: cfg, stop: make(chan struct{})}
-	s.shards, s.mask = makeShards(n)
-	return s
-}
-
-// makeShards allocates a power-of-two shard slice for n requested shards
-// (n <= 0 selects DefaultShards) and returns it with its index mask.
-func makeShards(n int) ([]storeShard, uint32) {
-	if n <= 0 {
-		n = DefaultShards
-	}
+// shardCount rounds a requested shard count up to a power of two (the
+// shard index is a hash mask).
+func shardCount(requested int) int {
 	size := 1
-	for size < n {
+	for size < requested {
 		size <<= 1
 	}
-	shards := make([]storeShard, size)
-	for i := range shards {
-		shards[i].tab = newRegTable()
-	}
-	return shards, uint32(size - 1)
+	return size
 }
 
 // shardIndex maps a region ID to a shard index by FNV-1a hash, inlined
@@ -361,161 +201,6 @@ func shardIndex(id string, mask uint32) uint32 {
 		h *= 16777619 // FNV prime
 	}
 	return h & mask
-}
-
-// shardFor maps a region ID to its shard.
-func (s *shardedStore) shardFor(id string) *storeShard {
-	return &s.shards[shardIndex(id, s.mask)]
-}
-
-// setCacheInvalidator implements cacheInvalidating: every shard's table
-// reports removed registrations to fn from the shared apply path.
-func (s *shardedStore) setCacheInvalidator(fn func(id string)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.tab.inval = fn
-		sh.mu.Unlock()
-	}
-}
-
-// mutate applies one lifecycle mutation under its shard's lock — the
-// in-memory store's entire write path.
-func (s *shardedStore) mutate(m *Mutation) error {
-	now := s.cfg.now().UnixNano()
-	sh := s.shardFor(m.ID)
-	sh.mu.Lock()
-	_, err := sh.tab.apply(m, applyLive, now)
-	sh.mu.Unlock()
-	return err
-}
-
-// AllocateID hands out a fresh region ID without registering anything —
-// the hook derived-key registrations need, because their keys are derived
-// from the ID before the region is cut. An allocated-but-never-registered
-// ID is simply a hole in the sequence.
-func (s *shardedStore) AllocateID() string {
-	return fmt.Sprintf("r%d", s.nextID.Add(1))
-}
-
-// Register implements Store; the in-memory store cannot fail. A derived
-// registration already owns its ID (its keys were derived from it), so it
-// registers under that ID instead of drawing a fresh one.
-func (s *shardedStore) Register(reg *Registration) (string, error) {
-	reg = withDefaultExpiry(reg, s.cfg.ttl, s.cfg.now())
-	id := reg.keyID
-	if !reg.derived() || id == "" {
-		id = s.AllocateID()
-	}
-	if err := s.mutate(&Mutation{Op: MutRegister, ID: id, Reg: reg}); err != nil {
-		return "", err
-	}
-	if reg.expiresAt != 0 {
-		s.ensureSweeper()
-	}
-	return id, nil
-}
-
-// Lookup implements Store.
-func (s *shardedStore) Lookup(id string) (*Registration, error) {
-	if id == "" {
-		return nil, fmt.Errorf("%w: missing region id", ErrBadOp)
-	}
-	now := s.cfg.now().UnixNano()
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	reg := sh.tab.lookup(id, now)
-	sh.mu.RUnlock()
-	if reg == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownRegion, id)
-	}
-	return reg, nil
-}
-
-// SetTrust implements Store.
-func (s *shardedStore) SetTrust(id, requester string, toLevel int) error {
-	return s.mutate(&Mutation{Op: MutSetTrust, ID: id, Requester: requester, ToLevel: toLevel})
-}
-
-// Deregister implements Store.
-func (s *shardedStore) Deregister(id string) error {
-	if id == "" {
-		return fmt.Errorf("%w: missing region id", ErrBadOp)
-	}
-	return s.mutate(&Mutation{Op: MutDeregister, ID: id})
-}
-
-// Touch implements Store: the lease renewal flows through the shared
-// apply path like every other mutation.
-func (s *shardedStore) Touch(id string, ttl time.Duration) (time.Time, error) {
-	if id == "" {
-		return time.Time{}, fmt.Errorf("%w: missing region id", ErrBadOp)
-	}
-	if ttl <= 0 {
-		ttl = s.cfg.ttl
-	}
-	var expiresAt int64
-	if ttl > 0 {
-		expiresAt = s.cfg.now().Add(ttl).UnixNano()
-	}
-	if err := s.mutate(&Mutation{Op: MutTouch, ID: id, ExpiresAt: expiresAt}); err != nil {
-		return time.Time{}, err
-	}
-	if expiresAt == 0 {
-		return time.Time{}, nil
-	}
-	s.ensureSweeper()
-	return time.Unix(0, expiresAt).UTC(), nil
-}
-
-// Len implements Store.
-func (s *shardedStore) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.tab.regs)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// SweepExpired implements Store: it removes every registration whose TTL
-// has elapsed, as expire mutations through the shared apply path. The
-// in-memory sweep cannot fail.
-func (s *shardedStore) SweepExpired() (int, error) {
-	now := s.cfg.now().UnixNano()
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for id, reg := range sh.tab.regs {
-			if !reg.expiredAt(now) {
-				continue
-			}
-			if applied, _ := sh.tab.apply(&Mutation{Op: MutExpire, ID: id}, applyLive, now); applied {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n, nil
-}
-
-// ensureSweeper starts the background GC loop once, on the first
-// registration that can expire.
-func (s *shardedStore) ensureSweeper() {
-	if s.cfg.gcInterval <= 0 {
-		return
-	}
-	s.gcMu.Lock()
-	defer s.gcMu.Unlock()
-	if s.gcStarted || s.closed {
-		return
-	}
-	s.gcStarted = true
-	s.bg.Add(1)
-	go tickLoop(&s.bg, s.stop, s.cfg.gcInterval, func() { _, _ = s.SweepExpired() })
 }
 
 // tickLoop runs fn every period until stop closes — the shared shape of
@@ -533,20 +218,4 @@ func tickLoop(wg *sync.WaitGroup, stop <-chan struct{}, period time.Duration, fn
 			return
 		}
 	}
-}
-
-// Close stops the GC sweeper. The store itself stays usable — it holds no
-// resources beyond memory — so closing is only about ending background
-// work.
-func (s *shardedStore) Close() error {
-	s.gcMu.Lock()
-	if s.closed {
-		s.gcMu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.stop)
-	s.gcMu.Unlock()
-	s.bg.Wait()
-	return nil
 }

@@ -11,7 +11,7 @@ import (
 	"strings"
 )
 
-// This file is the mutation-stream face of the durable store: the same
+// This file is the mutation-stream face of the store's journal: the same
 // unified log that makes the store crash-safe, consumable as per-shard
 // addressable streams (each shard's offset index maps stream positions
 // to frames in the shared segments). Every mutation record carries a monotonic per-shard
@@ -139,6 +139,9 @@ func (s *DurableStore) TailFrom(shard int, after uint64, max int) ([]StreamFrame
 	if s.closed.Load() {
 		return nil, 0, ErrStoreClosed
 	}
+	if err := s.needsJournal("replication"); err != nil {
+		return nil, 0, err
+	}
 	sh := s.shards[shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -185,6 +188,9 @@ func (s *DurableStore) TailFrom(shard int, after uint64, max int) ([]StreamFrame
 func (s *DurableStore) IngestFrame(f StreamFrame) (bool, error) {
 	if s.closed.Load() {
 		return false, ErrStoreClosed
+	}
+	if err := s.needsJournal("replication"); err != nil {
+		return false, err
 	}
 	if f.Shard < 0 || f.Shard >= len(s.shards) {
 		return false, fmt.Errorf("%w: shard %d of %d", ErrBadOp, f.Shard, len(s.shards))
@@ -340,6 +346,9 @@ func (s *DurableStore) EpochRecord() (epoch uint64, leader, exists bool) {
 func (s *DurableStore) SetEpoch(epoch uint64, leader bool) error {
 	if epoch == 0 {
 		return fmt.Errorf("%w: epoch 0", ErrBadOp)
+	}
+	if err := s.needsJournal("replication"); err != nil {
+		return err
 	}
 	raw, err := json.Marshal(epochRecord{Version: 1, Epoch: epoch, Leader: leader})
 	if err != nil {

@@ -123,8 +123,8 @@ func TestStreamOffsetsSurviveCompactionAndReopen(t *testing.T) {
 // skipped, and holes are refused.
 func TestTailFromIngestRoundTrip(t *testing.T) {
 	clk := newFakeClock()
-	src := openDurable(t, t.TempDir(), WithDurableShards(4), WithGCInterval(0), withDurableClock(clk.Now))
-	dst := openDurable(t, t.TempDir(), WithDurableShards(4), WithGCInterval(0), withDurableClock(clk.Now), WithReplica())
+	src := openDurable(t, t.TempDir(), WithDurableShards(4), WithGCInterval(0), WithClock(clk.Now))
+	dst := openDurable(t, t.TempDir(), WithDurableShards(4), WithGCInterval(0), WithClock(clk.Now), WithReplica())
 
 	var ids []string
 	for i := 0; i < 20; i++ {

@@ -13,15 +13,12 @@ import (
 // ORIGINAL TTL elapses while the store is down but a touch had already
 // extended it.
 
-// TestTouchExtendsLease pins the live semantics on both store kinds.
+// TestTouchExtendsLease pins the live semantics in both store modes.
 func TestTouchExtendsLease(t *testing.T) {
-	clk := newFakeClock()
-	stores := map[string]Store{
-		"memory":  NewShardedStore(4, WithStoreGCInterval(0), withStoreClock(clk.Now)),
-		"durable": openDurable(t, t.TempDir(), WithGCInterval(0), withDurableClock(clk.Now)),
-	}
-	for name, st := range stores {
-		t.Run(name, func(t *testing.T) {
+	for _, mode := range storeModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			clk := newFakeClock()
+			st := openDurable(t, mode.dir, WithGCInterval(0), WithClock(clk.Now))
 			reg := fakeRegistration(t, 1)
 			reg.SetExpiry(clk.Now().Add(10 * time.Second))
 			id, err := st.Register(reg)
@@ -59,47 +56,55 @@ func TestTouchExtendsLease(t *testing.T) {
 // TestTouchClearsBoundWithoutTTL: ttl 0 on a store without a default TTL
 // clears the expiry bound.
 func TestTouchClearsBoundWithoutTTL(t *testing.T) {
-	clk := newFakeClock()
-	st := openDurable(t, t.TempDir(), WithGCInterval(0), withDurableClock(clk.Now))
-	reg := fakeRegistration(t, 1)
-	reg.SetExpiry(clk.Now().Add(10 * time.Second))
-	id, err := st.Register(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expiry, err := st.Touch(id, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !expiry.IsZero() {
-		t.Fatalf("cleared bound reported expiry %v", expiry)
-	}
-	clk.Advance(time.Hour)
-	if _, err := st.Lookup(id); err != nil {
-		t.Fatalf("unbounded registration expired: %v", err)
+	for _, mode := range storeModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			clk := newFakeClock()
+			st := openDurable(t, mode.dir, WithGCInterval(0), WithClock(clk.Now))
+			reg := fakeRegistration(t, 1)
+			reg.SetExpiry(clk.Now().Add(10 * time.Second))
+			id, err := st.Register(reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expiry, err := st.Touch(id, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !expiry.IsZero() {
+				t.Fatalf("cleared bound reported expiry %v", expiry)
+			}
+			clk.Advance(time.Hour)
+			if _, err := st.Lookup(id); err != nil {
+				t.Fatalf("unbounded registration expired: %v", err)
+			}
+		})
 	}
 }
 
 // TestTouchDefaultTTL: ttl 0 selects the store's configured default.
 func TestTouchDefaultTTL(t *testing.T) {
-	clk := newFakeClock()
-	st := openDurable(t, t.TempDir(),
-		WithGCInterval(0), WithTTL(20*time.Second), withDurableClock(clk.Now))
-	id, err := st.Register(fakeRegistration(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(15 * time.Second)
-	if _, err := st.Touch(id, 0); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(15 * time.Second) // past the original default TTL
-	if _, err := st.Lookup(id); err != nil {
-		t.Fatalf("renewed registration expired: %v", err)
-	}
-	clk.Advance(10 * time.Second) // past the renewed default TTL
-	if _, err := st.Lookup(id); !errors.Is(err, ErrUnknownRegion) {
-		t.Fatalf("lapsed renewal still visible: %v", err)
+	for _, mode := range storeModes(t) {
+		t.Run(mode.name, func(t *testing.T) {
+			clk := newFakeClock()
+			st := openDurable(t, mode.dir,
+				WithGCInterval(0), WithTTL(20*time.Second), WithClock(clk.Now))
+			id, err := st.Register(fakeRegistration(t, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(15 * time.Second)
+			if _, err := st.Touch(id, 0); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(15 * time.Second) // past the original default TTL
+			if _, err := st.Lookup(id); err != nil {
+				t.Fatalf("renewed registration expired: %v", err)
+			}
+			clk.Advance(10 * time.Second) // past the renewed default TTL
+			if _, err := st.Lookup(id); !errors.Is(err, ErrUnknownRegion) {
+				t.Fatalf("lapsed renewal still visible: %v", err)
+			}
+		})
 	}
 }
 
@@ -111,7 +116,7 @@ func TestTouchDefaultTTL(t *testing.T) {
 func TestTouchSurvivesRecovery(t *testing.T) {
 	clk := newFakeClock()
 	dir := t.TempDir()
-	st := openDurable(t, dir, WithGCInterval(0), withDurableClock(clk.Now))
+	st := openDurable(t, dir, WithGCInterval(0), WithClock(clk.Now))
 	reg := fakeRegistration(t, 2)
 	reg.SetExpiry(clk.Now().Add(10 * time.Second))
 	id, err := st.Register(reg)
@@ -137,7 +142,7 @@ func TestTouchSurvivesRecovery(t *testing.T) {
 	}
 
 	clk.Advance(30 * time.Second) // past the original TTLs, inside the renewal
-	st2 := openDurable(t, dir, WithGCInterval(0), withDurableClock(clk.Now))
+	st2 := openDurable(t, dir, WithGCInterval(0), WithClock(clk.Now))
 	rec := st2.Recovery()
 	if rec.Renewals != 1 {
 		t.Errorf("Recovery().Renewals = %d, want 1", rec.Renewals)
@@ -162,7 +167,7 @@ func TestTouchSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Hour)
-	st3 := openDurable(t, dir, WithGCInterval(0), withDurableClock(clk.Now))
+	st3 := openDurable(t, dir, WithGCInterval(0), WithClock(clk.Now))
 	if _, err := st3.Lookup(id); !errors.Is(err, ErrUnknownRegion) {
 		t.Fatalf("lapsed renewal resurrected: %v", err)
 	}

@@ -16,8 +16,8 @@ import (
 )
 
 // E17DurabilityOverhead measures the durability tax of the anonymizer
-// store: registration throughput against the in-memory sharded store and
-// against the WAL-backed durable store under each fsync policy. The
+// store: registration throughput of the journal-less store (no directory)
+// against the same store journaling to a WAL under each fsync policy. The
 // workload registers one realistic cloaked region repeatedly from 8
 // concurrent workers — the store-side hot path of every anonymize
 // request, isolated from cloaking and networking costs. "logged B/op" is
@@ -32,7 +32,7 @@ func E17DurabilityOverhead(env *Env) (*metrics.Table, error) {
 
 	type config struct {
 		name string
-		opts []anonymizer.DurabilityOption // nil means in-memory
+		opts []anonymizer.DurabilityOption // nil means no directory: journal-less
 	}
 	configs := []config{
 		{"memory", nil},
@@ -424,23 +424,20 @@ func registerStep(
 	reg *anonymizer.Registration,
 	ops, workers int,
 ) (rate, bytesPerOp float64, err error) {
-	var st anonymizer.Store
+	// nil options are the in-memory arm: no directory, so no journal.
 	var dir string
-	if durOpts == nil {
-		st = anonymizer.NewShardedStore(0)
-	} else {
+	if durOpts != nil {
 		dir, err = os.MkdirTemp("", "reversecloak-e17-*")
 		if err != nil {
 			return 0, 0, err
 		}
 		defer func() { _ = os.RemoveAll(dir) }()
-		ds, derr := anonymizer.OpenDurableStore(dir, durOpts...)
-		if derr != nil {
-			return 0, 0, derr
-		}
-		defer func() { _ = ds.Close() }()
-		st = ds
 	}
+	st, err := anonymizer.OpenDurableStore(dir, durOpts...)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer func() { _ = st.Close() }()
 
 	var (
 		wg       sync.WaitGroup

@@ -133,18 +133,17 @@ type (
 type (
 	// Server is the trusted anonymization server.
 	Server = anonymizer.Server
-	// ServerOption customizes a Server (shards, workers, batch limits,
-	// durability).
+	// ServerOption customizes a Server (store, workers, batch limits,
+	// tenants, read cache).
 	ServerOption = anonymizer.ServerOption
-	// Store is the server's registration backend interface.
-	Store = anonymizer.Store
 	// Registration is the server-side secret state of one cloaked
 	// location (an opaque handle outside internal code).
 	Registration = anonymizer.Registration
-	// DurableStore is the crash-safe WAL+snapshot registration store.
+	// DurableStore is the registration store: crash-safe (WAL + snapshots)
+	// when opened over a directory, journal-less when opened without one.
 	DurableStore = anonymizer.DurableStore
-	// DurabilityOption tunes a DurableStore (fsync policy, snapshot
-	// cadence, shard count).
+	// DurabilityOption tunes a DurableStore (shard count, TTLs, master
+	// keyring, fsync policy, snapshot cadence).
 	DurabilityOption = anonymizer.DurabilityOption
 	// FsyncPolicy selects when WAL appends are forced to disk.
 	FsyncPolicy = anonymizer.FsyncPolicy
@@ -155,9 +154,6 @@ type (
 	RecoveryStats = anonymizer.RecoveryStats
 	// ReshardStats describes what an offline Reshard migration moved.
 	ReshardStats = anonymizer.ReshardStats
-	// StoreOption tunes the in-memory sharded store's registration
-	// lifecycle (TTL, GC sweep period).
-	StoreOption = anonymizer.StoreOption
 	// Client talks to a Server; it is safe for concurrent use and
 	// pipelines concurrent calls over one connection.
 	Client = anonymizer.Client
@@ -292,7 +288,7 @@ var (
 	// ErrClientClosed reports use of (or a call interrupted by) a closed
 	// Client.
 	ErrClientClosed = anonymizer.ErrClientClosed
-	// ErrStoreClosed reports use of a closed durable store.
+	// ErrStoreClosed reports use of a closed store.
 	ErrStoreClosed = anonymizer.ErrStoreClosed
 	// ErrVersion reports a request whose protocol major the server does
 	// not speak.
@@ -400,13 +396,6 @@ func NewMasterKeys(active uint32, epochs map[uint32][]byte) (*Keyring, error) {
 	return keys.NewKeyring(active, epochs)
 }
 
-// WithMasterKeyring makes a server derive per-registration cloak keys
-// from the keyring's active master-key epoch instead of generating and
-// storing them: durable registrations shrink to a key reference, and
-// rotating the master secret is an epoch bump in the key file. The
-// keyring is caller-owned; the server does not close it.
-func WithMasterKeyring(kr *Keyring) ServerOption { return anonymizer.WithMasterKeyring(kr) }
-
 // WithReduceCacheBytes turns on the server's read-path cache with the
 // given byte budget (n < 0 = unbounded; 0 disables it): memoized
 // reductions by (region ID, level) plus derived key sets, served
@@ -415,9 +404,14 @@ func WithMasterKeyring(kr *Keyring) ServerOption { return anonymizer.WithMasterK
 // bit-identical with the cache on or off.
 func WithReduceCacheBytes(n int64) ServerOption { return anonymizer.WithReduceCacheBytes(n) }
 
-// WithKeyring gives a durable store the master keyring its derived-key
-// registrations resolve through; required to open (recover, restore,
-// reshard, follow) a store holding derived registrations.
+// WithKeyring gives a store the master keyring, which turns on derived
+// per-registration keys: a server over the store derives each new
+// registration's cloak keys from the keyring's active epoch instead of
+// generating and storing them (durable registrations shrink to a key
+// reference; rotating the master secret is an epoch bump in the key file),
+// and the store resolves those references through it — so it is required
+// to open (recover, restore, reshard, follow) a store holding derived
+// registrations. The keyring is caller-owned.
 func WithKeyring(kr *Keyring) DurabilityOption { return anonymizer.WithKeyring(kr) }
 
 // DefaultProfile returns the toolkit's "Default setting" profile: three
@@ -430,15 +424,12 @@ func UniformProfile(levels, baseK, baseL int, sigma0 float64) Profile {
 }
 
 // NewServer builds a trusted anonymization server from per-algorithm
-// engines. Options tune the sharded registration store and the
-// per-connection pipelines; the defaults suit most deployments.
+// engines. Registrations live in the store installed with WithStore, or in
+// a journal-less store of the server's own; the other options tune the
+// per-connection pipelines, tenants and the read cache.
 func NewServer(engines map[Algorithm]*Engine, opts ...ServerOption) (*Server, error) {
 	return anonymizer.NewServer(engines, opts...)
 }
-
-// WithShards selects the shard count of the server's in-memory
-// registration store (rounded up to a power of two).
-func WithShards(n int) ServerOption { return anonymizer.WithShards(n) }
 
 // WithConnWorkers sets the server's per-connection worker pool size.
 func WithConnWorkers(n int) ServerOption { return anonymizer.WithConnWorkers(n) }
@@ -451,37 +442,15 @@ func WithQueueDepth(n int) ServerOption { return anonymizer.WithQueueDepth(n) }
 // (default 1024).
 func WithMaxBatchSize(n int) ServerOption { return anonymizer.WithMaxBatchSize(n) }
 
-// WithStore installs a caller-owned registration backend (e.g. a
-// DurableStore the caller opened, inspected and will close itself).
-func WithStore(st Store) ServerOption { return anonymizer.WithStore(st) }
-
-// NewShardedStore builds the default in-memory registration store with n
-// shards (n <= 0 selects the default). Options configure the
-// registration TTL and its GC sweeper; close the store to stop the
-// sweeper when it is not installed into a server that owns it.
-func NewShardedStore(n int, opts ...StoreOption) Store {
-	return anonymizer.NewShardedStore(n, opts...)
-}
-
-// WithStoreTTL gives registrations in the in-memory store a default
-// lifetime (0 disables the default).
-func WithStoreTTL(d time.Duration) StoreOption { return anonymizer.WithStoreTTL(d) }
-
-// WithStoreGCInterval sets the in-memory store's expiry sweep period
-// (0 disables the sweeper).
-func WithStoreGCInterval(d time.Duration) StoreOption {
-	return anonymizer.WithStoreGCInterval(d)
-}
-
-// WithDurability makes the server's registration store crash-safe: it
-// opens (or recovers) a DurableStore rooted at dir, journals every
-// mutation to its write-ahead log, and closes it on Server.Close.
-func WithDurability(dir string, opts ...DurabilityOption) ServerOption {
-	return anonymizer.WithDurability(dir, opts...)
-}
+// WithStore installs the caller-owned registration store the server
+// serves from (opened with OpenDurableStore, closed by the caller after
+// the server).
+func WithStore(st *DurableStore) ServerOption { return anonymizer.WithStore(st) }
 
 // OpenDurableStore opens (or initializes) a durable registration store
-// rooted at dir, recovering any state a previous process left there.
+// rooted at dir, recovering any state a previous process left there. An
+// empty dir opens a journal-less store: same lifecycle, nothing on disk,
+// journal-only options inert.
 func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, error) {
 	return anonymizer.OpenDurableStore(dir, opts...)
 }
@@ -502,18 +471,17 @@ func WithSnapshotInterval(d time.Duration) DurabilityOption {
 	return anonymizer.WithSnapshotInterval(d)
 }
 
-// WithDurableShards sets the durable store's shard count.
-// The count is fixed at directory initialization; reopening an existing
-// directory keeps its original count.
+// WithDurableShards sets the store's shard count (rounded up to a power
+// of two). The count is fixed at directory initialization; reopening an
+// existing directory keeps its original count.
 func WithDurableShards(n int) DurabilityOption { return anonymizer.WithDurableShards(n) }
 
-// WithTTL gives registrations in the durable store a default lifetime,
-// journaled with each registration so it survives restarts (0 disables
-// the default).
+// WithTTL gives registrations in the store a default lifetime, journaled
+// with each registration so it survives restarts (0 disables the default).
 func WithTTL(d time.Duration) DurabilityOption { return anonymizer.WithTTL(d) }
 
-// WithGCInterval sets the durable store's expiry sweep period (0
-// disables the sweeper).
+// WithGCInterval sets the store's expiry sweep period (0 disables the
+// sweeper).
 func WithGCInterval(d time.Duration) DurabilityOption { return anonymizer.WithGCInterval(d) }
 
 // ParseFsyncPolicy maps "always", "interval" or "never" to its policy.

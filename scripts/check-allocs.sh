@@ -4,9 +4,9 @@
 # Re-runs the pinned benchmarks with -benchmem and compares allocs/op
 # against internal/anonymizer/testdata/alloc_baseline.json, allowing
 # 25% (+1) headroom for scheduler noise. Exits non-zero on regression;
-# CI runs it non-blocking (continue-on-error) so it flags drift without
-# gating merges on a noisy shared runner. ALLOC_BENCHTIME overrides the
-# iteration count (default 300x).
+# CI's test job and `make ci` run it as a blocking step (`make
+# check-allocs`). ALLOC_BENCHTIME overrides the iteration count (default
+# 300x).
 set -euo pipefail
 cd "$(cd "$(dirname "$0")" && pwd)/.."
 
