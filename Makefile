@@ -34,10 +34,11 @@ bench: bench-engine
 	$(GO) test -run xxx -bench 'BenchmarkServerThroughput|BenchmarkAnonymizeBatch' -benchtime 2000x ./internal/anonymizer
 
 # The cloak engine alone at the paper's scale (atlanta, 10 000 cars, the
-# default profile, density-weighted requesters): ns, allocs and the exact
-# nodes / exhausted searches / tagged levels per op, for RGE and RPLE,
-# Anonymize and Deanonymize. About 10 s, most of it building RPLE's
-# tables; the place an engine change starts before the full harness.
+# default profile, density-weighted requesters): ns (Anonymize also p50
+# and p99), allocs and the exact nodes / exhausted searches / tagged levels
+# per op, for RGE and RPLE, Anonymize and Deanonymize. About 10 s, most of
+# it building RPLE's tables; the place an engine change starts before the
+# full harness.
 # BENCHTIME=3x is what the CI bench-smoke job runs.
 BENCHTIME ?= 20x
 bench-engine:

@@ -113,15 +113,17 @@ func (s *Server) writeEngineMetrics(w io.Writer) {
 		sum.Searches += st.Searches
 		sum.SearchesExhausted += st.SearchesExhausted
 		sum.SearchesEmpty += st.SearchesEmpty
+		sum.SearchesAmbiguous += st.SearchesAmbiguous
 		sum.SearchNodes += st.SearchNodes
 		sum.SaltRetries += st.SaltRetries
 	}
-	fmt.Fprintf(w, "# HELP anonymizer_cloak_search_nodes_total Reversal-search nodes expanded by the cloak engines (their unit of work: anonymize verifies every level by searching it backward, reduce searches every tagless level).\n")
+	fmt.Fprintf(w, "# HELP anonymizer_cloak_search_nodes_total Reversal-search nodes expanded by the cloak engines (their unit of work: anonymize verifies every tagless level by walking its known chain backward and exploring what a reader's search would try first, reduce searches every tagless level).\n")
 	fmt.Fprintf(w, "# TYPE anonymizer_cloak_search_nodes_total counter\n")
 	fmt.Fprintf(w, "anonymizer_cloak_search_nodes_total %d\n", sum.SearchNodes)
-	fmt.Fprintf(w, "# HELP anonymizer_cloak_searches_total Reversal searches by outcome (ok = a removal chain was found, exhausted = the node budget ran out first, none = no hypothesis survived).\n")
+	fmt.Fprintf(w, "# HELP anonymizer_cloak_searches_total Reader searches (reduce) and anonymize-time verifications by outcome (ok = the search found a chain / the verification confirmed the level reverses to itself, ambiguous = a verification found a complete chain the reader would take before the true one, exhausted = the node budget ran out first, none = no hypothesis survived). A verification that is not ok publishes the level with tags.\n")
 	fmt.Fprintf(w, "# TYPE anonymizer_cloak_searches_total counter\n")
-	fmt.Fprintf(w, "anonymizer_cloak_searches_total{outcome=\"ok\"} %d\n", sum.Searches-sum.SearchesExhausted-sum.SearchesEmpty)
+	fmt.Fprintf(w, "anonymizer_cloak_searches_total{outcome=\"ok\"} %d\n", sum.Searches-sum.SearchesAmbiguous-sum.SearchesExhausted-sum.SearchesEmpty)
+	fmt.Fprintf(w, "anonymizer_cloak_searches_total{outcome=\"ambiguous\"} %d\n", sum.SearchesAmbiguous)
 	fmt.Fprintf(w, "anonymizer_cloak_searches_total{outcome=\"exhausted\"} %d\n", sum.SearchesExhausted)
 	fmt.Fprintf(w, "anonymizer_cloak_searches_total{outcome=\"none\"} %d\n", sum.SearchesEmpty)
 	fmt.Fprintf(w, "# HELP anonymizer_cloak_levels_total Privacy levels published by anonymize, by algorithm and whether the level needed disambiguation tags.\n")

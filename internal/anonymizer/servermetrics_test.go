@@ -93,7 +93,7 @@ func TestEngineMetrics(t *testing.T) {
 			got["anonymizer_cloak_salt_retries_total"])
 	}
 	searches := func(m map[string]uint64) (n uint64) {
-		for _, o := range []string{"ok", "exhausted", "none"} {
+		for _, o := range []string{"ok", "ambiguous", "exhausted", "none"} {
 			n += m[`anonymizer_cloak_searches_total{outcome="`+o+`"}`]
 		}
 		return n
@@ -101,6 +101,24 @@ func TestEngineMetrics(t *testing.T) {
 	if searches(got) == 0 || got["anonymizer_cloak_search_nodes_total"] < searches(got) {
 		t.Errorf("implausible search counts: %d searches, %d nodes",
 			searches(got), got["anonymizer_cloak_search_nodes_total"])
+	}
+	// Before the reduce every search was a verification, and the outcomes
+	// say what became of the level: refuted ones were published tagged,
+	// confirmed ones tagless (a level that added nothing is not verified).
+	outcome := func(o string) uint64 { return before[`anonymizer_cloak_searches_total{outcome="`+o+`"}`] }
+	var tagged, tagless uint64
+	for series, v := range want {
+		switch {
+		case strings.Contains(series, `mode="tagged"`):
+			tagged += v
+		case strings.Contains(series, `mode="tagless"`):
+			tagless += v
+		}
+	}
+	if refuted := outcome("ambiguous") + outcome("exhausted"); refuted != tagged ||
+		outcome("ok") > tagless || outcome("none") != 0 {
+		t.Errorf("verifications: %d ok, %d ambiguous, %d exhausted, %d none for %d tagless and %d tagged levels",
+			outcome("ok"), outcome("ambiguous"), outcome("exhausted"), outcome("none"), tagless, tagged)
 	}
 	// The reduce peeled two levels; each tagless one is a search that
 	// must have found its chain.

@@ -127,15 +127,18 @@ func appendTagLabel(b []byte, level int, salt uint32, step int, seg roadnet.Segm
 // were settled. They are the engine-level SLIs the server exports on
 // /metrics; every field only grows.
 type Stats struct {
-	// Searches counts reversal hypothesis searches: one per tagless
-	// verification in Anonymize and one per tagless level in Deanonymize.
-	// SearchesExhausted of them hit the node budget without a chain and
-	// SearchesEmpty ran out of hypotheses without one; the rest found a
-	// chain. SearchNodes is the total of nodes expanded — the engine's
+	// Searches counts the reader's hypothesis searches (one per tagless
+	// level in Deanonymize) and the anonymizer's verifications (one per
+	// tagless attempt in Anonymize). SearchesExhausted of them ran out of
+	// node budget, SearchesEmpty of hypotheses, and SearchesAmbiguous are
+	// verifications refuted by a complete chain the reader would take
+	// before the true one; the rest found, or confirmed, the chain.
+	// SearchNodes is the total of nodes actually expanded — the engine's
 	// unit of work.
 	Searches          uint64
 	SearchesExhausted uint64
 	SearchesEmpty     uint64
+	SearchesAmbiguous uint64
 	SearchNodes       uint64
 	// TaglessLevels and TaggedLevels count the levels Anonymize accepted,
 	// by whether it had to publish disambiguation tags.
@@ -150,8 +153,8 @@ type Stats struct {
 
 // engineStats is Stats as atomics.
 type engineStats struct {
-	searches, exhausted, empty, nodes atomic.Uint64
-	tagless, tagged, retries, refused atomic.Uint64
+	searches, exhausted, empty, ambiguous, nodes atomic.Uint64
+	tagless, tagged, retries, refused            atomic.Uint64
 }
 
 // fold adds one call's counts; zero fields cost nothing.
@@ -161,7 +164,8 @@ func (es *engineStats) fold(s *Stats) {
 		n  uint64
 	}{
 		{&es.searches, s.Searches}, {&es.exhausted, s.SearchesExhausted},
-		{&es.empty, s.SearchesEmpty}, {&es.nodes, s.SearchNodes},
+		{&es.empty, s.SearchesEmpty}, {&es.ambiguous, s.SearchesAmbiguous},
+		{&es.nodes, s.SearchNodes},
 		{&es.tagless, s.TaglessLevels}, {&es.tagged, s.TaggedLevels},
 		{&es.retries, s.SaltRetries}, {&es.refused, s.Refusals},
 	} {
@@ -175,7 +179,8 @@ func (es *engineStats) fold(s *Stats) {
 func (es *engineStats) snapshot() Stats {
 	return Stats{
 		Searches: es.searches.Load(), SearchesExhausted: es.exhausted.Load(),
-		SearchesEmpty: es.empty.Load(), SearchNodes: es.nodes.Load(),
+		SearchesEmpty: es.empty.Load(), SearchesAmbiguous: es.ambiguous.Load(),
+		SearchNodes:   es.nodes.Load(),
 		TaglessLevels: es.tagless.Load(), TaggedLevels: es.tagged.Load(),
 		SaltRetries: es.retries.Load(), Refusals: es.refused.Load(),
 	}

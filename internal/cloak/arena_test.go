@@ -202,10 +202,15 @@ func TestEngineStats(t *testing.T) {
 			t.Errorf("%v: SaltRetries grew by %d, want %d (+ refused requests' lower levels)",
 				algo, d, retries+32*refused)
 		}
-		searches := got.Searches - before.Searches
-		failed := got.SearchesExhausted - before.SearchesExhausted + got.SearchesEmpty - before.SearchesEmpty
-		if searches == 0 || got.SearchNodes-before.SearchNodes < searches || failed > searches {
-			t.Errorf("%v: implausible search counts: %+v -> %+v", algo, before, got)
+		// Every reduce here holds the true keys, so the searches that did
+		// not end "ok" are refuted verifications — and each of those is a
+		// level that went on to be published with tags (or, in a refused
+		// request, to nothing).
+		d := statsSince(got, before)
+		refuted := d.SearchesAmbiguous + d.SearchesExhausted
+		if d.Searches == 0 || d.SearchNodes < d.Searches || d.SearchesEmpty != 0 ||
+			d.SearchesAmbiguous == 0 || refuted < tagged || (refused == 0 && refuted != tagged) {
+			t.Errorf("%v: implausible search counts for %d tagged levels: %+v", algo, tagged, d)
 		}
 	}
 }

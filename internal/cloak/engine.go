@@ -124,11 +124,12 @@ func (e *Engine) release(a *arena) {
 }
 
 // Anonymize transforms the user's segment into a multi-level cloaked
-// region. For each level it expands under the level key, then verifies by
-// running the de-anonymizer's search that the level reverses to exactly the
-// state it grew from; if reversal is ambiguous the level is re-expanded
-// under the next salt ("links rebuilt ... to avoid collisions"). The salt
-// is public metadata.
+// region. For each level it expands under the level key, then verifies
+// that a key holder's reversal recovers exactly the state the level grew
+// from — against the chain it just built, not by searching for it; a level
+// whose tagless reversal is ambiguous or over budget is published with
+// tags, and one that reverses neither way is re-expanded under the next
+// salt ("links rebuilt ... to avoid collisions"). The salt is public.
 //
 // One arena carries the whole request: each level expands from the state
 // the previous one left, a rejected salt rolls its own additions back, and
@@ -165,12 +166,13 @@ func (e *Engine) Anonymize(req Request) (*CloakedRegion, *Trace, error) {
 				continue
 			}
 			meta := LevelMeta{Steps: len(a.seq), Salt: salt, SigmaS: lv.SigmaS}
-			if !a.levelReverses(stp, head, meta, level) {
+			budget := searchBudget(st.size(), meta.Steps)
+			if !a.levelReverses(stp, head, meta, budget) {
 				// Tagless reversal is ambiguous or over budget for this
 				// region shape: publish keyed disambiguation tags instead
 				// ("links ... rebuilt on the fly to avoid collisions").
 				meta.Tags = a.key.makeTags(a.seq)
-				if !a.levelReverses(stp, head, meta, level) {
+				if !a.levelReverses(stp, head, meta, budget) {
 					// Freak tag collision: another salt fixes it.
 					a.rollback()
 					a.stats.SaltRetries++
@@ -263,13 +265,12 @@ func (a *arena) rollback() {
 	}
 }
 
-// levelReverses runs the de-anonymizer's unconstrained reversal on the
-// expanded region and accepts only if it deterministically recovers exactly
-// the true chain: the removal order must be the reverse of a.seq and (in
-// search mode) the recovered start head must match. This is the
-// collision-avoidance step. The region is the same on return, whatever the
-// verdict.
-func (a *arena) levelReverses(stp stepper, head roadnet.SegmentID, meta LevelMeta, level int) bool {
+// levelReverses is the collision-avoidance step: it reports whether a key
+// holder's reversal of the level logged in a.seq (grown from head `head`)
+// recovers exactly that level — verifyChain's verdict for a tagless level,
+// the reader's own tag walk compared with a.seq for a tagged one. The
+// region is the same on return, whatever the verdict.
+func (a *arena) levelReverses(stp stepper, head roadnet.SegmentID, meta LevelMeta, budget int) bool {
 	if meta.Steps == 0 {
 		return true
 	}
@@ -278,20 +279,20 @@ func (a *arena) levelReverses(stp stepper, head roadnet.SegmentID, meta LevelMet
 	st := a.st
 	density := st.density
 	st.density = nil
-	startHead, err := a.reverseLevel(stp, meta, level, roadnet.InvalidSegment)
-	ok := err == nil
-	if ok {
-		// The reversal left the region unwound; put the level back.
-		// Members, frontier and bounds are functions of the member set
-		// alone, so this is the state expansion left.
+	ok := false
+	switch {
+	case meta.Tags == nil:
+		ok = a.verifyChain(stp, head, budget)
+	case a.unwindTagged(stp, meta) == nil:
+		// The walk left the region unwound; put the level back. Members,
+		// frontier and bounds are functions of the member set alone, so
+		// this is the state expansion left.
 		removed := a.search.chain
+		ok = true
 		for i := len(removed) - 1; i >= 0; i-- {
 			st.add(removed[i])
+			ok = ok && removed[i] == a.seq[len(a.seq)-1-i]
 		}
-		for i, id := range removed {
-			ok = ok && id == a.seq[len(a.seq)-1-i]
-		}
-		ok = ok && (meta.Tags != nil || startHead == head)
 	}
 	st.density = density
 	return ok

@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/reversecloak/reversecloak/internal/mapgen"
@@ -90,12 +91,16 @@ var figureProfiles = []goldenProfile{
 		profile.Level{K: 8, L: 8, SigmaS: 1180})},
 }
 
-func newGoldenWorld(t testing.TB, name string, g *roadnet.Graph, density DensityFunc,
+// newGoldenWorld builds the engines of one world; pre is built here when
+// the caller has none to share.
+func newGoldenWorld(t testing.TB, name string, g *roadnet.Graph, pre *Preassignment, density DensityFunc,
 	users []roadnet.SegmentID, profiles []goldenProfile) *goldenWorld {
 	t.Helper()
-	pre, err := NewPreassignment(g, DefaultTransitionListLength)
-	if err != nil {
-		t.Fatal(err)
+	if pre == nil {
+		var err error
+		if pre, err = NewPreassignment(g, DefaultTransitionListLength); err != nil {
+			t.Fatal(err)
+		}
 	}
 	w := &goldenWorld{name: name, g: g, pre: pre, users: users, profiles: profiles,
 		engines: map[Algorithm]*Engine{}}
@@ -126,14 +131,39 @@ func densityWeighted(counts []int, n int, seed int64) []roadnet.SegmentID {
 	return out
 }
 
-func simWorld(t testing.TB, name string, g *roadnet.Graph, cars, users int) *goldenWorld {
+func simWorld(t testing.TB, name string, g *roadnet.Graph, pre *Preassignment, cars, users int) *goldenWorld {
 	t.Helper()
 	sim, err := trace.New(g, trace.Config{Cars: cars, Seed: []byte(goldenSeed)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newGoldenWorld(t, name, g, sim.UsersOn,
+	return newGoldenWorld(t, name, g, pre, sim.UsersOn,
 		densityWeighted(sim.Counts(), users, 17), goldenProfiles)
+}
+
+// atlanta is the paper-scale map with its RPLE tables, built once per test
+// binary: the tables alone take several seconds, and the golden replay,
+// the verification sweep and the paper benchmarks all want them. Both are
+// immutable; every user builds its own engines over them.
+var atlanta struct {
+	once sync.Once
+	err  error
+	g    *roadnet.Graph
+	pre  *Preassignment
+}
+
+func atlantaTables(t testing.TB) (*roadnet.Graph, *Preassignment) {
+	t.Helper()
+	w := &atlanta
+	w.once.Do(func() {
+		if w.g, w.err = mapgen.AtlantaNW([]byte(goldenSeed)); w.err == nil {
+			w.pre, w.err = NewPreassignment(w.g, DefaultTransitionListLength)
+		}
+	})
+	if w.err != nil {
+		t.Fatal(w.err)
+	}
+	return w.g, w.pre
 }
 
 // goldenWorlds builds the worlds of the golden set; atlanta only when
@@ -153,15 +183,12 @@ func goldenWorlds(t testing.TB, paperScale bool) []*goldenWorld {
 		t.Fatal(err)
 	}
 	worlds := []*goldenWorld{
-		newGoldenWorld(t, "figure1", fig, constDensity(1), all, figureProfiles),
-		simWorld(t, "small", small, 600, 30),
+		newGoldenWorld(t, "figure1", fig, nil, constDensity(1), all, figureProfiles),
+		simWorld(t, "small", small, nil, 600, 30),
 	}
 	if paperScale {
-		atl, err := mapgen.AtlantaNW([]byte(goldenSeed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		worlds = append(worlds, simWorld(t, "atlanta", atl, 10000, 16))
+		atl, pre := atlantaTables(t)
+		worlds = append(worlds, simWorld(t, "atlanta", atl, pre, 10000, 16))
 	}
 	return worlds
 }

@@ -51,9 +51,10 @@ func checkSteps(steps, regionSize int) error {
 //   - A hypothesis is kept only while every step verifies: the removed
 //     segment must have been an eligible candidate of the pre-state and the
 //     keyed pick must map head -> removed (checked inside the steppers).
-//     Collisions (several consistent heads) fork the search; the engine's
-//     anonymize-time verification guarantees the first hypothesis in the
-//     deterministic search order is the true chain.
+//     Collisions (several consistent heads) fork the search; the anonymizer
+//     publishes a level tagless only after verifyChain has shown that the
+//     first complete chain in this search order, within budget, is the true
+//     one.
 //   - When the level carries disambiguation tags, each removal is resolved
 //     directly by matching the step tag against the members of the current
 //     region — no search at all.
@@ -216,9 +217,11 @@ type reverseSearch struct {
 	st  *state
 	stp stepper
 	// removed is the removal log of the branch being explored; heads holds
-	// one frame of backward() results per depth.
+	// one frame of backward() results per depth (offs: where each of
+	// verifyChain's frames starts).
 	removed []roadnet.SegmentID
 	heads   []roadnet.SegmentID
+	offs    []int
 	// chain and startHead are the first complete chain (removals,
 	// last-added first) and the level's start head it implies; every
 	// chain is also appended to *all when that is set.
@@ -239,7 +242,7 @@ func (a *arena) runSearch(stp stepper, steps int, hint roadnet.SegmentID,
 	max, budget int, all *[][]roadnet.SegmentID) *reverseSearch {
 	rs := &a.search
 	*rs = reverseSearch{st: a.st, stp: stp, max: max, budget: budget, all: all,
-		removed: rs.removed[:0], heads: rs.heads[:0], chain: rs.chain[:0]}
+		removed: rs.removed[:0], heads: rs.heads[:0], offs: rs.offs[:0], chain: rs.chain[:0]}
 	if hint != roadnet.InvalidSegment {
 		rs.undo(steps, hint)
 	} else {
@@ -261,6 +264,76 @@ func (a *arena) runSearch(stp stepper, steps int, hint roadnet.SegmentID,
 		a.stats.SearchesEmpty++
 	}
 	return rs
+}
+
+// verifyChain is the anonymizer's side of collision avoidance: it reports
+// whether the reader's search (runSearch: no hint, first chain wins, this
+// node budget) would return exactly the level logged in a.seq with start
+// head `head` — by walking the chain it knows, not by searching for it.
+// The depth-first search returns the true chain iff
+//
+//	(a) down the true chain every removal passes undo's checks and lists
+//	    the true previous head, and at t = 1 the first head listed is `head`;
+//	(b) no subtree the search enters before the true branch — heads listed
+//	    before the true one at each depth, members ranked before seq's last
+//	    at the top — holds a complete chain;
+//	(c) the chain's own nodes plus all of those subtrees' fit the budget.
+//
+// (b) and (c) do not depend on the order the subtrees are visited in: one
+// pass down the chain keeps each depth's earlier heads on the heads stack,
+// one pass back up explores them with undo, fewest remaining steps first,
+// top-level hypotheses last. A level the reader would get wrong then shows
+// a wrong chain within a few nodes; one that verifies costs the nodes the
+// reader will spend. The state is unchanged on return.
+func (a *arena) verifyChain(stp stepper, head roadnet.SegmentID, budget int) bool {
+	st, seq, rs := a.st, a.seq, &a.search
+	*rs = reverseSearch{st: st, stp: stp, max: 1, budget: budget, removed: rs.removed[:0],
+		heads: rs.heads[:0], offs: rs.offs[:0], chain: rs.chain[:0]}
+	ok, t := true, len(seq) // seq[t:] is removed
+	for ok && t > 0 {
+		added := seq[t-1]
+		if rs.nodes++; rs.nodes > budget {
+			rs.exhausted, ok = true, false
+		} else if ok = st.connectedWithout(added); ok {
+			st.remove(added)
+			t--
+			base := len(rs.heads)
+			rs.offs = append(rs.offs, base)
+			rs.heads = stp.backward(st, added, uint64(t), rs.heads)
+			// Keep the heads the reader tries before the true one; at the
+			// bottom it takes the first, which must be the start head.
+			prev := head
+			if t > 0 {
+				prev = seq[t-1]
+			}
+			k := slices.Index(rs.heads[base:], prev)
+			ok = k == 0 || (k > 0 && t > 0)
+			rs.heads = rs.heads[:base+max(k, 0)]
+		}
+	}
+	for ; t < len(seq); t++ {
+		if ok { // the top frame is step t+1's: hypotheses for step t
+			base := rs.offs[len(rs.offs)-1]
+			for k := base; ok && k < len(rs.heads); k++ {
+				ok = !rs.undo(t, rs.heads[k])
+			}
+			rs.heads, rs.offs = rs.heads[:base], rs.offs[:len(rs.offs)-1]
+		}
+		st.add(seq[t])
+	}
+	for i := 0; ok && st.rows[i] != seq[len(seq)-1]; i++ {
+		ok = !rs.undo(len(seq), st.rows[i])
+	}
+	a.stats.Searches++
+	a.stats.SearchNodes += uint64(rs.nodes)
+	switch {
+	case ok:
+	case rs.exhausted:
+		a.stats.SearchesExhausted++
+	default:
+		a.stats.SearchesAmbiguous++
+	}
+	return ok
 }
 
 // undo attempts to remove `added` as the segment of forward step t
