@@ -17,6 +17,8 @@ import (
 	"time"
 
 	rc "github.com/reversecloak/reversecloak"
+	"github.com/reversecloak/reversecloak/internal/anonymizer"
+	"github.com/reversecloak/reversecloak/internal/keys"
 )
 
 // This file holds the data-dir lifecycle subcommands: backup (hot from a
@@ -51,10 +53,10 @@ func runBackup(argv []string) error {
 	if (*addr == "") == (*dataDir == "") {
 		return fmt.Errorf("exactly one of -addr (hot) or -data-dir (offline) is required")
 	}
-	var sinceWM rc.Watermark
+	var sinceWM anonymizer.Watermark
 	if *since != "" {
 		var err error
-		if sinceWM, err = rc.ParseWatermark(*since); err != nil {
+		if sinceWM, err = anonymizer.ParseWatermark(*since); err != nil {
 			return err
 		}
 	}
@@ -78,16 +80,16 @@ func runBackup(argv []string) error {
 		defer func() { _ = c.Close() }()
 		n, err = c.Backup(&buf)
 	case sinceWM != nil:
-		n, _, err = rc.IncrementalBackupDir(&buf, *dataDir, sinceWM)
+		n, _, err = anonymizer.IncrementalBackupDir(&buf, *dataDir, sinceWM)
 	default:
-		n, err = rc.BackupDir(&buf, *dataDir)
+		n, err = anonymizer.BackupDir(&buf, *dataDir)
 	}
 	if err != nil {
 		return err
 	}
 	// The archive's watermark is the -since for the NEXT incremental
 	// backup; surface it so operators can chain cheap frequent deltas.
-	wm, err := rc.ArchiveWatermark(bytes.NewReader(buf.Bytes()))
+	wm, err := anonymizer.ArchiveWatermark(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		return err
 	}
@@ -142,15 +144,15 @@ func shipArchive(out string, archive *bytes.Buffer) error {
 // masterKeyOpts loads an optional master key file into durability
 // options: directories holding derived-key registrations cannot open
 // without the keyring. An empty path yields no options.
-func masterKeyOpts(path string) ([]rc.DurabilityOption, error) {
+func masterKeyOpts(path string) ([]anonymizer.DurabilityOption, error) {
 	if path == "" {
 		return nil, nil
 	}
-	kr, err := rc.LoadMasterKeys(path)
+	kr, err := keys.LoadKeyring(path)
 	if err != nil {
 		return nil, err
 	}
-	return []rc.DurabilityOption{rc.WithKeyring(kr)}, nil
+	return []anonymizer.DurabilityOption{anonymizer.WithKeyring(kr)}, nil
 }
 
 // runRestore seeds a fresh data directory from a backup archive — or,
@@ -187,7 +189,7 @@ func runRestore(argv []string) error {
 		r = f
 	}
 	if *apply {
-		stats, err := rc.ApplyIncremental(r, *dataDir, durOpts...)
+		stats, err := anonymizer.ApplyIncremental(r, *dataDir, durOpts...)
 		if err != nil {
 			return err
 		}
@@ -195,11 +197,11 @@ func runRestore(argv []string) error {
 			stats.Applied, stats.Frames, *dataDir, stats.End)
 		return nil
 	}
-	if err := rc.RestoreArchive(r, *dataDir); err != nil {
+	if err := anonymizer.RestoreArchive(r, *dataDir); err != nil {
 		return err
 	}
 	// Open once to report what the directory will recover to.
-	st, err := rc.OpenDurableStore(*dataDir, durOpts...)
+	st, err := anonymizer.OpenDurableStore(*dataDir, durOpts...)
 	if err != nil {
 		return fmt.Errorf("restored directory does not open: %w", err)
 	}
@@ -229,7 +231,7 @@ func runReshard(argv []string) error {
 	if err != nil {
 		return err
 	}
-	stats, err := rc.Reshard(*src, *dst, *shards, durOpts...)
+	stats, err := anonymizer.Reshard(*src, *dst, *shards, durOpts...)
 	if err != nil {
 		return err
 	}
@@ -279,19 +281,8 @@ func runDump(argv []string) error {
 	if *dataDir == "" {
 		return fmt.Errorf("-data-dir is required")
 	}
-	g, err := loadMap(*preset, []byte(*seedStr))
+	_, engines, err := buildEngines(*preset, *seedStr, *cars, *rpleT)
 	if err != nil {
-		return err
-	}
-	sim, err := rc.NewSimulation(g, rc.WorkloadConfig{Cars: *cars, Seed: []byte(*seedStr)})
-	if err != nil {
-		return fmt.Errorf("generating workload: %w", err)
-	}
-	engines := map[rc.Algorithm]*rc.Engine{}
-	if engines[rc.RGE], err = rc.NewRGEEngine(g, sim.UsersOn); err != nil {
-		return err
-	}
-	if engines[rc.RPLE], err = rc.NewRPLEEngine(g, sim.UsersOn, *rpleT); err != nil {
 		return err
 	}
 
@@ -299,7 +290,7 @@ func runDump(argv []string) error {
 	if err != nil {
 		return err
 	}
-	st, err := rc.OpenDurableStore(*dataDir, durOpts...)
+	st, err := anonymizer.OpenDurableStore(*dataDir, durOpts...)
 	if err != nil {
 		return err
 	}
@@ -307,7 +298,7 @@ func runDump(argv []string) error {
 
 	var entries []dumpEntry
 	var rangeErr error
-	st.Range(func(id string, reg *rc.Registration) bool {
+	st.Range(func(id string, reg *anonymizer.Registration) bool {
 		e := dumpEntry{
 			ID:      id,
 			Levels:  reg.Levels(),

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	rc "github.com/reversecloak/reversecloak"
+	"github.com/reversecloak/reversecloak/internal/anonymizer"
 )
 
 // runLoadgen sweeps concurrent-client counts against a running server and
@@ -191,11 +192,11 @@ func runLoadgen(argv []string) error {
 // wireCodec is the codec selected by the running subcommand's -codec
 // flag (auto when the subcommand has none); dialAuthed applies it to
 // every connection it opens.
-var wireCodec = rc.CodecAuto
+var wireCodec = anonymizer.CodecAuto
 
 // setWireCodec parses a -codec flag value into wireCodec.
 func setWireCodec(s string) error {
-	c, err := rc.ParseCodec(s)
+	c, err := anonymizer.ParseCodec(s)
 	if err != nil {
 		return err
 	}
@@ -206,7 +207,7 @@ func setWireCodec(s string) error {
 // dialAuthed dials the server (in the selected wire codec) and
 // authenticates when credentials are set.
 func dialAuthed(addr, tenant, token string) (*rc.Client, error) {
-	c, err := rc.DialServer(addr, rc.WithCodec(wireCodec))
+	c, err := anonymizer.Dial(addr, anonymizer.WithCodec(wireCodec))
 	if err != nil {
 		return nil, err
 	}
@@ -285,9 +286,9 @@ func runStep(
 	// bucket is last.
 	reject := func(err error) bool {
 		switch {
-		case errors.Is(err, rc.ErrDenied):
+		case errors.Is(err, anonymizer.ErrDenied):
 			denied.Add(1)
-		case errors.Is(err, rc.ErrThrottled):
+		case errors.Is(err, anonymizer.ErrThrottled):
 			throttled.Add(1)
 		case errors.Is(err, rc.ErrRemote):
 			failed.Add(1)
@@ -368,9 +369,9 @@ func runStep(
 					continue
 				}
 				if batch > 0 {
-					specs := make([]rc.AnonymizeSpec, batch)
+					specs := make([]anonymizer.AnonymizeSpec, batch)
 					for j := range specs {
-						specs[j] = rc.AnonymizeSpec{
+						specs[j] = anonymizer.AnonymizeSpec{
 							User:    rc.SegmentID((w*131 + i*17 + j) % segments),
 							Profile: prof,
 							TTL:     ttl,

@@ -49,6 +49,9 @@ import (
 	"strings"
 
 	rc "github.com/reversecloak/reversecloak"
+	"github.com/reversecloak/reversecloak/internal/keys"
+	"github.com/reversecloak/reversecloak/internal/mapgen"
+	"github.com/reversecloak/reversecloak/internal/viz"
 )
 
 // regionFile is the published artifact written by -region-out.
@@ -162,7 +165,7 @@ type args struct {
 }
 
 func run(a args) error {
-	g, err := loadMap(a.preset, []byte(a.seedStr))
+	g, err := mapgen.Preset(a.preset, []byte(a.seedStr))
 	if err != nil {
 		return err
 	}
@@ -203,7 +206,7 @@ func run(a args) error {
 		if err := json.Unmarshal(raw, &kf); err != nil {
 			return fmt.Errorf("parsing keys: %w", err)
 		}
-		ks, err = rc.KeysFromHex(kf.Keys)
+		ks, err = keys.DecodeHex(kf.Keys)
 		if err != nil {
 			return fmt.Errorf("decoding keys: %w", err)
 		}
@@ -235,7 +238,7 @@ func run(a args) error {
 		if err != nil {
 			return err
 		}
-		art, err := rc.RenderASCII(g, a.width, a.height, layers...)
+		art, err := viz.RenderASCII(g, a.width, a.height, layers...)
 		if err != nil {
 			return fmt.Errorf("rendering: %w", err)
 		}
@@ -259,23 +262,6 @@ func run(a args) error {
 		fmt.Println("secret keys written to", a.keysOut, "(distribute per trust level!)")
 	}
 	return nil
-}
-
-// loadMap builds the preset map.
-func loadMap(preset string, seed []byte) (*rc.Graph, error) {
-	switch preset {
-	case "small":
-		return rc.SmallMap(seed)
-	case "atlanta":
-		return rc.AtlantaNW(seed)
-	case "grid":
-		return rc.GridMap(16, 16, 120)
-	case "figure1":
-		g, _, err := rc.FigureOneMap()
-		return g, err
-	default:
-		return nil, fmt.Errorf("unknown map preset %q", preset)
-	}
 }
 
 // buildProfile assembles the privacy profile from the flags.
@@ -337,9 +323,9 @@ func parseInts(s string) ([]int, error) {
 }
 
 // levelLayers renders every level by peeling with the owner's own keys.
-func levelLayers(engine *rc.Engine, region *rc.CloakedRegion, ks *rc.KeySet, user rc.SegmentID) ([]rc.RenderLayer, error) {
+func levelLayers(engine *rc.Engine, region *rc.CloakedRegion, ks *rc.KeySet, user rc.SegmentID) ([]viz.Layer, error) {
 	glyphs := []rune{'1', '2', '3', '4', '5', '6', '7', '8', '9'}
-	layers := []rc.RenderLayer{{Segments: region.Segments, Glyph: glyphFor(glyphs, region.PrivacyLevel())}}
+	layers := []viz.Layer{{Segments: region.Segments, Glyph: glyphFor(glyphs, region.PrivacyLevel())}}
 	for lv := region.PrivacyLevel() - 1; lv >= 1; lv-- {
 		grant, err := ks.Grant(lv)
 		if err != nil {
@@ -349,9 +335,9 @@ func levelLayers(engine *rc.Engine, region *rc.CloakedRegion, ks *rc.KeySet, use
 		if err != nil {
 			return nil, fmt.Errorf("rendering level %d: %w", lv, err)
 		}
-		layers = append(layers, rc.RenderLayer{Segments: out.Segments, Glyph: glyphFor(glyphs, lv)})
+		layers = append(layers, viz.Layer{Segments: out.Segments, Glyph: glyphFor(glyphs, lv)})
 	}
-	layers = append(layers, rc.RenderLayer{Segments: []rc.SegmentID{user}, Glyph: '*'})
+	layers = append(layers, viz.Layer{Segments: []rc.SegmentID{user}, Glyph: '*'})
 	return layers, nil
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 
-	rc "github.com/reversecloak/reversecloak"
+	"github.com/reversecloak/reversecloak/internal/anonymizer"
 )
 
 // This file holds the replication operator subcommands: promote (fail
@@ -52,7 +52,7 @@ func runPromote(argv []string) error {
 		fmt.Fprintf(os.Stderr, "promote: %s is now the leader at epoch %d\n", *addr, epoch)
 		return nil
 	}
-	st, err := rc.OpenDurableStore(*dataDir)
+	st, err := anonymizer.OpenDurableStore(*dataDir)
 	if err != nil {
 		return err
 	}
@@ -96,7 +96,7 @@ func runStatus(argv []string) error {
 	}
 	fmt.Printf("role:      %s\n", status.Role)
 	fmt.Printf("epoch:     %d\n", status.Epoch)
-	fmt.Printf("watermark: %s\n", rc.Watermark(status.Watermark))
+	fmt.Printf("watermark: %s\n", anonymizer.Watermark(status.Watermark))
 	if status.Role == "follower" {
 		fmt.Printf("leader:    %s\n", status.LeaderAddr)
 		if status.LagFrames != nil {

@@ -12,6 +12,11 @@ import (
 	"time"
 
 	rc "github.com/reversecloak/reversecloak"
+	"github.com/reversecloak/reversecloak/internal/anonymizer"
+	"github.com/reversecloak/reversecloak/internal/anonymizer/repl"
+	"github.com/reversecloak/reversecloak/internal/anonymizer/tenant"
+	"github.com/reversecloak/reversecloak/internal/keys"
+	"github.com/reversecloak/reversecloak/internal/mapgen"
 )
 
 // runServe starts the trusted anonymization server over a preset map and
@@ -47,7 +52,7 @@ func runServe(argv []string) error {
 			"poll the tenants file for edits on this period (0 disables hot reload)")
 		adminAddr = fs.String("admin-addr", "",
 			"admin HTTP listener (/metrics, /healthz, /readyz, /debug/pprof); empty disables it")
-		readyMaxLag = fs.Int64("ready-max-lag", rc.DefaultReadyMaxLag,
+		readyMaxLag = fs.Int64("ready-max-lag", anonymizer.DefaultReadyMaxLag,
 			"/readyz reports unready while a follower trails the leader by more than this many stream records")
 
 		replTenant = fs.String("repl-tenant", "",
@@ -57,9 +62,9 @@ func runServe(argv []string) error {
 		replCodec = fs.String("codec", "auto",
 			"wire codec for the replication connections to the leader: auto, json or binary")
 
-		ttl = fs.Duration("ttl", rc.DefaultRegistrationTTL,
+		ttl = fs.Duration("ttl", anonymizer.DefaultRegistrationTTL,
 			"registration lifetime before the expiry sweeper reclaims it (0 = live until deregistered)")
-		gcInterval = fs.Duration("gc-interval", rc.DefaultGCInterval,
+		gcInterval = fs.Duration("gc-interval", anonymizer.DefaultGCInterval,
 			"expiry sweep period (0 disables the sweeper)")
 
 		masterKeyFile = fs.String("master-key-file", "",
@@ -98,29 +103,17 @@ func runServe(argv []string) error {
 		}
 	}
 
-	g, err := loadMap(*preset, []byte(*seedStr))
+	g, engines, err := buildEngines(*preset, *seedStr, *cars, *rpleT)
 	if err != nil {
 		return err
 	}
-	sim, err := rc.NewSimulation(g, rc.WorkloadConfig{Cars: *cars, Seed: []byte(*seedStr)})
-	if err != nil {
-		return fmt.Errorf("generating workload: %w", err)
-	}
-	rge, err := rc.NewRGEEngine(g, sim.UsersOn)
-	if err != nil {
-		return fmt.Errorf("building RGE engine: %w", err)
-	}
-	rple, err := rc.NewRPLEEngine(g, sim.UsersOn, *rpleT)
-	if err != nil {
-		return fmt.Errorf("building RPLE engine: %w", err)
-	}
 
-	var opts []rc.ServerOption
+	var opts []anonymizer.ServerOption
 	if *workers > 0 {
-		opts = append(opts, rc.WithConnWorkers(*workers))
+		opts = append(opts, anonymizer.WithConnWorkers(*workers))
 	}
 	if *reduceCacheBytes != 0 {
-		opts = append(opts, rc.WithReduceCacheBytes(*reduceCacheBytes))
+		opts = append(opts, anonymizer.WithReduceCacheBytes(*reduceCacheBytes))
 		if *reduceCacheBytes > 0 {
 			fmt.Printf("reduce cache: %d byte budget\n", *reduceCacheBytes)
 		} else {
@@ -128,7 +121,7 @@ func runServe(argv []string) error {
 		}
 	}
 	if *tenantsFile != "" {
-		reg, err := rc.LoadTenants(*tenantsFile)
+		reg, err := tenant.Load(*tenantsFile)
 		if err != nil {
 			return err
 		}
@@ -140,25 +133,25 @@ func runServe(argv []string) error {
 		}
 		fmt.Printf("tenants: %d loaded from %s (reload every %s)\n",
 			reg.Len(), *tenantsFile, *tenantsReload)
-		opts = append(opts, rc.WithTenants(reg))
+		opts = append(opts, anonymizer.WithTenants(reg))
 	}
 	// One store, one option list; without -data-dir the journal options
 	// in it are inert.
-	policy, err := rc.ParseFsyncPolicy(*fsyncStr)
+	policy, err := anonymizer.ParseFsyncPolicy(*fsyncStr)
 	if err != nil {
 		return err
 	}
-	storeOpts := []rc.DurabilityOption{
-		rc.WithFsyncPolicy(policy),
-		rc.WithFsyncEvery(*fsyncEvery),
-		rc.WithSnapshotEvery(*snapEvery),
-		rc.WithSnapshotInterval(*snapInterval),
-		rc.WithDurableShards(*shards),
-		rc.WithTTL(*ttl),
-		rc.WithGCInterval(*gcInterval),
+	storeOpts := []anonymizer.DurabilityOption{
+		anonymizer.WithFsyncPolicy(policy),
+		anonymizer.WithFsyncEvery(*fsyncEvery),
+		anonymizer.WithSnapshotEvery(*snapEvery),
+		anonymizer.WithSnapshotInterval(*snapInterval),
+		anonymizer.WithDurableShards(*shards),
+		anonymizer.WithTTL(*ttl),
+		anonymizer.WithGCInterval(*gcInterval),
 	}
 	if *masterKeyFile != "" {
-		keyring, err := rc.LoadMasterKeys(*masterKeyFile)
+		keyring, err := keys.LoadKeyring(*masterKeyFile)
 		if err != nil {
 			return err
 		}
@@ -170,21 +163,21 @@ func runServe(argv []string) error {
 		}
 		fmt.Printf("master keys: %s (active epoch %d, %d epochs, reload every %s)\n",
 			*masterKeyFile, keyring.ActiveEpoch(), len(keyring.Epochs()), *masterKeyReload)
-		storeOpts = append(storeOpts, rc.WithKeyring(keyring))
+		storeOpts = append(storeOpts, anonymizer.WithKeyring(keyring))
 	}
 	if *advertise == "" {
 		*advertise = *addr
 	}
-	var st *rc.DurableStore
+	var st *anonymizer.DurableStore
 	if *replicateFrom != "" {
 		if *dataDir == "" {
 			return fmt.Errorf("-replicate-from requires -data-dir")
 		}
-		upstreamCodec, err := rc.ParseCodec(*replCodec)
+		upstreamCodec, err := anonymizer.ParseCodec(*replCodec)
 		if err != nil {
 			return err
 		}
-		f, err := rc.StartFollower(rc.FollowerConfig{
+		f, err := repl.Start(repl.Config{
 			LeaderAddr:   *replicateFrom,
 			DataDir:      *dataDir,
 			Advertise:    *advertise,
@@ -201,11 +194,11 @@ func runServe(argv []string) error {
 		}
 		defer func() { _ = f.Close() }()
 		st = f.Store()
-		opts = append(opts, rc.WithReplicator(f))
+		opts = append(opts, anonymizer.WithReplicator(f))
 	} else {
 		// Opened here, not by the server, so what recovery found is
 		// reported before any traffic is served.
-		if st, err = rc.OpenDurableStore(*dataDir, storeOpts...); err != nil {
+		if st, err = anonymizer.OpenDurableStore(*dataDir, storeOpts...); err != nil {
 			return err
 		}
 		defer func() { _ = st.Close() }()
@@ -229,15 +222,12 @@ func runServe(argv []string) error {
 			fmt.Println()
 		}
 	}
-	opts = append(opts, rc.WithStore(st))
+	opts = append(opts, anonymizer.WithStore(st))
 	if *ttl > 0 {
 		fmt.Printf("registration ttl %s (sweep every %s)\n", *ttl, *gcInterval)
 	}
 
-	srv, err := rc.NewServer(map[rc.Algorithm]*rc.Engine{
-		rc.RGE:  rge,
-		rc.RPLE: rple,
-	}, opts...)
+	srv, err := anonymizer.NewServer(engines, opts...)
 	if err != nil {
 		return err
 	}
@@ -251,7 +241,7 @@ func runServe(argv []string) error {
 			return fmt.Errorf("admin listener: %w", err)
 		}
 		admin := &http.Server{
-			Handler: srv.AdminHandler(rc.AdminConfig{ReadyMaxLag: *readyMaxLag}),
+			Handler: srv.AdminHandler(anonymizer.AdminConfig{ReadyMaxLag: *readyMaxLag}),
 		}
 		go func() { _ = admin.Serve(ln) }()
 		defer func() { _ = admin.Close() }()
@@ -269,4 +259,28 @@ func runServe(argv []string) error {
 	<-sig
 	fmt.Println("shutting down")
 	return srv.Close()
+}
+
+// buildEngines builds the RGE and RPLE engines a server runs over the preset
+// map, with live user densities from a cars-strong workload; dump rebuilds
+// the same pair to recompute a data directory's reductions.
+func buildEngines(preset, seedStr string, cars, rpleT int) (*rc.Graph, map[rc.Algorithm]*rc.Engine, error) {
+	seed := []byte(seedStr)
+	g, err := mapgen.Preset(preset, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	sim, err := rc.NewSimulation(g, rc.WorkloadConfig{Cars: cars, Seed: seed})
+	if err != nil {
+		return nil, nil, fmt.Errorf("generating workload: %w", err)
+	}
+	rge, err := rc.NewRGEEngine(g, sim.UsersOn)
+	if err != nil {
+		return nil, nil, fmt.Errorf("building RGE engine: %w", err)
+	}
+	rple, err := rc.NewRPLEEngine(g, sim.UsersOn, rpleT)
+	if err != nil {
+		return nil, nil, fmt.Errorf("building RPLE engine: %w", err)
+	}
+	return g, map[rc.Algorithm]*rc.Engine{rc.RGE: rge, rc.RPLE: rple}, nil
 }

@@ -13,6 +13,9 @@ import (
 	"strings"
 
 	rc "github.com/reversecloak/reversecloak"
+	"github.com/reversecloak/reversecloak/internal/keys"
+	"github.com/reversecloak/reversecloak/internal/mapgen"
+	"github.com/reversecloak/reversecloak/internal/viz"
 )
 
 // regionFile mirrors cmd/anonymizer's published artifact.
@@ -61,7 +64,11 @@ func run(regionIn, keysIn string, toLevel int, render bool, width, height int) e
 		return fmt.Errorf("region file has no region")
 	}
 
-	g, err := loadMap(rf.MapPreset, []byte(rf.MapSeed))
+	// Region files written before the preset was recorded are on "small".
+	if rf.MapPreset == "" {
+		rf.MapPreset = "small"
+	}
+	g, err := mapgen.Preset(rf.MapPreset, []byte(rf.MapSeed))
 	if err != nil {
 		return err
 	}
@@ -93,7 +100,7 @@ func run(regionIn, keysIn string, toLevel int, render bool, width, height int) e
 		if err := json.Unmarshal(kraw, &kf); err != nil {
 			return fmt.Errorf("parsing keys: %w", err)
 		}
-		ks, err := rc.KeysFromHex(kf.Keys)
+		ks, err := keys.DecodeHex(kf.Keys)
 		if err != nil {
 			return fmt.Errorf("decoding keys: %w", err)
 		}
@@ -117,11 +124,11 @@ func run(regionIn, keysIn string, toLevel int, render bool, width, height int) e
 	}
 
 	if render {
-		layers := []rc.RenderLayer{
+		layers := []viz.Layer{
 			{Segments: rf.Region.Segments, Glyph: 'o'},
 			{Segments: reduced.Segments, Glyph: '#'},
 		}
-		art, err := rc.RenderASCII(g, width, height, layers...)
+		art, err := viz.RenderASCII(g, width, height, layers...)
 		if err != nil {
 			return fmt.Errorf("rendering: %w", err)
 		}
@@ -129,21 +136,4 @@ func run(regionIn, keysIn string, toLevel int, render bool, width, height int) e
 		fmt.Println(art)
 	}
 	return nil
-}
-
-// loadMap mirrors cmd/anonymizer's presets.
-func loadMap(preset string, seed []byte) (*rc.Graph, error) {
-	switch preset {
-	case "small", "":
-		return rc.SmallMap(seed)
-	case "atlanta":
-		return rc.AtlantaNW(seed)
-	case "grid":
-		return rc.GridMap(16, 16, 120)
-	case "figure1":
-		g, _, err := rc.FigureOneMap()
-		return g, err
-	default:
-		return nil, fmt.Errorf("unknown map preset %q", preset)
-	}
 }

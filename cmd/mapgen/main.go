@@ -8,7 +8,8 @@ import (
 	"fmt"
 	"os"
 
-	rc "github.com/reversecloak/reversecloak"
+	"github.com/reversecloak/reversecloak/internal/mapgen"
+	"github.com/reversecloak/reversecloak/internal/roadnet"
 )
 
 func main() {
@@ -31,24 +32,19 @@ func main() {
 func run(preset string, junctions, segments, cols, rows int, spacing float64, seedStr, out string) error {
 	seed := []byte(seedStr)
 	var (
-		g   *rc.Graph
+		g   *roadnet.Graph
 		err error
 	)
 	switch {
 	case junctions > 0:
-		g, err = rc.GenerateMap(rc.MapConfig{
+		g, err = mapgen.Generate(mapgen.Config{
 			Junctions: junctions, Segments: segments, Spacing: spacing, Seed: seed,
 		})
-	case preset == "atlanta":
-		g, err = rc.AtlantaNW(seed)
-	case preset == "small":
-		g, err = rc.SmallMap(seed)
 	case preset == "grid":
-		g, err = rc.GridMap(cols, rows, spacing)
-	case preset == "figure1":
-		g, _, err = rc.FigureOneMap()
+		// Unlike the shared 16x16 grid preset, sized by -cols/-rows/-spacing.
+		g, err = mapgen.Grid(cols, rows, spacing)
 	default:
-		return fmt.Errorf("unknown preset %q", preset)
+		g, err = mapgen.Preset(preset, seed)
 	}
 	if err != nil {
 		return fmt.Errorf("generating: %w", err)

@@ -10,6 +10,8 @@ import (
 	"os"
 
 	rc "github.com/reversecloak/reversecloak"
+	"github.com/reversecloak/reversecloak/internal/mapgen"
+	"github.com/reversecloak/reversecloak/internal/viz"
 )
 
 func main() {
@@ -24,7 +26,7 @@ func main() {
 }
 
 func run(algorithm string, width, height int) error {
-	g, s18, err := rc.FigureOneMap()
+	g, s18, err := mapgen.FigureOne()
 	if err != nil {
 		return fmt.Errorf("building figure graph: %w", err)
 	}
@@ -82,7 +84,7 @@ func run(algorithm string, width, height int) error {
 		fmt.Printf("L%d: Key%d adds %d segments     %v\n", li+1, li+1, len(seq), names(seq))
 	}
 
-	layers := []rc.RenderLayer{
+	layers := []viz.Layer{
 		{Segments: region.Segments, Glyph: '3'},
 	}
 	l2Keys, err := ks.Grant(2)
@@ -102,12 +104,12 @@ func run(algorithm string, width, height int) error {
 		return fmt.Errorf("reducing to L1: %w", err)
 	}
 	layers = append(layers,
-		rc.RenderLayer{Segments: l2.Segments, Glyph: '2'},
-		rc.RenderLayer{Segments: l1.Segments, Glyph: '1'},
-		rc.RenderLayer{Segments: []rc.SegmentID{s18}, Glyph: '*'},
+		viz.Layer{Segments: l2.Segments, Glyph: '2'},
+		viz.Layer{Segments: l1.Segments, Glyph: '1'},
+		viz.Layer{Segments: []rc.SegmentID{s18}, Glyph: '*'},
 	)
 
-	art, err := rc.RenderASCII(g, width, height, layers...)
+	art, err := viz.RenderASCII(g, width, height, layers...)
 	if err != nil {
 		return fmt.Errorf("rendering: %w", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	rc "github.com/reversecloak/reversecloak"
+	"github.com/reversecloak/reversecloak/internal/roadnet"
 )
 
 // output is the serialized workload snapshot.
@@ -50,7 +51,7 @@ func run(mapFile string, cars, hotspots, steps int, seedStr, out string) error {
 			return fmt.Errorf("opening map: %w", ferr)
 		}
 		defer func() { _ = f.Close() }()
-		g, err = rc.ReadMap(f)
+		g, err = roadnet.ReadJSON(f)
 	}
 	if err != nil {
 		return fmt.Errorf("loading map: %w", err)

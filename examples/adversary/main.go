@@ -13,7 +13,6 @@ import (
 	"os"
 
 	rc "github.com/reversecloak/reversecloak"
-	"github.com/reversecloak/reversecloak/internal/cloak"
 )
 
 // -short shrinks the attacks so CI can run the example quickly.
@@ -83,7 +82,7 @@ func run() error {
 		if _, err := rand.Read(guess); err != nil {
 			return err
 		}
-		chains, err := cloak.EnumerateReversals(g, cloak.RGE, nil,
+		chains, err := rc.EnumerateReversals(g, rc.RGE, nil,
 			region.Segments, region.Levels[0].Steps, guess, 1,
 			region.Levels[0].Salt, region.Levels[0].SigmaS, chainCap)
 		if err != nil {

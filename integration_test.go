@@ -5,6 +5,8 @@ import (
 	"time"
 
 	rc "github.com/reversecloak/reversecloak"
+	"github.com/reversecloak/reversecloak/internal/mapgen"
+	"github.com/reversecloak/reversecloak/internal/temporal"
 )
 
 // TestIntegrationFullPipeline exercises the complete system across every
@@ -15,7 +17,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	seedVal := []byte("integration-test-seed-0123456789")
 
 	// Substrate: map and workload.
-	g, err := rc.GenerateMap(rc.MapConfig{Junctions: 500, Segments: 660, Seed: seedVal})
+	g, err := mapgen.Generate(mapgen.Config{Junctions: 500, Segments: 660, Seed: seedVal})
 	if err != nil {
 		t.Fatalf("map: %v", err)
 	}
@@ -130,7 +132,7 @@ func TestIntegrationSpatioTemporal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcloak, err := rc.NewTemporalCloak([]rc.TemporalLevel{
+	tcloak, err := temporal.New([]temporal.Level{
 		{Key: k1, SigmaT: time.Minute},
 		{Key: k2, SigmaT: 10 * time.Minute},
 	})

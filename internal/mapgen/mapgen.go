@@ -183,6 +183,25 @@ func Small(seed []byte) (*roadnet.Graph, error) {
 	})
 }
 
+// Preset builds the named map the command-line tools share: "small",
+// "atlanta", "grid" (16x16 junctions, 120 m apart) or "figure1" (the Fig. 1
+// graph). The seed keys the generated presets; grid and figure1 ignore it.
+func Preset(name string, seed []byte) (*roadnet.Graph, error) {
+	switch name {
+	case "small":
+		return Small(seed)
+	case "atlanta":
+		return AtlantaNW(seed)
+	case "grid":
+		return Grid(16, 16, 120)
+	case "figure1":
+		g, _, err := FigureOne()
+		return g, err
+	default:
+		return nil, fmt.Errorf("unknown map preset %q", name)
+	}
+}
+
 // Grid generates an exact cols x rows grid network with uniform spacing and
 // no jitter. Useful for tests that need predictable topology.
 func Grid(cols, rows int, spacing float64) (*roadnet.Graph, error) {

@@ -2,6 +2,7 @@ package mapgen
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/reversecloak/reversecloak/internal/roadnet"
@@ -142,6 +143,36 @@ func TestAtlantaScale(t *testing.T) {
 	}
 	if !g.Connected() {
 		t.Error("Atlanta-scale network must be connected")
+	}
+}
+
+func TestPreset(t *testing.T) {
+	tests := []struct {
+		name     string
+		segments int
+	}{
+		{"small", 527},
+		{"atlanta", 9187},
+		{"grid", 480},
+		{"figure1", 24},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if tt.name == "atlanta" && testing.Short() {
+				t.Skip("skipping Atlanta-scale generation in -short mode")
+			}
+			g, err := Preset(tt.name, seed(8))
+			if err != nil {
+				t.Fatalf("Preset(%q): %v", tt.name, err)
+			}
+			if g.NumSegments() != tt.segments {
+				t.Errorf("segments = %d, want %d", g.NumSegments(), tt.segments)
+			}
+		})
+	}
+	_, err := Preset("paris", seed(8))
+	if err == nil || !strings.Contains(err.Error(), `"paris"`) {
+		t.Errorf("unknown preset err = %v, want one naming \"paris\"", err)
 	}
 }
 

@@ -1,8 +1,11 @@
 package reversecloak_test
 
 import (
-	"bytes"
 	"errors"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,12 +20,12 @@ func seed(b byte) []byte {
 	return s
 }
 
-// TestFacadeQuickstart runs the package-documentation quick start end to
-// end through the public API only.
+// TestFacadeQuickstart runs the quick start of the package documentation
+// and the README's "Library use" end to end through the public API only.
 func TestFacadeQuickstart(t *testing.T) {
-	g, err := rc.GenerateMap(rc.MapConfig{Junctions: 400, Segments: 527, Seed: seed(1)})
+	g, err := rc.SmallMap(seed(1))
 	if err != nil {
-		t.Fatalf("GenerateMap: %v", err)
+		t.Fatalf("SmallMap: %v", err)
 	}
 	sim, err := rc.NewSimulation(g, rc.WorkloadConfig{Cars: 3000, Seed: seed(2)})
 	if err != nil {
@@ -87,6 +90,9 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
+// twoLevels is a two-level profile small enough for the 10x10 grid maps.
+var twoLevels = rc.Profile{Levels: []rc.Level{{K: 6, L: 3}, {K: 12, L: 5}}}
+
 func TestFacadeRPLE(t *testing.T) {
 	g, err := rc.GridMap(10, 10, 100)
 	if err != nil {
@@ -100,8 +106,7 @@ func TestFacadeRPLE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := rc.UniformProfile(2, 6, 3, 0)
-	region, _, err := engine.Anonymize(rc.Request{UserSegment: 40, Profile: prof, Keys: ks.All()})
+	region, _, err := engine.Anonymize(rc.Request{UserSegment: 40, Profile: twoLevels, Keys: ks.All()})
 	if err != nil {
 		t.Fatalf("Anonymize: %v", err)
 	}
@@ -116,64 +121,6 @@ func TestFacadeRPLE(t *testing.T) {
 	if len(l0.Segments) != 1 || l0.Segments[0] != 40 {
 		t.Errorf("L0 = %v", l0.Segments)
 	}
-}
-
-func TestFacadeFigureOne(t *testing.T) {
-	g, s18, err := rc.FigureOneMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumSegments() != 24 {
-		t.Errorf("segments = %d", g.NumSegments())
-	}
-	if seg, err := g.Segment(s18); err != nil || seg.Name != "s18" {
-		t.Errorf("s18 lookup = %+v, %v", seg, err)
-	}
-}
-
-func TestFacadeVisualization(t *testing.T) {
-	g, err := rc.GridMap(6, 6, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := rc.RenderASCII(g, 40, 20, rc.RenderLayer{
-		Segments: []rc.SegmentID{0, 1}, Glyph: '#',
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(art, "#") {
-		t.Error("layer missing from ASCII render")
-	}
-	var buf bytes.Buffer
-	if err := rc.WriteSVG(&buf, g, 300, rc.RenderLayer{
-		Segments: []rc.SegmentID{0}, Color: "#112233",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "#112233") {
-		t.Error("layer missing from SVG")
-	}
-}
-
-func TestFacadePOIQueries(t *testing.T) {
-	g, err := rc.GridMap(8, 8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pois, err := rc.GeneratePOIs(g, 50, seed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := rc.NewPOIIndex(g, pois)
-	if ix.NumPOIs() != 50 {
-		t.Errorf("pois = %d", ix.NumPOIs())
-	}
-	got, err := ix.RangeCloaked([]rc.SegmentID{0, 1, 2}, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = got // size depends on placement; the call shape is what's under test
 }
 
 func TestFacadeServerFlow(t *testing.T) {
@@ -203,7 +150,7 @@ func TestFacadeServerFlow(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
-	id, region, err := c.Anonymize(42, rc.UniformProfile(2, 6, 3, 0), "RGE")
+	id, region, err := c.Anonymize(42, twoLevels, "RGE")
 	if err != nil {
 		t.Fatalf("Anonymize: %v", err)
 	}
@@ -212,16 +159,30 @@ func TestFacadeServerFlow(t *testing.T) {
 	}
 }
 
-func TestKeysHexRoundTripThroughFacade(t *testing.T) {
-	ks, err := rc.AutoGenerateKeys(2)
+// TestExamplesImportOnlyPublicAPI keeps every example copyable by an
+// external user: none may import a package under internal/.
+func TestExamplesImportOnlyPublicAPI(t *testing.T) {
+	mains, err := filepath.Glob(filepath.Join("examples", "*", "main.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks2, err := rc.KeysFromHex(ks.EncodeHex())
-	if err != nil {
-		t.Fatal(err)
+	if len(mains) == 0 {
+		t.Fatal("no examples found")
 	}
-	if ks2.Levels() != 2 {
-		t.Errorf("levels = %d", ks2.Levels())
+	fset := token.NewFileSet()
+	for _, path := range mains {
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatalf("parsing %s: %v", path, err)
+		}
+		for _, imp := range f.Imports {
+			ipath, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatalf("%s: import %s: %v", path, imp.Path.Value, err)
+			}
+			if strings.Contains(ipath, "/internal/") {
+				t.Errorf("%s imports %s; examples may use only the public API", path, ipath)
+			}
+		}
 	}
 }
