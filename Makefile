@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-benchmark test-full race bench bench-engine bench-smoke check-allocs staticcheck govulncheck fmt fmt-check vet ci linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
+.PHONY: all build test test-engine test-benchmark test-full race bench bench-engine bench-smoke check-allocs staticcheck govulncheck fmt fmt-check vet ci linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
 
 all: build test
 
@@ -21,6 +21,13 @@ test:
 test-benchmark:
 	cd benchmark && $(GO) test .
 
+# The cloak engine's paper-scale referees, which -short skips: the atlanta
+# rows of engine_golden.json, TestPaperCounts, the atlanta arm of
+# TestVerifyMatchesReaderSearch and the atlanta table digests. About 10 s
+# (a blocking step of the CI test job).
+test-engine:
+	$(GO) test ./internal/cloak
+
 # Full suite including the ~30s experiment harness (tier-1 verify).
 test-full:
 	$(GO) test ./...
@@ -36,9 +43,8 @@ bench: bench-engine
 # The cloak engine alone at the paper's scale (atlanta, 10 000 cars, the
 # default profile, density-weighted requesters): ns (Anonymize also p50
 # and p99), allocs and the exact nodes / exhausted searches / tagged levels
-# per op, for RGE and RPLE, Anonymize and Deanonymize. About 10 s, most of
-# it building RPLE's tables; the place an engine change starts before the
-# full harness.
+# per op, for RGE and RPLE, Anonymize and Deanonymize. About a second; the
+# place an engine change starts before the full harness.
 # BENCHTIME=3x is what the CI bench-smoke job runs.
 BENCHTIME ?= 20x
 bench-engine:
@@ -115,4 +121,4 @@ examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" -short || exit 1; done
 
 # Everything the blocking CI jobs run.
-ci: fmt-check vet build test test-benchmark race linkcheck examples fuzz-smoke check-allocs e2e e2e-repl e2e-tenants
+ci: fmt-check vet build test test-engine test-benchmark race linkcheck examples fuzz-smoke check-allocs e2e e2e-repl e2e-tenants

@@ -9,7 +9,7 @@ import (
 	"github.com/reversecloak/reversecloak/internal/metrics"
 )
 
-// E14TagAblation measures the two reversal regimes of DESIGN.md §2.5: the
+// E14TagAblation measures the engine's two reversal regimes: the
 // tagless bounded search (paper-pure, zero metadata overhead) versus keyed
 // disambiguation tags (collision regime). It sweeps k so regions cross from
 // |CloakA| <= |CanA| into the collision regime and reports which mode the

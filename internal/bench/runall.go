@@ -18,7 +18,7 @@ type Experiment struct {
 }
 
 // Experiments lists the harness experiments in order. E1-E4 are golden
-// tests and CLI demos (see DESIGN.md); the measured experiments start at
+// tests and CLI demos; the measured experiments start at
 // E5. fullScaleE10 switches E10 to the paper's full 6979/9187/10000 setup.
 func Experiments(fullScaleE10 bool) []Experiment {
 	return []Experiment{

@@ -88,8 +88,9 @@ type LevelMeta struct {
 	SigmaS float64 `json:"sigma_s"`
 	// Tags holds one keyed disambiguation tag per step when the level's
 	// backward transitions would otherwise collide (regions much larger
-	// than their candidate sets; see DESIGN.md §2.5). Each tag is a PRF
-	// output under the level key bound to the step's added segment: key
+	// than their candidate sets; see docs/ARCHITECTURE.md, "Inside the
+	// cloak engine"). Each tag is a PRF output under the level key bound
+	// to the step's added segment: key
 	// holders resolve each removal uniquely in O(|region|); without the
 	// key the tags are indistinguishable from random and reveal nothing.
 	// Nil for levels whose reversal is collision-free (the common case).

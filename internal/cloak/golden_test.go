@@ -142,9 +142,9 @@ func simWorld(t testing.TB, name string, g *roadnet.Graph, pre *Preassignment, c
 }
 
 // atlanta is the paper-scale map with its RPLE tables, built once per test
-// binary: the tables alone take several seconds, and the golden replay,
-// the verification sweep and the paper benchmarks all want them. Both are
-// immutable; every user builds its own engines over them.
+// binary for the golden replay, the verification sweep and the paper
+// benchmarks. Both are immutable; every user builds its own engines over
+// them.
 var atlanta struct {
 	once sync.Once
 	err  error
@@ -167,7 +167,7 @@ func atlantaTables(t testing.TB) (*roadnet.Graph, *Preassignment) {
 }
 
 // goldenWorlds builds the worlds of the golden set; atlanta only when
-// paperScale is set (it costs several seconds of RPLE table building).
+// paperScale is set (-short runs skip the paper scale).
 func goldenWorlds(t testing.TB, paperScale bool) []*goldenWorld {
 	t.Helper()
 	fig, _, err := mapgen.FigureOne()

@@ -3,6 +3,7 @@ package cloak
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/reversecloak/reversecloak/internal/roadnet"
 )
@@ -37,8 +38,11 @@ type Preassignment struct {
 // maxScanFactor bounds how many proximity-ordered candidates are scanned
 // per segment. Algorithm 1 scans all E segments; almost all placements
 // happen within the first few dozen candidates, so the scan is capped at
-// maxScanFactor*T candidates to keep construction near-linear. The cap is
-// part of the deterministic construction, so both sides agree.
+// maxScanFactor*T candidates to keep construction near-linear. The scan
+// reads a prefix of NL, and NL is built only that far: the breadth-first
+// walk expands one whole hop level at a time and stops once the list is
+// full or the cap is reached. The cap is part of the deterministic
+// construction, so both sides agree.
 const maxScanFactor = 16
 
 // NewPreassignment runs Algorithm 1: for every segment s, walk the
@@ -95,19 +99,39 @@ func NewPreassignment(g *roadnet.Graph, t int) (*Preassignment, error) {
 		}
 	}
 
-	// Pass 2: proximity order, as in Algorithm 1.
+	// Pass 2: proximity order NL, as in Algorithm 1: segments by hop
+	// distance from s (s excluded), ties by ID. seen[x] == epoch marks x as
+	// reached from the current s, so one slice serves every segment.
 	maxScan := maxScanFactor * t
+	seen := make([]int32, e)
+	var level, next []roadnet.SegmentID
 	for s := 0; s < e; s++ {
+		epoch := int32(s + 1)
+		seen[s] = epoch
 		filled := countFilled(p.ft[s])
 		scanned := 0
-		for _, sp := range g.SegmentsByHopDistance(roadnet.SegmentID(s)) {
-			if filled >= t || scanned >= maxScan {
-				break
+		level = append(level[:0], roadnet.SegmentID(s))
+		for len(level) > 0 && filled < t && scanned < maxScan {
+			next = next[:0]
+			for _, u := range level {
+				for _, nb := range g.Neighbors(u) {
+					if seen[nb] != epoch {
+						seen[nb] = epoch
+						next = append(next, nb)
+					}
+				}
 			}
-			scanned++
-			if place(roadnet.SegmentID(s), sp) {
-				filled++
+			slices.Sort(next)
+			for _, sp := range next {
+				if filled >= t || scanned >= maxScan {
+					break
+				}
+				scanned++
+				if place(roadnet.SegmentID(s), sp) {
+					filled++
+				}
 			}
+			level, next = next, level
 		}
 	}
 	return p, nil

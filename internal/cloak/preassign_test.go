@@ -1,9 +1,16 @@
 package cloak
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
+	"github.com/reversecloak/reversecloak/internal/geom"
 	"github.com/reversecloak/reversecloak/internal/mapgen"
 	"github.com/reversecloak/reversecloak/internal/prng"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
@@ -123,6 +130,242 @@ func TestPreassignmentFillsNearbySlots(t *testing.T) {
 	}
 	if float64(filled) < 0.5*float64(total) {
 		t.Errorf("only %d/%d slots filled; expected at least half", filled, total)
+	}
+}
+
+// fullScanOrder is the proximity-ordered neighbour list NL built over the
+// whole graph: every segment reachable from origin, nearest hops first,
+// ties by ID. It is the unbounded form of NewPreassignment's walk: the
+// oracle of TestPreassignmentMatchesFullScan.
+func fullScanOrder(g *roadnet.Graph, origin roadnet.SegmentID) []roadnet.SegmentID {
+	seen := make([]bool, g.NumSegments())
+	seen[origin] = true
+	var order []roadnet.SegmentID
+	frontier := []roadnet.SegmentID{origin}
+	for len(frontier) > 0 {
+		var next []roadnet.SegmentID
+		for _, s := range frontier {
+			for _, nb := range g.Neighbors(s) {
+				if !seen[nb] {
+					seen[nb] = true
+					next = append(next, nb)
+				}
+			}
+		}
+		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
+		order = append(order, next...)
+		frontier = next
+	}
+	return order
+}
+
+// scanStops counts how the oracle's pass-2 scans ended.
+type scanStops struct{ full, midLevel, exhausted int }
+
+// fullScanPreassignment is NewPreassignment over fullScanOrder, argument
+// checks aside, plus a count of how each pass-2 scan stopped.
+func fullScanPreassignment(g *roadnet.Graph, t int) (*Preassignment, scanStops) {
+	e := g.NumSegments()
+	p := &Preassignment{
+		t:  t,
+		ft: make([][]roadnet.SegmentID, e),
+		bt: make([][]roadnet.SegmentID, e),
+	}
+	for i := 0; i < e; i++ {
+		p.ft[i] = newEmptyRow(t)
+		p.bt[i] = newEmptyRow(t)
+	}
+
+	place := func(s roadnet.SegmentID, sp roadnet.SegmentID) bool {
+		if contains(p.ft[s], sp) {
+			return false
+		}
+		j := firstCommonEmpty(p.ft[s], p.bt[sp])
+		if j < 0 {
+			return false
+		}
+		p.ft[s][j] = sp
+		p.bt[sp][j] = s
+		return true
+	}
+
+	// Pass 1: direct adjacencies.
+	for s := 0; s < e; s++ {
+		for _, sp := range g.Neighbors(roadnet.SegmentID(s)) {
+			if countFilled(p.ft[s]) >= t {
+				break
+			}
+			place(roadnet.SegmentID(s), sp)
+		}
+	}
+
+	// Pass 2: proximity order, as in Algorithm 1.
+	var stops scanStops
+	maxScan := maxScanFactor * t
+	for s := 0; s < e; s++ {
+		filled := countFilled(p.ft[s])
+		scanned := 0
+		order := fullScanOrder(g, roadnet.SegmentID(s))
+		for _, sp := range order {
+			if filled >= t || scanned >= maxScan {
+				break
+			}
+			scanned++
+			if place(roadnet.SegmentID(s), sp) {
+				filled++
+			}
+		}
+		switch {
+		case filled >= t:
+			stops.full++
+		case scanned < len(order) && hops(g, s, order[scanned]) == hops(g, s, order[scanned-1]):
+			stops.midLevel++
+		case scanned == len(order):
+			stops.exhausted++
+		}
+	}
+	return p, stops
+}
+
+func hops(g *roadnet.Graph, from int, to roadnet.SegmentID) int {
+	d, err := g.HopDistance(roadnet.SegmentID(from), to)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// twoComponents is a 3x3 grid beside a path of four segments, no road
+// between them: every scan runs out of its component before its cap.
+func twoComponents(t *testing.T) *roadnet.Graph {
+	t.Helper()
+	b := roadnet.NewBuilder(14, 16)
+	road := func(a, c roadnet.JunctionID) {
+		if _, err := b.AddSegment(a, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var grid [3][3]roadnet.JunctionID
+	for y := range grid {
+		for x := range grid[y] {
+			grid[y][x] = b.AddJunction(geom.Point{X: 100 * float64(x), Y: 100 * float64(y)})
+			if x > 0 {
+				road(grid[y][x-1], grid[y][x])
+			}
+			if y > 0 {
+				road(grid[y-1][x], grid[y][x])
+			}
+		}
+	}
+	prev := b.AddJunction(geom.Point{X: 1000})
+	for i := 1; i <= 4; i++ {
+		next := b.AddJunction(geom.Point{X: 1000 + 100*float64(i)})
+		road(prev, next)
+		prev = next
+	}
+	return b.Build()
+}
+
+// TestPreassignmentMatchesFullScan checks the bounded, level-by-level walk
+// against the full-graph one it replaced, row by row, over maps and list
+// lengths that end scans in all three ways: the list fills, the scan cap
+// cuts a hop level part-way, or the component runs out first.
+func TestPreassignmentMatchesFullScan(t *testing.T) {
+	fig, _, err := mapgen.FigureOne()
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := mapgen.Small([]byte(goldenSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*roadnet.Graph{"figure1": fig, "small": small, "two-components": twoComponents(t)}
+	for n := 3; n <= 8; n++ {
+		graphs[fmt.Sprintf("grid%dx%d", n, n)] = gridGraph(t, n, n)
+	}
+
+	// The oracle's NL itself: each reachable segment once, in hop order.
+	order := fullScanOrder(fig, 0)
+	if len(order) != fig.NumSegments()-1 {
+		t.Fatalf("figure1 NL(0) covers %d segments, want %d", len(order), fig.NumSegments()-1)
+	}
+	for i := 1; i < len(order); i++ {
+		if hops(fig, 0, order[i]) < hops(fig, 0, order[i-1]) {
+			t.Fatalf("figure1 NL(0) not monotone in hop distance at %d", order[i])
+		}
+	}
+
+	var all scanStops
+	for name, g := range graphs {
+		for _, listLen := range []int{1, 2, 4, 6, 8, 16, 64} {
+			got, err := NewPreassignment(g, listLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, stops := fullScanPreassignment(g, listLen)
+			all.full += stops.full
+			all.midLevel += stops.midLevel
+			all.exhausted += stops.exhausted
+			if name == "small" && listLen == 64 && stops.exhausted == 0 {
+				t.Errorf("small T=64: no scan ran out of its component")
+			}
+			for s := range want.ft {
+				if !slices.Equal(got.ft[s], want.ft[s]) || !slices.Equal(got.bt[s], want.bt[s]) {
+					t.Fatalf("%s T=%d segment %d: FT %v BT %v, full scan FT %v BT %v",
+						name, listLen, s, got.ft[s], got.bt[s], want.ft[s], want.bt[s])
+				}
+			}
+		}
+	}
+	if all.full == 0 || all.midLevel == 0 || all.exhausted == 0 {
+		t.Errorf("scan stops not all covered: %+v", all)
+	}
+}
+
+// tableDigest is SHA-256 over FT[s] then BT[s] for every segment in ID
+// order, each entry a little-endian uint32 (InvalidSegment is ffffffff);
+// the first 8 bytes in hex.
+func tableDigest(p *Preassignment) string {
+	h := sha256.New()
+	var b [4]byte
+	for s := range p.ft {
+		for _, row := range [][]roadnet.SegmentID{p.ft[s], p.bt[s]} {
+			for _, v := range row {
+				binary.LittleEndian.PutUint32(b[:], uint32(v))
+				h.Write(b[:])
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// TestPreassignmentDigest pins the tables of the maps the service builds by
+// default. Both sides of the protocol derive them independently, so they
+// must never move; never regenerate the digests to make a change pass.
+func TestPreassignmentDigest(t *testing.T) {
+	for _, c := range []struct {
+		preset string
+		t      int
+		want   string
+	}{
+		{"small", 16, "4793ab6f610b58e4"},
+		{"atlanta", 16, "b6f54009e1ca0d9b"},
+		{"atlanta", 6, "6318f04f3151b9bc"},
+	} {
+		if c.preset == "atlanta" && testing.Short() {
+			continue
+		}
+		g, err := mapgen.Preset(c.preset, []byte(goldenSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPreassignment(g, c.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tableDigest(p); got != c.want {
+			t.Errorf("%s T=%d: tables digest %s, want %s", c.preset, c.t, got, c.want)
+		}
 	}
 }
 

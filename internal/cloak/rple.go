@@ -13,8 +13,8 @@ import (
 // sides resolve the same slot.
 //
 // Eligibility additionally requires the candidate to be adjacent to the
-// current region, which keeps cloaking regions connected (a documented
-// design decision; see DESIGN.md §2.3).
+// current region, which keeps cloaking regions connected (a design
+// decision; see docs/ARCHITECTURE.md, "Inside the cloak engine").
 type rpleStepper struct {
 	pre   *Preassignment
 	draws draws

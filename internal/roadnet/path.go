@@ -3,7 +3,6 @@ package roadnet
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 )
 
 // pqItem is an entry in the Dijkstra priority queue.
@@ -148,40 +147,4 @@ func (g *Graph) HopDistance(from, to SegmentID) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("segment %d to %d: %w", from, to, ErrNoPath)
-}
-
-// SegmentsByHopDistance returns all segments reachable from the origin in
-// breadth-first order (nearest hops first), excluding the origin itself.
-// Ties within one hop level are ordered by SegmentID for determinism. This
-// is the proximity-ordered neighbour list NL of RPLE's Algorithm 1.
-func (g *Graph) SegmentsByHopDistance(origin SegmentID) []SegmentID {
-	if !g.HasSegment(origin) {
-		return nil
-	}
-	seen := make([]bool, len(g.segments))
-	seen[origin] = true
-	var order []SegmentID
-	frontier := []SegmentID{origin}
-	for len(frontier) > 0 {
-		var next []SegmentID
-		for _, s := range frontier {
-			for _, nb := range g.neighbors[s] {
-				if !seen[nb] {
-					seen[nb] = true
-					next = append(next, nb)
-				}
-			}
-		}
-		// neighbors lists are ID-sorted, but merging frontiers can interleave;
-		// sort the hop level for a canonical order.
-		sortSegmentIDs(next)
-		order = append(order, next...)
-		frontier = next
-	}
-	return order
-}
-
-// sortSegmentIDs sorts ids ascending in place.
-func sortSegmentIDs(ids []SegmentID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

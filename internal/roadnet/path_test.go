@@ -134,33 +134,6 @@ func TestHopDistance(t *testing.T) {
 	}
 }
 
-func TestSegmentsByHopDistance(t *testing.T) {
-	g := buildLadder(t)
-	order := g.SegmentsByHopDistance(0)
-	if len(order) != g.NumSegments()-1 {
-		t.Fatalf("order covers %d segments, want %d", len(order), g.NumSegments()-1)
-	}
-	seen := map[SegmentID]bool{0: true}
-	lastHop := 0
-	for _, sid := range order {
-		if seen[sid] {
-			t.Fatalf("segment %d appears twice", sid)
-		}
-		seen[sid] = true
-		hop, err := g.HopDistance(0, sid)
-		if err != nil {
-			t.Fatalf("HopDistance: %v", err)
-		}
-		if hop < lastHop {
-			t.Fatalf("order not monotone in hop distance at segment %d", sid)
-		}
-		lastHop = hop
-	}
-	if g.SegmentsByHopDistance(99) != nil {
-		t.Error("invalid origin should give nil")
-	}
-}
-
 func TestSortCanonical(t *testing.T) {
 	// Junctions placed so lengths differ: s0 len 10, s1 len 5, s2 len 10.
 	b := NewBuilder(4, 3)
