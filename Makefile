@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-engine test-benchmark test-full race bench bench-engine bench-smoke check-allocs staticcheck govulncheck fmt fmt-check vet ci linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
+.PHONY: all build test test-engine test-benchmark test-full race bench bench-engine bench-smoke experiments check-allocs staticcheck govulncheck fmt fmt-check vet ci linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
 
 all: build test
 
@@ -28,16 +28,16 @@ test-benchmark:
 test-engine:
 	$(GO) test ./internal/cloak
 
-# Full suite including the ~30s experiment harness (tier-1 verify).
+# Full suite, including the experiment-harness tests -short skips
+# (tier-1 verify).
 test-full:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race -short ./internal/anonymizer ./internal/anonymizer/repl ./internal/anonymizer/tenant ./internal/cloak
 
-# Full experiment harness + service throughput benchmarks (the nightly job).
-bench: bench-engine
-	$(GO) run ./cmd/reversecloak-bench -json bench-results.json
+# The paper's experiments + service throughput benchmarks (the nightly job).
+bench: bench-engine experiments
 	$(GO) test -run xxx -bench 'BenchmarkServerThroughput|BenchmarkAnonymizeBatch' -benchtime 2000x ./internal/anonymizer
 
 # The cloak engine alone at the paper's scale (atlanta, 10 000 cars, the
@@ -72,12 +72,21 @@ staticcheck:
 govulncheck:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-# Service experiments only, tiny iteration counts: fails fast on WAL /
-# fsync / group-commit regressions. This target is the one list of smoke
-# experiments — the CI bench-smoke job runs `make bench-smoke`.
+# The paper's experiments E5..E15 on the atlanta map with 10 000 cars,
+# about 5 s. EXPERIMENTS.json is checked in: rerun this target and commit
+# the diff when a change moves the paper's figures (the nightly CI job
+# uploads it too).
+experiments:
+	$(GO) run ./cmd/reversecloak-bench -json EXPERIMENTS.json
+
+# A smoke that the engine benchmarks still run (3x, not a measurement),
+# then one short mixed_dense leg of the end-to-end benchmark: a real serve
+# with fsync=always, group commit, snapshots and a kill -9 recovery drill.
+# It exits non-zero if any answer or the drill is wrong. About 30 s with
+# the build; the CI bench-smoke job runs `make bench-smoke`.
 bench-smoke:
-	$(GO) run ./cmd/reversecloak-bench -only E17,E18,E21,E22,E23 -trials 2 -junctions 400 -segments 540
 	$(MAKE) bench-engine BENCHTIME=3x
+	bash benchmark/run.sh -workload mixed_dense -seconds 1
 
 # Allocation regression gate over the wire hot path: allocs/op of the
 # pinned benchmarks against internal/anonymizer/testdata/alloc_baseline.json

@@ -9,6 +9,7 @@ import (
 
 	rc "github.com/reversecloak/reversecloak"
 	"github.com/reversecloak/reversecloak/internal/baseline"
+	"github.com/reversecloak/reversecloak/internal/bench"
 	"github.com/reversecloak/reversecloak/internal/cloak"
 	"github.com/reversecloak/reversecloak/internal/mapgen"
 	"github.com/reversecloak/reversecloak/internal/profile"
@@ -20,41 +21,15 @@ import (
 // benchSeed keys every benchmark deterministically.
 func benchSeed() []byte { return []byte("reversecloak-bench-seed-2017-001") }
 
-// benchEnv carries the shared benchmark fixtures.
-type benchEnv struct {
-	g    *roadnet.Graph
-	sim  *trace.Simulation
-	rge  *cloak.Engine
-	rple *cloak.Engine
-	pre  *cloak.Preassignment
-}
-
-// newBenchEnv builds a quarter-scale Atlanta workload.
-func newBenchEnv(b *testing.B) *benchEnv {
+// newBenchEnv builds the harness's environment: the paper's Atlanta NW
+// map with 10 000 cars.
+func newBenchEnv(b *testing.B) *bench.Env {
 	b.Helper()
-	g, err := mapgen.Generate(mapgen.Config{
-		Junctions: 1745, Segments: 2297, Spacing: 150, Seed: benchSeed(),
-	})
+	env, err := bench.NewEnv(bench.Options{Seed: benchSeed()})
 	if err != nil {
-		b.Fatalf("map: %v", err)
+		b.Fatalf("env: %v", err)
 	}
-	sim, err := trace.New(g, trace.Config{Cars: 2500, Seed: benchSeed()})
-	if err != nil {
-		b.Fatalf("trace: %v", err)
-	}
-	rge, err := cloak.NewEngine(g, sim.UsersOn, cloak.Options{Algorithm: cloak.RGE})
-	if err != nil {
-		b.Fatalf("rge: %v", err)
-	}
-	pre, err := cloak.NewPreassignment(g, cloak.DefaultTransitionListLength)
-	if err != nil {
-		b.Fatalf("pre: %v", err)
-	}
-	rple, err := cloak.NewEngine(g, sim.UsersOn, cloak.Options{Algorithm: cloak.RPLE, Pre: pre})
-	if err != nil {
-		b.Fatalf("rple: %v", err)
-	}
-	return &benchEnv{g: g, sim: sim, rge: rge, rple: rple, pre: pre}
+	return env
 }
 
 // benchKeys derives deterministic level keys.
@@ -80,7 +55,7 @@ func kProfile(k int) profile.Profile {
 }
 
 // anonymizeLoop drives an anonymize benchmark over rotating users.
-func anonymizeLoop(b *testing.B, env *benchEnv, eng *cloak.Engine, prof profile.Profile) {
+func anonymizeLoop(b *testing.B, eng *cloak.Engine, prof profile.Profile) {
 	b.Helper()
 	keys := benchKeys(len(prof.Levels))
 	users := []roadnet.SegmentID{50, 300, 700, 1100, 1500, 1900}
@@ -100,12 +75,12 @@ func anonymizeLoop(b *testing.B, env *benchEnv, eng *cloak.Engine, prof profile.
 // BenchmarkE5AnonymizeRGE / RPLE: the paper's headline trade-off, k=40.
 func BenchmarkE5AnonymizeRGE(b *testing.B) {
 	env := newBenchEnv(b)
-	anonymizeLoop(b, env, env.rge, kProfile(40))
+	anonymizeLoop(b, env.RGE, kProfile(40))
 }
 
 func BenchmarkE5AnonymizeRPLE(b *testing.B) {
 	env := newBenchEnv(b)
-	anonymizeLoop(b, env, env.rple, kProfile(40))
+	anonymizeLoop(b, env.RPLE, kProfile(40))
 }
 
 // BenchmarkE5PreassignmentBuild: RPLE's precomputation cost (its memory is
@@ -114,7 +89,7 @@ func BenchmarkE5PreassignmentBuild(b *testing.B) {
 	env := newBenchEnv(b)
 	b.ResetTimer()
 	for b.Loop() {
-		if _, err := cloak.NewPreassignment(env.g, cloak.DefaultTransitionListLength); err != nil {
+		if _, err := cloak.NewPreassignment(env.G, cloak.DefaultTransitionListLength); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,7 +110,7 @@ func BenchmarkE6Levels(b *testing.B) {
 				prof.Levels[i] = profile.Level{K: k, L: l}
 				k *= 2
 			}
-			anonymizeLoop(b, env, env.rge, prof)
+			anonymizeLoop(b, env.RGE, prof)
 		})
 	}
 }
@@ -145,9 +120,9 @@ func BenchmarkE7Deanonymize(b *testing.B) {
 	for _, algo := range []cloak.Algorithm{cloak.RGE, cloak.RPLE} {
 		b.Run(algo.String(), func(b *testing.B) {
 			env := newBenchEnv(b)
-			eng := env.rge
+			eng := env.RGE
 			if algo == cloak.RPLE {
-				eng = env.rple
+				eng = env.RPLE
 			}
 			prof := profile.Profile{Levels: []profile.Level{
 				{K: 10, L: 3}, {K: 20, L: 6}, {K: 40, L: 13},
@@ -173,7 +148,7 @@ func BenchmarkE8K(b *testing.B) {
 	for _, k := range []int{10, 40, 160} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			env := newBenchEnv(b)
-			anonymizeLoop(b, env, env.rge, kProfile(k))
+			anonymizeLoop(b, env.RGE, kProfile(k))
 		})
 	}
 }
@@ -183,20 +158,16 @@ func BenchmarkE8K(b *testing.B) {
 func BenchmarkE9ToleranceBounded(b *testing.B) {
 	env := newBenchEnv(b)
 	prof := profile.Profile{Levels: []profile.Level{{K: 40, L: 13, SigmaS: 2500}}}
-	anonymizeLoop(b, env, env.rge, prof)
+	anonymizeLoop(b, env.RGE, prof)
 }
 
 // BenchmarkE10TraceGeneration: the GTMobiSim-substitute workload cost.
 func BenchmarkE10TraceGeneration(b *testing.B) {
-	g, err := mapgen.Generate(mapgen.Config{
-		Junctions: 1745, Segments: 2297, Spacing: 150, Seed: benchSeed(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	env := newBenchEnv(b)
+	cars := env.Sim.NumCars()
 	b.ResetTimer()
 	for b.Loop() {
-		if _, err := trace.New(g, trace.Config{Cars: 2500, Seed: benchSeed()}); err != nil {
+		if _, err := trace.New(env.G, trace.Config{Cars: cars, Seed: benchSeed()}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,14 +187,14 @@ func BenchmarkE10MapGeneration(b *testing.B) {
 func BenchmarkE11AdversaryEnumerate(b *testing.B) {
 	env := newBenchEnv(b)
 	keys := benchKeys(1)
-	cr, _, err := env.rge.Anonymize(cloak.Request{UserSegment: 700, Profile: kProfile(20), Keys: keys})
+	cr, _, err := env.RGE.Anonymize(cloak.Request{UserSegment: 700, Profile: kProfile(20), Keys: keys})
 	if err != nil {
 		b.Fatal(err)
 	}
 	guess := benchKeys(2)[1]
 	b.ResetTimer()
 	for b.Loop() {
-		if _, err := cloak.EnumerateReversals(env.g, cloak.RGE, nil, cr.Segments,
+		if _, err := cloak.EnumerateReversals(env.G, cloak.RGE, nil, cr.Segments,
 			cr.Levels[0].Steps, guess, 1, cr.Levels[0].Salt, 0, 128); err != nil {
 			b.Fatal(err)
 		}
@@ -233,12 +204,12 @@ func BenchmarkE11AdversaryEnumerate(b *testing.B) {
 // BenchmarkE12QueryCloaked: anonymous range query over a cloaked region.
 func BenchmarkE12QueryCloaked(b *testing.B) {
 	env := newBenchEnv(b)
-	pois, err := query.GeneratePOIs(env.g, 500, benchSeed())
+	pois, err := query.GeneratePOIs(env.G, 500, benchSeed())
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix := query.NewIndex(env.g, pois)
-	cr, _, err := env.rge.Anonymize(cloak.Request{UserSegment: 700, Profile: kProfile(40), Keys: benchKeys(1)})
+	ix := query.NewIndex(env.G, pois)
+	cr, _, err := env.RGE.Anonymize(cloak.Request{UserSegment: 700, Profile: kProfile(40), Keys: benchKeys(1)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -255,7 +226,7 @@ func BenchmarkE13RandomExpansion(b *testing.B) {
 	env := newBenchEnv(b)
 	b.ResetTimer()
 	for b.Loop() {
-		if _, err := baseline.RandomExpansion(env.g, env.sim.UsersOn, 700,
+		if _, err := baseline.RandomExpansion(env.G, env.Sim.UsersOn, 700,
 			profile.Level{K: 40, L: 13}, benchSeed()); err != nil {
 			b.Fatal(err)
 		}
@@ -271,7 +242,7 @@ func BenchmarkE13NaiveAnonymize(b *testing.B) {
 	keys := benchKeys(3)
 	b.ResetTimer()
 	for b.Loop() {
-		if _, err := baseline.NaiveAnonymize(env.g, env.sim.UsersOn, 700, prof, keys); err != nil {
+		if _, err := baseline.NaiveAnonymize(env.G, env.Sim.UsersOn, 700, prof, keys); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,21 +19,20 @@ import (
 var ErrStoreClosed = errors.New("anonymizer: store closed")
 
 // FsyncPolicy selects when the durable store forces WAL appends to disk.
-// The policy is the store's durability/throughput dial: E17 in the bench
-// harness measures the cost of each setting, and E18 measures how much of
-// the fsync=always tax group commit recovers.
+// The policy is the store's durability/throughput dial.
 type FsyncPolicy int
 
 // Fsync policies.
 const (
-	// FsyncInterval (the default) syncs dirty shards from a background
+	// FsyncInterval (the default) syncs the dirty log from a background
 	// goroutine every fsync interval: a crash loses at most the last
 	// interval's acknowledgements, at near-in-memory throughput.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways syncs every record to disk before the operation is
 	// acknowledged: no acked registration is ever lost. Concurrent
-	// mutations on a shard coalesce into one fsync per cohort (group
-	// commit), so the per-operation tax shrinks as concurrency grows.
+	// mutations on every shard coalesce into one fsync per cohort of the
+	// store-wide log (group commit), so the per-operation tax shrinks as
+	// concurrency grows.
 	FsyncAlways
 	// FsyncNever leaves flushing to the operating system: the log still
 	// survives process crashes (the kernel holds the pages), but not

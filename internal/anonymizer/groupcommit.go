@@ -14,7 +14,7 @@ import (
 // on behalf of everything appended so far — ACROSS EVERY SHARD, which is
 // the point of the single-log layout: the per-shard engine ran one such
 // cohort per shard and the N fsyncs serialized in the filesystem
-// journal, so shard count multiplied the floor latency (E18/E21). While
+// journal, so shard count multiplied the floor latency. While
 // the leader's fsync runs, later appenders keep journaling and form the
 // next cohort.
 //

@@ -24,7 +24,7 @@ import (
 // consume need no file of their own. The point of the single journal is
 // group commit: with one file there is one fsync per cohort for the
 // WHOLE store, where one log per shard pays one fsync per shard and
-// watches them serialize in the filesystem journal (E18).
+// watches them serialize in the filesystem journal.
 //
 // Invariants the rest of the engine leans on:
 //

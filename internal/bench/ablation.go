@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -47,8 +48,8 @@ func E14TagAblation(env *Env) (*metrics.Table, error) {
 		tab.AddRow(
 			fmt.Sprintf("%d", k),
 			fmt.Sprintf("%d/%d", tagged, succ),
-			fmt.Sprintf("%.0f", metaBytes.Mean()),
-			metrics.FormatDuration(time.Duration(deanTime.Mean()*float64(time.Second))),
+			meanOf("%.0f", metaBytes),
+			meanDuration(deanTime),
 			fmt.Sprintf("%d/%d", succ, len(users)),
 		)
 	}
@@ -58,7 +59,7 @@ func E14TagAblation(env *Env) (*metrics.Table, error) {
 // levelMetaBytes measures the serialized metadata (levels only, not the
 // segment set) of a region.
 func levelMetaBytes(cr *cloak.CloakedRegion) int {
-	raw, err := jsonMarshal(cr.Levels)
+	raw, err := json.Marshal(cr.Levels)
 	if err != nil {
 		return 0
 	}
@@ -102,7 +103,7 @@ func E15ListLengthAblation(env *Env) (*metrics.Table, error) {
 		tab.AddRow(
 			fmt.Sprintf("%d", t),
 			fmt.Sprintf("%.0f%%", 100*float64(succ)/float64(len(users))),
-			metrics.FormatDuration(time.Duration(tm.Mean()*float64(time.Second))),
+			meanDuration(tm),
 			metrics.FormatBytes(pre.MemoryBytes()),
 		)
 	}

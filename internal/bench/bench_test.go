@@ -5,26 +5,24 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"github.com/reversecloak/reversecloak/internal/mapgen"
+	"github.com/reversecloak/reversecloak/internal/metrics"
 )
 
 func seed() []byte { return []byte("bench-test-seed-0123456789abcdef") }
 
-// smallOpts keeps harness tests fast.
-func smallOpts() Options {
-	return Options{
-		Seed:      seed(),
-		Junctions: 300,
-		Segments:  395,
-		Cars:      430,
-		Trials:    4,
-	}
-}
-
-func testEnv(t *testing.T) *Env {
+// testEnv builds the harness on the small map, cars at the paper's density,
+// to keep harness tests fast.
+func testEnv(t *testing.T, trials int) *Env {
 	t.Helper()
-	env, err := NewEnv(smallOpts())
+	g, err := mapgen.Small(seed())
 	if err != nil {
-		t.Fatalf("NewEnv: %v", err)
+		t.Fatalf("map: %v", err)
+	}
+	env, err := newEnv(g, Options{Seed: seed(), Trials: trials})
+	if err != nil {
+		t.Fatalf("newEnv: %v", err)
 	}
 	return env
 }
@@ -33,12 +31,17 @@ func TestNewEnvDefaults(t *testing.T) {
 	if _, err := NewEnv(Options{}); err == nil {
 		t.Error("missing seed must fail")
 	}
-	env := testEnv(t)
-	if env.G.NumJunctions() != 300 || env.G.NumSegments() != 395 {
-		t.Errorf("env sized %d/%d", env.G.NumJunctions(), env.G.NumSegments())
+	// The harness's one scale is the paper's setup.
+	env, err := NewEnv(Options{Seed: seed()})
+	if err != nil {
+		t.Fatalf("NewEnv: %v", err)
 	}
-	if env.Sim.NumCars() != 430 {
-		t.Errorf("cars = %d", env.Sim.NumCars())
+	if env.G.NumJunctions() != 6979 || env.G.NumSegments() != 9187 || env.Sim.NumCars() != 10000 {
+		t.Errorf("env sized %d/%d/%d, want 6979/9187/10000",
+			env.G.NumJunctions(), env.G.NumSegments(), env.Sim.NumCars())
+	}
+	if env.Opts.Trials != 15 {
+		t.Errorf("trials = %d, want 15", env.Opts.Trials)
 	}
 	if env.PreBuildTime <= 0 {
 		t.Error("preassignment build time missing")
@@ -46,10 +49,15 @@ func TestNewEnvDefaults(t *testing.T) {
 	if env.Engine(0) != env.RGE || env.Engine(2) != env.RPLE {
 		t.Error("Engine dispatch wrong")
 	}
+	// A smaller map keeps the paper's density: 527 segments, 573 cars.
+	small := testEnv(t, 4)
+	if small.G.NumSegments() != 527 || small.Sim.NumCars() != 573 {
+		t.Errorf("small env sized %d segments / %d cars", small.G.NumSegments(), small.Sim.NumCars())
+	}
 }
 
 func TestSampleUsersDeterministic(t *testing.T) {
-	env := testEnv(t)
+	env := testEnv(t, 4)
 	a := env.SampleUsers(5, "x")
 	b := env.SampleUsers(5, "x")
 	for i := range a {
@@ -75,8 +83,8 @@ func TestExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness run skipped in -short mode")
 	}
-	env := testEnv(t)
-	for _, ex := range Experiments(false) {
+	env := testEnv(t, 4)
+	for _, ex := range Experiments() {
 		ex := ex
 		t.Run(ex.ID, func(t *testing.T) {
 			tab, err := ex.Run(env)
@@ -96,15 +104,13 @@ func TestRunAllStreamsEverything(t *testing.T) {
 		t.Skip("harness run skipped in -short mode")
 	}
 	var buf, jsonBuf bytes.Buffer
-	opts := smallOpts()
-	opts.Trials = 3
-	// One run covers both surfaces: RunAllJSON streams the same tables as
-	// RunAll while collecting the machine-readable artifact.
-	if err := RunAllJSON(&buf, &jsonBuf, opts, false); err != nil {
-		t.Fatalf("RunAllJSON: %v", err)
+	// One run covers both surfaces: the tables streamed as text and the
+	// machine-readable artifact.
+	if err := runAll(&buf, &jsonBuf, testEnv(t, 3), 0); err != nil {
+		t.Fatalf("runAll: %v", err)
 	}
 	out := buf.String()
-	ids := []string{"E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19", "E21", "E22", "E23"}
+	ids := []string{"E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15"}
 	for _, id := range ids {
 		if !strings.Contains(out, "["+id+" completed") {
 			t.Errorf("missing experiment %s in output", id)
@@ -114,6 +120,9 @@ func TestRunAllStreamsEverything(t *testing.T) {
 	if err := json.Unmarshal(jsonBuf.Bytes(), &set); err != nil {
 		t.Fatalf("results artifact is not valid JSON: %v", err)
 	}
+	if set.Segments != 527 || set.Cars != 573 || set.Trials != 3 {
+		t.Errorf("artifact environment %d segments / %d cars / %d trials", set.Segments, set.Cars, set.Trials)
+	}
 	if len(set.Experiments) != len(ids) {
 		t.Fatalf("artifact has %d experiments, want %d", len(set.Experiments), len(ids))
 	}
@@ -121,51 +130,56 @@ func TestRunAllStreamsEverything(t *testing.T) {
 		if res.ID != ids[i] {
 			t.Errorf("experiment %d = %s, want %s", i, res.ID, ids[i])
 		}
-		if len(res.Rows) == 0 && res.Text == "" {
-			t.Errorf("%s: artifact entry carries neither rows nor text", res.ID)
+		if len(res.Rows) == 0 || len(res.Headers) != len(res.Rows[0]) {
+			t.Errorf("%s: artifact entry has %d rows under %d headers", res.ID, len(res.Rows), len(res.Headers))
 		}
 	}
-	// E16 swept four client counts, E17 compared four store configs, and
-	// E18 swept four writer counts.
-	for _, res := range set.Experiments[len(set.Experiments)-7 : len(set.Experiments)-4] {
-		if len(res.Rows) != 4 {
-			t.Errorf("%s has %d rows, want 4", res.ID, len(res.Rows))
-		}
+	// Without a JSON writer only the text is written.
+	var textOnly bytes.Buffer
+	if err := runAll(&textOnly, nil, testEnv(t, 1), 0); err != nil {
+		t.Fatalf("runAll without JSON: %v", err)
 	}
-	// E19 swept three writer counts against the replicated pair.
-	if e19 := set.Experiments[len(set.Experiments)-4]; len(e19.Rows) != 3 {
-		t.Errorf("E19 has %d rows, want 3", len(e19.Rows))
-	}
-	// E21 crossed four writer counts with three shard counts.
-	if e21 := set.Experiments[len(set.Experiments)-3]; len(e21.Rows) != 12 {
-		t.Errorf("E21 has %d rows, want 12", len(e21.Rows))
-	}
-	// E22 compared the stored-key and derived-key record shapes.
-	if e22 := set.Experiments[len(set.Experiments)-2]; len(e22.Rows) != 2 {
-		t.Errorf("E22 has %d rows, want 2", len(e22.Rows))
-	}
-	// E23 crossed three cache budgets with two skews.
-	if e23 := set.Experiments[len(set.Experiments)-1]; len(e23.Rows) != 6 {
-		t.Errorf("E23 has %d rows, want 6", len(e23.Rows))
+	if !strings.Contains(textOnly.String(), "[E15 completed") {
+		t.Error("text-only run is missing E15")
 	}
 }
 
-// TestRunAllOnlyFilter pins the -only experiment selection used by the CI
-// bench-smoke step: requested IDs run in order, unknown IDs fail loudly.
-func TestRunAllOnlyFilter(t *testing.T) {
-	all := Experiments(false)
-	sel, err := selectExperiments(all, []string{"E17", "E18"})
+// TestEmptyCellsRenderAsDash pins that a mean over no samples never reads
+// as a zero-cost measurement: a row with no successes shows "-".
+func TestEmptyCellsRenderAsDash(t *testing.T) {
+	var none, some metrics.Stats
+	some.Add(2.5)
+	if got := meanDuration(none); got != "-" {
+		t.Errorf("meanDuration(no samples) = %q, want -", got)
+	}
+	if got := meanOf("%.1f", none); got != "-" {
+		t.Errorf("meanOf(no samples) = %q, want -", got)
+	}
+	if got := meanOf("%.1f", some); got != "2.5" {
+		t.Errorf("meanOf(2.5) = %q", got)
+	}
+	// With no users sampled no request succeeds: E8's rows and E11's
+	// "mean chains when accepted" have nothing to average.
+	env := testEnv(t, 1)
+	env.Opts.Trials = 0
+	e8, err := E8KSweep(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel) != 2 || sel[0].ID != "E17" || sel[1].ID != "E18" {
-		t.Fatalf("selected %v", sel)
+	for _, row := range e8.Rows() {
+		want := []string{row[0], "-", "-", "-", "-", "0/0"}
+		if strings.Join(row, "|") != strings.Join(want, "|") {
+			t.Errorf("E8 row with no successes reads %q, want %q", row, want)
+		}
 	}
-	if sel, err = selectExperiments(all, nil); err != nil || len(sel) != len(all) {
-		t.Fatalf("empty filter: %d experiments, %v", len(sel), err)
+	e11, err := E11Adversary(env)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := selectExperiments(all, []string{"E99"}); err == nil {
-		t.Error("unknown experiment id must fail")
+	for _, row := range e11.Rows() {
+		if row[0] == "mean chains when accepted" && (row[1] != "-" || row[2] != "-") {
+			t.Errorf("E11 mean chains with nothing accepted reads %q", row)
+		}
 	}
 }
 
@@ -183,7 +197,7 @@ func TestUniformProfileShape(t *testing.T) {
 }
 
 func TestKeyHelpers(t *testing.T) {
-	env := testEnv(t)
+	env := testEnv(t, 4)
 	ks := env.keysFor("t", 3)
 	if len(ks) != 3 {
 		t.Fatalf("keys = %d", len(ks))

@@ -1,8 +1,7 @@
-// Package bench is the experiment harness: it regenerates every evaluation
-// artifact of the paper (the list is Experiments) as printed tables,
-// using the same workload model as the paper's demonstration (synthetic
-// Atlanta-scale road network, Gaussian car placement, shortest-path
-// routing).
+// Package bench is the experiment harness: it regenerates the paper's
+// evaluation artifacts (the list is Experiments) as printed tables, on the
+// paper's setup — the synthetic Atlanta NW road network (6979 junctions,
+// 9187 segments) with 10 000 cars placed by Gaussian distribution.
 //
 // Experiments are deterministic given Options.Seed.
 package bench
@@ -13,6 +12,7 @@ import (
 
 	"github.com/reversecloak/reversecloak/internal/cloak"
 	"github.com/reversecloak/reversecloak/internal/mapgen"
+	"github.com/reversecloak/reversecloak/internal/metrics"
 	"github.com/reversecloak/reversecloak/internal/prng"
 	"github.com/reversecloak/reversecloak/internal/profile"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
@@ -23,42 +23,13 @@ import (
 type Options struct {
 	// Seed drives every random choice. Required.
 	Seed []byte
-	// Junctions / Segments size the evaluation network. Defaults: a
-	// quarter-scale Atlanta (1745 junctions, 2297 segments) to keep a full
-	// harness run under a minute; pass the full 6979/9187 for paper scale.
-	Junctions, Segments int
-	// Cars sizes the workload; defaults to ~1.09 cars per segment, the
-	// paper's 10,000-cars-on-9,187-segments density.
-	Cars int
 	// Trials is the number of sampled users per table cell. Default 15.
 	Trials int
-	// ListLength is RPLE's T. Default cloak.DefaultTransitionListLength.
-	ListLength int
-	// Only restricts a harness run to these experiment IDs (e.g. "E17");
-	// empty runs everything. CI's bench-smoke step uses it to run just
-	// the durability experiments with tiny trial counts.
-	Only []string
 }
 
-// withDefaults fills zero fields.
-func (o Options) withDefaults() Options {
-	if o.Junctions == 0 {
-		o.Junctions = 1745
-	}
-	if o.Segments == 0 {
-		o.Segments = 2297
-	}
-	if o.Cars == 0 {
-		o.Cars = int(float64(o.Segments) * 1.088)
-	}
-	if o.Trials == 0 {
-		o.Trials = 15
-	}
-	if o.ListLength == 0 {
-		o.ListLength = cloak.DefaultTransitionListLength
-	}
-	return o
-}
+// The paper's workload density: 10 000 cars on Atlanta NW's 9 187
+// segments.
+const paperCars, paperSegments = 10000, 9187
 
 // Env is the shared experimental environment: one network, one workload,
 // one engine per algorithm.
@@ -73,22 +44,26 @@ type Env struct {
 	PreBuildTime time.Duration
 }
 
-// NewEnv builds the environment.
+// NewEnv builds the paper's environment: mapgen.AtlantaNW with 10 000
+// cars, the map `serve -map atlanta` and the benchmark use.
 func NewEnv(opts Options) (*Env, error) {
-	opts = opts.withDefaults()
 	if len(opts.Seed) == 0 {
 		return nil, fmt.Errorf("bench: seed is required")
 	}
-	g, err := mapgen.Generate(mapgen.Config{
-		Junctions: opts.Junctions,
-		Segments:  opts.Segments,
-		Spacing:   150,
-		Seed:      opts.Seed,
-	})
+	g, err := mapgen.AtlantaNW(opts.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("bench: map: %w", err)
 	}
-	sim, err := trace.New(g, trace.Config{Cars: opts.Cars, Seed: opts.Seed})
+	return newEnv(g, opts)
+}
+
+// newEnv builds the environment on g, with cars at the paper's density.
+func newEnv(g *roadnet.Graph, opts Options) (*Env, error) {
+	if opts.Trials == 0 {
+		opts.Trials = 15
+	}
+	cars := g.NumSegments() * paperCars / paperSegments
+	sim, err := trace.New(g, trace.Config{Cars: cars, Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("bench: workload: %w", err)
 	}
@@ -99,7 +74,7 @@ func NewEnv(opts Options) (*Env, error) {
 		return nil, fmt.Errorf("bench: RGE engine: %w", err)
 	}
 	start := time.Now()
-	pre, err := cloak.NewPreassignment(g, opts.ListLength)
+	pre, err := cloak.NewPreassignment(g, cloak.DefaultTransitionListLength)
 	if err != nil {
 		return nil, fmt.Errorf("bench: preassignment: %w", err)
 	}
@@ -171,4 +146,24 @@ func keyMap(ks [][]byte) map[int][]byte {
 		out[i+1] = k
 	}
 	return out
+}
+
+// noSamples is what a mean over no samples renders as, so an empty cell
+// never reads as a zero-cost measurement.
+const noSamples = "-"
+
+// meanDuration renders the mean of duration samples (in seconds).
+func meanDuration(s metrics.Stats) string {
+	if s.N() == 0 {
+		return noSamples
+	}
+	return metrics.FormatDuration(time.Duration(s.Mean() * float64(time.Second)))
+}
+
+// meanOf renders the mean of s with format.
+func meanOf(format string, s metrics.Stats) string {
+	if s.N() == 0 {
+		return noSamples
+	}
+	return fmt.Sprintf(format, s.Mean())
 }

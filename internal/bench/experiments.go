@@ -40,14 +40,14 @@ func E5TimeMemory(env *Env) (*metrics.Table, error) {
 			tRGE.AddDuration(dG)
 			tRPLE.AddDuration(dP)
 		}
-		ratio := "n/a"
-		if tRPLE.Mean() > 0 {
+		ratio := noSamples
+		if succ > 0 {
 			ratio = fmt.Sprintf("%.2fx", tRGE.Mean()/tRPLE.Mean())
 		}
 		tab.AddRow(
 			fmt.Sprintf("%d", k),
-			metrics.FormatDuration(time.Duration(tRGE.Mean()*float64(time.Second))),
-			metrics.FormatDuration(time.Duration(tRPLE.Mean()*float64(time.Second))),
+			meanDuration(tRGE),
+			meanDuration(tRPLE),
 			ratio,
 			fmt.Sprintf("%d/%d", succ, len(users)),
 		)
@@ -91,9 +91,9 @@ func E6Levels(env *Env) (*metrics.Table, error) {
 		}
 		tab.AddRow(
 			fmt.Sprintf("%d", n+1), // including L0
-			metrics.FormatDuration(time.Duration(tRGE.Mean()*float64(time.Second))),
-			metrics.FormatDuration(time.Duration(tRPLE.Mean()*float64(time.Second))),
-			fmt.Sprintf("%.1f", size.Mean()),
+			meanDuration(tRGE),
+			meanDuration(tRPLE),
+			meanOf("%.1f", size),
 			fmt.Sprintf("%d/%d", succ, len(users)),
 		)
 	}
@@ -144,9 +144,9 @@ func E7Deanonymization(env *Env) (*metrics.Table, error) {
 		}
 		tab.AddRow(
 			fmt.Sprintf("L%d", toLevel),
-			metrics.FormatDuration(time.Duration(tRGE.Mean()*float64(time.Second))),
-			metrics.FormatDuration(time.Duration(tRPLE.Mean()*float64(time.Second))),
-			fmt.Sprintf("%.1f", left.Mean()),
+			meanDuration(tRGE),
+			meanDuration(tRPLE),
+			meanOf("%.1f", left),
 			fmt.Sprintf("%d/%d", len(samples), len(users)),
 		)
 	}
@@ -158,7 +158,7 @@ func E7Deanonymization(env *Env) (*metrics.Table, error) {
 func E8KSweep(env *Env) (*metrics.Table, error) {
 	tab := metrics.NewTable(
 		"E8: effect of delta_k (single level, unbounded tolerance)",
-		"k", "RGE mean", "region segs", "extent m", "rel. anonymity")
+		"k", "RGE mean", "region segs", "extent m", "rel. anonymity", "successes")
 	for _, k := range []int{10, 20, 40, 80, 160} {
 		var t, size, extent, rel metrics.Stats
 		users := env.SampleUsers(env.Opts.Trials, fmt.Sprintf("e8/%d", k))
@@ -178,10 +178,11 @@ func E8KSweep(env *Env) (*metrics.Table, error) {
 		}
 		tab.AddRow(
 			fmt.Sprintf("%d", k),
-			metrics.FormatDuration(time.Duration(t.Mean()*float64(time.Second))),
-			fmt.Sprintf("%.1f", size.Mean()),
-			fmt.Sprintf("%.0f", extent.Mean()),
-			fmt.Sprintf("%.2f", rel.Mean()),
+			meanDuration(t),
+			meanOf("%.1f", size),
+			meanOf("%.0f", extent),
+			meanOf("%.2f", rel),
+			fmt.Sprintf("%d/%d", t.N(), len(users)),
 		)
 	}
 	return tab, nil
@@ -221,8 +222,8 @@ func E9Tolerance(env *Env) (*metrics.Table, error) {
 		tab.AddRow(
 			label,
 			fmt.Sprintf("%.0f%%", 100*float64(succ)/float64(len(users))),
-			metrics.FormatDuration(time.Duration(t.Mean()*float64(time.Second))),
-			fmt.Sprintf("%.1f", size.Mean()),
+			meanDuration(t),
+			meanOf("%.1f", size),
 		)
 	}
 	return tab, nil

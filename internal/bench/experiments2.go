@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -8,36 +9,22 @@ import (
 
 	"github.com/reversecloak/reversecloak/internal/baseline"
 	"github.com/reversecloak/reversecloak/internal/cloak"
-	"github.com/reversecloak/reversecloak/internal/mapgen"
 	"github.com/reversecloak/reversecloak/internal/metrics"
 	"github.com/reversecloak/reversecloak/internal/prng"
 	"github.com/reversecloak/reversecloak/internal/query"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
-	"github.com/reversecloak/reversecloak/internal/trace"
 )
 
 // E10Workload validates the workload substrate against the paper's setup:
 // "a real road network map of northwest part of Atlanta, involving 6979
 // junctions and 9187 segments ... 10,000 cars randomly generated along the
 // roads based on Gaussian distribution."
-func E10Workload(env *Env, fullScale bool) (*metrics.Table, error) {
+func E10Workload(env *Env) (*metrics.Table, error) {
 	tab := metrics.NewTable(
 		"E10: workload substrate vs paper",
 		"quantity", "paper", "reproduced")
 
 	g, sim := env.G, env.Sim
-	if fullScale {
-		fg, err := mapgen.AtlantaNW(env.Opts.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("bench: E10 map: %w", err)
-		}
-		fsim, err := trace.New(fg, trace.Config{Cars: 10000, Seed: env.Opts.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("bench: E10 trace: %w", err)
-		}
-		g, sim = fg, fsim
-	}
-
 	counts := sim.Counts()
 	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
 	var total, occupied, topDecile int
@@ -50,11 +37,7 @@ func E10Workload(env *Env, fullScale bool) (*metrics.Table, error) {
 			topDecile += c
 		}
 	}
-	scale := "quarter-scale"
-	if fullScale {
-		scale = "full-scale"
-	}
-	tab.AddRow("scale", "Atlanta NW (USGS)", scale+" synthetic")
+	tab.AddRow("map", "Atlanta NW (USGS)", "synthetic")
 	tab.AddRow("junctions", "6979", fmt.Sprintf("%d", g.NumJunctions()))
 	tab.AddRow("segments", "9187", fmt.Sprintf("%d", g.NumSegments()))
 	tab.AddRow("cars", "10000", fmt.Sprintf("%d", sim.NumCars()))
@@ -148,7 +131,7 @@ func E11Adversary(env *Env) (*metrics.Table, error) {
 	tab.AddRow("guessed keys rejected", pct(tg.rejected, tg.trials), pct(tp.rejected, tp.trials))
 	tab.AddRow("keys yielding chains", pct(tg.accepted, tg.trials), pct(tp.accepted, tp.trials))
 	tab.AddRow("mean chains when accepted",
-		fmt.Sprintf("%.1f", tg.chains.Mean()), fmt.Sprintf("%.1f", tp.chains.Mean()))
+		meanOf("%.1f", tg.chains), meanOf("%.1f", tp.chains))
 	tab.AddRow("true chain recovered", pct(tg.truthHits, tg.trials), pct(tp.truthHits, tp.trials))
 	return tab, nil
 }
@@ -214,9 +197,9 @@ func E12QueryQoS(env *Env) (*metrics.Table, error) {
 	for lv := 0; lv <= n; lv++ {
 		tab.AddRow(
 			fmt.Sprintf("L%d", lv),
-			fmt.Sprintf("%.1f", sizes[lv].Mean()),
-			fmt.Sprintf("%.1f", cands[lv].Mean()),
-			fmt.Sprintf("%.2fx", overs[lv].Mean()),
+			meanOf("%.1f", sizes[lv]),
+			meanOf("%.1f", cands[lv]),
+			meanOf("%.2fx", overs[lv]),
 		)
 	}
 	return tab, nil
@@ -262,19 +245,16 @@ func E13Baselines(env *Env) (*metrics.Table, error) {
 		bRC.Add(float64(regionJSONBytes(crG)))
 		bNaive.Add(float64(np.Bytes()))
 	}
-	fd := func(s metrics.Stats) string {
-		return metrics.FormatDuration(time.Duration(s.Mean() * float64(time.Second)))
-	}
-	tab.AddRow("ReverseCloak RGE", fd(tRGE), fmt.Sprintf("%.0f", bRC.Mean()), "yes (keyed, in place)")
-	tab.AddRow("ReverseCloak RPLE", fd(tRPLE), fmt.Sprintf("%.0f", bRC.Mean()), "yes (keyed, in place)")
-	tab.AddRow("random expansion [9]", fd(tRand), "region only", "no")
-	tab.AddRow("naive encrypted lists", fd(tNaive), fmt.Sprintf("%.0f", bNaive.Mean()), "yes (payload grows)")
+	tab.AddRow("ReverseCloak RGE", meanDuration(tRGE), meanOf("%.0f", bRC), "yes (keyed, in place)")
+	tab.AddRow("ReverseCloak RPLE", meanDuration(tRPLE), meanOf("%.0f", bRC), "yes (keyed, in place)")
+	tab.AddRow("random expansion [9]", meanDuration(tRand), "region only", "no")
+	tab.AddRow("naive encrypted lists", meanDuration(tNaive), meanOf("%.0f", bNaive), "yes (payload grows)")
 	return tab, nil
 }
 
 // regionJSONBytes measures the published size of a cloaked region.
 func regionJSONBytes(cr *cloak.CloakedRegion) int {
-	raw, err := jsonMarshal(cr)
+	raw, err := json.Marshal(cr)
 	if err != nil {
 		return 0
 	}

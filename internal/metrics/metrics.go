@@ -1,22 +1,19 @@
 // Package metrics provides the statistics and table rendering used by the
-// experiment harness: streaming moment accumulation (Welford), percentile
-// snapshots, and fixed-width table output matching the rows the paper's
-// evaluation reports.
+// experiment harness: a streaming mean with extrema, and fixed-width table
+// output matching the rows the paper's evaluation reports.
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"time"
 )
 
-// Stats accumulates a stream of float64 samples with O(1) memory using
-// Welford's online algorithm. The zero value is ready to use.
+// Stats accumulates a stream of float64 samples with O(1) memory. The
+// zero value is ready to use.
 type Stats struct {
 	n          int
-	mean, m2   float64
+	mean       float64
 	min, max   float64
 	hasExtrema bool
 }
@@ -24,9 +21,7 @@ type Stats struct {
 // Add records one sample.
 func (s *Stats) Add(x float64) {
 	s.n++
-	delta := x - s.mean
-	s.mean += delta / float64(s.n)
-	s.m2 += delta * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 	if !s.hasExtrema || x < s.min {
 		s.min = x
 	}
@@ -45,17 +40,6 @@ func (s *Stats) N() int { return s.n }
 // Mean returns the sample mean (0 with no samples).
 func (s *Stats) Mean() float64 { return s.mean }
 
-// Var returns the unbiased sample variance (0 with fewer than 2 samples).
-func (s *Stats) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Stats) Std() float64 { return math.Sqrt(s.Var()) }
-
 // Min returns the smallest sample (0 with no samples).
 func (s *Stats) Min() float64 {
 	if !s.hasExtrema {
@@ -70,36 +54,6 @@ func (s *Stats) Max() float64 {
 		return 0
 	}
 	return s.max
-}
-
-// Quantiles computes exact quantiles over a retained sample slice. It is a
-// helper for the harness, which keeps its (small) sample sets in memory.
-func Quantiles(samples []float64, qs ...float64) []float64 {
-	if len(samples) == 0 {
-		return make([]float64, len(qs))
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if q <= 0 {
-			out[i] = sorted[0]
-			continue
-		}
-		if q >= 1 {
-			out[i] = sorted[len(sorted)-1]
-			continue
-		}
-		pos := q * float64(len(sorted)-1)
-		lo := int(pos)
-		frac := pos - float64(lo)
-		if lo+1 < len(sorted) {
-			out[i] = sorted[lo]*(1-frac) + sorted[lo+1]*frac
-		} else {
-			out[i] = sorted[lo]
-		}
-	}
-	return out
 }
 
 // Table renders fixed-width experiment tables.
@@ -124,9 +78,6 @@ func (t *Table) AddRow(cells ...string) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // Title returns the table's title.
 func (t *Table) Title() string { return t.title }
@@ -180,31 +131,6 @@ func (t *Table) String() string {
 	writeRow(rule)
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (no title).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cells := make([]string, len(t.headers))
-	for i, h := range t.headers {
-		cells[i] = esc(h)
-	}
-	b.WriteString(strings.Join(cells, ","))
-	b.WriteByte('\n')
-	for _, row := range t.rows {
-		for i, c := range row {
-			cells[i] = esc(c)
-		}
-		b.WriteString(strings.Join(cells, ","))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

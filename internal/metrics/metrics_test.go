@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +8,7 @@ import (
 
 func TestStatsBasics(t *testing.T) {
 	var s Stats
-	if s.N() != 0 || s.Mean() != 0 || s.Std() != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Error("zero-value stats should report zeros")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -21,10 +20,6 @@ func TestStatsBasics(t *testing.T) {
 	if s.Mean() != 5 {
 		t.Errorf("Mean = %v, want 5", s.Mean())
 	}
-	// Sample std of this classic dataset is sqrt(32/7).
-	if want := math.Sqrt(32.0 / 7.0); math.Abs(s.Std()-want) > 1e-9 {
-		t.Errorf("Std = %v, want %v", s.Std(), want)
-	}
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Errorf("extrema = %v..%v", s.Min(), s.Max())
 	}
@@ -33,7 +28,7 @@ func TestStatsBasics(t *testing.T) {
 func TestStatsSingleSample(t *testing.T) {
 	var s Stats
 	s.Add(3.5)
-	if s.Mean() != 3.5 || s.Var() != 0 || s.Min() != 3.5 || s.Max() != 3.5 {
+	if s.N() != 1 || s.Mean() != 3.5 || s.Min() != 3.5 || s.Max() != 3.5 {
 		t.Error("single-sample stats wrong")
 	}
 }
@@ -55,27 +50,6 @@ func TestAddDuration(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	samples := []float64{5, 1, 3, 2, 4}
-	qs := Quantiles(samples, 0, 0.5, 1)
-	if qs[0] != 1 || qs[1] != 3 || qs[2] != 5 {
-		t.Errorf("quantiles = %v", qs)
-	}
-	// Interpolated quantile.
-	q := Quantiles([]float64{0, 10}, 0.25)
-	if q[0] != 2.5 {
-		t.Errorf("q25 = %v, want 2.5", q[0])
-	}
-	empty := Quantiles(nil, 0.5)
-	if empty[0] != 0 {
-		t.Error("empty quantiles should be zero")
-	}
-	// Input must not be mutated.
-	if samples[0] != 5 {
-		t.Error("Quantiles mutated its input")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("E8: k sweep", "k", "time(ms)", "segments")
 	tab.AddRow("10", "1.5", "12")
@@ -92,20 +66,8 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 6 { // title, header, rule, 3 rows
 		t.Errorf("line count = %d:\n%s", len(lines), out)
 	}
-	if tab.NumRows() != 3 {
-		t.Errorf("NumRows = %d", tab.NumRows())
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tab := NewTable("t", "a", "b")
-	tab.AddRow("1", `va"l,ue`)
-	csv := tab.CSV()
-	if !strings.Contains(csv, `"va""l,ue"`) {
-		t.Errorf("CSV escaping wrong: %s", csv)
-	}
-	if strings.Contains(csv, "t\n") && strings.HasPrefix(csv, "t") {
-		t.Error("CSV should not include the title")
+	if len(tab.Rows()) != 3 {
+		t.Errorf("rows = %d", len(tab.Rows()))
 	}
 }
 
