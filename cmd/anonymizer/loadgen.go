@@ -28,7 +28,6 @@ func runLoadgen(argv []string) error {
 		duration = fs.Duration("duration", 3*time.Second, "measurement window per step")
 		kAnon    = fs.Int("k", 8, "anonymity k of the single-level test profile")
 		lDiv     = fs.Int("l", 4, "diversity l of the single-level test profile")
-		batch    = fs.Int("batch", 0, "items per anonymize_batch request (0 = single ops)")
 		segments = fs.Int("segments", 500, "spread users over segment IDs [0, segments)")
 		ttl      = fs.Duration("ttl", 0,
 			"register with this TTL and let the server expire the registrations (0 = deregister each one)")
@@ -123,8 +122,8 @@ func runLoadgen(argv []string) error {
 	if *ttl > 0 {
 		cleanup = fmt.Sprintf("ttl=%s", *ttl)
 	}
-	fmt.Printf("loadgen against %s: %v clients, %s per step, batch=%d, cleanup=%s\n",
-		*addr, counts, *duration, *batch, cleanup)
+	fmt.Printf("loadgen against %s: %v clients, %s per step, cleanup=%s\n",
+		*addr, counts, *duration, cleanup)
 	if len(pool) > 0 {
 		fmt.Printf("reduce workload: frac=%.2f pool=%d levels=%d skew=%.2f\n",
 			*reduceFrac, len(pool), *levels, *skew)
@@ -143,7 +142,7 @@ func runLoadgen(argv []string) error {
 	var base float64
 	var totalDenied, totalThrottled, totalReduces int64
 	for _, n := range counts {
-		res, err := runStep(*addr, *readAddr, *tenantName, *token, n, *duration, prof, *batch, *segments, *ttl,
+		res, err := runStep(*addr, *readAddr, *tenantName, *token, n, *duration, prof, *segments, *ttl,
 			*reduceFrac, *skew, pool)
 		if err != nil {
 			return fmt.Errorf("step clients=%d: %w", n, err)
@@ -151,7 +150,11 @@ func runLoadgen(argv []string) error {
 		totalDenied += res.denied
 		totalThrottled += res.throttled
 		totalReduces += res.reduces
-		rate := float64(res.done) / duration.Seconds()
+		// Rates divide by the step's real length: every client finishes
+		// the request it started before the deadline, so a step outlasts
+		// its -duration window.
+		secs := res.elapsed.Seconds()
+		rate := float64(res.done) / secs
 		if base == 0 && rate > 0 {
 			base = rate
 		}
@@ -164,11 +167,11 @@ func runLoadgen(argv []string) error {
 		case *readAddr != "":
 			fmt.Printf("%-10d %12.0f %12d %10d %12.0f %10d %9.2fx\n",
 				n, rate, ok, res.failed,
-				float64(res.reads)/duration.Seconds(), res.stale, speedup)
+				float64(res.reads)/secs, res.stale, speedup)
 		case len(pool) > 0:
 			fmt.Printf("%-10d %12.0f %12d %10d %12.0f %9.2fx\n",
 				n, rate, ok, res.failed,
-				float64(res.reduces)/duration.Seconds(), speedup)
+				float64(res.reduces)/secs, speedup)
 		default:
 			fmt.Printf("%-10d %12.0f %12d %10d %9.2fx\n",
 				n, rate, ok, res.failed, speedup)
@@ -229,12 +232,15 @@ type stepResult struct {
 	denied    int64 // capability rejections (tenant lacks the grant)
 	throttled int64 // rate-limit rejections (tenant over budget)
 	reduces   int64 // reduce requests issued against the region pool
+
+	// elapsed runs from the window's start until the last client stopped.
+	elapsed time.Duration
 }
 
 // runStep drives n concurrent clients (one connection each) for the window
-// and returns the step's counters. Cloak failures count as completed
-// requests — the server did the work — while transport errors abort the
-// step. With ttl == 0, every successful registration is deregistered
+// and returns the step's counters and real length. Cloak failures count
+// as completed requests — the server did the work — while transport
+// errors abort the step. With ttl == 0, every successful registration is deregistered
 // before the next request, so the step leaves no state behind. With a
 // readAddr, each worker also holds a connection there and reads back
 // every registration it creates — aimed at a replication follower, the
@@ -244,7 +250,7 @@ func runStep(
 	n int,
 	window time.Duration,
 	prof rc.Profile,
-	batch, segments int,
+	segments int,
 	ttl time.Duration,
 	reduceFrac, skew float64,
 	pool []string,
@@ -311,7 +317,8 @@ func runStep(
 		}
 		return nil
 	}
-	deadline := time.Now().Add(window)
+	start := time.Now()
+	deadline := start.Add(window)
 	for w, c := range clients {
 		wg.Add(1)
 		go func(c, rd *rc.Client, w int) {
@@ -368,42 +375,6 @@ func runStep(
 					done.Add(1)
 					continue
 				}
-				if batch > 0 {
-					specs := make([]anonymizer.AnonymizeSpec, batch)
-					for j := range specs {
-						specs[j] = anonymizer.AnonymizeSpec{
-							User:    rc.SegmentID((w*131 + i*17 + j) % segments),
-							Profile: prof,
-							TTL:     ttl,
-						}
-						i++
-					}
-					results, err := c.AnonymizeBatch(specs)
-					if err != nil {
-						if reject(err) {
-							done.Add(int64(len(specs)))
-							continue
-						}
-						transport.Store(&err)
-						return
-					}
-					for _, r := range results {
-						if r.Err != nil {
-							failed.Add(1)
-							continue
-						}
-						if err := read(r.RegionID); err != nil {
-							transport.Store(&err)
-							return
-						}
-						if err := release(c, r.RegionID); err != nil {
-							transport.Store(&err)
-							return
-						}
-					}
-					done.Add(int64(len(results)))
-					continue
-				}
 				user := rc.SegmentID((w*131 + i*17) % segments)
 				i++
 				id, _, err := c.AnonymizeTTL(user, prof, "RGE", ttl)
@@ -433,6 +404,7 @@ func runStep(
 		reads: reads.Load(), stale: stale.Load(),
 		denied: denied.Load(), throttled: throttled.Load(),
 		reduces: reduces.Load(),
+		elapsed: time.Since(start),
 	}
 	if errp := transport.Load(); errp != nil {
 		return res, *errp

@@ -36,7 +36,6 @@ func runServe(argv []string) error {
 		cars    = fs.Int("cars", 2000, "workload size (live user densities)")
 		rpleT   = fs.Int("rple-list", 16, "RPLE transition list length T")
 		shards  = fs.Int("shards", 0, "registration store shards (0 = default)")
-		workers = fs.Int("workers", 0, "per-connection worker pool size (0 = default)")
 
 		reduceCacheBytes = fs.Int64("reduce-cache-bytes", 0,
 			"read-path cache budget in bytes: memoized reductions + derived key sets (0 disables, -1 = unbounded)")
@@ -109,9 +108,6 @@ func runServe(argv []string) error {
 	}
 
 	var opts []anonymizer.ServerOption
-	if *workers > 0 {
-		opts = append(opts, anonymizer.WithConnWorkers(*workers))
-	}
 	if *reduceCacheBytes != 0 {
 		opts = append(opts, anonymizer.WithReduceCacheBytes(*reduceCacheBytes))
 		if *reduceCacheBytes > 0 {

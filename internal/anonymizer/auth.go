@@ -89,9 +89,9 @@ func (s *Server) tenantFor(cc *connCtx) (*tenant.Tenant, *Response) {
 // empty capability means any authenticated principal may call it.
 func opCapability(op Op) (tenant.Capability, bool) {
 	switch op {
-	case OpAnonymize, OpAnonymizeBatch, OpTouch, OpSetTrust:
+	case OpAnonymize, OpTouch, OpSetTrust:
 		return tenant.CapAnonymize, true
-	case OpReduce, OpReduceBatch, OpRequestKeys:
+	case OpReduce, OpRequestKeys:
 		return tenant.CapReduce, true
 	case OpDeregister:
 		return tenant.CapDeregister, true
@@ -107,9 +107,9 @@ func opCapability(op Op) (tenant.Capability, bool) {
 // opClass maps an operation to its rate-limit weight class.
 func opClass(op Op) tenant.Class {
 	switch op {
-	case OpAnonymize, OpAnonymizeBatch, OpSetTrust, OpDeregister, OpTouch:
+	case OpAnonymize, OpSetTrust, OpDeregister, OpTouch:
 		return tenant.ClassWrite
-	case OpReduce, OpReduceBatch:
+	case OpReduce:
 		return tenant.ClassReduce
 	case OpBackup, OpReplSubscribe, OpReplFrames, OpReplAck, OpReplPromote:
 		return tenant.ClassOperator
@@ -150,13 +150,6 @@ func (s *Server) authorize(cc *connCtx, req *Request) *Response {
 		case OpReduce:
 			if req.ToLevel < t.ReduceFloor {
 				return deny(reduceFloorErr(t, req.ToLevel))
-			}
-		case OpReduceBatch:
-			for i := range req.Batch {
-				if req.Batch[i].ToLevel < t.ReduceFloor {
-					return deny(fmt.Errorf("batch item %d: %w",
-						i, reduceFloorErr(t, req.Batch[i].ToLevel)))
-				}
 			}
 		case OpRequestKeys:
 			// Raw keys would let the holder peel arbitrarily far
@@ -225,17 +218,12 @@ func (s *Server) preflight(cc *connCtx, req *Request, reqBytes int64) *Response 
 	if req.Op == OpPing || req.Op == OpAuth {
 		return nil // liveness and the door are never charged
 	}
-	items := int64(1)
-	if len(req.Batch) > 0 {
-		items = int64(len(req.Batch))
-	}
-	cost := t.Weight(opClass(req.Op)) * float64(items)
-	if !reg.Allow(t, cost) {
+	if !reg.Allow(t, t.Weight(opClass(req.Op))) {
 		usage.Throttled()
 		s.metrics.throttled.Add(1)
 		return failCode(CodeThrottled,
 			fmt.Errorf("%w: tenant %q exceeded its rate budget (retry later)", ErrThrottled, t.Name))
 	}
-	usage.Op(items)
+	usage.Op()
 	return nil
 }

@@ -166,36 +166,6 @@ func BenchmarkPipelinedSharedClient(b *testing.B) {
 	}
 }
 
-// BenchmarkAnonymizeBatch measures the round-trip amortization of batching
-// against the same number of single-shot calls.
-func BenchmarkAnonymizeBatch(b *testing.B) {
-	const batchSize = 32
-	addr, g := benchServer(b)
-	c, err := Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	numSeg := g.NumSegments()
-	specs := make([]AnonymizeSpec, batchSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range specs {
-			specs[j] = AnonymizeSpec{
-				User:    roadnet.SegmentID((i*batchSize + j*17) % numSeg),
-				Profile: benchProfile(),
-			}
-		}
-		if _, err := c.AnonymizeBatch(specs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(b.N*batchSize)/secs, "req/s")
-	}
-}
-
 // BenchmarkWALAppend measures the journaling hot path in isolation: one
 // registration through check → unified-log append → apply, with syncing
 // out of the way (fsync=never) and compaction disabled so every

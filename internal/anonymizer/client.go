@@ -523,65 +523,6 @@ func (c *Client) AnonymizeTTL(
 	return resp.RegionID, resp.Region, nil
 }
 
-// AnonymizeSpec is one item of an AnonymizeBatch call.
-type AnonymizeSpec struct {
-	User      roadnet.SegmentID
-	Profile   profile.Profile
-	Algorithm string // "RGE" or "RPLE"; empty means RGE
-	// TTL bounds the registration's lifetime (0 = server default).
-	TTL time.Duration
-}
-
-// AnonymizeResult is one item of an AnonymizeBatch response. Err is set
-// when that item failed server-side; the other fields are then zero.
-type AnonymizeResult struct {
-	RegionID string
-	Region   *cloak.CloakedRegion
-	Levels   int
-	Err      error
-}
-
-// AnonymizeBatch registers many cloaking requests in a single round-trip.
-// The results are index-aligned with the specs; per-item failures are
-// reported in the item's Err, while a non-nil returned error means the
-// whole batch failed.
-func (c *Client) AnonymizeBatch(specs []AnonymizeSpec) ([]AnonymizeResult, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	req := &Request{Op: OpAnonymizeBatch, Batch: make([]Request, len(specs))}
-	for i, sp := range specs {
-		prof := sp.Profile
-		req.Batch[i] = Request{
-			UserSegment: sp.User,
-			Profile:     &prof,
-			Algorithm:   sp.Algorithm,
-			TTLMillis:   ttlMillis(sp.TTL),
-		}
-	}
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Batch) != len(specs) {
-		return nil, fmt.Errorf("%w: batch returned %d results for %d items",
-			ErrRemote, len(resp.Batch), len(specs))
-	}
-	out := make([]AnonymizeResult, len(specs))
-	for i := range resp.Batch {
-		item := &resp.Batch[i]
-		switch {
-		case !item.OK:
-			out[i] = AnonymizeResult{Err: fmt.Errorf("%w: %s", ErrRemote, item.Error)}
-		case item.Region == nil:
-			out[i] = AnonymizeResult{Err: fmt.Errorf("%w: response without region", ErrRemote)}
-		default:
-			out[i] = AnonymizeResult{RegionID: item.RegionID, Region: item.Region, Levels: item.Levels}
-		}
-	}
-	return out, nil
-}
-
 // GetRegion fetches the public region of a registration.
 func (c *Client) GetRegion(regionID string) (*cloak.CloakedRegion, int, error) {
 	resp, err := c.roundTrip(&Request{Op: OpGetRegion, RegionID: regionID})
@@ -627,57 +568,6 @@ func (c *Client) Reduce(regionID, requester string, toLevel int) (*cloak.Cloaked
 		return nil, 0, fmt.Errorf("%w: response without level", ErrRemote)
 	}
 	return resp.Region, *resp.Level, nil
-}
-
-// ReduceSpec is one item of a ReduceBatch call.
-type ReduceSpec struct {
-	RegionID  string
-	Requester string
-	ToLevel   int
-}
-
-// ReduceResult is one item of a ReduceBatch response.
-type ReduceResult struct {
-	Region *cloak.CloakedRegion
-	Level  int
-	Err    error
-}
-
-// ReduceBatch performs many server-side reductions in a single round-trip,
-// index-aligned like AnonymizeBatch.
-func (c *Client) ReduceBatch(specs []ReduceSpec) ([]ReduceResult, error) {
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	req := &Request{Op: OpReduceBatch, Batch: make([]Request, len(specs))}
-	for i, sp := range specs {
-		req.Batch[i] = Request{
-			RegionID:  sp.RegionID,
-			Requester: sp.Requester,
-			ToLevel:   sp.ToLevel,
-		}
-	}
-	resp, err := c.roundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.Batch) != len(specs) {
-		return nil, fmt.Errorf("%w: batch returned %d results for %d items",
-			ErrRemote, len(resp.Batch), len(specs))
-	}
-	out := make([]ReduceResult, len(specs))
-	for i := range resp.Batch {
-		item := &resp.Batch[i]
-		switch {
-		case !item.OK:
-			out[i] = ReduceResult{Err: fmt.Errorf("%w: %s", ErrRemote, item.Error)}
-		case item.Region == nil || item.Level == nil:
-			out[i] = ReduceResult{Err: fmt.Errorf("%w: response without region or level", ErrRemote)}
-		default:
-			out[i] = ReduceResult{Region: item.Region, Level: *item.Level}
-		}
-	}
-	return out, nil
 }
 
 // Deregister removes a registration (owner-side operation): the server

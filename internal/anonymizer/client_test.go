@@ -91,117 +91,6 @@ func TestReduceErrors(t *testing.T) {
 	}
 }
 
-func TestAnonymizeBatch(t *testing.T) {
-	srv, addr, _ := startServer(t)
-	c := dial(t, addr)
-
-	specs := []AnonymizeSpec{
-		{User: 10, Profile: testProfile(), Algorithm: "RGE"},
-		{User: 9999, Profile: testProfile(), Algorithm: "RGE"}, // bad segment
-		{User: 30, Profile: testProfile(), Algorithm: "RPLE"},
-		{User: 40, Profile: testProfile(), Algorithm: "QUANTUM"}, // bad algo
-	}
-	results, err := c.AnonymizeBatch(specs)
-	if err != nil {
-		t.Fatalf("AnonymizeBatch: %v", err)
-	}
-	if len(results) != len(specs) {
-		t.Fatalf("got %d results, want %d", len(results), len(specs))
-	}
-	if results[0].Err != nil {
-		t.Errorf("item 0: %v", results[0].Err)
-	} else if !results[0].Region.Contains(10) {
-		t.Error("item 0 region must contain segment 10")
-	}
-	if results[1].Err == nil {
-		t.Error("item 1 (bad segment) should fail")
-	}
-	if results[2].Err != nil {
-		t.Errorf("item 2: %v", results[2].Err)
-	}
-	if results[3].Err == nil {
-		t.Error("item 3 (bad algorithm) should fail")
-	}
-	// Only the successful items got registered.
-	if srv.Registrations() != 2 {
-		t.Errorf("registrations = %d, want 2", srv.Registrations())
-	}
-
-	// Empty batch is a no-op client-side.
-	if res, err := c.AnonymizeBatch(nil); err != nil || res != nil {
-		t.Errorf("empty batch = %v, %v", res, err)
-	}
-}
-
-func TestReduceBatch(t *testing.T) {
-	_, addr, _ := startServer(t)
-	c := dial(t, addr)
-
-	users := []roadnet.SegmentID{10, 25, 40}
-	specs := make([]AnonymizeSpec, len(users))
-	for i, u := range users {
-		specs[i] = AnonymizeSpec{User: u, Profile: testProfile()}
-	}
-	regs, err := c.AnonymizeBatch(specs)
-	if err != nil {
-		t.Fatalf("AnonymizeBatch: %v", err)
-	}
-	reduces := make([]ReduceSpec, 0, len(regs)+1)
-	for i, r := range regs {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
-		}
-		if err := c.SetTrust(r.RegionID, "doctor", 0); err != nil {
-			t.Fatalf("SetTrust: %v", err)
-		}
-		reduces = append(reduces, ReduceSpec{RegionID: r.RegionID, Requester: "doctor"})
-	}
-	reduces = append(reduces, ReduceSpec{RegionID: "bogus", Requester: "doctor"})
-
-	out, err := c.ReduceBatch(reduces)
-	if err != nil {
-		t.Fatalf("ReduceBatch: %v", err)
-	}
-	for i, u := range users {
-		if out[i].Err != nil {
-			t.Errorf("reduce %d: %v", i, out[i].Err)
-			continue
-		}
-		if out[i].Level != 0 || len(out[i].Region.Segments) != 1 || out[i].Region.Segments[0] != u {
-			t.Errorf("reduce %d recovered %v at level %d, want [%d] at 0",
-				i, out[i].Region.Segments, out[i].Level, u)
-		}
-	}
-	if out[len(out)-1].Err == nil {
-		t.Error("bogus region id should fail")
-	}
-}
-
-func TestBatchLimits(t *testing.T) {
-	g, density := testGrid(t)
-	srv := newTestServer(t, g, density, WithMaxBatchSize(2))
-	addr := startTestServer(t, srv)
-	c := dial(t, addr)
-
-	specs := make([]AnonymizeSpec, 3)
-	for i := range specs {
-		specs[i] = AnonymizeSpec{User: roadnet.SegmentID(10 + i), Profile: testProfile()}
-	}
-	if _, err := c.AnonymizeBatch(specs); !errors.Is(err, ErrRemote) {
-		t.Errorf("oversized batch err = %v, want ErrRemote", err)
-	}
-
-	// An empty batch on the wire is rejected server-side.
-	cl, err := c.send(&Request{Op: OpAnonymizeBatch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-cl.done
-	if cl.err != nil || cl.resp.OK {
-		t.Errorf("empty wire batch: err=%v ok=%v", cl.err, cl.resp.OK)
-	}
-}
-
 // TestPipelinedCalls issues many concurrent calls over ONE client
 // connection; the pipelined client must match every response to its caller.
 func TestPipelinedCalls(t *testing.T) {

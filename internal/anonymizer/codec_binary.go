@@ -31,9 +31,9 @@ import (
 // Region segment sets are delta-encoded (first absolute, then zigzag
 // deltas): segments are sorted ascending, so deltas are small. Unknown
 // tags are a hard decode error — the major version gates meaning, not
-// silent skipping. Decoders copy every string and byte slice out of the
-// frame buffer, so frame buffers are reusable the moment decoding
-// returns.
+// silent skipping — and so are retired tags, which are never reused.
+// Decoders copy every string and byte slice out of the frame buffer, so
+// frame buffers are reusable the moment decoding returns.
 
 // Request field tags.
 const (
@@ -47,7 +47,7 @@ const (
 	reqTagRegionID    = 7  // string
 	reqTagRequester   = 8  // string
 	reqTagToLevel     = 9  // varint
-	reqTagBatch       = 10 // count + nested requests
+	_                 = 10 // retired (batch ops); never reuse
 	reqTagEpoch       = 11 // uvarint
 	reqTagWasLeader   = 12 // bool
 	reqTagFollower    = 13 // string
@@ -74,7 +74,7 @@ const (
 	respTagLevel           = 11 // varint (presence encodes the non-nil pointer)
 	respTagKeys            = 12 // count + (varint level, string key) sorted
 	respTagArchive         = 13 // bytes
-	respTagBatch           = 14 // count + nested responses
+	_                      = 14 // retired (batch ops); never reuse
 	respTagLeader          = 15 // string
 	respTagEpoch           = 16 // uvarint
 	respTagShards          = 17 // varint
@@ -82,11 +82,6 @@ const (
 	respTagFrames          = 19 // count + (varint shard, uvarint seq, bytes rec)
 	respTagRepl            = 20 // repl-status sub-struct
 )
-
-// maxBinaryNesting bounds Batch-in-Batch recursion while decoding. Real
-// batches nest exactly one level; the bound exists so hostile frames
-// cannot wind the stack.
-const maxBinaryNesting = 32
 
 // errBinaryTruncated reports a frame that ended inside a value.
 var errBinaryTruncated = fmt.Errorf("anonymizer: binary message truncated")
@@ -484,13 +479,6 @@ func appendRequest(b []byte, req *Request) []byte {
 	if req.ToLevel != 0 {
 		b = appendTagVarint(b, reqTagToLevel, int64(req.ToLevel))
 	}
-	if len(req.Batch) > 0 {
-		b = binary.AppendUvarint(b, reqTagBatch)
-		b = binary.AppendUvarint(b, uint64(len(req.Batch)))
-		for i := range req.Batch {
-			b = appendRequest(b, &req.Batch[i])
-		}
-	}
 	if req.Epoch != 0 {
 		b = appendTagUvarint(b, reqTagEpoch, req.Epoch)
 	}
@@ -523,7 +511,7 @@ func appendRequest(b []byte, req *Request) []byte {
 // tags and trailing bytes.
 func decodeRequest(payload []byte, req *Request) error {
 	r := &binReader{buf: payload}
-	if err := r.request(req, 0); err != nil {
+	if err := r.request(req); err != nil {
 		return err
 	}
 	if r.remaining() != 0 {
@@ -532,10 +520,7 @@ func decodeRequest(payload []byte, req *Request) error {
 	return nil
 }
 
-func (r *binReader) request(req *Request, depth int) error {
-	if depth > maxBinaryNesting {
-		return fmt.Errorf("anonymizer: binary request nests deeper than %d", maxBinaryNesting)
-	}
+func (r *binReader) request(req *Request) error {
 	for {
 		tag, err := r.uvarint()
 		if err != nil {
@@ -566,16 +551,6 @@ func (r *binReader) request(req *Request, depth int) error {
 			req.Requester, err = r.str()
 		case reqTagToLevel:
 			req.ToLevel, err = r.vint()
-		case reqTagBatch:
-			var n int
-			if n, err = r.count(); err == nil && n > 0 {
-				req.Batch = make([]Request, n)
-				for i := range req.Batch {
-					if err = r.request(&req.Batch[i], depth+1); err != nil {
-						break
-					}
-				}
-			}
 		case reqTagEpoch:
 			req.Epoch, err = r.uvarint()
 		case reqTagWasLeader:
@@ -664,13 +639,6 @@ func appendResponse(b []byte, resp *Response) []byte {
 	if len(resp.Archive) > 0 {
 		b = appendTagBytes(b, respTagArchive, resp.Archive)
 	}
-	if len(resp.Batch) > 0 {
-		b = binary.AppendUvarint(b, respTagBatch)
-		b = binary.AppendUvarint(b, uint64(len(resp.Batch)))
-		for i := range resp.Batch {
-			b = appendResponse(b, &resp.Batch[i])
-		}
-	}
 	if resp.Leader != "" {
 		b = appendTagString(b, respTagLeader, resp.Leader)
 	}
@@ -706,7 +674,7 @@ func appendResponse(b []byte, resp *Response) []byte {
 // tags and trailing bytes.
 func decodeResponse(payload []byte, resp *Response) error {
 	r := &binReader{buf: payload}
-	if err := r.response(resp, 0); err != nil {
+	if err := r.response(resp); err != nil {
 		return err
 	}
 	if r.remaining() != 0 {
@@ -715,10 +683,7 @@ func decodeResponse(payload []byte, resp *Response) error {
 	return nil
 }
 
-func (r *binReader) response(resp *Response, depth int) error {
-	if depth > maxBinaryNesting {
-		return fmt.Errorf("anonymizer: binary response nests deeper than %d", maxBinaryNesting)
-	}
+func (r *binReader) response(resp *Response) error {
 	for {
 		tag, err := r.uvarint()
 		if err != nil {
@@ -780,16 +745,6 @@ func (r *binReader) response(resp *Response, depth int) error {
 			}
 		case respTagArchive:
 			resp.Archive, err = r.bytes(true)
-		case respTagBatch:
-			var n int
-			if n, err = r.count(); err == nil && n > 0 {
-				resp.Batch = make([]Response, n)
-				for i := range resp.Batch {
-					if err = r.response(&resp.Batch[i], depth+1); err != nil {
-						break
-					}
-				}
-			}
 		case respTagLeader:
 			resp.Leader, err = r.str()
 		case respTagEpoch:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/reversecloak/reversecloak/internal/cloak"
@@ -83,7 +84,7 @@ func (g *fuzzGen) rawBytes() []byte {
 	return b
 }
 
-func (g *fuzzGen) request(depth int) Request {
+func (g *fuzzGen) request() Request {
 	req := Request{
 		V:           g.intn(4),
 		Op:          Op(g.str()),
@@ -116,11 +117,6 @@ func (g *fuzzGen) request(depth int) Request {
 			req.Watermark[i] = g.u64()
 		}
 	}
-	if depth < 2 && g.bool() {
-		for i, n := 0, g.intn(2)+1; i < n; i++ {
-			req.Batch = append(req.Batch, g.request(depth+1))
-		}
-	}
 	return req
 }
 
@@ -140,7 +136,7 @@ func (g *fuzzGen) region() *cloak.CloakedRegion {
 	return cr
 }
 
-func (g *fuzzGen) response(depth int) Response {
+func (g *fuzzGen) response() Response {
 	resp := Response{
 		V:               g.intn(4),
 		OK:              g.bool(),
@@ -208,11 +204,6 @@ func (g *fuzzGen) response(depth int) Response {
 		}
 		resp.Repl = rs
 	}
-	if depth < 2 && g.bool() {
-		for i, n := 0, g.intn(2)+1; i < n; i++ {
-			resp.Batch = append(resp.Batch, g.response(depth+1))
-		}
-	}
 	return resp
 }
 
@@ -228,8 +219,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 250, 128, 64, 32, 16, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := &fuzzGen{data: data}
-		req := g.request(0)
-		resp := g.response(0)
+		req := g.request()
+		resp := g.response()
 
 		jsonReq := jsonRoundTripRequest(t, &req)
 		binReq := binaryRoundTripRequest(t, &req)
@@ -359,4 +350,33 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 		var rs Response
 		_ = decodeResponse(data, &rs)
 	})
+}
+
+// TestDecodeRefusesRetiredTags pins the retirement of the batch ops on
+// the binary wire: a v2 frame carrying their batch field (request tag
+// 10, response tag 14) is malformed like any unknown tag, so an old
+// batch client's frame drops the connection instead of being half-read.
+func TestDecodeRefusesRetiredTags(t *testing.T) {
+	// One nested item, then the message's end tag.
+	withTag := func(msg []byte, tag byte) []byte {
+		return append(msg[:len(msg)-1], tag, 1, 0, 0)
+	}
+	req := withTag(appendRequest(nil, &Request{V: 2, Op: "anonymize_batch"}), 10)
+	framed, err := appendWireFrame(nil, func(b []byte) []byte { return append(b, req...) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := readWireFrame(bytes.NewReader(framed), nil)
+	if err != nil {
+		t.Fatalf("frame layer refused an intact frame: %v", err)
+	}
+	var rq Request
+	if err := decodeRequest(payload, &rq); err == nil || !strings.Contains(err.Error(), "tag 10") {
+		t.Errorf("request with tag 10: err = %v, want an unknown-tag error", err)
+	}
+	resp := withTag(appendResponse(nil, &Response{V: 2, OK: true}), 14)
+	var rs Response
+	if err := decodeResponse(resp, &rs); err == nil || !strings.Contains(err.Error(), "tag 14") {
+		t.Errorf("response with tag 14: err = %v, want an unknown-tag error", err)
+	}
 }

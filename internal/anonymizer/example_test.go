@@ -3,6 +3,7 @@ package anonymizer
 import (
 	"fmt"
 	"os"
+	"sync"
 
 	"github.com/reversecloak/reversecloak/internal/accessctl"
 	"github.com/reversecloak/reversecloak/internal/cloak"
@@ -12,10 +13,10 @@ import (
 	"github.com/reversecloak/reversecloak/internal/roadnet"
 )
 
-// ExampleClient_AnonymizeBatch registers three users' cloaking requests
-// in a single round-trip. Per-item failures land in the item's Err; a
-// non-nil returned error means the whole batch failed.
-func ExampleClient_AnonymizeBatch() {
+// ExampleClient registers three users' cloaking requests concurrently over
+// one Client: the calls pipeline on its single connection, and each caller
+// gets back its own response.
+func ExampleClient() {
 	g, err := mapgen.Grid(10, 10, 100)
 	if err != nil {
 		fmt.Println(err)
@@ -47,19 +48,22 @@ func ExampleClient_AnonymizeBatch() {
 	defer func() { _ = c.Close() }()
 
 	prof := profile.Profile{Levels: []profile.Level{{K: 6, L: 3}}}
-	specs := []AnonymizeSpec{
-		{User: 12, Profile: prof},
-		{User: 57, Profile: prof},
-		{User: 130, Profile: prof},
+	users := []roadnet.SegmentID{12, 57, 130}
+	regions := make([]*cloak.CloakedRegion, len(users))
+	var wg sync.WaitGroup
+	for i, u := range users {
+		wg.Add(1)
+		go func(i int, u roadnet.SegmentID) {
+			defer wg.Done()
+			if _, r, err := c.Anonymize(u, prof, "RGE"); err == nil {
+				regions[i] = r
+			}
+		}(i, u)
 	}
-	results, err := c.AnonymizeBatch(specs)
-	if err != nil {
-		fmt.Println("batch failed:", err)
-		return
-	}
-	for i, r := range results {
+	wg.Wait()
+	for i, u := range users {
 		fmt.Printf("user %d: registered=%v covered=%v\n",
-			specs[i].User, r.Err == nil, r.Err == nil && r.Region.Contains(specs[i].User))
+			u, regions[i] != nil, regions[i] != nil && regions[i].Contains(u))
 	}
 	// Output:
 	// user 12: registered=true covered=true

@@ -5,7 +5,17 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+)
+
+// The connection pipeline's fixed bounds (docs/PROTOCOL.md, "Ordering and
+// pipelining"): at most connWindow decoded requests are in flight on one
+// connection before the reader stops decoding (backpressure), and they
+// run on min(GOMAXPROCS, maxConnWorkers) workers.
+const (
+	connWindow     = 64
+	maxConnWorkers = 8
 )
 
 // connJob is one in-flight request on a connection. done receives one
@@ -52,7 +62,7 @@ func putConnJob(job *connJob) {
 //	workers — a bounded pool executing requests concurrently,
 //	writer  — encodes responses strictly in request order.
 //
-// The ordered queue is bounded (queueDepth), so a slow client or a burst of
+// The ordered queue is bounded (connWindow), so a slow client or a burst of
 // expensive requests exerts backpressure on the reader instead of growing
 // memory without bound. The connection is dropped on the first decode or
 // encode error, matching the old one-request-at-a-time behavior.
@@ -78,11 +88,12 @@ func (s *Server) handleConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 
 	cc := &connCtx{}
-	work := make(chan *connJob)                      // reader -> workers
-	ordered := make(chan *connJob, s.cfg.queueDepth) // reader -> writer, FIFO
+	work := make(chan *connJob)                // reader -> workers
+	ordered := make(chan *connJob, connWindow) // reader -> writer, FIFO
 
 	var workers sync.WaitGroup
-	for i := 0; i < s.cfg.connWorkers; i++ {
+	n := min(runtime.GOMAXPROCS(0), maxConnWorkers)
+	for i := 0; i < n; i++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()

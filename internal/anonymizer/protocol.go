@@ -4,16 +4,17 @@
 // visualizes the results". The server holds the road network and live user
 // densities, performs cloaking, stores each registration's keys, and
 // answers key requests according to the data owner's personal
-// access-control profile. De-anonymization itself runs client-side: data
-// requesters fetch the region and their granted keys, then peel levels
-// locally.
+// access-control profile. De-anonymization runs on either side: the
+// server peels a region down to a requester's trust level itself
+// (reduce), or a requester fetches the region and its granted keys and
+// peels levels locally.
 //
-// The wire protocol is newline-delimited JSON over TCP, one request and one
-// response per line. Responses on a connection arrive in request order, so
-// clients may pipeline: send several requests without waiting, then read
-// the responses back in sequence. Batch operations (anonymize_batch,
-// reduce_batch) additionally amortize one round-trip over many items.
-// docs/PROTOCOL.md is the authoritative wire specification.
+// Every connection opens as newline-delimited JSON over TCP, one request
+// and one response per line, and may upgrade to CRC-framed binary
+// messages (protocol v2). Responses on a connection arrive in request
+// order, so clients may pipeline: send several requests without waiting,
+// then read the responses back in sequence. docs/PROTOCOL.md is the
+// authoritative wire specification.
 //
 // Registrations live in one store (DurableStore). Opened over a data
 // directory it journals every mutation to a write-ahead log and recovers
@@ -77,13 +78,6 @@ const (
 	// and peels the region down to max(entitled level, requested to_level),
 	// returning the finer region without ever shipping keys.
 	OpReduce Op = "reduce"
-	// OpAnonymizeBatch registers many cloaking requests in one round-trip.
-	// The per-item requests ride in Batch; the per-item responses come back
-	// in Batch, index-aligned with the request.
-	OpAnonymizeBatch Op = "anonymize_batch"
-	// OpReduceBatch performs many reduce operations in one round-trip,
-	// index-aligned like OpAnonymizeBatch.
-	OpReduceBatch Op = "reduce_batch"
 	// OpDeregister removes a registration (owner-side): the server
 	// destroys the keys and the region can never be reduced again.
 	OpDeregister Op = "deregister"
@@ -130,8 +124,6 @@ const (
 // Request is one protocol request.
 type Request struct {
 	// V is the protocol major version (0 means 1; see ProtocolMajor).
-	// Versioning is per-request framing: batch items carry no version of
-	// their own.
 	V  int `json:"v,omitempty"`
 	Op Op  `json:"op"`
 	// Anonymize.
@@ -149,10 +141,6 @@ type Request struct {
 	// requested target level for OpReduce.
 	Requester string `json:"requester,omitempty"`
 	ToLevel   int    `json:"to_level,omitempty"`
-	// Batch carries the per-item requests of a batch operation. Each item
-	// uses the same fields as the corresponding single operation; its Op
-	// field is ignored.
-	Batch []Request `json:"batch,omitempty"`
 	// Replication fields. Epoch is the peer's replication epoch
 	// (repl_subscribe: the subscriber's last known leader epoch, 0 for a
 	// fresh bootstrap; repl_frames/repl_ack: the subscribed epoch).
@@ -179,8 +167,7 @@ type Request struct {
 
 // Response is one protocol response.
 type Response struct {
-	// V is the server's protocol major (set on top-level responses; batch
-	// items carry no version of their own).
+	// V is the server's protocol major.
 	V     int    `json:"v,omitempty"`
 	OK    bool   `json:"ok"`
 	Error string `json:"error,omitempty"`
@@ -209,11 +196,6 @@ type Response struct {
 	// Backup: the complete backup archive (encoding/json renders []byte
 	// as base64 on the wire).
 	Archive []byte `json:"archive,omitempty"`
-	// Batch carries the per-item responses of a batch operation,
-	// index-aligned with the request's Batch. The outer OK reports
-	// transport-level success; per-item failures are per-item responses
-	// with OK=false.
-	Batch []Response `json:"batch,omitempty"`
 	// Leader is set on write requests refused by a replication follower:
 	// the address writes should be retried against. Clients with leader
 	// routing follow it transparently.
@@ -229,11 +211,7 @@ type Response struct {
 	Repl      *ReplStatus   `json:"repl,omitempty"`
 
 	// levelVal is the allocation-free backing for Level on pooled
-	// responses: handlers point Level at it instead of heap-allocating a
-	// fresh int per reduce. Neither codec reads it.
+	// responses (respPool): handlers point Level at it instead of
+	// heap-allocating a fresh int per reduce. Neither codec reads it.
 	levelVal int
-	// pooled marks a response obtained from respPool; the connection
-	// writer recycles it after encoding. Responses that escape the writer
-	// (batch items are copied by value) are left to the GC.
-	pooled bool
 }

@@ -132,7 +132,7 @@ func (s *Server) notLeader() *Response {
 // therefore run on the leader.
 func writeOp(op Op) bool {
 	switch op {
-	case OpAnonymize, OpAnonymizeBatch, OpSetTrust, OpDeregister, OpTouch:
+	case OpAnonymize, OpSetTrust, OpDeregister, OpTouch:
 		return true
 	default:
 		return false
@@ -313,12 +313,8 @@ func (s *Server) handleTouch(req *Request) *Response {
 	if req.RegionID == "" {
 		return fail(fmt.Errorf("%w: missing region id", ErrBadOp))
 	}
-	if req.TTLMillis < 0 {
-		return fail(fmt.Errorf("%w: negative ttl_ms %d", ErrBadOp, req.TTLMillis))
-	}
-	if req.TTLMillis > int64(maxTTL/time.Millisecond) {
-		return fail(fmt.Errorf("%w: ttl_ms %d exceeds maximum %d",
-			ErrBadOp, req.TTLMillis, int64(maxTTL/time.Millisecond)))
+	if err := checkTTL(req.TTLMillis); err != nil {
+		return fail(err)
 	}
 	expiry, err := s.store.Touch(req.RegionID, time.Duration(req.TTLMillis)*time.Millisecond)
 	if err != nil {

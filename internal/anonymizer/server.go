@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
@@ -42,13 +41,10 @@ type ServerOption func(*serverConfig)
 
 // serverConfig collects the tunables behind the options.
 type serverConfig struct {
-	store        *DurableStore
-	connWorkers  int
-	queueDepth   int
-	maxBatchSize int
-	repl         Replicator
-	tenants      *tenant.Registry
-	cacheBytes   int64
+	store      *DurableStore
+	repl       Replicator
+	tenants    *tenant.Registry
+	cacheBytes int64
 }
 
 // WithStore installs the registration store the server serves from — one
@@ -59,37 +55,6 @@ type serverConfig struct {
 // Close closes, a journal-less store with default options.
 func WithStore(st *DurableStore) ServerOption {
 	return func(c *serverConfig) { c.store = st }
-}
-
-// WithConnWorkers sets the per-connection worker pool size used to execute
-// pipelined requests concurrently. The default is GOMAXPROCS, capped at 8.
-func WithConnWorkers(n int) ServerOption {
-	return func(c *serverConfig) {
-		if n > 0 {
-			c.connWorkers = n
-		}
-	}
-}
-
-// WithQueueDepth bounds how many decoded requests may be in flight on one
-// connection before the reader stops decoding more (backpressure). The
-// default is 64.
-func WithQueueDepth(n int) ServerOption {
-	return func(c *serverConfig) {
-		if n > 0 {
-			c.queueDepth = n
-		}
-	}
-}
-
-// WithMaxBatchSize caps the number of items one batch request may carry.
-// The default is 1024; oversized batches are rejected, not truncated.
-func WithMaxBatchSize(n int) ServerOption {
-	return func(c *serverConfig) {
-		if n > 0 {
-			c.maxBatchSize = n
-		}
-	}
 }
 
 // WithReplicator installs the node's replication follower state: write
@@ -122,22 +87,6 @@ func WithTenants(reg *tenant.Registry) ServerOption {
 // never touch the cached bytes).
 func WithReduceCacheBytes(n int64) ServerOption {
 	return func(c *serverConfig) { c.cacheBytes = n }
-}
-
-// defaultServerConfig returns the config before options are applied.
-func defaultServerConfig() serverConfig {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return serverConfig{
-		connWorkers:  workers,
-		queueDepth:   64,
-		maxBatchSize: 1024,
-	}
 }
 
 // Server is the trusted anonymization server. Create with NewServer, start
@@ -187,7 +136,7 @@ func NewServer(engines map[cloak.Algorithm]*cloak.Engine, opts ...ServerOption) 
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("%w: no engines", ErrBadOp)
 	}
-	cfg := defaultServerConfig()
+	var cfg serverConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -387,10 +336,6 @@ func (s *Server) dispatchOp(cc *connCtx, req *Request) *Response {
 		return s.handleReplStatus()
 	case OpReplPromote:
 		return s.handleReplPromote()
-	case OpAnonymizeBatch:
-		return s.handleBatch(req, s.handleAnonymize)
-	case OpReduceBatch:
-		return s.handleBatch(req, s.handleReduce)
 	default:
 		return fail(fmt.Errorf("%w: %q", ErrBadOp, req.Op))
 	}
@@ -399,23 +344,21 @@ func (s *Server) dispatchOp(cc *connCtx, req *Request) *Response {
 // respPool recycles top-level response shells through the connection
 // writer: every handler builds its response from the pool and the writer
 // returns it right after encoding, so the steady-state request path
-// allocates no Response. A response that escapes the writer (batch items
-// are copied by value into the enclosing Batch) simply falls to the GC.
+// allocates no Response.
 var respPool = sync.Pool{New: func() any { return new(Response) }}
 
 // newResp returns a recycled response shell with OK set.
 func newResp(ok bool) *Response {
 	r := respPool.Get().(*Response)
 	r.OK = ok
-	r.pooled = true
 	return r
 }
 
-// putResp recycles a pooled response once the writer has encoded it.
-// Pointer fields are dropped, not scrubbed — zero-copy regions are owned
-// by the store.
+// putResp recycles a response once the writer has encoded it; every
+// response the server sends comes from newResp. Pointer fields are
+// dropped, not scrubbed — zero-copy regions are owned by the store.
 func putResp(r *Response) {
-	if r == nil || !r.pooled {
+	if r == nil {
 		return
 	}
 	*r = Response{}
@@ -429,51 +372,17 @@ func fail(err error) *Response {
 	return r
 }
 
-// handleBatch fans the batch items across a bounded set of goroutines (the
-// engines and store are concurrent-safe) and collects the index-aligned
-// per-item responses.
-func (s *Server) handleBatch(req *Request, item func(*Request) *Response) *Response {
-	n := len(req.Batch)
-	if n == 0 {
-		return fail(fmt.Errorf("%w: empty batch", ErrBadOp))
+// checkTTL validates a wire-supplied ttl_ms (anonymize, touch): 0 selects
+// the server's default, a negative value or one beyond maxTTL is refused.
+func checkTTL(ms int64) error {
+	if ms < 0 {
+		return fmt.Errorf("%w: negative ttl_ms %d", ErrBadOp, ms)
 	}
-	if n > s.cfg.maxBatchSize {
-		return fail(fmt.Errorf("%w: batch of %d exceeds limit %d",
-			ErrBadOp, n, s.cfg.maxBatchSize))
+	if ms > int64(maxTTL/time.Millisecond) {
+		return fmt.Errorf("%w: ttl_ms %d exceeds maximum %d",
+			ErrBadOp, ms, int64(maxTTL/time.Millisecond))
 	}
-	out := make([]Response, n)
-	workers := s.cfg.connWorkers
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				r := item(&req.Batch[i])
-				out[i] = *r
-				if r.Level == &r.levelVal {
-					// The item response carried its level in its own pooled
-					// scratch; re-anchor the copy's pointer before the
-					// original is recycled.
-					out[i].Level = &out[i].levelVal
-				}
-				out[i].pooled = false
-				putResp(r)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	resp := newResp(true)
-	resp.Batch = out
-	return resp
+	return nil
 }
 
 // handleAnonymize generates keys, cloaks and registers the result. A
@@ -483,12 +392,8 @@ func (s *Server) handleAnonymize(req *Request) *Response {
 	if req.Profile == nil {
 		return fail(fmt.Errorf("%w: missing profile", ErrBadOp))
 	}
-	if req.TTLMillis < 0 {
-		return fail(fmt.Errorf("%w: negative ttl_ms %d", ErrBadOp, req.TTLMillis))
-	}
-	if req.TTLMillis > int64(maxTTL/time.Millisecond) {
-		return fail(fmt.Errorf("%w: ttl_ms %d exceeds maximum %d",
-			ErrBadOp, req.TTLMillis, int64(maxTTL/time.Millisecond)))
+	if err := checkTTL(req.TTLMillis); err != nil {
+		return fail(err)
 	}
 	algo, err := parseAlgorithm(req.Algorithm)
 	if err != nil {

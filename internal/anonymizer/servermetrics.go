@@ -65,9 +65,8 @@ func (m *opMetrics) observe(d time.Duration, ok bool) {
 // trackedOps is the closed op set the metrics table is built over.
 var trackedOps = []Op{
 	OpPing, OpAuth, OpAnonymize, OpGetRegion, OpSetTrust, OpRequestKeys,
-	OpReduce, OpAnonymizeBatch, OpReduceBatch, OpDeregister, OpBackup,
-	OpTouch, OpReplSubscribe, OpReplFrames, OpReplAck, OpReplStatus,
-	OpReplPromote,
+	OpReduce, OpDeregister, OpBackup, OpTouch, OpReplSubscribe,
+	OpReplFrames, OpReplAck, OpReplStatus, OpReplPromote,
 }
 
 // newServerMetrics builds the fixed-shape metrics table.
@@ -198,7 +197,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 
 	// Per-tenant usage.
 	if reg := s.cfg.tenants; reg != nil {
-		fmt.Fprintf(w, "# HELP anonymizer_tenant_ops_total Executed operations by tenant (batch items individually).\n")
+		fmt.Fprintf(w, "# HELP anonymizer_tenant_ops_total Executed operations by tenant.\n")
 		fmt.Fprintf(w, "# TYPE anonymizer_tenant_ops_total counter\n")
 		usage := reg.UsageSnapshot()
 		for _, u := range usage {

@@ -124,66 +124,57 @@ func TestServerStressNoCrossRegistrationLeakage(t *testing.T) {
 	}
 }
 
-// TestServerStressMixedBatchAndSingle interleaves batch registrations with
-// single-shot operations from other goroutines over shared pipelined
-// clients.
-func TestServerStressMixedBatchAndSingle(t *testing.T) {
+// TestServerStressSharedClient pipelines every goroutine's register /
+// grant / reduce chain over ONE shared client connection: the server runs
+// the interleaved requests on its worker pool and the client must hand
+// each caller its own response, so every reduce lands exactly on the
+// segment that caller registered.
+func TestServerStressSharedClient(t *testing.T) {
 	_, addr, _ := startServer(t)
 
-	const workers = 8
+	const (
+		workers   = 8
+		perWorker = 3
+	)
 	shared := dial(t, addr) // one pipelined connection shared by everyone
-	var wg sync.WaitGroup
+	var (
+		wg        sync.WaitGroup
+		succeeded atomic.Int64
+	)
 	errCh := make(chan error, workers)
 	for n := 0; n < workers; n++ {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			users := []roadnet.SegmentID{
-				roadnet.SegmentID((n * 19) % 170),
-				roadnet.SegmentID((n*19 + 50) % 170),
-				roadnet.SegmentID((n*19 + 100) % 170),
-			}
-			specs := make([]AnonymizeSpec, len(users))
-			for i, u := range users {
-				specs[i] = AnonymizeSpec{User: u, Profile: testProfile()}
-			}
-			results, err := shared.AnonymizeBatch(specs)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			reduces := make([]ReduceSpec, 0, len(results))
-			wants := make([]roadnet.SegmentID, 0, len(results))
-			for i, r := range results {
-				if r.Err != nil {
-					continue // cloak failure on that item
-				}
-				if !r.Region.Contains(users[i]) {
-					errCh <- fmt.Errorf("batch item %d misses its segment", i)
-					return
-				}
-				if err := shared.SetTrust(r.RegionID, "auditor", 0); err != nil {
+			for i := 0; i < perWorker; i++ {
+				user := roadnet.SegmentID((n*19 + i*50) % 170)
+				id, region, err := shared.Anonymize(user, testProfile(), "RGE")
+				if err != nil {
+					if errors.Is(err, ErrRemote) {
+						continue // cloak failure on that segment
+					}
 					errCh <- err
 					return
 				}
-				reduces = append(reduces, ReduceSpec{RegionID: r.RegionID, Requester: "auditor"})
-				wants = append(wants, users[i])
-			}
-			out, err := shared.ReduceBatch(reduces)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			for i := range out {
-				if out[i].Err != nil {
-					errCh <- out[i].Err
+				if !region.Contains(user) {
+					errCh <- fmt.Errorf("region %v misses its segment %d", region.Segments, user)
 					return
 				}
-				if len(out[i].Region.Segments) != 1 || out[i].Region.Segments[0] != wants[i] {
-					errCh <- fmt.Errorf("batch reduce %d leaked %v, want [%d]",
-						i, out[i].Region.Segments, wants[i])
+				if err := shared.SetTrust(id, "auditor", 0); err != nil {
+					errCh <- err
 					return
 				}
+				exact, level, err := shared.Reduce(id, "auditor", 0)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if level != 0 || len(exact.Segments) != 1 || exact.Segments[0] != user {
+					errCh <- fmt.Errorf("reduce leaked %v at level %d, want [%d] at 0",
+						exact.Segments, level, user)
+					return
+				}
+				succeeded.Add(1)
 			}
 		}(n)
 	}
@@ -191,6 +182,10 @@ func TestServerStressMixedBatchAndSingle(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+	if got := succeeded.Load(); got < workers*perWorker/2 {
+		t.Errorf("only %d/%d chains completed; fixture too flaky to be meaningful",
+			got, workers*perWorker)
 	}
 }
 

@@ -65,8 +65,8 @@ type Usage struct {
 	throttled atomic.Int64
 }
 
-// Op records one executed operation (batch requests count their items).
-func (u *Usage) Op(n int64) { u.ops.Add(n) }
+// Op records one executed operation.
+func (u *Usage) Op() { u.ops.Add(1) }
 
 // Bytes records request bytes read off the wire for this tenant.
 func (u *Usage) Bytes(n int64) { u.bytes.Add(n) }
@@ -79,7 +79,7 @@ func (u *Usage) Throttled() { u.throttled.Add(1) }
 
 // UsageStats is a point-in-time copy of a tenant's counters.
 type UsageStats struct {
-	// Ops counts executed operations (batch items individually).
+	// Ops counts executed operations.
 	Ops int64
 	// Bytes counts request bytes attributed to the tenant.
 	Bytes int64

@@ -45,11 +45,11 @@ type Capability string
 
 // The grantable capabilities.
 const (
-	// CapAnonymize covers the owner-side lifecycle: anonymize (single and
-	// batch), touch, set_trust.
+	// CapAnonymize covers the owner-side lifecycle: anonymize, touch,
+	// set_trust.
 	CapAnonymize Capability = "anonymize"
-	// CapReduce covers requester-side disclosure: reduce (single and
-	// batch) and request_keys. ReduceFloor bounds how fine it may go.
+	// CapReduce covers requester-side disclosure: reduce and
+	// request_keys. ReduceFloor bounds how fine it may go.
 	CapReduce Capability = "reduce"
 	// CapDeregister covers deregister.
 	CapDeregister Capability = "deregister"
@@ -71,7 +71,7 @@ const (
 	// repl_status).
 	ClassRead Class = "read"
 	// ClassWrite covers journaled mutations (anonymize, set_trust,
-	// deregister, touch). Batch requests cost weight × items.
+	// deregister, touch).
 	ClassWrite Class = "write"
 	// ClassReduce covers server-side reductions (CPU-heavy).
 	ClassReduce Class = "reduce"

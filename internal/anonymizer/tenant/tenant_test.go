@@ -154,7 +154,9 @@ func TestReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = r.Close() }()
-	r.Usage("beta").Op(7)
+	for i := 0; i < 7; i++ {
+		r.Usage("beta").Op()
+	}
 
 	// Drain beta's bucket so the reload-reset is observable.
 	beta := r.Lookup("beta")
@@ -259,7 +261,7 @@ func TestConcurrentAccounting(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				if r.Allow(hot, 1) {
-					r.Usage("hot").Op(1)
+					r.Usage("hot").Op()
 					mu.Lock()
 					admitted++
 					mu.Unlock()
