@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -30,16 +31,16 @@ import (
 // file, stdout, or an HTTP(S) sink. With -addr it takes a hot backup from
 // a live server over the wire protocol's backup op; with -data-dir it
 // archives a stopped server's directory offline. With -since WATERMARK
-// (the watermark printed by an earlier backup) the archive is
-// incremental: only the mutation-stream records after that position,
-// applied onto a restored directory with `restore -apply`.
+// (the watermark printed by an earlier backup, an LSN) the archive is
+// incremental: only the log records after that position, applied onto a
+// restored directory with `restore -apply`.
 func runBackup(argv []string) error {
 	fs := flag.NewFlagSet("backup", flag.ExitOnError)
 	var (
 		addr    = fs.String("addr", "", "take a hot backup from the server at this address")
 		dataDir = fs.String("data-dir", "", "archive this (stopped) data directory offline")
 		out     = fs.String("out", "-", `destination: a file path, "-" for stdout, or an http(s):// URL to POST to`)
-		since   = fs.String("since", "", `ship only stream records after this watermark (e.g. "12,0,7"), as an incremental archive`)
+		since   = fs.String("since", "", "ship only log records after this watermark (an LSN), as an incremental archive")
 		tenant  = fs.String("tenant", "", "authenticate to the server as this tenant (operator capability)")
 		token   = fs.String("token", "", "tenant token for -tenant")
 		codec   = fs.String("codec", "auto", "wire codec for -addr: auto, json or binary")
@@ -53,11 +54,12 @@ func runBackup(argv []string) error {
 	if (*addr == "") == (*dataDir == "") {
 		return fmt.Errorf("exactly one of -addr (hot) or -data-dir (offline) is required")
 	}
-	var sinceWM anonymizer.Watermark
-	if *since != "" {
+	incremental := *since != ""
+	var sinceWM uint64
+	if incremental {
 		var err error
-		if sinceWM, err = anonymizer.ParseWatermark(*since); err != nil {
-			return err
+		if sinceWM, err = strconv.ParseUint(*since, 10, 64); err != nil {
+			return fmt.Errorf("-since %q is not a watermark (an LSN): %w", *since, err)
 		}
 	}
 
@@ -65,7 +67,7 @@ func runBackup(argv []string) error {
 	var n int64
 	var err error
 	switch {
-	case *addr != "" && sinceWM != nil:
+	case *addr != "" && incremental:
 		var c *rc.Client
 		if c, err = dialAuthed(*addr, *tenant, *token); err != nil {
 			return err
@@ -79,7 +81,7 @@ func runBackup(argv []string) error {
 		}
 		defer func() { _ = c.Close() }()
 		n, err = c.Backup(&buf)
-	case sinceWM != nil:
+	case incremental:
 		n, _, err = anonymizer.IncrementalBackupDir(&buf, *dataDir, sinceWM)
 	default:
 		n, err = anonymizer.BackupDir(&buf, *dataDir)
@@ -97,10 +99,10 @@ func runBackup(argv []string) error {
 		return err
 	}
 	kind := "backup"
-	if sinceWM != nil {
+	if incremental {
 		kind = "incremental backup"
 	}
-	fmt.Fprintf(os.Stderr, "%s: %d bytes -> %s (watermark %s)\n", kind, n, *out, wm)
+	fmt.Fprintf(os.Stderr, "%s: %d bytes -> %s (watermark %d)\n", kind, n, *out, wm)
 	return nil
 }
 
@@ -193,7 +195,7 @@ func runRestore(argv []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "restore -apply: %d of %d delta records applied, %s now at watermark %s\n",
+		fmt.Fprintf(os.Stderr, "restore -apply: %d of %d delta records applied, %s now at watermark %d\n",
 			stats.Applied, stats.Frames, *dataDir, stats.End)
 		return nil
 	}

@@ -65,14 +65,14 @@ func runPromote(argv []string) error {
 	if err := st.SetEpoch(epoch+1, true); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "promote: %s promoted to leader at epoch %d (watermark %s)\n",
+	fmt.Fprintf(os.Stderr, "promote: %s promoted to leader at epoch %d (watermark %d)\n",
 		*dataDir, epoch+1, st.Watermark())
 	return nil
 }
 
-// runStatus prints a node's replication status: role, epoch, per-shard
-// stream watermark, and lag (follower backlog, or per-follower lag on a
-// leader).
+// runStatus prints a node's replication status: role, epoch, stream
+// watermark (the last LSN), and lag (follower backlog, or per-follower
+// lag on a leader).
 func runStatus(argv []string) error {
 	fs := flag.NewFlagSet("status", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7080", "server address")
@@ -96,7 +96,7 @@ func runStatus(argv []string) error {
 	}
 	fmt.Printf("role:      %s\n", status.Role)
 	fmt.Printf("epoch:     %d\n", status.Epoch)
-	fmt.Printf("watermark: %s\n", anonymizer.Watermark(status.Watermark))
+	fmt.Printf("watermark: %d\n", status.Watermark)
 	if status.Role == "follower" {
 		fmt.Printf("leader:    %s\n", status.LeaderAddr)
 		if status.LagFrames != nil {

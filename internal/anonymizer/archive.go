@@ -11,22 +11,25 @@ import (
 
 // A backup archive is one self-describing stream that carries a complete
 // durable store independently of any directory layout: the header names
-// the shard count, and each shard contributes its snapshot
-// (shard-NNNN.snap) and the records after it (shard-NNNN.wal, the
-// shard's tail). Archives from binaries that kept a per-shard directory
-// layout also carry that directory's META.json; restore checks it and
-// writes its own. The archive reuses the WAL's CRC frame (length +
-// CRC-32C + payload), so the same torn-write detection that guards
-// recovery guards restore — but with the opposite policy: a WAL
-// tolerates a torn tail, an archive is either complete or rejected.
+// the shard count, each shard contributes its snapshot (shard-NNNN.snap),
+// and one "log" entry carries the range of the store-wide log after the
+// oldest snapshot, its file record naming the range's last LSN — the
+// archive's watermark. An incremental archive carries only a "log" entry,
+// the records after the header's since LSN. Archives written before LSNs
+// existed carry per-shard record tails (shard-NNNN.wal) instead, and some
+// also their directory's META.json; restore still reads them. The archive
+// reuses the WAL's CRC frame (length + CRC-32C + payload), so the same
+// torn-write detection that guards recovery guards restore — but with the
+// opposite policy: a WAL tolerates a torn tail, an archive is either
+// complete or rejected.
 //
 // Record sequence:
 //
-//	{type:"archive", version:1, shards:N, next_id:M}   exactly once, first
-//	{type:"file", name, size, crc}                     opens one file
-//	{type:"data", data:<base64>}                       0+ chunks, in order
+//	{type:"archive", version:1, shards:N, next_id:M, since?:S}  exactly once, first
+//	{type:"file", name, size, crc, seq}                       opens one file
+//	{type:"data", data:<base64>}                              0+ chunks, in order
 //	... more file/data groups ...
-//	{type:"end", files:K}                              exactly once, last
+//	{type:"end", files:K}                                     exactly once, last
 //
 // Every file's byte count and whole-content CRC-32C are verified against
 // its file record, and the end record's file count against the number of
@@ -60,18 +63,19 @@ type archiveRecord struct {
 	// Header payload: the format version, the data directory's shard
 	// count, and the ID-allocator position at backup time (informational;
 	// recovery re-derives it from the shard files). Since marks an
-	// incremental archive: the per-shard stream watermark the delta
-	// starts after. Full archives carry no Since; restore refuses to
-	// seed a directory from a delta.
-	Version int      `json:"version,omitempty"`
-	Shards  int      `json:"shards,omitempty"`
-	NextID  uint64   `json:"next_id,omitempty"`
-	Since   []uint64 `json:"since,omitempty"`
+	// incremental archive: the LSN the delta starts after. Full archives
+	// carry no Since; restore refuses to seed a directory from a delta.
+	// (Incremental archives written before LSNs existed carry an array
+	// here and fail to decode: they are refused.)
+	Version int     `json:"version,omitempty"`
+	Shards  int     `json:"shards,omitempty"`
+	NextID  uint64  `json:"next_id,omitempty"`
+	Since   *uint64 `json:"since,omitempty"`
 	// File payload: the file's base name, byte count, and CRC-32C over its
 	// whole content (the frame CRC covers each chunk; the file CRC catches
-	// missing or reordered chunks). Seq is the shard's stream offset as of
-	// this file's copy — per-shard watermarks ride here, so a full
-	// backup's watermark can be read back out of the archive itself.
+	// missing or reordered chunks). Seq is a log position: the LSN a
+	// snapshot covers, or the last LSN of the log entry — so the archive's
+	// watermark can be read back out of the archive itself.
 	Name string `json:"name,omitempty"`
 	Size int64  `json:"size"`
 	CRC  uint32 `json:"crc"`
@@ -87,7 +91,7 @@ type archiveRecord struct {
 // checksums by the time a callback fires; CloseFile fires only after the
 // current file's size and CRC both checked out.
 type archiveSink interface {
-	Header(shards int, nextID uint64, since []uint64) error
+	Header(shards int, nextID uint64, since *uint64) error
 	File(name string, seq uint64) error
 	Data(chunk []byte) error
 	CloseFile() error
@@ -130,8 +134,8 @@ func (a *archiveWriter) record(rec *archiveRecord) {
 }
 
 // header writes the leading archive record. A non-nil since marks the
-// archive as an incremental delta starting after that watermark.
-func (a *archiveWriter) header(shards int, nextID uint64, since []uint64) {
+// archive as an incremental delta starting after that LSN.
+func (a *archiveWriter) header(shards int, nextID uint64, since *uint64) {
 	a.record(&archiveRecord{
 		Type: arcHeader, Version: archiveVersion, Shards: shards,
 		NextID: nextID, Since: since,
@@ -139,7 +143,7 @@ func (a *archiveWriter) header(shards int, nextID uint64, since []uint64) {
 }
 
 // file writes one complete file as a file record plus data chunks; seq
-// is the owning shard's stream offset at copy time.
+// is its log position (see archiveRecord).
 func (a *archiveWriter) file(name string, seq uint64, content []byte) {
 	a.record(&archiveRecord{
 		Type: arcFile, Name: name, Size: int64(len(content)),
@@ -227,10 +231,6 @@ func readArchive(r io.Reader, sink archiveSink) error {
 			}
 			if rec.Shards < 1 || rec.Shards&(rec.Shards-1) != 0 {
 				return badArchive("shard count %d is not a positive power of two", rec.Shards)
-			}
-			if rec.Since != nil && len(rec.Since) != rec.Shards {
-				return badArchive("since watermark of %d elements for %d shards",
-					len(rec.Since), rec.Shards)
 			}
 			return sink.Header(rec.Shards, rec.NextID, rec.Since)
 		case arcFile:

@@ -324,7 +324,7 @@ func TestAdminHandler(t *testing.T) {
 		"anonymizer_wal_log_segments 1",
 		`anonymizer_wal_fsync_duration_seconds_bucket{le="+Inf"}`,
 		"anonymizer_wal_fsync_duration_seconds_count",
-		"anonymizer_stream_watermark_sum 1",
+		"anonymizer_stream_watermark_sum 1", // the last LSN: one register record
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics missing %q", series)

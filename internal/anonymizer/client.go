@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -94,30 +95,16 @@ type ClientOption func(*clientConfig)
 
 // clientConfig collects the client tunables.
 type clientConfig struct {
-	followLeader bool
-	codec        Codec
+	codec Codec
 }
 
 // WithCodec selects the client's wire codec. The default, CodecAuto,
 // negotiates binary framing (protocol v2) at dial time and falls back to
 // JSON v1 transparently when the server predates it; CodecJSON skips
 // negotiation entirely; CodecBinary makes Dial fail instead of falling
-// back. The choice is per connection — a leader connection dialed by
-// WithLeaderRouting inherits it.
+// back. The choice is per connection.
 func WithCodec(c Codec) ClientOption {
 	return func(cfg *clientConfig) { cfg.codec = c }
-}
-
-// WithLeaderRouting makes the client follower-aware: a write refused by
-// a replication follower (the response carries the leader's address) is
-// transparently retried against the leader, over a second connection the
-// client dials and caches on first use. Reads keep going to the
-// originally dialed address — dial a follower with routing enabled and
-// you get local reads with writes forwarded to the leader. The refused
-// request had no effect on the follower, so the retry never duplicates
-// work.
-func WithLeaderRouting() ClientOption {
-	return func(c *clientConfig) { c.followLeader = true }
 }
 
 // Client talks to a Server over one connection. It is safe for concurrent
@@ -127,7 +114,6 @@ func WithLeaderRouting() ClientOption {
 // at a time behaves exactly like the old lock-step client.
 type Client struct {
 	conn net.Conn
-	cfg  clientConfig
 
 	sendMu sync.Mutex // serializes enqueue + encode so wire order == queue order
 	enc    *json.Encoder
@@ -147,17 +133,6 @@ type Client struct {
 	// pending carries calls to the receive loop in wire order; its capacity
 	// bounds the pipelining window.
 	pending chan *call
-
-	// leaderMu guards the lazily dialed leader connection used by
-	// WithLeaderRouting.
-	leaderMu sync.Mutex
-	leader   *Client
-
-	// authMu guards the credentials remembered by Auth, replayed when
-	// leader routing dials its second connection.
-	authMu     sync.Mutex
-	authTenant string
-	authToken  string
 
 	// stop is closed (once) when the client breaks or closes; err is set
 	// before the close and may be read after observing it.
@@ -183,7 +158,6 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	}
 	c := &Client{
 		conn:    conn,
-		cfg:     cfg,
 		major:   ProtocolMajor,
 		pending: make(chan *call, maxPipelined),
 		stop:    make(chan struct{}),
@@ -305,17 +279,10 @@ func (c *Client) fail(err error) {
 	})
 }
 
-// Close closes the connection (and the cached leader connection, if
-// routing dialed one). In-flight calls fail with ErrClientClosed unless
-// their response already arrived.
+// Close closes the connection. In-flight calls fail with ErrClientClosed
+// unless their response already arrived.
 func (c *Client) Close() error {
 	c.fail(ErrClientClosed)
-	c.leaderMu.Lock()
-	if c.leader != nil {
-		_ = c.leader.Close()
-		c.leader = nil
-	}
-	c.leaderMu.Unlock()
 	return nil
 }
 
@@ -367,9 +334,7 @@ func (c *Client) encode(req *Request) error {
 	return c.bw.Flush()
 }
 
-// roundTrip sends one request and waits for its response. With leader
-// routing enabled, a write the server refused as a follower is retried
-// once against the advertised leader.
+// roundTrip sends one request and waits for its response.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
 	cl, err := c.send(req)
 	if err != nil {
@@ -394,56 +359,9 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 		return nil, rerr
 	}
 	if !resp.OK {
-		if c.cfg.followLeader && resp.Leader != "" {
-			return c.viaLeader(req, resp.Leader)
-		}
 		return nil, remoteError(resp)
 	}
 	return resp, nil
-}
-
-// viaLeader re-issues a follower-refused request against the leader,
-// dialing (and caching) the leader connection on first use. The cached
-// connection does not itself route, so a redirect loop is impossible.
-func (c *Client) viaLeader(req *Request, addr string) (*Response, error) {
-	c.leaderMu.Lock()
-	leader := c.leader
-	if leader == nil {
-		var err error
-		// The leader connection inherits the codec choice but not the
-		// routing option (the cached connection must never redirect).
-		leader, err = Dial(addr, WithCodec(c.cfg.codec))
-		if err != nil {
-			c.leaderMu.Unlock()
-			return nil, fmt.Errorf("anonymizer: routing to leader: %w", err)
-		}
-		// The leader enforces the same trust boundary the follower does:
-		// replay this connection's credentials before the retried write.
-		c.authMu.Lock()
-		tenant, token := c.authTenant, c.authToken
-		c.authMu.Unlock()
-		if tenant != "" {
-			if err := leader.Auth(tenant, token); err != nil {
-				c.leaderMu.Unlock()
-				_ = leader.Close()
-				return nil, fmt.Errorf("anonymizer: authenticating to leader: %w", err)
-			}
-		}
-		c.leader = leader
-	}
-	c.leaderMu.Unlock()
-	resp, err := leader.roundTrip(req)
-	if err != nil && !errors.Is(err, ErrRemote) {
-		// The cached leader connection broke (failover in progress, old
-		// leader gone): drop it so the next write re-resolves.
-		c.leaderMu.Lock()
-		if c.leader == leader {
-			_ = leader.Close()
-			c.leader = nil
-		}
-		c.leaderMu.Unlock()
-	}
-	return resp, err
 }
 
 // Ping checks server liveness.
@@ -456,12 +374,8 @@ func (c *Client) Ping() error {
 // from the server's tenants file). Call it first, before any other
 // operation: on servers with authentication enabled, an unauthenticated
 // connection may issue nothing but ping and auth. Authentication is per
-// connection — a client with leader routing re-authenticates its cached
-// leader connection automatically on first use.
+// connection.
 func (c *Client) Auth(tenant, token string) error {
-	c.authMu.Lock()
-	c.authTenant, c.authToken = tenant, token
-	c.authMu.Unlock()
 	_, err := c.roundTrip(&Request{Op: OpAuth, Tenant: tenant, Token: token})
 	return err
 }
@@ -619,13 +533,13 @@ func (c *Client) Touch(regionID string, ttl time.Duration) (time.Time, error) {
 	return time.UnixMilli(resp.ExpiresAtMillis).UTC(), nil
 }
 
-// BackupSince fetches an incremental backup: only the mutation-stream
-// records after since (the watermark of an earlier backup), as an archive
-// for `anonymizer restore -apply` / ApplyIncremental. A watermark older
-// than the server's last compaction is refused (ErrRemote wrapping a
-// stream gap): take a full backup instead.
-func (c *Client) BackupSince(w io.Writer, since Watermark) (int64, error) {
-	resp, err := c.roundTrip(&Request{Op: OpBackup, Since: since.String()})
+// BackupSince fetches an incremental backup: only the log records after
+// since (the watermark of an earlier backup), as an archive for
+// `anonymizer restore -apply` / ApplyIncremental. A watermark older than
+// the oldest record the server still holds is refused (ErrRemote
+// wrapping a stream gap): take a full backup instead.
+func (c *Client) BackupSince(w io.Writer, since uint64) (int64, error) {
+	resp, err := c.roundTrip(&Request{Op: OpBackup, Since: strconv.FormatUint(since, 10)})
 	if err != nil {
 		return 0, err
 	}
@@ -644,11 +558,8 @@ type SubscribeInfo struct {
 	// Epoch is the leader's replication epoch; later frame polls must
 	// present it.
 	Epoch uint64
-	// Shards is the leader store's shard count (the follower's must
-	// match).
-	Shards int
 	// Watermark is the leader's stream position at subscription.
-	Watermark Watermark
+	Watermark uint64
 }
 
 // ReplSubscribe performs the replication handshake: epoch is the
@@ -657,7 +568,7 @@ type SubscribeInfo struct {
 // follower its advertised address, and wm its current position. A fenced
 // rejection (stale leader rejoining, or the polled node itself stale)
 // surfaces as ErrRemote.
-func (c *Client) ReplSubscribe(epoch uint64, wasLeader bool, follower string, wm Watermark) (*SubscribeInfo, error) {
+func (c *Client) ReplSubscribe(epoch uint64, wasLeader bool, follower string, wm uint64) (*SubscribeInfo, error) {
 	resp, err := c.roundTrip(&Request{
 		Op:        OpReplSubscribe,
 		Epoch:     epoch,
@@ -668,18 +579,16 @@ func (c *Client) ReplSubscribe(epoch uint64, wasLeader bool, follower string, wm
 	if err != nil {
 		return nil, err
 	}
-	if resp.Shards <= 0 || resp.Epoch == 0 {
+	if resp.Epoch == 0 {
 		return nil, fmt.Errorf("%w: malformed subscribe response", ErrRemote)
 	}
-	return &SubscribeInfo{
-		Epoch: resp.Epoch, Shards: resp.Shards, Watermark: resp.Watermark,
-	}, nil
+	return &SubscribeInfo{Epoch: resp.Epoch, Watermark: resp.Watermark}, nil
 }
 
 // ReplFrames polls the leader's mutation stream for the records after
 // the follower's watermark (at most max; 0 = server default), returning
 // the frames and the leader's current position.
-func (c *Client) ReplFrames(epoch uint64, after Watermark, max int) ([]StreamFrame, Watermark, error) {
+func (c *Client) ReplFrames(epoch uint64, after uint64, max int) ([]StreamFrame, uint64, error) {
 	resp, err := c.roundTrip(&Request{
 		Op:        OpReplFrames,
 		Epoch:     epoch,
@@ -687,14 +596,14 @@ func (c *Client) ReplFrames(epoch uint64, after Watermark, max int) ([]StreamFra
 		MaxFrames: max,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	return resp.Frames, resp.Watermark, nil
 }
 
 // ReplAck reports the follower's durably applied watermark to the
 // leader's lag accounting.
-func (c *Client) ReplAck(epoch uint64, follower string, applied Watermark) error {
+func (c *Client) ReplAck(epoch uint64, follower string, applied uint64) error {
 	_, err := c.roundTrip(&Request{
 		Op:        OpReplAck,
 		Epoch:     epoch,

@@ -51,11 +51,12 @@ const (
 	reqTagEpoch       = 11 // uvarint
 	reqTagWasLeader   = 12 // bool
 	reqTagFollower    = 13 // string
-	reqTagWatermark   = 14 // count + uvarints
+	_                 = 14 // retired (per-shard watermark); never reuse
 	reqTagMaxFrames   = 15 // varint
 	reqTagSince       = 16 // string
 	reqTagTenant      = 17 // string
 	reqTagToken       = 18 // string
+	reqTagWatermark   = 19 // uvarint
 )
 
 // Response field tags.
@@ -77,10 +78,13 @@ const (
 	_                      = 14 // retired (batch ops); never reuse
 	respTagLeader          = 15 // string
 	respTagEpoch           = 16 // uvarint
-	respTagShards          = 17 // varint
-	respTagWatermark       = 18 // count + uvarints
-	respTagFrames          = 19 // count + (varint shard, uvarint seq, bytes rec)
-	respTagRepl            = 20 // repl-status sub-struct
+	_                      = 17 // retired (shard count); never reuse
+	_                      = 18 // retired (per-shard watermark); never reuse
+	_                      = 19 // retired (per-shard frames); never reuse
+	_                      = 20 // retired (per-shard repl status); never reuse
+	respTagWatermark       = 21 // uvarint
+	respTagFrames          = 22 // count + (uvarint lsn, bytes rec)
+	respTagRepl            = 23 // repl-status sub-struct
 )
 
 // errBinaryTruncated reports a frame that ended inside a value.
@@ -112,14 +116,6 @@ func appendTagBytes(b []byte, tag uint64, p []byte) []byte {
 
 func appendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func appendUints(b []byte, vs []uint64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
-	}
-	return b
 }
 
 // --- binReader: sticky-position decoder over one frame payload --------
@@ -208,23 +204,6 @@ func (r *binReader) f64() (float64, error) {
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.pos:]))
 	r.pos += 8
 	return v, nil
-}
-
-func (r *binReader) uints() ([]uint64, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		if out[i], err = r.uvarint(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // --- sub-struct encodings ---------------------------------------------
@@ -376,7 +355,7 @@ func appendReplStatus(b []byte, rs *ReplStatus) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rs.Role)))
 	b = append(b, rs.Role...)
 	b = binary.AppendUvarint(b, rs.Epoch)
-	b = appendUints(b, rs.Watermark)
+	b = binary.AppendUvarint(b, rs.Watermark)
 	b = binary.AppendUvarint(b, uint64(len(rs.LeaderAddr)))
 	b = append(b, rs.LeaderAddr...)
 	if rs.LagFrames != nil {
@@ -405,11 +384,9 @@ func (r *binReader) replStatus() (*ReplStatus, error) {
 	if rs.Epoch, err = r.uvarint(); err != nil {
 		return nil, err
 	}
-	wm, err := r.uints()
-	if err != nil {
+	if rs.Watermark, err = r.uvarint(); err != nil {
 		return nil, err
 	}
-	rs.Watermark = wm
 	if rs.LeaderAddr, err = r.str(); err != nil {
 		return nil, err
 	}
@@ -488,9 +465,8 @@ func appendRequest(b []byte, req *Request) []byte {
 	if req.Follower != "" {
 		b = appendTagString(b, reqTagFollower, req.Follower)
 	}
-	if len(req.Watermark) > 0 {
-		b = binary.AppendUvarint(b, reqTagWatermark)
-		b = appendUints(b, req.Watermark)
+	if req.Watermark != 0 {
+		b = appendTagUvarint(b, reqTagWatermark, req.Watermark)
 	}
 	if req.MaxFrames != 0 {
 		b = appendTagVarint(b, reqTagMaxFrames, int64(req.MaxFrames))
@@ -560,7 +536,7 @@ func (r *binReader) request(req *Request) error {
 		case reqTagFollower:
 			req.Follower, err = r.str()
 		case reqTagWatermark:
-			req.Watermark, err = r.uints()
+			req.Watermark, err = r.uvarint()
 		case reqTagMaxFrames:
 			req.MaxFrames, err = r.vint()
 		case reqTagSince:
@@ -645,20 +621,15 @@ func appendResponse(b []byte, resp *Response) []byte {
 	if resp.Epoch != 0 {
 		b = appendTagUvarint(b, respTagEpoch, resp.Epoch)
 	}
-	if resp.Shards != 0 {
-		b = appendTagVarint(b, respTagShards, int64(resp.Shards))
-	}
-	if len(resp.Watermark) > 0 {
-		b = binary.AppendUvarint(b, respTagWatermark)
-		b = appendUints(b, resp.Watermark)
+	if resp.Watermark != 0 {
+		b = appendTagUvarint(b, respTagWatermark, resp.Watermark)
 	}
 	if len(resp.Frames) > 0 {
 		b = binary.AppendUvarint(b, respTagFrames)
 		b = binary.AppendUvarint(b, uint64(len(resp.Frames)))
 		for i := range resp.Frames {
 			f := &resp.Frames[i]
-			b = binary.AppendVarint(b, int64(f.Shard))
-			b = binary.AppendUvarint(b, f.Seq)
+			b = binary.AppendUvarint(b, f.LSN)
 			b = binary.AppendUvarint(b, uint64(len(f.Rec)))
 			b = append(b, f.Rec...)
 		}
@@ -749,20 +720,15 @@ func (r *binReader) response(resp *Response) error {
 			resp.Leader, err = r.str()
 		case respTagEpoch:
 			resp.Epoch, err = r.uvarint()
-		case respTagShards:
-			resp.Shards, err = r.vint()
 		case respTagWatermark:
-			resp.Watermark, err = r.uints()
+			resp.Watermark, err = r.uvarint()
 		case respTagFrames:
 			var n int
 			if n, err = r.count(); err == nil && n > 0 {
 				resp.Frames = make([]StreamFrame, n)
 				for i := range resp.Frames {
 					f := &resp.Frames[i]
-					if f.Shard, err = r.vint(); err != nil {
-						break
-					}
-					if f.Seq, err = r.uvarint(); err != nil {
+					if f.LSN, err = r.uvarint(); err != nil {
 						break
 					}
 					var rec []byte

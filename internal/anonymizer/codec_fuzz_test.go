@@ -3,6 +3,7 @@ package anonymizer
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -97,6 +98,7 @@ func (g *fuzzGen) request() Request {
 		Epoch:       g.u64(),
 		WasLeader:   g.bool(),
 		Follower:    g.str(),
+		Watermark:   g.u64(),
 		MaxFrames:   int(g.i64()),
 		Since:       g.str(),
 		Tenant:      g.str(),
@@ -110,12 +112,6 @@ func (g *fuzzGen) request() Request {
 			})
 		}
 		req.Profile = p
-	}
-	if n := g.intn(4); n > 0 {
-		req.Watermark = make([]uint64, n)
-		for i := range req.Watermark {
-			req.Watermark[i] = g.u64()
-		}
 	}
 	return req
 }
@@ -149,7 +145,7 @@ func (g *fuzzGen) response() Response {
 		Archive:         g.rawBytes(),
 		Leader:          g.str(),
 		Epoch:           g.u64(),
-		Shards:          int(g.i64()),
+		Watermark:       g.u64(),
 	}
 	if g.bool() {
 		v := int(g.i64())
@@ -170,12 +166,6 @@ func (g *fuzzGen) response() Response {
 			resp.Keys[int(g.i64())] = g.str()
 		}
 	}
-	if n := g.intn(4); n > 0 {
-		resp.Watermark = make([]uint64, n)
-		for i := range resp.Watermark {
-			resp.Watermark[i] = g.u64()
-		}
-	}
 	if n := g.intn(3); n > 0 {
 		resp.Frames = make([]StreamFrame, n)
 		for i := range resp.Frames {
@@ -183,19 +173,14 @@ func (g *fuzzGen) response() Response {
 			if err != nil {
 				panic(err)
 			}
-			resp.Frames[i] = StreamFrame{
-				Shard: g.intn(8), Seq: g.u64(), Rec: json.RawMessage(rec),
-			}
+			resp.Frames[i] = StreamFrame{LSN: g.u64(), Rec: json.RawMessage(rec)}
 		}
 	}
 	if g.bool() {
-		rs := &ReplStatus{Role: g.str(), Epoch: g.u64(), LeaderAddr: g.str()}
+		rs := &ReplStatus{Role: g.str(), Epoch: g.u64(), Watermark: g.u64(), LeaderAddr: g.str()}
 		if g.bool() {
 			lag := g.i64()
 			rs.LagFrames = &lag
-		}
-		for i, n := 0, g.intn(3); i < n; i++ {
-			rs.Watermark = append(rs.Watermark, g.u64())
 		}
 		for i, n := 0, g.intn(3); i < n; i++ {
 			rs.Followers = append(rs.Followers, FollowerStatus{
@@ -352,31 +337,37 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 	})
 }
 
-// TestDecodeRefusesRetiredTags pins the retirement of the batch ops on
-// the binary wire: a v2 frame carrying their batch field (request tag
-// 10, response tag 14) is malformed like any unknown tag, so an old
-// batch client's frame drops the connection instead of being half-read.
+// TestDecodeRefusesRetiredTags pins the retirement of binary tags whose
+// meaning went away: the batch ops (request tag 10, response tag 14) and
+// the per-shard replication fields (request tag 14: watermark; response
+// tags 17-20: shards, watermark, frames, repl status). A v2 frame carrying
+// one is malformed like any unknown tag, so an old peer's frame drops the
+// connection instead of being half-read.
 func TestDecodeRefusesRetiredTags(t *testing.T) {
 	// One nested item, then the message's end tag.
 	withTag := func(msg []byte, tag byte) []byte {
 		return append(msg[:len(msg)-1], tag, 1, 0, 0)
 	}
-	req := withTag(appendRequest(nil, &Request{V: 2, Op: "anonymize_batch"}), 10)
-	framed, err := appendWireFrame(nil, func(b []byte) []byte { return append(b, req...) })
-	if err != nil {
-		t.Fatal(err)
+	for _, tag := range []byte{10, 14} {
+		req := withTag(appendRequest(nil, &Request{V: 2, Op: "repl_frames"}), tag)
+		framed, err := appendWireFrame(nil, func(b []byte) []byte { return append(b, req...) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := readWireFrame(bytes.NewReader(framed), nil)
+		if err != nil {
+			t.Fatalf("frame layer refused an intact frame: %v", err)
+		}
+		var rq Request
+		if err := decodeRequest(payload, &rq); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tag %d", tag)) {
+			t.Errorf("request with tag %d: err = %v, want an unknown-tag error", tag, err)
+		}
 	}
-	payload, err := readWireFrame(bytes.NewReader(framed), nil)
-	if err != nil {
-		t.Fatalf("frame layer refused an intact frame: %v", err)
-	}
-	var rq Request
-	if err := decodeRequest(payload, &rq); err == nil || !strings.Contains(err.Error(), "tag 10") {
-		t.Errorf("request with tag 10: err = %v, want an unknown-tag error", err)
-	}
-	resp := withTag(appendResponse(nil, &Response{V: 2, OK: true}), 14)
-	var rs Response
-	if err := decodeResponse(resp, &rs); err == nil || !strings.Contains(err.Error(), "tag 14") {
-		t.Errorf("response with tag 14: err = %v, want an unknown-tag error", err)
+	for _, tag := range []byte{14, 17, 18, 19, 20} {
+		resp := withTag(appendResponse(nil, &Response{V: 2, OK: true}), tag)
+		var rs Response
+		if err := decodeResponse(resp, &rs); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tag %d", tag)) {
+			t.Errorf("response with tag %d: err = %v, want an unknown-tag error", tag, err)
+		}
 	}
 }

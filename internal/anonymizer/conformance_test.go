@@ -426,8 +426,8 @@ func derivationTrial(t *testing.T, seed int64, shards int, reshardTo []int) {
 	wantLen := sst.Len()
 	requireSameState(t, fmt.Sprintf("derived-vs-stored(k=%d)", shards),
 		want, digestStore(t, dst, ids, engine, engineMade), wantLen, dst.Len())
-	if sw, dw := sst.Watermark(), dst.Watermark(); !reflect.DeepEqual(sw, dw) {
-		t.Fatalf("replication watermarks diverged: stored %v, derived %v", sw, dw)
+	if sw, dw := sst.Watermark(), dst.Watermark(); sw != dw {
+		t.Fatalf("replication watermarks diverged: stored %d, derived %d", sw, dw)
 	}
 
 	// Backup → restore of derived-key records: the archive carries key
@@ -498,33 +498,51 @@ func dirBytes(t *testing.T, dir string) int64 {
 // watermark through IngestFrame, the way the replication loop does. A
 // stream gap — the follower's position not addressable on the leader — is
 // fatal: a follower seeded from an archive must be able to continue from
-// exactly where the archive ends.
+// exactly where the archive ends. Afterwards both logs must hold the same
+// bytes at every LSN both still hold.
 func catchUp(t *testing.T, label string, leader, follower *DurableStore) {
 	t.Helper()
-	from := follower.Watermark()
-	for i := 0; i < leader.ShardCount(); i++ {
-		frames, _, err := leader.TailFrom(i, from[i], 0)
-		if err != nil {
-			t.Fatalf("%s: TailFrom(leader, %d, %d): %v", label, i, from[i], err)
-		}
-		for _, f := range frames {
-			if _, err := follower.IngestFrame(f); err != nil {
-				t.Fatalf("%s: IngestFrame(%d/%d): %v", label, f.Shard, f.Seq, err)
-			}
+	frames, _, err := leader.TailFrom(follower.Watermark(), 0)
+	if err != nil {
+		t.Fatalf("%s: TailFrom(leader, %d): %v", label, follower.Watermark(), err)
+	}
+	for _, f := range frames {
+		if _, err := follower.IngestFrame(f); err != nil {
+			t.Fatalf("%s: IngestFrame(%d): %v", label, f.LSN, err)
 		}
 	}
-	if lw, fw := leader.Watermark(), follower.Watermark(); !reflect.DeepEqual(lw, fw) {
-		t.Fatalf("%s: watermarks diverged: leader %v, follower %v", label, lw, fw)
+	if lw, fw := leader.Watermark(), follower.Watermark(); lw != fw {
+		t.Fatalf("%s: watermarks diverged: leader %d, follower %d", label, lw, fw)
+	}
+	requireSameLog(t, label, leader, follower)
+}
+
+// requireSameLog fails unless two caught-up stores serve byte-identical
+// frames from TailFrom over every LSN both still hold on disk.
+func requireSameLog(t *testing.T, label string, a, b *DurableStore) {
+	t.Helper()
+	from := max(a.log.segs[0].base, b.log.segs[0].base) - 1
+	fa, _, err := a.TailFrom(from, 0)
+	if err != nil {
+		t.Fatalf("%s: TailFrom(%d): %v", label, from, err)
+	}
+	fb, _, err := b.TailFrom(from, 0)
+	if err != nil {
+		t.Fatalf("%s: TailFrom(%d): %v", label, from, err)
+	}
+	if !reflect.DeepEqual(fa, fb) {
+		t.Fatalf("%s: logs differ over LSNs (%d, %d]", label, from, a.Watermark())
 	}
 }
 
 // restoredFollowerTrial is the replication arm of the lifecycle harness:
 // a follower whose directory was seeded by RestoreArchive must pick up
-// the leader's stream at the archive's watermark — per-shard offsets line
-// up exactly across the restore — and converge byte-identically. It runs
-// twice per trial: from a hot archive (tails empty: WriteBackup compacts
-// first) against the still-running leader, and from a cold archive whose
-// tails carry every uncompacted record, against the reopened leader.
+// the leader's stream at the archive's watermark — LSNs line up exactly
+// across the restore — and converge to byte-identical state and logs. It
+// runs twice per trial: from a hot archive (an empty log entry:
+// WriteBackup compacts first) against the still-running leader, and from
+// a cold archive whose log entry carries every uncompacted record, against
+// the reopened leader.
 func restoredFollowerTrial(t *testing.T, seed int64, shards int) {
 	rng := rand.New(rand.NewSource(seed))
 	clk := newFakeClock()
@@ -590,8 +608,8 @@ func restoredFollowerTrial(t *testing.T, seed int64, shards int) {
 		if got := f.Recovery().TruncatedBytes; got != 0 {
 			t.Fatalf("%s: restored follower truncated %d bytes at open", label, got)
 		}
-		if !reflect.DeepEqual(f.Watermark(), wm) {
-			t.Fatalf("%s: follower opens at %v, archive ends at %v", label, f.Watermark(), wm)
+		if f.Watermark() != wm {
+			t.Fatalf("%s: follower opens at %d, archive ends at %d", label, f.Watermark(), wm)
 		}
 		return f
 	}

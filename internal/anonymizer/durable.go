@@ -236,44 +236,21 @@ type RecoveryStats struct {
 	TruncatedBytes int64
 }
 
-// streamEntry is one record of a shard's in-memory offset index: where
-// in the unified log the record with this stream offset physically
-// lives. The index is what preserves the per-shard stream contracts
-// (TailFrom, incremental backup) over the shared log: entries are
-// ascending in seq, cover exactly the records after the shard's
-// snapshot, and are rebuilt from the log scan at open.
-type streamEntry struct {
-	seq uint64
-	seg *logSegment
-	off int64
-	n   int32 // framed size (header + payload)
-}
-
-// durableShard is one partition of the store: the in-memory
-// registration table plus the shard's slice of the store-wide log,
-// addressed through the offset index.
+// durableShard is one partition of the store: lock striping over the
+// in-memory registration table. Its records live in the store-wide log;
+// its snapshot covers every one of them up to snapLSN.
 type durableShard struct {
 	mu         sync.RWMutex
 	tab        regTable
-	idx        int // shard number (the unified log tags appends with it)
+	idx        int // shard number (the log tracks each shard's reclaim floor by it)
 	snapPath   string
-	walRecords int // records since the last snapshot (= len(entries))
+	walRecords int // records since the last snapshot
 	buf        []byte
 
-	// streamSeq is the shard's stream position: the offset of the last
-	// mutation record appended to this shard's logical stream, monotonic
-	// across snapshot compactions and restarts. snapSeq is the position
-	// the current snapshot covers: records at or below it live only in
-	// the snapshot, records above it are indexed in entries and servable
-	// to stream readers (TailFrom, incremental backup).
-	streamSeq uint64
-	snapSeq   uint64
-	// snapSeqA mirrors snapSeq for lock-free reads by the log's segment
-	// reclaim (which runs under a DIFFERENT shard's lock and must not
-	// take this one).
-	snapSeqA atomic.Uint64
-
-	entries []streamEntry
+	// snapLSN is the LSN the current snapshot covers: the shard's records
+	// at or below it live in the snapshot, so recovery skips them in the
+	// log.
+	snapLSN uint64
 }
 
 // DurableStore is the registration store — the one place a region, its
@@ -351,7 +328,7 @@ type DurableStore struct {
 // OpenDurableStore opens (or initializes) a durable store rooted at dir,
 // recovering any state a previous process left there. The directory holds
 // one shard-NNNN.snap snapshot per shard plus the store-wide unified log
-// (wal-NNNNNNNN.seg segments); recovery loads each shard's snapshot,
+// (wal-<base LSN>.seg segments); recovery loads each shard's snapshot,
 // replays the log once — routing each record to its shard by region-ID
 // hash — and truncates any torn tail a crash left behind (see Recovery
 // for what was found). This is the only layout the store reads or writes:
@@ -423,43 +400,33 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 		s.shards[i] = sh
 	}
 
-	// Phase 2: one pass over the unified log. Each record self-describes
-	// its stream: the shard comes from the region-ID hash, the offset from
-	// the payload's Seq (nextStreamSeq tolerates pre-offset-era records).
-	// Records a shard's snapshot already covers are skipped but still
-	// advance the running offset; the rest replay through the shared apply
-	// and land in the shard's physical index.
-	runs := make([]uint64, size)
-	for i, sh := range s.shards {
-		runs[i] = sh.snapSeq
-	}
+	// Phase 2: one pass over the log in LSN order. A record's shard comes
+	// from its region-ID hash; a record at or below that shard's snapshot
+	// LSN is already in the snapshot (a crash between snapshot rename and
+	// segment reclaim) and is skipped, the rest replay through the shared
+	// apply.
 	lg, truncated, err := openStoreLog(dir, size, cfg.segBytes,
-		func(rec *walRecord, seg *logSegment, off int64, n int) (int, uint64, error) {
+		func(lsn uint64, rec *walRecord) (int, bool, error) {
 			if rec.Type == recSnapHeader {
-				return 0, 0, fmt.Errorf("%w: unexpected %q record in log", ErrCorruptLog, rec.Type)
+				return 0, false, fmt.Errorf("%w: unexpected %q record in log", ErrCorruptLog, rec.Type)
 			}
 			shard := int(shardIndex(rec.ID, s.mask))
-			seq := nextStreamSeq(runs[shard], rec.Seq)
-			runs[shard] = seq
 			sh := s.shards[shard]
 			note(rec.ID)
-			if seq <= sh.snapSeq {
-				// Covered by the snapshot (crash between snapshot rename and
-				// segment reclaim); skip.
-				return shard, seq, nil
+			if lsn <= sh.snapLSN {
+				return shard, false, nil
 			}
 			m, err := mutationFromRecord(rec, s.cfg.keyring)
 			if err != nil {
-				return 0, 0, err
+				return 0, false, err
 			}
 			applied, err := sh.tab.apply(m, applyReplay, openNow)
 			if err != nil {
-				return 0, 0, err
+				return 0, false, err
 			}
 			tally.note(m, applied)
-			sh.entries = append(sh.entries, streamEntry{seq: seq, seg: seg, off: off, n: int32(n)})
 			sh.walRecords++
-			return shard, seq, nil
+			return shard, true, nil
 		})
 	if err != nil {
 		return nil, err
@@ -472,8 +439,7 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 	s.stats.Expired = tally.Expired
 
 	canExpire := false
-	for i, sh := range s.shards {
-		sh.streamSeq = runs[i]
+	for _, sh := range s.shards {
 		// The stream has fully replayed; reclaim whatever is dead at the
 		// open instant in one sweep (replay itself is expiry-blind so that
 		// touch records can renew leases that lapsed mid-log). Replicas
@@ -496,6 +462,19 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 		}
 	}
 	s.nextID.Store(maxID)
+	// A snapshot never covers an LSN the log has not reached — unless a
+	// machine crash lost the log's unsynced tail after the snapshot was
+	// written. Re-cut such a snapshot at the log's end: new records would
+	// otherwise take LSNs it claims to cover, and the next recovery would
+	// skip them.
+	for _, sh := range s.shards {
+		if sh.snapLSN > lg.lastLSN() {
+			if err := s.snapshotShardLocked(sh); err != nil {
+				_ = lg.close()
+				return nil, err
+			}
+		}
+	}
 	if cfg.fsync == FsyncInterval {
 		s.bg.Add(1)
 		go tickLoop(&s.bg, s.stop, cfg.fsyncEvery, func() { _ = s.Sync() })
@@ -523,12 +502,13 @@ type storeMeta struct {
 const metaFile = "META.json"
 
 // storeMetaVersion is the one data-directory layout version this code
-// reads and writes: 3, the unified-log layout (shard-NNNN.snap snapshots +
-// wal-NNNNNNNN.seg segments) whose register records may carry derived-key
-// references instead of key material. Directories in any other version are
-// refused (ErrUnsupportedLayout); a backup archive is the bridge between
-// versions, because RestoreArchive always stages this layout.
-const storeMetaVersion = 3
+// reads and writes: 4, the single-sequence layout — shard-NNNN.snap
+// snapshots that each name the LSN they cover, and wal-<base LSN>.seg
+// segments of one log whose records carry no position of their own.
+// Directories in any other version are refused (ErrUnsupportedLayout); a
+// backup archive is the bridge between versions, because RestoreArchive
+// always stages this layout.
+const storeMetaVersion = 4
 
 // ErrUnsupportedLayout reports a data directory whose META names a layout
 // version other than the one this binary reads and writes. Nothing in the
@@ -640,10 +620,7 @@ func (s *DurableStore) loadShardSnapshot(
 			if rec.NextID > *maxID {
 				*maxID = rec.NextID
 			}
-			// The header pins the stream position the snapshot covers;
-			// log records continue the sequence from here.
-			sh.snapSeq = rec.StreamSeq
-			sh.snapSeqA.Store(rec.StreamSeq)
+			sh.snapLSN = rec.LSN
 			return nil
 		case recRegister:
 			m, err := mutationFromRecord(rec, s.cfg.keyring)
@@ -703,45 +680,29 @@ func (s *DurableStore) setCacheInvalidator(fn func(id string)) {
 	}
 }
 
-// appendLocked journals one record to the unified log under the shard's
-// lock, stamping it with the shard's next stream offset. It returns the
-// log's logical end offset after the append — the group-commit wait
+// appendLocked journals one record to the log under the shard's lock (so
+// the record is encoded there, never under the log's lock) and returns
+// the log's logical end offset after the append — the group-commit wait
 // target. Durability is the caller's business: FsyncInterval leaves the
 // log dirty for the background syncer, and FsyncAlways callers wait on
 // the store-wide group commit after releasing the shard lock.
 func (s *DurableStore) appendLocked(sh *durableShard, rec *walRecord) (int64, error) {
-	rec.Seq = sh.streamSeq + 1
 	frame, err := appendRecord(sh.buf, rec)
 	if err != nil {
 		return 0, err
 	}
-	sh.buf = frame
-	return s.writeFrameLocked(sh, frame, rec.Seq)
+	return s.writeFrameLocked(sh, frame, 0)
 }
 
-// appendRawLocked journals a pre-encoded record payload (the leader's
-// exact bytes) at the given stream offset — the follower half of log
-// shipping: replicated shards stay byte-identical to the leader's stream,
-// CRC frames included, because the payload is never re-marshaled.
-func (s *DurableStore) appendRawLocked(sh *durableShard, payload []byte, seq uint64) (int64, error) {
-	frame, err := appendFrame(sh.buf, payload)
+// writeFrameLocked appends one framed record to the log at lsn (0: the
+// next one) and counts it toward the shard's compaction cadence.
+func (s *DurableStore) writeFrameLocked(sh *durableShard, frame []byte, lsn uint64) (int64, error) {
+	sh.buf = frame
+	end, err := s.log.append(frame, sh.idx, lsn)
 	if err != nil {
 		return 0, err
 	}
-	sh.buf = frame
-	return s.writeFrameLocked(sh, frame, seq)
-}
-
-// writeFrameLocked appends one framed record to the unified log and
-// advances the shard's bookkeeping (offset index, stream position).
-func (s *DurableStore) writeFrameLocked(sh *durableShard, frame []byte, seq uint64) (int64, error) {
-	loc, end, err := s.log.append(frame, sh.idx, seq)
-	if err != nil {
-		return 0, err
-	}
-	sh.entries = append(sh.entries, streamEntry{seq: seq, seg: loc.seg, off: loc.off, n: int32(len(frame))})
 	sh.walRecords++
-	sh.streamSeq = seq
 	s.recordsTotal.Add(1)
 	return end, nil
 }
@@ -1001,13 +962,13 @@ func (s *DurableStore) maybeSnapshotLocked(sh *durableShard) {
 }
 
 // snapshotShardLocked writes the shard's live registrations to a fresh
-// snapshot (temp file + rename, so the snapshot is atomic), then drops
-// the shard's offset index and lets the unified log reclaim any segments
-// no shard needs anymore. Ordering matters: the snapshot is durable
-// before its log records become reclaimable, so a crash at any point
-// leaves either the old snapshot+log or the new snapshot (possibly plus
-// log records replaying idempotently — recovery skips records at or below
-// the snapshot's stream position).
+// snapshot (temp file + rename, so the snapshot is atomic) covering the
+// log's current last LSN — with the shard lock held, every record of the
+// shard lies at or below it — then lets the log reclaim any segments no
+// shard needs anymore. Ordering matters: the snapshot is durable before
+// its log records become reclaimable, so a crash at any point leaves
+// either the old snapshot+log or the new snapshot plus log records that
+// recovery skips (they lie at or below the snapshot's LSN).
 //
 // Compaction is also a reclamation point: expired registrations are
 // excluded from the snapshot and, once it is durable, dropped from
@@ -1035,7 +996,8 @@ func (s *DurableStore) snapshotShardLocked(sh *durableShard) error {
 	// be in flight for an entry whose TTL looks elapsed here), so replica
 	// snapshots carry every entry verbatim.
 	replica := s.replica.Load()
-	err = write(&walRecord{Type: recSnapHeader, NextID: s.nextID.Load(), StreamSeq: sh.streamSeq})
+	lsn := s.log.lastLSN()
+	err = write(&walRecord{Type: recSnapHeader, NextID: s.nextID.Load(), LSN: lsn})
 	for id, reg := range sh.tab.regs {
 		if err != nil {
 			break
@@ -1076,14 +1038,10 @@ func (s *DurableStore) snapshotShardLocked(sh *durableShard) error {
 		}
 	}
 	sh.walRecords = 0
-	sh.entries = sh.entries[:0]
-	sh.snapSeq = sh.streamSeq
-	sh.snapSeqA.Store(sh.streamSeq)
-	// The log never truncates in place; instead whole segments whose every
-	// shard-tail is snapshot-covered are reclaimed. snapSeqA publishes this
-	// shard's new floor lock-free, because reclaim runs while OTHER shards'
-	// locks may be held by their own compactions.
-	s.log.reclaim(func(i int) uint64 { return s.shards[i].snapSeqA.Load() })
+	sh.snapLSN = lsn
+	// The log never truncates in place; instead whole segments every
+	// shard's snapshot covers are reclaimed.
+	s.log.reclaim(sh.idx)
 	// The durable image no longer contains the expired entries skipped
 	// above; drop them from memory too (no expire record needed — there
 	// is nothing on disk left to cancel). Replicas kept them in the

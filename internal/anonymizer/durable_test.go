@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -192,38 +193,42 @@ func TestDurableStoreCrashRecovery(t *testing.T) {
 	}
 }
 
-// lastLogSegment returns dir's last non-empty unified-log segment — the
-// only file a crash can leave a torn tail in.
-func lastLogSegment(t *testing.T, dir string) string {
+// segmentFiles returns dir's log segment paths in LSN order (their
+// fixed-width names sort that way).
+func segmentFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	names, _, err := listSegments(dir)
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := len(names) - 1; i >= 0; i-- {
-		p := filepath.Join(dir, names[i])
-		info, err := os.Stat(p)
+	sort.Strings(paths)
+	return paths
+}
+
+// lastLogSegment returns dir's last non-empty log segment — the only file
+// a crash can leave a torn tail in.
+func lastLogSegment(t *testing.T, dir string) string {
+	t.Helper()
+	paths := segmentFiles(t, dir)
+	for i := len(paths) - 1; i >= 0; i-- {
+		info, err := os.Stat(paths[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if info.Size() > 0 {
-			return p
+			return paths[i]
 		}
 	}
 	t.Fatal("no non-empty log segment")
 	return ""
 }
 
-// logBytes sums dir's unified-log segment sizes.
+// logBytes sums dir's log segment sizes.
 func logBytes(t *testing.T, dir string) int64 {
 	t.Helper()
-	names, _, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var total int64
-	for _, name := range names {
-		info, err := os.Stat(filepath.Join(dir, name))
+	for _, p := range segmentFiles(t, dir) {
+		info, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)
 		}

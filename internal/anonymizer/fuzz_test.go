@@ -102,11 +102,11 @@ func FuzzDecodeWALRecord(f *testing.F) {
 // the filesystem.
 type discardSink struct{}
 
-func (discardSink) Header(int, uint64, []uint64) error { return nil }
-func (discardSink) File(string, uint64) error          { return nil }
-func (discardSink) Data([]byte) error                  { return nil }
-func (discardSink) CloseFile() error                   { return nil }
-func (discardSink) End(int) error                      { return nil }
+func (discardSink) Header(int, uint64, *uint64) error { return nil }
+func (discardSink) File(string, uint64) error         { return nil }
+func (discardSink) Data([]byte) error                 { return nil }
+func (discardSink) CloseFile() error                  { return nil }
+func (discardSink) End(int) error                     { return nil }
 
 // FuzzReadArchive feeds arbitrary bytes through the archive reader: no
 // input may panic or over-read, and only a structurally complete archive

@@ -50,8 +50,8 @@ func TestIncrementalBackupRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalWatermarks(watermark, st.Watermark()) {
-		t.Fatalf("archive watermark %v, store %v", watermark, st.Watermark())
+	if watermark != st.Watermark() {
+		t.Fatalf("archive watermark %d, store %d", watermark, st.Watermark())
 	}
 
 	// Post-backup mutations: registers, a renewal, a deregistration, an
@@ -188,22 +188,10 @@ func TestApplyIncrementalIsExpiryPassive(t *testing.T) {
 	}
 }
 
-// equalWatermarks compares two watermarks element-wise.
-func equalWatermarks(a, b Watermark) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestIncrementalBackupGapAndMisuse pins the refusal paths: a watermark
 // compacted away, a full restore of a delta, a delta apply of a full
-// archive, and an apply whose directory is behind the delta's start.
+// archive, an apply whose directory is behind the delta's start, and an
+// incremental archive written before LSNs existed.
 func TestIncrementalBackupGapAndMisuse(t *testing.T) {
 	st := openDurable(t, t.TempDir(), WithDurableShards(1), WithSnapshotEvery(0))
 	for i := 0; i < 5; i++ {
@@ -215,9 +203,9 @@ func TestIncrementalBackupGapAndMisuse(t *testing.T) {
 
 	var full bytes.Buffer
 	if _, err := st.WriteBackup(&full); err != nil {
-		t.Fatal(err) // quiesces: offsets 1..5 now live only in the snapshot
+		t.Fatal(err) // quiesces: LSNs 1..5 now live only in the snapshot
 	}
-	if _, _, err := st.WriteIncrementalBackup(&bytes.Buffer{}, Watermark{0}); !errors.Is(err, ErrStreamGap) {
+	if _, _, err := st.WriteIncrementalBackup(&bytes.Buffer{}, 0); !errors.Is(err, ErrStreamGap) {
 		t.Fatalf("compacted watermark: %v", err)
 	}
 	if _, err := st.Register(fakeRegistration(t, 1)); err != nil {
@@ -248,5 +236,21 @@ func TestIncrementalBackupGapAndMisuse(t *testing.T) {
 	}
 	if _, err := ApplyIncremental(bytes.NewReader(delta.Bytes()), behind); !errors.Is(err, ErrStreamGap) {
 		t.Fatalf("apply over a hole: %v", err)
+	}
+	// An incremental archive written before LSNs existed names its start
+	// per shard; it is refused, never half-applied.
+	var old []byte
+	for _, payload := range []string{
+		`{"type":"archive","version":1,"shards":1,"since":[5]}`,
+		`{"type":"end","files":0}`,
+	} {
+		frame, err := appendFrame(nil, []byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, frame...)
+	}
+	if _, err := ApplyIncremental(bytes.NewReader(old), applied); !errors.Is(err, ErrBadArchive) {
+		t.Fatalf("apply of a per-shard incremental archive: %v", err)
 	}
 }

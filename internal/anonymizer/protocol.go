@@ -84,8 +84,8 @@ const (
 	// OpBackup streams a consistent hot backup of the server's durable
 	// registration store: the response's archive field carries a complete
 	// CRC-framed backup archive (base64 on the wire), restorable with
-	// `anonymizer restore`. With a "since" watermark the archive is
-	// incremental: only the mutation records after that position, for
+	// `anonymizer restore`. With a "since" watermark (an LSN) the archive
+	// is incremental: only the log records after that position, for
 	// `anonymizer restore -apply`. Servers whose store is not durable
 	// reject the op. This is an operator endpoint: responses can be
 	// large, so take backups on a dedicated connection rather than a
@@ -101,11 +101,11 @@ const (
 	// its epoch record and watermark; the leader fences stale peers (a
 	// data dir that led an older epoch must re-bootstrap; a peer that
 	// knows a newer epoch means THIS node is stale) and returns its
-	// epoch, shard count and current watermark.
+	// epoch and current watermark.
 	OpReplSubscribe Op = "repl_subscribe"
 	// OpReplFrames polls the leader's mutation stream: the request names
 	// the subscribed epoch and the follower's watermark; the response
-	// carries the per-shard records after it, in stream order.
+	// carries the records after it, in LSN order.
 	OpReplFrames Op = "repl_frames"
 	// OpReplAck reports a follower's durably applied watermark, feeding
 	// the leader's replication-lag accounting (repl_status).
@@ -147,17 +147,18 @@ type Request struct {
 	// WasLeader marks a subscriber whose data directory claims
 	// leadership of Epoch — the fencing input. Follower is the
 	// subscriber's advertised address (for the leader's lag accounting).
-	// Watermark is the per-shard stream position the peer holds
-	// (repl_frames: fetch after it; repl_ack: durably applied up to it).
-	// MaxFrames bounds one repl_frames response (0 = server default).
-	Epoch     uint64   `json:"epoch,omitempty"`
-	WasLeader bool     `json:"was_leader,omitempty"`
-	Follower  string   `json:"follower,omitempty"`
-	Watermark []uint64 `json:"watermark,omitempty"`
-	MaxFrames int      `json:"max_frames,omitempty"`
-	// Since is the watermark of an earlier backup (the String spelling,
-	// e.g. "12,0,7"): the backup op then ships only the records after
-	// it, as an incremental archive.
+	// Watermark is the stream position the peer holds, the LSN of its
+	// last record (repl_frames: fetch after it; repl_ack: durably applied
+	// up to it). MaxFrames bounds one repl_frames response (0 = server
+	// default).
+	Epoch     uint64 `json:"epoch,omitempty"`
+	WasLeader bool   `json:"was_leader,omitempty"`
+	Follower  string `json:"follower,omitempty"`
+	Watermark uint64 `json:"watermark,omitempty"`
+	MaxFrames int    `json:"max_frames,omitempty"`
+	// Since is the watermark of an earlier backup, an LSN in decimal
+	// ("12"): the backup op then ships only the records after it, as an
+	// incremental archive.
 	Since string `json:"since,omitempty"`
 	// Auth credentials (OpAuth): the tenant name and its shared token
 	// from the server's tenants file.
@@ -197,16 +198,13 @@ type Response struct {
 	// as base64 on the wire).
 	Archive []byte `json:"archive,omitempty"`
 	// Leader is set on write requests refused by a replication follower:
-	// the address writes should be retried against. Clients with leader
-	// routing follow it transparently.
+	// the address writes should be retried against.
 	Leader string `json:"leader,omitempty"`
-	// Replication fields: the node's epoch and shard count
-	// (repl_subscribe), its current watermark (repl_subscribe,
-	// repl_frames), the shipped stream records (repl_frames), and the
-	// full status document (repl_status).
+	// Replication fields: the node's epoch (repl_subscribe), its current
+	// watermark (repl_subscribe, repl_frames), the shipped stream records
+	// (repl_frames), and the full status document (repl_status).
 	Epoch     uint64        `json:"epoch,omitempty"`
-	Shards    int           `json:"shards,omitempty"`
-	Watermark []uint64      `json:"watermark,omitempty"`
+	Watermark uint64        `json:"watermark,omitempty"`
 	Frames    []StreamFrame `json:"frames,omitempty"`
 	Repl      *ReplStatus   `json:"repl,omitempty"`
 

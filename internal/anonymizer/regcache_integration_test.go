@@ -317,15 +317,13 @@ func TestReduceCacheFollowerIngestStaleness(t *testing.T) {
 
 	ship := func() {
 		t.Helper()
-		for i := 0; i < leader.ShardCount(); i++ {
-			frames, _, err := leader.TailFrom(i, follower.Watermark()[i], 0)
-			if err != nil {
-				t.Fatalf("TailFrom(%d): %v", i, err)
-			}
-			for _, f := range frames {
-				if _, err := follower.IngestFrame(f); err != nil {
-					t.Fatalf("IngestFrame(%d/%d): %v", f.Shard, f.Seq, err)
-				}
+		frames, _, err := leader.TailFrom(follower.Watermark(), 0)
+		if err != nil {
+			t.Fatalf("TailFrom: %v", err)
+		}
+		for _, f := range frames {
+			if _, err := follower.IngestFrame(f); err != nil {
+				t.Fatalf("IngestFrame(%d): %v", f.LSN, err)
 			}
 		}
 	}

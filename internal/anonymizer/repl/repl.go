@@ -1,7 +1,7 @@
 // Package repl is the follower side of the anonymizer's log-shipping
 // replication: it bootstraps a fresh follower from the leader's backup
-// archive, tails the leader's per-shard mutation stream over the wire
-// protocol (repl_subscribe / repl_frames / repl_ack), applies every
+// archive, tails the leader's log over the wire protocol
+// (repl_subscribe / repl_frames / repl_ack) by LSN, applies every
 // shipped record through the exact journal+apply pipeline crash recovery
 // uses (DurableStore.IngestFrame), and promotes the follower to leader
 // when the operator fails over.
@@ -76,8 +76,8 @@ type Follower struct {
 
 	epoch     atomic.Uint64 // the leader epoch we subscribed under
 	promoted  atomic.Bool
-	leaderEnd atomic.Int64 // sum of the leader's watermark at last poll
-	lastApply atomic.Int64 // unix nanos of the last applied frame
+	leaderEnd atomic.Uint64 // the leader's watermark at the last poll
+	lastApply atomic.Int64  // unix nanos of the last applied frame
 
 	// applyErr records a terminal apply-loop failure (fencing, stream
 	// gap): the loop stops and Err surfaces it.
@@ -134,8 +134,8 @@ func Start(cfg Config) (*Follower, error) {
 		_ = st.Close()
 		return nil, err
 	}
-	f.leaderEnd.Store(int64(info.Watermark.Sum()))
-	f.logf("repl: following %s at epoch %d, leader watermark %s, local %s",
+	f.leaderEnd.Store(info.Watermark)
+	f.logf("repl: following %s at epoch %d, leader watermark %d, local %d",
 		cfg.LeaderAddr, info.Epoch, info.Watermark, st.Watermark())
 
 	go f.applyLoop(client)
@@ -219,11 +219,6 @@ func (f *Follower) subscribe() (*anonymizer.Client, *anonymizer.SubscribeInfo, e
 		_ = c.Close()
 		return nil, nil, fmt.Errorf("repl: subscribe to %s: %w", f.cfg.LeaderAddr, err)
 	}
-	if info.Shards != f.store.ShardCount() {
-		_ = c.Close()
-		return nil, nil, fmt.Errorf("repl: leader has %d shards, local store %d — re-bootstrap from a fresh backup",
-			info.Shards, f.store.ShardCount())
-	}
 	if err := f.store.SetEpoch(info.Epoch, false); err != nil {
 		_ = c.Close()
 		return nil, nil, err
@@ -279,10 +274,10 @@ func (f *Follower) applyLoop(client *anonymizer.Client) {
 			client = nil
 			continue
 		}
-		f.leaderEnd.Store(int64(anonymizer.Watermark(leaderWM).Sum()))
+		f.leaderEnd.Store(leaderWM)
 		for _, frame := range frames {
 			if _, err := f.store.IngestFrame(frame); err != nil {
-				err = fmt.Errorf("repl: apply shard %d seq %d: %w", frame.Shard, frame.Seq, err)
+				err = fmt.Errorf("repl: apply LSN %d: %w", frame.LSN, err)
 				f.applyErr.Store(&err)
 				f.logf("%v", err)
 				return
@@ -305,7 +300,7 @@ func (f *Follower) applyLoop(client *anonymizer.Client) {
 			}
 			// Still behind the leader's last reported position (the batch
 			// was capped): poll again immediately to drain the backlog.
-			if f.store.Watermark().Sum() < uint64(f.leaderEnd.Load()) {
+			if f.store.Watermark() < f.leaderEnd.Load() {
 				continue
 			}
 		}
@@ -376,7 +371,7 @@ func (f *Follower) LeaderAddr() string {
 // leader's last observed position and the local store, and the last
 // apply instant.
 func (f *Follower) Lag() (int64, time.Time) {
-	behind := f.leaderEnd.Load() - int64(f.store.Watermark().Sum())
+	behind := int64(f.leaderEnd.Load() - f.store.Watermark())
 	if behind < 0 || f.promoted.Load() {
 		behind = 0
 	}
@@ -408,7 +403,7 @@ func (f *Follower) Promote() (uint64, error) {
 	}
 	f.store.SetReplica(false)
 	f.promoted.Store(true)
-	f.logf("repl: promoted to leader at epoch %d (watermark %s)", newEpoch, f.store.Watermark())
+	f.logf("repl: promoted to leader at epoch %d (watermark %d)", newEpoch, f.store.Watermark())
 	return newEpoch, nil
 }
 

@@ -88,17 +88,54 @@ func awaitCatchup(t *testing.T, leader *anonymizer.DurableStore, f *Follower) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if reflect.DeepEqual(leader.Watermark(), f.Store().Watermark()) {
+		if leader.Watermark() == f.Store().Watermark() {
 			return
 		}
 		if err := f.Err(); err != nil {
 			t.Fatalf("follower failed while catching up: %v", err)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never caught up: leader %v, follower %v",
+			t.Fatalf("follower never caught up: leader %d, follower %d",
 				leader.Watermark(), f.Store().Watermark())
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// oldestHeld returns the position just before the oldest record st still
+// holds on disk: the smallest from TailFrom serves without a stream gap.
+func oldestHeld(t *testing.T, st *anonymizer.DurableStore) uint64 {
+	t.Helper()
+	for from := uint64(0); ; from++ {
+		_, _, err := st.TailFrom(from, 1)
+		if !errors.Is(err, anonymizer.ErrStreamGap) {
+			if err != nil {
+				t.Fatalf("TailFrom(%d): %v", from, err)
+			}
+			return from
+		}
+	}
+}
+
+// requireSameLog fails unless a caught-up follower serves byte-identical
+// frames to the leader's over every LSN both still hold — and they hold
+// some.
+func requireSameLog(t *testing.T, label string, leader, follower *anonymizer.DurableStore) {
+	t.Helper()
+	from := max(oldestHeld(t, leader), oldestHeld(t, follower))
+	want, _, err := leader.TailFrom(from, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := follower.TailFrom(from, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatalf("%s: leader and follower hold no LSN in common after %d", label, from)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: logs differ over LSNs (%d, %d]", label, from, leader.Watermark())
 	}
 }
 
@@ -163,30 +200,15 @@ func requireSame(t *testing.T, label string, want, got map[string]string) {
 // TestReplicationConformance is the replication arm of the conformance
 // harness: a randomized mutation log (registers with and without TTLs,
 // trust updates, deregistrations, touch renewals, expiry sweeps) applied
-// on the leader must yield byte-identical visible state on a follower —
-// including across a mid-stream follower restart.
+// on the leader must yield byte-identical visible state on a follower,
+// and the follower's log must hold the leader's exact bytes at every LSN
+// both hold — for a follower bootstrapped from a hot archive of a leader
+// mid-log, and across a mid-stream follower restart.
 func TestReplicationConformance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	leader := newLeader(t, filepath.Join(t.TempDir(), "leader"),
 		anonymizer.WithGCInterval(0))
 	followerDir := filepath.Join(t.TempDir(), "follower")
-
-	f, err := Start(Config{
-		LeaderAddr:   leader.addr,
-		DataDir:      followerDir,
-		Advertise:    "follower-1",
-		PollInterval: 2 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed := false
-	defer func() {
-		if !closed {
-			_ = f.Close()
-		}
-	}()
 
 	var ids []string
 	requesters := []string{"alice", "bob", "carol"}
@@ -253,10 +275,34 @@ func TestReplicationConformance(t *testing.T) {
 		awaitCatchup(t, leader.store, fl)
 	}
 
+	// The follower bootstraps from a hot archive of a leader already
+	// mid-log, so its log starts at the archive's watermark.
+	mutate(40)
+	f, err := Start(Config{
+		LeaderAddr:   leader.addr,
+		DataDir:      followerDir,
+		Advertise:    "follower-1",
+		PollInterval: 2 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			_ = f.Close()
+		}
+	}()
+	if f.Store().Watermark() == 0 {
+		t.Fatal("bootstrap archive carried no position")
+	}
+
 	mutate(120)
 	awaitCatchup(t, leader.store, f)
 	settle(f)
 	requireSame(t, "first sync", digest(t, leader.store, ids), digest(t, f.Store(), ids))
+	requireSameLog(t, "first sync", leader.store, f.Store())
 
 	// Mid-stream restart: stop the follower, mutate the leader meanwhile,
 	// restart from the same data dir — it must resume from its own
@@ -281,12 +327,13 @@ func TestReplicationConformance(t *testing.T) {
 	if got := f2.Store().Recovery(); got.Registrations == 0 && len(ids) > 10 {
 		t.Error("restarted follower recovered nothing; did it re-bootstrap?")
 	}
-	if sum := f2.Store().Watermark().Sum(); sum < preRestart.Sum() {
-		t.Fatalf("restart lost stream position: %d < %d", sum, preRestart.Sum())
+	if wm := f2.Store().Watermark(); wm < preRestart {
+		t.Fatalf("restart lost stream position: %d < %d", wm, preRestart)
 	}
 	awaitCatchup(t, leader.store, f2)
 	settle(f2)
 	requireSame(t, "after restart", digest(t, leader.store, ids), digest(t, f2.Store(), ids))
+	requireSameLog(t, "after restart", leader.store, f2.Store())
 	if leader.store.Len() != f2.Store().Len() {
 		t.Fatalf("Len: leader %d, follower %d", leader.store.Len(), f2.Store().Len())
 	}
@@ -317,8 +364,8 @@ func TestBootstrapStagesCurrentLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(meta), `"version":3`) {
-		t.Errorf("bootstrapped META = %s, want layout version 3", meta)
+	if !strings.Contains(string(meta), `"version":4`) {
+		t.Errorf("bootstrapped META = %s, want layout version 4", meta)
 	}
 	if stale, _ := filepath.Glob(filepath.Join(dir, "shard-*.wal")); len(stale) != 0 {
 		t.Errorf("bootstrap staged per-shard WAL files: %v", stale)
@@ -329,8 +376,8 @@ func TestBootstrapStagesCurrentLayout(t *testing.T) {
 }
 
 // TestFollowerServesReadsRedirectsWrites pins the server-layer follower
-// behavior: reads answered locally, writes refused with the leader's
-// address, and routing clients following the redirect transparently.
+// behavior: reads answered locally, writes refused with an error naming
+// the leader's address (the response's leader field carries it too).
 func TestFollowerServesReadsRedirectsWrites(t *testing.T) {
 	leader := newLeader(t, filepath.Join(t.TempDir(), "leader"))
 	f, err := Start(Config{
@@ -359,29 +406,17 @@ func TestFollowerServesReadsRedirectsWrites(t *testing.T) {
 		t.Fatalf("follower read: %v", err)
 	}
 
-	// Writes are refused with the leader address on the plain client...
+	// Writes are refused, naming the leader to retry against.
 	prof := profile.Profile{Levels: []profile.Level{{K: 6, L: 3}}}
-	if _, _, err := fc.Anonymize(42, prof, "RGE"); err == nil ||
-		!strings.Contains(err.Error(), "not the leader") {
-		t.Fatalf("follower write: %v", err)
-	}
-	if _, err := fc.Touch(id, time.Hour); err == nil ||
-		!strings.Contains(err.Error(), "not the leader") {
-		t.Fatalf("follower touch: %v", err)
-	}
-
-	// ...and transparently routed by a leader-routing client.
-	rc, err := anonymizer.Dial(followerAddr, anonymizer.WithLeaderRouting())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = rc.Close() }()
-	rid, _, err := rc.Anonymize(42, prof, "RGE")
-	if err != nil {
-		t.Fatalf("routed write: %v", err)
-	}
-	if _, err := leader.store.Lookup(rid); err != nil {
-		t.Fatalf("routed write did not land on the leader: %v", err)
+	for op, write := range map[string]func() error{
+		"anonymize": func() error { _, _, err := fc.Anonymize(42, prof, "RGE"); return err },
+		"touch":     func() error { _, err := fc.Touch(id, time.Hour); return err },
+	} {
+		err := write()
+		if err == nil || !strings.Contains(err.Error(), "not the leader") ||
+			!strings.Contains(err.Error(), leader.addr) {
+			t.Fatalf("follower %s: %v, want a not-the-leader error naming %s", op, err, leader.addr)
+		}
 	}
 
 	// repl_status on both sides.
@@ -491,7 +526,7 @@ func TestFailoverPromoteAndFencing(t *testing.T) {
 	}
 
 	// And a peer presenting a FUTURE epoch tells the node it is stale.
-	if _, err := pc.ReplSubscribe(99, false, "x", nil); err == nil ||
+	if _, err := pc.ReplSubscribe(99, false, "x", 0); err == nil ||
 		!strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("future-epoch subscribe: %v", err)
 	}

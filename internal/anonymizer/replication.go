@@ -39,8 +39,8 @@ type ReplStatus struct {
 	Role string `json:"role"`
 	// Epoch is the node's replication epoch.
 	Epoch uint64 `json:"epoch"`
-	// Watermark is the node's per-shard stream position.
-	Watermark []uint64 `json:"watermark"`
+	// Watermark is the node's stream position: its log's last LSN.
+	Watermark uint64 `json:"watermark"`
 	// LeaderAddr is the leader a follower replicates from.
 	LeaderAddr string `json:"leader_addr,omitempty"`
 	// LagFrames is a follower's backlog against the leader's last
@@ -54,7 +54,8 @@ type ReplStatus struct {
 // FollowerStatus is one subscribed follower in a leader's repl_status.
 type FollowerStatus struct {
 	Addr string `json:"addr"`
-	// Behind is the leader's record count past the follower's last ack.
+	// Behind is the leader's record count past the follower's last ack
+	// (LSNs are dense, so it is a difference of positions).
 	Behind int64 `json:"behind"`
 	// LastAckMillis is the unix-millisecond timestamp of the last ack
 	// (or subscription, before the first ack).
@@ -64,7 +65,7 @@ type FollowerStatus struct {
 // followerReg tracks one subscribed follower's acked position on the
 // leader.
 type followerReg struct {
-	wm Watermark
+	wm uint64
 	at time.Time
 }
 
@@ -75,7 +76,7 @@ type replRegistry struct {
 }
 
 // note records a follower's position (subscription or ack).
-func (r *replRegistry) note(addr string, wm Watermark) {
+func (r *replRegistry) note(addr string, wm uint64) {
 	if addr == "" {
 		return
 	}
@@ -83,24 +84,23 @@ func (r *replRegistry) note(addr string, wm Watermark) {
 	if r.followers == nil {
 		r.followers = make(map[string]*followerReg)
 	}
-	r.followers[addr] = &followerReg{wm: wm.Clone(), at: time.Now()}
+	r.followers[addr] = &followerReg{wm: wm, at: time.Now()}
 	r.mu.Unlock()
 }
 
 // snapshot renders the registry against the leader's current position,
 // sorted by address for deterministic output.
-func (r *replRegistry) snapshot(current Watermark) []FollowerStatus {
+func (r *replRegistry) snapshot(current uint64) []FollowerStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.followers) == 0 {
 		return nil
 	}
-	end := int64(current.Sum())
 	out := make([]FollowerStatus, 0, len(r.followers))
 	for addr, f := range r.followers {
 		out = append(out, FollowerStatus{
 			Addr:          addr,
-			Behind:        end - int64(Watermark(f.wm).Sum()),
+			Behind:        int64(current - f.wm),
 			LastAckMillis: f.at.UnixMilli(),
 		})
 	}
@@ -116,8 +116,7 @@ func (s *Server) isLeader() bool {
 }
 
 // notLeader builds the write-refusal response a follower returns: the
-// error names the leader and the machine-readable leader field lets
-// routing clients retry there transparently.
+// error names the leader, and so does the machine-readable leader field.
 func (s *Server) notLeader() *Response {
 	addr := ""
 	if s.cfg.repl != nil {
@@ -175,26 +174,14 @@ func (s *Server) handleReplSubscribe(req *Request) *Response {
 		return fail(fmt.Errorf("%w: subscriber's data directory led epoch %d (current %d); re-bootstrap it from a backup of this leader",
 			ErrFenced, req.Epoch, epoch))
 	}
-	shards := s.store.ShardCount()
 	current := s.store.Watermark()
-	if len(req.Watermark) != 0 {
-		if len(req.Watermark) != shards {
-			return fail(fmt.Errorf("%w: watermark of %d elements for %d shards",
-				ErrBadOp, len(req.Watermark), shards))
-		}
-		for i, v := range req.Watermark {
-			if v > current[i] {
-				return fail(fmt.Errorf("%w: subscriber is ahead on shard %d (%d > %d); its history diverged — re-bootstrap it",
-					ErrFenced, i, v, current[i]))
-			}
-		}
-		s.replFollowers.note(req.Follower, req.Watermark)
-	} else {
-		s.replFollowers.note(req.Follower, make(Watermark, shards))
+	if req.Watermark > current {
+		return fail(fmt.Errorf("%w: subscriber is ahead (LSN %d > %d); its history diverged — re-bootstrap it",
+			ErrFenced, req.Watermark, current))
 	}
+	s.replFollowers.note(req.Follower, req.Watermark)
 	resp := newResp(true)
 	resp.Epoch = epoch
-	resp.Shards = shards
 	resp.Watermark = current
 	return resp
 }
@@ -205,8 +192,8 @@ const (
 	maxReplFrames     = 4096
 )
 
-// handleReplFrames serves the mutation stream after the follower's
-// watermark, shard by shard in stream order.
+// handleReplFrames serves the records after the follower's watermark, in
+// LSN order.
 func (s *Server) handleReplFrames(req *Request) *Response {
 	if resp := s.needsStream(); resp != nil {
 		return resp
@@ -219,11 +206,6 @@ func (s *Server) handleReplFrames(req *Request) *Response {
 		return fail(fmt.Errorf("%w: subscribed at epoch %d, leader is at %d — re-subscribe",
 			ErrFenced, req.Epoch, epoch))
 	}
-	shards := s.store.ShardCount()
-	if len(req.Watermark) != shards {
-		return fail(fmt.Errorf("%w: watermark of %d elements for %d shards",
-			ErrBadOp, len(req.Watermark), shards))
-	}
 	budget := req.MaxFrames
 	if budget <= 0 {
 		budget = defaultReplFrames
@@ -231,22 +213,14 @@ func (s *Server) handleReplFrames(req *Request) *Response {
 	if budget > maxReplFrames {
 		budget = maxReplFrames
 	}
-	// The watermark is read up front (not per TailFrom) so shards skipped
-	// once the budget is spent still report a position; a moving tail
-	// just means the follower polls again.
-	current := s.store.Watermark()
-	var frames []StreamFrame
-	for i := 0; i < shards && len(frames) < budget; i++ {
-		fs, _, err := s.store.TailFrom(i, req.Watermark[i], budget-len(frames))
-		if err != nil {
-			return fail(err)
-		}
-		frames = append(frames, fs...)
+	frames, last, err := s.store.TailFrom(req.Watermark, budget)
+	if err != nil {
+		return fail(err)
 	}
 	resp := newResp(true)
 	resp.Epoch = epoch
 	resp.Frames = frames
-	resp.Watermark = current
+	resp.Watermark = last
 	return resp
 }
 
@@ -262,10 +236,6 @@ func (s *Server) handleReplAck(req *Request) *Response {
 	if req.Epoch != epoch {
 		return fail(fmt.Errorf("%w: ack for epoch %d, leader is at %d",
 			ErrFenced, req.Epoch, epoch))
-	}
-	if len(req.Watermark) != s.store.ShardCount() {
-		return fail(fmt.Errorf("%w: watermark of %d elements for %d shards",
-			ErrBadOp, len(req.Watermark), s.store.ShardCount()))
 	}
 	s.replFollowers.note(req.Follower, req.Watermark)
 	return newResp(true)

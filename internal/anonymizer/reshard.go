@@ -2,7 +2,6 @@ package anonymizer
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 )
@@ -34,7 +33,7 @@ type ReshardStats struct {
 }
 
 // Reshard migrates a durable data directory to a new shard count: it
-// streams every source shard's snapshot and log records in order, decodes each
+// streams every source shard's snapshot, then the log, decodes each
 // record back into its typed Mutation, and replays it through the shared
 // regTable.apply path into a fresh store at dstDir — the same code path
 // recovery uses, so the migrated state can no more drift from the source
@@ -126,11 +125,14 @@ func Reshard(srcDir, dstDir string, shards int, opts ...DurabilityOption) (*Resh
 	return stats, nil
 }
 
-// reshardSource streams every shard of the source directory — snapshot
-// records first, then the shard's post-snapshot log records — into
-// ingest, reading strictly read-only. A torn log tail is tolerated (and
-// counted) like recovery tolerates it; a damaged snapshot is real
-// corruption and aborts the migration.
+// reshardSource streams the source directory into ingest, strictly
+// read-only: every shard's snapshot records first, then the log in LSN
+// order, skipping each record its shard's snapshot already covers. A
+// registration's records all live in one shard, so each still sees its
+// snapshot before its later records; records of different registrations
+// commute. A torn log tail is tolerated (and counted) like recovery
+// tolerates it; a damaged snapshot is real corruption and aborts the
+// migration.
 func reshardSource(
 	srcDir string,
 	srcShards int,
@@ -138,40 +140,43 @@ func reshardSource(
 	maxID *uint64,
 	ingest func(*walRecord) error,
 ) error {
-	streams, truncated, err := readDirStreams(srcDir, srcShards)
+	snaps, lsns, err := readSnapshots(srcDir, srcShards)
 	if err != nil {
 		return err
 	}
-	stats.TruncatedBytes += truncated
-	for i := range streams {
-		st := &streams[i]
-		if len(st.snap) > 0 {
-			if _, err := readRecords(bytes.NewReader(st.snap), func(rec *walRecord) error {
-				if rec.Type == recSnapHeader {
-					if rec.NextID > *maxID {
-						*maxID = rec.NextID
-					}
-					return nil
-				}
-				if rec.Type != recRegister {
-					return fmt.Errorf("%w: unexpected %q record in snapshot", ErrCorruptLog, rec.Type)
-				}
-				return ingest(rec)
-			}); err != nil {
-				return err
+	lg, torn, err := openLogReader(srcDir)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = lg.close() }()
+	stats.TruncatedBytes += torn
+	for _, snap := range snaps {
+		if _, err := readRecords(bytes.NewReader(snap), func(rec *walRecord) error {
+			if rec.Type == recSnapHeader {
+				*maxID = max(*maxID, rec.NextID)
+				return nil
 			}
-		}
-		for _, fr := range st.frames {
-			var rec walRecord
-			if err := json.Unmarshal(fr.payload, &rec); err != nil {
-				return fmt.Errorf("%w: %v", ErrCorruptLog, err)
+			if rec.Type != recRegister {
+				return fmt.Errorf("%w: unexpected %q record in snapshot", ErrCorruptLog, rec.Type)
 			}
-			if err := ingest(&rec); err != nil {
-				return err
-			}
+			return ingest(rec)
+		}); err != nil {
+			return err
 		}
 	}
-	return nil
+	raw, lsn, _, err := lg.tail(lsns)
+	if err != nil {
+		return err
+	}
+	mask := uint32(srcShards - 1)
+	_, err = readRecords(bytes.NewReader(raw), func(rec *walRecord) error {
+		lsn++
+		if lsn <= lsns[shardIndex(rec.ID, mask)] {
+			return nil // folded into the snapshot already
+		}
+		return ingest(rec)
+	})
+	return err
 }
 
 // ingest journals and applies one replayed mutation during an offline

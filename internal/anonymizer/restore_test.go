@@ -19,9 +19,10 @@ import (
 // current layout directly — whatever binary took the archive — so the
 // first open of a restored directory is an ordinary recovery, and a
 // directory in any other layout version is refused before a byte of it is
-// touched. The checked-in fixtures pin both directions in time: v3store
-// that today's format does not drift, v1store.rca that archives taken
-// before the per-shard layout was dropped still restore.
+// touched. The checked-in fixtures pin archives taken before today's
+// layout: v1store.rca of a per-shard directory, v3store.rca of the
+// last layout before LSNs — both still restore — while the v3store
+// directory itself is refused untouched.
 
 // copyDir copies a (flat) data directory byte for byte.
 func copyDir(t *testing.T, src, dst string) {
@@ -95,9 +96,9 @@ func requireCurrentLayout(t *testing.T, dir string) {
 
 // buildTailedDir populates and closes a store that never compacts, so
 // every record sits in the log and an offline archive of it carries
-// non-empty per-shard tails. It returns the directory, the issued IDs and
-// the closed store's digest, Len and watermark.
-func buildTailedDir(t *testing.T, shards, regs int) (string, []string, map[string]*regDigest, int, Watermark) {
+// a non-empty log entry. It returns the directory, the issued IDs and the
+// closed store's digest, Len and watermark.
+func buildTailedDir(t *testing.T, shards, regs int) (string, []string, map[string]*regDigest, int, uint64) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "src")
 	st, err := OpenDurableStore(dir, WithDurableShards(shards), WithSnapshotEvery(0), WithGCInterval(0))
@@ -126,7 +127,7 @@ func buildTailedDir(t *testing.T, shards, regs int) (string, []string, map[strin
 }
 
 // TestRestoreStagesCurrentLayout is the native-restore acceptance test: a
-// directory restored from an archive with non-empty tails is in the
+// directory restored from an archive with a non-empty log entry is in the
 // current layout, recovers with nothing truncated, and matches the source
 // — and the archive's own watermark — exactly.
 func TestRestoreStagesCurrentLayout(t *testing.T) {
@@ -139,8 +140,8 @@ func TestRestoreStagesCurrentLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(arcWM, wantWM) {
-		t.Fatalf("archive watermark %v, source %v", arcWM, wantWM)
+	if arcWM != wantWM {
+		t.Fatalf("archive watermark %d, source %d", arcWM, wantWM)
 	}
 
 	dst := filepath.Join(t.TempDir(), "restored")
@@ -155,8 +156,8 @@ func TestRestoreStagesCurrentLayout(t *testing.T) {
 		t.Errorf("first open of a restored dir truncated %d bytes", got)
 	}
 	requireSameState(t, "restore", want, digestStore(t, rst, ids, nil, nil), wantLen, rst.Len())
-	if !reflect.DeepEqual(rst.Watermark(), wantWM) {
-		t.Fatalf("restored watermark %v, want %v", rst.Watermark(), wantWM)
+	if rst.Watermark() != wantWM {
+		t.Fatalf("restored watermark %d, want %d", rst.Watermark(), wantWM)
 	}
 	// The first open renames, rewrites and removes nothing.
 	if err := rst.Close(); err != nil {
@@ -177,13 +178,14 @@ func TestRestoreStagesCurrentLayout(t *testing.T) {
 }
 
 // tailArchive hand-builds a one-shard full archive whose only entry is
-// the given record tail.
-func tailArchive(t *testing.T, tail []byte) []byte {
+// the given record range: a per-shard tail as archives written before
+// LSNs carry (name "shard-0000.wal"), or a log entry ending at lsn.
+func tailArchive(t *testing.T, name string, lsn uint64, tail []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	aw := newArchiveWriter(&buf)
 	aw.header(1, 0, nil)
-	aw.file(archiveTailName(0), 0, tail)
+	aw.file(name, lsn, tail)
 	if err := aw.finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +196,9 @@ func tailArchive(t *testing.T, tail []byte) []byte {
 // crashed per-shard directories carry the WAL file as it was, torn last
 // frame included: that restores to the intact prefix — the bytes recovery
 // would have kept. Damage with data behind it is corruption: the archive
-// is refused and the target never created. Either way no torn frame ever
-// reaches the staged segment.
+// is refused and the target never created. A log entry's record count
+// fixes every LSN, so any damage there is refused. Either way no torn
+// frame ever reaches the staged segment.
 func TestRestoreDamagedTail(t *testing.T) {
 	const regs = 5
 	src, _, _, _, _ := buildTailedDir(t, 1, regs)
@@ -232,7 +235,7 @@ func TestRestoreDamagedTail(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dst := filepath.Join(t.TempDir(), "restored")
-			if err := RestoreArchive(bytes.NewReader(tailArchive(t, tc.tail)), dst); err != nil {
+			if err := RestoreArchive(bytes.NewReader(tailArchive(t, "shard-0000.wal", 0, tc.tail)), dst); err != nil {
 				t.Fatal(err)
 			}
 			requireCurrentLayout(t, dst)
@@ -256,15 +259,18 @@ func TestRestoreDamagedTail(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name string
-		tail []byte
+		name  string
+		entry string
+		tail  []byte
 	}{
-		{"first frame fails its CRC", flip(walHeaderSize + 4)},
-		{"middle frame fails its CRC", flip(frameEnds[1] + walHeaderSize + 4)},
+		{"first frame fails its CRC", "shard-0000.wal", flip(walHeaderSize + 4)},
+		{"middle frame fails its CRC", "shard-0000.wal", flip(frameEnds[1] + walHeaderSize + 4)},
+		{"log entry's last frame fails its CRC", archiveLogName, flip(len(tail) - 2)},
+		{"log entry's last frame is short", archiveLogName, tail[:len(tail)-3]},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dst := filepath.Join(t.TempDir(), "restored")
-			err := RestoreArchive(bytes.NewReader(tailArchive(t, tc.tail)), dst)
+			err := RestoreArchive(bytes.NewReader(tailArchive(t, tc.entry, uint64(records), tc.tail)), dst)
 			if !errors.Is(err, ErrBadArchive) {
 				t.Fatalf("err = %v, want ErrBadArchive", err)
 			}
@@ -294,8 +300,8 @@ func TestRestoreChecksArchivedMeta(t *testing.T) {
 			t.Fatalf("archived META %s: %v", meta, err)
 		}
 		requireCurrentLayout(t, dst)
-		if st := openDurable(t, dst); st.ShardCount() != 2 {
-			t.Fatalf("restored shard count %d, want 2", st.ShardCount())
+		if st := openDurable(t, dst); len(st.shards) != 2 {
+			t.Fatalf("restored shard count %d, want 2", len(st.shards))
 		}
 	}
 	for _, meta := range []string{`{"version":1,"shards":4}`, `not json`} {
@@ -308,13 +314,13 @@ func TestRestoreChecksArchivedMeta(t *testing.T) {
 }
 
 // TestUnsupportedLayoutRefused synthesizes directories whose META names a
-// retired (1, 2) or future (4) layout version and drives every entry
+// retired (1, 2, 3) or future (5) layout version and drives every entry
 // point that reads a data directory — the calls behind serve, dump,
 // backup -data-dir, backup -since, reshard -src and restore -apply. Each
 // must fail with ErrUnsupportedLayout naming the version it found, and
 // must leave the directory byte-for-byte as it was.
 func TestUnsupportedLayoutRefused(t *testing.T) {
-	for _, version := range []int{1, 2, 4} {
+	for _, version := range []int{1, 2, 3, 5} {
 		t.Run(fmt.Sprintf("version=%d", version), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "old")
 			if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -359,7 +365,7 @@ func TestUnsupportedLayoutRefused(t *testing.T) {
 					return err
 				}},
 				{"IncrementalBackupDir", func() error {
-					_, _, err := IncrementalBackupDir(&bytes.Buffer{}, dir, Watermark{0, 0})
+					_, _, err := IncrementalBackupDir(&bytes.Buffer{}, dir, 0)
 					return err
 				}},
 				{"Reshard", func() error {
@@ -446,25 +452,53 @@ func requireFixtureDump(t *testing.T, st *DurableStore, goldenPath string) {
 	}
 }
 
-// TestFixtureV3Store opens a checked-in current-layout directory and
-// checks it against the golden dump captured when its bytes were written:
-// the fixture never changes, so neither may what today's reader makes of
-// it — nor may merely opening it rewrite anything. scripts/e2e-backup.sh
-// re-checks the full dump, reduction digests included, through the CLI.
+// restoreFixture restores a checked-in archive and checks the result
+// against its golden dump, captured when the archived directory was
+// written: the archive never changes, so neither may what today's
+// restore makes of it. scripts/e2e-backup.sh re-checks the full dumps,
+// reduction digests included, through the CLI.
+func restoreFixture(t *testing.T, archive, golden string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", archive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Archives written before LSNs existed name no log position.
+	if _, err := ArchiveWatermark(bytes.NewReader(raw)); !errors.Is(err, ErrBadArchive) {
+		t.Errorf("ArchiveWatermark(%s): err = %v, want ErrBadArchive", archive, err)
+	}
+	dir := filepath.Join(t.TempDir(), "restored")
+	if err := RestoreArchive(bytes.NewReader(raw), dir); err != nil {
+		t.Fatal(err)
+	}
+	requireCurrentLayout(t, dir)
+	st := openDurable(t, dir)
+	if got := st.Recovery().TruncatedBytes; got != 0 {
+		t.Errorf("open truncated %d bytes", got)
+	}
+	requireFixtureDump(t, st, filepath.Join("testdata", golden))
+}
+
+// TestFixtureV3Store restores testdata/v3store.rca — a cold backup of the
+// checked-in v3store directory (layout version 3, the last before LSNs:
+// per-shard stream offsets in every record and snapshot) taken by the
+// last binary that read that layout — against the directory's golden
+// dump. The directory itself is the refusal fixture: today's store must
+// refuse to open it and leave it byte for byte as it was.
 func TestFixtureV3Store(t *testing.T) {
+	restoreFixture(t, "v3store.rca", "v3store.dump")
+
 	dir := filepath.Join(t.TempDir(), "v3store")
 	copyDir(t, filepath.Join("testdata", "v3store"), dir)
 	before := readTree(t, dir)
-	st := openDurable(t, dir)
-	if got := st.Recovery().TruncatedBytes; got != 0 {
-		t.Errorf("fixture open truncated %d bytes", got)
-	}
-	requireFixtureDump(t, st, filepath.Join("testdata", "v3store.dump"))
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	if st, err := OpenDurableStore(dir); !errors.Is(err, ErrUnsupportedLayout) {
+		if err == nil {
+			_ = st.Close()
+		}
+		t.Fatalf("opening the v3store directory: err = %v, want ErrUnsupportedLayout", err)
 	}
 	if !reflect.DeepEqual(readTree(t, dir), before) {
-		t.Error("opening the fixture changed its files")
+		t.Error("the refused v3store directory changed")
 	}
 }
 
@@ -475,25 +509,5 @@ func TestFixtureV3Store(t *testing.T) {
 // Archives are the only bridge from a retired layout, so this one must
 // keep restoring.
 func TestRestoreLegacyArchive(t *testing.T) {
-	archive, err := os.ReadFile(filepath.Join("testdata", "v1store.rca"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm, err := ArchiveWatermark(bytes.NewReader(archive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "restored")
-	if err := RestoreArchive(bytes.NewReader(archive), dir); err != nil {
-		t.Fatal(err)
-	}
-	requireCurrentLayout(t, dir)
-	st := openDurable(t, dir)
-	if got := st.Recovery().TruncatedBytes; got != 0 {
-		t.Errorf("open truncated %d bytes", got)
-	}
-	if !reflect.DeepEqual(st.Watermark(), wm) {
-		t.Errorf("restored watermark %v, archive watermark %v", st.Watermark(), wm)
-	}
-	requireFixtureDump(t, st, filepath.Join("testdata", "v1store.dump"))
+	restoreFixture(t, "v1store.rca", "v1store.dump")
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -518,20 +519,19 @@ func (s *Server) handleDeregister(req *Request) *Response {
 
 // handleBackup streams a hot backup of the store into the response (a
 // journal-less store has nothing to back up and refuses in-band).
-// The archive is consistent per shard (each shard is copied under its
-// lock as a prefix of its mutation stream) and self-verifying: restore
-// rejects any truncation or corruption the transport may introduce. A
-// request with a since watermark ships an incremental archive instead:
-// only the stream records after that position.
+// The archive restores to the store's state at one LSN, its watermark,
+// and is self-verifying: restore rejects any truncation or corruption the
+// transport may introduce. A request with a since watermark ships an
+// incremental archive instead: only the log records after that LSN.
 func (s *Server) handleBackup(req *Request) *Response {
 	var buf bytes.Buffer
 	if req.Since != "" {
 		if resp := s.needsStream(); resp != nil {
 			return resp
 		}
-		since, err := ParseWatermark(req.Since)
+		since, err := strconv.ParseUint(req.Since, 10, 64)
 		if err != nil {
-			return fail(err)
+			return fail(fmt.Errorf("%w: since %q is not an LSN", ErrBadOp, req.Since))
 		}
 		if _, _, err := s.store.WriteIncrementalBackup(&buf, since); err != nil {
 			return fail(err)

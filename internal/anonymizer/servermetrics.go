@@ -294,9 +294,9 @@ func (s *Server) writeMetrics(w io.Writer) {
 		fmt.Fprintf(w, "# HELP anonymizer_snapshots_total Shard WAL compactions performed.\n")
 		fmt.Fprintf(w, "# TYPE anonymizer_snapshots_total counter\n")
 		fmt.Fprintf(w, "anonymizer_snapshots_total %d\n", ds.Snapshots())
-		fmt.Fprintf(w, "# HELP anonymizer_stream_watermark_sum Total mutation-stream records across shards.\n")
+		fmt.Fprintf(w, "# HELP anonymizer_stream_watermark_sum The store's stream position: the last log sequence number (LSN).\n")
 		fmt.Fprintf(w, "# TYPE anonymizer_stream_watermark_sum gauge\n")
-		fmt.Fprintf(w, "anonymizer_stream_watermark_sum %d\n", ds.Watermark().Sum())
+		fmt.Fprintf(w, "anonymizer_stream_watermark_sum %d\n", ds.Watermark())
 		if epoch, known := ds.Epoch(); known {
 			fmt.Fprintf(w, "# HELP anonymizer_repl_epoch The node's replication epoch.\n")
 			fmt.Fprintf(w, "# TYPE anonymizer_repl_epoch gauge\n")

@@ -29,7 +29,7 @@ func TestShardedStoreRoundsUpToPowerOfTwo(t *testing.T) {
 	} {
 		for _, mode := range storeModes(t) {
 			st := openDurable(t, mode.dir, WithDurableShards(tc.in))
-			if got := st.ShardCount(); got != tc.want {
+			if got := len(st.shards); got != tc.want {
 				t.Errorf("%s: WithDurableShards(%d) built %d shards, want %d", mode.name, tc.in, got, tc.want)
 			}
 		}
@@ -158,8 +158,8 @@ func TestJournalLessStore(t *testing.T) {
 	if got := st.Len(); got != 7 {
 		t.Errorf("Len = %d, want 7", got)
 	}
-	if st.Dir() != "" || st.Snapshots() != 0 || st.WALStats() != (WALStats{}) || st.Watermark().Sum() != 0 {
-		t.Errorf("journal-less store reports a journal: dir %q, %d snapshots, %+v, watermark %s",
+	if st.Dir() != "" || st.Snapshots() != 0 || st.WALStats() != (WALStats{}) || st.Watermark() != 0 {
+		t.Errorf("journal-less store reports a journal: dir %q, %d snapshots, %+v, watermark %d",
 			st.Dir(), st.Snapshots(), st.WALStats(), st.Watermark())
 	}
 
@@ -170,8 +170,8 @@ func TestJournalLessStore(t *testing.T) {
 			_, _, err := st.WriteIncrementalBackup(&bytes.Buffer{}, st.Watermark())
 			return err
 		}(),
-		"TailFrom":    func() error { _, _, err := st.TailFrom(0, 0, 0); return err }(),
-		"IngestFrame": func() error { _, err := st.IngestFrame(StreamFrame{Seq: 1}); return err }(),
+		"TailFrom":    func() error { _, _, err := st.TailFrom(0, 0); return err }(),
+		"IngestFrame": func() error { _, err := st.IngestFrame(StreamFrame{LSN: 1}); return err }(),
 		"SetEpoch":    st.SetEpoch(2, true),
 	} {
 		if !errors.Is(err, ErrBadOp) {

@@ -1,10 +1,12 @@
 package anonymizer
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -17,71 +19,74 @@ import (
 
 // This file is the store-wide append-only log of the data directory
 // layout: ONE physical journal for every shard, segmented so compaction
-// can drop fully-snapshotted prefixes. Records are self-describing — a
-// record's shard is derivable from its region ID (shardIndex), and its
-// stream offset rides in the payload (walRecord.Seq) — so the per-shard
-// logical streams that replication, incremental backup and reshard
-// consume need no file of their own. The point of the single journal is
-// group commit: with one file there is one fsync per cohort for the
-// WHOLE store, where one log per shard pays one fsync per shard and
-// watches them serialize in the filesystem journal.
+// can drop fully-snapshotted prefixes. Every record has one log sequence
+// number (LSN): its position in the log, counting from 1. The LSN is
+// implicit — nothing in the record carries it — because each segment file
+// is named by the LSN of its first record (as Kafka names segments by
+// base offset), so a record's LSN is its segment's base plus its index
+// there. A record's shard follows from its region ID (shardIndex), so
+// replication, incremental backup and reshard all read the one log by
+// LSN. The point of the single journal is group commit: with one file
+// there is one fsync per cohort for the WHOLE store, where one log per
+// shard pays one fsync per shard and watches them serialize in the
+// filesystem journal.
 //
 // Invariants the rest of the engine leans on:
 //
-//   - A shard's records appear in the log in stream-offset order: every
-//     append happens under that shard's lock, and the log lock orders
-//     the writes of different shards without reordering any one shard's.
+//   - LSNs are dense: segment bases continue each other (each base is the
+//     previous base plus the previous record count), and an empty log at
+//     position E is one empty segment with base E+1.
+//   - A shard's records appear in LSN order: every append happens under
+//     that shard's lock, and the log lock assigns LSNs.
 //   - Rotation seals: the outgoing segment is fsynced before the next
 //     one is created, so every segment but the last is fully durable and
 //     a torn tail can only live in the last non-empty segment.
-//   - Reclaim deletes only a prefix of segments, and only segments whose
-//     every shard-tail is covered by that shard's snapshot — so a
-//     segment file never has a hole, and TailFrom readers holding a
-//     shard read-lock can never see their segment reclaimed (the shard's
-//     snapSeq cannot advance under the read lock).
+//   - Reclaim deletes only a prefix of segments, and only segments every
+//     shard's snapshot covers, and never while a reader holds a range.
 
 // defaultSegmentBytes is the rotation threshold for log segment files.
 const defaultSegmentBytes = 64 << 20
 
-// segName returns log segment idx's file name. The index is
-// minimum-width, so stores outliving 10^8 segments keep sorting
-// correctly (segFileName accepts the longer names).
-func segName(idx int) string { return fmt.Sprintf("wal-%08d.seg", idx) }
+// segName returns the file name of the log segment whose first record has
+// LSN base. Twenty digits hold any uint64, so names sort like LSNs.
+func segName(base uint64) string { return fmt.Sprintf("wal-%020d.seg", base) }
 
-// segFileName matches unified-log segment files, capturing the index.
-var segFileName = regexp.MustCompile(`^wal-([0-9]{8,})\.seg$`)
+// segFileName matches log segment files, capturing the base LSN.
+var segFileName = regexp.MustCompile(`^wal-([0-9]{20})\.seg$`)
+
+// errDuplicateLSN reports an append at an LSN the log already holds: a
+// replicated record delivered twice.
+var errDuplicateLSN = errors.New("anonymizer: record already in the log")
 
 // logSegment is one file of the store-wide log.
 type logSegment struct {
-	idx  int
+	base uint64 // LSN of the segment's first record
 	path string
 	f    *os.File
-	size int64 // intact bytes appended
-	// lastSeq[i] is the highest stream offset of shard i that landed in
-	// this segment (0: the shard has no records here). Per-shard offsets
-	// are monotonic in log order, so the segment is reclaimable exactly
-	// when every shard's snapshot covers its lastSeq.
-	lastSeq []uint64
+	size int64   // intact bytes appended
+	offs []int64 // offs[i] is the byte offset of the record at LSN base+i
 }
 
-// appendLoc names where a frame landed, for the shard's offset index.
-type appendLoc struct {
-	seg *logSegment
-	off int64
-}
+// next returns the LSN the record after this segment's last one takes.
+func (seg *logSegment) next() uint64 { return seg.base + uint64(len(seg.offs)) }
 
 // storeLog is the store-wide append-only log: a list of segment files of
 // which the last is the active append target.
 type storeLog struct {
 	dir      string
-	shards   int
 	segLimit int64
 
-	// mu guards appends, rotation and the segment list. It nests INSIDE
-	// a shard lock (mutate holds sh.mu, then appends) and is never held
-	// across an fsync on the hot path.
+	// mu guards appends, rotation, the segment list, pending and readers.
+	// It nests INSIDE a shard lock (mutate holds sh.mu, then appends) and
+	// is never held across an fsync on the hot path.
 	mu   sync.Mutex
 	segs []*logSegment
+	// pending[s] is the LSN of shard s's first record its snapshot does
+	// not cover yet (0: none). The smallest is the reclaim floor.
+	pending []uint64
+	// readers counts reads in flight over the segments (stream tails,
+	// backups); reclaim deletes nothing while any is.
+	readers int
 
 	// end is the log's logical append position: total frame bytes
 	// appended this process, monotonic (reclaim never rewinds it).
@@ -107,35 +112,46 @@ type storeLog struct {
 	hist   fsyncHist
 }
 
-// append writes one framed record for shard at stream offset seq,
-// rotating first when the active segment is full. It returns the frame's
-// physical location (for the shard's offset index) and the log's logical
-// end offset after the append (the group-commit target). On a partial
-// write the segment is rewound to its last intact record so later
-// appends never extend a torn frame.
-func (lg *storeLog) append(frame []byte, shard int, seq uint64) (appendLoc, int64, error) {
+// append writes one framed record of shard at the next LSN, rotating
+// first when the active segment is full, and returns the log's logical
+// end offset after the append (the group-commit target). lsn is the
+// position the caller expects the record to take, 0 for whatever comes
+// next: a replicated record must land exactly where the leader put it, so
+// an LSN the log already holds reports errDuplicateLSN and one past the
+// next reports ErrStreamGap — checked here, under the lock that assigns
+// LSNs. On a partial write the segment is rewound to its last intact
+// record so later appends never extend a torn frame.
+func (lg *storeLog) append(frame []byte, shard int, lsn uint64) (int64, error) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
 	seg := lg.segs[len(lg.segs)-1]
-	if seg.size > 0 && seg.size+int64(len(frame)) > lg.segLimit {
+	next := seg.next()
+	switch {
+	case lsn == 0 || lsn == next:
+	case lsn < next:
+		return 0, errDuplicateLSN
+	default:
+		return 0, fmt.Errorf("%w: log ends at %d, record at %d", ErrStreamGap, next-1, lsn)
+	}
+	if len(seg.offs) > 0 && seg.size+int64(len(frame)) > lg.segLimit {
 		if err := lg.rotateLocked(); err != nil {
-			return appendLoc{}, 0, err
+			return 0, err
 		}
 		seg = lg.segs[len(lg.segs)-1]
 	}
 	if _, err := seg.f.Write(frame); err != nil {
 		_ = seg.f.Truncate(seg.size)
 		_, _ = seg.f.Seek(seg.size, io.SeekStart)
-		return appendLoc{}, 0, fmt.Errorf("anonymizer: log append: %w", err)
+		return 0, fmt.Errorf("anonymizer: log append: %w", err)
 	}
-	loc := appendLoc{seg: seg, off: seg.size}
+	seg.offs = append(seg.offs, seg.size)
 	seg.size += int64(len(frame))
-	if seq > seg.lastSeq[shard] {
-		seg.lastSeq[shard] = seq
+	if lg.pending[shard] == 0 {
+		lg.pending[shard] = next
 	}
 	end := lg.end.Add(int64(len(frame)))
 	lg.dirty.Store(true)
-	return loc, end, nil
+	return end, nil
 }
 
 // rotateLocked seals the active segment and opens the next one. The
@@ -149,20 +165,29 @@ func (lg *storeLog) rotateLocked() error {
 	if err := lg.timedSync(cur.f); err != nil {
 		return fmt.Errorf("anonymizer: log seal: %w", err)
 	}
-	path := filepath.Join(lg.dir, segName(cur.idx+1))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o600)
+	seg, err := createSegment(lg.dir, cur.next())
 	if err != nil {
-		return fmt.Errorf("anonymizer: log rotate: %w", err)
-	}
-	if err := syncDir(lg.dir); err != nil {
-		_ = f.Close()
-		_ = os.Remove(path)
 		return err
 	}
-	seg := &logSegment{idx: cur.idx + 1, path: path, f: f, lastSeq: make([]uint64, lg.shards)}
 	lg.segs = append(lg.segs, seg)
-	lg.active.Store(f)
+	lg.active.Store(seg.f)
 	return nil
+}
+
+// createSegment creates the empty segment file with the given base LSN
+// and makes its name durable.
+func createSegment(dir string, base uint64) (*logSegment, error) {
+	path := filepath.Join(dir, segName(base))
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o600)
+	if err != nil {
+		return nil, fmt.Errorf("anonymizer: log segment create: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
+		_ = f.Close()
+		_ = os.Remove(path)
+		return nil, err
+	}
+	return &logSegment{base: base, path: path, f: f}, nil
 }
 
 // timedSync fsyncs f, counting the call and observing its latency.
@@ -200,28 +225,54 @@ func (lg *storeLog) sync() error {
 	return nil
 }
 
-// reclaim deletes the prefix of segments whose every shard-tail is
-// covered by that shard's snapshot (snapSeq reads the shard's published
-// snapshot position without taking its lock). If that covers the whole
-// log and the active segment holds bytes, it is rotated first so the
-// covered bytes become a sealed, deletable prefix — the "log shrinks
-// after Snapshot" property operators expect from compaction.
-func (lg *storeLog) reclaim(snapSeq func(shard int) uint64) {
+// lastLSN returns the LSN of the last record appended (0: none ever).
+func (lg *storeLog) lastLSN() uint64 {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
-	covered := func(seg *logSegment) bool {
-		for i, last := range seg.lastSeq {
-			if last > snapSeq(i) {
-				return false
-			}
+	return lg.segs[len(lg.segs)-1].next() - 1
+}
+
+// pin and unpin bracket a reader that must see every segment it found at
+// pin time: reclaim deletes nothing while any reader holds the log.
+func (lg *storeLog) pin() {
+	lg.mu.Lock()
+	lg.readers++
+	lg.mu.Unlock()
+}
+
+func (lg *storeLog) unpin() {
+	lg.mu.Lock()
+	lg.readers--
+	lg.mu.Unlock()
+}
+
+// reclaim records that shard's snapshot now covers every record it has,
+// then deletes the prefix of segments all shards are done with: a segment
+// goes once its last LSN lies below every shard's first un-snapshotted
+// record. A shard with no such record pins nothing, so an idle shard
+// never holds the log back. If that covers the whole log and the active
+// segment holds records, it is rotated first so they become a sealed,
+// deletable prefix — the "log shrinks after Snapshot" property operators
+// expect from compaction. Reclaim is best-effort: while a reader holds the
+// log it deletes nothing, and the next snapshot's reclaim catches up.
+func (lg *storeLog) reclaim(shard int) {
+	lg.mu.Lock()
+	defer lg.mu.Unlock()
+	lg.pending[shard] = 0
+	if lg.readers > 0 {
+		return
+	}
+	floor := uint64(math.MaxUint64)
+	for _, p := range lg.pending {
+		if p != 0 && p < floor {
+			floor = p
 		}
-		return true
 	}
 	cut := 0
-	for cut < len(lg.segs)-1 && covered(lg.segs[cut]) {
+	for cut < len(lg.segs)-1 && lg.segs[cut].next() <= floor {
 		cut++
 	}
-	if cut == len(lg.segs)-1 && lg.segs[cut].size > 0 && covered(lg.segs[cut]) {
+	if last := lg.segs[cut]; cut == len(lg.segs)-1 && len(last.offs) > 0 && last.next() <= floor {
 		if err := lg.rotateLocked(); err == nil {
 			cut++
 		}
@@ -242,6 +293,83 @@ func (lg *storeLog) reclaim(snapSeq func(shard int) uint64) {
 	for _, seg := range dead {
 		_ = os.Remove(seg.path)
 	}
+}
+
+// read returns the frames of the records with LSNs in (after,
+// after+limit] (limit <= 0: through the end), exactly as they lie in the
+// segments, and the log's last LSN. after beyond the end is ErrBadOp (the
+// reader's position comes from another history); records after it
+// already reclaimed are ErrStreamGap (the reader must restart from a full
+// backup). The segments read stay pinned until the bytes are copied.
+func (lg *storeLog) read(after uint64, limit int) ([]byte, uint64, error) {
+	type piece struct {
+		f      *os.File
+		off, n int64
+	}
+	lg.mu.Lock()
+	last := lg.segs[len(lg.segs)-1].next() - 1
+	switch {
+	case after > last:
+		lg.mu.Unlock()
+		return nil, last, fmt.Errorf("%w: position %d is beyond the log's last LSN %d", ErrBadOp, after, last)
+	case after == last:
+		lg.mu.Unlock()
+		return nil, last, nil
+	case after+1 < lg.segs[0].base:
+		lg.mu.Unlock()
+		return nil, last, fmt.Errorf("%w: position %d, oldest record on disk %d",
+			ErrStreamGap, after, lg.segs[0].base)
+	}
+	to := last
+	if limit > 0 && uint64(limit) < last-after {
+		to = after + uint64(limit)
+	}
+	var pieces []piece
+	var total int64
+	for _, seg := range lg.segs {
+		if seg.next() <= after+1 || seg.base > to {
+			continue
+		}
+		i, j := max(after+1, seg.base)-seg.base, min(to+1, seg.next())-seg.base
+		end := seg.size
+		if j < uint64(len(seg.offs)) {
+			end = seg.offs[j]
+		}
+		pieces = append(pieces, piece{f: seg.f, off: seg.offs[i], n: end - seg.offs[i]})
+		total += end - seg.offs[i]
+	}
+	lg.readers++
+	lg.mu.Unlock()
+	defer lg.unpin()
+	buf := make([]byte, total)
+	var pos int64
+	for _, p := range pieces {
+		if _, err := p.f.ReadAt(buf[pos:pos+p.n], p.off); err != nil {
+			return nil, last, fmt.Errorf("anonymizer: log read: %w", err)
+		}
+		pos += p.n
+	}
+	return buf, last, nil
+}
+
+// tail returns what a holder of shard snapshots covering lsns needs from
+// the log: the frames of every record after the oldest of those LSNs,
+// clamped to the oldest record still on disk (a reclaimed record was
+// below every shard's floor, so every snapshot holds it already). It
+// also returns the LSN before the first frame and the log's last LSN.
+// The caller pins the log, so nothing it needs is reclaimed meanwhile.
+// (A snapshot past the log's end — a machine crash lost the log's
+// unsynced tail — needs nothing from it.)
+func (lg *storeLog) tail(lsns []uint64) ([]byte, uint64, uint64, error) {
+	after := uint64(math.MaxUint64)
+	for _, l := range lsns {
+		after = min(after, l)
+	}
+	lg.mu.Lock()
+	after = min(max(after, lg.segs[0].base-1), lg.segs[len(lg.segs)-1].next()-1)
+	lg.mu.Unlock()
+	raw, last, err := lg.read(after, 0)
+	return raw, after, last, err
 }
 
 // stats reports the log's live footprint for /metrics.
@@ -268,6 +396,9 @@ func (lg *storeLog) close() error {
 		}
 	}
 	for _, seg := range lg.segs {
+		if seg.f == nil {
+			continue
+		}
 		if err := seg.f.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -275,140 +406,124 @@ func (lg *storeLog) close() error {
 	return firstErr
 }
 
-// listSegments returns dir's log segment files ascending by index,
-// verifying the sequence has no holes (reclaim only ever deletes a
-// prefix, so a gap means lost data).
-func listSegments(dir string) ([]string, []int, error) {
+// scanLog opens dir's log segments with flag, in LSN order, and hands
+// every intact record's payload to fn (nil: nothing to decode). It
+// enforces what a crash can and cannot leave behind: each segment's base
+// continues the previous one (reclaim only deletes a prefix, so a
+// mismatch means lost records), and a torn tail lives only in the last
+// non-empty segment. Each returned segment's size is its intact byte
+// count; damaged indexes the segment holding torn bytes (-1: none), and
+// torn counts them.
+func scanLog(dir string, flag int, fn func(lsn uint64, payload []byte) error) (
+	segs []*logSegment, damaged int, torn int64, err error,
+) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("anonymizer: log dir: %w", err)
+		return nil, 0, 0, fmt.Errorf("anonymizer: log dir: %w", err)
 	}
-	var idxs []int
-	names := make(map[int]string)
-	for _, e := range entries {
-		m := segFileName.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		idx, err := strconv.Atoi(m[1])
-		if err != nil || idx < 1 {
-			return nil, nil, fmt.Errorf("%w: segment name %q", ErrCorruptLog, e.Name())
-		}
-		idxs = append(idxs, idx)
-		names[idx] = e.Name()
-	}
-	sort.Ints(idxs)
-	out := make([]string, len(idxs))
-	for i, idx := range idxs {
-		if i > 0 && idx != idxs[i-1]+1 {
-			return nil, nil, fmt.Errorf("%w: log segment gap between %d and %d",
-				ErrCorruptLog, idxs[i-1], idx)
-		}
-		out[i] = names[idx]
-	}
-	return out, idxs, nil
-}
-
-// openStoreLog opens (or initializes) the unified log in dir, replaying
-// every intact record through fn in log order. fn receives the record
-// and its physical location and returns the record's shard and stream
-// offset, which the log needs for per-segment reclaim bookkeeping. A
-// torn tail is tolerated only where a crash can put one — the last
-// non-empty segment, with nothing after it — and is truncated away;
-// damage anywhere else is corruption and fails the open. Returns the log
-// and the torn bytes dropped.
-func openStoreLog(
-	dir string, shards int, segLimit int64,
-	fn func(rec *walRecord, seg *logSegment, off int64, n int) (int, uint64, error),
-) (*storeLog, int64, error) {
-	names, idxs, err := listSegments(dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	lg := &storeLog{dir: dir, shards: shards, segLimit: segLimit}
-	fail := func(err error) (*storeLog, int64, error) {
-		for _, seg := range lg.segs {
-			if seg.f != nil {
+	defer func() {
+		if err != nil {
+			for _, seg := range segs {
 				_ = seg.f.Close()
 			}
+			segs = nil
 		}
-		return nil, 0, err
-	}
-	if len(names) == 0 {
-		path := filepath.Join(dir, segName(1))
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o600)
-		if err != nil {
-			return nil, 0, fmt.Errorf("anonymizer: log init: %w", err)
-		}
-		if err := syncDir(dir); err != nil {
-			_ = f.Close()
-			return nil, 0, err
-		}
-		lg.segs = []*logSegment{{idx: 1, path: path, f: f, lastSeq: make([]uint64, shards)}}
-		lg.active.Store(f)
-		return lg, 0, nil
-	}
-	type scanState struct {
-		intact int64
-		total  int64
-		torn   bool
-	}
-	states := make([]scanState, len(names))
-	for i, name := range names {
-		path := filepath.Join(dir, name)
-		f, err := os.OpenFile(path, os.O_RDWR, 0o600)
-		if err != nil {
-			return fail(fmt.Errorf("anonymizer: opening log segment: %w", err))
-		}
-		seg := &logSegment{idx: idxs[i], path: path, f: f, lastSeq: make([]uint64, shards)}
-		lg.segs = append(lg.segs, seg)
-		var off int64
-		intact, rerr := readFrames(f, func(payload []byte) error {
-			var rec walRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return fmt.Errorf("%w: %v", ErrCorruptLog, err)
+	}()
+	for _, e := range entries {
+		if m := segFileName.FindStringSubmatch(e.Name()); m != nil {
+			base, perr := strconv.ParseUint(m[1], 10, 64)
+			if perr != nil || base < 1 {
+				return nil, 0, 0, fmt.Errorf("%w: segment name %q", ErrCorruptLog, e.Name())
 			}
-			n := walHeaderSize + len(payload)
-			shard, seq, err := fn(&rec, seg, off, n)
-			if err != nil {
-				return err
+			segs = append(segs, &logSegment{base: base, path: filepath.Join(dir, e.Name())})
+		}
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].base < segs[j].base })
+	damaged, lastData := -1, -1
+	for i, seg := range segs {
+		if i > 0 && seg.base != segs[i-1].next() {
+			return segs, 0, 0, fmt.Errorf("%w: log segment %s does not continue %s (LSN %d expected)",
+				ErrCorruptLog, filepath.Base(seg.path), filepath.Base(segs[i-1].path), segs[i-1].next())
+		}
+		if seg.f, err = os.OpenFile(seg.path, flag, 0o600); err != nil {
+			return segs, 0, 0, fmt.Errorf("anonymizer: opening log segment: %w", err)
+		}
+		intact, rerr := readFrames(bufio.NewReaderSize(seg.f, 64<<10), func(payload []byte) error {
+			if fn != nil {
+				if err := fn(seg.next(), payload); err != nil {
+					return err
+				}
 			}
-			if seq > seg.lastSeq[shard] {
-				seg.lastSeq[shard] = seq
-			}
-			off += int64(n)
+			seg.offs = append(seg.offs, seg.size)
+			seg.size += walHeaderSize + int64(len(payload))
 			return nil
 		})
 		if rerr != nil && !errors.Is(rerr, errTornTail) {
-			return fail(fmt.Errorf("anonymizer: replaying %s: %w", path, rerr))
+			return segs, 0, 0, fmt.Errorf("anonymizer: replaying %s: %w", seg.path, rerr)
 		}
-		end, serr := f.Seek(0, io.SeekEnd)
+		total, serr := seg.f.Seek(0, io.SeekEnd)
 		if serr != nil {
-			return fail(fmt.Errorf("anonymizer: log seek: %w", serr))
+			return segs, 0, 0, fmt.Errorf("anonymizer: log seek: %w", serr)
 		}
-		states[i] = scanState{intact: intact, total: end, torn: errors.Is(rerr, errTornTail)}
-		seg.size = intact
-	}
-	lastData := -1
-	for i := range states {
-		if states[i].total > 0 {
+		if total > 0 {
 			lastData = i
 		}
+		if errors.Is(rerr, errTornTail) || intact < total {
+			if damaged >= 0 {
+				return segs, 0, 0, fmt.Errorf("%w: damaged non-final log segment %s", ErrCorruptLog, segs[damaged].path)
+			}
+			damaged, torn = i, total-intact
+		}
 	}
-	var truncated int64
-	for i := range states {
-		damaged := states[i].torn || states[i].intact < states[i].total
-		if !damaged {
-			continue
+	if damaged >= 0 && damaged != lastData {
+		// Rotation seals segments before creating successors, so a
+		// non-final segment can never legitimately be torn.
+		return segs, 0, 0, fmt.Errorf("%w: damaged non-final log segment %s", ErrCorruptLog, segs[damaged].path)
+	}
+	return segs, damaged, torn, nil
+}
+
+// openStoreLog opens (or initializes) the log in dir for appending,
+// replaying every intact record through fn in LSN order. fn returns the
+// record's shard and whether its snapshot does not cover it yet, which
+// seeds the reclaim floor. The torn tail of the last non-empty segment —
+// the only place a crash can put one — is truncated away; damage anywhere
+// else fails the open. Returns the log and the torn bytes dropped.
+func openStoreLog(
+	dir string, shards int, segLimit int64,
+	fn func(lsn uint64, rec *walRecord) (shard int, pending bool, err error),
+) (*storeLog, int64, error) {
+	lg := &storeLog{dir: dir, segLimit: segLimit, pending: make([]uint64, shards)}
+	segs, damaged, torn, err := scanLog(dir, os.O_RDWR, func(lsn uint64, payload []byte) error {
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorruptLog, err)
 		}
-		if i != lastData {
-			// Rotation seals segments before creating successors, so a
-			// non-final segment can never legitimately be torn.
-			return fail(fmt.Errorf("%w: damaged non-final log segment %s", ErrCorruptLog, names[i]))
+		shard, pending, err := fn(lsn, &rec)
+		if err == nil && pending && lg.pending[shard] == 0 {
+			lg.pending[shard] = lsn
 		}
-		seg := lg.segs[i]
-		truncated += states[i].total - states[i].intact
-		if err := seg.f.Truncate(states[i].intact); err != nil {
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	lg.segs = segs
+	if len(segs) == 0 {
+		seg, err := createSegment(dir, 1)
+		if err != nil {
+			return nil, 0, err
+		}
+		lg.segs = []*logSegment{seg}
+	}
+	fail := func(err error) (*storeLog, int64, error) {
+		for _, seg := range lg.segs {
+			_ = seg.f.Close()
+		}
+		return nil, 0, err
+	}
+	if damaged >= 0 {
+		if err := segs[damaged].f.Truncate(segs[damaged].size); err != nil {
 			return fail(fmt.Errorf("anonymizer: truncating torn log tail: %w", err))
 		}
 	}
@@ -422,7 +537,24 @@ func openStoreLog(
 	}
 	lg.end.Store(total)
 	lg.active.Store(last.f)
-	return lg, truncated, nil
+	return lg, torn, nil
+}
+
+// openLogReader opens a closed directory's log read-only for the offline
+// tools (cold backup, incremental backup, reshard): the records recovery
+// would replay, with nothing truncated or created. It also returns the
+// torn tail bytes it skipped.
+func openLogReader(dir string) (*storeLog, int64, error) {
+	segs, _, torn, err := scanLog(dir, os.O_RDONLY, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(segs) == 0 {
+		// A directory that crashed before its first segment existed: an
+		// empty log at position 0.
+		segs = []*logSegment{{base: 1}}
+	}
+	return &storeLog{dir: dir, segs: segs}, torn, nil
 }
 
 // fsyncHist is a lock-free latency histogram over latencyBuckets,

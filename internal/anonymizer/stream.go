@@ -1,27 +1,22 @@
 package anonymizer
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // This file is the mutation-stream face of the store's journal: the same
-// unified log that makes the store crash-safe, consumable as per-shard
-// addressable streams (each shard's offset index maps stream positions
-// to frames in the shared segments). Every mutation record carries a monotonic per-shard
-// stream offset (walRecord.Seq, preserved across snapshot compactions by
-// the snapshot header's StreamSeq), a Watermark names a position across
-// all shards, TailFrom serves the records after a position, and
-// IngestFrame applies shipped records through the exact journal+apply
-// pipeline recovery uses. Log-shipping replication (internal/anonymizer/
-// repl), incremental backup (backup -since) and crash recovery are all
-// consumers of this one abstraction.
+// log that makes the store crash-safe, consumable by position. A position
+// is one number, the LSN of the last record the holder has (applied,
+// backed up, acked); Watermark is the store's own, TailFrom serves the
+// records after a position, and IngestFrame applies shipped records
+// through the exact journal+apply pipeline recovery uses. Log-shipping
+// replication (internal/anonymizer/repl), incremental backup (backup
+// -since) and crash recovery are all consumers of this one abstraction.
 
 // Errors of the stream and replication layer.
 var (
@@ -40,151 +35,72 @@ var (
 	ErrFenced = errors.New("anonymizer: fenced by a newer replication epoch")
 )
 
-// Watermark is a stream position across every shard of a durable store:
-// element i is the offset of the last mutation record of shard i that
-// the holder has (applied, backed up, acked). The zero position of a
-// k-shard store is k zeros.
-type Watermark []uint64
-
-// String renders the watermark in its CLI spelling: comma-separated
-// per-shard offsets ("12,0,7,3").
-func (w Watermark) String() string {
-	parts := make([]string, len(w))
-	for i, v := range w {
-		parts[i] = strconv.FormatUint(v, 10)
-	}
-	return strings.Join(parts, ",")
-}
-
-// Sum returns the total number of stream records the watermark covers —
-// the scalar used for lag arithmetic.
-func (w Watermark) Sum() uint64 {
-	var n uint64
-	for _, v := range w {
-		n += v
-	}
-	return n
-}
-
-// Clone returns an independent copy.
-func (w Watermark) Clone() Watermark {
-	cp := make(Watermark, len(w))
-	copy(cp, w)
-	return cp
-}
-
-// ParseWatermark parses the String spelling back into a watermark.
-func ParseWatermark(s string) (Watermark, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("%w: empty watermark", ErrBadOp)
-	}
-	parts := strings.Split(s, ",")
-	w := make(Watermark, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: watermark element %d: %v", ErrBadOp, i, err)
-		}
-		w[i] = v
-	}
-	return w, nil
-}
-
-// StreamFrame is one shipped mutation record: the shard it belongs to,
-// its stream offset, and the record's exact WAL payload bytes. Frames
-// cross the wire as-is (Rec is raw JSON), and followers journal the
-// payload verbatim, so a replicated shard's log is byte-identical to the
-// leader's.
+// StreamFrame is one shipped mutation record: its LSN and the record's
+// exact log payload bytes. Frames cross the wire as-is (Rec is raw JSON),
+// and followers journal the payload verbatim at the same LSN, so a
+// follower's log is byte-identical to the leader's at every LSN both
+// hold.
 type StreamFrame struct {
-	Shard int             `json:"shard"`
-	Seq   uint64          `json:"seq"`
-	Rec   json.RawMessage `json:"rec"`
+	LSN uint64          `json:"lsn"`
+	Rec json.RawMessage `json:"rec"`
 }
 
-// ShardCount returns the store's shard count (fixed at directory
-// initialization).
-func (s *DurableStore) ShardCount() int { return len(s.shards) }
-
-// Watermark returns the store's current stream position: per shard, the
-// offset of the last mutation record appended (leader) or applied
-// (follower).
-func (s *DurableStore) Watermark() Watermark {
-	w := make(Watermark, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		w[i] = sh.streamSeq
-		sh.mu.RUnlock()
+// Watermark returns the store's stream position: the LSN of the last
+// record appended (leader) or ingested (follower); 0 for an empty or
+// journal-less store.
+func (s *DurableStore) Watermark() uint64 {
+	if s.log == nil {
+		return 0
 	}
-	return w
+	return s.log.lastLSN()
 }
 
-// TailFrom reads shard's mutation records with offsets in (after,
-// after+max] order — the stream consumed by replication and incremental
-// backup. It returns the frames, the shard's current end offset, and:
+// TailFrom reads the mutation records with LSNs in (after, after+max] —
+// the stream consumed by replication and incremental backup. It returns
+// the frames, the log's last LSN, and:
 //
-//   - ErrStreamGap when records after `after` were already folded into a
-//     snapshot (the consumer must restart from a full backup);
-//   - ErrBadOp when after lies beyond the shard's end (the consumer's
+//   - ErrStreamGap when records after `after` were already reclaimed
+//     (the consumer must restart from a full backup);
+//   - ErrBadOp when after lies beyond the log's end (the consumer's
 //     position comes from a different history).
 //
-// max <= 0 means no bound. The shard's offset index maps each stream
-// position to its frame in the unified log; the read lock is held across
-// the reads, which pins the shard's snapSeq and thereby (segment reclaim
-// only deletes snapshot-covered prefixes) every segment the index points
-// into.
-func (s *DurableStore) TailFrom(shard int, after uint64, max int) ([]StreamFrame, uint64, error) {
-	if shard < 0 || shard >= len(s.shards) {
-		return nil, 0, fmt.Errorf("%w: shard %d of %d", ErrBadOp, shard, len(s.shards))
-	}
+// max <= 0 means no bound. Snapshot-covered records still on disk are
+// served like any other.
+func (s *DurableStore) TailFrom(after uint64, max int) ([]StreamFrame, uint64, error) {
 	if s.closed.Load() {
 		return nil, 0, ErrStoreClosed
 	}
 	if err := s.needsJournal("replication"); err != nil {
 		return nil, 0, err
 	}
-	sh := s.shards[shard]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	end := sh.streamSeq
-	switch {
-	case after > end:
-		return nil, end, fmt.Errorf("%w: offset %d beyond shard %d end %d",
-			ErrBadOp, after, shard, end)
-	case after == end:
-		return nil, end, nil
-	case after < sh.snapSeq:
-		return nil, end, fmt.Errorf("%w: shard %d offset %d, oldest streamable %d",
-			ErrStreamGap, shard, after, sh.snapSeq)
+	raw, last, err := s.log.read(after, max)
+	if err != nil {
+		return nil, last, err
 	}
-	first := sort.Search(len(sh.entries), func(i int) bool { return sh.entries[i].seq > after })
 	var frames []StreamFrame
-	for _, e := range sh.entries[first:] {
-		if max > 0 && len(frames) >= max {
-			break
-		}
-		frame := make([]byte, e.n)
-		if _, err := e.seg.f.ReadAt(frame, e.off); err != nil {
-			return nil, end, fmt.Errorf("anonymizer: stream read: %w", err)
-		}
-		payload, err := framePayload(frame)
-		if err != nil {
-			return nil, end, err
-		}
-		frames = append(frames, StreamFrame{Shard: shard, Seq: e.seq, Rec: json.RawMessage(payload)})
+	if _, err := readFrames(bytes.NewReader(raw), func(payload []byte) error {
+		frames = append(frames, StreamFrame{
+			LSN: after + uint64(len(frames)) + 1,
+			Rec: append(json.RawMessage(nil), payload...),
+		})
+		return nil
+	}); err != nil {
+		return nil, last, fmt.Errorf("%w: stream read: %v", ErrCorruptLog, err)
 	}
-	return frames, end, nil
+	return frames, last, nil
 }
 
 // IngestFrame journals and applies one shipped mutation record — the
 // follower half of log shipping, and the apply path of incremental
 // restore. It is the same journal-then-apply pipeline the live mutate
-// path and recovery use: the payload is appended to the unified log
-// verbatim (so the follower's stream stays byte-identical to the leader's)
-// and the decoded mutation routes through regTable.apply in replay mode.
+// path and recovery use: the payload is appended to the log verbatim at
+// the frame's LSN (so the follower's log stays byte-identical to the
+// leader's) and the decoded mutation routes through regTable.apply in
+// replay mode.
 //
-// Frames at or below the shard's current position are duplicates and are
-// skipped (applied=false); a frame that would skip offsets reports
-// ErrStreamGap — the stream has a hole and the consumer must re-sync.
+// A frame at an LSN the log already holds is a duplicate and is skipped
+// (applied=false); a frame that would skip LSNs reports ErrStreamGap —
+// the stream has a hole and the consumer must re-sync.
 func (s *DurableStore) IngestFrame(f StreamFrame) (bool, error) {
 	if s.closed.Load() {
 		return false, ErrStoreClosed
@@ -192,8 +108,8 @@ func (s *DurableStore) IngestFrame(f StreamFrame) (bool, error) {
 	if err := s.needsJournal("replication"); err != nil {
 		return false, err
 	}
-	if f.Shard < 0 || f.Shard >= len(s.shards) {
-		return false, fmt.Errorf("%w: shard %d of %d", ErrBadOp, f.Shard, len(s.shards))
+	if f.LSN == 0 {
+		return false, fmt.Errorf("%w: frame without an LSN", ErrCorruptLog)
 	}
 	var rec walRecord
 	if err := json.Unmarshal(f.Rec, &rec); err != nil {
@@ -206,32 +122,18 @@ func (s *DurableStore) IngestFrame(f StreamFrame) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if int(shardIndex(m.ID, s.mask)) != f.Shard {
-		return false, fmt.Errorf("%w: id %q does not hash to shard %d",
-			ErrCorruptLog, m.ID, f.Shard)
-	}
-	payload := []byte(f.Rec)
-	if rec.Seq != f.Seq {
-		// A stream source without embedded offsets (pre-offset WAL): stamp
-		// the frame's offset into the journaled payload so this store's
-		// own recovery and tail readers see the same numbering.
-		rec.Seq = f.Seq
-		if payload, err = json.Marshal(&rec); err != nil {
-			return false, fmt.Errorf("anonymizer: re-encoding frame: %w", err)
-		}
-	}
 	now := s.cfg.now().UnixNano()
-	sh := s.shards[f.Shard]
+	sh := s.shardFor(m.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	switch {
-	case f.Seq <= sh.streamSeq:
-		return false, nil // duplicate delivery: already journaled
-	case f.Seq != sh.streamSeq+1:
-		return false, fmt.Errorf("%w: shard %d at %d, frame at %d",
-			ErrStreamGap, f.Shard, sh.streamSeq, f.Seq)
+	frame, err := appendFrame(sh.buf, f.Rec)
+	if err != nil {
+		return false, err
 	}
-	if _, err := s.appendRawLocked(sh, payload, f.Seq); err != nil {
+	if _, err := s.writeFrameLocked(sh, frame, f.LSN); err != nil {
+		if errors.Is(err, errDuplicateLSN) {
+			return false, nil
+		}
 		return false, err
 	}
 	s.noteIssuedID(m.ID)

@@ -1,53 +1,28 @@
 package anonymizer
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// streamAll drains every shard's tail from the given watermark.
-func streamAll(t *testing.T, st *DurableStore, from Watermark) []StreamFrame {
+// streamAll drains the log from the given position.
+func streamAll(t *testing.T, st *DurableStore, from uint64) []StreamFrame {
 	t.Helper()
-	var out []StreamFrame
-	for i := 0; i < st.ShardCount(); i++ {
-		frames, _, err := st.TailFrom(i, from[i], 0)
-		if err != nil {
-			t.Fatalf("TailFrom(%d, %d): %v", i, from[i], err)
-		}
-		out = append(out, frames...)
-	}
-	return out
-}
-
-// TestWatermarkParseFormat pins the CLI spelling round-trip.
-func TestWatermarkParseFormat(t *testing.T) {
-	w := Watermark{12, 0, 7}
-	s := w.String()
-	if s != "12,0,7" {
-		t.Fatalf("String = %q", s)
-	}
-	back, err := ParseWatermark(s)
+	frames, _, err := st.TailFrom(from, 0)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("TailFrom(%d): %v", from, err)
 	}
-	if !reflect.DeepEqual(w, back) {
-		t.Fatalf("round trip: %v", back)
-	}
-	if w.Sum() != 19 {
-		t.Fatalf("Sum = %d", w.Sum())
-	}
-	for _, bad := range []string{"", "1,,2", "x", "1,-2"} {
-		if _, err := ParseWatermark(bad); err == nil {
-			t.Errorf("ParseWatermark(%q) accepted", bad)
-		}
-	}
+	return frames
 }
 
 // TestStreamOffsetsSurviveCompactionAndReopen pins the core stream
-// invariant: per-shard offsets are monotonic across snapshot compaction
-// and restarts — the log may be rewritten, the positions never move.
+// invariant: LSNs are monotonic across snapshot compaction and restarts —
+// the log may be reclaimed, the positions never move.
 func TestStreamOffsetsSurviveCompactionAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	st := openDurable(t, dir, WithDurableShards(1), WithSnapshotEvery(0))
@@ -59,40 +34,50 @@ func TestStreamOffsetsSurviveCompactionAndReopen(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	if got := st.Watermark(); got[0] != 5 {
-		t.Fatalf("watermark after 5 registers = %v", got)
+	if got := st.Watermark(); got != 5 {
+		t.Fatalf("watermark after 5 registers = %d", got)
 	}
-	frames := streamAll(t, st, Watermark{0})
+	frames := streamAll(t, st, 0)
 	if len(frames) != 5 {
 		t.Fatalf("TailFrom(0) = %d frames, want 5", len(frames))
 	}
 	for i, f := range frames {
-		if f.Seq != uint64(i+1) {
-			t.Fatalf("frame %d seq = %d", i, f.Seq)
+		if f.LSN != uint64(i+1) {
+			t.Fatalf("frame %d LSN = %d", i, f.LSN)
 		}
 	}
 
-	// Compaction folds the five records into a snapshot: their offsets
-	// are no longer individually servable (gap), but the position holds.
+	// Compaction folds the five records into a snapshot and reclaims their
+	// segment: they are no longer servable (gap), but the position holds.
 	if err := st.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Watermark(); got[0] != 5 {
-		t.Fatalf("watermark after snapshot = %v", got)
+	if got := st.Watermark(); got != 5 {
+		t.Fatalf("watermark after snapshot = %d", got)
 	}
-	if _, _, err := st.TailFrom(0, 0, 0); !errors.Is(err, ErrStreamGap) {
+	if _, _, err := st.TailFrom(0, 0); !errors.Is(err, ErrStreamGap) {
 		t.Fatalf("TailFrom(0) after compaction: err = %v, want ErrStreamGap", err)
 	}
-	if frames, _, err := st.TailFrom(0, 5, 0); err != nil || len(frames) != 0 {
+	if frames, _, err := st.TailFrom(5, 0); err != nil || len(frames) != 0 {
 		t.Fatalf("TailFrom(5) after compaction = %d frames, %v", len(frames), err)
+	}
+
+	// Reopen with nothing after the compaction: the empty segment's name
+	// alone carries the position.
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openDurable(t, dir)
+	if got := st.Watermark(); got != 5 {
+		t.Fatalf("watermark after reopening a compacted log = %d", got)
 	}
 
 	// New appends continue the sequence.
 	if err := st.SetTrust(ids[0], "alice", 1); err != nil {
 		t.Fatal(err)
 	}
-	frames, _, err := st.TailFrom(0, 5, 0)
-	if err != nil || len(frames) != 1 || frames[0].Seq != 6 {
+	frames, _, err := st.TailFrom(5, 0)
+	if err != nil || len(frames) != 1 || frames[0].LSN != 6 {
 		t.Fatalf("post-compaction tail = %+v, %v", frames, err)
 	}
 
@@ -101,26 +86,26 @@ func TestStreamOffsetsSurviveCompactionAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := openDurable(t, dir)
-	if got := st2.Watermark(); got[0] != 6 {
-		t.Fatalf("watermark after reopen = %v", got)
+	if got := st2.Watermark(); got != 6 {
+		t.Fatalf("watermark after reopen = %d", got)
 	}
-	// A fresh mutation must take offset 7, never reuse one.
+	// A fresh mutation must take LSN 7, never reuse one.
 	if _, err := st2.Register(fakeRegistration(t, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.Watermark(); got[0] != 7 {
-		t.Fatalf("watermark after reopen+register = %v", got)
+	if got := st2.Watermark(); got != 7 {
+		t.Fatalf("watermark after reopen+register = %d", got)
 	}
-	// Beyond-end offsets are a divergent-history error, not a silent nil.
-	if _, _, err := st2.TailFrom(0, 99, 0); !errors.Is(err, ErrBadOp) {
+	// Beyond-end positions are a divergent-history error, not a silent nil.
+	if _, _, err := st2.TailFrom(99, 0); !errors.Is(err, ErrBadOp) {
 		t.Fatalf("TailFrom beyond end: %v", err)
 	}
 }
 
 // TestTailFromIngestRoundTrip pins the replication pipeline at the store
 // level: shipping every frame from one store into another through
-// TailFrom/IngestFrame reproduces the full visible state, duplicates are
-// skipped, and holes are refused.
+// TailFrom/IngestFrame reproduces the full visible state and the log
+// byte for byte, duplicates are skipped, and holes are refused.
 func TestTailFromIngestRoundTrip(t *testing.T) {
 	clk := newFakeClock()
 	src := openDurable(t, t.TempDir(), WithDurableShards(4), WithGCInterval(0), WithClock(clk.Now))
@@ -152,14 +137,17 @@ func TestTailFromIngestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	frames := streamAll(t, src, make(Watermark, 4))
+	frames := streamAll(t, src, 0)
 	for _, f := range frames {
 		if _, err := dst.IngestFrame(f); err != nil {
-			t.Fatalf("IngestFrame(%d/%d): %v", f.Shard, f.Seq, err)
+			t.Fatalf("IngestFrame(%d): %v", f.LSN, err)
 		}
 	}
-	if !reflect.DeepEqual(src.Watermark(), dst.Watermark()) {
-		t.Fatalf("watermarks diverged: src %v, dst %v", src.Watermark(), dst.Watermark())
+	if src.Watermark() != dst.Watermark() {
+		t.Fatalf("watermarks diverged: src %d, dst %d", src.Watermark(), dst.Watermark())
+	}
+	if !reflect.DeepEqual(streamAll(t, dst, 0), frames) {
+		t.Fatal("the follower's log is not byte-identical to the leader's")
 	}
 	if src.Len() != dst.Len() {
 		t.Fatalf("Len: src %d, dst %d", src.Len(), dst.Len())
@@ -190,16 +178,13 @@ func TestTailFromIngestRoundTrip(t *testing.T) {
 	}
 	// A hole is refused loudly.
 	hole := frames[len(frames)-1]
-	hole.Seq += 2
+	hole.LSN += 2
 	if _, err := dst.IngestFrame(hole); !errors.Is(err, ErrStreamGap) {
 		t.Fatalf("gap ingest: %v", err)
 	}
-	// A frame whose id does not hash to its shard is corruption.
-	bad := frames[0]
-	bad.Shard = (bad.Shard + 1) % 4
-	bad.Seq = dst.Watermark()[bad.Shard] + 1
-	if _, err := dst.IngestFrame(bad); !errors.Is(err, ErrCorruptLog) {
-		t.Fatalf("cross-shard ingest: %v", err)
+	// A frame without a position is corruption.
+	if _, err := dst.IngestFrame(StreamFrame{Rec: frames[0].Rec}); !errors.Is(err, ErrCorruptLog) {
+		t.Fatalf("LSN-less ingest: %v", err)
 	}
 }
 
@@ -250,38 +235,122 @@ func TestEpochRecord(t *testing.T) {
 	}
 }
 
-// TestStreamSeqSpreadAcrossShards sanity-checks that the watermark is
-// per-shard: offsets count records in the shard's own stream, not
-// globally.
+// TestStreamSeqSpreadAcrossShards pins that the position is store-wide:
+// the records of every shard share one dense LSN sequence in append
+// order, so the watermark counts them all and TailFrom serves them
+// interleaved, whatever shard each belongs to.
 func TestStreamSeqSpreadAcrossShards(t *testing.T) {
 	st := openDurable(t, t.TempDir(), WithDurableShards(4))
 	const n = 40
+	var ids []string
+	for i := 0; i < n; i++ {
+		id, err := st.Register(fakeRegistration(t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if got := st.Watermark(); got != n {
+		t.Fatalf("watermark = %d, want %d", got, n)
+	}
+	frames, end, err := st.TailFrom(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != n || len(frames) != n {
+		t.Fatalf("TailFrom(0) = %d frames ending at %d, want %d", len(frames), end, n)
+	}
+	shards := make(map[uint32]bool)
+	for i, f := range frames {
+		var rec walRecord
+		if err := json.Unmarshal(f.Rec, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if f.LSN != uint64(i+1) || rec.ID != ids[i] {
+			t.Fatalf("frame %d: LSN %d id %s, want LSN %d id %s", i, f.LSN, rec.ID, i+1, ids[i])
+		}
+		shards[shardIndex(rec.ID, 3)] = true
+	}
+	if len(shards) < 2 {
+		t.Fatalf("%d registrations landed in %d shard(s); the test needs several", n, len(shards))
+	}
+	// A bounded read stops at its budget and still reports the end.
+	if frames, end, err := st.TailFrom(10, 5); err != nil || len(frames) != 5 || frames[0].LSN != 11 || end != n {
+		t.Fatalf("TailFrom(10, 5) = %d frames from %v, end %d, %v", len(frames), frames, end, err)
+	}
+}
+
+// TestPerShardWatermarkRefused: a peer from before LSNs sends its
+// watermark as a per-shard array. Over JSON that fails to decode, so the
+// server drops the connection (or answers in-band) — it never serves
+// frames, and a mixed-version pair fails its handshake instead of
+// mis-syncing.
+func TestPerShardWatermarkRefused(t *testing.T) {
+	g, density := testGrid(t)
+	st := openDurable(t, t.TempDir(), WithDurableShards(2))
+	if _, err := st.Register(fakeRegistration(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	addr := startTestServer(t, newTestServer(t, g, density, WithStore(st)))
+	for _, line := range []string{
+		`{"op":"repl_subscribe","follower":"old-peer","watermark":[0,0]}`,
+		`{"op":"repl_frames","epoch":1,"watermark":[0,0]}`,
+		`{"op":"repl_ack","epoch":1,"watermark":[1,0]}`,
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := fmt.Fprintf(conn, "%s\n", line); err != nil {
+			t.Fatal(err)
+		}
+		var resp map[string]any
+		if err := json.NewDecoder(conn).Decode(&resp); err == nil {
+			if resp["ok"] != false || resp["frames"] != nil || resp["watermark"] != nil {
+				t.Errorf("%s: answered %v, want a refusal or a dropped connection", line, resp)
+			}
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Errorf("%s: neither answered nor dropped", line)
+		}
+		_ = conn.Close()
+	}
+}
+
+// TestReclaimWaitsForReaders: a reader holding the log — a stream tail
+// mid-copy, a hot backup between its snapshot copies and its log read —
+// must find every segment it saw. Reclaim deletes nothing while one is
+// pinned and catches up at the next compaction after.
+func TestReclaimWaitsForReaders(t *testing.T) {
+	st := openDurable(t, t.TempDir(), WithDurableShards(1), WithSnapshotEvery(0), WithLogSegmentBytes(256))
+	const n = 8
 	for i := 0; i < n; i++ {
 		if _, err := st.Register(fakeRegistration(t, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wm := st.Watermark()
-	if got := wm.Sum(); got != n {
-		t.Fatalf("watermark sum = %d, want %d (%v)", got, n, wm)
+	segs := st.WALStats().LogSegments
+	if segs < 2 {
+		t.Fatalf("%d log segments; the test needs several", segs)
 	}
-	seen := 0
-	for i := range wm {
-		frames, end, err := st.TailFrom(i, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if end != wm[i] {
-			t.Fatalf("shard %d end = %d, watermark %d", i, end, wm[i])
-		}
-		for j, f := range frames {
-			if f.Seq != uint64(j+1) {
-				t.Fatalf("shard %d frame %d seq %d", i, j, f.Seq)
-			}
-		}
-		seen += len(frames)
+	st.log.pin()
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
 	}
-	if seen != n {
-		t.Fatalf("streamed %d frames, want %d", seen, n)
+	if got := st.WALStats().LogSegments; got != segs {
+		t.Fatalf("reclaim deleted segments under a reader: %d left of %d", got, segs)
+	}
+	if frames, _, err := st.TailFrom(0, 0); err != nil || len(frames) != n {
+		t.Fatalf("pinned TailFrom(0) = %d frames, %v; want all %d", len(frames), err, n)
+	}
+	st.log.unpin()
+	if _, err := st.Register(fakeRegistration(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.WALStats().LogSegments; got != 1 {
+		t.Fatalf("%d log segments after the reader left and the log compacted, want 1", got)
 	}
 }

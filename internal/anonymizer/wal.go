@@ -72,12 +72,6 @@ const (
 // where zero is never meaningful.
 type walRecord struct {
 	Type recType `json:"type"`
-	// Seq is the record's per-shard stream offset: a monotonic sequence
-	// number every mutation record carries, making the WAL consumable as
-	// a replication stream (TailFrom) and addressable by incremental
-	// backup watermarks. Snapshot entries carry no Seq of their own; the
-	// snapshot header's StreamSeq pins the position the snapshot covers.
-	Seq uint64 `json:"seq,omitempty"`
 	// ID is the region ID the record applies to (all types but snapshot).
 	ID string `json:"id,omitempty"`
 	// Register payload: the published region, the per-level keys in level
@@ -101,11 +95,13 @@ type walRecord struct {
 	Requester string `json:"requester,omitempty"`
 	ToLevel   int    `json:"to_level"`
 	// Snapshot header payload: the next-ID counter at snapshot time, so
-	// recovery never re-issues an ID that was ever handed out, and the
-	// stream offset of the last mutation the snapshot folds in, so the
-	// per-shard sequence survives compaction.
-	NextID    uint64 `json:"next_id,omitempty"`
-	StreamSeq uint64 `json:"stream_seq,omitempty"`
+	// recovery never re-issues an ID that was ever handed out, and the LSN
+	// the snapshot covers: every record of the shard at or below it is
+	// folded in. Snapshots written before LSNs existed decode with LSN 0,
+	// which is right for them — the log tails archived beside them hold
+	// only records after the snapshot.
+	NextID uint64 `json:"next_id,omitempty"`
+	LSN    uint64 `json:"lsn,omitempty"`
 }
 
 // appendFrame frames an opaque payload into buf (reusing its capacity)
@@ -203,42 +199,6 @@ func readRecords(r io.Reader, fn func(*walRecord) error) (int64, error) {
 // errTornTail reports that a scan hit a torn or checksum-failing tail; the
 // prefix before the returned offset is intact.
 var errTornTail = errors.New("anonymizer: torn log tail")
-
-// framePayload validates frame as exactly one CRC frame and returns its
-// payload (aliasing frame's storage). Stream readers use it on frames
-// fetched by offset from the unified log, where the index already knows
-// each frame's size — a mismatch means the index and the file disagree,
-// which is corruption, never a torn tail.
-func framePayload(frame []byte) ([]byte, error) {
-	if len(frame) < walHeaderSize {
-		return nil, fmt.Errorf("%w: short frame", ErrCorruptLog)
-	}
-	n := binary.LittleEndian.Uint32(frame[0:4])
-	want := binary.LittleEndian.Uint32(frame[4:8])
-	payload := frame[walHeaderSize:]
-	if int64(n) != int64(len(payload)) {
-		return nil, fmt.Errorf("%w: frame length %d, have %d payload bytes",
-			ErrCorruptLog, n, len(payload))
-	}
-	if crc32.Checksum(payload, castagnoli) != want {
-		return nil, fmt.Errorf("%w: frame checksum mismatch", ErrCorruptLog)
-	}
-	return payload, nil
-}
-
-// nextStreamSeq advances a running per-shard stream position past one
-// record: records stamped with an offset pin the position exactly, and
-// records written before stream offsets existed (Seq 0) count up from
-// wherever the scan stands. EVERY scanner of a shard stream — recovery,
-// TailFrom, the backup watermark derivations, incremental apply — must
-// advance through this one function, or the sides of the stream would
-// disagree on where a record sits.
-func nextStreamSeq(seq, recSeq uint64) uint64 {
-	if recSeq != 0 {
-		return recSeq
-	}
-	return seq + 1
-}
 
 // registerRecord captures a registration (and the current state of its
 // policy) as a WAL record. Stored-key registrations journal their key

@@ -5,8 +5,8 @@
 #   -> restore into a fresh dir -> reshard into another -> dump all three
 #   -> every dump byte-identical (same regions, same reductions at every
 #      level, same trust tables, same expiries);
-#   then the checked-in fixtures against their golden dumps, the refusal
-#   of a retired-layout directory, and the derived-keys round trip.
+#   then the checked-in fixture archives against their golden dumps, the
+#   refusal of retired-layout directories, and the derived-keys round trip.
 #
 # Everything runs under a temp dir and cleans up after itself.
 set -eu
@@ -60,7 +60,7 @@ SERVE_PID=""
 
 echo "== restore into a fresh dir"
 "$WORK/anonymizer" restore -in "$WORK/backup.rca" -data-dir "$WORK/d2"
-grep -q '"version":3' "$WORK/d2/META.json" || { echo "FAIL: restore did not stage a version-3 directory"; exit 1; }
+grep -q '"version":4' "$WORK/d2/META.json" || { echo "FAIL: restore did not stage a version-4 directory"; exit 1; }
 ls "$WORK/d2"/shard-*.wal >/dev/null 2>&1 && { echo "FAIL: restore staged per-shard WAL files"; exit 1; }
 
 echo "== a truncated archive must restore nothing"
@@ -85,30 +85,35 @@ cmp "$WORK/d1.dump" "$WORK/d3.dump" || { echo "FAIL: reshard diverged from sourc
 
 echo "== OK: $(wc -l <"$WORK/d1.dump") registrations identical across serve/restore/reshard"
 
-# Fixture leg: the checked-in current-layout directory and the checked-in
-# archive of a retired-layout one must dump to their goldens, reduction
-# digests included — today's reader on yesterday's bytes.
-echo "== fixtures: v3 directory and pre-v3 archive against their golden dumps"
+# Fixture leg: the checked-in archives of retired-layout directories must
+# restore and dump to their goldens, reduction digests included — today's
+# reader on yesterday's bytes.
+echo "== fixtures: version-1 and version-3 archives against their golden dumps"
 TESTDATA=internal/anonymizer/testdata
-cp -r "$TESTDATA/v3store" "$WORK/v3"
-chmod -R u+w "$WORK/v3"
-"$WORK/anonymizer" dump -data-dir "$WORK/v3" >"$WORK/v3.dump"
-cmp "$TESTDATA/v3store.dump" "$WORK/v3.dump" || { echo "FAIL: v3 fixture dump diverged from golden"; exit 1; }
-"$WORK/anonymizer" restore -in "$TESTDATA/v1store.rca" -data-dir "$WORK/v1r"
-"$WORK/anonymizer" dump -data-dir "$WORK/v1r" >"$WORK/v1r.dump"
-cmp "$TESTDATA/v1store.dump" "$WORK/v1r.dump" || { echo "FAIL: restored pre-v3 archive diverged from golden"; exit 1; }
+for v in v1 v3; do
+    "$WORK/anonymizer" restore -in "$TESTDATA/${v}store.rca" -data-dir "$WORK/${v}r"
+    "$WORK/anonymizer" dump -data-dir "$WORK/${v}r" >"$WORK/${v}r.dump"
+    cmp "$TESTDATA/${v}store.dump" "$WORK/${v}r.dump" || { echo "FAIL: restored $v archive diverged from golden"; exit 1; }
+done
 
 # Refusal leg: a directory in any other layout version is refused, by
-# name, with nothing in it touched.
-echo "== refusal: a version-1 directory is refused untouched"
-mkdir "$WORK/old" && printf '{"version":1,"shards":4}\n' >"$WORK/old/META.json" && cp -r "$WORK/old" "$WORK/old.orig"
-for cmd in "dump -data-dir $WORK/old" "backup -data-dir $WORK/old -out $WORK/old.rca" \
-    "reshard -src $WORK/old -dst $WORK/old-resharded -shards 2" \
-    "restore -apply -in $WORK/backup.rca -data-dir $WORK/old" "serve -addr $ADDR -data-dir $WORK/old"; do
-    # shellcheck disable=SC2086
-    if "$WORK/anonymizer" $cmd >/dev/null 2>"$WORK/refusal.log"; then echo "FAIL: '$cmd' accepted a version-1 directory"; exit 1; fi
-    grep -q "layout version.*version 1" "$WORK/refusal.log" || { echo "FAIL: '$cmd' refusal does not name the layout version"; cat "$WORK/refusal.log"; exit 1; }
-    diff -r "$WORK/old.orig" "$WORK/old" || { echo "FAIL: '$cmd' changed the refused directory"; exit 1; }
+# name, with nothing in it touched — a synthesized version-1 one and the
+# checked-in version-3 directory.
+echo "== refusal: version-1 and version-3 directories are refused untouched"
+mkdir "$WORK/v1dir" && printf '{"version":1,"shards":4}\n' >"$WORK/v1dir/META.json"
+cp -r "$TESTDATA/v3store" "$WORK/v3dir"
+chmod -R u+w "$WORK/v3dir"
+for v in 1 3; do
+    old="$WORK/v${v}dir"
+    cp -r "$old" "$old.orig"
+    for cmd in "dump -data-dir $old" "backup -data-dir $old -out $old.rca" \
+        "reshard -src $old -dst $old-resharded -shards 2" \
+        "restore -apply -in $WORK/backup.rca -data-dir $old" "serve -addr $ADDR -data-dir $old"; do
+        # shellcheck disable=SC2086
+        if "$WORK/anonymizer" $cmd >/dev/null 2>"$WORK/refusal.log"; then echo "FAIL: '$cmd' accepted a version-$v directory"; exit 1; fi
+        grep -q "layout version.*version $v" "$WORK/refusal.log" || { echo "FAIL: '$cmd' refusal does not name the layout version"; cat "$WORK/refusal.log"; exit 1; }
+        diff -r "$old.orig" "$old" || { echo "FAIL: '$cmd' changed the refused directory"; exit 1; }
+    done
 done
 
 echo "== OK: fixtures match their goldens; retired layouts are refused untouched"
