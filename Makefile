@@ -38,7 +38,7 @@ race:
 
 # The paper's experiments + service throughput benchmarks (the nightly job).
 bench: bench-engine experiments
-	$(GO) test -run xxx -bench 'BenchmarkServerThroughput|BenchmarkPipelinedSharedClient' -benchtime 2000x ./internal/anonymizer
+	$(GO) test -run xxx -bench 'BenchmarkServerThroughput|BenchmarkPipelinedSharedClient|BenchmarkReducePipelinedHits' -benchtime 2000x ./internal/anonymizer
 
 # The cloak engine alone at the paper's scale (atlanta, 10 000 cars, the
 # default profile, density-weighted requesters): ns (Anonymize also p50

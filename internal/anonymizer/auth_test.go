@@ -243,27 +243,139 @@ func TestQuotaAccountingRace(t *testing.T) {
 
 // TestAuthBeforePipelinedRequests sends auth and a burst of requests in
 // one pipelined write: every request decoded after the auth must see
-// the principal.
+// the principal, whether a worker runs it or the reader answers it
+// itself (a cache-hit reduce).
 func TestAuthBeforePipelinedRequests(t *testing.T) {
-	_, addr, _ := startTenantServer(t, authFixture)
+	srv, addr, _ := startTenantServer(t, authFixture, WithReduceCacheBytes(-1))
 	c := dial(t, addr)
 	if err := c.Auth("alpha", "a-token"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, 16)
+	ids := make([]string, 16)
+	errs := make([]error, len(ids))
 	for i := 0; i < len(errs); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := c.Anonymize(roadnet.SegmentID(i), testProfile(), "RGE")
-			errs[i] = err
+			ids[i], _, errs[i] = c.Anonymize(roadnet.SegmentID(i), testProfile(), "RGE")
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("pipelined request %d after auth: %v", i, err)
+		}
+	}
+
+	if err := c.SetTrust(ids[0], "partner", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Reduce(ids[0], "partner", 0); err != nil {
+		t.Fatal(err) // caches the peel
+	}
+	before, _ := srv.ReduceCacheStats()
+	conn, br := rawJSON(t, addr)
+	writeLines(t, conn,
+		Request{Op: OpAuth, Tenant: "alpha", Token: "a-token"},
+		Request{Op: OpReduce, RegionID: ids[0], Requester: "partner"})
+	if resp := readLine(t, br, "auth"); !resp.OK {
+		t.Fatalf("auth: %s", resp.Error)
+	}
+	if resp := readLine(t, br, "reduce behind the auth"); !resp.OK || resp.Level == nil || *resp.Level != 0 {
+		t.Fatalf("cache-hit reduce behind the auth answered ok=%v code=%q %s", resp.OK, resp.Code, resp.Error)
+	}
+	if after, _ := srv.ReduceCacheStats(); after.RegionHits != before.RegionHits+1 {
+		t.Fatalf("region hits %d -> %d: the reduce was not a cache hit", before.RegionHits, after.RegionHits)
+	}
+}
+
+// TestCacheHitsPassTheTrustBoundary pins that a cache hit the reader
+// answers itself passes the gates a worker-run request passes: a floored
+// tenant's below-floor hit is denied and an over-quota hit throttled,
+// with the codes and counters those rejections always had, and neither
+// reaches the cache.
+func TestCacheHitsPassTheTrustBoundary(t *testing.T) {
+	srv, addr, reg := startTenantServer(t, `{
+	  "tenants": [
+	    {"name": "alpha", "token": "a-token", "capabilities": ["anonymize", "reduce"]},
+	    {"name": "capped", "token": "c-token", "capabilities": ["reduce"], "reduce_floor": 1},
+	    {"name": "meter", "token": "m-token", "capabilities": ["reduce"], "rate": 0.001, "burst": 1}
+	  ]
+	}`, WithReduceCacheBytes(-1))
+	owner := dial(t, addr)
+	if err := owner.Auth("alpha", "a-token"); err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := owner.Anonymize(42, testProfile(), "RGE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.SetTrust(id, "partner", 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, lv := range []int{0, 1} {
+		if _, _, err := owner.Reduce(id, "partner", lv); err != nil {
+			t.Fatal(err) // caches both peels
+		}
+	}
+	before := scrape(t, srv)
+	cacheBefore, _ := srv.ReduceCacheStats()
+
+	code := func(err error) string {
+		var re *RemoteError
+		if errors.As(err, &re) {
+			return re.Code
+		}
+		return ""
+	}
+	capped := dial(t, addr)
+	if err := capped.Auth("capped", "c-token"); err != nil {
+		t.Fatal(err)
+	}
+	if _, lv, err := capped.Reduce(id, "partner", 1); err != nil || lv != 1 {
+		t.Fatalf("hit at the floor: level=%d err=%v", lv, err)
+	}
+	if _, _, err := capped.Reduce(id, "partner", 0); code(err) != CodeDenied {
+		t.Fatalf("hit below the floor = %v, want code %q", err, CodeDenied)
+	}
+	meter := dial(t, addr)
+	if err := meter.Auth("meter", "m-token"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := meter.Reduce(id, "partner", 1); err != nil {
+		t.Fatalf("hit within the burst: %v", err)
+	}
+	if _, _, err := meter.Reduce(id, "partner", 1); code(err) != CodeThrottled {
+		t.Fatalf("hit over quota = %v, want code %q", err, CodeThrottled)
+	}
+
+	after := scrape(t, srv)
+	for series, want := range map[string]uint64{
+		"anonymizer_denied_total":    1,
+		"anonymizer_throttled_total": 1,
+		// The denial is a dispatched reduce answered ok=false; the
+		// throttled request never reached dispatch.
+		`anonymizer_op_duration_seconds_count{op="reduce"}`: 3,
+		`anonymizer_op_errors_total{op="reduce"}`:           1,
+	} {
+		if got := after[series] - before[series]; got != want {
+			t.Errorf("%s grew by %d, want %d", series, got, want)
+		}
+	}
+	if cacheAfter, _ := srv.ReduceCacheStats(); cacheAfter.RegionHits-cacheBefore.RegionHits != 2 {
+		t.Errorf("region hits grew by %d, want the 2 admitted reduces", cacheAfter.RegionHits-cacheBefore.RegionHits)
+	}
+	for _, u := range reg.UsageSnapshot() {
+		switch u.Name {
+		case "capped":
+			if u.Ops != 2 || u.Denied != 1 || u.Throttled != 0 {
+				t.Errorf("capped usage %+v, want ops=2 denied=1", u)
+			}
+		case "meter":
+			if u.Ops != 1 || u.Denied != 0 || u.Throttled != 1 {
+				t.Errorf("meter usage %+v, want ops=1 throttled=1", u)
+			}
 		}
 	}
 }

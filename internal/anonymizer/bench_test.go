@@ -319,3 +319,106 @@ func BenchmarkReduceCached(b *testing.B) {
 		b.Fatalf("hit path recomputed: %+v", st)
 	}
 }
+
+// BenchmarkReducePipelinedHits is reduce_hot's shape in one process: one
+// Client, eight callers, a cache holding every reduction, so every
+// request is a hit the connection reader answers itself and only the
+// pipeline, the codec and the cache lookup are left. Keys derive from a
+// fixed master secret, so the regions, and with them allocs/op (client
+// and server together), are the same every run; scripts/check-allocs.sh
+// gates them against testdata/alloc_baseline.json.
+func BenchmarkReducePipelinedHits(b *testing.B) {
+	const callers, pool = 8, 8
+	g, err := mapgen.Grid(16, 16, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	density := func(roadnet.SegmentID) int { return 4 }
+	engine, err := cloak.NewEngine(g, density, cloak.Options{Algorithm: cloak.RGE})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewServer(map[cloak.Algorithm]*cloak.Engine{cloak.RGE: engine},
+		WithReduceCacheBytes(-1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = srv.Close() })
+	kr, err := keys.NewKeyring(1, map[uint32][]byte{
+		1: []byte("bench-reduce-pipelined-master-secret-01"),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof := profile.Profile{Levels: []profile.Level{{K: 6, L: 3}, {K: 14, L: 6}}}
+	levels := len(prof.Levels)
+	ids := make([]string, 0, pool)
+	for u := 0; u < g.NumSegments() && len(ids) < pool; u++ {
+		id := fmt.Sprintf("r-bench-hit-%d", len(ids))
+		ks, err := kr.DeriveSet(1, id, levels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		region, _, err := engine.Anonymize(cloak.Request{
+			UserSegment: roadnet.SegmentID(u), Profile: prof, Keys: ks.All(),
+		})
+		if err != nil {
+			continue
+		}
+		policy, err := accessctl.NewPolicy(levels, levels)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := srv.store.Register(NewDerivedRegistration(region, kr, 1, id, levels, policy)); err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.store.SetTrust(id, "reader", 0); err != nil {
+			b.Fatal(err)
+		}
+		warm := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader"})
+		if !warm.OK {
+			b.Fatalf("warmup reduce failed: %s", warm.Error)
+		}
+		putResp(warm)
+		ids = append(ids, id)
+	}
+	if len(ids) < pool {
+		b.Fatal("not enough feasible cloaks on the bench grid")
+	}
+	c, err := Dial(addr.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < callers; w++ {
+		ops := b.N / callers
+		if w < b.N%callers {
+			ops++
+		}
+		wg.Add(1)
+		go func(w, ops int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				if _, _, err := c.Reduce(ids[(w+i)%pool], "reader", 0); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(w, ops)
+	}
+	wg.Wait()
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)/secs, "req/s")
+	}
+	if st, _ := srv.ReduceCacheStats(); st.RegionMisses != pool {
+		b.Fatalf("the timed reduces missed the cache: %+v", st)
+	}
+}

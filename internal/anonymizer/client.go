@@ -10,6 +10,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/reversecloak/reversecloak/internal/cloak"
@@ -116,13 +117,19 @@ type Client struct {
 	conn net.Conn
 
 	sendMu sync.Mutex // serializes enqueue + encode so wire order == queue order
-	enc    *json.Encoder
-	// Binary framing state (nil/zero on JSON connections): the buffered
-	// frame writer, its encode scratch (both guarded by sendMu), and the
-	// receive-side reader consumed only by recvLoop.
+	// sendWaiters counts callers waiting for sendMu. A sender leaves its
+	// request in bw unflushed only while one is: the last sender of a burst
+	// flushes for all of them.
+	sendWaiters atomic.Int32
+	// bw buffers requests of both codecs; enc encodes into it on JSON
+	// connections (nil once binary). bw, enc and the binary encode scratch
+	// are guarded by sendMu.
 	bw      *bufio.Writer
+	enc     *json.Encoder
 	sendBuf []byte
-	recvR   *bufio.Reader
+	// recvR is the binary receive-side reader (nil on JSON connections),
+	// consumed only by recvLoop.
+	recvR *bufio.Reader
 	// major is the protocol major stamped on every request: 1 on JSON
 	// connections, 2 after a successful binary negotiation.
 	major int
@@ -158,6 +165,7 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	}
 	c := &Client{
 		conn:    conn,
+		bw:      bufio.NewWriter(conn),
 		major:   ProtocolMajor,
 		pending: make(chan *call, maxPipelined),
 		stop:    make(chan struct{}),
@@ -170,7 +178,6 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 		}
 		if binary {
 			c.major = ProtocolBinaryMajor
-			c.bw = bufio.NewWriter(conn)
 			c.recvR = leftover
 		} else if cfg.codec == CodecBinary {
 			_ = conn.Close()
@@ -180,8 +187,8 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 			c.recvLeftover = leftover
 		}
 	}
-	if c.bw == nil {
-		c.enc = json.NewEncoder(conn)
+	if c.recvR == nil {
+		c.enc = json.NewEncoder(c.bw)
 	}
 	go c.recvLoop()
 	return c, nil
@@ -289,11 +296,16 @@ func (c *Client) Close() error {
 // send encodes one request and registers its call slot, preserving the
 // send order / pending order correspondence the wire protocol relies on.
 // Every request is stamped with the connection's negotiated protocol
-// major.
+// major. Requests leave in as few writes as a burst of callers allows:
+// a sender flushes unless another caller is waiting to send, and before
+// it waits for a slot in a full window — the slots free as responses
+// arrive, and no response comes for a request still in the buffer.
 func (c *Client) send(req *Request) (*call, error) {
 	req.V = c.major
 	cl := getCall()
+	c.sendWaiters.Add(1)
 	c.sendMu.Lock()
+	c.sendWaiters.Add(-1)
 	defer c.sendMu.Unlock()
 	select {
 	case <-c.stop:
@@ -302,23 +314,40 @@ func (c *Client) send(req *Request) (*call, error) {
 	default:
 	}
 	select {
-	case c.pending <- cl: // may block when the window is full
-	case <-c.stop:
-		putCall(cl) // the enqueue lost to stop: still ours alone
-		return nil, c.err
+	case c.pending <- cl:
+	default:
+		if err := c.bw.Flush(); err != nil {
+			putCall(cl) // never enqueued
+			return nil, c.sendFailed(err)
+		}
+		select {
+		case c.pending <- cl:
+		case <-c.stop:
+			putCall(cl) // the enqueue lost to stop: still ours alone
+			return nil, c.err
+		}
 	}
-	if err := c.encode(req); err != nil {
-		err = fmt.Errorf("anonymizer: send: %w", err)
-		c.fail(err)
-		return nil, err
+	err := c.encode(req)
+	if err == nil && c.sendWaiters.Load() == 0 {
+		err = c.bw.Flush()
+	}
+	if err != nil {
+		return nil, c.sendFailed(err)
 	}
 	return cl, nil
 }
 
-// encode writes one request in the connection's codec. Callers hold
+// sendFailed breaks the client on a send error and returns the error.
+func (c *Client) sendFailed(err error) error {
+	err = fmt.Errorf("anonymizer: send: %w", err)
+	c.fail(err)
+	return err
+}
+
+// encode buffers one request in the connection's codec. Callers hold
 // sendMu, which also guards the binary scratch buffer.
 func (c *Client) encode(req *Request) error {
-	if c.bw == nil {
+	if c.enc != nil {
 		return c.enc.Encode(req)
 	}
 	framed, err := appendWireFrame(c.sendBuf[:0], func(b []byte) []byte {
@@ -328,10 +357,8 @@ func (c *Client) encode(req *Request) error {
 		return err
 	}
 	c.sendBuf = trimWireBuf(framed)
-	if _, err := c.bw.Write(framed); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	_, err = c.bw.Write(framed)
+	return err
 }
 
 // roundTrip sends one request and waits for its response.

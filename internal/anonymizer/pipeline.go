@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"time"
 )
 
 // The connection pipeline's fixed bounds (docs/PROTOCOL.md, "Ordering and
@@ -24,13 +25,19 @@ const (
 // captured at decode time so pre-upgrade responses keep saying v=1 even
 // while later jobs on the same connection already speak v=2. upgrade
 // marks the request that negotiated binary framing: the writer switches
-// codecs right after encoding its (JSON) response.
+// codecs right after encoding its (JSON) response. reg, target and probe
+// carry a reduce the reader probed but could not answer to the worker
+// that peels it (Server.dispatchInline), probe being the time the probe
+// took.
 type connJob struct {
 	req     Request
 	resp    *Response
 	done    chan struct{}
 	major   int
 	upgrade bool
+	reg     *Registration
+	target  int
+	probe   time.Duration
 }
 
 // connJobPool recycles job shells across requests and connections. The
@@ -53,13 +60,32 @@ func putConnJob(job *connJob) {
 	job.resp = nil
 	job.major = 0
 	job.upgrade = false
+	job.reg = nil
+	job.target = 0
+	job.probe = 0
 	connJobPool.Put(job)
+}
+
+// connWriter is the connection as the writer's buffer sees it: each
+// Write is one write to the socket, counted with its bytes, so /metrics
+// shows how many responses a write carries.
+type connWriter struct {
+	conn    net.Conn
+	metrics *serverMetrics
+}
+
+func (w *connWriter) Write(p []byte) (int, error) {
+	n, err := w.conn.Write(p)
+	w.metrics.respWrites.Add(1)
+	w.metrics.bytesOut.Add(int64(n))
+	return n, err
 }
 
 // handleConn serves one connection as a pipeline of three stages:
 //
-//	reader  — decodes requests in arrival order,
-//	workers — a bounded pool executing requests concurrently,
+//	reader  — decodes requests in arrival order and answers those that
+//	          cannot block itself,
+//	workers — a bounded pool executing the rest concurrently,
 //	writer  — encodes responses strictly in request order.
 //
 // The ordered queue is bounded (connWindow), so a slow client or a burst of
@@ -67,12 +93,20 @@ func putConnJob(job *connJob) {
 // memory without bound. The connection is dropped on the first decode or
 // encode error, matching the old one-request-at-a-time behavior.
 //
-// The reader is also the trust boundary's cheap stages. Auth requests
-// execute inline here — not on the worker pool — so every request decoded
-// after an auth, pipelined or not, observes the stamped principal. And the
-// tenant's rate budget is charged here (preflight), so an over-quota
-// client is shed for the price of a decode, before a worker or the store
-// sees the request.
+// The reader runs ping, auth, get_region and a reduce that needs no peel
+// or finds its peel cached (Server.dispatchInline): a hand-off to a worker
+// and back would cost more than the answer. Running auth here also means
+// every request decoded after an auth, pipelined or not, observes the
+// stamped principal. Anything that may block — the engine, a journal
+// append or fsync wait, a wait on another request's peel, key derivation
+// — goes to the workers. The tenant's rate budget is charged on the
+// reader too (preflight), so an over-quota client is shed for the price
+// of a decode, before a worker or the store sees the request.
+//
+// The writer encodes into one buffer for both codecs and flushes once per
+// burst: when the queue is empty, or before it waits on a response that is
+// not ready, so a ready response never waits in the buffer behind a slow
+// one.
 //
 // Every connection starts as JSON v1. A request carrying v=2 negotiates
 // binary framing (protocol v2): it is handled inline like auth — the
@@ -98,7 +132,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		go func() {
 			defer workers.Done()
 			for job := range work {
-				job.resp = s.dispatch(cc, &job.req, job.major)
+				s.dispatch(cc, job)
 				job.done <- struct{}{}
 			}
 		}()
@@ -108,9 +142,9 @@ func (s *Server) handleConn(conn net.Conn) {
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
-		enc := json.NewEncoder(conn)
-		var bw *bufio.Writer // non-nil once the connection is binary
-		var sendBuf *[]byte  // pooled frame-encode scratch
+		bw := bufio.NewWriter(&connWriter{conn: conn, metrics: s.metrics})
+		enc := json.NewEncoder(bw)
+		var sendBuf *[]byte // pooled frame-encode scratch, non-nil once the connection is binary
 		defer func() {
 			if sendBuf != nil {
 				putWireBuf(sendBuf)
@@ -118,37 +152,43 @@ func (s *Server) handleConn(conn net.Conn) {
 		}()
 		broken := false
 		for job := range ordered {
-			<-job.done
-			if broken {
-				putResp(job.resp)
-				putConnJob(job)
-				continue // drain so the reader never blocks forever
-			}
 			var err error
-			if bw == nil {
-				err = enc.Encode(job.resp)
-			} else {
-				var framed []byte
-				framed, err = appendWireFrame((*sendBuf)[:0], func(b []byte) []byte {
-					return appendResponse(b, job.resp)
-				})
-				if err == nil {
-					*sendBuf = trimWireBuf(framed)
-					if _, err = bw.Write(framed); err == nil {
-						err = bw.Flush()
+			select {
+			case <-job.done:
+			default:
+				// Not ready: send what is buffered before waiting for it.
+				if !broken {
+					err = bw.Flush()
+				}
+				<-job.done
+			}
+			if !broken && err == nil {
+				if sendBuf == nil {
+					err = enc.Encode(job.resp)
+				} else {
+					var framed []byte
+					framed, err = appendWireFrame((*sendBuf)[:0], func(b []byte) []byte {
+						return appendResponse(b, job.resp)
+					})
+					if err == nil {
+						*sendBuf = trimWireBuf(framed)
+						_, err = bw.Write(framed)
 					}
+				}
+				if err == nil && len(ordered) == 0 {
+					err = bw.Flush() // the end of a burst
 				}
 			}
 			if err != nil {
 				// Kill the connection: the reader's next decode fails and
-				// shuts the pipeline down.
+				// shuts the pipeline down. Later jobs are drained unwritten
+				// so the reader never blocks forever.
 				broken = true
 				_ = conn.Close()
 			}
-			if job.upgrade && job.resp.OK && bw == nil {
+			if job.upgrade && job.resp.OK && sendBuf == nil {
 				// The acknowledgment above was the connection's last JSON
 				// line; every response from here on is a binary frame.
-				bw = bufio.NewWriter(conn)
 				sendBuf = getWireBuf()
 			}
 			putResp(job.resp)
@@ -191,52 +231,45 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 		}
 		s.metrics.bytesIn.Add(reqBytes)
-		if br == nil && job.req.V == ProtocolBinaryMajor {
+		isUpgrade := br == nil && job.req.V == ProtocolBinaryMajor
+		if isUpgrade {
 			job.upgrade = true
 			major = ProtocolBinaryMajor
 		}
 		job.major = major
 		ordered <- job // reserve the response slot first (bounded)
-		isUpgrade := job.upgrade
-		if isUpgrade || job.req.Op == OpAuth {
-			// Inline: an auth's principal must be visible to every later
-			// decode, and the reader cannot decode past an upgrade without
-			// knowing whether it succeeded. The job must not be touched
-			// after the done send: the writer recycles it.
-			if resp := s.preflight(cc, &job.req, reqBytes); resp != nil {
-				resp.V = job.major
-				job.resp = resp
-			} else {
-				job.resp = s.dispatch(cc, &job.req, job.major)
-			}
-			upgraded := isUpgrade && job.resp.OK
-			job.done <- struct{}{}
-			if isUpgrade && !upgraded {
-				// Rejected upgrade (e.g. throttled): the connection stays
-				// JSON and later requests stamp major 1 again.
-				major = ProtocolMajor
-			}
-			if upgraded {
-				// The upgrade request's line is terminated by a newline;
-				// binary frames begin at the byte after it. The JSON decoder
-				// may have buffered those bytes already, so the frame reader
-				// starts from its leftovers.
-				br = bufio.NewReader(io.MultiReader(dec.Buffered(), conn))
-				if err := skipUpgradeNewline(br); err != nil {
-					break
-				}
-				recvBuf = getWireBuf()
-				s.metrics.connsBinary.Add(1)
-			}
-			continue
-		}
 		if resp := s.preflight(cc, &job.req, reqBytes); resp != nil {
 			resp.V = job.major
 			job.resp = resp
-			job.done <- struct{}{}
+		} else if isUpgrade {
+			// Inline whatever the op: the reader cannot decode past an
+			// upgrade without knowing whether it succeeded.
+			s.dispatch(cc, job)
+		} else if !s.dispatchInline(cc, job) {
+			work <- job
 			continue
 		}
-		work <- job
+		upgraded := isUpgrade && job.resp.OK
+		// The job must not be touched after the done send: the writer
+		// recycles it.
+		job.done <- struct{}{}
+		if isUpgrade && !upgraded {
+			// Rejected upgrade (e.g. throttled): the connection stays
+			// JSON and later requests stamp major 1 again.
+			major = ProtocolMajor
+		}
+		if upgraded {
+			// The upgrade request's line is terminated by a newline;
+			// binary frames begin at the byte after it. The JSON decoder
+			// may have buffered those bytes already, so the frame reader
+			// starts from its leftovers.
+			br = bufio.NewReader(io.MultiReader(dec.Buffered(), conn))
+			if err := skipUpgradeNewline(br); err != nil {
+				break
+			}
+			recvBuf = getWireBuf()
+			s.metrics.connsBinary.Add(1)
+		}
 	}
 	close(work)
 	workers.Wait()

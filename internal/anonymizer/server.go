@@ -275,25 +275,66 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// dispatch executes one request on behalf of a connection. Top-level
-// responses carry the connection's negotiated protocol major (1 on JSON
-// connections, 2 after a binary upgrade); requests from a future major
-// are rejected before any field is interpreted (their meaning may have
-// changed). Every dispatched request lands in the per-op latency
-// histogram behind /metrics.
-func (s *Server) dispatch(cc *connCtx, req *Request, major int) *Response {
+// dispatch executes one request of a connection and hands the response
+// to its job. A reduce the reader already probed (job.reg set) resumes
+// at its peel: its gates passed on the reader.
+func (s *Server) dispatch(cc *connCtx, job *connJob) {
 	start := time.Now()
-	resp := s.dispatchOp(cc, req)
-	resp.V = major
-	s.metrics.observe(req.Op, time.Since(start), resp.OK)
-	return resp
+	var resp *Response
+	if job.reg != nil {
+		resp = s.reducePeel(&job.req, job.reg, job.target)
+	} else if resp = s.gate(cc, &job.req); resp == nil {
+		resp = s.handle(cc, &job.req)
+	}
+	s.finish(job, resp, job.probe+time.Since(start))
 }
 
-// dispatchOp routes one request to its handler, in gate order: protocol
-// version first (a future major's fields may mean something else),
-// then the trust boundary (an unauthenticated or unentitled caller
-// learns nothing about roles or state), then the replication role.
-func (s *Server) dispatchOp(cc *connCtx, req *Request) *Response {
+// dispatchInline answers a request on the connection reader when nothing
+// in the answer can block — it waits at most on a store or cache shard
+// lock: ping, auth, get_region, and a reduce with nothing to peel or a
+// cached peel. It runs the gates dispatch runs. It reports false when the
+// request must go to a worker; a reduce whose peel is not cached then
+// carries its registration and target level on the job, so the worker
+// does not look them up again.
+func (s *Server) dispatchInline(cc *connCtx, job *connJob) bool {
+	req := &job.req
+	switch req.Op {
+	case OpPing, OpAuth, OpGetRegion, OpReduce:
+	default:
+		return false
+	}
+	start := time.Now()
+	resp := s.gate(cc, req)
+	switch {
+	case resp != nil:
+	case req.Op == OpReduce:
+		if resp, job.reg, job.target = s.reduceProbe(req); resp == nil {
+			job.probe = time.Since(start)
+			return false
+		}
+	default:
+		resp = s.handle(cc, req)
+	}
+	s.finish(job, resp, time.Since(start))
+	return true
+}
+
+// finish stamps a response with the connection's negotiated protocol
+// major (1 on JSON connections, 2 after a binary upgrade), times the
+// request into its op's latency histogram behind /metrics and hands the
+// response to the job.
+func (s *Server) finish(job *connJob, resp *Response, d time.Duration) {
+	resp.V = job.major
+	s.metrics.observe(job.req.Op, d, resp.OK)
+	job.resp = resp
+}
+
+// gate runs the checks every request passes before its handler, in
+// order: protocol version first (a future major's fields may mean
+// something else), then the trust boundary (an unauthenticated or
+// unentitled caller learns nothing about roles or state), then the
+// replication role. A nil return means proceed.
+func (s *Server) gate(cc *connCtx, req *Request) *Response {
 	if req.V > ProtocolBinaryMajor {
 		return fail(fmt.Errorf("%w: request major %d, server speaks %d-%d",
 			ErrVersion, req.V, ProtocolMajor, ProtocolBinaryMajor))
@@ -306,6 +347,11 @@ func (s *Server) dispatchOp(cc *connCtx, req *Request) *Response {
 	if writeOp(req.Op) && !s.isLeader() {
 		return s.notLeader()
 	}
+	return nil
+}
+
+// handle routes a request that passed its gates to its handler.
+func (s *Server) handle(cc *connCtx, req *Request) *Response {
 	switch req.Op {
 	case OpPing:
 		return newResp(true)
@@ -582,39 +628,58 @@ func (s *Server) handleRequestKeys(req *Request) *Response {
 // entitled to (or a coarser requested to_level), entirely server-side: the
 // keys never leave the server.
 func (s *Server) handleReduce(req *Request) *Response {
+	resp, reg, target := s.reduceProbe(req)
+	if resp != nil {
+		return resp
+	}
+	return s.reducePeel(req, reg, target)
+}
+
+// reduceProbe is the half of a reduce that cannot block: it looks the
+// registration up, resolves the target level and answers when there is
+// nothing to peel or the cache holds the peel. A nil response hands the
+// registration and target to reducePeel.
+func (s *Server) reduceProbe(req *Request) (*Response, *Registration, int) {
 	reg, err := s.store.Lookup(req.RegionID)
 	if err != nil {
-		return fail(err)
+		return fail(err), nil, 0
 	}
 	if req.Requester == "" {
-		return fail(fmt.Errorf("%w: missing requester", ErrBadOp))
+		return fail(fmt.Errorf("%w: missing requester", ErrBadOp)), nil, 0
 	}
 	entitled, err := reg.policy.LevelFor(req.Requester)
 	if err != nil {
-		return fail(err)
+		return fail(err), nil, 0
 	}
-	target := entitled
-	if req.ToLevel > target {
-		target = req.ToLevel
-	}
+	target := max(entitled, req.ToLevel)
 	levels := reg.Levels()
 	if target >= levels {
 		// Nothing to peel: the requester sees the published region as-is.
 		// Zero-copy, like handleGetRegion: the stored region is immutable.
-		return reduceResp(req.RegionID, reg.region, levels, levels)
+		return reduceResp(req.RegionID, reg.region, levels, levels), nil, 0
 	}
+	if s.cache != nil {
+		// A memoized reduction is immutable (Deanonymize builds fresh
+		// regions), so it is handed to the encoder zero-copy like the
+		// no-peel path above.
+		if cached, ok := s.cache.GetRegion(req.RegionID, target); ok {
+			return reduceResp(req.RegionID, cached, levels, target), nil, 0
+		}
+	}
+	return nil, reg, target
+}
+
+// reducePeel is the half of a reduce that may block — key derivation,
+// the engine, a wait on another request's peel of the same level — for
+// a registration and target reduceProbe resolved.
+func (s *Server) reducePeel(req *Request, reg *Registration, target int) *Response {
+	levels := reg.Levels()
 	engine, ok := s.engines[reg.region.Algorithm]
 	if !ok {
 		return fail(fmt.Errorf("%w: algorithm %v not enabled",
 			ErrBadOp, reg.region.Algorithm))
 	}
 	if s.cache != nil {
-		// Hit path first, with no closure in sight: a memoized reduction
-		// is immutable (Deanonymize builds fresh regions), so it is
-		// handed to the encoder zero-copy like the no-peel path above.
-		if cached, ok := s.cache.GetRegion(req.RegionID, target); ok {
-			return reduceResp(req.RegionID, cached, levels, target)
-		}
 		// Miss: collapse concurrent requests for the same (id, level)
 		// onto one peel, and start that peel from the nearest cached
 		// finer level instead of the published region when one exists —

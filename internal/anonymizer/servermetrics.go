@@ -24,6 +24,8 @@ type serverMetrics struct {
 	connsTotal   atomic.Int64
 	connsBinary  atomic.Int64 // connections upgraded to binary framing (v2)
 	bytesIn      atomic.Int64
+	bytesOut     atomic.Int64
+	respWrites   atomic.Int64 // socket writes by the connection writers
 	authFailures atomic.Int64 // rejected auth attempts
 	authRejects  atomic.Int64 // unauthenticated/revoked requests bounced
 	denied       atomic.Int64 // capability rejections
@@ -164,6 +166,12 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP anonymizer_request_bytes_total Request bytes read off the wire.\n")
 	fmt.Fprintf(w, "# TYPE anonymizer_request_bytes_total counter\n")
 	fmt.Fprintf(w, "anonymizer_request_bytes_total %d\n", m.bytesIn.Load())
+	fmt.Fprintf(w, "# HELP anonymizer_response_bytes_total Response bytes written to the wire.\n")
+	fmt.Fprintf(w, "# TYPE anonymizer_response_bytes_total counter\n")
+	fmt.Fprintf(w, "anonymizer_response_bytes_total %d\n", m.bytesOut.Load())
+	fmt.Fprintf(w, "# HELP anonymizer_response_writes_total Socket writes carrying responses; a write carries every response ready when it is issued.\n")
+	fmt.Fprintf(w, "# TYPE anonymizer_response_writes_total counter\n")
+	fmt.Fprintf(w, "anonymizer_response_writes_total %d\n", m.respWrites.Load())
 	fmt.Fprintf(w, "# HELP anonymizer_registrations Live registrations in the store.\n")
 	fmt.Fprintf(w, "# TYPE anonymizer_registrations gauge\n")
 	fmt.Fprintf(w, "anonymizer_registrations %d\n", s.store.Len())

@@ -178,3 +178,38 @@ func TestStoreMetricsByMode(t *testing.T) {
 		})
 	}
 }
+
+// TestResponseWriteMetrics pins the response-side wire counters: bytes
+// are exactly what the client read, and a burst of pipelined requests is
+// answered in at least one and at most one write per response.
+func TestResponseWriteMetrics(t *testing.T) {
+	srv, addr, _ := startServer(t)
+	conn, br := rawJSON(t, addr)
+	const burst = 10
+	reqs := make([]any, burst)
+	for i := range reqs {
+		reqs[i] = Request{Op: OpPing}
+	}
+	writeLines(t, conn, reqs...)
+	read := 0
+	for i := 0; i < burst; i++ {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		read += len(line)
+	}
+	_ = conn.Close()
+	// The writer counts a write after it returns: wait for the connection
+	// to be gone, writer included.
+	waitFor(t, "the connection to close", func() bool {
+		return scrape(t, srv)["anonymizer_connections_open"] == 0
+	})
+	got := scrape(t, srv)
+	if n := got["anonymizer_response_bytes_total"]; n != uint64(read) {
+		t.Errorf("response bytes = %d, want the %d the client read", n, read)
+	}
+	if n := got["anonymizer_response_writes_total"]; n < 1 || n > burst {
+		t.Errorf("response writes = %d for %d responses", n, burst)
+	}
+}
