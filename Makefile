@@ -104,7 +104,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinaryFrame$$' -fuzztime 15s ./internal/anonymizer
 
 # End-to-end data-dir lifecycle: serve -> loadgen -> hot backup ->
-# restore -> reshard -> byte-identical dumps (the CI e2e-backup job).
+# restore -> byte-identical dumps, plus the fixture archives re-striped
+# to 16 and the layout refusals (the CI e2e-backup job).
 e2e:
 	sh scripts/e2e-backup.sh
 

@@ -23,9 +23,9 @@ import (
 )
 
 // This file holds the data-dir lifecycle subcommands: backup (hot from a
-// live server, or offline from a stopped one's directory), restore,
-// reshard and dump. docs/OPERATIONS.md is the runbook that strings them
-// together into backup/restore/reshard/disaster-recovery procedures.
+// live server, or offline from a stopped one's directory), restore and
+// dump. docs/OPERATIONS.md is the runbook that strings them together into
+// backup/restore/disaster-recovery procedures.
 
 // runBackup writes a backup archive of a durable registration store to a
 // file, stdout, or an HTTP(S) sink. With -addr it takes a hot backup from
@@ -214,38 +214,6 @@ func runRestore(argv []string) error {
 	return nil
 }
 
-// runReshard migrates a data directory to a new shard count, offline.
-func runReshard(argv []string) error {
-	fs := flag.NewFlagSet("reshard", flag.ExitOnError)
-	var (
-		src     = fs.String("src", "", "source data directory (server must be stopped)")
-		dst     = fs.String("dst", "", "destination data directory (must not exist or be empty)")
-		shards  = fs.Int("shards", 0, "target shard count (rounded up to a power of two)")
-		keyFile = fs.String("master-key-file", "", "master key file for directories holding derived-key registrations")
-	)
-	if err := fs.Parse(argv); err != nil {
-		return err
-	}
-	if *src == "" || *dst == "" || *shards < 1 {
-		return fmt.Errorf("-src, -dst and -shards are required")
-	}
-	durOpts, err := masterKeyOpts(*keyFile)
-	if err != nil {
-		return err
-	}
-	stats, err := anonymizer.Reshard(*src, *dst, *shards, durOpts...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "reshard: %s (%d shards) -> %s (%d shards): %d records, %d live registrations, %d trust updates, %d deregistrations, %d expired dropped\n",
-		*src, stats.SourceShards, *dst, stats.TargetShards,
-		stats.Records, stats.Registrations, stats.TrustUpdates, stats.Deregistrations, stats.Expired)
-	if stats.TruncatedBytes > 0 {
-		fmt.Fprintf(os.Stderr, "reshard: skipped %d torn source WAL tail bytes\n", stats.TruncatedBytes)
-	}
-	return nil
-}
-
 // dumpEntry is one registration's externally visible state, with the
 // region and every reduction digested so two dumps diff cleanly.
 type dumpEntry struct {
@@ -264,7 +232,7 @@ type dumpEntry struct {
 // the digest of every reduction level computed with the registration's
 // own keys, the trust table and the expiry. Two directories hold the same
 // visible state exactly when their dumps are byte-identical — the
-// verification step of the backup/restore/reshard runbook. The map flags
+// verification step of the backup/restore runbook. The map flags
 // must match the ones the server ran with, or reductions cannot be
 // recomputed.
 func runDump(argv []string) error {

@@ -16,20 +16,20 @@
 //	anonymizer loadgen -addr :7080 -clients 1,4,16,64
 //	anonymizer loadgen -addr :7080 -tenant fleet -token SECRET
 //	anonymizer backup  -addr :7080 -out backup.rca # hot backup a live server
-//	anonymizer backup  -addr :7080 -since 12,0,7 -out delta.rca
+//	anonymizer backup  -addr :7080 -since 12 -out delta.rca
 //	anonymizer restore -in backup.rca -data-dir d2 # seed a fresh data dir
 //	anonymizer restore -apply -in delta.rca -data-dir d2
-//	anonymizer reshard -src d2 -dst d3 -shards 4   # offline shard migration
-//	anonymizer dump    -data-dir d3                # deterministic state dump
+//	anonymizer dump    -data-dir d2                # deterministic state dump
 //	anonymizer status  -addr :7081                 # replication role and lag
 //	anonymizer promote -addr :7081                 # fail over to a follower
 //
 // loadgen sweeps the number of concurrent clients against a running server
 // and reports req/s per step, demonstrating how the sharded, pipelined
 // service scales with cores (with -read-addr it aims reads at a follower).
-// backup/restore/reshard/dump are the data-dir lifecycle tools (each of
-// restore/reshard/dump takes -master-key-file when the directory holds
-// derived-key registrations), and serve -replicate-from / status /
+// backup/restore/dump are the data-dir lifecycle tools (restore and dump
+// take -master-key-file when the directory holds derived-key
+// registrations; restore also re-stripes archives cut at fewer than the
+// store's 16 stripes), and serve -replicate-from / status /
 // promote are the replication tools. With serve -master-key-file the
 // server derives per-registration cloak keys from the epoch'd master
 // keyring instead of journaling them (rotation is an edit to the file,
@@ -95,12 +95,6 @@ func main() {
 		case "restore":
 			if err := runRestore(os.Args[2:]); err != nil {
 				fmt.Fprintln(os.Stderr, "anonymizer restore:", err)
-				os.Exit(1)
-			}
-			return
-		case "reshard":
-			if err := runReshard(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "anonymizer reshard:", err)
 				os.Exit(1)
 			}
 			return

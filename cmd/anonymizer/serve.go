@@ -35,7 +35,6 @@ func runServe(argv []string) error {
 		seedStr = fs.String("seed", "reversecloak-default-map-seed-01", "map+workload seed")
 		cars    = fs.Int("cars", 2000, "workload size (live user densities)")
 		rpleT   = fs.Int("rple-list", 16, "RPLE transition list length T")
-		shards  = fs.Int("shards", 0, "registration store shards (0 = default)")
 
 		reduceCacheBytes = fs.Int64("reduce-cache-bytes", 0,
 			"read-path cache budget in bytes: memoized reductions + derived key sets (0 disables, -1 = unbounded)")
@@ -142,7 +141,6 @@ func runServe(argv []string) error {
 		anonymizer.WithFsyncEvery(*fsyncEvery),
 		anonymizer.WithSnapshotEvery(*snapEvery),
 		anonymizer.WithSnapshotInterval(*snapInterval),
-		anonymizer.WithDurableShards(*shards),
 		anonymizer.WithTTL(*ttl),
 		anonymizer.WithGCInterval(*gcInterval),
 	}

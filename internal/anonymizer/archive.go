@@ -11,8 +11,9 @@ import (
 
 // A backup archive is one self-describing stream that carries a complete
 // durable store independently of any directory layout: the header names
-// the shard count, each shard contributes its snapshot (shard-NNNN.snap),
-// and one "log" entry carries the range of the store-wide log after the
+// the stripe count (DefaultShards when written; restore accepts a power
+// of two from 1 to DefaultShards and re-stripes), each stripe contributes
+// its snapshot (shard-NNNN.snap), and one "log" entry carries the range of the store-wide log after the
 // oldest snapshot, its file record naming the range's last LSN — the
 // archive's watermark. An incremental archive carries only a "log" entry,
 // the records after the header's since LSN. Archives written before LSNs
@@ -60,7 +61,7 @@ const archiveChunkSize = 256 << 10
 // populated per Type.
 type archiveRecord struct {
 	Type string `json:"type"`
-	// Header payload: the format version, the data directory's shard
+	// Header payload: the format version, the data directory's stripe
 	// count, and the ID-allocator position at backup time (informational;
 	// recovery re-derives it from the shard files). Since marks an
 	// incremental archive: the LSN the delta starts after. Full archives
@@ -229,8 +230,8 @@ func readArchive(r io.Reader, sink archiveSink) error {
 			if rec.Version != archiveVersion {
 				return badArchive("unsupported version %d", rec.Version)
 			}
-			if rec.Shards < 1 || rec.Shards&(rec.Shards-1) != 0 {
-				return badArchive("shard count %d is not a positive power of two", rec.Shards)
+			if rec.Shards < 1 || rec.Shards > DefaultShards || rec.Shards&(rec.Shards-1) != 0 {
+				return badArchive("stripe count %d is not a power of two from 1 to %d", rec.Shards, DefaultShards)
 			}
 			return sink.Header(rec.Shards, rec.NextID, rec.Since)
 		case arcFile:

@@ -468,5 +468,5 @@ func TestAdminHandler(t *testing.T) {
 // mustDurable opens a throwaway durable store.
 func mustDurable(t *testing.T) *DurableStore {
 	t.Helper()
-	return openDurable(t, t.TempDir(), WithDurableShards(2))
+	return openDurable(t, t.TempDir())
 }

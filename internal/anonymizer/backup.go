@@ -11,16 +11,16 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 )
 
 // This file is the backup/restore half of the data-dir lifecycle toolkit:
 // WriteBackup streams a live store (hot backup, the serve "backup" op),
 // BackupDir streams a quiesced directory, and RestoreArchive seeds a fresh
-// data directory from either. Reshard (reshard.go) is the third lifecycle
-// operation. A lost data directory is a permanently unrecoverable set of
-// cloaked regions — the keys ARE the reversibility — so backup shipping is
-// not an optimization here; it is the only way the paper's reversibility
-// guarantee survives the machine.
+// data directory from either. A lost data directory is a permanently
+// unrecoverable set of cloaked regions — the keys ARE the reversibility —
+// so backup shipping is not an optimization here; it is the only way the
+// paper's reversibility guarantee survives the machine.
 
 // countWriter counts bytes through to w.
 type countWriter struct {
@@ -100,15 +100,14 @@ func writeFullArchive(w io.Writer, lg *storeLog, nextID uint64, snaps [][]byte, 
 // for hot backups): BackupDir reads the files as they are, and a
 // concurrent writer could tear them mid-record.
 func BackupDir(w io.Writer, dir string) (int64, error) {
-	shards, err := readMeta(dir)
+	if err := readMeta(dir); err != nil {
+		return 0, err
+	}
+	snaps, lsns, err := readSnapshots(dir)
 	if err != nil {
 		return 0, err
 	}
-	snaps, lsns, err := readSnapshots(dir, shards)
-	if err != nil {
-		return 0, err
-	}
-	lg, _, err := openLogReader(dir)
+	lg, err := openLogReader(dir)
 	if err != nil {
 		return 0, err
 	}
@@ -118,10 +117,10 @@ func BackupDir(w io.Writer, dir string) (int64, error) {
 
 // readSnapshots reads each shard's snapshot image of a closed directory
 // (nil: the shard never compacted) and the LSN it covers. With the
-// offline log reader (openLogReader) it is how cold backup and reshard
-// read a directory without opening a live store.
-func readSnapshots(dir string, shards int) ([][]byte, []uint64, error) {
-	snaps, lsns := make([][]byte, shards), make([]uint64, shards)
+// offline log reader (openLogReader) it is how cold backup reads a
+// directory without opening a live store.
+func readSnapshots(dir string) ([][]byte, []uint64, error) {
+	snaps, lsns := make([][]byte, DefaultShards), make([]uint64, DefaultShards)
 	for i := range snaps {
 		raw, err := os.ReadFile(filepath.Join(dir, shardSnapName(i)))
 		if errors.Is(err, os.ErrNotExist) {
@@ -180,36 +179,35 @@ func (s *DurableStore) WriteIncrementalBackup(w io.Writer, since uint64) (int64,
 	if err := s.needsJournal("replication"); err != nil {
 		return 0, nil, err
 	}
-	return writeDelta(w, s.log, len(s.shards), s.nextID.Load(), since)
+	return writeDelta(w, s.log, s.nextID.Load(), since)
 }
 
 // IncrementalBackupDir is WriteIncrementalBackup for a closed data
 // directory: it reads the log read-only and ships the records after
 // since. The directory must not be open in a live store.
 func IncrementalBackupDir(w io.Writer, dir string, since uint64) (int64, *IncrementalStats, error) {
-	shards, err := readMeta(dir)
-	if err != nil {
+	if err := readMeta(dir); err != nil {
 		return 0, nil, err
 	}
-	lg, _, err := openLogReader(dir)
+	lg, err := openLogReader(dir)
 	if err != nil {
 		return 0, nil, err
 	}
 	defer func() { _ = lg.close() }()
-	return writeDelta(w, lg, shards, 0, since)
+	return writeDelta(w, lg, 0, since)
 }
 
 // writeDelta writes the incremental archive of lg's records after since:
 // a header naming since, then one log entry whose file record names the
 // last LSN.
-func writeDelta(w io.Writer, lg *storeLog, shards int, nextID, since uint64) (int64, *IncrementalStats, error) {
+func writeDelta(w io.Writer, lg *storeLog, nextID, since uint64) (int64, *IncrementalStats, error) {
 	raw, last, err := lg.read(since, 0)
 	if err != nil {
 		return 0, nil, err
 	}
 	cw := &countWriter{w: w}
 	aw := newArchiveWriter(cw)
-	aw.header(shards, nextID, &since)
+	aw.header(DefaultShards, nextID, &since)
 	aw.file(archiveLogName, last, raw)
 	return cw.n, &IncrementalStats{Frames: int(last - since), Since: since, End: last}, aw.finish()
 }
@@ -356,15 +354,13 @@ const archiveLogName = "log"
 // archiveShardEntry matches a full archive's per-shard entries, capturing
 // the shard index and the kind: snap, a snapshot image; wal, a per-shard
 // record tail, which only archives written before LSNs existed carry.
-// The index is minimum-width (%04d), so counts beyond 9999 shards produce
-// longer names — the pattern must accept them or a large store's own
-// backup would be unrestorable.
-var archiveShardEntry = regexp.MustCompile(`^shard-([0-9]{4,})\.(wal|snap)$`)
+var archiveShardEntry = regexp.MustCompile(`^shard-([0-9]{4})\.(wal|snap)$`)
 
 // restoreSink materializes a full archive as a current-layout data
-// directory under a staging path: snapshots are copied verbatim, the log
-// entry lands verbatim in one segment named by its first LSN, and META is
-// written by the sink itself from the archive header.
+// directory under a staging path: snapshots are re-striped to
+// DefaultShards (landSnap; verbatim when the archive has that many
+// already), the log entry lands verbatim in one segment named by its
+// first LSN, and META is written by the sink itself.
 //
 // Archives written before LSNs existed carry per-shard record tails
 // instead of a log entry, and snapshots whose headers name no LSN (so they
@@ -376,17 +372,17 @@ var archiveShardEntry = regexp.MustCompile(`^shard-([0-9]{4,})\.(wal|snap)$`)
 // own ID's entry, and the ID allocator takes a maximum).
 type restoreSink struct {
 	dir    string
-	shards int
+	shards int // the archive's stripe count
 	seen   map[string]bool
 	seg    *os.File // the staged segment the log lands in
 	logged bool     // a log entry landed (no per-shard tail may follow)
 
-	// The entry in flight: a snapshot streams straight to its file; a
-	// record range or an archived META is buffered until its checksum has
-	// been verified (CloseFile) and only then examined.
+	// The entry in flight, buffered until its checksum has been verified
+	// (CloseFile) and only then examined; idx is a per-stripe entry's
+	// stripe.
 	name string
+	idx  int
 	lsn  uint64
-	snap *os.File
 	buf  bytes.Buffer
 }
 
@@ -423,25 +419,13 @@ func (r *restoreSink) File(name string, lsn uint64) error {
 	if err != nil || idx >= r.shards {
 		return badArchive("%q is outside the archive's %d shards", name, r.shards)
 	}
-	if m[2] == "snap" {
-		f, err := os.OpenFile(filepath.Join(r.dir, name), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
-		if err != nil {
-			return fmt.Errorf("anonymizer: restore create: %w", err)
-		}
-		r.snap = f
-	}
+	r.idx = idx
 	return nil
 }
 
 // Data implements archiveSink.
 func (r *restoreSink) Data(chunk []byte) error {
-	if r.snap == nil {
-		r.buf.Write(chunk)
-		return nil
-	}
-	if _, err := r.snap.Write(chunk); err != nil {
-		return fmt.Errorf("anonymizer: restore write: %w", err)
-	}
+	r.buf.Write(chunk)
 	return nil
 }
 
@@ -449,13 +433,8 @@ func (r *restoreSink) Data(chunk []byte) error {
 // checksum-verified.
 func (r *restoreSink) CloseFile() error {
 	switch {
-	case r.snap != nil:
-		err := syncClose(r.snap)
-		r.snap = nil
-		if err != nil {
-			return fmt.Errorf("anonymizer: restore sync: %w", err)
-		}
-		return nil
+	case strings.HasSuffix(r.name, ".snap"):
+		return r.landSnap()
 	case r.name == metaFile:
 		// Archives from binaries that kept a per-shard directory layout
 		// carry that directory's META. Its version says nothing about the
@@ -474,6 +453,68 @@ func (r *restoreSink) CloseFile() error {
 	default:
 		return r.landTail()
 	}
+}
+
+// landSnap splits one archived stripe's snapshot over the
+// DefaultShards/r.shards stripes it maps onto: shardIndex is a hash mask,
+// so new stripe t draws only from old stripe t&(r.shards-1). Each new
+// snapshot gets the archived header frame verbatim — the LSN floor and the
+// allocator position, so recovery skips exactly the log records the old
+// stripe's snapshot covered — followed by the register frames whose IDs
+// hash to it, also verbatim and in archive order. An archive cut at
+// DefaultShards stripes thus restores its snapshots byte for byte.
+func (r *restoreSink) landSnap() error {
+	raw := r.buf.Bytes()
+	var stripes [DefaultShards][]byte
+	off := 0
+	_, err := readFrames(bytes.NewReader(raw), func(payload []byte) error {
+		frame := raw[off : off+walHeaderSize+len(payload)]
+		off += len(frame)
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return badArchive("%s: %v", r.name, err)
+		}
+		switch {
+		case rec.Type == recSnapHeader && off == len(frame):
+			for t := r.idx; t < DefaultShards; t += r.shards {
+				stripes[t] = append(stripes[t], frame...)
+			}
+		case rec.Type == recRegister && int(shardIndex(rec.ID, uint32(r.shards-1))) == r.idx:
+			t := shardIndex(rec.ID, shardMask)
+			stripes[t] = append(stripes[t], frame...)
+		default:
+			return badArchive("%s: unexpected %q record for %q", r.name, rec.Type, rec.ID)
+		}
+		return nil
+	})
+	if errors.Is(err, errTornTail) {
+		return badArchive("%s: damaged record after %d intact bytes", r.name, off)
+	}
+	if err != nil {
+		return err
+	}
+	for t := r.idx; t < DefaultShards; t += r.shards {
+		if err := writeNewFile(filepath.Join(r.dir, shardSnapName(t)), stripes[t]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeNewFile creates path, which must not exist, and syncs data into it.
+func writeNewFile(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
+	if err != nil {
+		return fmt.Errorf("anonymizer: restore create: %w", err)
+	}
+	_, err = f.Write(data)
+	if serr := syncClose(f); err == nil {
+		err = serr
+	}
+	if err != nil {
+		return fmt.Errorf("anonymizer: restore write: %w", err)
+	}
+	return nil
 }
 
 // stage writes frames to the staged segment, creating it with the given
@@ -551,19 +592,17 @@ func (r *restoreSink) End(int) error {
 	if err != nil {
 		return fmt.Errorf("anonymizer: restore sync: %w", err)
 	}
-	if err := writeMeta(r.dir, r.shards); err != nil {
+	if err := writeMeta(r.dir); err != nil {
 		return err
 	}
 	return syncDir(r.dir)
 }
 
-// close releases whatever handles a failed restore left open (after a
-// successful one there are none).
+// close releases the segment a failed restore left open (after a
+// successful one there is none).
 func (r *restoreSink) close() {
-	for _, f := range []*os.File{r.seg, r.snap} {
-		if f != nil {
-			_ = f.Close()
-		}
+	if r.seg != nil {
+		_ = r.seg.Close()
 	}
 }
 

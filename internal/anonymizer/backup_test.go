@@ -29,7 +29,7 @@ func requireNoDir(t *testing.T, path string) {
 func buildBackupArchive(t *testing.T) ([]byte, []string) {
 	t.Helper()
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(2), WithSnapshotEvery(3))
+	st, err := OpenDurableStore(dir, WithSnapshotEvery(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRestoreRejectsForeignFileNames(t *testing.T) {
 // closed directory restores to an identical store.
 func TestBackupRoundTripOffline(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(4))
+	st, err := OpenDurableStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestBackupRoundTripOffline(t *testing.T) {
 
 // TestBackupClosedStore pins WriteBackup's post-Close behavior.
 func TestBackupClosedStore(t *testing.T) {
-	st, err := OpenDurableStore(t.TempDir(), WithDurableShards(1))
+	st, err := OpenDurableStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestBackupClosedStore(t *testing.T) {
 // consistent prefix of its mutation stream).
 func TestHotBackupUnderLoad(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(4), WithSnapshotEvery(16))
+	st, err := OpenDurableStore(dir, WithSnapshotEvery(16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,7 +185,6 @@ func BenchmarkPipelinedSharedClient(b *testing.B) {
 func BenchmarkWALAppend(b *testing.B) {
 	st, err := OpenDurableStore(b.TempDir(),
 		WithFsyncPolicy(FsyncNever),
-		WithDurableShards(4),
 		WithSnapshotEvery(0),
 		WithGCInterval(0))
 	if err != nil {

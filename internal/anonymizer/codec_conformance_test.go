@@ -22,7 +22,7 @@ import (
 func TestConformanceCrossCodec(t *testing.T) {
 	g, density := testGrid(t)
 	dir := filepath.Join(t.TempDir(), "store")
-	st := openDurable(t, dir, WithDurableShards(2), WithGCInterval(0))
+	st := openDurable(t, dir, WithGCInterval(0))
 	srv := newTestServer(t, g, density, WithStore(st))
 	addr := startTestServer(t, srv)
 

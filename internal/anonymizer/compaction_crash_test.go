@@ -36,7 +36,7 @@ func maxIssuedID(t *testing.T, ids []string) uint64 {
 // from it, ignore the orphaned .tmp file, and never reissue an ID.
 func TestCrashBetweenSnapshotTmpWriteAndRename(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(1), WithSnapshotEvery(0))
+	st, err := OpenDurableStore(dir, WithSnapshotEvery(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +100,12 @@ func TestCrashBetweenSnapshotTmpWriteAndRename(t *testing.T) {
 // after it.
 func TestCrashBetweenSnapshotRenameAndWALTruncate(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(4), WithSnapshotEvery(0))
+	st, err := OpenDurableStore(dir, WithSnapshotEvery(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ids []string
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 32; i++ {
 		id, err := st.Register(fakeRegistration(t, 2))
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +117,7 @@ func TestCrashBetweenSnapshotRenameAndWALTruncate(t *testing.T) {
 		if err := st.SetTrust(id, "alice", 1); err != nil {
 			t.Fatal(err)
 		}
-		if shardIndex(id, 3) == 0 {
+		if shardIndex(id, shardMask) == 0 {
 			inShard0++
 		}
 	}
@@ -227,7 +227,7 @@ func TestCrashBetweenSnapshotRenameAndWALTruncate(t *testing.T) {
 // runs Snapshot first, which retries the interrupted compaction.
 func TestBackupAfterCompactionCrash(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(1), WithSnapshotEvery(0))
+	st, err := OpenDurableStore(dir, WithSnapshotEvery(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,17 +266,16 @@ func TestBackupAfterCompactionCrash(t *testing.T) {
 // recovery would skip them as already folded in.
 func TestSnapshotPastLostLogTail(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(1), WithSnapshotEvery(0), WithFsyncPolicy(FsyncNever))
+	st, err := OpenDurableStore(dir, WithSnapshotEvery(0), WithFsyncPolicy(FsyncNever))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := st.Register(fakeRegistration(t, 1)); err != nil {
-			t.Fatal(err)
-		}
+		registerInStripe(t, st, 0, fakeRegistration(t, 1))
 	}
-	// Snapshot at LSN 3, then "crash" before reclaim and lose records 2-3
-	// from the log, as a machine crash drops writes never fsynced.
+	// Stripe 0 snapshots first, at LSN 3; "crash" right after, before
+	// reclaim, and lose records 2-3 from the log, as a machine crash
+	// drops writes never fsynced.
 	st.hookAfterSnapRename = func() error { return errSimulatedCrash }
 	if err := st.Snapshot(); !errors.Is(err, errSimulatedCrash) {
 		t.Fatalf("Snapshot: %v", err)

@@ -74,7 +74,6 @@ type DurabilityOption func(*durabilityConfig)
 
 // durabilityConfig collects the store tunables.
 type durabilityConfig struct {
-	shards           int
 	fsync            FsyncPolicy
 	fsyncEvery       time.Duration
 	snapshotEvery    int
@@ -90,7 +89,6 @@ type durabilityConfig struct {
 // defaultDurabilityConfig returns the config before options are applied.
 func defaultDurabilityConfig() durabilityConfig {
 	return durabilityConfig{
-		shards:        DefaultShards,
 		fsync:         FsyncInterval,
 		fsyncEvery:    100 * time.Millisecond,
 		snapshotEvery: 4096,
@@ -148,15 +146,6 @@ func WithLogSegmentBytes(n int64) DurabilityOption {
 	}
 }
 
-// WithDurableShards sets the shard count, rounded up to a power of two.
-func WithDurableShards(n int) DurabilityOption {
-	return func(c *durabilityConfig) {
-		if n > 0 {
-			c.shards = n
-		}
-	}
-}
-
 // WithTTL gives every registration without an expiry of its own a default
 // lifetime of d (default 0: registrations live until deregistered unless
 // the client set a TTL). The expiry is journaled with the registration,
@@ -198,7 +187,7 @@ func WithReplica() DurabilityOption {
 // registration records only the (epoch, levels) reference. Rotating the
 // active epoch switches new registrations to it; existing ones keep
 // deriving under the epoch they were cut with. Recovery, replication
-// ingest and reshard resolve those references through the same keyring,
+// ingest and restore resolve those references through the same keyring,
 // which is why it is configured here and nowhere else: a store holding
 // derived registrations cannot open without a keyring covering their
 // epochs. The keyring is caller-owned (it may be watching a key file).
@@ -274,8 +263,7 @@ type durableShard struct {
 type DurableStore struct {
 	dir    string
 	cfg    durabilityConfig
-	shards []*durableShard
-	mask   uint32
+	shards [DefaultShards]*durableShard
 	nextID atomic.Uint64
 	stats  RecoveryStats
 
@@ -350,23 +338,15 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	size := shardCount(cfg.shards)
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o700); err != nil {
 			return nil, fmt.Errorf("anonymizer: durable dir: %w", err)
 		}
-		var err error
-		if size, err = loadOrInitMeta(dir, size); err != nil {
+		if err := loadOrInitMeta(dir); err != nil {
 			return nil, err
 		}
 	}
-	s := &DurableStore{
-		dir:    dir,
-		cfg:    cfg,
-		shards: make([]*durableShard, size),
-		mask:   uint32(size - 1),
-		stop:   make(chan struct{}),
-	}
+	s := &DurableStore{dir: dir, cfg: cfg, stop: make(chan struct{})}
 	s.gc.init()
 	if dir == "" {
 		// Journal-less: nothing to recover, no sync or snapshot loops, and
@@ -391,9 +371,8 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 			maxID = n
 		}
 	}
-	tally := newReplayTally()
 	for i := range s.shards {
-		sh, err := s.loadShardSnapshot(i, &maxID, tally, openNow)
+		sh, err := s.loadShardSnapshot(i, &maxID, openNow)
 		if err != nil {
 			return nil, err
 		}
@@ -405,12 +384,12 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 	// LSN is already in the snapshot (a crash between snapshot rename and
 	// segment reclaim) and is skipped, the rest replay through the shared
 	// apply.
-	lg, truncated, err := openStoreLog(dir, size, cfg.segBytes,
+	lg, truncated, err := openStoreLog(dir, cfg.segBytes,
 		func(lsn uint64, rec *walRecord) (int, bool, error) {
 			if rec.Type == recSnapHeader {
 				return 0, false, fmt.Errorf("%w: unexpected %q record in log", ErrCorruptLog, rec.Type)
 			}
-			shard := int(shardIndex(rec.ID, s.mask))
+			shard := int(shardIndex(rec.ID, shardMask))
 			sh := s.shards[shard]
 			note(rec.ID)
 			if lsn <= sh.snapLSN {
@@ -424,7 +403,7 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 			if err != nil {
 				return 0, false, err
 			}
-			tally.note(m, applied)
+			s.stats.note(m, applied)
 			sh.walRecords++
 			return shard, true, nil
 		})
@@ -433,10 +412,6 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 	}
 	s.log = lg
 	s.stats.TruncatedBytes += truncated
-	s.stats.TrustUpdates = tally.TrustUpdates
-	s.stats.Deregistrations = tally.Deregistrations
-	s.stats.Renewals = tally.Renewals
-	s.stats.Expired = tally.Expired
 
 	canExpire := false
 	for _, sh := range s.shards {
@@ -490,9 +465,9 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 }
 
 // storeMeta is the self-describing header of a durable data directory.
-// The shard count is a property of the data on disk, not of the opener:
-// region IDs map to shard files by hash, so reading with a different
-// count would look for them in the wrong files.
+// Shards is always DefaultShards: region IDs map to snapshot files by
+// hash, so a directory cut at another stripe count keeps its registrations
+// in files this binary would not look in, and is refused.
 type storeMeta struct {
 	Version int `json:"version"`
 	Shards  int `json:"shards"`
@@ -511,42 +486,43 @@ const metaFile = "META.json"
 const storeMetaVersion = 4
 
 // ErrUnsupportedLayout reports a data directory whose META names a layout
-// version other than the one this binary reads and writes. Nothing in the
-// directory has been created, renamed or deleted when it is returned; the
-// way across is to restore the directory from a backup archive.
+// version other than the one this binary reads and writes, or a stripe
+// count other than DefaultShards. Nothing in the directory has been
+// created, renamed or deleted when it is returned; the way across is to
+// restore the directory from a backup archive.
 var ErrUnsupportedLayout = errors.New("anonymizer: unsupported data directory layout version")
 
-// readMeta parses an existing data directory's header and returns its
-// shard count. A missing header reports os.ErrNotExist (wrapped): the
-// directory was never initialized as a durable store. A header at any
-// layout version but the current one reports ErrUnsupportedLayout.
-func readMeta(dir string) (int, error) {
+// readMeta checks an existing data directory's header. A missing header
+// reports os.ErrNotExist (wrapped): the directory was never initialized as
+// a durable store. A header at any layout version but the current one, or
+// at any stripe count but DefaultShards, reports ErrUnsupportedLayout.
+func readMeta(dir string) error {
 	path := filepath.Join(dir, metaFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0, fmt.Errorf("anonymizer: no durable data directory at %s: %w", dir, err)
+		return fmt.Errorf("anonymizer: no durable data directory at %s: %w", dir, err)
 	}
 	var m storeMeta
 	if err := json.Unmarshal(raw, &m); err != nil {
-		return 0, fmt.Errorf("anonymizer: parsing %s: %w", path, err)
+		return fmt.Errorf("anonymizer: parsing %s: %w", path, err)
 	}
 	if m.Version != storeMetaVersion {
-		return 0, fmt.Errorf("%w: %s is version %d, this binary supports only version %d (restore the directory from a backup archive)",
+		return fmt.Errorf("%w: %s is version %d, this binary supports only version %d (restore the directory from a backup archive)",
 			ErrUnsupportedLayout, path, m.Version, storeMetaVersion)
 	}
-	if m.Shards < 1 || m.Shards&(m.Shards-1) != 0 {
-		return 0, fmt.Errorf("anonymizer: unsupported store meta %+v in %s", m, path)
+	if m.Shards != DefaultShards {
+		return fmt.Errorf("%w: %s has %d stripes, this binary supports only %d (back the directory up with the binary that wrote it and restore the archive with this one)",
+			ErrUnsupportedLayout, path, m.Shards, DefaultShards)
 	}
-	return m.Shards, nil
+	return nil
 }
 
-// writeMeta writes dir's header for a store of the given shard count at
-// the current layout version — write + fsync + rename, like snapshots:
-// the rename must never be able to outlive the file contents on a machine
-// crash, or the store would reopen to an unparseable META.json. The
-// caller syncs dir.
-func writeMeta(dir string, shards int) error {
-	raw, err := json.Marshal(storeMeta{Version: storeMetaVersion, Shards: shards})
+// writeMeta writes dir's header at the current layout version — write +
+// fsync + rename, like snapshots: the rename must never be able to
+// outlive the file contents on a machine crash, or the store would reopen
+// to an unparseable META.json. The caller syncs dir.
+func writeMeta(dir string) error {
+	raw, err := json.Marshal(storeMeta{Version: storeMetaVersion, Shards: DefaultShards})
 	if err != nil {
 		return err
 	}
@@ -570,35 +546,23 @@ func writeMeta(dir string, shards int) error {
 	return nil
 }
 
-// loadOrInitMeta returns the directory's shard count, initializing the
-// meta file with the requested one (a power of two) on first open. An
-// existing meta overrides the requested count; resharding an existing
-// directory is an offline migration (Reshard), not an open-time option.
-func loadOrInitMeta(dir string, requested int) (int, error) {
-	size, err := readMeta(dir)
-	if err == nil {
-		return size, nil
-	}
+// loadOrInitMeta checks the directory's header, writing it on first open.
+func loadOrInitMeta(dir string) error {
+	err := readMeta(dir)
 	if !errors.Is(err, os.ErrNotExist) {
-		return 0, err
+		return err
 	}
-	size = requested
-	if err := writeMeta(dir, size); err != nil {
-		return 0, err
+	if err := writeMeta(dir); err != nil {
+		return err
 	}
-	if err := syncDir(dir); err != nil {
-		return 0, err
-	}
-	return size, nil
+	return syncDir(dir)
 }
 
 // loadShardSnapshot loads one shard's snapshot image (the unified-log
 // replay continues it afterwards). Register records route through the
-// shared mutation-apply path in replay mode; maxID and the tally
-// accumulate across shards in the caller.
-func (s *DurableStore) loadShardSnapshot(
-	i int, maxID *uint64, tally *replayTally, openNow int64,
-) (*durableShard, error) {
+// shared mutation-apply path in replay mode; maxID accumulates across
+// shards in the caller.
+func (s *DurableStore) loadShardSnapshot(i int, maxID *uint64, openNow int64) (*durableShard, error) {
 	sh := &durableShard{
 		tab:      newRegTable(),
 		idx:      i,
@@ -634,7 +598,7 @@ func (s *DurableStore) loadShardSnapshot(
 			if err != nil {
 				return err
 			}
-			tally.note(m, applied)
+			s.stats.note(m, applied)
 			return nil
 		default:
 			return fmt.Errorf("%w: unexpected %q record in snapshot", ErrCorruptLog, rec.Type)
@@ -664,7 +628,7 @@ func parseRegionID(id string) (uint64, bool) {
 
 // shardFor maps a region ID to its shard.
 func (s *DurableStore) shardFor(id string) *durableShard {
-	return s.shards[shardIndex(id, s.mask)]
+	return s.shards[shardIndex(id, shardMask)]
 }
 
 // setCacheInvalidator routes fn into every shard's table, which reports

@@ -95,6 +95,21 @@ func openDurable(t *testing.T, dir string, opts ...DurabilityOption) *DurableSto
 	return st
 }
 
+// registerInStripe registers reg under the next region ID that hashes to
+// stripe, burning the IDs before it, so a test can fill one stripe — and
+// one snapshot file — on purpose.
+func registerInStripe(t *testing.T, st *DurableStore, stripe uint32, reg *Registration) string {
+	t.Helper()
+	for shardIndex(fmt.Sprintf("r%d", st.nextID.Load()+1), shardMask) != stripe {
+		st.AllocateID()
+	}
+	id, err := st.Register(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
 // TestDurableStoreCrashRecovery is the headline durability test: a store
 // under concurrent registration load is abandoned without Close (the
 // crash), reopened, and every acknowledged registration must come back
@@ -109,7 +124,7 @@ func TestDurableStoreCrashRecovery(t *testing.T) {
 	// FsyncAlways: every acked registration must survive the crash.
 	// A small snapshot threshold exercises compaction mid-load too.
 	st, err := OpenDurableStore(dir,
-		WithFsyncPolicy(FsyncAlways), WithDurableShards(4), WithSnapshotEvery(8))
+		WithFsyncPolicy(FsyncAlways), WithSnapshotEvery(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +258,7 @@ func logBytes(t *testing.T, dir string) int64 {
 func TestDurableStoreToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenDurableStore(dir,
-		WithFsyncPolicy(FsyncAlways), WithDurableShards(1), WithSnapshotEvery(0))
+		WithFsyncPolicy(FsyncAlways), WithSnapshotEvery(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +320,7 @@ func TestDurableStoreToleratesTornTail(t *testing.T) {
 // everything real must survive, the garbage is dropped.
 func TestDurableStoreGarbageTail(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(1), WithSnapshotEvery(0))
+	st, err := OpenDurableStore(dir, WithSnapshotEvery(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +353,7 @@ func TestDurableStoreGarbageTail(t *testing.T) {
 // ID allocator never reuses an ID that was ever handed out.
 func TestDurableStoreReplaysTrustAndDeregister(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(2))
+	st, err := OpenDurableStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,21 +412,18 @@ func TestDurableStoreReplaysTrustAndDeregister(t *testing.T) {
 	}
 }
 
-// TestDurableStoreSnapshotCompaction forces frequent snapshots and checks
-// the WAL actually shrinks while the state stays complete.
+// TestDurableStoreSnapshotCompaction forces frequent snapshots of one
+// stripe and checks the WAL actually shrinks while the state stays
+// complete.
 func TestDurableStoreSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(1), WithSnapshotEvery(4))
+	st, err := OpenDurableStore(dir, WithSnapshotEvery(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ids []string
 	for i := 0; i < 20; i++ {
-		id, err := st.Register(fakeRegistration(t, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+		ids = append(ids, registerInStripe(t, st, 0, fakeRegistration(t, 1)))
 	}
 	if st.Snapshots() == 0 {
 		t.Fatal("no compaction after 20 registrations with threshold 4")
@@ -446,7 +458,7 @@ func TestDurableStoreSnapshotCompaction(t *testing.T) {
 func TestDurableStoreConcurrentMixed(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenDurableStore(dir,
-		WithDurableShards(4), WithSnapshotEvery(16),
+		WithSnapshotEvery(16),
 		WithFsyncEvery(5*time.Millisecond), WithSnapshotInterval(10*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +533,7 @@ func TestDurableStoreConcurrentMixed(t *testing.T) {
 func TestDurableStoreClosedErrors(t *testing.T) {
 	for _, mode := range storeModes(t) {
 		t.Run(mode.name, func(t *testing.T) {
-			st := openDurable(t, mode.dir, WithDurableShards(1))
+			st := openDurable(t, mode.dir)
 			id, err := st.Register(fakeRegistration(t, 1))
 			if err != nil {
 				t.Fatal(err)

@@ -115,7 +115,7 @@ func FuzzReadArchive(f *testing.F) {
 	// Seed with a real archive (and mutations of it) so the fuzzer
 	// reaches the deep states quickly.
 	dir := f.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(2))
+	st, err := OpenDurableStore(dir)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -139,6 +139,7 @@ func FuzzReadArchive(f *testing.F) {
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0x20
 	f.Add(flipped)
+	f.Add(stripeCountArchive(f, 1<<40))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)

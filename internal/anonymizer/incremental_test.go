@@ -19,7 +19,7 @@ func TestIncrementalBackupRoundTrip(t *testing.T) {
 	clk := newFakeClock()
 	dir := filepath.Join(t.TempDir(), "src")
 	st := openDurable(t, dir,
-		WithDurableShards(4), WithGCInterval(0), WithClock(clk.Now))
+		WithGCInterval(0), WithClock(clk.Now))
 
 	var ids []string
 	register := func(n int, ttl time.Duration) {
@@ -133,7 +133,7 @@ func TestApplyIncrementalIsExpiryPassive(t *testing.T) {
 	clk := newFakeClock()
 	dir := filepath.Join(t.TempDir(), "src")
 	st := openDurable(t, dir,
-		WithDurableShards(1), WithGCInterval(0), WithClock(clk.Now))
+		WithGCInterval(0), WithClock(clk.Now))
 
 	reg := fakeRegistration(t, 1)
 	reg.SetExpiry(clk.Now().Add(10 * time.Second))
@@ -149,15 +149,13 @@ func TestApplyIncrementalIsExpiryPassive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The renewal rides in the delta; pad with enough registrations that
-	// an eager compaction cadence would fire mid-apply.
+	// The renewal rides in the delta; pad its stripe with enough
+	// registrations that an eager compaction cadence would fire mid-apply.
 	if _, err := st.Touch(id, time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := st.Register(fakeRegistration(t, 1)); err != nil {
-			t.Fatal(err)
-		}
+		registerInStripe(t, st, shardIndex(id, shardMask), fakeRegistration(t, 1))
 	}
 	var delta bytes.Buffer
 	if _, _, err := st.WriteIncrementalBackup(&delta, watermark); err != nil {
@@ -193,7 +191,7 @@ func TestApplyIncrementalIsExpiryPassive(t *testing.T) {
 // archive, an apply whose directory is behind the delta's start, and an
 // incremental archive written before LSNs existed.
 func TestIncrementalBackupGapAndMisuse(t *testing.T) {
-	st := openDurable(t, t.TempDir(), WithDurableShards(1), WithSnapshotEvery(0))
+	st := openDurable(t, t.TempDir(), WithSnapshotEvery(0))
 	for i := 0; i < 5; i++ {
 		if _, err := st.Register(fakeRegistration(t, 1)); err != nil {
 			t.Fatal(err)
@@ -230,7 +228,7 @@ func TestIncrementalBackupGapAndMisuse(t *testing.T) {
 	}
 	// A directory behind the delta's start has a hole: refused.
 	behind := filepath.Join(t.TempDir(), "behind")
-	bst := openDurable(t, behind, WithDurableShards(1))
+	bst := openDurable(t, behind)
 	if err := bst.Close(); err != nil {
 		t.Fatal(err)
 	}

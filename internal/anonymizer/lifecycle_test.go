@@ -32,8 +32,7 @@ func TestShardedStoreTTLLifecycle(t *testing.T) {
 	for _, mode := range storeModes(t) {
 		t.Run(mode.name, func(t *testing.T) {
 			clock := newFakeClock()
-			st := openDurable(t, mode.dir, WithDurableShards(4),
-				WithTTL(time.Minute), WithGCInterval(0), WithClock(clock.Now))
+			st := openDurable(t, mode.dir, WithTTL(time.Minute), WithGCInterval(0), WithClock(clock.Now))
 
 			var defIDs, longIDs []string
 			for i := 0; i < 20; i++ {
@@ -104,8 +103,7 @@ func TestShardedStoreTTLLifecycle(t *testing.T) {
 func TestShardedStoreSweeperBackground(t *testing.T) {
 	for _, mode := range storeModes(t) {
 		t.Run(mode.name, func(t *testing.T) {
-			st := openDurable(t, mode.dir, WithDurableShards(4),
-				WithTTL(5*time.Millisecond), WithGCInterval(5*time.Millisecond))
+			st := openDurable(t, mode.dir, WithTTL(5*time.Millisecond), WithGCInterval(5*time.Millisecond))
 			for i := 0; i < 10; i++ {
 				if _, err := st.Register(fakeRegistration(t, 1)); err != nil {
 					t.Fatal(err)
@@ -132,7 +130,7 @@ func TestDurableStoreTTLSweepAndRecovery(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *DurableStore {
 		st, err := OpenDurableStore(dir,
-			WithDurableShards(2), WithFsyncPolicy(FsyncAlways),
+			WithFsyncPolicy(FsyncAlways),
 			WithGCInterval(0), WithClock(clock.Now))
 		if err != nil {
 			t.Fatal(err)
@@ -228,8 +226,7 @@ func TestDurableStoreTTLSweepAndRecovery(t *testing.T) {
 func TestDurableStoreCompactionReclaimsExpired(t *testing.T) {
 	clock := newFakeClock()
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(1),
-		WithGCInterval(0), WithSnapshotEvery(0), WithClock(clock.Now))
+	st, err := OpenDurableStore(dir, WithGCInterval(0), WithSnapshotEvery(0), WithClock(clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,8 +297,7 @@ func TestTTLMillisRounding(t *testing.T) {
 func TestDurableStoreDefaultTTLJournaled(t *testing.T) {
 	clock := newFakeClock()
 	dir := t.TempDir()
-	st, err := OpenDurableStore(dir, WithDurableShards(1),
-		WithTTL(time.Minute), WithGCInterval(0), WithClock(clock.Now))
+	st, err := OpenDurableStore(dir, WithTTL(time.Minute), WithGCInterval(0), WithClock(clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,14 +330,14 @@ func TestDurableStoreDefaultTTLJournaled(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCrashDurability hammers a single-WAL fsync=always store
-// with mixed mutations from many goroutines — the group-commit cohort
-// path, including snapshot truncation mid-flight — abandons it without
-// Close, and verifies the reopened state matches every acknowledgement.
+// TestGroupCommitCrashDurability hammers an fsync=always store with mixed
+// mutations from many goroutines — the group-commit cohort path,
+// including snapshot truncation mid-flight — abandons it without Close,
+// and verifies the reopened state matches every acknowledgement.
 func TestGroupCommitCrashDurability(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenDurableStore(dir,
-		WithFsyncPolicy(FsyncAlways), WithDurableShards(1), WithSnapshotEvery(32))
+		WithFsyncPolicy(FsyncAlways), WithSnapshotEvery(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +414,7 @@ func TestServerTTLEndToEnd(t *testing.T) {
 	for _, mode := range storeModes(t) {
 		t.Run(mode.name, func(t *testing.T) {
 			clock := newFakeClock()
-			st := openDurable(t, mode.dir, WithDurableShards(4), WithGCInterval(0), WithClock(clock.Now))
+			st := openDurable(t, mode.dir, WithGCInterval(0), WithClock(clock.Now))
 			g, density := testGrid(t)
 			srv := newTestServer(t, g, density, WithStore(st))
 			addr := startTestServer(t, srv)

@@ -92,35 +92,20 @@ const (
 	applyReplay
 )
 
-// replayTally counts what a replayed mutation stream changed — the one
-// bookkeeping shared by crash recovery (RecoveryStats), offline
-// resharding (ReshardStats) and the follower apply loop, so they can
-// never drift on what counts as what. Registrations whose TTL elapsed
-// while the store was down are not counted here: replay is expiry-blind,
-// and the end-of-stream sweep (dropExpiredLocked) reports them.
-type replayTally struct {
-	TrustUpdates    int
-	Deregistrations int
-	Renewals        int
-	Expired         int
-}
-
-// newReplayTally returns an empty tally.
-func newReplayTally() *replayTally {
-	return &replayTally{}
-}
-
-// note records the outcome of one replayed mutation.
-func (t *replayTally) note(m *Mutation, applied bool) {
+// note counts what one mutation replayed by recovery changed.
+// Registrations whose TTL elapsed while the store was down are not counted
+// here: replay is expiry-blind, and the end-of-stream sweep
+// (dropExpiredLocked) reports them.
+func (r *RecoveryStats) note(m *Mutation, applied bool) {
 	switch {
 	case m.Op == MutSetTrust && applied:
-		t.TrustUpdates++
+		r.TrustUpdates++
 	case m.Op == MutDeregister && applied:
-		t.Deregistrations++
+		r.Deregistrations++
 	case m.Op == MutTouch && applied:
-		t.Renewals++
+		r.Renewals++
 	case m.Op == MutExpire && applied:
-		t.Expired++
+		r.Expired++
 	}
 }
 
@@ -284,11 +269,11 @@ func (t regTable) apply(m *Mutation, mode applyMode, now int64) (bool, error) {
 
 // dropExpiredLocked removes every registration whose TTL has elapsed at
 // now and reports how many it dropped — the end-of-stream counterpart of
-// replay's expiry-blindness: recovery, resharding and follower bootstrap
-// all replay the full stream first and reclaim the dead entries here, so
-// a reopened store never resurrects a region whose lease ran out while
-// it was down. The caller holds the shard lock; nothing is journaled
-// (the WAL still replays into exactly this state).
+// replay's expiry-blindness: recovery and follower bootstrap both replay
+// the full stream first and reclaim the dead entries here, so a reopened
+// store never resurrects a region whose lease ran out while it was down.
+// The caller holds the shard lock; nothing is journaled (the WAL still
+// replays into exactly this state).
 func (t regTable) dropExpiredLocked(now int64) int {
 	n := 0
 	for id, reg := range t.regs {

@@ -102,7 +102,7 @@ func TestReduceCacheConformance(t *testing.T) {
 	for _, mode := range storeModes(t) {
 		t.Run(mode.name, func(t *testing.T) {
 			g, density := testGrid(t)
-			st := openDurable(t, mode.dir, WithDurableShards(4))
+			st := openDurable(t, mode.dir)
 			cached := newTestServer(t, g, density, WithStore(st), WithReduceCacheBytes(-1))
 			plain := newTestServer(t, g, density, WithStore(st))
 			eng := cached.engines[cloak.RGE]
@@ -200,7 +200,7 @@ func TestReduceCacheDeregisterStaleness(t *testing.T) {
 	for _, mode := range storeModes(t) {
 		t.Run(mode.name, func(t *testing.T) {
 			g, density := testGrid(t)
-			st := openDurable(t, mode.dir, WithDurableShards(4))
+			st := openDurable(t, mode.dir)
 			srv := newTestServer(t, g, density, WithStore(st), WithReduceCacheBytes(-1))
 			prof := cacheTestProfile()
 			ids := reduciblePool(t, st, srv.engines[cloak.RGE], g, 12, prof)
@@ -271,7 +271,7 @@ func TestReduceCacheExpiryStaleness(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			clk := newFakeClock()
 			g, density := testGrid(t)
-			st := openDurable(t, mode.dir, WithDurableShards(4), WithGCInterval(0), WithClock(clk.Now))
+			st := openDurable(t, mode.dir, WithGCInterval(0), WithClock(clk.Now))
 			srv := newTestServer(t, g, density, WithStore(st), WithReduceCacheBytes(-1))
 			id, ok := registerReducible(t, st, srv.engines[cloak.RGE], 7, cacheTestProfile(),
 				clk.Now().Add(10*time.Second))
@@ -308,8 +308,8 @@ func TestReduceCacheExpiryStaleness(t *testing.T) {
 // regTable.apply hook the leader uses, exercised through the stream
 // pipeline rather than a local mutation call.
 func TestReduceCacheFollowerIngestStaleness(t *testing.T) {
-	leader := openDurable(t, t.TempDir(), WithDurableShards(2))
-	follower := openDurable(t, t.TempDir(), WithDurableShards(2), WithReplica())
+	leader := openDurable(t, t.TempDir())
+	follower := openDurable(t, t.TempDir(), WithReplica())
 	g, density := testGrid(t)
 	srv := newTestServer(t, g, density, WithStore(follower), WithReduceCacheBytes(-1))
 	prof := cacheTestProfile()

@@ -41,8 +41,7 @@ func newLeader(t *testing.T, dir string, opts ...anonymizer.DurabilityOption) *t
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := anonymizer.OpenDurableStore(dir,
-		append([]anonymizer.DurabilityOption{anonymizer.WithDurableShards(4)}, opts...)...)
+	st, err := anonymizer.OpenDurableStore(dir, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestMasterKeyRotationLiveServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, err := anonymizer.OpenDurableStore(filepath.Join(t.TempDir(), "leader"),
-		anonymizer.WithDurableShards(4), anonymizer.WithKeyring(kr), anonymizer.WithGCInterval(0))
+		anonymizer.WithKeyring(kr), anonymizer.WithGCInterval(0))
 	if err != nil {
 		t.Fatal(err)
 	}

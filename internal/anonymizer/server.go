@@ -49,10 +49,10 @@ type serverConfig struct {
 }
 
 // WithStore installs the registration store the server serves from — one
-// the caller opened (OpenDurableStore) with the directory, shard count,
-// TTLs, fsync policy and master keyring it wants, may have inspected
-// (Recovery), and closes itself after the server: the server does not
-// close a store installed this way. Without it the server opens, and on
+// the caller opened (OpenDurableStore) with the directory, TTLs, fsync
+// policy and master keyring it wants, may have inspected (Recovery), and
+// closes itself after the server: the server does not close a store
+// installed this way. Without it the server opens, and on
 // Close closes, a journal-less store with default options.
 func WithStore(st *DurableStore) ServerOption {
 	return func(c *serverConfig) { c.store = st }

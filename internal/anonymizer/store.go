@@ -134,8 +134,8 @@ func (r *Registration) Grants() map[string]int { return r.policy.Grants() }
 // Reduce peels the registration's region down to level with the
 // registration's own keys — the operator-tooling counterpart of the
 // server-side reduce, used by `anonymizer dump` to verify that a restored
-// or resharded store still reduces every region identically. Levels at or
-// above the published one return a clone of the published region.
+// store still reduces every region identically. Levels at or above the
+// published one return a clone of the published region.
 func (r *Registration) Reduce(engine *cloak.Engine, level int) (*cloak.CloakedRegion, error) {
 	if level >= r.Levels() {
 		return r.region.Clone(), nil
@@ -164,11 +164,15 @@ func withDefaultExpiry(reg *Registration, ttl time.Duration, now time.Time) *Reg
 	return &cp
 }
 
-// DefaultShards is the store's default shard count. Shards are
-// lock-striping and stream-parallelism units (every shard journals into
-// the one store-wide log), and 16 keeps per-shard index overhead low while
-// spreading lock contention.
+// DefaultShards is the store's stripe count, the same for every store and
+// every data directory. Stripes are lock-striping units, each with its own
+// snapshot file (every stripe journals into the one store-wide log), and
+// 16 keeps per-stripe index overhead low while spreading lock contention.
+// RestoreArchive re-stripes archives cut at fewer stripes.
 const DefaultShards = 16
+
+// shardMask maps a region-ID hash to its stripe (shardIndex).
+const shardMask = DefaultShards - 1
 
 // DefaultRegistrationTTL is the registration lifetime `anonymizer serve`
 // applies by default, derived from the temporal cloak: a request is only
@@ -180,16 +184,6 @@ const DefaultRegistrationTTL = 2 * temporal.DefaultSigmaT
 
 // DefaultGCInterval is the default period of the expiry sweeper.
 const DefaultGCInterval = time.Minute
-
-// shardCount rounds a requested shard count up to a power of two (the
-// shard index is a hash mask).
-func shardCount(requested int) int {
-	size := 1
-	for size < requested {
-		size <<= 1
-	}
-	return size
-}
 
 // shardIndex maps a region ID to a shard index by FNV-1a hash, inlined
 // over the string so the hot path (every store touch of every request)

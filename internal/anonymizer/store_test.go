@@ -22,24 +22,10 @@ func storeModes(t *testing.T) []struct{ name, dir string } {
 	}
 }
 
-func TestShardedStoreRoundsUpToPowerOfTwo(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, DefaultShards}, {-3, DefaultShards}, {1, 1}, {2, 2}, {3, 4},
-		{5, 8}, {64, 64}, {65, 128},
-	} {
-		for _, mode := range storeModes(t) {
-			st := openDurable(t, mode.dir, WithDurableShards(tc.in))
-			if got := len(st.shards); got != tc.want {
-				t.Errorf("%s: WithDurableShards(%d) built %d shards, want %d", mode.name, tc.in, got, tc.want)
-			}
-		}
-	}
-}
-
 func TestShardedStoreRegisterLookup(t *testing.T) {
 	for _, mode := range storeModes(t) {
 		t.Run(mode.name, func(t *testing.T) {
-			st := openDurable(t, mode.dir, WithDurableShards(8))
+			st := openDurable(t, mode.dir)
 			ids := make(map[string]*Registration)
 			for i := 0; i < 100; i++ {
 				reg := fakeRegistration(t, 1)
@@ -71,7 +57,7 @@ func TestShardedStoreRegisterLookup(t *testing.T) {
 func TestShardedStoreLookupErrors(t *testing.T) {
 	for _, mode := range storeModes(t) {
 		t.Run(mode.name, func(t *testing.T) {
-			st := openDurable(t, mode.dir, WithDurableShards(4))
+			st := openDurable(t, mode.dir)
 			if _, err := st.Lookup(""); !errors.Is(err, ErrBadOp) {
 				t.Errorf("empty id err = %v, want ErrBadOp", err)
 			}
@@ -87,7 +73,7 @@ func TestShardedStoreLookupErrors(t *testing.T) {
 func TestShardedStoreConcurrent(t *testing.T) {
 	for _, mode := range storeModes(t) {
 		t.Run(mode.name, func(t *testing.T) {
-			st := openDurable(t, mode.dir, WithDurableShards(16))
+			st := openDurable(t, mode.dir)
 			proto := fakeRegistration(t, 1)
 			const goroutines, perG = 16, 200
 			idCh := make(chan string, goroutines*perG)

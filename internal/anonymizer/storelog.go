@@ -25,11 +25,10 @@ import (
 // is named by the LSN of its first record (as Kafka names segments by
 // base offset), so a record's LSN is its segment's base plus its index
 // there. A record's shard follows from its region ID (shardIndex), so
-// replication, incremental backup and reshard all read the one log by
-// LSN. The point of the single journal is group commit: with one file
-// there is one fsync per cohort for the WHOLE store, where one log per
-// shard pays one fsync per shard and watches them serialize in the
-// filesystem journal.
+// replication and incremental backup both read the one log by LSN. The
+// point of the single journal is group commit: with one file there is one
+// fsync per cohort for the WHOLE store, where one log per shard pays one
+// fsync per shard and watches them serialize in the filesystem journal.
 //
 // Invariants the rest of the engine leans on:
 //
@@ -83,7 +82,7 @@ type storeLog struct {
 	segs []*logSegment
 	// pending[s] is the LSN of shard s's first record its snapshot does
 	// not cover yet (0: none). The smallest is the reclaim floor.
-	pending []uint64
+	pending [DefaultShards]uint64
 	// readers counts reads in flight over the segments (stream tails,
 	// backups); reclaim deletes nothing while any is.
 	readers int
@@ -490,10 +489,10 @@ func scanLog(dir string, flag int, fn func(lsn uint64, payload []byte) error) (
 // the only place a crash can put one — is truncated away; damage anywhere
 // else fails the open. Returns the log and the torn bytes dropped.
 func openStoreLog(
-	dir string, shards int, segLimit int64,
+	dir string, segLimit int64,
 	fn func(lsn uint64, rec *walRecord) (shard int, pending bool, err error),
 ) (*storeLog, int64, error) {
-	lg := &storeLog{dir: dir, segLimit: segLimit, pending: make([]uint64, shards)}
+	lg := &storeLog{dir: dir, segLimit: segLimit}
 	segs, damaged, torn, err := scanLog(dir, os.O_RDWR, func(lsn uint64, payload []byte) error {
 		var rec walRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
@@ -541,20 +540,19 @@ func openStoreLog(
 }
 
 // openLogReader opens a closed directory's log read-only for the offline
-// tools (cold backup, incremental backup, reshard): the records recovery
-// would replay, with nothing truncated or created. It also returns the
-// torn tail bytes it skipped.
-func openLogReader(dir string) (*storeLog, int64, error) {
-	segs, _, torn, err := scanLog(dir, os.O_RDONLY, nil)
+// tools (cold and incremental backup): the records recovery would replay,
+// with nothing truncated or created.
+func openLogReader(dir string) (*storeLog, error) {
+	segs, _, _, err := scanLog(dir, os.O_RDONLY, nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if len(segs) == 0 {
 		// A directory that crashed before its first segment existed: an
 		// empty log at position 0.
 		segs = []*logSegment{{base: 1}}
 	}
-	return &storeLog{dir: dir, segs: segs}, torn, nil
+	return &storeLog{dir: dir, segs: segs}, nil
 }
 
 // fsyncHist is a lock-free latency histogram over latencyBuckets,

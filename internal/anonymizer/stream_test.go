@@ -25,7 +25,7 @@ func streamAll(t *testing.T, st *DurableStore, from uint64) []StreamFrame {
 // the log may be reclaimed, the positions never move.
 func TestStreamOffsetsSurviveCompactionAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	st := openDurable(t, dir, WithDurableShards(1), WithSnapshotEvery(0))
+	st := openDurable(t, dir, WithSnapshotEvery(0))
 	var ids []string
 	for i := 0; i < 5; i++ {
 		id, err := st.Register(fakeRegistration(t, 1))
@@ -108,8 +108,8 @@ func TestStreamOffsetsSurviveCompactionAndReopen(t *testing.T) {
 // byte for byte, duplicates are skipped, and holes are refused.
 func TestTailFromIngestRoundTrip(t *testing.T) {
 	clk := newFakeClock()
-	src := openDurable(t, t.TempDir(), WithDurableShards(4), WithGCInterval(0), WithClock(clk.Now))
-	dst := openDurable(t, t.TempDir(), WithDurableShards(4), WithGCInterval(0), WithClock(clk.Now), WithReplica())
+	src := openDurable(t, t.TempDir(), WithGCInterval(0), WithClock(clk.Now))
+	dst := openDurable(t, t.TempDir(), WithGCInterval(0), WithClock(clk.Now), WithReplica())
 
 	var ids []string
 	for i := 0; i < 20; i++ {
@@ -240,7 +240,7 @@ func TestEpochRecord(t *testing.T) {
 // order, so the watermark counts them all and TailFrom serves them
 // interleaved, whatever shard each belongs to.
 func TestStreamSeqSpreadAcrossShards(t *testing.T) {
-	st := openDurable(t, t.TempDir(), WithDurableShards(4))
+	st := openDurable(t, t.TempDir())
 	const n = 40
 	var ids []string
 	for i := 0; i < n; i++ {
@@ -269,7 +269,7 @@ func TestStreamSeqSpreadAcrossShards(t *testing.T) {
 		if f.LSN != uint64(i+1) || rec.ID != ids[i] {
 			t.Fatalf("frame %d: LSN %d id %s, want LSN %d id %s", i, f.LSN, rec.ID, i+1, ids[i])
 		}
-		shards[shardIndex(rec.ID, 3)] = true
+		shards[shardIndex(rec.ID, shardMask)] = true
 	}
 	if len(shards) < 2 {
 		t.Fatalf("%d registrations landed in %d shard(s); the test needs several", n, len(shards))
@@ -287,7 +287,7 @@ func TestStreamSeqSpreadAcrossShards(t *testing.T) {
 // mis-syncing.
 func TestPerShardWatermarkRefused(t *testing.T) {
 	g, density := testGrid(t)
-	st := openDurable(t, t.TempDir(), WithDurableShards(2))
+	st := openDurable(t, t.TempDir())
 	if _, err := st.Register(fakeRegistration(t, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestPerShardWatermarkRefused(t *testing.T) {
 // must find every segment it saw. Reclaim deletes nothing while one is
 // pinned and catches up at the next compaction after.
 func TestReclaimWaitsForReaders(t *testing.T) {
-	st := openDurable(t, t.TempDir(), WithDurableShards(1), WithSnapshotEvery(0), WithLogSegmentBytes(256))
+	st := openDurable(t, t.TempDir(), WithSnapshotEvery(0), WithLogSegmentBytes(256))
 	const n = 8
 	for i := 0; i < n; i++ {
 		if _, err := st.Register(fakeRegistration(t, 1)); err != nil {

@@ -312,7 +312,7 @@ func TestWireBinaryGoldenTranscripts(t *testing.T) {
 	_, addr, _ := startServer(t)
 	g, density := testGrid(t)
 	durableSrv := newTestServer(t, g, density,
-		WithStore(openDurable(t, t.TempDir(), WithDurableShards(2))))
+		WithStore(openDurable(t, t.TempDir())))
 	durableAddr := startTestServer(t, durableSrv)
 	raw, err := os.ReadFile(filepath.Join("testdata", "protocol", "tenants.json"))
 	if err != nil {

@@ -157,7 +157,7 @@ func replayTranscript(t *testing.T, addr, file string) {
 
 // TestWireGoldenTranscripts replays every testdata/protocol transcript
 // against a live server, one fresh connection per file. Files named
-// repl_*.ndjson run against a DURABLE server (two shards, no traffic),
+// repl_*.ndjson run against a DURABLE server (no traffic),
 // since the replication ops require a store with a mutation stream;
 // files named auth_*.ndjson run against a TENANT-ENABLED server loaded
 // from testdata/protocol/tenants.json (the auth op is a bad operation
@@ -174,7 +174,7 @@ func TestWireGoldenTranscripts(t *testing.T) {
 	_, addr, _ := startServer(t)
 	g, density := testGrid(t)
 	durableSrv := newTestServer(t, g, density,
-		WithStore(openDurable(t, t.TempDir(), WithDurableShards(2))))
+		WithStore(openDurable(t, t.TempDir())))
 	durableAddr := startTestServer(t, durableSrv)
 	raw, err := os.ReadFile(filepath.Join("testdata", "protocol", "tenants.json"))
 	if err != nil {

@@ -33,17 +33,15 @@ import (
 	"github.com/reversecloak/reversecloak/internal/keys"
 )
 
-// DefaultShards is the cache's default lock-stripe count.
-const DefaultShards = 16
+// stripes is the cache's lock-stripe count; each stripe gets an equal
+// share of the byte budget.
+const stripes = 16
 
 // Config sizes a Cache.
 type Config struct {
 	// MaxBytes bounds the cache's total cost (approximate bytes of the
 	// cached regions and key sets). Zero or negative means unbounded.
 	MaxBytes int64
-	// Shards is the lock-stripe count, rounded up to a power of two
-	// (default DefaultShards).
-	Shards int
 }
 
 // Stats is a point-in-time snapshot of the cache counters, rendered on
@@ -123,8 +121,7 @@ type shard struct {
 // Cache is a sharded, cost-bounded read-path cache. Safe for concurrent
 // use. The zero value is not usable; construct with New.
 type Cache struct {
-	shards      []shard
-	mask        uint32
+	shards      [stripes]shard
 	maxPerShard int64 // <= 0 means unbounded
 
 	regionHits   atomic.Int64
@@ -137,19 +134,11 @@ type Cache struct {
 	bytes        atomic.Int64
 }
 
-// New builds a cache with cfg's budget and shard count.
+// New builds a cache with cfg's budget.
 func New(cfg Config) *Cache {
-	n := cfg.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	c := &Cache{shards: make([]shard, size), mask: uint32(size - 1)}
+	c := &Cache{}
 	if cfg.MaxBytes > 0 {
-		c.maxPerShard = cfg.MaxBytes / int64(size)
+		c.maxPerShard = cfg.MaxBytes / stripes
 		if c.maxPerShard < 1 {
 			c.maxPerShard = 1
 		}
@@ -170,7 +159,7 @@ func (c *Cache) shardFor(id string) *shard {
 		h ^= uint32(id[i])
 		h *= 16777619
 	}
-	return &c.shards[h&c.mask]
+	return &c.shards[h%stripes]
 }
 
 // RegionCost approximates the resident byte size of a cached region:

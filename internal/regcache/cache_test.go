@@ -36,7 +36,7 @@ func testKeys(t *testing.T, levels int) *keys.Set {
 }
 
 func TestRegionHitMissAndLRUOrder(t *testing.T) {
-	c := New(Config{Shards: 1}) // unbounded
+	c := New(Config{}) // unbounded
 	if _, ok := c.GetRegion("r1", 0); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -58,22 +58,35 @@ func TestRegionHitMissAndLRUOrder(t *testing.T) {
 	}
 }
 
+// oneStripeIDs returns n region IDs that all hash to one stripe of c, so
+// a test can fill that stripe's share of the budget on purpose.
+func oneStripeIDs(c *Cache, n int) []string {
+	var ids []string
+	for i := 0; len(ids) < n; i++ {
+		if id := fmt.Sprintf("r%d", i); c.shardFor(id) == c.shardFor("r0") {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
 func TestEvictionIsCostBoundedLRU(t *testing.T) {
 	r := testRegion(8, 1)
 	cost := RegionCost(r)
-	c := New(Config{Shards: 1, MaxBytes: 3 * cost})
-	for i := 0; i < 3; i++ {
-		c.PutRegion(fmt.Sprintf("r%d", i), 0, testRegion(8, 1))
+	c := New(Config{MaxBytes: 3 * cost * stripes}) // three entries per stripe
+	ids := oneStripeIDs(c, 4)
+	for _, id := range ids[:3] {
+		c.PutRegion(id, 0, testRegion(8, 1))
 	}
-	// Touch r0 so r1 is the cold end, then overflow by one.
-	if _, ok := c.GetRegion("r0", 0); !ok {
-		t.Fatal("r0 should be cached")
+	// Touch the first so the second is the cold end, then overflow by one.
+	if _, ok := c.GetRegion(ids[0], 0); !ok {
+		t.Fatalf("%s should be cached", ids[0])
 	}
-	c.PutRegion("r3", 0, testRegion(8, 1))
-	if _, ok := c.GetRegion("r1", 0); ok {
-		t.Fatal("r1 (LRU) should have been evicted")
+	c.PutRegion(ids[3], 0, testRegion(8, 1))
+	if _, ok := c.GetRegion(ids[1], 0); ok {
+		t.Fatalf("%s (LRU) should have been evicted", ids[1])
 	}
-	for _, id := range []string{"r0", "r2", "r3"} {
+	for _, id := range []string{ids[0], ids[2], ids[3]} {
 		if _, ok := c.GetRegion(id, 0); !ok {
 			t.Fatalf("%s should have survived", id)
 		}
@@ -89,19 +102,20 @@ func TestEvictionIsCostBoundedLRU(t *testing.T) {
 
 func TestOversizedEntryIsNotCached(t *testing.T) {
 	small := testRegion(4, 1)
-	c := New(Config{Shards: 1, MaxBytes: RegionCost(small) + 1})
-	c.PutRegion("small", 0, small)
-	c.PutRegion("big", 0, testRegion(4096, 1))
-	if _, ok := c.GetRegion("big", 0); ok {
+	c := New(Config{MaxBytes: (RegionCost(small) + 1) * stripes})
+	ids := oneStripeIDs(c, 2)
+	c.PutRegion(ids[0], 0, small)
+	c.PutRegion(ids[1], 0, testRegion(4096, 1))
+	if _, ok := c.GetRegion(ids[1], 0); ok {
 		t.Fatal("an entry larger than the budget must not be cached")
 	}
-	if _, ok := c.GetRegion("small", 0); !ok {
+	if _, ok := c.GetRegion(ids[0], 0); !ok {
 		t.Fatal("the oversized insert must not have evicted the rest")
 	}
 }
 
 func TestNearestRegion(t *testing.T) {
-	c := New(Config{Shards: 1})
+	c := New(Config{})
 	c.PutRegion("r1", 4, testRegion(8, 4))
 	c.PutRegion("r1", 2, testRegion(6, 2))
 	_, lv, ok := c.NearestRegion("r1", 1)
@@ -121,7 +135,7 @@ func TestNearestRegion(t *testing.T) {
 }
 
 func TestInvalidateDropsEverythingForOneID(t *testing.T) {
-	c := New(Config{Shards: 1})
+	c := New(Config{})
 	c.PutRegion("r1", 0, testRegion(8, 1))
 	c.PutRegion("r1", 1, testRegion(8, 2))
 	c.PutKeys("r1", 1, 3, 7, testKeys(t, 3))
@@ -145,7 +159,7 @@ func TestInvalidateDropsEverythingForOneID(t *testing.T) {
 }
 
 func TestKeyGenerationFencesReloads(t *testing.T) {
-	c := New(Config{Shards: 1})
+	c := New(Config{})
 	ks := testKeys(t, 3)
 	c.PutKeys("r1", 1, 3, 1, ks)
 	if got, ok := c.GetKeys("r1", 1, 3, 1); !ok || got != ks {
@@ -161,7 +175,7 @@ func TestKeyGenerationFencesReloads(t *testing.T) {
 }
 
 func TestDoRegionSingleflightCollapsesConcurrentMisses(t *testing.T) {
-	c := New(Config{Shards: 1})
+	c := New(Config{})
 	const callers = 16
 	var computes atomic.Int64
 	release := make(chan struct{})
@@ -214,7 +228,7 @@ func TestDoRegionSingleflightCollapsesConcurrentMisses(t *testing.T) {
 }
 
 func TestDoRegionErrorIsNotCached(t *testing.T) {
-	c := New(Config{Shards: 1})
+	c := New(Config{})
 	boom := errors.New("boom")
 	if _, err := c.DoRegion("r1", 0, func() (*cloak.CloakedRegion, error) {
 		return nil, boom
@@ -233,7 +247,7 @@ func TestDoRegionErrorIsNotCached(t *testing.T) {
 }
 
 func TestInvalidateDuringFlightDropsResult(t *testing.T) {
-	c := New(Config{Shards: 1})
+	c := New(Config{})
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -255,7 +269,7 @@ func TestInvalidateDuringFlightDropsResult(t *testing.T) {
 }
 
 func TestConcurrentMixedUse(t *testing.T) {
-	c := New(Config{MaxBytes: 4096, Shards: 4})
+	c := New(Config{MaxBytes: 4096})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

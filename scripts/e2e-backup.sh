@@ -2,11 +2,13 @@
 # End-to-end exercise of the data-dir lifecycle toolkit, as run in CI:
 #
 #   serve (durable) -> loadgen -> HOT backup over the wire -> stop server
-#   -> restore into a fresh dir -> reshard into another -> dump all three
-#   -> every dump byte-identical (same regions, same reductions at every
+#   -> restore into a fresh dir -> dump both
+#   -> dumps byte-identical (same regions, same reductions at every
 #      level, same trust tables, same expiries);
-#   then the checked-in fixture archives against their golden dumps, the
-#   refusal of retired-layout directories, and the derived-keys round trip.
+#   then the checked-in fixture archives (all cut at 4 stripes, restored
+#   re-striped to 16) against their golden dumps, the refusal of
+#   retired-layout and other-stripe-count directories, and the
+#   derived-keys round trip.
 #
 # Everything runs under a temp dir and cleans up after itself.
 set -eu
@@ -72,51 +74,51 @@ if [ -e "$WORK/d-torn" ]; then
     echo "FAIL: truncated restore created a data dir"; exit 1
 fi
 
-echo "== reshard 16 -> 4 shards"
-"$WORK/anonymizer" reshard -src "$WORK/d2" -dst "$WORK/d3" -shards 4
-
-echo "== dump all three directories and compare"
+echo "== dump both directories and compare"
 "$WORK/anonymizer" dump -data-dir "$WORK/d1" >"$WORK/d1.dump"
 "$WORK/anonymizer" dump -data-dir "$WORK/d2" >"$WORK/d2.dump"
-"$WORK/anonymizer" dump -data-dir "$WORK/d3" >"$WORK/d3.dump"
 [ -s "$WORK/d1.dump" ] || { echo "FAIL: empty dump — loadgen left no state"; exit 1; }
 cmp "$WORK/d1.dump" "$WORK/d2.dump" || { echo "FAIL: restore diverged from source"; exit 1; }
-cmp "$WORK/d1.dump" "$WORK/d3.dump" || { echo "FAIL: reshard diverged from source"; exit 1; }
 
-echo "== OK: $(wc -l <"$WORK/d1.dump") registrations identical across serve/restore/reshard"
+echo "== OK: $(wc -l <"$WORK/d1.dump") registrations identical across serve/restore"
 
-# Fixture leg: the checked-in archives of retired-layout directories must
-# restore and dump to their goldens, reduction digests included — today's
-# reader on yesterday's bytes.
-echo "== fixtures: version-1 and version-3 archives against their golden dumps"
+# Fixture leg: the checked-in archives, cut at 4 stripes by binaries that
+# could set the stripe count (the v1 and v3 ones from retired layouts),
+# must restore re-striped to 16 and dump to their goldens, reduction
+# digests included — today's reader on yesterday's bytes.
+echo "== fixtures: 4-stripe version-1, version-3 and version-4 archives against their golden dumps"
 TESTDATA=internal/anonymizer/testdata
-for v in v1 v3; do
+for v in v1 v3 v4; do
     "$WORK/anonymizer" restore -in "$TESTDATA/${v}store.rca" -data-dir "$WORK/${v}r"
+    grep -q '"shards":16' "$WORK/${v}r/META.json" || { echo "FAIL: restored $v archive is not a 16-stripe directory"; exit 1; }
     "$WORK/anonymizer" dump -data-dir "$WORK/${v}r" >"$WORK/${v}r.dump"
     cmp "$TESTDATA/${v}store.dump" "$WORK/${v}r.dump" || { echo "FAIL: restored $v archive diverged from golden"; exit 1; }
 done
+[ "$(ls "$WORK/v4r"/shard-*.snap | wc -l)" -eq 16 ] || { echo "FAIL: restored v4 archive does not hold 16 snapshots"; exit 1; }
 
-# Refusal leg: a directory in any other layout version is refused, by
-# name, with nothing in it touched — a synthesized version-1 one and the
-# checked-in version-3 directory.
-echo "== refusal: version-1 and version-3 directories are refused untouched"
+# Refusal leg: a directory in any other layout version, or in today's
+# layout at another stripe count, is refused, by name, with nothing in it
+# touched — a synthesized version-1 one, the checked-in version-3
+# directory and a synthesized 4-stripe version-4 one.
+echo "== refusal: version-1, version-3 and 4-stripe directories are refused untouched"
 mkdir "$WORK/v1dir" && printf '{"version":1,"shards":4}\n' >"$WORK/v1dir/META.json"
 cp -r "$TESTDATA/v3store" "$WORK/v3dir"
 chmod -R u+w "$WORK/v3dir"
-for v in 1 3; do
-    old="$WORK/v${v}dir"
+mkdir "$WORK/s4dir" && printf '{"version":4,"shards":4}\n' >"$WORK/s4dir/META.json"
+for case in "v1dir:layout version.*version 1" "v3dir:layout version.*version 3" "s4dir:has 4 stripes.*restore"; do
+    old="$WORK/${case%%:*}"
+    want="${case#*:}"
     cp -r "$old" "$old.orig"
     for cmd in "dump -data-dir $old" "backup -data-dir $old -out $old.rca" \
-        "reshard -src $old -dst $old-resharded -shards 2" \
         "restore -apply -in $WORK/backup.rca -data-dir $old" "serve -addr $ADDR -data-dir $old"; do
         # shellcheck disable=SC2086
-        if "$WORK/anonymizer" $cmd >/dev/null 2>"$WORK/refusal.log"; then echo "FAIL: '$cmd' accepted a version-$v directory"; exit 1; fi
-        grep -q "layout version.*version $v" "$WORK/refusal.log" || { echo "FAIL: '$cmd' refusal does not name the layout version"; cat "$WORK/refusal.log"; exit 1; }
+        if "$WORK/anonymizer" $cmd >/dev/null 2>"$WORK/refusal.log"; then echo "FAIL: '$cmd' accepted $old"; exit 1; fi
+        grep -q "$want" "$WORK/refusal.log" || { echo "FAIL: '$cmd' refusal does not match '$want'"; cat "$WORK/refusal.log"; exit 1; }
         diff -r "$old.orig" "$old" || { echo "FAIL: '$cmd' changed the refused directory"; exit 1; }
     done
 done
 
-echo "== OK: fixtures match their goldens; retired layouts are refused untouched"
+echo "== OK: fixtures match their goldens; other layouts and stripe counts are refused untouched"
 
 # Derived-keys leg: a server handed a master key file must journal key
 # references instead of key material, and backup/restore/dump must all
