@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -262,5 +265,56 @@ func TestGaussianClustering(t *testing.T) {
 	}
 	if float64(topSum) < 0.5*float64(total) {
 		t.Errorf("top decile holds %d/%d cars; expected strong clustering", topSum, total)
+	}
+}
+
+// occupancyDigest hashes UsersOn over every segment: the density k is
+// computed against, so any change to it moves every published region.
+func occupancyDigest(sim *Simulation) string {
+	h := sha256.New()
+	var b [4]byte
+	for s := 0; s < sim.Graph().NumSegments(); s++ {
+		binary.LittleEndian.PutUint32(b[:], uint32(sim.UsersOn(roadnet.SegmentID(s))))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// TestOccupancyDigest pins the placement serve computes k against, on its
+// default seed: small and atlanta as served, and (non-short) a map four
+// times atlanta with cars to match. Never regenerate the digests to make a
+// change pass.
+func TestOccupancyDigest(t *testing.T) {
+	const serveSeed = "reversecloak-default-map-seed-01"
+	atlanta4x := func(seed []byte) (*roadnet.Graph, error) {
+		return mapgen.Generate(mapgen.Config{
+			Junctions: 4 * 6979, Segments: 4 * 9187, Spacing: 150, Jitter: 0.3, Seed: seed,
+		})
+	}
+	for _, c := range []struct {
+		name  string
+		build func([]byte) (*roadnet.Graph, error)
+		cars  int
+		long  bool
+		want  string
+	}{
+		{"small", mapgen.Small, 2000, false, "19acbdf55bd5ac1a"},
+		{"atlanta", mapgen.AtlantaNW, 10000, false, "e901c0611e3ede9b"},
+		{"atlanta-4x", atlanta4x, 40000, true, "a5618087f785d505"},
+	} {
+		if c.long && testing.Short() {
+			continue
+		}
+		g, err := c.build([]byte(serveSeed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := New(g, Config{Cars: c.cars, Seed: []byte(serveSeed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := occupancyDigest(sim); got != c.want {
+			t.Errorf("%s, %d cars: occupancy digest %s, want %s", c.name, c.cars, got, c.want)
+		}
 	}
 }
