@@ -34,7 +34,7 @@ test-full:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -short ./internal/anonymizer ./internal/anonymizer/repl ./internal/anonymizer/tenant ./internal/cloak
+	$(GO) test -race -short ./internal/anonymizer ./internal/anonymizer/repl ./internal/anonymizer/tenant ./internal/cloak ./cmd/anonymizer ./internal/roadnet ./internal/prng
 
 # The paper's experiments + service throughput benchmarks (the nightly job).
 bench: bench-engine experiments
@@ -43,12 +43,14 @@ bench: bench-engine experiments
 # The cloak engine alone at the paper's scale (atlanta, 10 000 cars, the
 # default profile, density-weighted requesters): ns (Anonymize also p50
 # and p99), allocs and the exact nodes / exhausted searches / tagged levels
-# per op, for RGE and RPLE, Anonymize and Deanonymize. About a second; the
-# place an engine change starts before the full harness.
+# per op, for RGE and RPLE, Anonymize and Deanonymize; then serve's start
+# (map, simulation and both engines) at 1x and 4x atlanta. About 15 s; the
+# place an engine or start change starts before the full harness.
 # BENCHTIME=3x is what the CI bench-smoke job runs.
 BENCHTIME ?= 20x
 bench-engine:
 	$(GO) test -run xxx -bench BenchmarkPaper -benchtime $(BENCHTIME) ./internal/cloak
+	$(GO) test -run xxx -bench BenchmarkStart -benchtime $(BENCHTIME) ./cmd/anonymizer
 
 fmt:
 	gofmt -w .

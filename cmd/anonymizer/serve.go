@@ -15,6 +15,7 @@ import (
 	"github.com/reversecloak/reversecloak/internal/anonymizer"
 	"github.com/reversecloak/reversecloak/internal/anonymizer/repl"
 	"github.com/reversecloak/reversecloak/internal/anonymizer/tenant"
+	"github.com/reversecloak/reversecloak/internal/cloak"
 	"github.com/reversecloak/reversecloak/internal/keys"
 	"github.com/reversecloak/reversecloak/internal/mapgen"
 )
@@ -264,17 +265,49 @@ func buildEngines(preset, seedStr string, cars, rpleT int) (*rc.Graph, map[rc.Al
 	if err != nil {
 		return nil, nil, err
 	}
-	sim, err := rc.NewSimulation(g, rc.WorkloadConfig{Cars: cars, Seed: seed})
+	engines, err := enginesFor(g, seed, cars, rpleT)
 	if err != nil {
-		return nil, nil, fmt.Errorf("generating workload: %w", err)
+		return nil, nil, err
+	}
+	return g, engines, nil
+}
+
+// newPreassignment builds RPLE's transition tables; tests replace it to
+// observe the join in enginesFor.
+var newPreassignment = cloak.NewPreassignment
+
+// enginesFor builds both engines over g. RPLE's transition tables read only
+// the map, so they are built on a second goroutine beside the workload
+// simulation, which is joined before enginesFor returns, on error too.
+// rpleT 0 means the default T.
+func enginesFor(g *rc.Graph, seed []byte, cars, rpleT int) (map[rc.Algorithm]*rc.Engine, error) {
+	if rpleT == 0 {
+		rpleT = cloak.DefaultTransitionListLength
+	}
+	var (
+		pre    *cloak.Preassignment
+		preErr error
+		built  = make(chan struct{})
+	)
+	go func() {
+		defer close(built)
+		pre, preErr = newPreassignment(g, rpleT)
+	}()
+	sim, simErr := rc.NewSimulation(g, rc.WorkloadConfig{Cars: cars, Seed: seed})
+	<-built
+	if simErr != nil {
+		return nil, fmt.Errorf("generating workload: %w", simErr)
+	}
+	if preErr != nil {
+		return nil, fmt.Errorf("building RPLE engine: %w", preErr)
 	}
 	rge, err := rc.NewRGEEngine(g, sim.UsersOn)
 	if err != nil {
-		return nil, nil, fmt.Errorf("building RGE engine: %w", err)
+		return nil, fmt.Errorf("building RGE engine: %w", err)
 	}
-	rple, err := rc.NewRPLEEngine(g, sim.UsersOn, rpleT)
+	rple, err := cloak.NewEngine(g, sim.UsersOn, cloak.Options{Algorithm: cloak.RPLE, Pre: pre})
 	if err != nil {
-		return nil, nil, fmt.Errorf("building RPLE engine: %w", err)
+		return nil, fmt.Errorf("building RPLE engine: %w", err)
 	}
-	return g, map[rc.Algorithm]*rc.Engine{rc.RGE: rge, rc.RPLE: rple}, nil
+	return map[rc.Algorithm]*rc.Engine{rc.RGE: rge, rc.RPLE: rple}, nil
 }

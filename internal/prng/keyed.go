@@ -12,7 +12,7 @@ import (
 // fresh hmac.New per call. It computes exactly their bytes — Sum(m) is
 // Derive(key, m), and a Keyed over a stream's key (Derive(key, label))
 // draws that stream — so hot loops (the cloak engine's reversal search,
-// step tags) can swap it in without changing a published bit.
+// step tags, every Cursor) use it without changing a published bit.
 //
 // A Keyed is NOT safe for concurrent use; it is scratch owned by one
 // caller.

@@ -84,16 +84,17 @@ func (s *Stream) Pick(i uint64, n int) int {
 }
 
 // Cursor is a stateful reader over a Stream for consumers that want
-// sequential draws (workload generation, shuffles). It is not safe for
-// concurrent use.
+// sequential draws (workload generation, shuffles). It holds one reusable
+// MAC over the stream's key, so a draw allocates nothing and returns
+// exactly Stream.At's value. It is not safe for concurrent use.
 type Cursor struct {
-	stream *Stream
-	next   uint64
+	mac  *Keyed
+	next uint64
 }
 
 // NewCursor returns a cursor positioned at draw 0 of stream.
 func NewCursor(stream *Stream) *Cursor {
-	return &Cursor{stream: stream}
+	return &Cursor{mac: NewKeyed(stream.key)}
 }
 
 // Pos returns the index of the next draw.
@@ -104,7 +105,7 @@ func (c *Cursor) Seek(i uint64) { c.next = i }
 
 // Uint64 returns the next draw and advances the cursor.
 func (c *Cursor) Uint64() uint64 {
-	v := c.stream.At(c.next)
+	v := c.mac.Uint64(c.next)
 	c.next++
 	return v
 }

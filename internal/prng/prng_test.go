@@ -147,6 +147,38 @@ func TestCursorSequence(t *testing.T) {
 	if c.Uint64() != seq[3] {
 		t.Fatal("Seek did not reposition")
 	}
+	c.Seek(9)
+	c.Seek(1) // backwards, past draws already made
+	if c.Uint64() != seq[1] || c.Pos() != 2 {
+		t.Fatal("Seek backwards did not reposition")
+	}
+
+	// The derived draws are the same functions of Stream.At: Intn is
+	// modulo with rejection (n=3 never rejects at these draws), Float64
+	// the top 53 bits, NormFloat64 Box-Muller over two draws.
+	c.Seek(0)
+	for i := uint64(0); i < 10; i++ {
+		if got, want := c.Intn(3), int(s.At(i)%3); got != want {
+			t.Fatalf("Intn draw %d = %d, want %d", i, got, want)
+		}
+	}
+	c.Seek(100)
+	for i := uint64(100); i < 110; i++ {
+		if got, want := c.Float64(), float64(s.At(i)>>11)/(1<<53); got != want {
+			t.Fatalf("Float64 draw %d = %v, want %v", i, got, want)
+		}
+	}
+	c.Seek(200)
+	for i := uint64(200); i < 220; i += 2 {
+		u1 := 1 - float64(s.At(i)>>11)/(1<<53)
+		u2 := float64(s.At(i+1)>>11) / (1 << 53)
+		if got, want := c.NormFloat64(), boxMuller(u1, u2); got != want {
+			t.Fatalf("NormFloat64 at draw %d = %v, want %v", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Uint64() }); n != 0 {
+		t.Errorf("Cursor.Uint64 allocates %v times per draw, want 0", n)
+	}
 }
 
 func TestCursorIntnRange(t *testing.T) {
