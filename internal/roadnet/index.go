@@ -41,22 +41,19 @@ func newSpatialIndex(g *Graph) *spatialIndex {
 		if target <= 0 || math.IsNaN(target) {
 			target = 1
 		}
-		for {
-			idx.cellSize = target
-			idx.cols = int(b.Width()/target) + 1
-			idx.rows = int(b.Height()/target) + 1
-			if float64(idx.cols)*float64(idx.rows) <= maxIndexCells {
-				break
-			}
+		for (math.Floor(b.Width()/target)+1)*(math.Floor(b.Height()/target)+1) > maxIndexCells {
 			target *= 2
 		}
+		idx.cellSize = target
+		idx.cols = int(b.Width()/target) + 1
+		idx.rows = int(b.Height()/target) + 1
 	}
 	cells := idx.cols * idx.rows
-	cellOf := make([]int32, n)
+	cell := make([]int32, n)
 	idx.start = make([]int32, cells+1)
 	for i, s := range g.segments {
 		c := idx.cellOf(g.Midpoint(s.ID))
-		cellOf[i] = int32(c)
+		cell[i] = int32(c)
 		idx.start[c+1]++
 	}
 	for c := 0; c < cells; c++ {
@@ -65,8 +62,8 @@ func newSpatialIndex(g *Graph) *spatialIndex {
 	fill := append([]int32(nil), idx.start[:cells]...)
 	idx.segs = make([]SegmentID, n)
 	for i, s := range g.segments {
-		idx.segs[fill[cellOf[i]]] = s.ID
-		fill[cellOf[i]]++
+		idx.segs[fill[cell[i]]] = s.ID
+		fill[cell[i]]++
 	}
 	idx.ring0 = idx.ringDistances()
 	return idx

@@ -186,6 +186,33 @@ func TestNearestSegmentMatchesRingScan(t *testing.T) {
 	checkMatchesRingScan(t, "atlanta-4x", atl4, probePoints(atl4, 20000))
 }
 
+// TestNearestSegmentDegenerateBounds: junctions on a 10 000 km line with a
+// nanometre of height would ask for a grid 10^8 cells wide; the capped grid
+// still answers.
+func TestNearestSegmentDegenerateBounds(t *testing.T) {
+	b := roadnet.NewBuilder(3, 2)
+	j0 := b.AddJunction(geom.Point{X: 0, Y: 0})
+	j1 := b.AddJunction(geom.Point{X: 5e6, Y: 1e-9})
+	j2 := b.AddJunction(geom.Point{X: 1e7, Y: 0})
+	for _, j := range [][2]roadnet.JunctionID{{j0, j1}, {j1, j2}} {
+		if _, err := b.AddSegment(j[0], j[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := b.Build()
+	for _, c := range []struct {
+		p    geom.Point
+		want roadnet.SegmentID
+	}{
+		{geom.Point{X: 1e6}, 0}, {geom.Point{X: -100, Y: 3}, 0},
+		{geom.Point{X: 9e6, Y: 5}, 1}, {geom.Point{X: 2e7}, 1},
+	} {
+		if got, err := g.NearestSegment(c.p); got != c.want || err != nil {
+			t.Errorf("NearestSegment(%v) = %d, %v; want %d", c.p, got, err, c.want)
+		}
+	}
+}
+
 func BenchmarkNearestSegment(b *testing.B) {
 	g := atlantaScaled(b, 1)
 	pts := probePoints(g, 4096)
