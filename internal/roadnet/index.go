@@ -49,21 +49,19 @@ func newSpatialIndex(g *Graph) *spatialIndex {
 		idx.rows = int(b.Height()/target) + 1
 	}
 	cells := idx.cols * idx.rows
-	cell := make([]int32, n)
 	idx.start = make([]int32, cells+1)
-	for i, s := range g.segments {
-		c := idx.cellOf(g.Midpoint(s.ID))
-		cell[i] = int32(c)
-		idx.start[c+1]++
+	for _, s := range g.segments {
+		idx.start[idx.cellOf(g.Midpoint(s.ID))+1]++
 	}
 	for c := 0; c < cells; c++ {
 		idx.start[c+1] += idx.start[c]
 	}
 	fill := append([]int32(nil), idx.start[:cells]...)
 	idx.segs = make([]SegmentID, n)
-	for i, s := range g.segments {
-		idx.segs[fill[cell[i]]] = s.ID
-		fill[cell[i]]++
+	for _, s := range g.segments {
+		c := idx.cellOf(g.Midpoint(s.ID))
+		idx.segs[fill[c]] = s.ID
+		fill[c]++
 	}
 	idx.ring0 = idx.ringDistances()
 	return idx
@@ -166,6 +164,8 @@ func (g *Graph) NearestSegment(p geom.Point) (SegmentID, error) {
 				found = visit(cx+ring, y) || found
 			}
 		}
+		// The first non-empty ring beyond ring 0 ends the search; a closer
+		// segment whose midpoint lies further out is not looked for.
 		if found && ring > 0 {
 			return best, nil
 		}
