@@ -13,22 +13,28 @@ import (
 	"github.com/reversecloak/reversecloak/internal/anonymizer"
 )
 
-// runLoadgen sweeps concurrent-client counts against a running server and
-// reports the achieved registration throughput per step. Registrations do
-// not accumulate on the server: by default every registration the
-// generator creates is deregistered again (so long runs against a durable
-// store do not grow the WAL without bound), and with -ttl the
-// registrations instead carry a TTL and are left for the server's expiry
-// sweeper to reclaim — the TTL-churn workload of a production deployment.
+// The test profile and user spread of every loadgen request: one level
+// of (k, l) = (8, 4) over segment IDs [0, loadSegments).
+const (
+	loadK        = 8
+	loadL        = 4
+	loadSegments = 500
+)
+
+// runLoadgen offers load from a fixed number of concurrent clients against
+// a running server for one window and reports what it achieved. It exists
+// to leave state, rejections and cache hits behind for the end-to-end
+// scripts to check; the benchmark/ module measures throughput. By default
+// every registration it creates is deregistered again (so long runs
+// against a durable store do not grow the WAL without bound); with -ttl
+// the registrations instead carry a TTL and are left for the server's
+// expiry sweeper to reclaim.
 func runLoadgen(argv []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:7080", "server address")
-		sweep    = fs.String("clients", "1,4,16,64", "comma-separated concurrent client counts")
-		duration = fs.Duration("duration", 3*time.Second, "measurement window per step")
-		kAnon    = fs.Int("k", 8, "anonymity k of the single-level test profile")
-		lDiv     = fs.Int("l", 4, "diversity l of the single-level test profile")
-		segments = fs.Int("segments", 500, "spread users over segment IDs [0, segments)")
+		clients  = fs.Int("clients", 4, "concurrent clients, one connection each")
+		duration = fs.Duration("duration", 3*time.Second, "measurement window")
 		ttl      = fs.Duration("ttl", 0,
 			"register with this TTL and let the server expire the registrations (0 = deregister each one)")
 		readAddr = fs.String("read-addr", "",
@@ -40,8 +46,6 @@ func runLoadgen(argv []string) error {
 			"zipf exponent for choosing which region to reduce (> 1 skews toward a hot set; <= 1 = uniform)")
 		poolSize = fs.Int("regions", 512,
 			"pre-registered region pool the reduce workload draws from (with -reduce-frac)")
-		levels = fs.Int("levels", 1,
-			"privacy levels of the test profile (each level doubles k; > 1 makes reduces peel)")
 		tenantName = fs.String("tenant", "", "authenticate every connection as this tenant")
 		token      = fs.String("token", "", "tenant token for -tenant")
 		codec      = fs.String("codec", "auto", "wire codec: auto, json or binary")
@@ -52,23 +56,13 @@ func runLoadgen(argv []string) error {
 	if err := setWireCodec(*codec); err != nil {
 		return err
 	}
-	counts, err := parseInts(*sweep)
-	if err != nil {
-		return fmt.Errorf("parsing -clients: %w", err)
-	}
-	if len(counts) == 0 {
-		return fmt.Errorf("empty -clients sweep")
+	if *clients < 1 {
+		return fmt.Errorf("-clients must be >= 1")
 	}
 	if *reduceFrac < 0 || *reduceFrac > 1 {
 		return fmt.Errorf("-reduce-frac %v outside [0, 1]", *reduceFrac)
 	}
-	if *levels < 1 {
-		return fmt.Errorf("-levels must be >= 1")
-	}
-	prof := rc.Profile{}
-	for lv, k := 0, *kAnon; lv < *levels; lv, k = lv+1, k*2 {
-		prof.Levels = append(prof.Levels, rc.Level{K: k, L: *lDiv})
-	}
+	prof := rc.Profile{Levels: []rc.Level{{K: loadK, L: loadL}}}
 
 	// Fail fast if the server is unreachable (or the credentials are bad).
 	probe, err := dialAuthed(*addr, *tenantName, *token)
@@ -82,12 +76,12 @@ func runLoadgen(argv []string) error {
 
 	// With a reduce workload, pre-register the region pool the reduce
 	// requests draw from and entitle the "reader" requester to level 0,
-	// so every reduce peels the full level stack (the server's hot read
-	// path, cache-friendly or not).
+	// so every reduce peels the level (the server's hot read path,
+	// cache-friendly or not).
 	var pool []string
 	if *reduceFrac > 0 {
-		for u := 0; len(pool) < *poolSize && u < *segments*4; u++ {
-			id, _, err := probe.Anonymize(rc.SegmentID(u%*segments), prof, "RGE")
+		for u := 0; len(pool) < *poolSize && u < loadSegments*4; u++ {
+			id, _, err := probe.Anonymize(rc.SegmentID(u%loadSegments), prof, "RGE")
 			if err != nil {
 				if errors.Is(err, rc.ErrRemote) {
 					continue // infeasible cloak at this segment; try the next
@@ -122,72 +116,36 @@ func runLoadgen(argv []string) error {
 	if *ttl > 0 {
 		cleanup = fmt.Sprintf("ttl=%s", *ttl)
 	}
-	fmt.Printf("loadgen against %s: %v clients, %s per step, cleanup=%s\n",
-		*addr, counts, *duration, cleanup)
+	fmt.Printf("loadgen against %s: %d clients, %s, cleanup=%s\n",
+		*addr, *clients, *duration, cleanup)
 	if len(pool) > 0 {
-		fmt.Printf("reduce workload: frac=%.2f pool=%d levels=%d skew=%.2f\n",
-			*reduceFrac, len(pool), *levels, *skew)
+		fmt.Printf("reduce workload: frac=%.2f pool=%d skew=%.2f\n", *reduceFrac, len(pool), *skew)
 	}
-	switch {
-	case *readAddr != "":
-		fmt.Printf("reads against %s (stale = registration not yet replicated)\n", *readAddr)
-		fmt.Printf("%-10s %12s %12s %10s %12s %10s %10s\n",
-			"clients", "req/s", "ok", "failed", "reads/s", "stale", "speedup")
-	case len(pool) > 0:
-		fmt.Printf("%-10s %12s %12s %10s %12s %10s\n",
-			"clients", "req/s", "ok", "failed", "reduce/s", "speedup")
-	default:
-		fmt.Printf("%-10s %12s %12s %10s %10s\n", "clients", "req/s", "ok", "failed", "speedup")
+	res, err := runLoad(*addr, *readAddr, *tenantName, *token, *clients, *duration, prof, *ttl,
+		*reduceFrac, *skew, pool)
+	if err != nil {
+		return err
 	}
-	var base float64
-	var totalDenied, totalThrottled, totalReduces int64
-	for _, n := range counts {
-		res, err := runStep(*addr, *readAddr, *tenantName, *token, n, *duration, prof, *segments, *ttl,
-			*reduceFrac, *skew, pool)
-		if err != nil {
-			return fmt.Errorf("step clients=%d: %w", n, err)
-		}
-		totalDenied += res.denied
-		totalThrottled += res.throttled
-		totalReduces += res.reduces
-		// Rates divide by the step's real length: every client finishes
-		// the request it started before the deadline, so a step outlasts
-		// its -duration window.
-		secs := res.elapsed.Seconds()
-		rate := float64(res.done) / secs
-		if base == 0 && rate > 0 {
-			base = rate
-		}
-		speedup := 0.0
-		if base > 0 {
-			speedup = rate / base
-		}
-		ok := res.done - res.failed - res.denied - res.throttled
-		switch {
-		case *readAddr != "":
-			fmt.Printf("%-10d %12.0f %12d %10d %12.0f %10d %9.2fx\n",
-				n, rate, ok, res.failed,
-				float64(res.reads)/secs, res.stale, speedup)
-		case len(pool) > 0:
-			fmt.Printf("%-10d %12.0f %12d %10d %12.0f %9.2fx\n",
-				n, rate, ok, res.failed,
-				float64(res.reduces)/secs, speedup)
-		default:
-			fmt.Printf("%-10d %12.0f %12d %10d %9.2fx\n",
-				n, rate, ok, res.failed, speedup)
-		}
+	// Rates divide by the window's real length: every client finishes the
+	// request it started before the deadline, so it outlasts -duration.
+	secs := res.elapsed.Seconds()
+	ok := res.done - res.failed - res.denied - res.throttled
+	fmt.Printf("req/s=%.0f ok=%d failed=%d\n", float64(res.done)/secs, ok, res.failed)
+	if *readAddr != "" {
+		fmt.Printf("reads against %s: reads/s=%.0f stale=%d (stale = registration not yet replicated)\n",
+			*readAddr, float64(res.reads)/secs, res.stale)
 	}
 	// Trust-boundary rejections, on one grep-friendly line: capability
 	// denials and rate-limit throttles are the expected outcome when the
 	// workload exceeds the tenant's grants, not generic failures.
-	fmt.Printf("rejected: denied=%d throttled=%d\n", totalDenied, totalThrottled)
+	fmt.Printf("rejected: denied=%d throttled=%d\n", res.denied, res.throttled)
 	if len(pool) > 0 {
 		// The hit-rate-relevant shape of the reduce leg, grep-friendly:
 		// with skew > 1 most reduces land on a small hot set, so a server
 		// cache (serve -reduce-cache-bytes) should turn most of these
 		// into anonymizer_reduce_cache_hits_total on /metrics.
 		fmt.Printf("reduces: total=%d pool=%d skew=%.2f frac=%.2f\n",
-			totalReduces, len(pool), *skew, *reduceFrac)
+			res.reduces, len(pool), *skew, *reduceFrac)
 	}
 	return nil
 }
@@ -223,8 +181,8 @@ func dialAuthed(addr, tenant, token string) (*rc.Client, error) {
 	return c, nil
 }
 
-// stepResult aggregates one sweep step's counters.
-type stepResult struct {
+// loadResult aggregates one load window's counters.
+type loadResult struct {
 	done      int64 // completed requests
 	failed    int64 // server-side failures among them
 	reads     int64 // follower reads issued
@@ -237,24 +195,24 @@ type stepResult struct {
 	elapsed time.Duration
 }
 
-// runStep drives n concurrent clients (one connection each) for the window
-// and returns the step's counters and real length. Cloak failures count
+// runLoad drives n concurrent clients (one connection each) for the window
+// and returns the window's counters and real length. Cloak failures count
 // as completed requests — the server did the work — while transport
-// errors abort the step. With ttl == 0, every successful registration is deregistered
-// before the next request, so the step leaves no state behind. With a
+// errors abort the window. With ttl == 0, every successful registration is
+// deregistered before the next request, so the window leaves no state
+// behind. With a
 // readAddr, each worker also holds a connection there and reads back
 // every registration it creates — aimed at a replication follower, the
 // stale count exposes replication lag under this write load.
-func runStep(
+func runLoad(
 	addr, readAddr, tenant, token string,
 	n int,
 	window time.Duration,
 	prof rc.Profile,
-	segments int,
 	ttl time.Duration,
 	reduceFrac, skew float64,
 	pool []string,
-) (*stepResult, error) {
+) (*loadResult, error) {
 	clients := make([]*rc.Client, n)
 	for i := range clients {
 		c, err := dialAuthed(addr, tenant, token)
@@ -375,7 +333,7 @@ func runStep(
 					done.Add(1)
 					continue
 				}
-				user := rc.SegmentID((w*131 + i*17) % segments)
+				user := rc.SegmentID((w*131 + i*17) % loadSegments)
 				i++
 				id, _, err := c.AnonymizeTTL(user, prof, "RGE", ttl)
 				if err != nil {
@@ -399,7 +357,7 @@ func runStep(
 		}(c, readers[w], w)
 	}
 	wg.Wait()
-	res := &stepResult{
+	res := &loadResult{
 		done: done.Load(), failed: failed.Load(),
 		reads: reads.Load(), stale: stale.Load(),
 		denied: denied.Load(), throttled: throttled.Load(),

@@ -4,16 +4,21 @@
 // access keys ("Auto key generation" with -auto-keys) — anonymizes her
 // location, inspects the colored multi-level regions over the road network,
 // and writes the publishable region plus the secret keys to files
-// ("upload" to the LBS provider, keys kept local).
+// ("upload" to the LBS provider, keys kept local). Its 'De-anonymizer'
+// counterpart is the deanonymize subcommand: a requester loads the
+// published region, supplies the keys they were granted and peels the
+// cloak down to their level.
 //
-// Besides the default one-shot cloaking mode, subcommands exercise and
-// operate the service layer:
+//	anonymizer -map small -user 100 -region-out region.json -keys-out keys.json
+//	anonymizer deanonymize -region region.json -keys keys.json -level 0
+//
+// The other subcommands run and operate the service layer:
 //
 //	anonymizer serve   -addr :7080 -map small      # run the trusted server
 //	anonymizer serve   -addr :7081 -data-dir d2 -replicate-from :7080
 //	anonymizer serve   -addr :7080 -tenants tenants.json -admin-addr :9090
 //	anonymizer serve   -addr :7080 -data-dir d1 -master-key-file keys.json
-//	anonymizer loadgen -addr :7080 -clients 1,4,16,64
+//	anonymizer loadgen -addr :7080 -clients 4
 //	anonymizer loadgen -addr :7080 -tenant fleet -token SECRET
 //	anonymizer backup  -addr :7080 -out backup.rca # hot backup a live server
 //	anonymizer backup  -addr :7080 -since 12 -out delta.rca
@@ -23,13 +28,13 @@
 //	anonymizer status  -addr :7081                 # replication role and lag
 //	anonymizer promote -addr :7081                 # fail over to a follower
 //
-// loadgen sweeps the number of concurrent clients against a running server
-// and reports req/s per step, demonstrating how the sharded, pipelined
-// service scales with cores (with -read-addr it aims reads at a follower).
-// backup/restore/dump are the data-dir lifecycle tools (restore and dump
-// take -master-key-file when the directory holds derived-key
-// registrations; restore also re-stripes archives cut at fewer than the
-// store's 16 stripes), and serve -replicate-from / status /
+// loadgen offers a short burst of load from a fixed number of clients so
+// the end-to-end scripts find state, rejections and cache hits to check
+// (with -read-addr it aims reads at a follower); the benchmark/ module
+// measures throughput. backup/restore/dump are the data-dir lifecycle
+// tools (restore and dump take -master-key-file when the directory holds
+// derived-key registrations; restore also re-stripes archives cut at fewer
+// than the store's 16 stripes), and serve -replicate-from / status /
 // promote are the replication tools. With serve -master-key-file the
 // server derives per-registration cloak keys from the epoch'd master
 // keyring instead of journaling them (rotation is an edit to the file,
@@ -57,9 +62,10 @@ import (
 // regionFile is the published artifact written by -region-out.
 type regionFile struct {
 	Region *rc.CloakedRegion `json:"region"`
-	// MapSeed lets the de-anonymizer rebuild the identical map.
+	// MapSeed lets deanonymize rebuild the identical map.
 	MapSeed string `json:"map_seed"`
-	// Preset records which map generator built the graph.
+	// Preset records which map generator built the graph; files written
+	// before it was recorded are on "small".
 	MapPreset string `json:"map_preset"`
 	Algorithm string `json:"algorithm"`
 	// ListLength is RPLE's T (0 for RGE).
@@ -71,48 +77,40 @@ type keysFile struct {
 	Keys []string `json:"keys_hex"`
 }
 
+// readKeysFile loads the hex keys written by -keys-out.
+func readKeysFile(path string) (*rc.KeySet, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("reading keys: %w", err)
+	}
+	var kf keysFile
+	if err := json.Unmarshal(raw, &kf); err != nil {
+		return nil, fmt.Errorf("parsing keys: %w", err)
+	}
+	ks, err := keys.DecodeHex(kf.Keys)
+	if err != nil {
+		return nil, fmt.Errorf("decoding keys: %w", err)
+	}
+	return ks, nil
+}
+
+// subcommands are the modes besides one-shot cloaking, by first argument.
+var subcommands = map[string]func(argv []string) error{
+	"deanonymize": runDeanonymize,
+	"serve":       runServe,
+	"loadgen":     runLoadgen,
+	"backup":      runBackup,
+	"restore":     runRestore,
+	"dump":        runDump,
+	"promote":     runPromote,
+	"status":      runStatus,
+}
+
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "serve":
-			if err := runServe(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "anonymizer serve:", err)
-				os.Exit(1)
-			}
-			return
-		case "loadgen":
-			if err := runLoadgen(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "anonymizer loadgen:", err)
-				os.Exit(1)
-			}
-			return
-		case "backup":
-			if err := runBackup(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "anonymizer backup:", err)
-				os.Exit(1)
-			}
-			return
-		case "restore":
-			if err := runRestore(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "anonymizer restore:", err)
-				os.Exit(1)
-			}
-			return
-		case "dump":
-			if err := runDump(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "anonymizer dump:", err)
-				os.Exit(1)
-			}
-			return
-		case "promote":
-			if err := runPromote(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "anonymizer promote:", err)
-				os.Exit(1)
-			}
-			return
-		case "status":
-			if err := runStatus(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "anonymizer status:", err)
+		if cmd, ok := subcommands[os.Args[1]]; ok {
+			if err := cmd(os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "anonymizer %s: %v\n", os.Args[1], err)
 				os.Exit(1)
 			}
 			return
@@ -192,17 +190,8 @@ func run(a args) error {
 	var ks *rc.KeySet
 	switch {
 	case a.keysIn != "":
-		raw, err := os.ReadFile(a.keysIn)
-		if err != nil {
-			return fmt.Errorf("reading keys: %w", err)
-		}
-		var kf keysFile
-		if err := json.Unmarshal(raw, &kf); err != nil {
-			return fmt.Errorf("parsing keys: %w", err)
-		}
-		ks, err = keys.DecodeHex(kf.Keys)
-		if err != nil {
-			return fmt.Errorf("decoding keys: %w", err)
+		if ks, err = readKeysFile(a.keysIn); err != nil {
+			return err
 		}
 	case a.autoKeys:
 		ks, err = rc.AutoGenerateKeys(len(prof.Levels))

@@ -18,14 +18,13 @@ func main() {
 		jsonOut = flag.String("json", "", "also write machine-readable results to this file")
 	)
 	flag.Parse()
-	if err := run([]byte(*seedStr), *jsonOut); err != nil {
+	if err := run(bench.Options{Seed: []byte(*seedStr)}, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "reversecloak-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(seed []byte, jsonOut string) error {
-	opts := bench.Options{Seed: seed}
+func run(opts bench.Options, jsonOut string) error {
 	if jsonOut == "" {
 		return bench.RunAll(os.Stdout, nil, opts)
 	}

@@ -247,7 +247,6 @@ type Registry struct {
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
 	modTime time.Time
-	loads   int64
 
 	stateMu sync.Mutex
 	states  map[string]*state
@@ -299,7 +298,6 @@ func (r *Registry) Reload() error {
 	if st != nil {
 		r.modTime = st.ModTime()
 	}
-	r.loads++
 	r.mu.Unlock()
 	// Reset buckets whose limits changed so the new policy applies from
 	// a full burst rather than inheriting a stale debt or credit.
@@ -313,14 +311,6 @@ func (r *Registry) Reload() error {
 	}
 	r.stateMu.Unlock()
 	return nil
-}
-
-// Loads returns how many times a table has been (re)loaded, for tests
-// and the watch loop's logging.
-func (r *Registry) Loads() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.loads
 }
 
 // Watch polls the tenants file's modification time every interval and

@@ -10,9 +10,6 @@
 //     de-anonymizes trivially but pays linear payload growth and reveals the
 //     level sizes' structure to anyone, quantifying what ReverseCloak's
 //     keyed in-place reversal saves.
-//   - GridCloak: planar quadtree-style cell cloaking (PrivacyGrid/Casper
-//     style [1],[7]) for the cross-family comparison: it ignores the road
-//     network entirely and exposes a rectangle instead of road segments.
 package baseline
 
 import (
@@ -275,41 +272,4 @@ func openSegments(key []byte, level int, blob []byte) ([]roadnet.SegmentID, erro
 		segs[i] = roadnet.SegmentID(binary.BigEndian.Uint32(plain[4*i:]))
 	}
 	return segs, nil
-}
-
-// GridCloak expands an axis-aligned box around the user's position until it
-// covers at least k users (counted at segment midpoints), doubling the box
-// each iteration like quadtree ascent. It returns the final box and the
-// covered user count.
-func GridCloak(
-	g *roadnet.Graph,
-	density cloak.DensityFunc,
-	at geom.Point,
-	k int,
-	initial float64,
-) (geom.BBox, int, error) {
-	if k < 1 || initial <= 0 {
-		return geom.BBox{}, 0, fmt.Errorf("%w: k=%d initial=%v", ErrFailed, k, initial)
-	}
-	half := initial / 2
-	limit := g.Bounds().Diagonal()
-	for {
-		box := geom.NewBBox(
-			geom.Point{X: at.X - half, Y: at.Y - half},
-			geom.Point{X: at.X + half, Y: at.Y + half},
-		)
-		users := 0
-		for _, sid := range g.SegmentsWithin(box) {
-			if box.Contains(g.Midpoint(sid)) {
-				users += density(sid)
-			}
-		}
-		if users >= k {
-			return box, users, nil
-		}
-		if half*2 > limit {
-			return geom.BBox{}, users, fmt.Errorf("%w: grid cloak exhausted map at %d users", ErrFailed, users)
-		}
-		half *= 2
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/reversecloak/reversecloak/internal/geom"
 	"github.com/reversecloak/reversecloak/internal/mapgen"
 	"github.com/reversecloak/reversecloak/internal/profile"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
@@ -159,37 +158,5 @@ func TestNaiveValidation(t *testing.T) {
 	prof := profile.Profile{Levels: []profile.Level{{K: 2, L: 2}}}
 	if _, err := NaiveAnonymize(g, one, 12, prof, [][]byte{seed(1), seed(2)}); !errors.Is(err, ErrFailed) {
 		t.Errorf("key count err = %v", err)
-	}
-}
-
-func TestGridCloak(t *testing.T) {
-	g := grid(t)
-	box, users, err := GridCloak(g, one, geom.Point{X: 450, Y: 450}, 10, 100)
-	if err != nil {
-		t.Fatalf("GridCloak: %v", err)
-	}
-	if users < 10 {
-		t.Errorf("covered %d users, want >= 10", users)
-	}
-	if box.Empty() {
-		t.Error("box must not be empty")
-	}
-	// The box is centered on the query point.
-	if c := box.Center(); c.X != 450 || c.Y != 450 {
-		t.Errorf("center = %v", c)
-	}
-}
-
-func TestGridCloakErrors(t *testing.T) {
-	g := grid(t)
-	if _, _, err := GridCloak(g, one, geom.Point{}, 0, 100); !errors.Is(err, ErrFailed) {
-		t.Errorf("k=0 err = %v", err)
-	}
-	if _, _, err := GridCloak(g, one, geom.Point{}, 5, 0); !errors.Is(err, ErrFailed) {
-		t.Errorf("initial=0 err = %v", err)
-	}
-	// Unreachable k exhausts the map.
-	if _, _, err := GridCloak(g, one, geom.Point{X: 450, Y: 450}, 10000, 50); !errors.Is(err, ErrFailed) {
-		t.Errorf("huge k err = %v", err)
 	}
 }

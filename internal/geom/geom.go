@@ -235,22 +235,3 @@ func SegmentDist(p, a, b Point) float64 {
 	t = math.Max(0, math.Min(1, t))
 	return p.Dist(a.Add(ab.Scale(t)))
 }
-
-// DistToPolyline returns the minimum distance from p to any segment of pl.
-// It returns +Inf for polylines with fewer than one point and the point
-// distance for single-point polylines.
-func DistToPolyline(p Point, pl Polyline) float64 {
-	switch len(pl) {
-	case 0:
-		return math.Inf(1)
-	case 1:
-		return p.Dist(pl[0])
-	}
-	best := math.Inf(1)
-	for i := 1; i < len(pl); i++ {
-		if d := SegmentDist(p, pl[i-1], pl[i]); d < best {
-			best = d
-		}
-	}
-	return best
-}

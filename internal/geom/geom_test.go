@@ -266,22 +266,6 @@ func TestSegmentDist(t *testing.T) {
 	}
 }
 
-func TestDistToPolyline(t *testing.T) {
-	pl := Polyline{{0, 0}, {10, 0}, {10, 10}}
-	if got := DistToPolyline(Point{5, 3}, pl); !almostEqual(got, 3) {
-		t.Errorf("got %v, want 3", got)
-	}
-	if got := DistToPolyline(Point{12, 5}, pl); !almostEqual(got, 2) {
-		t.Errorf("got %v, want 2", got)
-	}
-	if got := DistToPolyline(Point{1, 1}, nil); !math.IsInf(got, 1) {
-		t.Errorf("empty polyline should give +Inf, got %v", got)
-	}
-	if got := DistToPolyline(Point{3, 4}, Polyline{{0, 0}}); !almostEqual(got, 5) {
-		t.Errorf("single-point polyline dist = %v, want 5", got)
-	}
-}
-
 func TestPolylineBounds(t *testing.T) {
 	pl := Polyline{{1, 2}, {-3, 7}, {4, 0}}
 	b := pl.Bounds()

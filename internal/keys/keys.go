@@ -10,7 +10,6 @@
 package keys
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -124,11 +123,4 @@ func DecodeHex(encoded []string) (*Set, error) {
 		raw[i] = k
 	}
 	return FromBytes(raw)
-}
-
-// Fingerprint returns a short human-readable digest of a key for display in
-// the toolkit UIs (never reveals key material).
-func Fingerprint(key []byte) string {
-	sum := sha256.Sum256(key)
-	return hex.EncodeToString(sum[:4])
 }

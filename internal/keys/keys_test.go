@@ -169,18 +169,3 @@ func TestAllReturnsCopies(t *testing.T) {
 		t.Error("All must return copies")
 	}
 }
-
-func TestFingerprint(t *testing.T) {
-	f1 := Fingerprint([]byte{1, 2, 3})
-	f2 := Fingerprint([]byte{1, 2, 3})
-	f3 := Fingerprint([]byte{1, 2, 4})
-	if f1 != f2 {
-		t.Error("fingerprint must be deterministic")
-	}
-	if f1 == f3 {
-		t.Error("different keys should fingerprint differently")
-	}
-	if len(f1) != 8 {
-		t.Errorf("fingerprint length = %d, want 8 hex chars", len(f1))
-	}
-}

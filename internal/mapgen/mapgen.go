@@ -235,45 +235,3 @@ func Grid(cols, rows int, spacing float64) (*roadnet.Graph, error) {
 	}
 	return b.Build(), nil
 }
-
-// Ring generates a radial city: a center junction, `rings` concentric rings
-// of `spokes` junctions each, ring roads plus radial connectors.
-func Ring(rings, spokes int, ringSpacing float64) (*roadnet.Graph, error) {
-	if rings < 1 || spokes < 3 {
-		return nil, fmt.Errorf("%w: need rings>=1 and spokes>=3", ErrInfeasible)
-	}
-	if ringSpacing <= 0 {
-		return nil, fmt.Errorf("%w: ring spacing must be positive", ErrInfeasible)
-	}
-	b := roadnet.NewBuilder(1+rings*spokes, 2*rings*spokes)
-	center := b.AddJunction(geom.Point{})
-	ids := make([][]roadnet.JunctionID, rings)
-	for r := 0; r < rings; r++ {
-		ids[r] = make([]roadnet.JunctionID, spokes)
-		radius := float64(r+1) * ringSpacing
-		for s := 0; s < spokes; s++ {
-			angle := 2 * 3.141592653589793 * float64(s) / float64(spokes)
-			ids[r][s] = b.AddJunction(geom.Point{
-				X: radius * cosApprox(angle),
-				Y: radius * sinApprox(angle),
-			})
-		}
-	}
-	for r := 0; r < rings; r++ {
-		for s := 0; s < spokes; s++ {
-			// Ring road.
-			if _, err := b.AddSegment(ids[r][s], ids[r][(s+1)%spokes]); err != nil {
-				return nil, fmt.Errorf("mapgen: ring edge: %w", err)
-			}
-			// Radial connector.
-			inner := center
-			if r > 0 {
-				inner = ids[r-1][s]
-			}
-			if _, err := b.AddSegment(inner, ids[r][s]); err != nil {
-				return nil, fmt.Errorf("mapgen: radial edge: %w", err)
-			}
-		}
-	}
-	return b.Build(), nil
-}

@@ -206,31 +206,3 @@ func TestGridErrors(t *testing.T) {
 		t.Errorf("negative spacing err = %v", err)
 	}
 }
-
-func TestRing(t *testing.T) {
-	g, err := Ring(3, 8, 200)
-	if err != nil {
-		t.Fatalf("Ring: %v", err)
-	}
-	if g.NumJunctions() != 1+3*8 {
-		t.Errorf("junctions = %d, want 25", g.NumJunctions())
-	}
-	if g.NumSegments() != 2*3*8 {
-		t.Errorf("segments = %d, want 48", g.NumSegments())
-	}
-	if !g.Connected() {
-		t.Error("ring network must be connected")
-	}
-}
-
-func TestRingErrors(t *testing.T) {
-	if _, err := Ring(0, 8, 100); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("0 rings err = %v", err)
-	}
-	if _, err := Ring(2, 2, 100); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("2 spokes err = %v", err)
-	}
-	if _, err := Ring(2, 8, 0); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("0 spacing err = %v", err)
-	}
-}

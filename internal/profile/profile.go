@@ -43,9 +43,6 @@ type Profile struct {
 	Levels []Level `json:"levels"`
 }
 
-// NumLevels returns N, the total number of privacy levels including L^0.
-func (p Profile) NumLevels() int { return len(p.Levels) + 1 }
-
 // Validate checks structural sanity: at least one level, positive K and L,
 // non-negative tolerances, and monotonically non-decreasing requirements
 // (a higher level must never demand less privacy than a lower one).
@@ -95,18 +92,4 @@ func Default() Profile {
 		{K: 20, L: 5, SigmaS: 3500},
 		{K: 40, L: 8, SigmaS: 6000},
 	}}
-}
-
-// Uniform returns a profile with `levels` levels where level i requires
-// k = baseK * 2^i, l = baseL + 2*i and tolerance sigma0 * (i+1). It is the
-// shape used by the parameter sweeps in the benchmark harness.
-func Uniform(levels, baseK, baseL int, sigma0 float64) Profile {
-	p := Profile{Levels: make([]Level, levels)}
-	k, l := baseK, baseL
-	for i := range p.Levels {
-		p.Levels[i] = Level{K: k, L: l, SigmaS: sigma0 * float64(i+1)}
-		k *= 2
-		l += 2
-	}
-	return p
 }

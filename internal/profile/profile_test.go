@@ -15,7 +15,10 @@ func TestValidateAccepts(t *testing.T) {
 		{"unbounded", Profile{Levels: []Level{{K: 5, L: 2}, {K: 10, L: 4}}}},
 		{"equal-levels", Profile{Levels: []Level{{K: 5, L: 2, SigmaS: 100}, {K: 5, L: 2, SigmaS: 100}}}},
 		{"bounded-then-unbounded", Profile{Levels: []Level{{K: 5, L: 2, SigmaS: 100}, {K: 9, L: 3}}}},
-		{"uniform", Uniform(4, 5, 2, 800)},
+		{"uniform", Profile{Levels: []Level{
+			{K: 5, L: 2, SigmaS: 800}, {K: 10, L: 4, SigmaS: 1600},
+			{K: 20, L: 6, SigmaS: 2400}, {K: 40, L: 8, SigmaS: 3200},
+		}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -46,34 +49,5 @@ func TestValidateRejects(t *testing.T) {
 				t.Errorf("Validate() = %v, want ErrInvalid", err)
 			}
 		})
-	}
-}
-
-func TestNumLevels(t *testing.T) {
-	if got := Default().NumLevels(); got != 4 {
-		t.Errorf("Default NumLevels = %d, want 4 (L0..L3)", got)
-	}
-	if got := (Profile{}).NumLevels(); got != 1 {
-		t.Errorf("empty NumLevels = %d, want 1", got)
-	}
-}
-
-func TestUniformShape(t *testing.T) {
-	p := Uniform(3, 4, 2, 500)
-	if len(p.Levels) != 3 {
-		t.Fatalf("levels = %d", len(p.Levels))
-	}
-	wantK := []int{4, 8, 16}
-	wantL := []int{2, 4, 6}
-	for i, lv := range p.Levels {
-		if lv.K != wantK[i] || lv.L != wantL[i] {
-			t.Errorf("level %d = (k=%d,l=%d), want (k=%d,l=%d)", i+1, lv.K, lv.L, wantK[i], wantL[i])
-		}
-		if lv.SigmaS != 500*float64(i+1) {
-			t.Errorf("level %d sigma = %v", i+1, lv.SigmaS)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		t.Errorf("Uniform profile invalid: %v", err)
 	}
 }

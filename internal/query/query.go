@@ -47,9 +47,6 @@ func NewIndex(g *roadnet.Graph, pois []POI) *Index {
 	return &Index{g: g, pois: cp}
 }
 
-// NumPOIs returns the number of indexed POIs.
-func (ix *Index) NumPOIs() int { return len(ix.pois) }
-
 // RangeExact returns the POIs within distance d of the exact point,
 // sorted by ID. This is the non-private baseline answer.
 func (ix *Index) RangeExact(at geom.Point, d float64) ([]POI, error) {

@@ -32,8 +32,8 @@ func testIndex(t *testing.T) (*Index, *roadnet.Graph) {
 
 func TestGeneratePOIs(t *testing.T) {
 	ix, g := testIndex(t)
-	if ix.NumPOIs() != 200 {
-		t.Fatalf("pois = %d, want 200", ix.NumPOIs())
+	if len(ix.pois) != 200 {
+		t.Fatalf("pois = %d, want 200", len(ix.pois))
 	}
 	// All POIs lie within the map bounds.
 	for _, p := range ix.pois {

@@ -3,7 +3,7 @@ package roadnet
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/reversecloak/reversecloak/internal/geom"
 )
@@ -110,22 +110,21 @@ func (b *Builder) Build() *Graph {
 
 	g.neighbors = make([][]SegmentID, len(g.segments))
 	for _, s := range g.segments {
-		set := make(map[SegmentID]bool)
-		for _, other := range g.incident[s.A] {
+		// AddSegment refuses a second segment between one junction pair, so
+		// the two incidence lists share only s: no other ID can repeat.
+		at, bt := g.incident[s.A], g.incident[s.B]
+		nbs := make([]SegmentID, 0, len(at)+len(bt)-2)
+		for _, other := range at {
 			if other != s.ID {
-				set[other] = true
+				nbs = append(nbs, other)
 			}
 		}
-		for _, other := range g.incident[s.B] {
+		for _, other := range bt {
 			if other != s.ID {
-				set[other] = true
+				nbs = append(nbs, other)
 			}
 		}
-		nbs := make([]SegmentID, 0, len(set))
-		for id := range set {
-			nbs = append(nbs, id)
-		}
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
+		slices.Sort(nbs)
 		g.neighbors[s.ID] = nbs
 	}
 

@@ -17,16 +17,3 @@ func (g *Graph) SortCanonical(ids []SegmentID) {
 		return ids[i] < ids[j]
 	})
 }
-
-// CanonicalRank returns the position of target within the canonically sorted
-// ids, or -1 if absent. It does not modify ids.
-func (g *Graph) CanonicalRank(ids []SegmentID, target SegmentID) int {
-	sorted := append([]SegmentID(nil), ids...)
-	g.SortCanonical(sorted)
-	for i, id := range sorted {
-		if id == target {
-			return i
-		}
-	}
-	return -1
-}

@@ -181,18 +181,3 @@ func (g *Graph) distToSegment(p geom.Point, id SegmentID) float64 {
 	seg := g.segments[id]
 	return geom.SegmentDist(p, g.junctions[seg.A].At, g.junctions[seg.B].At)
 }
-
-// SegmentsWithin returns the segments whose bounding boxes intersect the
-// query box, sorted by ID.
-func (g *Graph) SegmentsWithin(box geom.BBox) []SegmentID {
-	if box.Empty() || len(g.segments) == 0 {
-		return nil
-	}
-	var out []SegmentID
-	for _, s := range g.segments {
-		if g.SegmentBounds(s.ID).Intersects(box) {
-			out = append(out, s.ID)
-		}
-	}
-	return out
-}

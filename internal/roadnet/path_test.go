@@ -154,12 +154,6 @@ func TestSortCanonical(t *testing.T) {
 			t.Fatalf("canonical order = %v, want %v", ids, want)
 		}
 	}
-	if r := g.CanonicalRank([]SegmentID{2, 0, 1}, 2); r != 2 {
-		t.Errorf("CanonicalRank(2) = %d, want 2", r)
-	}
-	if r := g.CanonicalRank([]SegmentID{2, 0, 1}, 7); r != -1 {
-		t.Errorf("CanonicalRank(absent) = %d, want -1", r)
-	}
 }
 
 func TestNearestSegment(t *testing.T) {
@@ -205,25 +199,5 @@ func TestNearestSegmentMatchesBruteForce(t *testing.T) {
 			t.Errorf("NearestSegment(%v) = %d (dist %v), brute force %d (dist %v)",
 				p, got, g.distToSegment(p, got), best, bestD)
 		}
-	}
-}
-
-func TestSegmentsWithin(t *testing.T) {
-	g := buildLadder(t)
-	// Box covering only the left column (x in [-1, 10]).
-	ids := g.SegmentsWithin(geom.NewBBox(geom.Point{X: -1, Y: -1}, geom.Point{X: 10, Y: 101}))
-	want := map[SegmentID]bool{0: true, 2: true, 6: true} // s0 j0-j1 touches x=0..100 -> intersects; s2 j0-j3; s6? j3-j4 x=0..100
-	// s0 bbox spans x 0..100 and intersects x<=10, same for s5 (j3-j4).
-	_ = want
-	if len(ids) == 0 {
-		t.Fatal("expected some segments in range")
-	}
-	for _, id := range ids {
-		if !g.SegmentBounds(id).Intersects(geom.NewBBox(geom.Point{X: -1, Y: -1}, geom.Point{X: 10, Y: 101})) {
-			t.Errorf("segment %d out of range", id)
-		}
-	}
-	if got := g.SegmentsWithin(geom.BBox{}); got != nil {
-		t.Error("empty box should return nil")
 	}
 }

@@ -114,15 +114,6 @@ func (g *Graph) SegmentLength(id SegmentID) float64 {
 	return g.segments[id].Length
 }
 
-// SegmentsAt returns the segments incident to junction id. The returned
-// slice is shared; callers must not modify it.
-func (g *Graph) SegmentsAt(id JunctionID) []SegmentID {
-	if !g.HasJunction(id) {
-		return nil
-	}
-	return g.incident[id]
-}
-
 // Neighbors returns the segments adjacent to segment id (sharing either
 // endpoint), sorted by ID. The returned slice is shared; callers must not
 // modify it.
@@ -132,9 +123,6 @@ func (g *Graph) Neighbors(id SegmentID) []SegmentID {
 	}
 	return g.neighbors[id]
 }
-
-// Degree returns the number of segments adjacent to segment id.
-func (g *Graph) Degree(id SegmentID) int { return len(g.Neighbors(id)) }
 
 // Endpoints returns the two junction positions of segment id.
 func (g *Graph) Endpoints(id SegmentID) (geom.Point, geom.Point, error) {
@@ -188,27 +176,11 @@ func (g *Graph) Adjacent(a, b SegmentID) bool {
 	return a != b && g.SharedJunction(a, b) != InvalidJunction
 }
 
-// Junctions returns a copy of all junctions.
-func (g *Graph) Junctions() []Junction {
-	out := make([]Junction, len(g.junctions))
-	copy(out, g.junctions)
-	return out
-}
-
 // Segments returns a copy of all segments.
 func (g *Graph) Segments() []Segment {
 	out := make([]Segment, len(g.segments))
 	copy(out, g.segments)
 	return out
-}
-
-// TotalLength returns the summed length of all segments in meters.
-func (g *Graph) TotalLength() float64 {
-	var total float64
-	for _, s := range g.segments {
-		total += s.Length
-	}
-	return total
 }
 
 // Connected reports whether every junction is reachable from every other.

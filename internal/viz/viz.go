@@ -1,5 +1,4 @@
-// Package viz renders road networks and cloaking regions as ASCII maps and
-// SVG documents. It is the CLI substitute for the toolkit's Swing GUIs: the
+// Package viz renders road networks and cloaking regions as ASCII maps. It is the CLI substitute for the toolkit's Swing GUIs: the
 // Anonymizer shows "several colored regions on the map" and the
 // De-anonymizer "display[s] the reduced region over [the] road network".
 package viz
@@ -7,7 +6,6 @@ package viz
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/reversecloak/reversecloak/internal/geom"
@@ -20,13 +18,11 @@ var (
 	ErrBadCanvas = errors.New("viz: bad canvas")
 )
 
-// Layer is a set of segments drawn with one glyph (ASCII) or color (SVG).
-// Later layers overdraw earlier ones.
+// Layer is a set of segments drawn with one glyph. Later layers overdraw
+// earlier ones.
 type Layer struct {
-	Name     string
 	Segments []roadnet.SegmentID
-	Glyph    rune   // ASCII rendering
-	Color    string // SVG rendering, e.g. "#e4572e"
+	Glyph    rune
 }
 
 // Canvas is a w x h character raster.
@@ -168,52 +164,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// WriteSVG emits the network and layers as a standalone SVG document.
-func WriteSVG(w io.Writer, g *roadnet.Graph, width int, layers ...Layer) error {
-	if width < 16 || width > 8192 {
-		return fmt.Errorf("%w: svg width %d", ErrBadCanvas, width)
-	}
-	bounds := g.Bounds()
-	scale := float64(width) / nonZero(bounds.Width())
-	height := int(nonZero(bounds.Height()) * scale)
-	if height < 1 {
-		height = 1
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n",
-		width, height, width, height)
-	b.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
-
-	line := func(sid roadnet.SegmentID, color string, strokeWidth float64) {
-		a, bb, err := g.Endpoints(sid)
-		if err != nil {
-			return
-		}
-		x0 := (a.X - bounds.Min.X) * scale
-		y0 := (bounds.Max.Y - a.Y) * scale
-		x1 := (bb.X - bounds.Min.X) * scale
-		y1 := (bounds.Max.Y - bb.Y) * scale
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="%.1f"/>`+"\n",
-			x0, y0, x1, y1, color, strokeWidth)
-	}
-	for i := 0; i < g.NumSegments(); i++ {
-		line(roadnet.SegmentID(i), "#cccccc", 1)
-	}
-	for _, layer := range layers {
-		color := layer.Color
-		if color == "" {
-			color = "#e4572e"
-		}
-		for _, sid := range layer.Segments {
-			line(sid, color, 3)
-		}
-	}
-	b.WriteString("</svg>\n")
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return fmt.Errorf("viz: writing svg: %w", err)
-	}
-	return nil
 }

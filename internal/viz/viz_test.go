@@ -1,7 +1,6 @@
 package viz
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -37,7 +36,6 @@ func TestRenderASCIIBaseMap(t *testing.T) {
 func TestRenderASCIILayersOverdraw(t *testing.T) {
 	g := grid(t)
 	out, err := RenderASCII(g, 60, 30, Layer{
-		Name:     "region",
 		Segments: []roadnet.SegmentID{0, 1, 2},
 		Glyph:    '#',
 	})
@@ -87,44 +85,5 @@ func TestCanvasDrawLineClipping(t *testing.T) {
 	c.drawLine(-5, -5, 15, 15, 'x')
 	if !strings.Contains(c.String(), "x") {
 		t.Error("clipped line should still draw inside portion")
-	}
-}
-
-func TestWriteSVG(t *testing.T) {
-	g := grid(t)
-	var buf bytes.Buffer
-	err := WriteSVG(&buf, g, 400, Layer{
-		Segments: []roadnet.SegmentID{0, 1},
-		Color:    "#ff0000",
-	})
-	if err != nil {
-		t.Fatalf("WriteSVG: %v", err)
-	}
-	svg := buf.String()
-	if !strings.HasPrefix(svg, "<svg") || !strings.Contains(svg, "</svg>") {
-		t.Error("not an SVG document")
-	}
-	if !strings.Contains(svg, "#ff0000") {
-		t.Error("layer color missing")
-	}
-	if !strings.Contains(svg, "#cccccc") {
-		t.Error("base map color missing")
-	}
-	if strings.Count(svg, "<line") < g.NumSegments() {
-		t.Errorf("only %d lines for %d segments", strings.Count(svg, "<line"), g.NumSegments())
-	}
-}
-
-func TestWriteSVGDefaultsAndErrors(t *testing.T) {
-	g := grid(t)
-	var buf bytes.Buffer
-	if err := WriteSVG(&buf, g, 200, Layer{Segments: []roadnet.SegmentID{0}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "#e4572e") {
-		t.Error("default color missing")
-	}
-	if err := WriteSVG(&buf, g, 4); !errors.Is(err, ErrBadCanvas) {
-		t.Errorf("tiny width err = %v", err)
 	}
 }

@@ -186,3 +186,42 @@ func TestExamplesImportOnlyPublicAPI(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryCommandHasTests keeps every program under cmd/ checked: each
+// main package there needs at least one _test.go file.
+func TestEveryCommandHasTests(t *testing.T) {
+	dirs, err := filepath.Glob(filepath.Join("cmd", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	commands := 0
+	for _, dir := range dirs {
+		srcs, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		isMain, hasTest := false, false
+		for _, path := range srcs {
+			if strings.HasSuffix(path, "_test.go") {
+				hasTest = true
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.PackageClauseOnly)
+			if err != nil {
+				t.Fatalf("parsing %s: %v", path, err)
+			}
+			isMain = isMain || f.Name.Name == "main"
+		}
+		if !isMain {
+			continue
+		}
+		commands++
+		if !hasTest {
+			t.Errorf("%s is a main package without a _test.go file", dir)
+		}
+	}
+	if commands == 0 {
+		t.Fatal("no commands found under cmd/")
+	}
+}
