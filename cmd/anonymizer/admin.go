@@ -73,7 +73,7 @@ func runBackup(argv []string) error {
 			return err
 		}
 		defer func() { _ = c.Close() }()
-		n, err = c.BackupSince(&buf, sinceWM)
+		n, err = c.BackupSince(&buf, sinceWM, "")
 	case *addr != "":
 		var c *rc.Client
 		if c, err = dialAuthed(*addr, *tenant, *token); err != nil {

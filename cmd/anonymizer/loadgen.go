@@ -37,9 +37,6 @@ func runLoadgen(argv []string) error {
 		duration = fs.Duration("duration", 3*time.Second, "measurement window")
 		ttl      = fs.Duration("ttl", 0,
 			"register with this TTL and let the server expire the registrations (0 = deregister each one)")
-		readAddr = fs.String("read-addr", "",
-			"aim a get_region read at this address (e.g. a replication follower) after each registration; "+
-				"unknown-region responses count as stale reads (replication lag)")
 		reduceFrac = fs.Float64("reduce-frac", 0,
 			"fraction of requests that reduce a pre-registered region instead of anonymizing (0..1)")
 		skew = fs.Float64("skew", 0,
@@ -121,7 +118,7 @@ func runLoadgen(argv []string) error {
 	if len(pool) > 0 {
 		fmt.Printf("reduce workload: frac=%.2f pool=%d skew=%.2f\n", *reduceFrac, len(pool), *skew)
 	}
-	res, err := runLoad(*addr, *readAddr, *tenantName, *token, *clients, *duration, prof, *ttl,
+	res, err := runLoad(*addr, *tenantName, *token, *clients, *duration, prof, *ttl,
 		*reduceFrac, *skew, pool)
 	if err != nil {
 		return err
@@ -131,10 +128,6 @@ func runLoadgen(argv []string) error {
 	secs := res.elapsed.Seconds()
 	ok := res.done - res.failed - res.denied - res.throttled
 	fmt.Printf("req/s=%.0f ok=%d failed=%d\n", float64(res.done)/secs, ok, res.failed)
-	if *readAddr != "" {
-		fmt.Printf("reads against %s: reads/s=%.0f stale=%d (stale = registration not yet replicated)\n",
-			*readAddr, float64(res.reads)/secs, res.stale)
-	}
 	// Trust-boundary rejections, on one grep-friendly line: capability
 	// denials and rate-limit throttles are the expected outcome when the
 	// workload exceeds the tenant's grants, not generic failures.
@@ -185,8 +178,6 @@ func dialAuthed(addr, tenant, token string) (*rc.Client, error) {
 type loadResult struct {
 	done      int64 // completed requests
 	failed    int64 // server-side failures among them
-	reads     int64 // follower reads issued
-	stale     int64 // follower reads that missed (not yet replicated)
 	denied    int64 // capability rejections (tenant lacks the grant)
 	throttled int64 // rate-limit rejections (tenant over budget)
 	reduces   int64 // reduce requests issued against the region pool
@@ -200,12 +191,9 @@ type loadResult struct {
 // as completed requests — the server did the work — while transport
 // errors abort the window. With ttl == 0, every successful registration is
 // deregistered before the next request, so the window leaves no state
-// behind. With a
-// readAddr, each worker also holds a connection there and reads back
-// every registration it creates — aimed at a replication follower, the
-// stale count exposes replication lag under this write load.
+// behind.
 func runLoad(
-	addr, readAddr, tenant, token string,
+	addr, tenant, token string,
 	n int,
 	window time.Duration,
 	prof rc.Profile,
@@ -222,22 +210,9 @@ func runLoad(
 		defer func() { _ = c.Close() }()
 		clients[i] = c
 	}
-	readers := make([]*rc.Client, n)
-	if readAddr != "" {
-		for i := range readers {
-			c, err := dialAuthed(readAddr, tenant, token)
-			if err != nil {
-				return nil, err
-			}
-			defer func() { _ = c.Close() }()
-			readers[i] = c
-		}
-	}
 	var (
 		done      atomic.Int64
 		failed    atomic.Int64
-		reads     atomic.Int64
-		stale     atomic.Int64
 		denied    atomic.Int64
 		throttled atomic.Int64
 		reduces   atomic.Int64
@@ -279,25 +254,8 @@ func runLoad(
 	deadline := start.Add(window)
 	for w, c := range clients {
 		wg.Add(1)
-		go func(c, rd *rc.Client, w int) {
+		go func(c *rc.Client, w int) {
 			defer wg.Done()
-			// read checks one fresh registration on the read address; a
-			// miss is replication lag, not an error. Read BEFORE release so
-			// a deregister cannot race the read.
-			read := func(id string) error {
-				if rd == nil {
-					return nil
-				}
-				reads.Add(1)
-				if _, _, err := rd.GetRegion(id); err != nil {
-					if errors.Is(err, rc.ErrRemote) {
-						stale.Add(1)
-						return nil
-					}
-					return err
-				}
-				return nil
-			}
 			// Per-worker region picker for the reduce workload: skew > 1
 			// concentrates the choices zipfian-style on a hot subset of the
 			// pool (the realistic shape of LBS read traffic — a few busy
@@ -344,22 +302,17 @@ func runLoad(
 					transport.Store(&err)
 					return
 				}
-				if err := read(id); err != nil {
-					transport.Store(&err)
-					return
-				}
 				if err := release(c, id); err != nil {
 					transport.Store(&err)
 					return
 				}
 				done.Add(1)
 			}
-		}(c, readers[w], w)
+		}(c, w)
 	}
 	wg.Wait()
 	res := &loadResult{
 		done: done.Load(), failed: failed.Load(),
-		reads: reads.Load(), stale: stale.Load(),
 		denied: denied.Load(), throttled: throttled.Load(),
 		reduces: reduces.Load(),
 		elapsed: time.Since(start),

@@ -29,9 +29,8 @@
 //	anonymizer promote -addr :7081                 # fail over to a follower
 //
 // loadgen offers a short burst of load from a fixed number of clients so
-// the end-to-end scripts find state, rejections and cache hits to check
-// (with -read-addr it aims reads at a follower); the benchmark/ module
-// measures throughput. backup/restore/dump are the data-dir lifecycle
+// the end-to-end scripts find state, rejections and cache hits to check;
+// the benchmark/ module measures throughput. backup/restore/dump are the data-dir lifecycle
 // tools (restore and dump take -master-key-file when the directory holds
 // derived-key registrations; restore also re-stripes archives cut at fewer
 // than the store's 16 stripes), and serve -replicate-from / status /

@@ -95,7 +95,7 @@ func opCapability(op Op) (tenant.Capability, bool) {
 		return tenant.CapReduce, true
 	case OpDeregister:
 		return tenant.CapDeregister, true
-	case OpBackup, OpReplSubscribe, OpReplFrames, OpReplAck, OpReplStatus, OpReplPromote:
+	case OpBackup, OpReplSubscribe, OpReplStatus, OpReplPromote:
 		return tenant.CapOperator, true
 	case OpGetRegion:
 		return "", true // the published region is the LBS provider's view
@@ -111,7 +111,7 @@ func opClass(op Op) tenant.Class {
 		return tenant.ClassWrite
 	case OpReduce:
 		return tenant.ClassReduce
-	case OpBackup, OpReplSubscribe, OpReplFrames, OpReplAck, OpReplPromote:
+	case OpBackup, OpReplSubscribe, OpReplPromote:
 		return tenant.ClassOperator
 	default:
 		return tenant.ClassRead

@@ -147,19 +147,19 @@ func readSnapshots(dir string) ([][]byte, []uint64, error) {
 
 // --- Incremental backup -------------------------------------------------
 //
-// An incremental backup is the stream abstraction applied to backup: the
-// archive carries only the log records after an LSN taken from an earlier
-// (full or incremental) backup. Shipping one is exactly shipping the
-// replication stream to a file — its log entry holds the same CRC-framed
-// record bytes TailFrom serves to followers, and ApplyIncremental feeds
-// them through the same IngestFrame pipeline a follower uses.
+// An incremental backup (a delta) is the stream abstraction applied to
+// backup: the archive carries only the log records after an LSN taken
+// from an earlier (full or incremental) backup. It is also the
+// replication stream: a follower's poll is `backup since=<its
+// watermark>`, and it lands the delta with ApplyDelta, the same path
+// ApplyIncremental takes for a closed directory.
 
 // IncrementalStats describes what an incremental backup or apply moved.
 type IncrementalStats struct {
 	// Frames is the number of records the delta carries.
 	Frames int
-	// Applied is the number of records ApplyIncremental applied (frames
-	// the directory already held are skipped as duplicates).
+	// Applied is the number of records ApplyDelta applied (records the
+	// store already held are skipped as duplicates).
 	Applied int
 	// Since is the LSN the delta starts after; End is the LSN it reaches.
 	Since, End uint64
@@ -169,9 +169,10 @@ type IncrementalStats struct {
 // watermark of an earlier backup — to w as one incremental archive, and
 // returns the bytes written plus the delta's coverage. The store stays
 // live and is NOT quiesced (a compaction here would fold the very records
-// being shipped into a snapshot); the range is read through the same path
-// TailFrom uses. A watermark older than the oldest record still on disk
-// reports ErrStreamGap: the caller must take a full backup instead.
+// being shipped into a snapshot). A watermark older than the oldest
+// record still on disk reports ErrStreamGap: the caller must take a full
+// backup instead. The bytes depend only on the log range, so two stores
+// holding the same records after since write the same delta.
 func (s *DurableStore) WriteIncrementalBackup(w io.Writer, since uint64) (int64, *IncrementalStats, error) {
 	if s.closed.Load() {
 		return 0, nil, ErrStoreClosed
@@ -179,7 +180,7 @@ func (s *DurableStore) WriteIncrementalBackup(w io.Writer, since uint64) (int64,
 	if err := s.needsJournal("replication"); err != nil {
 		return 0, nil, err
 	}
-	return writeDelta(w, s.log, s.nextID.Load(), since)
+	return writeDelta(w, s.log, since)
 }
 
 // IncrementalBackupDir is WriteIncrementalBackup for a closed data
@@ -194,25 +195,26 @@ func IncrementalBackupDir(w io.Writer, dir string, since uint64) (int64, *Increm
 		return 0, nil, err
 	}
 	defer func() { _ = lg.close() }()
-	return writeDelta(w, lg, 0, since)
+	return writeDelta(w, lg, since)
 }
 
 // writeDelta writes the incremental archive of lg's records after since:
 // a header naming since, then one log entry whose file record names the
-// last LSN.
-func writeDelta(w io.Writer, lg *storeLog, nextID, since uint64) (int64, *IncrementalStats, error) {
-	raw, last, err := lg.read(since, 0)
+// last LSN. The header's ID-allocator field stays 0: the records carry
+// every ID they issue (ingest raises the allocator past each).
+func writeDelta(w io.Writer, lg *storeLog, since uint64) (int64, *IncrementalStats, error) {
+	raw, last, err := lg.read(since)
 	if err != nil {
 		return 0, nil, err
 	}
 	cw := &countWriter{w: w}
 	aw := newArchiveWriter(cw)
-	aw.header(DefaultShards, nextID, &since)
+	aw.header(DefaultShards, 0, &since)
 	aw.file(archiveLogName, last, raw)
 	return cw.n, &IncrementalStats{Frames: int(last - since), Since: since, End: last}, aw.finish()
 }
 
-// incrementalSink feeds a delta archive into an open store.
+// incrementalSink feeds a delta archive into an open store (ApplyDelta).
 type incrementalSink struct {
 	st    *DurableStore
 	buf   bytes.Buffer
@@ -220,7 +222,7 @@ type incrementalSink struct {
 }
 
 // Header implements archiveSink. The delta must start at or before the
-// directory's end, or the log would have a hole.
+// store's end, or the log would have a hole.
 func (a *incrementalSink) Header(_ int, _ uint64, since *uint64) error {
 	if since == nil {
 		return badArchive("not an incremental archive (no since watermark); use restore for full archives")
@@ -251,13 +253,13 @@ func (a *incrementalSink) Data(chunk []byte) error {
 
 // CloseFile implements archiveSink: the delta is complete and
 // checksum-verified; ingest it through the shared stream pipeline, which
-// skips the records the directory already holds.
+// skips the records the store already holds.
 func (a *incrementalSink) CloseFile() error {
 	lsn := a.stats.Since
 	_, err := readFrames(bytes.NewReader(a.buf.Bytes()), func(payload []byte) error {
 		lsn++
 		a.stats.Frames++
-		applied, err := a.st.IngestFrame(StreamFrame{LSN: lsn, Rec: json.RawMessage(payload)})
+		applied, err := a.st.ingest(lsn, payload)
 		if err != nil {
 			return err
 		}
@@ -276,13 +278,31 @@ func (a *incrementalSink) CloseFile() error {
 // End implements archiveSink.
 func (a *incrementalSink) End(int) error { return nil }
 
+// ApplyDelta lands an incremental archive on the open store: every
+// record goes through the same journal+apply pipeline recovery uses, at
+// the LSN the delta assigns it, so the store's log stays byte-identical
+// to the source's. The delta's since watermark must not lie past the
+// store's end (the log would have a hole: ErrStreamGap); records the
+// store already holds are skipped, so overlapping deltas are safe to
+// apply in order. A replication follower applies each poll's delta this
+// way; the caller syncs when the records must be durable.
+func (s *DurableStore) ApplyDelta(r io.Reader) (*IncrementalStats, error) {
+	if s.closed.Load() {
+		return nil, ErrStoreClosed
+	}
+	if err := s.needsJournal("replication"); err != nil {
+		return nil, err
+	}
+	sink := &incrementalSink{st: s, stats: &IncrementalStats{}}
+	if err := readArchive(r, sink); err != nil {
+		return nil, err
+	}
+	return sink.stats, nil
+}
+
 // ApplyIncremental extends a closed data directory with an incremental
-// archive: every delta record lands through the same journal+apply
-// pipeline (IngestFrame) a replication follower uses, so a full restore
-// plus its incrementals reproduces the source exactly. The archive's
-// since watermark must not lie past the directory's end (the log would
-// have a hole); records the directory already holds are skipped, so
-// overlapping deltas are safe to apply in order.
+// archive (ApplyDelta on the directory, synced), so a full restore plus
+// its incrementals reproduces the source exactly.
 //
 // The store is opened as a replica for the duration of the apply: like
 // a follower, the apply must be expiry-passive — a registration whose
@@ -296,8 +316,8 @@ func ApplyIncremental(r io.Reader, dir string, opts ...DurabilityOption) (*Incre
 		return nil, err
 	}
 	defer func() { _ = st.Close() }()
-	sink := &incrementalSink{st: st, stats: &IncrementalStats{}}
-	if err := readArchive(r, sink); err != nil {
+	stats, err := st.ApplyDelta(r)
+	if err != nil {
 		return nil, err
 	}
 	if err := st.Sync(); err != nil {
@@ -306,7 +326,7 @@ func ApplyIncremental(r io.Reader, dir string, opts ...DurabilityOption) (*Incre
 	if err := st.Close(); err != nil {
 		return nil, err
 	}
-	return sink.stats, nil
+	return stats, nil
 }
 
 // ArchiveWatermark reads an archive (full or incremental) just far
@@ -387,7 +407,7 @@ type restoreSink struct {
 }
 
 // Header implements archiveSink. Incremental archives are refused: a
-// delta cannot seed a directory, only extend one (ApplyIncremental).
+// delta cannot seed a directory, only extend one (ApplyDelta).
 func (r *restoreSink) Header(shards int, _ uint64, since *uint64) error {
 	if since != nil {
 		return badArchive("incremental archive; apply it to an existing directory with restore -apply")

@@ -355,9 +355,8 @@ func TestJournalLessServerRefusesStreamOps(t *testing.T) {
 			defer func() { _ = c.Close() }()
 			for op, call := range map[string]func() error{
 				"backup":         func() error { _, err := c.Backup(&bytes.Buffer{}); return err },
-				"backup -since":  func() error { _, err := c.BackupSince(&bytes.Buffer{}, 0); return err },
+				"backup -since":  func() error { _, err := c.BackupSince(&bytes.Buffer{}, 0, ""); return err },
 				"repl_subscribe": func() error { _, err := c.ReplSubscribe(0, false, "127.0.0.1:1", 0); return err },
-				"repl_frames":    func() error { _, _, err := c.ReplFrames(1, 0, 0); return err },
 			} {
 				err := call()
 				if !errors.Is(err, ErrRemote) ||

@@ -526,7 +526,12 @@ func (c *Client) Deregister(regionID string) error {
 // reject the operation. Responses can be large: prefer a dedicated
 // connection over one carrying pipelined traffic.
 func (c *Client) Backup(w io.Writer) (int64, error) {
-	resp, err := c.roundTrip(&Request{Op: OpBackup})
+	return c.backup(w, &Request{Op: OpBackup})
+}
+
+// backup runs one backup request and writes the archive it returns to w.
+func (c *Client) backup(w io.Writer, req *Request) (int64, error) {
+	resp, err := c.roundTrip(req)
 	if err != nil {
 		return 0, err
 	}
@@ -562,28 +567,20 @@ func (c *Client) Touch(regionID string, ttl time.Duration) (time.Time, error) {
 
 // BackupSince fetches an incremental backup: only the log records after
 // since (the watermark of an earlier backup), as an archive for
-// `anonymizer restore -apply` / ApplyIncremental. A watermark older than
-// the oldest record the server still holds is refused (ErrRemote
-// wrapping a stream gap): take a full backup instead.
-func (c *Client) BackupSince(w io.Writer, since uint64) (int64, error) {
-	resp, err := c.roundTrip(&Request{Op: OpBackup, Since: strconv.FormatUint(since, 10)})
-	if err != nil {
-		return 0, err
-	}
-	if len(resp.Archive) == 0 {
-		return 0, fmt.Errorf("%w: response without archive", ErrRemote)
-	}
-	n, err := w.Write(resp.Archive)
-	if err != nil {
-		return int64(n), fmt.Errorf("anonymizer: writing backup: %w", err)
-	}
-	return int64(n), nil
+// `anonymizer restore -apply` / ApplyIncremental / ApplyDelta. A
+// watermark older than the oldest record the server still holds is
+// refused (ErrRemote wrapping a stream gap): take a full backup instead.
+// A replication follower names itself in follower (its advertised
+// address) and polls from its durable watermark, which the leader then
+// records as its ack; other callers pass "".
+func (c *Client) BackupSince(w io.Writer, since uint64, follower string) (int64, error) {
+	return c.backup(w, &Request{Op: OpBackup, Since: strconv.FormatUint(since, 10), Follower: follower})
 }
 
 // SubscribeInfo is the leader's half of the replication handshake.
 type SubscribeInfo struct {
-	// Epoch is the leader's replication epoch; later frame polls must
-	// present it.
+	// Epoch is the leader's replication epoch, which the follower
+	// records as its own.
 	Epoch uint64
 	// Watermark is the leader's stream position at subscription.
 	Watermark uint64
@@ -610,34 +607,6 @@ func (c *Client) ReplSubscribe(epoch uint64, wasLeader bool, follower string, wm
 		return nil, fmt.Errorf("%w: malformed subscribe response", ErrRemote)
 	}
 	return &SubscribeInfo{Epoch: resp.Epoch, Watermark: resp.Watermark}, nil
-}
-
-// ReplFrames polls the leader's mutation stream for the records after
-// the follower's watermark (at most max; 0 = server default), returning
-// the frames and the leader's current position.
-func (c *Client) ReplFrames(epoch uint64, after uint64, max int) ([]StreamFrame, uint64, error) {
-	resp, err := c.roundTrip(&Request{
-		Op:        OpReplFrames,
-		Epoch:     epoch,
-		Watermark: after,
-		MaxFrames: max,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Frames, resp.Watermark, nil
-}
-
-// ReplAck reports the follower's durably applied watermark to the
-// leader's lag accounting.
-func (c *Client) ReplAck(epoch uint64, follower string, applied uint64) error {
-	_, err := c.roundTrip(&Request{
-		Op:        OpReplAck,
-		Epoch:     epoch,
-		Follower:  follower,
-		Watermark: applied,
-	})
-	return err
 }
 
 // ReplStatus fetches the node's replication status document.

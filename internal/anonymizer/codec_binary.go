@@ -2,7 +2,6 @@ package anonymizer
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -52,7 +51,7 @@ const (
 	reqTagWasLeader   = 12 // bool
 	reqTagFollower    = 13 // string
 	_                 = 14 // retired (per-shard watermark); never reuse
-	reqTagMaxFrames   = 15 // varint
+	_                 = 15 // retired (max_frames); never reuse
 	reqTagSince       = 16 // string
 	reqTagTenant      = 17 // string
 	reqTagToken       = 18 // string
@@ -83,7 +82,7 @@ const (
 	_                      = 19 // retired (per-shard frames); never reuse
 	_                      = 20 // retired (per-shard repl status); never reuse
 	respTagWatermark       = 21 // uvarint
-	respTagFrames          = 22 // count + (uvarint lsn, bytes rec)
+	_                      = 22 // retired (frames); never reuse
 	respTagRepl            = 23 // repl-status sub-struct
 )
 
@@ -468,9 +467,6 @@ func appendRequest(b []byte, req *Request) []byte {
 	if req.Watermark != 0 {
 		b = appendTagUvarint(b, reqTagWatermark, req.Watermark)
 	}
-	if req.MaxFrames != 0 {
-		b = appendTagVarint(b, reqTagMaxFrames, int64(req.MaxFrames))
-	}
 	if req.Since != "" {
 		b = appendTagString(b, reqTagSince, req.Since)
 	}
@@ -537,8 +533,6 @@ func (r *binReader) request(req *Request) error {
 			req.Follower, err = r.str()
 		case reqTagWatermark:
 			req.Watermark, err = r.uvarint()
-		case reqTagMaxFrames:
-			req.MaxFrames, err = r.vint()
 		case reqTagSince:
 			req.Since, err = r.str()
 		case reqTagTenant:
@@ -623,16 +617,6 @@ func appendResponse(b []byte, resp *Response) []byte {
 	}
 	if resp.Watermark != 0 {
 		b = appendTagUvarint(b, respTagWatermark, resp.Watermark)
-	}
-	if len(resp.Frames) > 0 {
-		b = binary.AppendUvarint(b, respTagFrames)
-		b = binary.AppendUvarint(b, uint64(len(resp.Frames)))
-		for i := range resp.Frames {
-			f := &resp.Frames[i]
-			b = binary.AppendUvarint(b, f.LSN)
-			b = binary.AppendUvarint(b, uint64(len(f.Rec)))
-			b = append(b, f.Rec...)
-		}
 	}
 	if resp.Repl != nil {
 		b = binary.AppendUvarint(b, respTagRepl)
@@ -722,22 +706,6 @@ func (r *binReader) response(resp *Response) error {
 			resp.Epoch, err = r.uvarint()
 		case respTagWatermark:
 			resp.Watermark, err = r.uvarint()
-		case respTagFrames:
-			var n int
-			if n, err = r.count(); err == nil && n > 0 {
-				resp.Frames = make([]StreamFrame, n)
-				for i := range resp.Frames {
-					f := &resp.Frames[i]
-					if f.LSN, err = r.uvarint(); err != nil {
-						break
-					}
-					var rec []byte
-					if rec, err = r.bytes(true); err != nil {
-						break
-					}
-					f.Rec = json.RawMessage(rec)
-				}
-			}
 		case respTagRepl:
 			resp.Repl, err = r.replStatus()
 		default:

@@ -99,7 +99,6 @@ func (g *fuzzGen) request() Request {
 		WasLeader:   g.bool(),
 		Follower:    g.str(),
 		Watermark:   g.u64(),
-		MaxFrames:   int(g.i64()),
 		Since:       g.str(),
 		Tenant:      g.str(),
 		Token:       g.str(),
@@ -164,16 +163,6 @@ func (g *fuzzGen) response() Response {
 		resp.Keys = make(map[int]string, n)
 		for i := 0; i < n; i++ {
 			resp.Keys[int(g.i64())] = g.str()
-		}
-	}
-	if n := g.intn(3); n > 0 {
-		resp.Frames = make([]StreamFrame, n)
-		for i := range resp.Frames {
-			rec, err := json.Marshal(g.str())
-			if err != nil {
-				panic(err)
-			}
-			resp.Frames[i] = StreamFrame{LSN: g.u64(), Rec: json.RawMessage(rec)}
 		}
 	}
 	if g.bool() {
@@ -338,18 +327,19 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 }
 
 // TestDecodeRefusesRetiredTags pins the retirement of binary tags whose
-// meaning went away: the batch ops (request tag 10, response tag 14) and
-// the per-shard replication fields (request tag 14: watermark; response
-// tags 17-20: shards, watermark, frames, repl status). A v2 frame carrying
-// one is malformed like any unknown tag, so an old peer's frame drops the
-// connection instead of being half-read.
+// meaning went away: the batch ops (request tag 10, response tag 14), the
+// per-shard replication fields (request tag 14: watermark; response tags
+// 17-20: shards, watermark, frames, repl status) and the repl_frames
+// poll's fields (request tag 15: max_frames; response tag 22: frames). A
+// v2 frame carrying one is malformed like any unknown tag, so an old
+// peer's frame drops the connection instead of being half-read.
 func TestDecodeRefusesRetiredTags(t *testing.T) {
 	// One nested item, then the message's end tag.
 	withTag := func(msg []byte, tag byte) []byte {
 		return append(msg[:len(msg)-1], tag, 1, 0, 0)
 	}
-	for _, tag := range []byte{10, 14} {
-		req := withTag(appendRequest(nil, &Request{V: 2, Op: "repl_frames"}), tag)
+	for _, tag := range []byte{10, 14, 15} {
+		req := withTag(appendRequest(nil, &Request{V: 2, Op: OpBackup}), tag)
 		framed, err := appendWireFrame(nil, func(b []byte) []byte { return append(b, req...) })
 		if err != nil {
 			t.Fatal(err)
@@ -363,7 +353,7 @@ func TestDecodeRefusesRetiredTags(t *testing.T) {
 			t.Errorf("request with tag %d: err = %v, want an unknown-tag error", tag, err)
 		}
 	}
-	for _, tag := range []byte{14, 17, 18, 19, 20} {
+	for _, tag := range []byte{14, 17, 18, 19, 20, 22} {
 		resp := withTag(appendResponse(nil, &Response{V: 2, OK: true}), tag)
 		var rs Response
 		if err := decodeResponse(resp, &rs); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tag %d", tag)) {

@@ -63,7 +63,8 @@ func TestCrashBetweenSnapshotTmpWriteAndRename(t *testing.T) {
 		t.Fatalf("snapshot published despite pre-rename crash (stat err %v)", err)
 	}
 
-	// Crash: abandon without Close, reopen as a fresh process would.
+	// Crash, then reopen as a fresh process would.
+	st.crash()
 	st2 := openDurable(t, dir)
 	if got := st2.Len(); got != len(ids) {
 		t.Fatalf("recovered %d registrations, want %d", got, len(ids))
@@ -137,6 +138,7 @@ func TestCrashBetweenSnapshotRenameAndWALTruncate(t *testing.T) {
 		t.Fatal("log already reclaimed; the crash window was not reproduced")
 	}
 
+	st.crash()
 	st2 := openDurable(t, dir, WithLogSegmentBytes(256))
 	if got := st2.Len(); got != len(ids) {
 		t.Fatalf("recovered %d registrations from snapshot+WAL duplicates, want %d", got, len(ids))
@@ -243,7 +245,8 @@ func TestBackupAfterCompactionCrash(t *testing.T) {
 	if err := st.Snapshot(); !errors.Is(err, errSimulatedCrash) {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	st2 := openDurable(t, dir) // crash + reopen
+	st.crash()
+	st2 := openDurable(t, dir)
 
 	var buf bytes.Buffer
 	if _, err := st2.WriteBackup(&buf); err != nil {

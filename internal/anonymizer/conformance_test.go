@@ -463,42 +463,26 @@ func dirBytes(t *testing.T, dir string) int64 {
 }
 
 // catchUp ships every record the leader holds past the follower's
-// watermark through IngestFrame, the way the replication loop does. A
-// stream gap — the follower's position not addressable on the leader — is
-// fatal: a follower seeded from an archive must be able to continue from
-// exactly where the archive ends. Afterwards both logs must hold the same
-// bytes at every LSN both still hold.
+// watermark as one delta, the way the replication loop does. A stream gap
+// — the follower's position not addressable on the leader — is fatal: a
+// follower seeded from an archive must be able to continue from exactly
+// where the archive ends. Afterwards both logs must hold the same bytes
+// at every LSN both still hold.
 func catchUp(t *testing.T, label string, leader, follower *DurableStore) {
 	t.Helper()
-	frames, _, err := leader.TailFrom(follower.Watermark(), 0)
-	if err != nil {
-		t.Fatalf("%s: TailFrom(leader, %d): %v", label, follower.Watermark(), err)
-	}
-	for _, f := range frames {
-		if _, err := follower.IngestFrame(f); err != nil {
-			t.Fatalf("%s: IngestFrame(%d): %v", label, f.LSN, err)
-		}
-	}
+	ship(t, leader, follower)
 	if lw, fw := leader.Watermark(), follower.Watermark(); lw != fw {
 		t.Fatalf("%s: watermarks diverged: leader %d, follower %d", label, lw, fw)
 	}
 	requireSameLog(t, label, leader, follower)
 }
 
-// requireSameLog fails unless two caught-up stores serve byte-identical
-// frames from TailFrom over every LSN both still hold on disk.
+// requireSameLog fails unless two caught-up stores write byte-identical
+// deltas over every LSN both still hold on disk.
 func requireSameLog(t *testing.T, label string, a, b *DurableStore) {
 	t.Helper()
 	from := max(a.log.segs[0].base, b.log.segs[0].base) - 1
-	fa, _, err := a.TailFrom(from, 0)
-	if err != nil {
-		t.Fatalf("%s: TailFrom(%d): %v", label, from, err)
-	}
-	fb, _, err := b.TailFrom(from, 0)
-	if err != nil {
-		t.Fatalf("%s: TailFrom(%d): %v", label, from, err)
-	}
-	if !reflect.DeepEqual(fa, fb) {
+	if !bytes.Equal(delta(t, a, from), delta(t, b, from)) {
 		t.Fatalf("%s: logs differ over LSNs (%d, %d]", label, from, a.Watermark())
 	}
 }

@@ -174,7 +174,7 @@ func WithGCInterval(d time.Duration) DurabilityOption {
 // WithReplica opens the store as a replication follower: local mutations
 // are refused with ErrNotLeader and the expiry sweeper stays off, because
 // every state change — expiries included — arrives through the leader's
-// mutation stream (IngestFrame). Promotion (SetReplica(false)) turns the
+// mutation stream (ApplyDelta). Promotion (SetReplica(false)) turns the
 // store back into a writable leader.
 func WithReplica() DurabilityOption {
 	return func(c *durabilityConfig) { c.replica = true }
@@ -282,7 +282,7 @@ type DurableStore struct {
 
 	// replica marks the store as a replication follower: local mutations
 	// are refused with ErrNotLeader (state arrives only through
-	// IngestFrame) and the GC sweeper stays off — expiry still hides
+	// ApplyDelta) and the GC sweeper stays off — expiry still hides
 	// entries instantly, but expire records come from the leader's
 	// stream, so the follower's log never diverges from it. Promotion
 	// clears the flag.
@@ -331,8 +331,7 @@ type DurableStore struct {
 // WithFsyncEvery, WithSnapshotEvery, WithSnapshotInterval,
 // WithLogSegmentBytes, WithReplica) are accepted and inert, and the methods
 // that read or ship it (Snapshot, WriteBackup, WriteIncrementalBackup,
-// TailFrom, IngestFrame, SetEpoch) fail with ErrBadOp "… requires a
-// durable store".
+// ApplyDelta, SetEpoch) fail with ErrBadOp "… requires a durable store".
 func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, error) {
 	cfg := defaultDurabilityConfig()
 	for _, opt := range opts {

@@ -112,8 +112,8 @@ func (discardSink) End(int) error                     { return nil }
 // input may panic or over-read, and only a structurally complete archive
 // may pass validation.
 func FuzzReadArchive(f *testing.F) {
-	// Seed with a real archive (and mutations of it) so the fuzzer
-	// reaches the deep states quickly.
+	// Seed with a real full archive (and mutations of it) and a delta so
+	// the fuzzer reaches the deep states quickly.
 	dir := f.TempDir()
 	st, err := OpenDurableStore(dir)
 	if err != nil {
@@ -128,9 +128,18 @@ func FuzzReadArchive(f *testing.F) {
 	if _, err := st.WriteBackup(&archive); err != nil {
 		f.Fatal(err)
 	}
+	since := st.Watermark()
+	if _, err := st.Register(fakeRegistration(f, 1)); err != nil {
+		f.Fatal(err)
+	}
+	var delta bytes.Buffer
+	if _, _, err := st.WriteIncrementalBackup(&delta, since); err != nil {
+		f.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		f.Fatal(err)
 	}
+	f.Add(delta.Bytes())
 	full := archive.Bytes()
 	f.Add([]byte(nil))
 	f.Add(full)

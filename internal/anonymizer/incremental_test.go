@@ -10,7 +10,7 @@ import (
 
 // The incremental-backup contract: a full backup plus the incremental
 // taken against its watermark reproduces the live store exactly, via the
-// same IngestFrame pipeline a replication follower uses.
+// same ApplyDelta pipeline a replication follower uses.
 
 // TestIncrementalBackupRoundTrip drives a mutation log across a full
 // backup boundary and verifies full+delta == live, for both the hot and
@@ -90,6 +90,10 @@ func TestIncrementalBackupRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	} else if stats.Frames == 0 {
 		t.Fatal("offline incremental carried no frames")
+	}
+	// A delta's bytes are a function of its log range alone.
+	if !bytes.Equal(hotDelta.Bytes(), offDelta.Bytes()) {
+		t.Fatal("the hot and offline deltas of one range differ")
 	}
 
 	for name, delta := range map[string]*bytes.Buffer{"hot": &hotDelta, "offline": &offDelta} {

@@ -86,7 +86,10 @@ const (
 	// CRC-framed backup archive (base64 on the wire), restorable with
 	// `anonymizer restore`. With a "since" watermark (an LSN) the archive
 	// is incremental: only the log records after that position, for
-	// `anonymizer restore -apply`. Servers whose store is not durable
+	// `anonymizer restore -apply`; a replication follower's poll is this
+	// request with since = its durable watermark and its advertised
+	// address in "follower", which records that watermark as its ack.
+	// Servers whose store is not durable
 	// reject the op. This is an operator endpoint: responses can be
 	// large, so take backups on a dedicated connection rather than a
 	// pipelined one.
@@ -103,13 +106,6 @@ const (
 	// knows a newer epoch means THIS node is stale) and returns its
 	// epoch and current watermark.
 	OpReplSubscribe Op = "repl_subscribe"
-	// OpReplFrames polls the leader's mutation stream: the request names
-	// the subscribed epoch and the follower's watermark; the response
-	// carries the records after it, in LSN order.
-	OpReplFrames Op = "repl_frames"
-	// OpReplAck reports a follower's durably applied watermark, feeding
-	// the leader's replication-lag accounting (repl_status).
-	OpReplAck Op = "repl_ack"
 	// OpReplStatus reports the node's replication state: role, epoch,
 	// watermark, follower lag (leader) or leader address and backlog
 	// (follower). Works on any server with a durable store.
@@ -141,21 +137,17 @@ type Request struct {
 	// requested target level for OpReduce.
 	Requester string `json:"requester,omitempty"`
 	ToLevel   int    `json:"to_level,omitempty"`
-	// Replication fields. Epoch is the peer's replication epoch
-	// (repl_subscribe: the subscriber's last known leader epoch, 0 for a
-	// fresh bootstrap; repl_frames/repl_ack: the subscribed epoch).
-	// WasLeader marks a subscriber whose data directory claims
-	// leadership of Epoch — the fencing input. Follower is the
-	// subscriber's advertised address (for the leader's lag accounting).
-	// Watermark is the stream position the peer holds, the LSN of its
-	// last record (repl_frames: fetch after it; repl_ack: durably applied
-	// up to it). MaxFrames bounds one repl_frames response (0 = server
-	// default).
+	// Replication fields (repl_subscribe). Epoch is the subscriber's
+	// last known leader epoch, 0 for a fresh bootstrap. WasLeader marks a
+	// subscriber whose data directory claims leadership of Epoch — the
+	// fencing input. Follower is the subscriber's advertised address, for
+	// the leader's lag accounting (repl_subscribe and a follower's backup
+	// polls). Watermark is the stream position the subscriber holds, the
+	// LSN of its last record.
 	Epoch     uint64 `json:"epoch,omitempty"`
 	WasLeader bool   `json:"was_leader,omitempty"`
 	Follower  string `json:"follower,omitempty"`
 	Watermark uint64 `json:"watermark,omitempty"`
-	MaxFrames int    `json:"max_frames,omitempty"`
 	// Since is the watermark of an earlier backup, an LSN in decimal
 	// ("12"): the backup op then ships only the records after it, as an
 	// incremental archive.
@@ -200,13 +192,12 @@ type Response struct {
 	// Leader is set on write requests refused by a replication follower:
 	// the address writes should be retried against.
 	Leader string `json:"leader,omitempty"`
-	// Replication fields: the node's epoch (repl_subscribe), its current
-	// watermark (repl_subscribe, repl_frames), the shipped stream records
-	// (repl_frames), and the full status document (repl_status).
-	Epoch     uint64        `json:"epoch,omitempty"`
-	Watermark uint64        `json:"watermark,omitempty"`
-	Frames    []StreamFrame `json:"frames,omitempty"`
-	Repl      *ReplStatus   `json:"repl,omitempty"`
+	// Replication fields: the node's epoch (repl_subscribe,
+	// repl_promote), its current watermark (repl_subscribe), and the full
+	// status document (repl_status).
+	Epoch     uint64      `json:"epoch,omitempty"`
+	Watermark uint64      `json:"watermark,omitempty"`
+	Repl      *ReplStatus `json:"repl,omitempty"`
 
 	// levelVal is the allocation-free backing for Level on pooled
 	// responses (respPool): handlers point Level at it instead of

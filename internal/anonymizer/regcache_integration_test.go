@@ -304,7 +304,7 @@ func TestReduceCacheExpiryStaleness(t *testing.T) {
 
 // TestReduceCacheFollowerIngestStaleness pins the replication path: a
 // cache-enabled server reading a follower store must drop its memoized
-// reductions when a deregister arrives via IngestFrame — the same
+// reductions when a deregister arrives via ApplyDelta — the same
 // regTable.apply hook the leader uses, exercised through the stream
 // pipeline rather than a local mutation call.
 func TestReduceCacheFollowerIngestStaleness(t *testing.T) {
@@ -315,19 +315,7 @@ func TestReduceCacheFollowerIngestStaleness(t *testing.T) {
 	prof := cacheTestProfile()
 	ids := reduciblePool(t, leader, srv.engines[cloak.RGE], g, 3, prof)
 
-	ship := func() {
-		t.Helper()
-		frames, _, err := leader.TailFrom(follower.Watermark(), 0)
-		if err != nil {
-			t.Fatalf("TailFrom: %v", err)
-		}
-		for _, f := range frames {
-			if _, err := follower.IngestFrame(f); err != nil {
-				t.Fatalf("IngestFrame(%d): %v", f.LSN, err)
-			}
-		}
-	}
-	ship()
+	ship(t, leader, follower)
 	for _, id := range ids {
 		if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: 0}); !resp.OK {
 			t.Fatalf("follower reduce(%q): %s", id, resp.Error)
@@ -341,7 +329,7 @@ func TestReduceCacheFollowerIngestStaleness(t *testing.T) {
 	if err := leader.Deregister(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	ship()
+	ship(t, leader, follower)
 	if resp := srv.handleReduce(&Request{Op: OpReduce, RegionID: ids[0], Requester: "reader", ToLevel: 0}); resp.OK {
 		t.Fatal("follower served a cached region for an ID deregistered upstream")
 	}

@@ -1,10 +1,11 @@
 // Package repl is the follower side of the anonymizer's log-shipping
 // replication: it bootstraps a fresh follower from the leader's backup
-// archive, tails the leader's log over the wire protocol
-// (repl_subscribe / repl_frames / repl_ack) by LSN, applies every
-// shipped record through the exact journal+apply pipeline crash recovery
-// uses (DurableStore.IngestFrame), and promotes the follower to leader
-// when the operator fails over.
+// archive, subscribes once per connection (repl_subscribe, the fencing
+// handshake), then polls the leader for incremental archives — `backup`
+// with since = its durable watermark, which is also its ack — and lands
+// each through the exact journal+apply pipeline crash recovery uses
+// (DurableStore.ApplyDelta), and promotes the follower to leader when the
+// operator fails over.
 //
 // Why replicate at all: ReverseCloak's reversibility lives entirely in
 // the server-held keys, so a single anonymizer data directory is a
@@ -41,11 +42,9 @@ type Config struct {
 	// clients are redirected to after a promotion makes this node the
 	// leader. Optional.
 	Advertise string
-	// PollInterval is the frame-poll period while the follower is caught
-	// up (default 100ms; a full batch polls again immediately).
+	// PollInterval is the poll period (default 100ms). Each poll fetches
+	// every record the leader holds past the follower's watermark.
 	PollInterval time.Duration
-	// MaxFrames bounds one poll's batch (0 = server default).
-	MaxFrames int
 	// StoreOptions apply to the follower's durable store (fsync policy,
 	// snapshot cadence, ...). The store is always opened as a replica;
 	// TTL sweeping stays off until promotion.
@@ -54,7 +53,7 @@ type Config struct {
 	// Nil discards them.
 	Logf func(format string, args ...any)
 	// Tenant/Token authenticate every connection the follower opens to
-	// the leader (bootstrap backup, subscribe, frame polls) when the
+	// the leader (bootstrap backup, subscribe, polls) when the
 	// leader runs with a tenants file. The tenant needs the operator
 	// capability. Empty Token leaves connections unauthenticated.
 	Tenant string
@@ -77,7 +76,7 @@ type Follower struct {
 	epoch     atomic.Uint64 // the leader epoch we subscribed under
 	promoted  atomic.Bool
 	leaderEnd atomic.Uint64 // the leader's watermark at the last poll
-	lastApply atomic.Int64  // unix nanos of the last applied frame
+	lastApply atomic.Int64  // unix nanos of the last applied record
 
 	// applyErr records a terminal apply-loop failure (fencing, stream
 	// gap): the loop stops and Err surfaces it.
@@ -227,10 +226,11 @@ func (f *Follower) subscribe() (*anonymizer.Client, *anonymizer.SubscribeInfo, e
 	return c, info, nil
 }
 
-// applyLoop polls the leader's stream and applies every shipped frame
+// applyLoop polls the leader's stream and applies every shipped delta
 // until the follower stops, promotes, or hits a terminal error (fencing,
 // stream gap). Transport failures reconnect with backoff — a follower
-// outliving a leader restart resumes from its own watermark.
+// outliving a leader restart resumes from its own watermark, and every
+// reconnect subscribes again, so it passes the fencing check again.
 func (f *Follower) applyLoop(client *anonymizer.Client) {
 	defer close(f.done)
 	defer func() {
@@ -246,8 +246,11 @@ func (f *Follower) applyLoop(client *anonymizer.Client) {
 		default:
 		}
 		if client == nil {
-			var err error
-			client, _, err = f.subscribe()
+			var (
+				info *anonymizer.SubscribeInfo
+				err  error
+			)
+			client, info, err = f.subscribe()
 			if err != nil {
 				if f.terminal(err) {
 					return
@@ -262,10 +265,16 @@ func (f *Follower) applyLoop(client *anonymizer.Client) {
 				continue
 			}
 			backoff = f.cfg.PollInterval
+			// Lag counts against the leader's position until the delta
+			// that catches up with it has landed.
+			f.leaderEnd.Store(info.Watermark)
 			f.logf("repl: resubscribed to %s at epoch %d", f.cfg.LeaderAddr, f.epoch.Load())
 		}
-		frames, leaderWM, err := client.ReplFrames(f.epoch.Load(), f.store.Watermark(), f.cfg.MaxFrames)
-		if err != nil {
+		// The since of this poll is the watermark the previous poll made
+		// durable: the leader records it as this follower's ack.
+		var delta bytes.Buffer
+		since := f.store.Watermark()
+		if _, err := client.BackupSince(&delta, since, f.cfg.Advertise); err != nil {
 			if f.terminal(err) {
 				return
 			}
@@ -274,34 +283,23 @@ func (f *Follower) applyLoop(client *anonymizer.Client) {
 			client = nil
 			continue
 		}
-		f.leaderEnd.Store(leaderWM)
-		for _, frame := range frames {
-			if _, err := f.store.IngestFrame(frame); err != nil {
-				err = fmt.Errorf("repl: apply LSN %d: %w", frame.LSN, err)
-				f.applyErr.Store(&err)
-				f.logf("%v", err)
-				return
-			}
-			f.lastApply.Store(time.Now().UnixNano())
+		stats, err := f.store.ApplyDelta(&delta)
+		if err != nil {
+			err = fmt.Errorf("repl: apply delta after LSN %d: %w", since, err)
+			f.applyErr.Store(&err)
+			f.logf("%v", err)
+			return
 		}
-		if len(frames) > 0 {
-			// Make the batch durable before acking it: an acked offset must
-			// survive a follower crash, or a promotion could lose it.
+		f.leaderEnd.Store(stats.End)
+		if stats.Frames > 0 {
+			f.lastApply.Store(time.Now().UnixNano())
+			// Make the delta durable before the next poll acks it: an acked
+			// position must survive a follower crash, or a promotion could
+			// lose it.
 			if err := f.store.Sync(); err != nil {
 				f.applyErr.Store(&err)
 				f.logf("repl: sync: %v", err)
 				return
-			}
-			if err := client.ReplAck(f.epoch.Load(), f.cfg.Advertise, f.store.Watermark()); err != nil &&
-				!errors.Is(err, anonymizer.ErrRemote) {
-				_ = client.Close()
-				client = nil
-				continue
-			}
-			// Still behind the leader's last reported position (the batch
-			// was capped): poll again immediately to drain the backlog.
-			if f.store.Watermark() < f.leaderEnd.Load() {
-				continue
 			}
 		}
 		if !f.sleep(f.cfg.PollInterval) {

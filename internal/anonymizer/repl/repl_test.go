@@ -1,13 +1,14 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -102,38 +103,38 @@ func awaitCatchup(t *testing.T, leader *anonymizer.DurableStore, f *Follower) {
 }
 
 // oldestHeld returns the position just before the oldest record st still
-// holds on disk: the smallest from TailFrom serves without a stream gap.
+// holds on disk: the smallest since a delta serves without a stream gap.
 func oldestHeld(t *testing.T, st *anonymizer.DurableStore) uint64 {
 	t.Helper()
 	for from := uint64(0); ; from++ {
-		_, _, err := st.TailFrom(from, 1)
+		_, _, err := st.WriteIncrementalBackup(io.Discard, from)
 		if !errors.Is(err, anonymizer.ErrStreamGap) {
 			if err != nil {
-				t.Fatalf("TailFrom(%d): %v", from, err)
+				t.Fatalf("WriteIncrementalBackup(%d): %v", from, err)
 			}
 			return from
 		}
 	}
 }
 
-// requireSameLog fails unless a caught-up follower serves byte-identical
-// frames to the leader's over every LSN both still hold — and they hold
-// some.
+// requireSameLog fails unless a caught-up follower writes a delta
+// byte-identical to the leader's over every LSN both still hold — and
+// they hold some. A delta's bytes are its log range's record bytes.
 func requireSameLog(t *testing.T, label string, leader, follower *anonymizer.DurableStore) {
 	t.Helper()
 	from := max(oldestHeld(t, leader), oldestHeld(t, follower))
-	want, _, err := leader.TailFrom(from, 0)
+	var want, got bytes.Buffer
+	_, stats, err := leader.WriteIncrementalBackup(&want, from)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := follower.TailFrom(from, 0)
-	if err != nil {
+	if _, _, err := follower.WriteIncrementalBackup(&got, from); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) == 0 {
+	if stats.Frames == 0 {
 		t.Fatalf("%s: leader and follower hold no LSN in common after %d", label, from)
 	}
-	if !reflect.DeepEqual(want, got) {
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
 		t.Fatalf("%s: logs differ over LSNs (%d, %d]", label, from, leader.Watermark())
 	}
 }
@@ -528,5 +529,183 @@ func TestFailoverPromoteAndFencing(t *testing.T) {
 	if _, err := pc.ReplSubscribe(99, false, "x", 0); err == nil ||
 		!strings.Contains(err.Error(), "fenced") {
 		t.Fatalf("future-epoch subscribe: %v", err)
+	}
+}
+
+// TestFarBehindFollowerCatchesUpInOnePoll: a poll ships everything past
+// the follower's watermark, however far behind it is — here more records
+// than the leader's default snapshot cadence — so a restarted follower
+// whose next poll is an hour away must still be caught up by its first.
+func TestFarBehindFollowerCatchesUpInOnePoll(t *testing.T) {
+	leader := newLeader(t, filepath.Join(t.TempDir(), "leader"))
+	dir := filepath.Join(t.TempDir(), "follower")
+	f, err := Start(Config{LeaderAddr: leader.addr, DataDir: dir, PollInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const behind = 4500
+	for i := 0; i < behind; i++ {
+		if _, err := leader.store.Register(fakeReg(t, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err = Start(Config{LeaderAddr: leader.addr, DataDir: dir, PollInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	awaitCatchup(t, leader.store, f)
+	if lag, _ := f.Lag(); lag != 0 {
+		t.Fatalf("caught-up follower reports lag %d", lag)
+	}
+	requireSameLog(t, "one poll", leader.store, f.Store())
+}
+
+// TestPollSinceIsTheAck: a follower acks by polling, nothing else. The
+// leader's repl_status places a named follower at the since of its last
+// poll — and the follower loop's polls drive it to 0.
+func TestPollSinceIsTheAck(t *testing.T) {
+	leader := newLeader(t, filepath.Join(t.TempDir(), "leader"))
+	for i := 0; i < 10; i++ {
+		if _, err := leader.store.Register(fakeReg(t, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := anonymizer.Dial(leader.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	behind := func(follower string) int64 {
+		t.Helper()
+		status, err := c.ReplStatus()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fs := range status.Followers {
+			if fs.Addr == follower {
+				return fs.Behind
+			}
+		}
+		t.Fatalf("leader lists no follower %q: %+v", follower, status.Followers)
+		return 0
+	}
+	for _, since := range []uint64{3, 10} {
+		if _, err := c.BackupSince(io.Discard, since, "poller"); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := behind("poller"), int64(10-since); got != want {
+			t.Fatalf("after a poll since %d: behind = %d, want %d", since, got, want)
+		}
+	}
+
+	f, err := Start(Config{
+		LeaderAddr:   leader.addr,
+		DataDir:      filepath.Join(t.TempDir(), "follower"),
+		Advertise:    "follower-1",
+		PollInterval: 2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	for i := 0; i < 20; i++ {
+		if _, err := leader.store.Register(fakeReg(t, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for behind("follower-1") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the leader never saw follower-1 catch up: behind %d", behind("follower-1"))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestCompactedSinceStopsFollower: a follower whose watermark the leader
+// has compacted away cannot be served a delta; its loop stops with the
+// stream-gap error instead of retrying forever, so the operator
+// re-bootstraps it.
+func TestCompactedSinceStopsFollower(t *testing.T) {
+	leader := newLeader(t, filepath.Join(t.TempDir(), "leader"), anonymizer.WithSnapshotEvery(0))
+	dir := filepath.Join(t.TempDir(), "follower")
+	f, err := Start(Config{LeaderAddr: leader.addr, DataDir: dir, PollInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := leader.store.Register(fakeReg(t, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leader.store.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	f, err = Start(Config{LeaderAddr: leader.addr, DataDir: dir, PollInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	deadline := time.Now().Add(10 * time.Second)
+	for f.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("a follower behind the leader's compaction kept polling")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := f.Err(); !strings.Contains(err.Error(), "compacted away") {
+		t.Fatalf("follower stopped with %v, want a compacted-away error", err)
+	}
+}
+
+// TestMixedCodecReplication: one leader port serves JSON lines and binary
+// frames at once, so a follower replicates over either codec, and its own
+// server answers a client of the other one.
+func TestMixedCodecReplication(t *testing.T) {
+	for _, tc := range []struct{ link, client anonymizer.Codec }{
+		{anonymizer.CodecJSON, anonymizer.CodecBinary},
+		{anonymizer.CodecBinary, anonymizer.CodecJSON},
+	} {
+		t.Run(tc.link.String(), func(t *testing.T) {
+			leader := newLeader(t, filepath.Join(t.TempDir(), "leader"))
+			f, err := Start(Config{
+				LeaderAddr:   leader.addr,
+				DataDir:      filepath.Join(t.TempDir(), "follower"),
+				Advertise:    "follower-" + tc.link.String(),
+				PollInterval: 2 * time.Millisecond,
+				Codec:        tc.link,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = f.Close() }()
+			_, followerAddr := startFollowerServer(t, f, leader.engine)
+			var ids []string
+			for i := 0; i < 20; i++ {
+				id, err := leader.store.Register(fakeReg(t, 2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			awaitCatchup(t, leader.store, f)
+			requireSame(t, tc.link.String(), digest(t, leader.store, ids), digest(t, f.Store(), ids))
+			requireSameLog(t, tc.link.String(), leader.store, f.Store())
+			c, err := anonymizer.Dial(followerAddr, anonymizer.WithCodec(tc.client))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = c.Close() }()
+			if _, _, err := c.GetRegion(ids[0]); err != nil {
+				t.Fatalf("follower read over %s: %v", tc.client, err)
+			}
+		})
 	}
 }

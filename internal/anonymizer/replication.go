@@ -7,12 +7,13 @@ import (
 	"time"
 )
 
-// This file is the server half of log-shipping replication: the wire
-// handlers that make a leader's mutation stream consumable over the
-// protocol (repl_subscribe / repl_frames / repl_ack), the fencing rules
-// that keep a stale leader from rejoining after a promotion, and the
-// repl_status surface operators watch. The follower loop that consumes
-// these ops lives in internal/anonymizer/repl.
+// This file is the server half of log-shipping replication: the
+// repl_subscribe handshake and its fencing rules, which keep a stale
+// leader from rejoining after a promotion, the leader's registry of its
+// followers' positions, and the repl_status surface operators watch.
+// Followers fetch the stream itself with the backup op (since = their
+// watermark; see handleBackup), and the follower loop that does so lives
+// in internal/anonymizer/repl.
 
 // Replicator is the follower-side state a server consults when it is a
 // replication follower: the role gate for write requests, the leader
@@ -47,23 +48,24 @@ type ReplStatus struct {
 	// observed position (always present on followers, absent on leaders).
 	LagFrames *int64 `json:"lag_frames,omitempty"`
 	// Followers lists the peers that have subscribed to this leader,
-	// with their acked backlog.
+	// with their backlog as of their last poll.
 	Followers []FollowerStatus `json:"followers,omitempty"`
 }
 
 // FollowerStatus is one subscribed follower in a leader's repl_status.
 type FollowerStatus struct {
 	Addr string `json:"addr"`
-	// Behind is the leader's record count past the follower's last ack
-	// (LSNs are dense, so it is a difference of positions).
+	// Behind is the leader's record count past the position the
+	// follower's last poll asked from — its durable watermark, so the
+	// poll is its ack (LSNs are dense: a difference of positions).
 	Behind int64 `json:"behind"`
-	// LastAckMillis is the unix-millisecond timestamp of the last ack
-	// (or subscription, before the first ack).
+	// LastAckMillis is the unix-millisecond timestamp of the last poll
+	// (or subscription, before the first poll).
 	LastAckMillis int64 `json:"last_ack_ms"`
 }
 
 // followerReg tracks one subscribed follower's acked position on the
-// leader.
+// leader: the since of its last poll.
 type followerReg struct {
 	wm uint64
 	at time.Time
@@ -75,7 +77,7 @@ type replRegistry struct {
 	followers map[string]*followerReg
 }
 
-// note records a follower's position (subscription or ack).
+// note records a follower's position (subscription or poll).
 func (r *replRegistry) note(addr string, wm uint64) {
 	if addr == "" {
 		return
@@ -139,8 +141,8 @@ func writeOp(op Op) bool {
 }
 
 // needsStream fails a request for the store's mutation stream (the
-// replication ops, incremental backup) in-band when the store has no
-// journal to ship.
+// replication handshake, incremental backup) in-band when the store has
+// no journal to ship.
 func (s *Server) needsStream() *Response {
 	if err := s.store.needsJournal("replication"); err != nil {
 		return fail(err)
@@ -153,11 +155,16 @@ func (s *Server) needsStream() *Response {
 //
 //   - a subscriber reporting a LATER epoch than ours means WE are the
 //     stale node (a promotion happened elsewhere) — refuse to serve
-//     frames rather than feed a fork;
+//     the stream rather than feed a fork;
 //   - a subscriber whose data directory claims leadership of our epoch
 //     or an earlier one is a stale leader trying to rejoin — its log may
 //     hold acknowledged writes the promotion never saw, so it must
 //     re-bootstrap from a backup of the current leader, not resume.
+//
+// It is the only fencing check: the polls after it (backup with since
+// and follower set) carry no epoch. None is needed, because a live
+// leader's epoch never changes (only a follower's subscribe or promotion
+// writes one) and a follower re-subscribes on every reconnect.
 func (s *Server) handleReplSubscribe(req *Request) *Response {
 	if resp := s.needsStream(); resp != nil {
 		return resp
@@ -184,61 +191,6 @@ func (s *Server) handleReplSubscribe(req *Request) *Response {
 	resp.Epoch = epoch
 	resp.Watermark = current
 	return resp
-}
-
-// Bounds on one repl_frames response.
-const (
-	defaultReplFrames = 512
-	maxReplFrames     = 4096
-)
-
-// handleReplFrames serves the records after the follower's watermark, in
-// LSN order.
-func (s *Server) handleReplFrames(req *Request) *Response {
-	if resp := s.needsStream(); resp != nil {
-		return resp
-	}
-	if !s.isLeader() {
-		return s.notLeader()
-	}
-	epoch, _ := s.store.Epoch()
-	if req.Epoch != epoch {
-		return fail(fmt.Errorf("%w: subscribed at epoch %d, leader is at %d — re-subscribe",
-			ErrFenced, req.Epoch, epoch))
-	}
-	budget := req.MaxFrames
-	if budget <= 0 {
-		budget = defaultReplFrames
-	}
-	if budget > maxReplFrames {
-		budget = maxReplFrames
-	}
-	frames, last, err := s.store.TailFrom(req.Watermark, budget)
-	if err != nil {
-		return fail(err)
-	}
-	resp := newResp(true)
-	resp.Epoch = epoch
-	resp.Frames = frames
-	resp.Watermark = last
-	return resp
-}
-
-// handleReplAck records a follower's durably applied position.
-func (s *Server) handleReplAck(req *Request) *Response {
-	if resp := s.needsStream(); resp != nil {
-		return resp
-	}
-	if !s.isLeader() {
-		return s.notLeader()
-	}
-	epoch, _ := s.store.Epoch()
-	if req.Epoch != epoch {
-		return fail(fmt.Errorf("%w: ack for epoch %d, leader is at %d",
-			ErrFenced, req.Epoch, epoch))
-	}
-	s.replFollowers.note(req.Follower, req.Watermark)
-	return newResp(true)
 }
 
 // handleReplStatus reports the node's replication state.

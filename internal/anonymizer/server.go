@@ -375,10 +375,6 @@ func (s *Server) handle(cc *connCtx, req *Request) *Response {
 		return s.handleBackup(req)
 	case OpReplSubscribe:
 		return s.handleReplSubscribe(req)
-	case OpReplFrames:
-		return s.handleReplFrames(req)
-	case OpReplAck:
-		return s.handleReplAck(req)
 	case OpReplStatus:
 		return s.handleReplStatus()
 	case OpReplPromote:
@@ -568,7 +564,10 @@ func (s *Server) handleDeregister(req *Request) *Response {
 // The archive restores to the store's state at one LSN, its watermark,
 // and is self-verifying: restore rejects any truncation or corruption the
 // transport may introduce. A request with a since watermark ships an
-// incremental archive instead: only the log records after that LSN.
+// incremental archive instead: only the log records after that LSN. That
+// is also a replication follower's poll: with the follower field set,
+// since is the follower's durable watermark, and recording it is the
+// follower's ack (repl_status behind, anonymizer_repl_follower_behind).
 func (s *Server) handleBackup(req *Request) *Response {
 	var buf bytes.Buffer
 	if req.Since != "" {
@@ -582,6 +581,7 @@ func (s *Server) handleBackup(req *Request) *Response {
 		if _, _, err := s.store.WriteIncrementalBackup(&buf, since); err != nil {
 			return fail(err)
 		}
+		s.replFollowers.note(req.Follower, since)
 	} else if _, err := s.store.WriteBackup(&buf); err != nil {
 		return fail(err)
 	}

@@ -68,7 +68,7 @@ func (m *opMetrics) observe(d time.Duration, ok bool) {
 var trackedOps = []Op{
 	OpPing, OpAuth, OpAnonymize, OpGetRegion, OpSetTrust, OpRequestKeys,
 	OpReduce, OpDeregister, OpBackup, OpTouch, OpReplSubscribe,
-	OpReplFrames, OpReplAck, OpReplStatus, OpReplPromote,
+	OpReplStatus, OpReplPromote,
 }
 
 // newServerMetrics builds the fixed-shape metrics table.

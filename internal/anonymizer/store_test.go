@@ -156,9 +156,8 @@ func TestJournalLessStore(t *testing.T) {
 			_, _, err := st.WriteIncrementalBackup(&bytes.Buffer{}, st.Watermark())
 			return err
 		}(),
-		"TailFrom":    func() error { _, _, err := st.TailFrom(0, 0); return err }(),
-		"IngestFrame": func() error { _, err := st.IngestFrame(StreamFrame{LSN: 1}); return err }(),
-		"SetEpoch":    st.SetEpoch(2, true),
+		"ApplyDelta": func() error { _, err := st.ApplyDelta(bytes.NewReader(nil)); return err }(),
+		"SetEpoch":   st.SetEpoch(2, true),
 	} {
 		if !errors.Is(err, ErrBadOp) {
 			t.Errorf("%s on a journal-less store: %v, want ErrBadOp", what, err)

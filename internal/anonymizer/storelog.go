@@ -294,13 +294,13 @@ func (lg *storeLog) reclaim(shard int) {
 	}
 }
 
-// read returns the frames of the records with LSNs in (after,
-// after+limit] (limit <= 0: through the end), exactly as they lie in the
-// segments, and the log's last LSN. after beyond the end is ErrBadOp (the
-// reader's position comes from another history); records after it
-// already reclaimed are ErrStreamGap (the reader must restart from a full
-// backup). The segments read stay pinned until the bytes are copied.
-func (lg *storeLog) read(after uint64, limit int) ([]byte, uint64, error) {
+// read returns the frames of the records after LSN after, exactly as
+// they lie in the segments, and the log's last LSN. after beyond the end
+// is ErrBadOp (the reader's position comes from another history);
+// records after it already reclaimed are ErrStreamGap (the reader must
+// restart from a full backup). The segments read stay pinned until the
+// bytes are copied.
+func (lg *storeLog) read(after uint64) ([]byte, uint64, error) {
 	type piece struct {
 		f      *os.File
 		off, n int64
@@ -319,23 +319,15 @@ func (lg *storeLog) read(after uint64, limit int) ([]byte, uint64, error) {
 		return nil, last, fmt.Errorf("%w: position %d, oldest record on disk %d",
 			ErrStreamGap, after, lg.segs[0].base)
 	}
-	to := last
-	if limit > 0 && uint64(limit) < last-after {
-		to = after + uint64(limit)
-	}
 	var pieces []piece
 	var total int64
 	for _, seg := range lg.segs {
-		if seg.next() <= after+1 || seg.base > to {
+		if seg.next() <= after+1 {
 			continue
 		}
-		i, j := max(after+1, seg.base)-seg.base, min(to+1, seg.next())-seg.base
-		end := seg.size
-		if j < uint64(len(seg.offs)) {
-			end = seg.offs[j]
-		}
-		pieces = append(pieces, piece{f: seg.f, off: seg.offs[i], n: end - seg.offs[i]})
-		total += end - seg.offs[i]
+		off := seg.offs[max(after+1, seg.base)-seg.base]
+		pieces = append(pieces, piece{f: seg.f, off: off, n: seg.size - off})
+		total += seg.size - off
 	}
 	lg.readers++
 	lg.mu.Unlock()
@@ -367,7 +359,7 @@ func (lg *storeLog) tail(lsns []uint64) ([]byte, uint64, uint64, error) {
 	lg.mu.Lock()
 	after = min(max(after, lg.segs[0].base-1), lg.segs[len(lg.segs)-1].next()-1)
 	lg.mu.Unlock()
-	raw, last, err := lg.read(after, 0)
+	raw, last, err := lg.read(after)
 	return raw, after, last, err
 }
 

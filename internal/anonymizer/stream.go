@@ -1,7 +1,6 @@
 package anonymizer
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,11 +11,12 @@ import (
 // This file is the mutation-stream face of the store's journal: the same
 // log that makes the store crash-safe, consumable by position. A position
 // is one number, the LSN of the last record the holder has (applied,
-// backed up, acked); Watermark is the store's own, TailFrom serves the
-// records after a position, and IngestFrame applies shipped records
-// through the exact journal+apply pipeline recovery uses. Log-shipping
-// replication (internal/anonymizer/repl), incremental backup (backup
-// -since) and crash recovery are all consumers of this one abstraction.
+// backed up); Watermark is the store's own. The records after a position
+// ship as an incremental archive (WriteIncrementalBackup) and land
+// through ApplyDelta, which feeds each one to ingest — the exact
+// journal+apply pipeline recovery uses. Log-shipping replication
+// (internal/anonymizer/repl), incremental backup (backup -since) and
+// crash recovery are all consumers of this one abstraction.
 
 // Errors of the stream and replication layer.
 var (
@@ -35,16 +35,6 @@ var (
 	ErrFenced = errors.New("anonymizer: fenced by a newer replication epoch")
 )
 
-// StreamFrame is one shipped mutation record: its LSN and the record's
-// exact log payload bytes. Frames cross the wire as-is (Rec is raw JSON),
-// and followers journal the payload verbatim at the same LSN, so a
-// follower's log is byte-identical to the leader's at every LSN both
-// hold.
-type StreamFrame struct {
-	LSN uint64          `json:"lsn"`
-	Rec json.RawMessage `json:"rec"`
-}
-
 // Watermark returns the store's stream position: the LSN of the last
 // record appended (leader) or ingested (follower); 0 for an empty or
 // journal-less store.
@@ -55,65 +45,21 @@ func (s *DurableStore) Watermark() uint64 {
 	return s.log.lastLSN()
 }
 
-// TailFrom reads the mutation records with LSNs in (after, after+max] —
-// the stream consumed by replication and incremental backup. It returns
-// the frames, the log's last LSN, and:
-//
-//   - ErrStreamGap when records after `after` were already reclaimed
-//     (the consumer must restart from a full backup);
-//   - ErrBadOp when after lies beyond the log's end (the consumer's
-//     position comes from a different history).
-//
-// max <= 0 means no bound. Snapshot-covered records still on disk are
-// served like any other.
-func (s *DurableStore) TailFrom(after uint64, max int) ([]StreamFrame, uint64, error) {
-	if s.closed.Load() {
-		return nil, 0, ErrStoreClosed
-	}
-	if err := s.needsJournal("replication"); err != nil {
-		return nil, 0, err
-	}
-	raw, last, err := s.log.read(after, max)
-	if err != nil {
-		return nil, last, err
-	}
-	var frames []StreamFrame
-	if _, err := readFrames(bytes.NewReader(raw), func(payload []byte) error {
-		frames = append(frames, StreamFrame{
-			LSN: after + uint64(len(frames)) + 1,
-			Rec: append(json.RawMessage(nil), payload...),
-		})
-		return nil
-	}); err != nil {
-		return nil, last, fmt.Errorf("%w: stream read: %v", ErrCorruptLog, err)
-	}
-	return frames, last, nil
-}
-
-// IngestFrame journals and applies one shipped mutation record — the
-// follower half of log shipping, and the apply path of incremental
-// restore. It is the same journal-then-apply pipeline the live mutate
+// ingest journals and applies one shipped mutation record, the record at
+// lsn — the apply path of incremental archives (ApplyDelta), which is how
+// both a replication follower and restore -apply take the leader's
+// records. It is the same journal-then-apply pipeline the live mutate
 // path and recovery use: the payload is appended to the log verbatim at
-// the frame's LSN (so the follower's log stays byte-identical to the
-// leader's) and the decoded mutation routes through regTable.apply in
-// replay mode.
+// lsn (so the follower's log stays byte-identical to the leader's) and
+// the decoded mutation routes through regTable.apply in replay mode.
 //
-// A frame at an LSN the log already holds is a duplicate and is skipped
-// (applied=false); a frame that would skip LSNs reports ErrStreamGap —
-// the stream has a hole and the consumer must re-sync.
-func (s *DurableStore) IngestFrame(f StreamFrame) (bool, error) {
-	if s.closed.Load() {
-		return false, ErrStoreClosed
-	}
-	if err := s.needsJournal("replication"); err != nil {
-		return false, err
-	}
-	if f.LSN == 0 {
-		return false, fmt.Errorf("%w: frame without an LSN", ErrCorruptLog)
-	}
+// A record at an LSN the log already holds is a duplicate and is skipped
+// (applied=false); one that would skip LSNs reports ErrStreamGap — the
+// stream has a hole and the consumer must re-sync.
+func (s *DurableStore) ingest(lsn uint64, payload []byte) (bool, error) {
 	var rec walRecord
-	if err := json.Unmarshal(f.Rec, &rec); err != nil {
-		return false, fmt.Errorf("%w: frame payload: %v", ErrCorruptLog, err)
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return false, fmt.Errorf("%w: shipped record: %v", ErrCorruptLog, err)
 	}
 	if rec.Type == recSnapHeader {
 		return false, fmt.Errorf("%w: %q record in stream", ErrCorruptLog, rec.Type)
@@ -126,11 +72,11 @@ func (s *DurableStore) IngestFrame(f StreamFrame) (bool, error) {
 	sh := s.shardFor(m.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	frame, err := appendFrame(sh.buf, f.Rec)
+	frame, err := appendFrame(sh.buf, payload)
 	if err != nil {
 		return false, err
 	}
-	if _, err := s.writeFrameLocked(sh, frame, f.LSN); err != nil {
+	if _, err := s.writeFrameLocked(sh, frame, lsn); err != nil {
 		if errors.Is(err, errDuplicateLSN) {
 			return false, nil
 		}

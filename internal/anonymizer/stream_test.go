@@ -1,6 +1,7 @@
 package anonymizer
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,14 +11,53 @@ import (
 	"time"
 )
 
-// streamAll drains the log from the given position.
-func streamAll(t *testing.T, st *DurableStore, from uint64) []StreamFrame {
+// logRecords returns the payloads of the records st's log holds after
+// from, in LSN order (the i-th is LSN from+i+1).
+func logRecords(t *testing.T, st *DurableStore, from uint64) [][]byte {
 	t.Helper()
-	frames, _, err := st.TailFrom(from, 0)
+	raw, _, err := st.log.read(from)
 	if err != nil {
-		t.Fatalf("TailFrom(%d): %v", from, err)
+		t.Fatalf("log read after %d: %v", from, err)
 	}
-	return frames
+	var recs [][]byte
+	if _, err := readFrames(bytes.NewReader(raw), func(payload []byte) error {
+		recs = append(recs, append([]byte(nil), payload...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// recordID decodes a log payload's region ID.
+func recordID(t *testing.T, payload []byte) string {
+	t.Helper()
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		t.Fatal(err)
+	}
+	return rec.ID
+}
+
+// delta returns st's incremental archive of the records after from.
+func delta(t *testing.T, st *DurableStore, from uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, _, err := st.WriteIncrementalBackup(&buf, from); err != nil {
+		t.Fatalf("WriteIncrementalBackup(%d): %v", from, err)
+	}
+	return buf.Bytes()
+}
+
+// ship lands every record the leader holds past the follower's watermark
+// on the follower, one delta the way a replication poll does.
+func ship(t *testing.T, leader, follower *DurableStore) *IncrementalStats {
+	t.Helper()
+	stats, err := follower.ApplyDelta(bytes.NewReader(delta(t, leader, follower.Watermark())))
+	if err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
+	}
+	return stats
 }
 
 // TestStreamOffsetsSurviveCompactionAndReopen pins the core stream
@@ -37,13 +77,13 @@ func TestStreamOffsetsSurviveCompactionAndReopen(t *testing.T) {
 	if got := st.Watermark(); got != 5 {
 		t.Fatalf("watermark after 5 registers = %d", got)
 	}
-	frames := streamAll(t, st, 0)
-	if len(frames) != 5 {
-		t.Fatalf("TailFrom(0) = %d frames, want 5", len(frames))
+	recs := logRecords(t, st, 0)
+	if len(recs) != 5 {
+		t.Fatalf("log after 0 holds %d records, want 5", len(recs))
 	}
-	for i, f := range frames {
-		if f.LSN != uint64(i+1) {
-			t.Fatalf("frame %d LSN = %d", i, f.LSN)
+	for i, rec := range recs {
+		if id := recordID(t, rec); id != ids[i] {
+			t.Fatalf("LSN %d holds %s, want %s", i+1, id, ids[i])
 		}
 	}
 
@@ -55,11 +95,11 @@ func TestStreamOffsetsSurviveCompactionAndReopen(t *testing.T) {
 	if got := st.Watermark(); got != 5 {
 		t.Fatalf("watermark after snapshot = %d", got)
 	}
-	if _, _, err := st.TailFrom(0, 0); !errors.Is(err, ErrStreamGap) {
-		t.Fatalf("TailFrom(0) after compaction: err = %v, want ErrStreamGap", err)
+	if _, _, err := st.WriteIncrementalBackup(&bytes.Buffer{}, 0); !errors.Is(err, ErrStreamGap) {
+		t.Fatalf("delta after 0 past compaction: err = %v, want ErrStreamGap", err)
 	}
-	if frames, _, err := st.TailFrom(5, 0); err != nil || len(frames) != 0 {
-		t.Fatalf("TailFrom(5) after compaction = %d frames, %v", len(frames), err)
+	if recs := logRecords(t, st, 5); len(recs) != 0 {
+		t.Fatalf("log after 5 past compaction holds %d records", len(recs))
 	}
 
 	// Reopen with nothing after the compaction: the empty segment's name
@@ -76,9 +116,8 @@ func TestStreamOffsetsSurviveCompactionAndReopen(t *testing.T) {
 	if err := st.SetTrust(ids[0], "alice", 1); err != nil {
 		t.Fatal(err)
 	}
-	frames, _, err := st.TailFrom(5, 0)
-	if err != nil || len(frames) != 1 || frames[0].LSN != 6 {
-		t.Fatalf("post-compaction tail = %+v, %v", frames, err)
+	if recs := logRecords(t, st, 5); len(recs) != 1 || recordID(t, recs[0]) != ids[0] {
+		t.Fatalf("post-compaction log after 5 holds %d records", len(recs))
 	}
 
 	// Reopen: the position survives recovery exactly.
@@ -97,16 +136,17 @@ func TestStreamOffsetsSurviveCompactionAndReopen(t *testing.T) {
 		t.Fatalf("watermark after reopen+register = %d", got)
 	}
 	// Beyond-end positions are a divergent-history error, not a silent nil.
-	if _, _, err := st2.TailFrom(99, 0); !errors.Is(err, ErrBadOp) {
-		t.Fatalf("TailFrom beyond end: %v", err)
+	if _, _, err := st2.WriteIncrementalBackup(&bytes.Buffer{}, 99); !errors.Is(err, ErrBadOp) {
+		t.Fatalf("delta after a position beyond the end: %v", err)
 	}
 }
 
-// TestTailFromIngestRoundTrip pins the replication pipeline at the store
-// level: shipping every frame from one store into another through
-// TailFrom/IngestFrame reproduces the full visible state and the log
-// byte for byte, duplicates are skipped, and holes are refused.
-func TestTailFromIngestRoundTrip(t *testing.T) {
+// TestApplyDeltaRoundTrip pins the replication pipeline at the store
+// level: shipping every record from one store into another as a delta
+// (WriteIncrementalBackup, ApplyDelta) reproduces the full visible state
+// and the log byte for byte, duplicates are skipped, and holes and full
+// archives are refused.
+func TestApplyDeltaRoundTrip(t *testing.T) {
 	clk := newFakeClock()
 	src := openDurable(t, t.TempDir(), WithGCInterval(0), WithClock(clk.Now))
 	dst := openDurable(t, t.TempDir(), WithGCInterval(0), WithClock(clk.Now), WithReplica())
@@ -137,16 +177,16 @@ func TestTailFromIngestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	frames := streamAll(t, src, 0)
-	for _, f := range frames {
-		if _, err := dst.IngestFrame(f); err != nil {
-			t.Fatalf("IngestFrame(%d): %v", f.LSN, err)
-		}
+	all := delta(t, src, 0)
+	stats, err := dst.ApplyDelta(bytes.NewReader(all))
+	if err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
 	}
-	if src.Watermark() != dst.Watermark() {
-		t.Fatalf("watermarks diverged: src %d, dst %d", src.Watermark(), dst.Watermark())
+	if src.Watermark() != dst.Watermark() || stats.Applied != int(src.Watermark()) ||
+		stats.Since != 0 || stats.End != src.Watermark() {
+		t.Fatalf("watermarks src %d, dst %d; delta stats %+v", src.Watermark(), dst.Watermark(), stats)
 	}
-	if !reflect.DeepEqual(streamAll(t, dst, 0), frames) {
+	if !bytes.Equal(delta(t, dst, 0), all) {
 		t.Fatal("the follower's log is not byte-identical to the leader's")
 	}
 	if src.Len() != dst.Len() {
@@ -173,18 +213,29 @@ func TestTailFromIngestRoundTrip(t *testing.T) {
 	}
 
 	// Duplicate delivery is a no-op.
-	if applied, err := dst.IngestFrame(frames[0]); err != nil || applied {
-		t.Fatalf("duplicate ingest: applied=%v err=%v", applied, err)
+	if stats, err := dst.ApplyDelta(bytes.NewReader(all)); err != nil || stats.Applied != 0 {
+		t.Fatalf("duplicate delta: %+v, %v", stats, err)
 	}
-	// A hole is refused loudly.
-	hole := frames[len(frames)-1]
-	hole.LSN += 2
-	if _, err := dst.IngestFrame(hole); !errors.Is(err, ErrStreamGap) {
-		t.Fatalf("gap ingest: %v", err)
+	// A hole is refused loudly: a delta starting past the store's end.
+	end := src.Watermark()
+	for i := 0; i < 2; i++ {
+		if _, err := src.Register(fakeRegistration(t, 1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A frame without a position is corruption.
-	if _, err := dst.IngestFrame(StreamFrame{Rec: frames[0].Rec}); !errors.Is(err, ErrCorruptLog) {
-		t.Fatalf("LSN-less ingest: %v", err)
+	if _, err := dst.ApplyDelta(bytes.NewReader(delta(t, src, end+1))); !errors.Is(err, ErrStreamGap) {
+		t.Fatalf("delta past the end: %v", err)
+	}
+	// A full archive cannot extend a store.
+	var full bytes.Buffer
+	if _, err := src.WriteBackup(&full); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.ApplyDelta(&full); !errors.Is(err, ErrBadArchive) {
+		t.Fatalf("full archive as a delta: %v", err)
+	}
+	if dst.Watermark() != end {
+		t.Fatalf("refused deltas moved the watermark: %d, want %d", dst.Watermark(), end)
 	}
 }
 
@@ -237,7 +288,7 @@ func TestEpochRecord(t *testing.T) {
 
 // TestStreamSeqSpreadAcrossShards pins that the position is store-wide:
 // the records of every shard share one dense LSN sequence in append
-// order, so the watermark counts them all and TailFrom serves them
+// order, so the watermark counts them all and a delta ships them
 // interleaved, whatever shard each belongs to.
 func TestStreamSeqSpreadAcrossShards(t *testing.T) {
 	st := openDurable(t, t.TempDir())
@@ -253,37 +304,31 @@ func TestStreamSeqSpreadAcrossShards(t *testing.T) {
 	if got := st.Watermark(); got != n {
 		t.Fatalf("watermark = %d, want %d", got, n)
 	}
-	frames, end, err := st.TailFrom(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if end != n || len(frames) != n {
-		t.Fatalf("TailFrom(0) = %d frames ending at %d, want %d", len(frames), end, n)
+	recs := logRecords(t, st, 0)
+	if len(recs) != n {
+		t.Fatalf("log after 0 holds %d records, want %d", len(recs), n)
 	}
 	shards := make(map[uint32]bool)
-	for i, f := range frames {
-		var rec walRecord
-		if err := json.Unmarshal(f.Rec, &rec); err != nil {
-			t.Fatal(err)
+	for i, rec := range recs {
+		if id := recordID(t, rec); id != ids[i] {
+			t.Fatalf("LSN %d holds %s, want %s", i+1, id, ids[i])
 		}
-		if f.LSN != uint64(i+1) || rec.ID != ids[i] {
-			t.Fatalf("frame %d: LSN %d id %s, want LSN %d id %s", i, f.LSN, rec.ID, i+1, ids[i])
-		}
-		shards[shardIndex(rec.ID, shardMask)] = true
+		shards[shardIndex(ids[i], shardMask)] = true
 	}
 	if len(shards) < 2 {
 		t.Fatalf("%d registrations landed in %d shard(s); the test needs several", n, len(shards))
 	}
-	// A bounded read stops at its budget and still reports the end.
-	if frames, end, err := st.TailFrom(10, 5); err != nil || len(frames) != 5 || frames[0].LSN != 11 || end != n {
-		t.Fatalf("TailFrom(10, 5) = %d frames from %v, end %d, %v", len(frames), frames, end, err)
+	// A delta from mid-log covers the rest of it, shards interleaved.
+	if _, stats, err := st.WriteIncrementalBackup(&bytes.Buffer{}, 10); err != nil ||
+		stats.Frames != n-10 || stats.Since != 10 || stats.End != n {
+		t.Fatalf("delta after 10 = %+v, %v", stats, err)
 	}
 }
 
 // TestPerShardWatermarkRefused: a peer from before LSNs sends its
 // watermark as a per-shard array. Over JSON that fails to decode, so the
 // server drops the connection (or answers in-band) — it never serves
-// frames, and a mixed-version pair fails its handshake instead of
+// records, and a mixed-version pair fails its handshake instead of
 // mis-syncing.
 func TestPerShardWatermarkRefused(t *testing.T) {
 	g, density := testGrid(t)
@@ -294,8 +339,7 @@ func TestPerShardWatermarkRefused(t *testing.T) {
 	addr := startTestServer(t, newTestServer(t, g, density, WithStore(st)))
 	for _, line := range []string{
 		`{"op":"repl_subscribe","follower":"old-peer","watermark":[0,0]}`,
-		`{"op":"repl_frames","epoch":1,"watermark":[0,0]}`,
-		`{"op":"repl_ack","epoch":1,"watermark":[1,0]}`,
+		`{"op":"backup","follower":"old-peer","since":[0,0]}`,
 	} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -307,7 +351,7 @@ func TestPerShardWatermarkRefused(t *testing.T) {
 		}
 		var resp map[string]any
 		if err := json.NewDecoder(conn).Decode(&resp); err == nil {
-			if resp["ok"] != false || resp["frames"] != nil || resp["watermark"] != nil {
+			if resp["ok"] != false || resp["archive"] != nil || resp["watermark"] != nil {
 				t.Errorf("%s: answered %v, want a refusal or a dropped connection", line, resp)
 			}
 		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
@@ -317,7 +361,7 @@ func TestPerShardWatermarkRefused(t *testing.T) {
 	}
 }
 
-// TestReclaimWaitsForReaders: a reader holding the log — a stream tail
+// TestReclaimWaitsForReaders: a reader holding the log — a delta
 // mid-copy, a hot backup between its snapshot copies and its log read —
 // must find every segment it saw. Reclaim deletes nothing while one is
 // pinned and catches up at the next compaction after.
@@ -340,8 +384,8 @@ func TestReclaimWaitsForReaders(t *testing.T) {
 	if got := st.WALStats().LogSegments; got != segs {
 		t.Fatalf("reclaim deleted segments under a reader: %d left of %d", got, segs)
 	}
-	if frames, _, err := st.TailFrom(0, 0); err != nil || len(frames) != n {
-		t.Fatalf("pinned TailFrom(0) = %d frames, %v; want all %d", len(frames), err, n)
+	if recs := logRecords(t, st, 0); len(recs) != n {
+		t.Fatalf("pinned log after 0 holds %d records; want all %d", len(recs), n)
 	}
 	st.log.unpin()
 	if _, err := st.Register(fakeRegistration(t, 1)); err != nil {

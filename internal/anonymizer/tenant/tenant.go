@@ -76,7 +76,7 @@ const (
 	// ClassReduce covers server-side reductions (CPU-heavy).
 	ClassReduce Class = "reduce"
 	// ClassOperator covers the operator plane (backup, repl_subscribe,
-	// repl_frames, repl_ack, repl_promote).
+	// repl_promote); a replication follower's polls are backups.
 	ClassOperator Class = "operator"
 )
 

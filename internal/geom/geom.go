@@ -34,14 +34,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// Dist2 returns the squared Euclidean distance between p and q. It avoids the
-// square root on hot paths such as nearest-neighbour scans.
-func (p Point) Dist2(q Point) float64 {
-	dx := p.X - q.X
-	dy := p.Y - q.Y
-	return dx*dx + dy*dy
-}
-
 // Lerp linearly interpolates from p to q; t=0 yields p, t=1 yields q.
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{X: p.X + (q.X-p.X)*t, Y: p.Y + (q.Y-p.Y)*t}
@@ -105,15 +97,6 @@ func (b BBox) Contains(p Point) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X && p.Y >= b.Min.Y && p.Y <= b.Max.Y
 }
 
-// Intersects reports whether the two boxes share any point.
-func (b BBox) Intersects(o BBox) bool {
-	if !b.valid || !o.valid {
-		return false
-	}
-	return b.Min.X <= o.Max.X && o.Min.X <= b.Max.X &&
-		b.Min.Y <= o.Max.Y && o.Min.Y <= b.Max.Y
-}
-
 // Width returns the horizontal extent of the box in meters.
 func (b BBox) Width() float64 {
 	if !b.valid {
@@ -130,9 +113,6 @@ func (b BBox) Height() float64 {
 	return b.Max.Y - b.Min.Y
 }
 
-// Area returns the area of the box in square meters.
-func (b BBox) Area() float64 { return b.Width() * b.Height() }
-
 // Diagonal returns the length of the box diagonal in meters. The paper's
 // spatial tolerance sigma_s bounds the maximum spatial resolution of a
 // cloaking region; we measure a region's extent as the diagonal of its
@@ -142,26 +122,6 @@ func (b BBox) Diagonal() float64 {
 		return 0
 	}
 	return b.Min.Dist(b.Max)
-}
-
-// Center returns the center point of the box.
-func (b BBox) Center() Point { return Midpoint(b.Min, b.Max) }
-
-// Inset returns the box shrunk by d meters on every side. If the box would
-// invert it collapses to its center.
-func (b BBox) Inset(d float64) BBox {
-	if !b.valid {
-		return b
-	}
-	if b.Width() < 2*d || b.Height() < 2*d {
-		c := b.Center()
-		return BBox{Min: c, Max: c, valid: true}
-	}
-	return BBox{
-		Min:   Point{X: b.Min.X + d, Y: b.Min.Y + d},
-		Max:   Point{X: b.Max.X - d, Y: b.Max.Y - d},
-		valid: true,
-	}
 }
 
 // String implements fmt.Stringer.

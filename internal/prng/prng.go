@@ -70,19 +70,6 @@ func (s *Stream) At(i uint64) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// Pick returns the paper's pick value for draw i over n options:
-// p_i = R_i mod n. n must be positive.
-//
-// The modulo reduction is the paper's own construction (Fig. 2: "p_i = R_i
-// mod |CanA|"); with 64-bit draws the bias for any realistic candidate-set
-// size is below 2^-50 and irrelevant to both correctness and privacy.
-func (s *Stream) Pick(i uint64, n int) int {
-	if n <= 0 {
-		panic(fmt.Sprintf("prng: Pick with non-positive n=%d", n))
-	}
-	return int(s.At(i) % uint64(n))
-}
-
 // Cursor is a stateful reader over a Stream for consumers that want
 // sequential draws (workload generation, shuffles). It holds one reusable
 // MAC over the stream's key, so a draw allocates nothing and returns
@@ -96,9 +83,6 @@ type Cursor struct {
 func NewCursor(stream *Stream) *Cursor {
 	return &Cursor{mac: NewKeyed(stream.key)}
 }
-
-// Pos returns the index of the next draw.
-func (c *Cursor) Pos() uint64 { return c.next }
 
 // Seek repositions the cursor at draw i.
 func (c *Cursor) Seek(i uint64) { c.next = i }

@@ -93,41 +93,6 @@ func TestDeriveDeterministic(t *testing.T) {
 	}
 }
 
-func TestPick(t *testing.T) {
-	s := New(testKey(4), "pick")
-	for i := uint64(0); i < 200; i++ {
-		for _, n := range []int{1, 2, 3, 7, 100} {
-			p := s.Pick(i, n)
-			if p < 0 || p >= n {
-				t.Fatalf("Pick(%d, %d) = %d out of range", i, n, p)
-			}
-		}
-	}
-	if got := s.Pick(5, 1); got != 0 {
-		t.Errorf("Pick with n=1 must be 0, got %d", got)
-	}
-}
-
-func TestPickPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for n=0")
-		}
-	}()
-	New(testKey(5), "x").Pick(0, 0)
-}
-
-func TestPickMatchesModulo(t *testing.T) {
-	// The paper defines the pick as R_i mod n; verify we implement exactly
-	// that (Fig. 2 depends on it).
-	s := New(testKey(6), "mod")
-	for i := uint64(0); i < 50; i++ {
-		if s.Pick(i, 13) != int(s.At(i)%13) {
-			t.Fatalf("Pick is not plain modulo at draw %d", i)
-		}
-	}
-}
-
 func TestCursorSequence(t *testing.T) {
 	s := New(testKey(8), "cursor")
 	c := NewCursor(s)
@@ -141,15 +106,12 @@ func TestCursorSequence(t *testing.T) {
 		}
 	}
 	c.Seek(3)
-	if c.Pos() != 3 {
-		t.Fatalf("Pos after Seek = %d", c.Pos())
-	}
-	if c.Uint64() != seq[3] {
+	if c.Uint64() != seq[3] || c.Uint64() != seq[4] {
 		t.Fatal("Seek did not reposition")
 	}
 	c.Seek(9)
 	c.Seek(1) // backwards, past draws already made
-	if c.Uint64() != seq[1] || c.Pos() != 2 {
+	if c.Uint64() != seq[1] || c.Uint64() != seq[2] {
 		t.Fatal("Seek backwards did not reposition")
 	}
 

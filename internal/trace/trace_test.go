@@ -7,6 +7,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/reversecloak/reversecloak/internal/geom"
 	"github.com/reversecloak/reversecloak/internal/mapgen"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
 )
@@ -139,7 +140,8 @@ func TestCarPositionsOnSegments(t *testing.T) {
 		// Position must be within the segment's bounding box (inflated for
 		// floating point).
 		bb := g.SegmentBounds(car.Segment)
-		if !bb.Contains(pos) && bb.Inset(-1e-6).Contains(pos) {
+		eps := geom.Point{X: 1e-6, Y: 1e-6}
+		if !geom.NewBBox(bb.Min.Sub(eps), bb.Max.Add(eps)).Contains(pos) {
 			t.Errorf("car %d position %v outside its segment box %v", car.ID, pos, bb)
 		}
 	}

@@ -3,7 +3,8 @@
 # CI:
 #
 #   serve leader (durable) -> loadgen -> serve follower (-replicate-from,
-#   bootstraps from a hot backup) -> wait for catch-up -> snapshot the
+#   bootstraps from a hot backup) -> more load -> the leader's lag gauge
+#   for the follower drains to 0 -> wait for catch-up -> snapshot the
 #   follower's state via hot backup -> kill the leader -> dump its dir
 #   -> promote the follower -> writes succeed on the new leader ->
 #   restart the stale leader as a follower -> it MUST be fenced ->
@@ -92,8 +93,22 @@ FOLLOWER_PID=$!
 await_ready "$FADDR" "$WORK/follower.log"
 
 echo "== more load after the full backup (crosses the delta and the stream)"
-"$WORK/anonymizer" loadgen -addr "$ADDR" -codec "$CODEC" -clients 2 -duration 1s -ttl 24h \
-    -read-addr "$FADDR"
+"$WORK/anonymizer" loadgen -addr "$ADDR" -codec "$CODEC" -clients 2 -duration 1s -ttl 24h
+
+echo "== lag drains: the leader's gauge for the follower reads 0 within 5s"
+# A follower's poll names its durable watermark, which the leader records
+# as its ack; 0 means the follower's polls caught up with every write.
+drained=""
+for _ in $(seq 1 25); do
+    if curl -fsS "http://$ADMIN/metrics" |
+        grep -qx "anonymizer_repl_follower_behind{follower=\"$FADDR\"} 0"; then
+        drained=yes
+        break
+    fi
+    sleep 0.2
+done
+[ -n "$drained" ] || { echo "FAIL: the leader's lag gauge for $FADDR never reached 0:"; \
+    curl -fsS "http://$ADMIN/metrics" | grep anonymizer_repl_follower_behind; exit 1; }
 
 echo "== wait for the follower to catch up"
 caught=""
