@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-engine test-benchmark test-full race bench bench-engine bench-smoke experiments check-allocs staticcheck govulncheck fmt fmt-check vet ci linkcheck examples fuzz-smoke e2e e2e-repl e2e-tenants
+.PHONY: all build test test-engine test-benchmark test-full race bench bench-engine bench-smoke experiments check-allocs staticcheck govulncheck fmt fmt-check vet ci linkcheck fuzz-smoke e2e e2e-repl e2e-tenants
 
 all: build test
 
@@ -127,10 +127,5 @@ e2e-tenants:
 linkcheck:
 	sh scripts/check-links.sh
 
-# Build and run every example program in -short mode (the CI docs job).
-examples:
-	$(GO) build ./examples/...
-	@for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" -short || exit 1; done
-
 # Everything the blocking CI jobs run.
-ci: fmt-check vet build test test-engine test-benchmark race linkcheck examples fuzz-smoke check-allocs e2e e2e-repl e2e-tenants
+ci: fmt-check vet build test test-engine test-benchmark race linkcheck fuzz-smoke check-allocs e2e e2e-repl e2e-tenants

@@ -61,7 +61,7 @@ func anonymizeLoop(b *testing.B, eng *cloak.Engine, prof profile.Profile) {
 	users := []roadnet.SegmentID{50, 300, 700, 1100, 1500, 1900}
 	b.ResetTimer()
 	done := 0
-	for i := 0; b.Loop(); i++ {
+	for i := 0; i < b.N; i++ {
 		u := users[i%len(users)]
 		if _, _, err := eng.Anonymize(cloak.Request{UserSegment: u, Profile: prof, Keys: keys}); err == nil {
 			done++
@@ -88,7 +88,7 @@ func BenchmarkE5AnonymizeRPLE(b *testing.B) {
 func BenchmarkE5PreassignmentBuild(b *testing.B) {
 	env := newBenchEnv(b)
 	b.ResetTimer()
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		if _, err := cloak.NewPreassignment(env.G, cloak.DefaultTransitionListLength); err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func BenchmarkE7Deanonymize(b *testing.B) {
 			}
 			km := map[int][]byte{1: keys[0], 2: keys[1], 3: keys[2]}
 			b.ResetTimer()
-			for b.Loop() {
+			for i := 0; i < b.N; i++ {
 				if _, err := eng.Deanonymize(cr, km, 0); err != nil {
 					b.Fatal(err)
 				}
@@ -166,7 +166,7 @@ func BenchmarkE10TraceGeneration(b *testing.B) {
 	env := newBenchEnv(b)
 	cars := env.Sim.NumCars()
 	b.ResetTimer()
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		if _, err := trace.New(env.G, trace.Config{Cars: cars, Seed: benchSeed()}); err != nil {
 			b.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func BenchmarkE10TraceGeneration(b *testing.B) {
 
 // BenchmarkE10MapGeneration: the synthetic Atlanta substrate.
 func BenchmarkE10MapGeneration(b *testing.B) {
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		if _, err := mapgen.AtlantaNW(benchSeed()); err != nil {
 			b.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func BenchmarkE11AdversaryEnumerate(b *testing.B) {
 	}
 	guess := benchKeys(2)[1]
 	b.ResetTimer()
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		if _, err := cloak.EnumerateReversals(env.G, cloak.RGE, nil, cr.Segments,
 			cr.Levels[0].Steps, guess, 1, cr.Levels[0].Salt, 0, 128); err != nil {
 			b.Fatal(err)
@@ -214,7 +214,7 @@ func BenchmarkE12QueryCloaked(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		if _, err := ix.RangeCloaked(cr.Segments, 400); err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func BenchmarkE12QueryCloaked(b *testing.B) {
 func BenchmarkE13RandomExpansion(b *testing.B) {
 	env := newBenchEnv(b)
 	b.ResetTimer()
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		if _, err := baseline.RandomExpansion(env.G, env.Sim.UsersOn, 700,
 			profile.Level{K: 40, L: 13}, benchSeed()); err != nil {
 			b.Fatal(err)
@@ -241,7 +241,7 @@ func BenchmarkE13NaiveAnonymize(b *testing.B) {
 	}}
 	keys := benchKeys(3)
 	b.ResetTimer()
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		if _, err := baseline.NaiveAnonymize(env.G, env.Sim.UsersOn, 700, prof, keys); err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func BenchmarkFacadeRoundTrip(b *testing.B) {
 	prof := rc.Profile{Levels: []rc.Level{{K: 8, L: 4}, {K: 16, L: 8}}}
 	km := map[int][]byte{1: keys[0], 2: keys[1]}
 	b.ResetTimer()
-	for b.Loop() {
+	for i := 0; i < b.N; i++ {
 		cr, _, err := engine.Anonymize(rc.Request{UserSegment: 100, Profile: prof, Keys: keys})
 		if err != nil {
 			b.Fatal(err)

@@ -9,7 +9,11 @@ import (
 	"testing"
 
 	rc "github.com/reversecloak/reversecloak"
+	"github.com/reversecloak/reversecloak/internal/leakcheck"
 )
+
+// TestMain fails the package when a goroutine outlives its tests.
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // cloakToFiles runs the one-shot mode on the small map for user 100 and
 // returns the region and keys files it wrote.

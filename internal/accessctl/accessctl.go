@@ -69,14 +69,6 @@ func (p *Policy) SetTrust(requester string, toLevel int) error {
 	return nil
 }
 
-// Revoke removes a requester's explicit entitlement (falling back to the
-// default).
-func (p *Policy) Revoke(requester string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.grants, requester)
-}
-
 // LevelFor returns the lowest level the requester may reach.
 func (p *Policy) LevelFor(requester string) (int, error) {
 	p.mu.RLock()

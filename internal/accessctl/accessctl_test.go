@@ -87,25 +87,6 @@ func TestPolicyValidation(t *testing.T) {
 	}
 }
 
-func TestPolicyRevoke(t *testing.T) {
-	p, err := NewPolicy(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetTrust("tmp", 0); err != nil {
-		t.Fatal(err)
-	}
-	lv, err := p.LevelFor("tmp")
-	if err != nil || lv != 0 {
-		t.Fatalf("LevelFor = %d, %v", lv, err)
-	}
-	p.Revoke("tmp")
-	lv, err = p.LevelFor("tmp")
-	if err != nil || lv != 2 {
-		t.Errorf("after revoke LevelFor = %d, %v; want default 2", lv, err)
-	}
-}
-
 func TestPolicyRequesters(t *testing.T) {
 	p, err := NewPolicy(2, 2)
 	if err != nil {

@@ -32,6 +32,15 @@
 // anonymization server, and DialServer connects a data owner or requester
 // to it. EnumerateReversals is the keyless adversary's view of a region.
 //
+// # Examples
+//
+// The package's Examples are complete walk-throughs with pinned output:
+// Example_quickstart (the quick start above, level by level),
+// Example_multilevelAccess (three requesters with different trust over a
+// live server), Example_adversary (guessed keys against a published
+// region), Example_fleetMonitoring (RPLE over a moving fleet) and
+// Example_figureOne (the paper's Fig. 1).
+//
 // This package is the library's whole surface. Operating the service is
 // the job of the anonymizer command (cmd/anonymizer) and is not part of it.
 package reversecloak
