@@ -34,7 +34,7 @@ test-full:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -short ./internal/anonymizer ./internal/anonymizer/repl ./internal/anonymizer/tenant ./internal/cloak ./cmd/anonymizer ./internal/roadnet ./internal/prng
+	$(GO) test -race -short ./internal/anonymizer ./internal/anonymizer/repl ./internal/anonymizer/tenant ./internal/cloak ./cmd/anonymizer ./internal/roadnet ./internal/prng ./internal/regcache ./internal/accessctl .
 
 # The paper's experiments + service throughput benchmarks (the nightly job).
 bench: bench-engine experiments

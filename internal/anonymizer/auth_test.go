@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -469,4 +470,14 @@ func TestAdminHandler(t *testing.T) {
 func mustDurable(t *testing.T) *DurableStore {
 	t.Helper()
 	return openDurable(t, t.TempDir())
+}
+
+// sortedOps is the tracked op names, sorted.
+func sortedOps() []string {
+	out := make([]string, len(trackedOps))
+	for i, op := range trackedOps {
+		out[i] = string(op)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -203,10 +203,12 @@ func BenchmarkWALAppend(b *testing.B) {
 
 // BenchmarkReduceDerived measures the derive-on-reduce path of a
 // derived-keys registration: every reduce re-derives the per-level keys
-// through HKDF from the master keyring (nothing is cached), then peels
-// the region. Level 0 is the worst case — every level's key is derived
-// and used. scripts/check-allocs.sh gates its allocs/op against
-// testdata/alloc_baseline.json.
+// through HKDF from the master keyring, then peels the region. It calls
+// Registration.Reduce, which caches nothing, so it runs cache-off; a
+// server with a reduce cache may instead hold the derived set in
+// regcache's key tier (Server.regKeySet). Level 0 is the worst case —
+// every level's key is derived and used. scripts/check-allocs.sh gates
+// its allocs/op against testdata/alloc_baseline.json.
 func BenchmarkReduceDerived(b *testing.B) {
 	g, err := mapgen.Grid(16, 16, 100)
 	if err != nil {

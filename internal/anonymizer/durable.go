@@ -1143,9 +1143,6 @@ func (s *DurableStore) Range(fn func(id string, reg *Registration) bool) {
 // Recovery reports what OpenDurableStore found on disk.
 func (s *DurableStore) Recovery() RecoveryStats { return s.stats }
 
-// Dir returns the store's data directory ("" for a journal-less store).
-func (s *DurableStore) Dir() string { return s.dir }
-
 // Snapshots returns the number of compactions performed since open (for
 // tests and operational introspection).
 func (s *DurableStore) Snapshots() int64 { return s.snapshots.Load() }

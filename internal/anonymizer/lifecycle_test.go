@@ -409,11 +409,14 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 
 // TestServerTTLEndToEnd exercises the TTL field over the wire: a client
 // registers with a TTL against a fake-clock store, and the registration
-// vanishes for every operation once the clock passes the expiry.
+// vanishes for every operation once the clock passes the expiry. The clock
+// is years from the wall clock, so an expiry stamped by any other clock
+// than the store's shows.
 func TestServerTTLEndToEnd(t *testing.T) {
 	for _, mode := range storeModes(t) {
 		t.Run(mode.name, func(t *testing.T) {
 			clock := newFakeClock()
+			clock.ns.Store(time.Date(2001, 9, 9, 0, 0, 0, 0, time.UTC).UnixNano())
 			st := openDurable(t, mode.dir, WithGCInterval(0), WithClock(clock.Now))
 			g, density := testGrid(t)
 			srv := newTestServer(t, g, density, WithStore(st))

@@ -354,3 +354,95 @@ func TestPipelinedOrderAcrossInlineAndWorkers(t *testing.T) {
 		t.Fatalf("the burst did not mix hits and misses: %+v", st)
 	}
 }
+
+// TestClosedConnectionsLeaveNothingBehind abandons connections in each
+// state a client can leave one in: idle, mid-line, mid-header and
+// mid-payload after the binary upgrade, and reset (SO_LINGER 0) with a
+// pipelined burst of anonymize requests in flight. Once they are closed,
+// the server's goroutines must return to their count before the
+// connections opened, and the server must still answer.
+func TestClosedConnectionsLeaveNothingBehind(t *testing.T) {
+	_, addr, _ := startServer(t)
+	before := runtime.NumGoroutine()
+
+	prof := testProfile()
+	var burst []byte
+	for i := 0; i < 64; i++ {
+		line, err := json.Marshal(&Request{Op: OpAnonymize, UserSegment: roadnet.SegmentID(10 + i), Profile: &prof, Algorithm: "RGE"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		burst = append(append(burst, line...), '\n')
+	}
+	ping, err := appendWireFrame(nil, func(b []byte) []byte {
+		return appendRequest(b, &Request{V: ProtocolBinaryMajor, Op: OpPing})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(b []byte) func(net.Conn, *bufio.Reader) error {
+		return func(conn net.Conn, _ *bufio.Reader) error { _, err := conn.Write(b); return err }
+	}
+	upgradeThen := func(b []byte) func(net.Conn, *bufio.Reader) error {
+		return func(conn net.Conn, br *bufio.Reader) error {
+			if _, err := conn.Write([]byte(`{"v":2,"op":"ping"}` + "\n")); err != nil {
+				return err
+			}
+			if ack, err := br.ReadBytes('\n'); err != nil || !strings.Contains(string(ack), `"ok":true`) {
+				return fmt.Errorf("upgrade ack %q: %v", ack, err)
+			}
+			_, err := conn.Write(b)
+			return err
+		}
+	}
+	states := []struct {
+		name  string
+		leave func(net.Conn, *bufio.Reader) error
+	}{
+		{"idle", write(nil)},
+		{"json mid-line", write([]byte(`{"op":"pi`))},
+		{"binary mid-header", upgradeThen(ping[:3])},
+		{"binary mid-payload", upgradeThen(ping[:len(ping)-1])},
+		{"pipelined burst, reset", func(conn net.Conn, br *bufio.Reader) error {
+			if _, err := conn.Write(burst); err != nil {
+				return err
+			}
+			if _, err := br.ReadBytes('\n'); err != nil { // the burst is being served
+				return err
+			}
+			return conn.(*net.TCPConn).SetLinger(0)
+		}},
+	}
+	var conns []net.Conn
+	for round := 0; round < 8; round++ {
+		for _, st := range states {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conns = append(conns, conn)
+			if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.leave(conn, bufio.NewReader(conn)); err != nil {
+				t.Fatalf("%s: %v", st.name, err)
+			}
+		}
+	}
+	open := runtime.NumGoroutine()
+	for _, conn := range conns {
+		_ = conn.Close()
+	}
+
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			stacks := make([]byte, 1<<20)
+			stacks = stacks[:runtime.Stack(stacks, true)]
+			t.Fatalf("%d goroutines 2s after closing %d connections (%d before they opened, %d while open):\n%s",
+				runtime.NumGoroutine(), len(conns), before, open, stacks)
+		}
+	}
+	if err := dial(t, addr).Ping(); err != nil {
+		t.Fatalf("ping after the connections closed: %v", err)
+	}
+}

@@ -499,7 +499,7 @@ func (s *Server) handleAnonymize(req *Request) *Response {
 	}
 	var expiresAtMillis int64
 	if req.TTLMillis > 0 {
-		expiry := time.Now().Add(time.Duration(req.TTLMillis) * time.Millisecond)
+		expiry := s.store.cfg.now().Add(time.Duration(req.TTLMillis) * time.Millisecond)
 		reg.SetExpiry(expiry)
 		expiresAtMillis = expiry.UnixMilli()
 	}

@@ -379,13 +379,3 @@ func writeFsyncHistogram(w io.Writer, h *fsyncHist) {
 func formatBound(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
-
-// sortedOps is a helper for tests: the tracked op names, sorted.
-func sortedOps() []string {
-	out := make([]string, len(trackedOps))
-	for i, op := range trackedOps {
-		out[i] = string(op)
-	}
-	sort.Strings(out)
-	return out
-}

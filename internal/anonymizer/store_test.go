@@ -144,9 +144,9 @@ func TestJournalLessStore(t *testing.T) {
 	if got := st.Len(); got != 7 {
 		t.Errorf("Len = %d, want 7", got)
 	}
-	if st.Dir() != "" || st.Snapshots() != 0 || st.WALStats() != (WALStats{}) || st.Watermark() != 0 {
+	if st.dir != "" || st.Snapshots() != 0 || st.WALStats() != (WALStats{}) || st.Watermark() != 0 {
 		t.Errorf("journal-less store reports a journal: dir %q, %d snapshots, %+v, watermark %d",
-			st.Dir(), st.Snapshots(), st.WALStats(), st.Watermark())
+			st.dir, st.Snapshots(), st.WALStats(), st.Watermark())
 	}
 
 	for what, err := range map[string]error{

@@ -1,6 +1,6 @@
 // Package geom provides the planar geometry primitives used by the road
-// network substrate: points, bounding boxes and polylines in a local
-// meter-based coordinate frame.
+// network substrate: points, bounding boxes and segment distance in a
+// local meter-based coordinate frame.
 //
 // ReverseCloak operates on road networks extracted from projected map data
 // (the paper uses the USGS Atlanta-NW map). All coordinates here are planar
@@ -89,14 +89,6 @@ func (b BBox) Union(o BBox) BBox {
 	return b.Extend(o.Min).Extend(o.Max)
 }
 
-// Contains reports whether p lies inside or on the boundary of b.
-func (b BBox) Contains(p Point) bool {
-	if !b.valid {
-		return false
-	}
-	return p.X >= b.Min.X && p.X <= b.Max.X && p.Y >= b.Min.Y && p.Y <= b.Max.Y
-}
-
 // Width returns the horizontal extent of the box in meters.
 func (b BBox) Width() float64 {
 	if !b.valid {
@@ -130,58 +122,6 @@ func (b BBox) String() string {
 		return "BBox(empty)"
 	}
 	return fmt.Sprintf("BBox[%v %v]", b.Min, b.Max)
-}
-
-// Polyline is an open chain of points, used for segment geometry.
-type Polyline []Point
-
-// Length returns the total length of the polyline in meters.
-func (pl Polyline) Length() float64 {
-	var total float64
-	for i := 1; i < len(pl); i++ {
-		total += pl[i-1].Dist(pl[i])
-	}
-	return total
-}
-
-// Bounds returns the bounding box of the polyline.
-func (pl Polyline) Bounds() BBox {
-	var b BBox
-	for _, p := range pl {
-		b = b.Extend(p)
-	}
-	return b
-}
-
-// At returns the point a fraction t (clamped to [0,1]) along the polyline by
-// arc length. An empty polyline returns the zero point; a single-point
-// polyline returns that point.
-func (pl Polyline) At(t float64) Point {
-	switch len(pl) {
-	case 0:
-		return Point{}
-	case 1:
-		return pl[0]
-	}
-	if t <= 0 {
-		return pl[0]
-	}
-	if t >= 1 {
-		return pl[len(pl)-1]
-	}
-	target := pl.Length() * t
-	var walked float64
-	for i := 1; i < len(pl); i++ {
-		step := pl[i-1].Dist(pl[i])
-		if walked+step >= target {
-			if step == 0 {
-				return pl[i]
-			}
-			return pl[i-1].Lerp(pl[i], (target-walked)/step)
-		}
-		walked += step
-	}
-	return pl[len(pl)-1]
 }
 
 // SegmentDist returns the distance from point p to the line segment ab.

@@ -1,5 +1,5 @@
 // Package metrics provides the statistics and table rendering used by the
-// experiment harness: a streaming mean with extrema, and fixed-width table
+// experiment harness: a streaming mean, and fixed-width table
 // output matching the rows the paper's evaluation reports.
 package metrics
 
@@ -12,23 +12,14 @@ import (
 // Stats accumulates a stream of float64 samples with O(1) memory. The
 // zero value is ready to use.
 type Stats struct {
-	n          int
-	mean       float64
-	min, max   float64
-	hasExtrema bool
+	n    int
+	mean float64
 }
 
 // Add records one sample.
 func (s *Stats) Add(x float64) {
 	s.n++
 	s.mean += (x - s.mean) / float64(s.n)
-	if !s.hasExtrema || x < s.min {
-		s.min = x
-	}
-	if !s.hasExtrema || x > s.max {
-		s.max = x
-	}
-	s.hasExtrema = true
 }
 
 // AddDuration records a duration sample in seconds.
@@ -39,22 +30,6 @@ func (s *Stats) N() int { return s.n }
 
 // Mean returns the sample mean (0 with no samples).
 func (s *Stats) Mean() float64 { return s.mean }
-
-// Min returns the smallest sample (0 with no samples).
-func (s *Stats) Min() float64 {
-	if !s.hasExtrema {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the largest sample (0 with no samples).
-func (s *Stats) Max() float64 {
-	if !s.hasExtrema {
-		return 0
-	}
-	return s.max
-}
 
 // Table renders fixed-width experiment tables.
 type Table struct {

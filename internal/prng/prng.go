@@ -84,9 +84,6 @@ func NewCursor(stream *Stream) *Cursor {
 	return &Cursor{mac: NewKeyed(stream.key)}
 }
 
-// Seek repositions the cursor at draw i.
-func (c *Cursor) Seek(i uint64) { c.next = i }
-
 // Uint64 returns the next draw and advances the cursor.
 func (c *Cursor) Uint64() uint64 {
 	v := c.mac.Uint64(c.next)
@@ -124,16 +121,6 @@ func (c *Cursor) NormFloat64() float64 {
 	u1 := 1.0 - c.Float64()
 	u2 := c.Float64()
 	return boxMuller(u1, u2)
-}
-
-// Perm returns a uniform random permutation of [0,n).
-func (c *Cursor) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	c.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // Shuffle performs a Fisher-Yates shuffle of n elements using swap.

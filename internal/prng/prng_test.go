@@ -105,32 +105,22 @@ func TestCursorSequence(t *testing.T) {
 			t.Fatalf("cursor draw %d does not match stream.At", i)
 		}
 	}
-	c.Seek(3)
-	if c.Uint64() != seq[3] || c.Uint64() != seq[4] {
-		t.Fatal("Seek did not reposition")
-	}
-	c.Seek(9)
-	c.Seek(1) // backwards, past draws already made
-	if c.Uint64() != seq[1] || c.Uint64() != seq[2] {
-		t.Fatal("Seek backwards did not reposition")
-	}
-
 	// The derived draws are the same functions of Stream.At: Intn is
 	// modulo with rejection (n=3 never rejects at these draws), Float64
 	// the top 53 bits, NormFloat64 Box-Muller over two draws.
-	c.Seek(0)
+	c.next = 0
 	for i := uint64(0); i < 10; i++ {
 		if got, want := c.Intn(3), int(s.At(i)%3); got != want {
 			t.Fatalf("Intn draw %d = %d, want %d", i, got, want)
 		}
 	}
-	c.Seek(100)
+	c.next = 100
 	for i := uint64(100); i < 110; i++ {
 		if got, want := c.Float64(), float64(s.At(i)>>11)/(1<<53); got != want {
 			t.Fatalf("Float64 draw %d = %v, want %v", i, got, want)
 		}
 	}
-	c.Seek(200)
+	c.next = 200
 	for i := uint64(200); i < 220; i += 2 {
 		u1 := 1 - float64(s.At(i)>>11)/(1<<53)
 		u2 := float64(s.At(i+1)>>11) / (1 << 53)
@@ -193,23 +183,6 @@ func TestCursorNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.1 {
 		t.Errorf("variance = %v, want approx 1", variance)
-	}
-}
-
-func TestCursorPerm(t *testing.T) {
-	c := NewCursor(New(testKey(13), "perm"))
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := c.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make(map[int]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
 	}
 }
 

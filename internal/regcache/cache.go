@@ -442,9 +442,3 @@ func (c *Cache) Stats() Stats {
 		Entries:           c.entries.Load(),
 	}
 }
-
-// Len returns the number of cached entries across both tiers.
-func (c *Cache) Len() int { return int(c.entries.Load()) }
-
-// Bytes returns the cache's current cost.
-func (c *Cache) Bytes() int64 { return c.bytes.Load() }

@@ -153,8 +153,8 @@ func TestInvalidateDropsEverythingForOneID(t *testing.T) {
 	if _, ok := c.GetRegion("r2", 0); !ok {
 		t.Fatal("Invalidate(r1) must not touch r2")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("Entries = %d, want 1", n)
 	}
 }
 
@@ -169,8 +169,8 @@ func TestKeyGenerationFencesReloads(t *testing.T) {
 		t.Fatal("a newer keyring generation must miss")
 	}
 	// The stale entry was dropped on the mismatched read.
-	if c.Len() != 0 {
-		t.Fatalf("stale key set still cached: Len = %d", c.Len())
+	if n := c.Stats().Entries; n != 0 {
+		t.Fatalf("stale key set still cached: Entries = %d", n)
 	}
 }
 
@@ -235,7 +235,7 @@ func TestDoRegionErrorIsNotCached(t *testing.T) {
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("error result was cached")
 	}
 	// The flight is gone: a retry recomputes.

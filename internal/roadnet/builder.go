@@ -41,9 +41,6 @@ func (b *Builder) AddJunction(p geom.Point) JunctionID {
 	return id
 }
 
-// NumJunctions returns the number of junctions added so far.
-func (b *Builder) NumJunctions() int { return len(b.junctions) }
-
 // NumSegments returns the number of segments added so far.
 func (b *Builder) NumSegments() int { return len(b.segments) }
 
