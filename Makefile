@@ -59,8 +59,10 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "files need gofmt:"; echo "$$out"; exit 1; fi
 
+# Both modules: benchmark/ has its own go.mod, so the root ./... skips it.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 # Static analysis beyond vet (the CI lint job's pinned version; needs
 # network on first run to fetch the tool).

@@ -39,6 +39,7 @@ var unusedDecls = map[string]string{
 	"internal/anonymizer.WithLogSegmentBytes":    "test hook: small log segments to force rotation",
 	"internal/anonymizer.DurableStore.IsReplica": "test hook: a follower's replica flag",
 	"internal/anonymizer/tenant.FromJSON":        "test hook: a registry from inline JSON",
+	"internal/keys.Keyring.Reload":               "test hook: a key-file reload without a watch loop",
 	"internal/leakcheck.Main":                    "test hook: the goroutine-leak TestMain",
 
 	// The access-control API's listing, kept until the policy is reworked.

@@ -1,5 +1,11 @@
 package anonymizer
 
+import (
+	"testing"
+
+	"github.com/reversecloak/reversecloak/internal/cloak"
+)
+
 // crash models kill -9 for a test: it stops the store's background loops
 // (fsync, snapshot and GC tickers) and closes its files without writing
 // or syncing anything, so a reopen sees exactly the bytes already handed
@@ -24,3 +30,19 @@ func (s *DurableStore) crash() {
 		}
 	}
 }
+
+// Harness hands the reference-model harness (model_test.go) to the
+// external tests, whose scenarios drive packages that import this one.
+type Harness struct{ *harness }
+
+func NewHarness(t *testing.T, seed int64) Harness             { return Harness{newHarness(t, seed)} }
+func (h Harness) StoreOptions() []DurabilityOption            { return h.opts() }
+func (h Harness) Engine() *cloak.Engine                       { return h.engine }
+func (h Harness) Run(st *DurableStore, n int)                 { h.run(storeTarget{st}, n) }
+func (h Harness) Sweep(st *DurableStore)                      { h.sweep(storeTarget{st}) }
+func (h Harness) RequireModel(label string, st *DurableStore) { h.requireModel(label, st) }
+func (h Harness) IDs() []string                               { return h.ids }
+func OpenDurable(t *testing.T, dir string, o ...DurabilityOption) *DurableStore {
+	return openDurable(t, dir, o...)
+}
+func RequireSameLog(t *testing.T, label string, a, b *DurableStore) { requireSameLog(t, label, a, b) }

@@ -8,125 +8,6 @@ import (
 	"time"
 )
 
-// The incremental-backup contract: a full backup plus the incremental
-// taken against its watermark reproduces the live store exactly, via the
-// same ApplyDelta pipeline a replication follower uses.
-
-// TestIncrementalBackupRoundTrip drives a mutation log across a full
-// backup boundary and verifies full+delta == live, for both the hot and
-// the offline delta writers.
-func TestIncrementalBackupRoundTrip(t *testing.T) {
-	clk := newFakeClock()
-	dir := filepath.Join(t.TempDir(), "src")
-	st := openDurable(t, dir,
-		WithGCInterval(0), WithClock(clk.Now))
-
-	var ids []string
-	register := func(n int, ttl time.Duration) {
-		for i := 0; i < n; i++ {
-			reg := fakeRegistration(t, 2)
-			if ttl > 0 {
-				reg.SetExpiry(clk.Now().Add(ttl))
-			}
-			id, err := st.Register(reg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
-		}
-	}
-	register(10, 0)
-	register(4, 30*time.Second)
-	if err := st.SetTrust(ids[0], "alice", 1); err != nil {
-		t.Fatal(err)
-	}
-
-	// Full backup: its watermark is the incremental's starting point.
-	var full bytes.Buffer
-	if _, err := st.WriteBackup(&full); err != nil {
-		t.Fatal(err)
-	}
-	watermark, err := ArchiveWatermark(bytes.NewReader(full.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if watermark != st.Watermark() {
-		t.Fatalf("archive watermark %d, store %d", watermark, st.Watermark())
-	}
-
-	// Post-backup mutations: registers, a renewal, a deregistration, an
-	// expiry sweep — every mutation kind crosses the delta.
-	register(6, 0)
-	if err := st.SetTrust(ids[1], "bob", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Deregister(ids[2]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Touch(ids[10], time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(2 * time.Minute)
-	if _, err := st.SweepExpired(); err != nil {
-		t.Fatal(err)
-	}
-
-	var hotDelta bytes.Buffer
-	if _, stats, err := st.WriteIncrementalBackup(&hotDelta, watermark); err != nil {
-		t.Fatal(err)
-	} else if stats.Frames == 0 {
-		t.Fatal("incremental backup carried no frames")
-	}
-
-	want := digestStore(t, st, ids, nil, nil)
-	wantLen := st.Len()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The offline delta of the closed directory must match coverage.
-	var offDelta bytes.Buffer
-	if _, stats, err := IncrementalBackupDir(&offDelta, dir, watermark); err != nil {
-		t.Fatal(err)
-	} else if stats.Frames == 0 {
-		t.Fatal("offline incremental carried no frames")
-	}
-	// A delta's bytes are a function of its log range alone.
-	if !bytes.Equal(hotDelta.Bytes(), offDelta.Bytes()) {
-		t.Fatal("the hot and offline deltas of one range differ")
-	}
-
-	for name, delta := range map[string]*bytes.Buffer{"hot": &hotDelta, "offline": &offDelta} {
-		restored := filepath.Join(t.TempDir(), "restored-"+name)
-		if err := RestoreArchive(bytes.NewReader(full.Bytes()), restored); err != nil {
-			t.Fatal(err)
-		}
-		stats, err := ApplyIncremental(bytes.NewReader(delta.Bytes()), restored,
-			WithGCInterval(0), WithClock(clk.Now))
-		if err != nil {
-			t.Fatalf("%s: ApplyIncremental: %v", name, err)
-		}
-		if stats.Applied == 0 {
-			t.Fatalf("%s: nothing applied", name)
-		}
-		rst := openDurable(t, restored, WithGCInterval(0), WithClock(clk.Now))
-		requireSameState(t, "full+"+name+" delta",
-			want, digestStore(t, rst, ids, nil, nil), wantLen, rst.Len())
-		// Applying the same delta twice is a no-op, not a corruption.
-		if err := rst.Close(); err != nil {
-			t.Fatal(err)
-		}
-		stats, err = ApplyIncremental(bytes.NewReader(delta.Bytes()), restored,
-			WithGCInterval(0), WithClock(clk.Now))
-		if err != nil {
-			t.Fatalf("%s: re-apply: %v", name, err)
-		}
-		if stats.Applied != 0 {
-			t.Fatalf("%s: re-apply applied %d records", name, stats.Applied)
-		}
-	}
-}
-
 // TestApplyIncrementalIsExpiryPassive pins the replica semantics of the
 // delta apply: a registration whose TTL lapses between the full backup
 // and the apply, but whose lease a touch record LATER IN THE DELTA

@@ -1,10 +1,7 @@
 package anonymizer
 
 import (
-	"encoding/json"
-	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,107 +85,6 @@ func reduciblePool(t *testing.T, st *DurableStore, engine *cloak.Engine, g *road
 		t.Fatalf("only %d/%d feasible cloaks on the test grid", len(ids), n)
 	}
 	return ids
-}
-
-// TestReduceCacheConformance runs a cache-enabled and a cache-free server
-// over ONE shared store (reduce is read-only), in both store modes, and requires byte-identical
-// reduce output for every id at every level. Levels are requested
-// coarse-to-fine so the cached server's second request peels from a
-// memoized coarser region (the incremental fast path) rather than from
-// the published one; the second pass re-reads everything as pure cache
-// hits. A derived-keys registration rides along so the key-set tier is
-// held to the same standard through request_keys.
-func TestReduceCacheConformance(t *testing.T) {
-	for _, mode := range storeModes(t) {
-		t.Run(mode.name, func(t *testing.T) {
-			g, density := testGrid(t)
-			st := openDurable(t, mode.dir)
-			cached := newTestServer(t, g, density, WithStore(st), WithReduceCacheBytes(-1))
-			plain := newTestServer(t, g, density, WithStore(st))
-			eng := cached.engines[cloak.RGE]
-
-			prof := cacheTestProfile()
-			levels := len(prof.Levels)
-			ids := reduciblePool(t, st, eng, g, 6, prof)
-
-			// One derived-keys registration: its reduces exercise GetKeys/PutKeys.
-			kr, err := keys.NewKeyring(1, map[uint32][]byte{
-				1: []byte("regcache-conformance-master-secret-01"),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const derivedID = "conf-cache-derived"
-			dks, err := kr.DeriveSet(1, derivedID, levels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var dregion *cloak.CloakedRegion
-			for u := 0; u < g.NumSegments() && dregion == nil; u++ {
-				dregion, _, _ = eng.Anonymize(cloak.Request{
-					UserSegment: roadnet.SegmentID(u), Profile: prof, Keys: dks.All(),
-				})
-			}
-			if dregion == nil {
-				t.Fatal("no feasible cloak for the derived registration")
-			}
-			dpolicy, err := accessctl.NewPolicy(levels, levels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if id, err := st.Register(NewDerivedRegistration(dregion, kr, 1, derivedID, levels, dpolicy)); err != nil || id != derivedID {
-				t.Fatalf("derived register = (%q, %v)", id, err)
-			}
-			if err := st.SetTrust(derivedID, "reader", 0); err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, derivedID)
-
-			reduce := func(s *Server, id string, lv int) (string, string) {
-				resp := s.handleReduce(&Request{Op: OpReduce, RegionID: id, Requester: "reader", ToLevel: lv})
-				if !resp.OK {
-					return "", resp.Error
-				}
-				raw, err := json.Marshal(resp.Region)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return fmt.Sprintf("level=%d %s", *resp.Level, raw), ""
-			}
-			for pass := 0; pass < 2; pass++ {
-				for _, id := range ids {
-					for lv := levels; lv >= 0; lv-- { // levels = the no-peel case
-						want, werr := reduce(plain, id, lv)
-						got, gerr := reduce(cached, id, lv)
-						if werr != gerr {
-							t.Fatalf("pass %d: reduce(%q, %d) errors diverged: plain %q, cached %q",
-								pass, id, lv, werr, gerr)
-						}
-						if want != got {
-							t.Fatalf("pass %d: reduce(%q, %d) diverged:\n plain  %s\n cached %s",
-								pass, id, lv, want, got)
-						}
-					}
-				}
-				wantKeys := plain.handleRequestKeys(&Request{Op: OpRequestKeys, RegionID: derivedID, Requester: "reader"})
-				gotKeys := cached.handleRequestKeys(&Request{Op: OpRequestKeys, RegionID: derivedID, Requester: "reader"})
-				if !wantKeys.OK || !gotKeys.OK || !reflect.DeepEqual(wantKeys.Keys, gotKeys.Keys) {
-					t.Fatalf("pass %d: request_keys diverged: plain (%v, %v), cached (%v, %v)",
-						pass, wantKeys.OK, wantKeys.Keys, gotKeys.OK, gotKeys.Keys)
-				}
-			}
-			cs, ok := cached.ReduceCacheStats()
-			if !ok {
-				t.Fatal("cached server reports no cache")
-			}
-			if cs.RegionHits == 0 || cs.KeyHits == 0 {
-				t.Fatalf("conformance ran past the cache: %+v", cs)
-			}
-			if _, ok := plain.ReduceCacheStats(); ok {
-				t.Fatal("cache-free server reports a cache")
-			}
-		})
-	}
 }
 
 // TestReduceCacheDeregisterStaleness hammers cached reduces from eight

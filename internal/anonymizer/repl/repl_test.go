@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -194,148 +193,6 @@ func requireSame(t *testing.T, label string, want, got map[string]string) {
 		if g := got[id]; g != w {
 			t.Fatalf("%s: id %s diverged:\n leader   %s\n follower %s", label, id, w, g)
 		}
-	}
-}
-
-// TestReplicationConformance is the replication arm of the conformance
-// harness: a randomized mutation log (registers with and without TTLs,
-// trust updates, deregistrations, touch renewals, expiry sweeps) applied
-// on the leader must yield byte-identical visible state on a follower,
-// and the follower's log must hold the leader's exact bytes at every LSN
-// both hold — for a follower bootstrapped from a hot archive of a leader
-// mid-log, and across a mid-stream follower restart.
-func TestReplicationConformance(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	leader := newLeader(t, filepath.Join(t.TempDir(), "leader"),
-		anonymizer.WithGCInterval(0))
-	followerDir := filepath.Join(t.TempDir(), "follower")
-
-	var ids []string
-	requesters := []string{"alice", "bob", "carol"}
-	mutate := func(ops int) {
-		for i := 0; i < ops; i++ {
-			switch rng.Intn(10) {
-			case 0, 1, 2, 3:
-				reg := fakeReg(t, 1+rng.Intn(3))
-				switch rng.Intn(3) {
-				case 0:
-					reg.SetExpiry(time.Now().Add(30 * time.Millisecond)) // will lapse
-				case 1:
-					reg.SetExpiry(time.Now().Add(time.Hour)) // stays live
-				}
-				id, err := leader.store.Register(reg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids = append(ids, id)
-			case 4, 5:
-				if len(ids) == 0 {
-					continue
-				}
-				id := ids[rng.Intn(len(ids))]
-				if err := leader.store.SetTrust(id, requesters[rng.Intn(len(requesters))], rng.Intn(2)); err != nil &&
-					!errors.Is(err, anonymizer.ErrUnknownRegion) {
-					t.Fatal(err)
-				}
-			case 6:
-				if len(ids) == 0 {
-					continue
-				}
-				if err := leader.store.Deregister(ids[rng.Intn(len(ids))]); err != nil &&
-					!errors.Is(err, anonymizer.ErrUnknownRegion) {
-					t.Fatal(err)
-				}
-			case 7, 8:
-				if len(ids) == 0 {
-					continue
-				}
-				if _, err := leader.store.Touch(ids[rng.Intn(len(ids))], time.Hour); err != nil &&
-					!errors.Is(err, anonymizer.ErrUnknownRegion) {
-					t.Fatal(err)
-				}
-			case 9:
-				time.Sleep(5 * time.Millisecond)
-				if _, err := leader.store.SweepExpired(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-
-	// settle lets every short "will lapse" TTL actually lapse, expires
-	// it explicitly on the leader, and ships the expire frames before a
-	// digest comparison — otherwise a registration can lapse in the gap
-	// between digesting the leader and digesting the follower (lazy
-	// expiry hides it from Lookup) and read as a divergence.
-	settle := func(fl *Follower) {
-		time.Sleep(40 * time.Millisecond)
-		if _, err := leader.store.SweepExpired(); err != nil {
-			t.Fatal(err)
-		}
-		awaitCatchup(t, leader.store, fl)
-	}
-
-	// The follower bootstraps from a hot archive of a leader already
-	// mid-log, so its log starts at the archive's watermark.
-	mutate(40)
-	f, err := Start(Config{
-		LeaderAddr:   leader.addr,
-		DataDir:      followerDir,
-		Advertise:    "follower-1",
-		PollInterval: 2 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed := false
-	defer func() {
-		if !closed {
-			_ = f.Close()
-		}
-	}()
-	if f.Store().Watermark() == 0 {
-		t.Fatal("bootstrap archive carried no position")
-	}
-
-	mutate(120)
-	awaitCatchup(t, leader.store, f)
-	settle(f)
-	requireSame(t, "first sync", digest(t, leader.store, ids), digest(t, f.Store(), ids))
-	requireSameLog(t, "first sync", leader.store, f.Store())
-
-	// Mid-stream restart: stop the follower, mutate the leader meanwhile,
-	// restart from the same data dir — it must resume from its own
-	// recovered watermark, not re-bootstrap, and converge again.
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	closed = true
-	preRestart := f.Store().Watermark()
-	mutate(80)
-	f2, err := Start(Config{
-		LeaderAddr:   leader.addr,
-		DataDir:      followerDir,
-		Advertise:    "follower-1",
-		PollInterval: 2 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = f2.Close() }()
-	if got := f2.Store().Recovery(); got.Registrations == 0 && len(ids) > 10 {
-		t.Error("restarted follower recovered nothing; did it re-bootstrap?")
-	}
-	if wm := f2.Store().Watermark(); wm < preRestart {
-		t.Fatalf("restart lost stream position: %d < %d", wm, preRestart)
-	}
-	awaitCatchup(t, leader.store, f2)
-	settle(f2)
-	requireSame(t, "after restart", digest(t, leader.store, ids), digest(t, f2.Store(), ids))
-	requireSameLog(t, "after restart", leader.store, f2.Store())
-	if leader.store.Len() != f2.Store().Len() {
-		t.Fatalf("Len: leader %d, follower %d", leader.store.Len(), f2.Store().Len())
 	}
 }
 

@@ -97,34 +97,27 @@ func requireCurrentLayout(t *testing.T, dir string) {
 
 // buildTailedDir populates and closes a store that never compacts, so
 // every record sits in the log and an offline archive of it carries
-// a non-empty log entry. It returns the directory, the issued IDs and the
-// closed store's digest, Len and watermark.
-func buildTailedDir(t *testing.T, regs int) (string, []string, map[string]*regDigest, int, uint64) {
+// a non-empty log entry. It returns the directory, the harness whose
+// model the store holds, and the closed store's watermark.
+func buildTailedDir(t *testing.T, regs int) (string, *harness, uint64) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "src")
-	st, err := OpenDurableStore(dir, WithSnapshotEvery(0), WithGCInterval(0))
+	h := newHarness(t, 0)
+	st, err := OpenDurableStore(dir, h.opts(WithSnapshotEvery(0))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids []string
 	for i := 0; i < regs; i++ {
-		id, err := st.Register(fakeRegistration(t, 1+i%3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+		h.register(storeTarget{st})
 	}
-	if err := st.SetTrust(ids[0], "alice", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Deregister(ids[len(ids)-1]); err != nil {
-		t.Fatal(err)
-	}
-	digest, n, wm := digestStore(t, st, ids, nil, nil), st.Len(), st.Watermark()
+	first, last := h.ids[0], h.ids[len(h.ids)-1]
+	h.expect("set_trust "+first, st.SetTrust(first, "alice", 0), h.m.setTrust(first, "alice", 0))
+	h.expect("deregister "+last, st.Deregister(last), h.m.deregister(last))
+	wm := st.Watermark()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return dir, ids, digest, n, wm
+	return dir, h, wm
 }
 
 // TestRestoreStagesCurrentLayout is the native-restore acceptance test: a
@@ -132,7 +125,7 @@ func buildTailedDir(t *testing.T, regs int) (string, []string, map[string]*regDi
 // current layout, recovers with nothing truncated, and matches the source
 // — and the archive's own watermark — exactly.
 func TestRestoreStagesCurrentLayout(t *testing.T) {
-	src, ids, want, wantLen, wantWM := buildTailedDir(t, 12)
+	src, h, wantWM := buildTailedDir(t, 12)
 	var archive bytes.Buffer
 	if _, err := BackupDir(&archive, src); err != nil {
 		t.Fatal(err)
@@ -152,11 +145,11 @@ func TestRestoreStagesCurrentLayout(t *testing.T) {
 	requireCurrentLayout(t, dst)
 	staged := readTree(t, dst)
 
-	rst := openDurable(t, dst, WithGCInterval(0))
+	rst := openDurable(t, dst, h.opts()...)
 	if got := rst.Recovery().TruncatedBytes; got != 0 {
 		t.Errorf("first open of a restored dir truncated %d bytes", got)
 	}
-	requireSameState(t, "restore", want, digestStore(t, rst, ids, nil, nil), wantLen, rst.Len())
+	h.requireModel("restore", rst)
 	if rst.Watermark() != wantWM {
 		t.Fatalf("restored watermark %d, want %d", rst.Watermark(), wantWM)
 	}
@@ -202,7 +195,7 @@ func tailArchive(t *testing.T, name string, lsn uint64, tail []byte) []byte {
 // frame ever reaches the staged segment.
 func TestRestoreDamagedTail(t *testing.T) {
 	const regs = 5
-	src, _, _, _, _ := buildTailedDir(t, regs)
+	src, _, _ := buildTailedDir(t, regs)
 	tail, err := os.ReadFile(filepath.Join(src, segName(1)))
 	if err != nil {
 		t.Fatal(err)

@@ -718,15 +718,7 @@ func (s *Server) reducePeel(req *Request, reg *Registration, target int) *Respon
 		}
 		return reduceResp(req.RegionID, reduced, levels, target)
 	}
-	ks, err := reg.keys()
-	if err != nil {
-		return fail(err)
-	}
-	grant, err := ks.Grant(target)
-	if err != nil {
-		return fail(err)
-	}
-	reduced, err := engine.Deanonymize(reg.region, grant, target)
+	reduced, err := reg.Reduce(engine, target)
 	if err != nil {
 		return fail(err)
 	}

@@ -132,8 +132,8 @@ func (r *Registration) DefaultLevel() int { return r.policy.DefaultLevel() }
 func (r *Registration) Grants() map[string]int { return r.policy.Grants() }
 
 // Reduce peels the registration's region down to level with the
-// registration's own keys — the operator-tooling counterpart of the
-// server-side reduce, used by `anonymizer dump` to verify that a restored
+// registration's own keys: the server's reduce when no read cache is
+// installed, and what `anonymizer dump` uses to verify that a restored
 // store still reduces every region identically. Levels at or above the
 // published one return a clone of the published region.
 func (r *Registration) Reduce(engine *cloak.Engine, level int) (*cloak.CloakedRegion, error) {

@@ -21,11 +21,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/reversecloak/reversecloak/internal/filewatch"
 )
 
 // Errors reported by the registry.
@@ -243,21 +244,20 @@ type state struct {
 // for concurrent use.
 type Registry struct {
 	path string
+	// file reloads the tenants file (Reload/Watch); nil for FromJSON.
+	file *filewatch.File
 
 	mu      sync.RWMutex
 	tenants map[string]*Tenant
-	modTime time.Time
 
 	stateMu sync.Mutex
 	states  map[string]*state
-
-	watchStop chan struct{}
-	watchDone chan struct{}
 }
 
 // Load reads a tenants file into a fresh registry.
 func Load(path string) (*Registry, error) {
 	r := &Registry{path: path, states: make(map[string]*state)}
+	r.file = filewatch.New(path, r.install)
 	if err := r.Reload(); err != nil {
 		return nil, err
 	}
@@ -280,24 +280,21 @@ func FromJSON(raw []byte) (*Registry, error) {
 // are reset to the new burst; unchanged buckets keep their fill, and
 // usage counters are always preserved.
 func (r *Registry) Reload() error {
-	if r.path == "" {
+	if r.file == nil {
 		return fmt.Errorf("%w: registry not backed by a file", ErrBadConfig)
 	}
-	raw, err := os.ReadFile(r.path)
-	if err != nil {
-		return fmt.Errorf("tenant: reading %s: %w", r.path, err)
-	}
+	return r.file.Load()
+}
+
+// install parses the tenants file's bytes and swaps the table in.
+func (r *Registry) install(raw []byte) error {
 	tenants, err := parseConfig(raw)
 	if err != nil {
 		return fmt.Errorf("tenant: %s: %w", r.path, err)
 	}
-	st, _ := os.Stat(r.path)
 	r.mu.Lock()
 	old := r.tenants
 	r.tenants = tenants
-	if st != nil {
-		r.modTime = st.ModTime()
-	}
 	r.mu.Unlock()
 	// Reset buckets whose limits changed so the new policy applies from
 	// a full burst rather than inheriting a stale debt or credit.
@@ -315,59 +312,30 @@ func (r *Registry) Reload() error {
 
 // Watch polls the tenants file's modification time every interval and
 // reloads on change, logging the outcome through logf (which may be
-// nil). Call Close to stop the watcher.
+// nil): a bad edit is logged once, not on every poll. Call Close to stop
+// the watcher.
 func (r *Registry) Watch(interval time.Duration, logf func(format string, args ...any)) {
-	if interval <= 0 || r.path == "" {
+	if r.file == nil {
 		return
 	}
-	r.watchStop = make(chan struct{})
-	r.watchDone = make(chan struct{})
-	go func() {
-		defer close(r.watchDone)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-r.watchStop:
-				return
-			case <-t.C:
-			}
-			st, err := os.Stat(r.path)
-			if err != nil {
-				continue // transient (e.g. mid-rename); retry next tick
-			}
-			r.mu.RLock()
-			changed := !st.ModTime().Equal(r.modTime)
-			r.mu.RUnlock()
-			if !changed {
-				continue
-			}
-			if err := r.Reload(); err != nil {
-				if logf != nil {
-					logf("tenants reload failed (previous table stays active): %v", err)
-				}
-				// Remember the bad file's mtime so we don't re-log every
-				// tick; a further edit changes it again.
-				r.mu.Lock()
-				r.modTime = st.ModTime()
-				r.mu.Unlock()
-				continue
-			}
-			if logf != nil {
-				logf("tenants reloaded from %s (%d tenants)", r.path, r.Len())
-			}
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	r.file.Watch(interval, func(err error) {
+		if err != nil {
+			logf("tenants reload failed (previous table stays active): %v", err)
+			return
 		}
-	}()
+		logf("tenants reloaded from %s (%d tenants)", r.path, r.Len())
+	})
 }
 
 // Close stops the Watch loop, if one is running.
 func (r *Registry) Close() error {
-	if r.watchStop != nil {
-		close(r.watchStop)
-		<-r.watchDone
-		r.watchStop = nil
+	if r.file == nil {
+		return nil
 	}
-	return nil
+	return r.file.Close()
 }
 
 // Len returns the number of active tenants.

@@ -7,12 +7,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/reversecloak/reversecloak/internal/filewatch"
 )
 
 // Key derivation replaces key storage: instead of persisting every
@@ -105,13 +106,10 @@ type Keyring struct {
 	// removed its epoch.
 	gen atomic.Uint64
 
-	// File-backed keyrings remember their source for Reload/Watch.
-	path    string
-	modTime time.Time
-
-	watchMu   sync.Mutex
-	watchStop chan struct{}
-	watchDone chan struct{}
+	// File-backed keyrings reload their source through file
+	// (Reload/Watch); keyrings built from in-memory secrets leave it nil.
+	path string
+	file *filewatch.File
 }
 
 // keyFile is the on-disk keyring format: a current epoch plus the hex
@@ -151,22 +149,15 @@ func NewKeyring(active uint32, epochs map[uint32][]byte) (*Keyring, error) {
 // remembers the path: Reload picks up edits, Watch polls for them.
 func LoadKeyring(path string) (*Keyring, error) {
 	kr := &Keyring{path: path}
-	if err := kr.loadFile(); err != nil {
+	kr.file = filewatch.New(path, kr.install)
+	if err := kr.file.Load(); err != nil {
 		return nil, err
 	}
 	return kr, nil
 }
 
-// loadFile (re)loads the keyring's backing file into its epoch table.
-func (k *Keyring) loadFile() error {
-	raw, err := os.ReadFile(k.path)
-	if err != nil {
-		return fmt.Errorf("keys: reading key file: %w", err)
-	}
-	fi, err := os.Stat(k.path)
-	if err != nil {
-		return fmt.Errorf("keys: reading key file: %w", err)
-	}
+// install parses the key file's bytes into the keyring's epoch table.
+func (k *Keyring) install(raw []byte) error {
 	var kf keyFile
 	if err := json.Unmarshal(raw, &kf); err != nil {
 		return fmt.Errorf("keys: parsing key file %s: %w", k.path, err)
@@ -190,7 +181,6 @@ func (k *Keyring) loadFile() error {
 	k.mu.Lock()
 	k.active = fresh.active
 	k.prks = fresh.prks
-	k.modTime = fi.ModTime()
 	k.mu.Unlock()
 	k.gen.Add(1)
 	return nil
@@ -205,74 +195,39 @@ func (k *Keyring) Generation() uint64 { return k.gen.Load() }
 // last load, returning whether a reload happened. A keyring built with
 // NewKeyring has no file and never reloads.
 func (k *Keyring) Reload() (bool, error) {
-	if k.path == "" {
+	if k.file == nil {
 		return false, nil
 	}
-	fi, err := os.Stat(k.path)
-	if err != nil {
-		return false, fmt.Errorf("keys: checking key file: %w", err)
-	}
-	k.mu.RLock()
-	same := fi.ModTime().Equal(k.modTime)
-	k.mu.RUnlock()
-	if same {
-		return false, nil
-	}
-	if err := k.loadFile(); err != nil {
-		return false, err
-	}
-	return true, nil
+	return k.file.Reload()
 }
 
 // Watch polls the backing key file every period and reloads it when it
 // changes, so an operator's epoch rotation reaches a live server without
 // a restart. Reload failures keep the last good keyring and are reported
-// through logf. Close stops the watcher.
+// through logf, once per bad edit. Close stops the watcher.
 func (k *Keyring) Watch(period time.Duration, logf func(format string, args ...any)) {
-	if k.path == "" || period <= 0 {
+	if k.file == nil {
 		return
 	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	k.watchMu.Lock()
-	defer k.watchMu.Unlock()
-	if k.watchStop != nil {
-		return
-	}
-	k.watchStop = make(chan struct{})
-	k.watchDone = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		tick := time.NewTicker(period)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				if changed, err := k.Reload(); err != nil {
-					logf("keys: reload of %s failed (keeping previous keyring): %v", k.path, err)
-				} else if changed {
-					logf("keys: reloaded %s (active epoch %d)", k.path, k.ActiveEpoch())
-				}
-			case <-stop:
-				return
-			}
+	k.file.Watch(period, func(err error) {
+		if err != nil {
+			logf("keys: reload of %s failed (keeping previous keyring): %v", k.path, err)
+			return
 		}
-	}(k.watchStop, k.watchDone)
+		logf("keys: reloaded %s (active epoch %d)", k.path, k.ActiveEpoch())
+	})
 }
 
 // Close stops a running Watch loop. It is safe to call on keyrings that
 // never watched.
 func (k *Keyring) Close() error {
-	k.watchMu.Lock()
-	defer k.watchMu.Unlock()
-	if k.watchStop == nil {
+	if k.file == nil {
 		return nil
 	}
-	close(k.watchStop)
-	<-k.watchDone
-	k.watchStop, k.watchDone = nil, nil
-	return nil
+	return k.file.Close()
 }
 
 // ActiveEpoch returns the epoch new registrations are stamped with.

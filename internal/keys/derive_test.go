@@ -5,9 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -279,6 +281,56 @@ func TestKeyringWatch(t *testing.T) {
 	// Close is idempotent.
 	if err := kr.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyringWatchLogsBadEditOnce: one bad edit of the key file is one
+// log line, however many polls see it, and the last good keyring stays.
+func TestKeyringWatchLogsBadEditOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "keys.json")
+	writeKeyFile(t, path, 1, map[uint32][]byte{1: testSecret(1)})
+	kr, err := LoadKeyring(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var lines []string
+	count := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(lines)
+	}
+	kr.Watch(time.Millisecond, func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	defer func() { _ = kr.Close() }()
+
+	// One edit: the bad file lands whole, in one rename.
+	if err := os.WriteFile(path+".tmp", []byte("{not json"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	bumpMtime(t, path+".tmp")
+	if err := os.Rename(path+".tmp", path); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for count() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the watcher never reported the bad edit")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // some 50 polls of the same bad file
+	if err := kr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 1 {
+		t.Fatalf("one bad edit logged %d lines, want 1: %q", n, lines)
+	}
+	if kr.ActiveEpoch() != 1 {
+		t.Fatal("the bad edit replaced the keyring")
 	}
 }
 
