@@ -98,14 +98,16 @@ bench-smoke:
 check-allocs:
 	bash scripts/check-allocs.sh
 
-# Short native-fuzz pass over the byte-facing decoders (the CI
-# fuzz-smoke step): corrupt input must never panic or over-read, and
-# the JSON and binary wire codecs must decode identically.
+# Short native-fuzz pass over the byte-facing decoders and the reader
+# (the CI fuzz-smoke step): corrupt input must never panic or over-read,
+# the JSON and binary wire codecs must decode identically, and a mutated
+# region must never panic Deanonymize.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime 15s ./internal/anonymizer
 	$(GO) test -run '^$$' -fuzz '^FuzzReadArchive$$' -fuzztime 15s ./internal/anonymizer
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 15s ./internal/anonymizer
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinaryFrame$$' -fuzztime 15s ./internal/anonymizer
+	$(GO) test -run '^$$' -fuzz '^FuzzDeanonymizeRegion$$' -fuzztime 15s ./internal/cloak
 
 # End-to-end data-dir lifecycle: serve -> loadgen -> hot backup ->
 # restore -> byte-identical dumps, plus the fixture archives re-striped

@@ -116,11 +116,15 @@ func (s *Server) writeEngineMetrics(w io.Writer) {
 		sum.SearchesEmpty += st.SearchesEmpty
 		sum.SearchesAmbiguous += st.SearchesAmbiguous
 		sum.SearchNodes += st.SearchNodes
+		sum.TagPRFs += st.TagPRFs
 		sum.SaltRetries += st.SaltRetries
 	}
 	fmt.Fprintf(w, "# HELP anonymizer_cloak_search_nodes_total Reversal-search nodes expanded by the cloak engines (their unit of work: anonymize verifies every tagless level by walking its known chain backward and exploring what a reader's search would try first, reduce searches every tagless level).\n")
 	fmt.Fprintf(w, "# TYPE anonymizer_cloak_search_nodes_total counter\n")
 	fmt.Fprintf(w, "anonymizer_cloak_search_nodes_total %d\n", sum.SearchNodes)
+	fmt.Fprintf(w, "# HELP anonymizer_cloak_tag_prfs_total Step tags derived by the cloak engines to match published ones (the unit of work of tagged levels: anonymize verifies a tagged level against every member at every step, reduce tries every member at a tagged level's top step and only the heads the backward transition names below it).\n")
+	fmt.Fprintf(w, "# TYPE anonymizer_cloak_tag_prfs_total counter\n")
+	fmt.Fprintf(w, "anonymizer_cloak_tag_prfs_total %d\n", sum.TagPRFs)
 	fmt.Fprintf(w, "# HELP anonymizer_cloak_searches_total Reader searches (reduce) and anonymize-time verifications by outcome (ok = the search found a chain / the verification confirmed the level reverses to itself, ambiguous = a verification found a complete chain the reader would take before the true one, exhausted = the node budget ran out first, none = no hypothesis survived). A verification that is not ok publishes the level with tags.\n")
 	fmt.Fprintf(w, "# TYPE anonymizer_cloak_searches_total counter\n")
 	fmt.Fprintf(w, "anonymizer_cloak_searches_total{outcome=\"ok\"} %d\n", sum.Searches-sum.SearchesAmbiguous-sum.SearchesExhausted-sum.SearchesEmpty)

@@ -37,8 +37,11 @@ func scrape(t *testing.T, srv *Server) map[string]uint64 {
 func TestEngineMetrics(t *testing.T) {
 	srv, addr, _ := startServer(t)
 	c := dial(t, addr)
-	if got := scrape(t, srv)["anonymizer_cloak_search_nodes_total"]; got != 0 {
-		t.Fatalf("fresh server reports %d search nodes", got)
+	fresh := scrape(t, srv)
+	for _, series := range []string{"anonymizer_cloak_search_nodes_total", "anonymizer_cloak_tag_prfs_total"} {
+		if got, ok := fresh[series]; !ok || got != 0 {
+			t.Fatalf("fresh server reports %s = %d (exported: %v)", series, got, ok)
+		}
 	}
 
 	want := map[string]uint64{}
@@ -114,6 +117,11 @@ func TestEngineMetrics(t *testing.T) {
 		case strings.Contains(series, `mode="tagless"`):
 			tagless += v
 		}
+	}
+	// A tagged level's verification derives at least one tag per step;
+	// nothing else derives any.
+	if prfs := before["anonymizer_cloak_tag_prfs_total"]; (tagged == 0) != (prfs == 0) {
+		t.Errorf("%d tag PRFs for %d tagged levels", prfs, tagged)
 	}
 	if refuted := outcome("ambiguous") + outcome("exhausted"); refuted != tagged ||
 		outcome("ok") > tagless || outcome("none") != 0 {

@@ -52,6 +52,7 @@ type levelKey struct {
 	level int
 	salt  uint32
 	label []byte
+	prfs  uint64 // tags derived by matches, folded into Stats.TagPRFs
 }
 
 func (lk *levelKey) begin(key []byte, level int) {
@@ -80,6 +81,7 @@ func (lk *levelKey) matches(step int, seg roadnet.SegmentID, want []byte) bool {
 	if len(want) != tagSize {
 		return false
 	}
+	lk.prfs++
 	got := lk.tag(step, seg)
 	var diff byte
 	for i := range got {
@@ -140,6 +142,10 @@ type Stats struct {
 	SearchesEmpty     uint64
 	SearchesAmbiguous uint64
 	SearchNodes       uint64
+	// TagPRFs counts the step tags derived to match a published one: the
+	// work of the anonymizer's tagged verifications and of the reader's
+	// tag walks, as search nodes are of the tagless ones.
+	TagPRFs uint64
 	// TaglessLevels and TaggedLevels count the levels Anonymize accepted,
 	// by whether it had to publish disambiguation tags.
 	TaglessLevels uint64
@@ -153,8 +159,8 @@ type Stats struct {
 
 // engineStats is Stats as atomics.
 type engineStats struct {
-	searches, exhausted, empty, ambiguous, nodes atomic.Uint64
-	tagless, tagged, retries, refused            atomic.Uint64
+	searches, exhausted, empty, ambiguous, nodes, prfs atomic.Uint64
+	tagless, tagged, retries, refused                  atomic.Uint64
 }
 
 // fold adds one call's counts; zero fields cost nothing.
@@ -165,7 +171,7 @@ func (es *engineStats) fold(s *Stats) {
 	}{
 		{&es.searches, s.Searches}, {&es.exhausted, s.SearchesExhausted},
 		{&es.empty, s.SearchesEmpty}, {&es.ambiguous, s.SearchesAmbiguous},
-		{&es.nodes, s.SearchNodes},
+		{&es.nodes, s.SearchNodes}, {&es.prfs, s.TagPRFs},
 		{&es.tagless, s.TaglessLevels}, {&es.tagged, s.TaggedLevels},
 		{&es.retries, s.SaltRetries}, {&es.refused, s.Refusals},
 	} {
@@ -180,7 +186,7 @@ func (es *engineStats) snapshot() Stats {
 	return Stats{
 		Searches: es.searches.Load(), SearchesExhausted: es.exhausted.Load(),
 		SearchesEmpty: es.empty.Load(), SearchesAmbiguous: es.ambiguous.Load(),
-		SearchNodes:   es.nodes.Load(),
+		SearchNodes: es.nodes.Load(), TagPRFs: es.prfs.Load(),
 		TaglessLevels: es.tagless.Load(), TaggedLevels: es.tagged.Load(),
 		SaltRetries: es.retries.Load(), Refusals: es.refused.Load(),
 	}

@@ -8,14 +8,17 @@ package cloak
 //	make bench-engine        # go test -run xxx -bench BenchmarkPaper -benchtime 20x ./internal/cloak
 //
 // Besides time and allocations each reports what the engine did per op:
-// search nodes (its unit of work), budget-exhausted searches and tagged
-// levels; Anonymize also reports the p50 and p99 of its calls, because its
-// mean sits far above its median (a few requests do most of the nodes).
-// The counts are exact. Tagged levels are a published fact and never move
-// unless published regions do; so are Deanonymize's nodes, the reader's
-// search being frozen. Anonymize's nodes and exhausted count say what the
-// anonymizer's own verification cost: PR 24 moved them by design (1 291 ->
-// 243 nodes/op for RGE at 200x) with every region identical.
+// search nodes (its unit of work), tag PRFs (the work of tagged levels),
+// budget-exhausted searches and tagged levels; Anonymize also reports the
+// p50 and p99 of its calls, because its mean sits far above its median (a
+// few requests do most of the nodes). The counts are exact. Tagged levels
+// are a published fact and never move unless published regions do; so are
+// Deanonymize's nodes, the reader's search being frozen. Anonymize's nodes
+// and exhausted count say what the anonymizer's own verification cost:
+// they moved by design (1 291 -> 243 nodes/op for RGE at 200x) with every
+// region identical, as Deanonymize's tag PRFs did (~490 -> ~48 per tagged
+// level for RGE) when the reader's tag walk began following the backward
+// transition.
 // TestPaperCounts pins the counts over all 200 requesters.
 
 import (
@@ -103,6 +106,7 @@ func paperCuts(e *Engine, users []roadnet.SegmentID, n int) []paperCut {
 func reportEngineWork(b *testing.B, e *Engine, before Stats) {
 	d, n := statsSince(e.Stats(), before), float64(b.N)
 	b.ReportMetric(float64(d.SearchNodes)/n, "nodes/op")
+	b.ReportMetric(float64(d.TagPRFs)/n, "tag_prfs/op")
 	b.ReportMetric(float64(d.SearchesExhausted)/n, "exhausted/op")
 	b.ReportMetric(float64(d.TaggedLevels)/n, "tagged_levels/op")
 }

@@ -90,9 +90,10 @@ type LevelMeta struct {
 	// backward transitions would otherwise collide (regions much larger
 	// than their candidate sets; see docs/ARCHITECTURE.md, "Inside the
 	// cloak engine"). Each tag is a PRF output under the level key bound
-	// to the step's added segment: key
-	// holders resolve each removal uniquely in O(|region|); without the
-	// key the tags are indistinguishable from random and reveal nothing.
+	// to the step's added segment: key holders resolve each removal
+	// uniquely, trying every member at the level's top step and only the
+	// heads the backward transition names below it; without the key the
+	// tags are indistinguishable from random and reveal nothing.
 	// Nil for levels whose reversal is collision-free (the common case).
 	Tags [][]byte `json:"tags,omitempty"`
 }

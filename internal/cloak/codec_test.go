@@ -1,10 +1,10 @@
 package cloak
 
 import (
+	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
-
-	"github.com/reversecloak/reversecloak/internal/profile"
 )
 
 // TestCloakedRegionJSONRoundTrip pins the published wire format: the
@@ -45,18 +45,10 @@ func TestCloakedRegionJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTaggedRegionJSONRoundTrip does the same for a tag-mode region.
+// TestTaggedRegionJSONRoundTrip does the same for a region with a tagged
+// level: the tags survive byte for byte and the region still reduces.
 func TestTaggedRegionJSONRoundTrip(t *testing.T) {
-	e := newTestEngine(t, RGE, 14, 14, constDensity(1))
-	ks := testKeys(1)
-	prof := profile.Profile{Levels: []profile.Level{{K: 120, L: 120}}}
-	cr, _, err := e.Anonymize(Request{UserSegment: 180, Profile: prof, Keys: ks})
-	if err != nil {
-		t.Skipf("large cloak infeasible: %v", err)
-	}
-	if cr.Levels[0].Tags == nil {
-		t.Skip("no tags for this region")
-	}
+	gr, cr, lv := taggedCase(t, RGE)
 	raw, err := json.Marshal(cr)
 	if err != nil {
 		t.Fatal(err)
@@ -65,14 +57,14 @@ func TestTaggedRegionJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Levels[0].Tags) != len(cr.Levels[0].Tags) {
-		t.Fatal("tags lost in round trip")
+	if !slices.EqualFunc(back.Levels[lv-1].Tags, cr.Levels[lv-1].Tags, bytes.Equal) {
+		t.Fatal("tags changed in round trip")
 	}
-	l0, err := e.Deanonymize(&back, map[int][]byte{1: ks[0]}, 0)
+	l0, err := gr.w.engines[RGE].Deanonymize(&back, gr.keysByLevel(), 0)
 	if err != nil {
 		t.Fatalf("dean after round trip: %v", err)
 	}
-	if len(l0.Segments) != 1 || l0.Segments[0] != 180 {
-		t.Errorf("L0 = %v", l0.Segments)
+	if len(l0.Segments) != 1 || l0.Segments[0] != gr.req.UserSegment {
+		t.Errorf("L0 = %v, want [%d]", l0.Segments, gr.req.UserSegment)
 	}
 }

@@ -119,6 +119,7 @@ func (e *Engine) acquire(density DensityFunc) *arena {
 
 // release folds the call's counts into the engine's and returns the arena.
 func (e *Engine) release(a *arena) {
+	a.stats.TagPRFs, a.key.prfs = a.key.prfs, 0
 	e.stats.fold(&a.stats)
 	e.arenas.Put(a)
 }
@@ -268,8 +269,9 @@ func (a *arena) rollback() {
 // levelReverses is the collision-avoidance step: it reports whether a key
 // holder's reversal of the level logged in a.seq (grown from head `head`)
 // recovers exactly that level — verifyChain's verdict for a tagless level,
-// the reader's own tag walk compared with a.seq for a tagged one. The
-// region is the same on return, whatever the verdict.
+// the strict tag walk (every member tried at every step) compared with
+// a.seq for a tagged one. The region is the same on return, whatever the
+// verdict.
 func (a *arena) levelReverses(stp stepper, head roadnet.SegmentID, meta LevelMeta, budget int) bool {
 	if meta.Steps == 0 {
 		return true
@@ -283,7 +285,7 @@ func (a *arena) levelReverses(stp stepper, head roadnet.SegmentID, meta LevelMet
 	switch {
 	case meta.Tags == nil:
 		ok = a.verifyChain(stp, head, budget)
-	case a.unwindTagged(stp, meta) == nil:
+	case a.unwindTagged(stp, meta, true) == nil:
 		// The walk left the region unwound; put the level back. Members,
 		// frontier and bounds are functions of the member set alone, so
 		// this is the state expansion left.

@@ -219,24 +219,56 @@ type goldenOutcome struct {
 	retries int
 }
 
+// goldenRequest is one case of the golden set: its world, algorithm, name
+// and the request, keyed by the name.
+type goldenRequest struct {
+	w    *goldenWorld
+	algo Algorithm
+	name string
+	req  Request
+}
+
+// keysByLevel maps the request's keys by level, as Deanonymize takes them.
+func (gr goldenRequest) keysByLevel() map[int][]byte {
+	m := make(map[int][]byte, len(gr.req.Keys))
+	for i, k := range gr.req.Keys {
+		m[i+1] = k
+	}
+	return m
+}
+
+// goldenRequests lists the cases of the worlds in a fixed order.
+func goldenRequests(worlds []*goldenWorld) []goldenRequest {
+	var out []goldenRequest
+	for _, w := range worlds {
+		for _, algo := range []Algorithm{RGE, RPLE} {
+			for _, gp := range w.profiles {
+				for i, user := range w.users {
+					name := fmt.Sprintf("%s/%v/%s/%02d-seg%d", w.name, algo, gp.name, i, user)
+					ks := make([][]byte, len(gp.p.Levels))
+					for l := range ks {
+						ks[l] = goldenKey(name, fmt.Sprintf("level%d", l+1))
+					}
+					out = append(out, goldenRequest{w: w, algo: algo, name: name,
+						req: Request{UserSegment: user, Profile: gp.p, Keys: ks}})
+				}
+			}
+		}
+	}
+	return out
+}
+
 // runGoldenCase digests one request: the published region, the trace, the
 // reduction to every level (multi-level peel from the top, which threads
 // the start-head hint, and level by level on the reduced region, which
 // cannot) and the ambiguity enumeration of the top level under a wrong
 // key.
-func runGoldenCase(w *goldenWorld, algo Algorithm, name string, p profile.Profile,
-	user roadnet.SegmentID) goldenOutcome {
-	e := w.engines[algo]
-	n := len(p.Levels)
-	ks := make([][]byte, n)
-	byLevel := make(map[int][]byte, n)
-	for i := range ks {
-		ks[i] = goldenKey(name, fmt.Sprintf("level%d", i+1))
-		byLevel[i+1] = ks[i]
-	}
+func runGoldenCase(gr goldenRequest) goldenOutcome {
+	e, ks := gr.w.engines[gr.algo], gr.req.Keys
+	n := len(ks)
 	h := sha256.New()
 	var out goldenOutcome
-	cr, tr, err := e.Anonymize(Request{UserSegment: user, Profile: p, Keys: ks})
+	cr, tr, err := e.Anonymize(gr.req)
 	hashJSON(h, "region", cr, err)
 	if err != nil {
 		out.refused = true
@@ -250,6 +282,7 @@ func runGoldenCase(w *goldenWorld, algo Algorithm, name string, p profile.Profil
 		}
 		out.retries += int(lm.Salt)
 	}
+	byLevel := gr.keysByLevel()
 	for to := n - 1; to >= 0; to-- {
 		red, err := e.Deanonymize(cr, byLevel, to)
 		hashJSON(h, fmt.Sprintf("peel-to-%d", to), red, err)
@@ -261,8 +294,8 @@ func runGoldenCase(w *goldenWorld, algo Algorithm, name string, p profile.Profil
 		cur = red
 	}
 	top := cr.Levels[n-1]
-	chains, err := EnumerateReversals(w.g, algo, w.pre, cr.Segments, top.Steps,
-		goldenKey(name, "wrong"), n, top.Salt, top.SigmaS, 8)
+	chains, err := EnumerateReversals(gr.w.g, gr.algo, gr.w.pre, cr.Segments, top.Steps,
+		goldenKey(gr.name, "wrong"), n, top.Salt, top.SigmaS, 8)
 	hashJSON(h, "enumerate-wrong-key", chains, err)
 	out.sha = hex.EncodeToString(h.Sum(nil))
 	return out
@@ -270,15 +303,8 @@ func runGoldenCase(w *goldenWorld, algo Algorithm, name string, p profile.Profil
 
 // forEachGoldenCase runs every case of the worlds in a fixed order.
 func forEachGoldenCase(worlds []*goldenWorld, fn func(name string, out goldenOutcome)) {
-	for _, w := range worlds {
-		for _, algo := range []Algorithm{RGE, RPLE} {
-			for _, gp := range w.profiles {
-				for i, user := range w.users {
-					name := fmt.Sprintf("%s/%v/%s/%02d-seg%d", w.name, algo, gp.name, i, user)
-					fn(name, runGoldenCase(w, algo, name, gp.p, user))
-				}
-			}
-		}
+	for _, gr := range goldenRequests(worlds) {
+		fn(gr.name, runGoldenCase(gr))
 	}
 }
 

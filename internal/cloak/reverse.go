@@ -56,8 +56,9 @@ func checkSteps(steps, regionSize int) error {
 //     first complete chain in this search order, within budget, is the true
 //     one.
 //   - When the level carries disambiguation tags, each removal is resolved
-//     directly by matching the step tag against the members of the current
-//     region — no search at all.
+//     directly by matching the step tag — against every member at the top
+//     step, against the heads the previous backward transition named
+//     below it — with no search at all.
 //
 // The search needs no density information: step counts come from public
 // metadata, so data requesters can run it offline with just the map, the
@@ -72,7 +73,7 @@ func (a *arena) reverseLevel(stp stepper, meta LevelMeta, level int, hint roadne
 	}
 	st.sigma = meta.SigmaS
 	if meta.Tags != nil {
-		return roadnet.InvalidSegment, a.unwindTagged(stp, meta)
+		return roadnet.InvalidSegment, a.unwindTagged(stp, meta, false)
 	}
 	if hint != roadnet.InvalidSegment && !st.has(hint) {
 		return roadnet.InvalidSegment, fmt.Errorf("%w: hint segment %d not in region", ErrBadRegion, hint)
@@ -99,13 +100,21 @@ func (a *arena) reverseLevel(stp stepper, meta LevelMeta, level int, hint roadne
 // is unwound and a.search.chain lists the removals, last-added first; on
 // error they are put back.
 //
+// The reader (strict false) tries every member only at the top step; below
+// it, the segment added at step t is the head the backward transition of
+// step t+1 named, so only those heads are tried. The anonymizer (strict
+// true) tries every member at every step: accepting a level only when the
+// first match over all members is the true segment is what makes the
+// reader's narrowed walk recover the same chain, because the true segment
+// is always among the heads.
+//
 // The start head stays unknown in tag mode: the backward row lookup can be
 // ambiguous for large regions, and the next level de-anonymizes correctly
 // without a hint.
-func (a *arena) unwindTagged(stp stepper, meta LevelMeta) error {
+func (a *arena) unwindTagged(stp stepper, meta LevelMeta, strict bool) error {
 	rs := &a.search
 	rs.chain = rs.chain[:0]
-	err := a.walkTags(stp, meta)
+	err := a.walkTags(stp, meta, strict)
 	if err != nil {
 		for i := len(rs.chain) - 1; i >= 0; i-- {
 			a.st.add(rs.chain[i])
@@ -116,29 +125,37 @@ func (a *arena) unwindTagged(stp stepper, meta LevelMeta) error {
 
 // walkTags is unwindTagged's walk; it stops at the first step that fails,
 // with the removals so far logged in a.search.chain.
-func (a *arena) walkTags(stp stepper, meta LevelMeta) error {
+func (a *arena) walkTags(stp stepper, meta LevelMeta, strict bool) error {
 	st, rs := a.st, &a.search
-	// Members are tried in ascending ID order, the order a region is
+	// Segments are tried in ascending ID order, the order a region is
 	// published in.
 	a.byID = append(a.byID[:0], st.rows...)
 	slices.Sort(a.byID)
 	for t := meta.Steps; t >= 1; t-- {
+		try := a.byID
+		if !strict && t < meta.Steps {
+			slices.Sort(rs.heads)
+			rs.heads = slices.Compact(rs.heads)
+			try = rs.heads
+		}
 		at := -1
-		for i, s := range a.byID {
+		for i, s := range try {
 			if a.key.matches(t, s, meta.Tags[t-1]) {
 				at = i
 				break
 			}
 		}
 		if at < 0 {
-			return fmt.Errorf("%w: step %d tag matches no region segment (wrong key?)", ErrIrreversible, t)
+			return fmt.Errorf("%w: step %d tag matches no candidate segment (wrong key?)", ErrIrreversible, t)
 		}
-		found := a.byID[at]
+		found := try[at]
 		if !st.connectedWithout(found) {
 			return fmt.Errorf("%w: step %d removal disconnects the region", ErrIrreversible, t)
 		}
 		st.remove(found)
-		a.byID = slices.Delete(a.byID, at, at+1)
+		if strict {
+			a.byID = slices.Delete(a.byID, at, at+1)
+		}
 		rs.chain = append(rs.chain, found)
 		if rs.heads = stp.backward(st, found, uint64(t-1), rs.heads[:0]); len(rs.heads) == 0 {
 			return fmt.Errorf("%w: step %d fails the backward transition", ErrIrreversible, t)

@@ -3,100 +3,245 @@ package cloak
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/reversecloak/reversecloak/internal/prng"
-	"github.com/reversecloak/reversecloak/internal/profile"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
 )
 
-// bigKProfile forces a region much larger than its candidate set, the
-// regime where the paper's backward lookup collides at every step and the
-// engine must fall back to disambiguation tags.
-func bigKProfile() profile.Profile {
-	return profile.Profile{Levels: []profile.Level{{K: 120, L: 120}}}
+// taggedCase returns the first golden request off the paper scale whose
+// region publishes a tagged level of at least three steps, the region and
+// that level. It fails the test when there is none, so no tag test can
+// pass by finding nothing to test.
+func taggedCase(t *testing.T, algo Algorithm) (goldenRequest, *CloakedRegion, int) {
+	t.Helper()
+	for _, gr := range goldenRequests(goldenWorlds(t, false)) {
+		if gr.algo != algo {
+			continue
+		}
+		cr, _, err := gr.w.engines[algo].Anonymize(gr.req)
+		if err != nil {
+			continue
+		}
+		for i, lm := range cr.Levels {
+			if lm.Tags != nil && lm.Steps >= 3 {
+				return gr, cr, i + 1
+			}
+		}
+	}
+	t.Fatalf("no golden %v request publishes a tagged level of three steps or more", algo)
+	return goldenRequest{}, nil, 0
 }
 
+// TestLargeRegionGetsTagsAndRoundTrips: a level whose tagless reversal the
+// anonymizer could not verify (a region grown well past its frontier) is
+// published with one tag per step and still reduces to the user's segment.
 func TestLargeRegionGetsTagsAndRoundTrips(t *testing.T) {
 	for _, algo := range []Algorithm{RGE, RPLE} {
 		t.Run(algo.String(), func(t *testing.T) {
-			e := newTestEngine(t, algo, 14, 14, constDensity(1))
-			ks := testKeys(1)
-			cr, tr, err := e.Anonymize(Request{UserSegment: 180, Profile: bigKProfile(), Keys: ks})
-			if errors.Is(err, ErrCloakFailed) {
-				t.Skip("large-k cloak infeasible on this grid for this algorithm")
+			gr, cr, lv := taggedCase(t, algo)
+			meta := cr.Levels[lv-1]
+			if len(meta.Tags) != meta.Steps {
+				t.Fatalf("%s level %d: %d tags for %d steps", gr.name, lv, len(meta.Tags), meta.Steps)
 			}
+			for i, tag := range meta.Tags {
+				if len(tag) != tagSize {
+					t.Fatalf("%s level %d step %d: tag of %d bytes", gr.name, lv, i+1, len(tag))
+				}
+			}
+			l0, err := gr.w.engines[algo].Deanonymize(cr, gr.keysByLevel(), 0)
 			if err != nil {
-				t.Fatalf("Anonymize: %v", err)
+				t.Fatalf("%s: Deanonymize: %v", gr.name, err)
 			}
-			if len(cr.Segments) < 120 {
-				t.Fatalf("region has %d segments, want >= 120", len(cr.Segments))
+			if len(l0.Segments) != 1 || l0.Segments[0] != gr.req.UserSegment {
+				t.Fatalf("%s: L0 = %v, want [%d]", gr.name, l0.Segments, gr.req.UserSegment)
 			}
-			// A region this large relative to its boundary needs tags.
-			if cr.Levels[0].Tags == nil {
-				t.Log("level reversed without tags (search stayed within budget)")
-			} else if len(cr.Levels[0].Tags) != cr.Levels[0].Steps {
-				t.Fatalf("tags = %d for %d steps", len(cr.Levels[0].Tags), cr.Levels[0].Steps)
-			}
-
-			l0, err := e.Deanonymize(cr, map[int][]byte{1: ks[0]}, 0)
-			if err != nil {
-				t.Fatalf("Deanonymize: %v", err)
-			}
-			if len(l0.Segments) != 1 || l0.Segments[0] != 180 {
-				t.Fatalf("L0 = %v, want [180]", l0.Segments)
-			}
-			_ = tr
 		})
 	}
 }
 
 func TestTagsRejectWrongKey(t *testing.T) {
-	e := newTestEngine(t, RGE, 14, 14, constDensity(1))
-	ks := testKeys(1)
-	cr, _, err := e.Anonymize(Request{UserSegment: 180, Profile: bigKProfile(), Keys: ks})
-	if errors.Is(err, ErrCloakFailed) {
-		t.Skip("large-k cloak infeasible")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cr.Levels[0].Tags == nil {
-		t.Skip("no tags emitted for this region")
-	}
-	got, err := e.Deanonymize(cr, map[int][]byte{1: seed(250)}, 0)
-	if err == nil && len(got.Segments) == 1 && got.Segments[0] == 180 {
-		t.Fatal("wrong key recovered the true segment through tags")
-	}
-	if !errors.Is(err, ErrIrreversible) && err != nil {
-		t.Logf("wrong key failed with: %v", err)
+	for _, algo := range []Algorithm{RGE, RPLE} {
+		t.Run(algo.String(), func(t *testing.T) {
+			gr, cr, lv := taggedCase(t, algo)
+			keys := gr.keysByLevel()
+			keys[lv] = goldenKey(gr.name, "wrong")
+			if _, err := gr.w.engines[algo].Deanonymize(cr, keys, lv-1); !errors.Is(err, ErrIrreversible) {
+				t.Fatalf("%s: wrong key at tagged level %d: err = %v, want ErrIrreversible", gr.name, lv, err)
+			}
+		})
 	}
 }
 
+// TestTamperedTagsFail flips one bit of the top step's tag, a middle
+// step's and step 1's in turn: the reader must refuse each.
 func TestTamperedTagsFail(t *testing.T) {
-	e := newTestEngine(t, RGE, 14, 14, constDensity(1))
-	ks := testKeys(1)
-	cr, _, err := e.Anonymize(Request{UserSegment: 180, Profile: bigKProfile(), Keys: ks})
-	if errors.Is(err, ErrCloakFailed) {
-		t.Skip("large-k cloak infeasible")
+	for _, algo := range []Algorithm{RGE, RPLE} {
+		t.Run(algo.String(), func(t *testing.T) {
+			gr, cr, lv := taggedCase(t, algo)
+			e, keys := gr.w.engines[algo], gr.keysByLevel()
+			steps := cr.Levels[lv-1].Steps
+			for _, step := range []int{steps, (steps + 1) / 2, 1} {
+				bad := cr.Clone()
+				tags := slices.Clone(bad.Levels[lv-1].Tags)
+				tags[step-1] = bytes.Clone(tags[step-1])
+				tags[step-1][tagSize-1] ^= 1
+				bad.Levels[lv-1].Tags = tags
+				if _, err := e.Deanonymize(bad, keys, lv-1); !errors.Is(err, ErrIrreversible) {
+					t.Errorf("%s level %d: tampered tag of step %d/%d: err = %v, want ErrIrreversible",
+						gr.name, lv, step, steps, err)
+				}
+			}
+			// A wrong tag count is rejected structurally.
+			bad := cr.Clone()
+			bad.Levels[lv-1].Tags = bad.Levels[lv-1].Tags[:1]
+			if _, err := e.Deanonymize(bad, keys, lv-1); !errors.Is(err, ErrBadRegion) {
+				t.Errorf("%s: truncated tags err = %v, want ErrBadRegion", gr.name, err)
+			}
+		})
 	}
-	if err != nil {
-		t.Fatal(err)
+}
+
+// topLevelArena loads region into an arena set up to peel its top level
+// with key, as Deanonymize does; the caller releases it.
+func topLevelArena(e *Engine, region *CloakedRegion, key []byte) (*arena, stepper, LevelMeta) {
+	lv := region.PrivacyLevel()
+	meta := region.Levels[lv-1]
+	a := e.acquire(nil)
+	for _, id := range region.Segments {
+		a.st.add(id)
 	}
-	if cr.Levels[0].Tags == nil {
-		t.Skip("no tags emitted")
+	a.key.begin(key, lv)
+	a.st.sigma = meta.SigmaS
+	return a, a.stepper(region.Algorithm, e.opts.Pre, meta.Salt), meta
+}
+
+// tagWalk runs one tag walk — the reader's (strict false) or the
+// anonymizer's full scan — over the top level of region, which must be
+// tagged, and returns the removals it logged, last-added first.
+func tagWalk(e *Engine, region *CloakedRegion, key []byte, strict bool) ([]roadnet.SegmentID, error) {
+	a, stp, meta := topLevelArena(e, region, key)
+	defer e.release(a)
+	err := a.unwindTagged(stp, meta, strict)
+	return slices.Clone(a.search.chain), err
+}
+
+// decoy looks, below the top step of the region's top level, for a step t
+// and a member m of the region at that step that the full scan would take
+// instead of the true segment were step t's tag m's: a smaller ID than the
+// true segment, not among the heads the reader tries, and removable
+// without disconnecting the region. chain is the level's true removals.
+func decoy(e *Engine, region *CloakedRegion, key []byte, chain []roadnet.SegmentID) (int, roadnet.SegmentID, bool) {
+	a, stp, meta := topLevelArena(e, region, key)
+	defer e.release(a)
+	st := a.st
+	for i, s := range chain[:len(chain)-1] {
+		t := meta.Steps - i - 1 // the step whose tag is planted
+		st.remove(s)
+		heads := stp.backward(st, s, uint64(t), nil)
+		m := roadnet.InvalidSegment
+		for _, c := range st.rows {
+			if c < chain[i+1] && (m == roadnet.InvalidSegment || c < m) &&
+				!slices.Contains(heads, c) && st.connectedWithout(c) {
+				m = c
+			}
+		}
+		if m != roadnet.InvalidSegment {
+			return t, m, true
+		}
 	}
-	bad := cr.Clone()
-	bad.Levels[0].Tags = append([][]byte(nil), bad.Levels[0].Tags...)
-	bad.Levels[0].Tags[0] = []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	if _, err := e.Deanonymize(bad, map[int][]byte{1: ks[0]}, 0); !errors.Is(err, ErrIrreversible) {
-		t.Errorf("tampered tag err = %v, want ErrIrreversible", err)
+	return 0, roadnet.InvalidSegment, false
+}
+
+// TestTagWalkMatchesFullScan: on every tagged level of the golden requests
+// and (at paper scale) of the 200 paper requesters, the reader's narrowed
+// walk — every member at the top step, the backward transition's heads
+// below it — returns the chain the anonymizer's full scan over all members
+// does, which is the true one. A planted tag shows the difference: a step
+// tag rewritten to a smaller-ID member outside the heads leads the full
+// scan astray, while the reader refuses the level.
+func TestTagWalkMatchesFullScan(t *testing.T) {
+	type tcase struct {
+		name string
+		e    *Engine
+		req  Request
 	}
-	// Wrong tag count is rejected structurally.
-	bad2 := cr.Clone()
-	bad2.Levels[0].Tags = bad2.Levels[0].Tags[:1]
-	if _, err := e.Deanonymize(bad2, map[int][]byte{1: ks[0]}, 0); !errors.Is(err, ErrBadRegion) {
-		t.Errorf("truncated tags err = %v, want ErrBadRegion", err)
+	var cases []tcase
+	for _, gr := range goldenRequests(goldenWorlds(t, !testing.Short())) {
+		cases = append(cases, tcase{gr.name, gr.w.engines[gr.algo], gr.req})
+	}
+	if !testing.Short() {
+		for _, algo := range []Algorithm{RGE, RPLE} {
+			e, users := paperEngine(t, algo)
+			for i := range users {
+				cases = append(cases, tcase{fmt.Sprintf("paper/%v/%d", algo, i), e, paperRequest(users, i)})
+			}
+		}
+	}
+	var levels, planted int
+	var narrowPRFs, fullPRFs uint64
+	for _, c := range cases {
+		cr, tr, err := c.e.Anonymize(c.req)
+		if err != nil {
+			continue // refused
+		}
+		keys := map[int][]byte{}
+		for i, k := range c.req.Keys {
+			keys[i+1] = k
+		}
+		for lv := len(cr.Levels); lv >= 1; lv-- {
+			if cr.Levels[lv-1].Tags == nil {
+				continue
+			}
+			levels++
+			at, err := c.e.Deanonymize(cr, keys, lv)
+			if err != nil {
+				t.Fatalf("%s: reduce to level %d: %v", c.name, lv, err)
+			}
+			key := keys[lv]
+			before := c.e.Stats().TagPRFs
+			narrow, nerr := tagWalk(c.e, at, key, false)
+			mid := c.e.Stats().TagPRFs
+			full, ferr := tagWalk(c.e, at, key, true)
+			narrowPRFs, fullPRFs = narrowPRFs+mid-before, fullPRFs+c.e.Stats().TagPRFs-mid
+			truth := slices.Clone(tr.LevelSeqs[lv-1])
+			slices.Reverse(truth)
+			if nerr != nil || ferr != nil || !slices.Equal(narrow, full) || !slices.Equal(full, truth) {
+				t.Fatalf("%s level %d: narrowed walk %v (err %v), full scan %v (err %v), truth %v",
+					c.name, lv, narrow, nerr, full, ferr, truth)
+			}
+			if planted >= 20 {
+				continue
+			}
+			step, m, ok := decoy(c.e, at, key, truth)
+			if !ok {
+				continue
+			}
+			planted++
+			meta := at.Levels[lv-1]
+			var lk levelKey
+			lk.begin(key, lv)
+			lk.streamKey(meta.Salt)
+			bad := at.Clone()
+			tags := slices.Clone(meta.Tags)
+			tags[step-1] = bytes.Clone(lk.tag(step, m))
+			bad.Levels[lv-1].Tags = tags
+			if _, err := c.e.Deanonymize(bad, map[int][]byte{lv: key}, lv-1); !errors.Is(err, ErrIrreversible) {
+				t.Errorf("%s level %d: step %d tag planted on %d: reader err = %v, want ErrIrreversible",
+					c.name, lv, step, m, err)
+			}
+			if got, _ := tagWalk(c.e, bad, key, true); len(got) <= meta.Steps-step || got[meta.Steps-step] != m {
+				t.Errorf("%s level %d: step %d tag planted on %d: full scan removed %v, want the decoy at step %d",
+					c.name, lv, step, m, got, step)
+			}
+		}
+	}
+	t.Logf("%d tagged levels agree (tag PRFs per level: %.1f narrowed, %.1f full scan); %d planted decoys refused",
+		levels, float64(narrowPRFs)/float64(levels), float64(fullPRFs)/float64(levels), planted)
+	if levels == 0 || planted == 0 {
+		t.Fatalf("lost coverage: %d tagged levels, %d planted decoys", levels, planted)
 	}
 }
 
@@ -115,7 +260,6 @@ func TestSmallRegionsStayTagless(t *testing.T) {
 		}
 	}
 }
-
 func TestStepTagDeterminism(t *testing.T) {
 	newKey := func(b byte) *levelKey {
 		lk := &levelKey{}

@@ -143,8 +143,8 @@ func TestVerifyMatchesReaderSearch(t *testing.T) {
 
 // TestPaperCounts pins what `make bench-engine` prints as counts, over all
 // 200 paper requesters: how every level was settled (published facts —
-// they move only if published regions do), what the reader's searches cost
-// (frozen with the reader) and what the anonymizer's verifications cost
+// they move only if published regions do), what the reader's searches and
+// tag walks cost (frozen with the reader) and what the anonymizer's verifications cost
 // (its own business, pinned so that a change shows).
 func TestPaperCounts(t *testing.T) {
 	if testing.Short() {
@@ -153,13 +153,15 @@ func TestPaperCounts(t *testing.T) {
 	want := map[Algorithm]struct{ anonymize, reduce Stats }{
 		RGE: {
 			Stats{TaglessLevels: 392, TaggedLevels: 208,
-				Searches: 598, SearchesAmbiguous: 206, SearchesExhausted: 2, SearchNodes: 48647},
-			Stats{Searches: 390, SearchNodes: 34209},
+				Searches: 598, SearchesAmbiguous: 206, SearchesExhausted: 2, SearchNodes: 48647,
+				TagPRFs: 102230},
+			Stats{Searches: 390, SearchNodes: 34209, TagPRFs: 9992},
 		},
 		RPLE: {
 			Stats{TaglessLevels: 293, TaggedLevels: 306, SaltRetries: 70, Refusals: 1,
-				Searches: 593, SearchesAmbiguous: 291, SearchesExhausted: 15, SearchNodes: 111404},
-			Stats{Searches: 287, SearchNodes: 36591},
+				Searches: 593, SearchesAmbiguous: 291, SearchesExhausted: 15, SearchNodes: 111404,
+				TagPRFs: 105044},
+			Stats{Searches: 287, SearchNodes: 36591, TagPRFs: 12431},
 		},
 	}
 	for _, algo := range []Algorithm{RGE, RPLE} {
@@ -187,6 +189,7 @@ func statsSince(now, then Stats) Stats {
 		SearchesEmpty:     now.SearchesEmpty - then.SearchesEmpty,
 		SearchesAmbiguous: now.SearchesAmbiguous - then.SearchesAmbiguous,
 		SearchNodes:       now.SearchNodes - then.SearchNodes,
+		TagPRFs:           now.TagPRFs - then.TagPRFs,
 		TaglessLevels:     now.TaglessLevels - then.TaglessLevels,
 		TaggedLevels:      now.TaggedLevels - then.TaggedLevels,
 		SaltRetries:       now.SaltRetries - then.SaltRetries,
