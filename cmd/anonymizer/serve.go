@@ -79,8 +79,6 @@ func runServe(argv []string) error {
 			"background sync period for -fsync interval")
 		snapEvery = fs.Int("snapshot-every", 4096,
 			"compact a shard's WAL into a snapshot after this many records (0 = off)")
-		snapInterval = fs.Duration("snapshot-interval", 0,
-			"additionally compact dirty shards on this period (0 = off)")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return err
@@ -92,7 +90,7 @@ func runServe(argv []string) error {
 		var stray []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "fsync", "fsync-every", "snapshot-every", "snapshot-interval":
+			case "fsync", "fsync-every", "snapshot-every":
 				stray = append(stray, "-"+f.Name)
 			}
 		})
@@ -141,7 +139,6 @@ func runServe(argv []string) error {
 		anonymizer.WithFsyncPolicy(policy),
 		anonymizer.WithFsyncEvery(*fsyncEvery),
 		anonymizer.WithSnapshotEvery(*snapEvery),
-		anonymizer.WithSnapshotInterval(*snapInterval),
 		anonymizer.WithTTL(*ttl),
 		anonymizer.WithGCInterval(*gcInterval),
 	}

@@ -36,7 +36,6 @@ var unusedDecls = map[string]string{
 	// Hooks that tests use to build or inspect state.
 	"internal/anonymizer/repl.Follower.Err":      "test hook: the error that stopped a follower",
 	"internal/anonymizer.NewRegistration":        "test hook: a registration without a server",
-	"internal/anonymizer.WithLogSegmentBytes":    "test hook: small log segments to force rotation",
 	"internal/anonymizer.DurableStore.IsReplica": "test hook: a follower's replica flag",
 	"internal/anonymizer/tenant.FromJSON":        "test hook: a registry from inline JSON",
 	"internal/keys.Keyring.Reload":               "test hook: a key-file reload without a watch loop",

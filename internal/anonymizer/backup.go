@@ -307,8 +307,9 @@ func (s *DurableStore) ApplyDelta(r io.Reader) (*IncrementalStats, error) {
 // The store is opened as a replica for the duration of the apply: like
 // a follower, the apply must be expiry-passive — a registration whose
 // TTL looks elapsed NOW may be renewed by a touch record later in this
-// very delta, so neither the open-time sweep nor a mid-apply compaction
-// may reclaim it. The next normal (leader) open performs the sweep.
+// very delta, so no sweep (the sweeper's or a mid-apply compaction's)
+// may expire it. Opening journals nothing either; the sweep of the
+// leader that next opens the directory journals what stays elapsed.
 func ApplyIncremental(r io.Reader, dir string, opts ...DurabilityOption) (*IncrementalStats, error) {
 	st, err := OpenDurableStore(dir,
 		append(append([]DurabilityOption{}, opts...), WithReplica())...)

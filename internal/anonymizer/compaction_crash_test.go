@@ -190,7 +190,7 @@ func TestCrashBetweenSnapshotRenameAndWALTruncate(t *testing.T) {
 			}
 		}
 		busy.mu.Lock()
-		err := st2.snapshotShardLocked(busy)
+		err := st2.snapshotShardLocked(busy, st2.log.lastLSN())
 		busy.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
@@ -283,6 +283,7 @@ func TestSnapshotPastLostLogTail(t *testing.T) {
 	if err := st.Snapshot(); !errors.Is(err, errSimulatedCrash) {
 		t.Fatalf("Snapshot: %v", err)
 	}
+	st.crash()
 	seg := lastLogSegment(t, dir)
 	raw, err := os.ReadFile(seg)
 	if err != nil {

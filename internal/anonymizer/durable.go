@@ -74,16 +74,15 @@ type DurabilityOption func(*durabilityConfig)
 
 // durabilityConfig collects the store tunables.
 type durabilityConfig struct {
-	fsync            FsyncPolicy
-	fsyncEvery       time.Duration
-	snapshotEvery    int
-	snapshotInterval time.Duration
-	segBytes         int64
-	ttl              time.Duration
-	gcInterval       time.Duration
-	replica          bool
-	keyring          *keys.Keyring
-	now              func() time.Time
+	fsync         FsyncPolicy
+	fsyncEvery    time.Duration
+	snapshotEvery int
+	segBytes      int64
+	ttl           time.Duration
+	gcInterval    time.Duration
+	replica       bool
+	keyring       *keys.Keyring
+	now           func() time.Time
 }
 
 // defaultDurabilityConfig returns the config before options are applied.
@@ -123,29 +122,6 @@ func WithSnapshotEvery(n int) DurabilityOption {
 	}
 }
 
-// WithSnapshotInterval additionally compacts dirty shards from a
-// background goroutine every d (default: disabled).
-func WithSnapshotInterval(d time.Duration) DurabilityOption {
-	return func(c *durabilityConfig) {
-		if d > 0 {
-			c.snapshotInterval = d
-		}
-	}
-}
-
-// WithLogSegmentBytes sets the unified log's segment rotation threshold
-// (default 64 MiB). Smaller segments reclaim disk sooner after
-// compaction at the cost of more files; records larger than the
-// threshold still land whole (a segment always accepts at least one
-// record).
-func WithLogSegmentBytes(n int64) DurabilityOption {
-	return func(c *durabilityConfig) {
-		if n > 0 {
-			c.segBytes = n
-		}
-	}
-}
-
 // WithTTL gives every registration without an expiry of its own a default
 // lifetime of d (default 0: registrations live until deregistered unless
 // the client set a TTL). The expiry is journaled with the registration,
@@ -160,9 +136,9 @@ func WithTTL(d time.Duration) DurabilityOption {
 
 // WithGCInterval sets the expiry sweep period (default one minute; 0
 // disables the background sweeper — expired registrations are still
-// invisible immediately, but memory and log space are then only
-// reclaimed by explicit SweepExpired calls or at snapshot compaction,
-// which excludes expired entries).
+// invisible immediately, but are then only removed, by journaled expire
+// records, at explicit SweepExpired calls and at compaction, which sweeps
+// the shard it compacts first).
 func WithGCInterval(d time.Duration) DurabilityOption {
 	return func(c *durabilityConfig) {
 		if d >= 0 {
@@ -172,10 +148,11 @@ func WithGCInterval(d time.Duration) DurabilityOption {
 }
 
 // WithReplica opens the store as a replication follower: local mutations
-// are refused with ErrNotLeader and the expiry sweeper stays off, because
-// every state change — expiries included — arrives through the leader's
-// mutation stream (ApplyDelta). Promotion (SetReplica(false)) turns the
-// store back into a writable leader.
+// are refused with ErrNotLeader and sweeps (the sweeper's and
+// compaction's) expire nothing, because every state change — expiries
+// included — arrives through the leader's mutation stream (ApplyDelta).
+// Promotion (SetReplica(false)) turns the store back into a writable
+// leader, whose next sweep journals whatever has elapsed.
 func WithReplica() DurabilityOption {
 	return func(c *durabilityConfig) { c.replica = true }
 }
@@ -207,7 +184,8 @@ func WithClock(now func() time.Time) DurabilityOption {
 
 // RecoveryStats describes what OpenDurableStore found on disk.
 type RecoveryStats struct {
-	// Registrations is the number of live registrations recovered.
+	// Registrations is the number of registrations recovered, counting
+	// elapsed leases no expire record has removed yet (as Len does).
 	Registrations int
 	// TrustUpdates is the number of trust records replayed from the WALs.
 	TrustUpdates int
@@ -215,10 +193,10 @@ type RecoveryStats struct {
 	Deregistrations int
 	// Renewals is the number of touch (lease renewal) records replayed.
 	Renewals int
-	// Expired is the number of registrations dropped by expiry during
-	// recovery: journaled expire records that removed an entry, plus
-	// registrations whose TTL elapsed while the store was down (recovery
-	// never resurrects a dead region).
+	// Expired is the number of journaled expire records replayed that
+	// removed an entry. Recovery removes nothing else: a lease that
+	// elapsed while the store was down is refused by lazy expiry from the
+	// open on, and the leader's first sweep journals its expire.
 	Expired int
 	// TruncatedBytes counts torn tail bytes dropped across all WALs (0
 	// after a clean shutdown).
@@ -254,10 +232,13 @@ type durableShard struct {
 // replays snapshot + log through the same apply path the live store uses —
 // preserving the paper's reversibility guarantee across restarts, since a
 // region is only de-anonymizable while the service still holds its keys.
-// Registrations with a TTL expire on schedule: the GC sweeper journals
-// expire mutations, and recovery is expiry-aware, so a reopened store
-// never resurrects a dead region. Opened without a directory it is the
-// same store minus the journal step (see OpenDurableStore).
+// Registrations with a TTL expire on schedule: an elapsed lease is
+// refused at once (lazy expiry), and only a journaled expire mutation —
+// written by the sweeper, or by the sweep compaction runs first — removes
+// it, so every copy of the store forgets it at the same point of the log
+// and a reopened store never resurrects a dead region. Opened without a
+// directory it is the same store minus the journal step (see
+// OpenDurableStore).
 //
 // It is safe for concurrent use; plug it into a server with WithStore.
 type DurableStore struct {
@@ -282,10 +263,9 @@ type DurableStore struct {
 
 	// replica marks the store as a replication follower: local mutations
 	// are refused with ErrNotLeader (state arrives only through
-	// ApplyDelta) and the GC sweeper stays off — expiry still hides
-	// entries instantly, but expire records come from the leader's
-	// stream, so the follower's log never diverges from it. Promotion
-	// clears the flag.
+	// ApplyDelta) and sweeps expire nothing — expiry still hides entries
+	// instantly, but expire records come from the leader's stream, so the
+	// follower's log never diverges from it. Promotion clears the flag.
 	replica atomic.Bool
 
 	// Epoch record (EPOCH.json): the leader/lease fencing state of this
@@ -294,12 +274,6 @@ type DurableStore struct {
 	epochVal    uint64
 	epochLeader bool
 	epochKnown  bool // EPOCH.json existed (or was written) for this dir
-
-	// The GC sweeper starts lazily, on the first registration (live or
-	// recovered) that can expire, so TTL-free stores never pay the
-	// periodic all-shards scan.
-	gcMu      sync.Mutex
-	gcStarted bool
 
 	closed atomic.Bool
 	stop   chan struct{}
@@ -328,10 +302,15 @@ type DurableStore struct {
 // no snapshots, no group commit, and no record encoding on the write path.
 // Its state dies with the process. One rule covers everything that exists
 // only for the journal: the options that configure it (WithFsyncPolicy,
-// WithFsyncEvery, WithSnapshotEvery, WithSnapshotInterval,
-// WithLogSegmentBytes, WithReplica) are accepted and inert, and the methods
-// that read or ship it (Snapshot, WriteBackup, WriteIncrementalBackup,
-// ApplyDelta, SetEpoch) fail with ErrBadOp "… requires a durable store".
+// WithFsyncEvery, WithSnapshotEvery, WithReplica) are accepted and inert,
+// and the methods that read or ship it (Snapshot, WriteBackup,
+// WriteIncrementalBackup, ApplyDelta, SetEpoch) fail with ErrBadOp
+// "… requires a durable store".
+//
+// Opening journals nothing: recovery only replays, and a lease that
+// elapsed while the store was down stays (invisibly) in memory until the
+// leader's first sweep journals its expire. The sweeper starts here on
+// every store with a GC interval; the store must be closed to stop it.
 func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, error) {
 	cfg := defaultDurabilityConfig()
 	for _, opt := range opts {
@@ -348,13 +327,14 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 	s := &DurableStore{dir: dir, cfg: cfg, stop: make(chan struct{})}
 	s.gc.init()
 	if dir == "" {
-		// Journal-less: nothing to recover, no sync or snapshot loops, and
-		// (WithReplica being inert) always a leader — the standalone epoch
-		// state loadEpoch defaults to.
+		// Journal-less: nothing to recover, no sync loop, and (WithReplica
+		// being inert) always a leader — the standalone epoch state
+		// loadEpoch defaults to.
 		s.epochVal, s.epochLeader = 1, true
 		for i := range s.shards {
 			s.shards[i] = &durableShard{tab: newRegTable(), idx: i}
 		}
+		s.startSweeper()
 		return s, nil
 	}
 	s.replica.Store(cfg.replica)
@@ -363,7 +343,6 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 	}
 
 	// Phase 1: per-shard snapshots (each a complete, atomic image).
-	openNow := s.cfg.now().UnixNano()
 	var maxID uint64
 	note := func(id string) {
 		if n, ok := parseRegionID(id); ok && n > maxID {
@@ -371,7 +350,7 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 		}
 	}
 	for i := range s.shards {
-		sh, err := s.loadShardSnapshot(i, &maxID, openNow)
+		sh, err := s.loadShardSnapshot(i, &maxID)
 		if err != nil {
 			return nil, err
 		}
@@ -398,7 +377,7 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 			if err != nil {
 				return 0, false, err
 			}
-			applied, err := sh.tab.apply(m, applyReplay, openNow)
+			applied, err := sh.tab.apply(m, applyReplay, 0)
 			if err != nil {
 				return 0, false, err
 			}
@@ -412,38 +391,19 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 	s.log = lg
 	s.stats.TruncatedBytes += truncated
 
-	canExpire := false
 	for _, sh := range s.shards {
-		// The stream has fully replayed; reclaim whatever is dead at the
-		// open instant in one sweep (replay itself is expiry-blind so that
-		// touch records can renew leases that lapsed mid-log). Replicas
-		// skip the sweep entirely: their stream has no end — a renewal
-		// frame for a "dead" entry may still be in flight from the leader,
-		// and dropping the entry locally would make that frame a silent
-		// no-op. Lazy expiry keeps dead entries invisible to reads either
-		// way.
-		if !s.cfg.replica {
-			s.stats.Expired += sh.tab.dropExpiredLocked(openNow)
-		}
 		s.stats.Registrations += len(sh.tab.regs)
-		if !canExpire {
-			for _, reg := range sh.tab.regs {
-				if reg.expiresAt != 0 {
-					canExpire = true
-					break
-				}
-			}
-		}
 	}
 	s.nextID.Store(maxID)
 	// A snapshot never covers an LSN the log has not reached — unless a
 	// machine crash lost the log's unsynced tail after the snapshot was
 	// written. Re-cut such a snapshot at the log's end: new records would
 	// otherwise take LSNs it claims to cover, and the next recovery would
-	// skip them.
+	// skip them. The re-cut writes the table as replayed, without the
+	// sweep compaction runs first, so the open journals nothing.
 	for _, sh := range s.shards {
 		if sh.snapLSN > lg.lastLSN() {
-			if err := s.snapshotShardLocked(sh); err != nil {
+			if err := s.snapshotShardLocked(sh, lg.lastLSN()); err != nil {
 				_ = lg.close()
 				return nil, err
 			}
@@ -453,14 +413,19 @@ func OpenDurableStore(dir string, opts ...DurabilityOption) (*DurableStore, erro
 		s.bg.Add(1)
 		go tickLoop(&s.bg, s.stop, cfg.fsyncEvery, func() { _ = s.Sync() })
 	}
-	if cfg.snapshotInterval > 0 {
-		s.bg.Add(1)
-		go tickLoop(&s.bg, s.stop, cfg.snapshotInterval, s.snapshotDirty)
-	}
-	if canExpire {
-		s.ensureSweeper()
-	}
+	s.startSweeper()
 	return s, nil
+}
+
+// startSweeper starts the background expiry sweep (SweepExpired every GC
+// interval; none at interval 0). On a replica each pass is a no-op, so a
+// promoted follower sweeps from its next tick on.
+func (s *DurableStore) startSweeper() {
+	if s.cfg.gcInterval <= 0 {
+		return
+	}
+	s.bg.Add(1)
+	go tickLoop(&s.bg, s.stop, s.cfg.gcInterval, func() { _, _ = s.SweepExpired() })
 }
 
 // storeMeta is the self-describing header of a durable data directory.
@@ -561,7 +526,7 @@ func loadOrInitMeta(dir string) error {
 // replay continues it afterwards). Register records route through the
 // shared mutation-apply path in replay mode; maxID accumulates across
 // shards in the caller.
-func (s *DurableStore) loadShardSnapshot(i int, maxID *uint64, openNow int64) (*durableShard, error) {
+func (s *DurableStore) loadShardSnapshot(i int, maxID *uint64) (*durableShard, error) {
 	sh := &durableShard{
 		tab:      newRegTable(),
 		idx:      i,
@@ -593,7 +558,7 @@ func (s *DurableStore) loadShardSnapshot(i int, maxID *uint64, openNow int64) (*
 			if n, ok := parseRegionID(rec.ID); ok && n > *maxID {
 				*maxID = n
 			}
-			applied, err := sh.tab.apply(m, applyReplay, openNow)
+			applied, err := sh.tab.apply(m, applyReplay, 0)
 			if err != nil {
 				return err
 			}
@@ -763,9 +728,6 @@ func (s *DurableStore) Register(reg *Registration) (string, error) {
 	if err := s.mutate(&Mutation{Op: MutRegister, ID: id, Reg: reg}); err != nil {
 		return "", err
 	}
-	if reg.expiresAt != 0 {
-		s.ensureSweeper()
-	}
 	return id, nil
 }
 
@@ -837,7 +799,6 @@ func (s *DurableStore) Touch(id string, ttl time.Duration) (time.Time, error) {
 	if expiresAt == 0 {
 		return time.Time{}, nil
 	}
-	s.ensureSweeper()
 	return time.Unix(0, expiresAt).UTC(), nil
 }
 
@@ -854,91 +815,106 @@ func (s *DurableStore) Len() int {
 }
 
 // SweepExpired journals an expire mutation for every registration whose
-// TTL has elapsed, removes it, and reports how many it removed. The
-// background sweeper calls it on its GC interval; operators can force a
-// pass when that sweeper is disabled. Expire records are not
-// group-committed: nothing is acknowledged on their back, and recovery
-// re-drops expired registrations regardless, so losing one to a crash is
-// harmless.
+// TTL has elapsed, removes it, and reports how many it removed. It is the
+// one way an elapsed lease leaves the store: the background sweeper calls
+// it every GC interval, compaction runs the same per-shard sweep first,
+// and operators can force a pass. A replica's pass is a no-op — its
+// expire records arrive through the leader's stream. Expire records are
+// not group-committed: nothing is acknowledged on their back, and one
+// lost to a crash is harmless, because lazy expiry still refuses the
+// lease and the next sweep journals it again.
 func (s *DurableStore) SweepExpired() (int, error) {
 	if s.closed.Load() {
 		return 0, ErrStoreClosed
 	}
-	if s.replica.Load() {
-		// Followers never originate expire records; the leader's sweeper
-		// ships them through the stream.
-		return 0, nil
+	// A compaction the sweep makes due keeps its expire records on disk
+	// for the followers caught up before it (see compactLocked).
+	var keep uint64
+	if s.log != nil {
+		keep = s.log.lastLSN()
 	}
-	now := s.cfg.now().UnixNano()
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		var ids []string
-		for id, reg := range sh.tab.regs {
-			if reg.expiredAt(now) {
-				ids = append(ids, id)
-			}
-		}
-		for _, id := range ids {
-			m := &Mutation{Op: MutExpire, ID: id}
-			if _, err := s.journalLocked(sh, m); err != nil {
-				sh.mu.Unlock()
-				return n, err
-			}
-			if applied, _ := sh.tab.apply(m, applyLive, now); applied {
-				n++
-			}
-		}
-		if len(ids) > 0 {
-			s.maybeSnapshotLocked(sh)
+		k, err := s.sweepShardLocked(sh)
+		if err == nil && k > 0 && s.compactionDue(sh) {
+			_ = s.compactLocked(sh, keep)
 		}
 		sh.mu.Unlock()
+		n += k
+		if err != nil {
+			return n, err
+		}
 	}
 	return n, nil
 }
 
-// ensureSweeper starts the background GC loop once, on the first
-// registration (live or recovered) that can expire. Replicas never
-// sweep: their expire records arrive through the leader's stream.
-func (s *DurableStore) ensureSweeper() {
-	if s.cfg.gcInterval <= 0 || s.replica.Load() {
-		return
+// sweepShardLocked journals and applies an expire mutation for each of
+// the shard's registrations whose lease has elapsed, and reports how many
+// it removed; on a replica it does nothing.
+func (s *DurableStore) sweepShardLocked(sh *durableShard) (int, error) {
+	if s.replica.Load() {
+		return 0, nil
 	}
-	s.gcMu.Lock()
-	defer s.gcMu.Unlock()
-	if s.gcStarted || s.closed.Load() {
-		return
+	now := s.cfg.now().UnixNano()
+	var ids []string
+	for id, reg := range sh.tab.regs {
+		if reg.expiredAt(now) {
+			ids = append(ids, id)
+		}
 	}
-	s.gcStarted = true
-	s.bg.Add(1)
-	go tickLoop(&s.bg, s.stop, s.cfg.gcInterval, func() { _, _ = s.SweepExpired() })
+	n := 0
+	for _, id := range ids {
+		m := &Mutation{Op: MutExpire, ID: id}
+		if _, err := s.journalLocked(sh, m); err != nil {
+			return n, err
+		}
+		if applied, _ := sh.tab.apply(m, applyLive, now); applied {
+			n++
+		}
+	}
+	return n, nil
 }
 
-// maybeSnapshotLocked compacts the shard when its WAL has accumulated
+// compactionDue reports whether the shard's WAL has accumulated
 // snapshotEvery records since the last snapshot.
+func (s *DurableStore) compactionDue(sh *durableShard) bool {
+	return s.cfg.snapshotEvery > 0 && sh.walRecords >= s.cfg.snapshotEvery
+}
+
+// maybeSnapshotLocked compacts the shard when it is due.
 func (s *DurableStore) maybeSnapshotLocked(sh *durableShard) {
-	if s.cfg.snapshotEvery > 0 && sh.walRecords >= s.cfg.snapshotEvery {
+	if s.compactionDue(sh) {
 		// Best effort: a failed compaction leaves the WAL authoritative
 		// and will be retried after the next append.
-		_ = s.snapshotShardLocked(sh)
+		_ = s.compactLocked(sh, s.log.lastLSN())
 	}
 }
 
-// snapshotShardLocked writes the shard's live registrations to a fresh
-// snapshot (temp file + rename, so the snapshot is atomic) covering the
-// log's current last LSN — with the shard lock held, every record of the
-// shard lies at or below it — then lets the log reclaim any segments no
-// shard needs anymore. Ordering matters: the snapshot is durable before
-// its log records become reclaimable, so a crash at any point leaves
-// either the old snapshot+log or the new snapshot plus log records that
-// recovery skips (they lie at or below the snapshot's LSN).
-//
-// Compaction is also a reclamation point: expired registrations are
-// excluded from the snapshot and, once it is durable, dropped from
-// memory — their keys must not outlive the TTL on disk, and recovery
-// would refuse to resurrect them anyway.
-func (s *DurableStore) snapshotShardLocked(sh *durableShard) error {
-	now := s.cfg.now().UnixNano()
+// compactLocked is compaction's one path (maybeSnapshotLocked,
+// SweepExpired, Snapshot): it sweeps the shard, journaling an expire for
+// each elapsed lease, and then snapshots it, so a snapshot never holds a
+// lease that had elapsed when it was cut and a follower receives every
+// removal as a record. keep is the log's last LSN when the compaction
+// began: reclaim deletes no record past it, so a follower caught up then
+// still finds the expires on disk instead of a stream gap.
+func (s *DurableStore) compactLocked(sh *durableShard, keep uint64) error {
+	if _, err := s.sweepShardLocked(sh); err != nil {
+		return err
+	}
+	return s.snapshotShardLocked(sh, keep)
+}
+
+// snapshotShardLocked writes the shard's registrations, exactly as the
+// table holds them, to a fresh snapshot (temp file + rename, so the
+// snapshot is atomic) covering the log's current last LSN — with the
+// shard lock held, every record of the shard lies at or below it — then
+// lets the log reclaim any segments no shard needs anymore and that hold
+// nothing past keep. Ordering matters: the snapshot is durable before its
+// log records become reclaimable, so a crash at any point leaves either
+// the old snapshot+log or the new snapshot plus log records that recovery
+// skips (they lie at or below the snapshot's LSN).
+func (s *DurableStore) snapshotShardLocked(sh *durableShard, keep uint64) error {
 	tmp := sh.snapPath + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
 	if err != nil {
@@ -953,20 +929,11 @@ func (s *DurableStore) snapshotShardLocked(sh *durableShard) error {
 		_, err = f.Write(frame)
 		return err
 	}
-	// Compaction is a reclamation point on a leader — expired entries are
-	// excluded from the snapshot and dropped from memory below. A replica
-	// must NOT reclaim: expiry is the leader's call (a renewal frame may
-	// be in flight for an entry whose TTL looks elapsed here), so replica
-	// snapshots carry every entry verbatim.
-	replica := s.replica.Load()
 	lsn := s.log.lastLSN()
 	err = write(&walRecord{Type: recSnapHeader, NextID: s.nextID.Load(), LSN: lsn})
 	for id, reg := range sh.tab.regs {
 		if err != nil {
 			break
-		}
-		if !replica && reg.expiredAt(now) {
-			continue
 		}
 		err = write(registerRecord(id, reg))
 	}
@@ -1004,14 +971,7 @@ func (s *DurableStore) snapshotShardLocked(sh *durableShard) error {
 	sh.snapLSN = lsn
 	// The log never truncates in place; instead whole segments every
 	// shard's snapshot covers are reclaimed.
-	s.log.reclaim(sh.idx)
-	// The durable image no longer contains the expired entries skipped
-	// above; drop them from memory too (no expire record needed — there
-	// is nothing on disk left to cancel). Replicas kept them in the
-	// snapshot and keep them in memory.
-	if !replica {
-		sh.tab.dropExpiredLocked(now)
-	}
+	s.log.reclaim(sh.idx, keep)
 	s.snapshots.Add(1)
 	return nil
 }
@@ -1051,7 +1011,7 @@ func syncDir(dir string) error {
 }
 
 // Snapshot forces a compaction of every shard, e.g. before a planned
-// shutdown or backup.
+// shutdown or backup; like every compaction it sweeps each shard first.
 func (s *DurableStore) Snapshot() error {
 	if s.closed.Load() {
 		return ErrStoreClosed
@@ -1059,9 +1019,10 @@ func (s *DurableStore) Snapshot() error {
 	if err := s.needsJournal("snapshot"); err != nil {
 		return err
 	}
+	keep := s.log.lastLSN()
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		err := s.snapshotShardLocked(sh)
+		err := s.compactLocked(sh, keep)
 		sh.mu.Unlock()
 		if err != nil {
 			return err
@@ -1147,19 +1108,7 @@ func (s *DurableStore) Recovery() RecoveryStats { return s.stats }
 // tests and operational introspection).
 func (s *DurableStore) Snapshots() int64 { return s.snapshots.Load() }
 
-// snapshotDirty compacts every shard with outstanding WAL records (the
-// snapshot-interval background pass).
-func (s *DurableStore) snapshotDirty() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.walRecords > 0 {
-			_ = s.snapshotShardLocked(sh)
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// Close stops background work (GC sweeper, sync and snapshot loops) and
+// Close stops background work (the GC sweeper and the sync loop) and
 // flushes and closes the unified log. Operations issued after Close fail
 // with ErrStoreClosed; the on-disk state reopens to exactly the
 // acknowledged mutations.
@@ -1167,12 +1116,7 @@ func (s *DurableStore) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	// stop closes under gcMu so a racing ensureSweeper either registered
-	// its goroutine with bg before the close (and bg.Wait reaps it) or
-	// observes closed and starts nothing.
-	s.gcMu.Lock()
 	close(s.stop)
-	s.gcMu.Unlock()
 	s.bg.Wait()
 	if s.log == nil {
 		return nil

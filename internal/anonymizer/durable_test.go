@@ -181,6 +181,7 @@ func TestDurableStoreCrashRecovery(t *testing.T) {
 
 	// Crash: the first store is abandoned without Close. Reopen the
 	// directory as a fresh process would.
+	st.crash()
 	st2 := openDurable(t, dir)
 	if got := st2.Len(); got != len(regs) {
 		t.Fatalf("recovered %d registrations, acked %d", got, len(regs))
@@ -459,7 +460,7 @@ func TestDurableStoreConcurrentMixed(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenDurableStore(dir,
 		WithSnapshotEvery(16),
-		WithFsyncEvery(5*time.Millisecond), WithSnapshotInterval(10*time.Millisecond))
+		WithFsyncEvery(5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // crash models kill -9 for a test: it stops the store's background loops
-// (fsync, snapshot and GC tickers) and closes its files without writing
+// (the fsync and GC tickers) and closes its files without writing
 // or syncing anything, so a reopen sees exactly the bytes already handed
 // to the kernel. Afterwards the store behaves as closed; a later Close is
 // a no-op.
@@ -15,9 +15,7 @@ func (s *DurableStore) crash() {
 	if s.closed.Swap(true) {
 		return
 	}
-	s.gcMu.Lock()
 	close(s.stop)
-	s.gcMu.Unlock()
 	s.bg.Wait()
 	if s.log == nil {
 		return
@@ -27,6 +25,18 @@ func (s *DurableStore) crash() {
 	for _, seg := range s.log.segs {
 		if seg.f != nil {
 			_ = seg.f.Close()
+		}
+	}
+}
+
+// WithLogSegmentBytes sets the unified log's segment rotation threshold
+// (default 64 MiB), so a test can force rotation and segment reclaim with
+// a handful of records; records larger than the threshold still land
+// whole (a segment always accepts at least one record).
+func WithLogSegmentBytes(n int64) DurabilityOption {
+	return func(c *durabilityConfig) {
+		if n > 0 {
+			c.segBytes = n
 		}
 	}
 }

@@ -124,7 +124,8 @@ func TestShardedStoreSweeperBackground(t *testing.T) {
 // expiry on a manual clock, including a clean reopen and a crash-style
 // reopen: the sweeper journals expire mutations, a reopened store never
 // resurrects a dead region, and the entry count returns to the pre-load
-// level in both lifetimes.
+// level in both lifetimes — after the reopened store's first sweep, the
+// only thing that removes an elapsed lease.
 func TestDurableStoreTTLSweepAndRecovery(t *testing.T) {
 	clock := newFakeClock()
 	dir := t.TempDir()
@@ -190,8 +191,9 @@ func TestDurableStoreTTLSweepAndRecovery(t *testing.T) {
 	}
 
 	// Crash while expired-but-unswept state exists: register short-TTL
-	// entries, abandon the store without Close or sweep, and reopen after
-	// the TTL elapsed. Recovery itself must drop them.
+	// entries, crash the store without Close or sweep, and reopen after
+	// the TTL elapsed. The reopened store refuses them at once, and its
+	// first sweep journals their expires.
 	var crashIDs []string
 	for i := 0; i < 3; i++ {
 		reg := fakeRegistration(t, 2)
@@ -202,20 +204,34 @@ func TestDurableStoreTTLSweepAndRecovery(t *testing.T) {
 		}
 		crashIDs = append(crashIDs, id)
 	}
+	st2.crash()
 	clock.Advance(2 * time.Minute) // TTL elapses "while the store is down"
 
 	st3 := open()
-	defer func() { _ = st3.Close() }()
-	if got := st3.Len(); got != 4 {
-		t.Fatalf("Len after crash reopen = %d, want 4 (dead regions resurrected?)", got)
-	}
 	for _, id := range crashIDs {
 		if _, err := st3.Lookup(id); !errors.Is(err, ErrUnknownRegion) {
 			t.Errorf("Lookup(%q) after crash reopen: %v, want ErrUnknownRegion", id, err)
 		}
 	}
-	if st3.Recovery().Expired < 3 {
-		t.Errorf("crash recovery Expired = %d, want >= 3", st3.Recovery().Expired)
+	if got := st3.Len(); got != 7 {
+		t.Fatalf("Len after crash reopen = %d, want 7 (4 live, 3 elapsed and not yet expired)", got)
+	}
+	if n, err := st3.SweepExpired(); err != nil || n != 3 {
+		t.Fatalf("first sweep after crash reopen = %d, %v; want 3", n, err)
+	}
+	if got := st3.Len(); got != 4 {
+		t.Fatalf("Len after the first sweep = %d, want 4", got)
+	}
+	if err := st3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st4 := open()
+	defer func() { _ = st4.Close() }()
+	if got := st4.Len(); got != 4 {
+		t.Fatalf("Len after reopening the swept store = %d, want 4 (dead regions resurrected?)", got)
+	}
+	if st4.Recovery().Expired < 3 {
+		t.Errorf("Expired replayed after the sweep = %d, want >= 3", st4.Recovery().Expired)
 	}
 }
 
@@ -293,7 +309,8 @@ func TestTTLMillisRounding(t *testing.T) {
 }
 
 // TestDurableStoreDefaultTTLJournaled checks a store-default TTL is
-// stamped into the journaled registration, so it binds across restarts.
+// stamped into the journaled registration, so it binds across restarts:
+// the reopened store refuses it and its first sweep expires it.
 func TestDurableStoreDefaultTTLJournaled(t *testing.T) {
 	clock := newFakeClock()
 	dir := t.TempDir()
@@ -325,8 +342,8 @@ func TestDurableStoreDefaultTTLJournaled(t *testing.T) {
 	if _, err := st2.Lookup(id); !errors.Is(err, ErrUnknownRegion) {
 		t.Errorf("default-TTL registration resurrected after restart: %v", err)
 	}
-	if st2.Recovery().Expired != 1 {
-		t.Errorf("Expired = %d, want 1", st2.Recovery().Expired)
+	if n, err := st2.SweepExpired(); err != nil || n != 1 {
+		t.Errorf("first sweep after restart = %d, %v; want 1", n, err)
 	}
 }
 
@@ -383,6 +400,7 @@ func TestGroupCommitCrashDurability(t *testing.T) {
 	wg.Wait()
 	// Crash: abandon without Close. fsync=always means every acked
 	// mutation above must be on disk already.
+	st.crash()
 	st2, err := OpenDurableStore(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -318,8 +318,8 @@ func errClass(err error) string {
 // resolves, or fails to, as in the model, with the same region bytes,
 // keys, default level, grants and expiry; an engine-made region reduces
 // to the model's bytes at every level; and Len is the model's. Len counts
-// expired entries until a sweep, so the caller sweeps first (a restored
-// store drops them when it opens).
+// expired entries until an expire record removes them, so the caller
+// sweeps the leader first (opening a store removes nothing).
 func (h *harness) requireModel(label string, st *DurableStore) {
 	h.t.Helper()
 	for _, id := range h.ids {

@@ -21,8 +21,10 @@ const (
 	// destroying its keys.
 	MutDeregister
 	// MutExpire removes a registration whose TTL has elapsed. Expire
-	// mutations are appended by the GC sweeper, never by clients, and are
+	// mutations are appended by the leader's sweep (the GC sweeper's, or
+	// the one compaction runs first), never by clients, and are
 	// idempotent: expiring an already-removed registration is a no-op.
+	// They are the only way an elapsed lease leaves a store.
 	MutExpire
 	// MutTouch renews a registration's lease: it replaces the expiry
 	// instant of a live registration, so mobile clients that periodically
@@ -86,16 +88,13 @@ const (
 	// expiry-blind: every journaled mutation was validated against a LIVE
 	// target when it was appended, so replay applies it unconditionally —
 	// evaluating TTLs mid-replay against the open instant would drop a
-	// registration whose lease a later touch record renews. Expired
-	// entries are reclaimed in one sweep after the stream ends
-	// (dropExpiredLocked), which makes replay commute with wall time.
+	// registration whose lease a later touch record renews. Only replayed
+	// expire records remove elapsed leases, which makes replay commute
+	// with wall time.
 	applyReplay
 )
 
 // note counts what one mutation replayed by recovery changed.
-// Registrations whose TTL elapsed while the store was down are not counted
-// here: replay is expiry-blind, and the end-of-stream sweep
-// (dropExpiredLocked) reports them.
 func (r *RecoveryStats) note(m *Mutation, applied bool) {
 	switch {
 	case m.Op == MutSetTrust && applied:
@@ -115,13 +114,12 @@ func (r *RecoveryStats) note(m *Mutation, applied bool) {
 type regTable struct {
 	regs map[string]*Registration
 	// inval, when set, is called (under the shard lock) with the ID of
-	// every registration that apply or dropExpiredLocked removes or
-	// replaces — the single hook the server's read-path cache hangs its
-	// invalidation on. Because every mutation route (live writes, the
-	// durable journal-then-apply flow, WAL/snapshot replay, follower
-	// frame ingest, the GC sweepers) goes through this table, attaching
-	// here means they all invalidate identically; there is no second
-	// place to forget. Trust updates and lease renewals do NOT fire it:
+	// every registration that apply removes or replaces — the single hook
+	// the server's read-path cache hangs its invalidation on. Because
+	// every mutation route (live writes, the durable journal-then-apply
+	// flow, WAL/snapshot replay, follower frame ingest, the sweeps) goes
+	// through this table, attaching here means they all invalidate
+	// identically; there is no second place to forget. Trust updates and lease renewals do NOT fire it:
 	// a registration's region and per-level keys are immutable after
 	// registration, so nothing a set_trust or touch changes is cached.
 	inval func(id string)
@@ -189,8 +187,8 @@ func (t regTable) check(m *Mutation, now int64) error {
 // journal-then-apply flow, follower ingest and WAL/snapshot replay all
 // route through it. It reports whether the mutation changed state — replay
 // counts recovery statistics off that flag — and now is the clock reading
-// expiry is evaluated against (the current instant live, the open instant
-// during replay, in unix nanoseconds).
+// live-path expiry is evaluated against, in unix nanoseconds (replay is
+// expiry-blind and ignores it).
 func (t regTable) apply(m *Mutation, mode applyMode, now int64) (bool, error) {
 	if mode == applyLive {
 		if err := t.check(m, now); err != nil {
@@ -200,8 +198,8 @@ func (t regTable) apply(m *Mutation, mode applyMode, now int64) (bool, error) {
 	switch m.Op {
 	case MutRegister:
 		// Replay inserts unconditionally, expired or not: a later touch
-		// record may renew the lease, and the end-of-stream sweep reclaims
-		// whatever stays dead. A snapshot duplicate (crash between snapshot
+		// record may renew the lease, and the leader's sweep journals the
+		// expire of whatever stays dead. A snapshot duplicate (crash between snapshot
 		// rename and WAL truncation) is simply overwritten with identical
 		// state, so the outcome is order-independent. Cached reductions of
 		// a replaced entry are invalidated all the same: cheap, and
@@ -265,25 +263,4 @@ func (t regTable) apply(m *Mutation, mode applyMode, now int64) (bool, error) {
 	default:
 		return false, fmt.Errorf("%w: mutation %v", ErrBadOp, m.Op)
 	}
-}
-
-// dropExpiredLocked removes every registration whose TTL has elapsed at
-// now and reports how many it dropped — the end-of-stream counterpart of
-// replay's expiry-blindness: recovery and follower bootstrap both replay
-// the full stream first and reclaim the dead entries here, so a reopened
-// store never resurrects a region whose lease ran out while it was down.
-// The caller holds the shard lock; nothing is journaled (the WAL still
-// replays into exactly this state).
-func (t regTable) dropExpiredLocked(now int64) int {
-	n := 0
-	for id, reg := range t.regs {
-		if reg.expiredAt(now) {
-			delete(t.regs, id)
-			if t.inval != nil {
-				t.inval(id)
-			}
-			n++
-		}
-	}
-	return n
 }

@@ -47,7 +47,7 @@ type Config struct {
 	PollInterval time.Duration
 	// StoreOptions apply to the follower's durable store (fsync policy,
 	// snapshot cadence, ...). The store is always opened as a replica;
-	// TTL sweeping stays off until promotion.
+	// its sweeps expire nothing until promotion.
 	StoreOptions []anonymizer.DurabilityOption
 	// Logf receives progress lines (bootstrap, reconnects, promotion).
 	// Nil discards them.
@@ -382,8 +382,9 @@ func (f *Follower) Lag() (int64, time.Time) {
 
 // Promote implements anonymizer.Replicator: it stops the apply loop,
 // advances the epoch past the stale leader's, persists the leadership
-// claim, and opens the store for writes (the TTL sweeper starts with
-// it). From here on the old leader is fenced: its epoch is behind, so
+// claim, and opens the store for writes (the TTL sweeper, running all
+// along, journals the expire of every elapsed lease from its next pass
+// on). From here on the old leader is fenced: its epoch is behind, so
 // this node refuses its rejoin until it re-bootstraps.
 func (f *Follower) Promote() (uint64, error) {
 	if f.promoted.Load() {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/reversecloak/reversecloak/internal/cloak"
 	"github.com/reversecloak/reversecloak/internal/profile"
@@ -133,14 +134,18 @@ func requireSameLog(t *testing.T, label string, a, b *DurableStore) {
 // TestConformanceRestoredFollower (delta): followers seeded from a hot
 // and a cold archive open at the archive's watermark with nothing
 // truncated, and catch up through ApplyDelta to the model and the
-// leader's exact log, across a leader restart too.
+// leader's exact log, across a leader restart too. A leader that compacts
+// or restarts with a lease elapsed and unswept removes it only by the
+// expire its sweep journals, so its followers, whose own sweeps expire
+// nothing, forget it too.
 func TestConformanceRestoredFollower(t *testing.T) {
 	for _, seed := range []int64{22, 23} {
 		h := newHarness(t, seed)
 		dir := filepath.Join(t.TempDir(), "leader")
 		// The leader compacts only when WriteBackup makes it: compacting
 		// records a follower has not fetched yet is a stream gap (the
-		// follower re-bootstraps), which is not the property here.
+		// follower needs a new full backup), which is not the property
+		// here.
 		leader := openDurable(t, dir, h.opts(WithSnapshotEvery(0))...)
 		follow := func(archive []byte) *DurableStore {
 			f := openDurable(t, restore(h, archive), h.opts(WithReplica())...)
@@ -161,8 +166,23 @@ func TestConformanceRestoredFollower(t *testing.T) {
 					h.fatalf("follower %d at watermark %d, leader at %d", i, fw, lw)
 				}
 				requireSameLog(t, fmt.Sprintf("seed %d, follower %d", seed, i), leader, f)
+				_, err := f.SweepExpired()
+				h.must(err)
 				h.requireModel(fmt.Sprint("follower ", i), f)
 			}
+		}
+		// lapse advances the clock just past the earliest running lease.
+		lapse := func() {
+			now, first := h.m.clk.Now().UnixNano(), int64(0)
+			for _, r := range h.m.regs {
+				if r.expiresAt > now && (first == 0 || r.expiresAt < first) {
+					first = r.expiresAt
+				}
+			}
+			if first == 0 {
+				h.fatalf("no running lease to lapse")
+			}
+			h.m.clk.Advance(time.Duration(first-now) + time.Second)
 		}
 
 		h.run(storeTarget{leader}, streamOps()/3)
@@ -183,6 +203,17 @@ func TestConformanceRestoredFollower(t *testing.T) {
 		leader = openDurable(t, dir, h.opts(WithSnapshotEvery(0))...)
 		coldFollower := follow(cold.Bytes())
 		h.run(storeTarget{leader}, streamOps()/3)
+		converge(coldFollower, hotFollower)
+
+		// Snapshot reclaims no record journaled after it began, so the
+		// caught-up followers fetch the expires its sweep journals.
+		lapse()
+		h.must(leader.Snapshot())
+		converge(coldFollower, hotFollower)
+
+		lapse()
+		h.must(leader.Close())
+		leader = openDurable(t, dir, h.opts(WithSnapshotEvery(0))...)
 		converge(coldFollower, hotFollower)
 	}
 }

@@ -132,7 +132,8 @@ type Server struct {
 // installed with WithStore — durable, replicated, deriving keys from a
 // master keyring: whatever that store was opened as — or, without one, in
 // a journal-less store the server owns, which is all a test, an example or
-// a throwaway server needs.
+// a throwaway server needs. That store's expiry sweeper runs until Close,
+// so a server must be closed even if it never served.
 func NewServer(engines map[cloak.Algorithm]*cloak.Engine, opts ...ServerOption) (*Server, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("%w: no engines", ErrBadOp)
@@ -236,7 +237,8 @@ func (s *Server) untrackConn(conn net.Conn) {
 }
 
 // Close stops the listener, drops every live connection and waits for the
-// in-flight handlers to drain. Clients mid-request observe a transport
+// in-flight handlers to drain, then closes the store the server owns
+// (stopping its expiry sweeper). Clients mid-request observe a transport
 // error, never a half-written response for a later request.
 func (s *Server) Close() error {
 	s.mu.Lock()

@@ -198,7 +198,7 @@ func shardIndex(id string, mask uint32) uint32 {
 }
 
 // tickLoop runs fn every period until stop closes — the shared shape of
-// every store background loop (GC sweep, WAL sync, snapshot compaction).
+// every store background loop (GC sweep, WAL sync).
 // The caller has already added the goroutine to wg.
 func tickLoop(wg *sync.WaitGroup, stop <-chan struct{}, period time.Duration, fn func()) {
 	defer wg.Done()

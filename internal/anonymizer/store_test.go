@@ -119,8 +119,7 @@ func TestShardedStoreConcurrent(t *testing.T) {
 func TestJournalLessStore(t *testing.T) {
 	st := openDurable(t, "",
 		WithFsyncPolicy(FsyncAlways), WithFsyncEvery(time.Millisecond),
-		WithSnapshotEvery(1), WithSnapshotInterval(time.Millisecond),
-		WithLogSegmentBytes(64), WithReplica())
+		WithSnapshotEvery(1), WithLogSegmentBytes(64), WithReplica())
 	if st.IsReplica() {
 		t.Fatal("WithReplica took effect on a journal-less store")
 	}

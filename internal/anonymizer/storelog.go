@@ -246,22 +246,25 @@ func (lg *storeLog) unpin() {
 }
 
 // reclaim records that shard's snapshot now covers every record it has,
-// then deletes the prefix of segments all shards are done with: a segment
-// goes once its last LSN lies below every shard's first un-snapshotted
-// record. A shard with no such record pins nothing, so an idle shard
-// never holds the log back. If that covers the whole log and the active
+// then deletes the prefix of segments all shards are done with and that
+// hold nothing past keep: a segment goes once its last LSN lies at or
+// below keep and below every shard's first un-snapshotted record. A shard
+// with no such record pins nothing, so an idle shard never holds the log
+// back. keep is the log's last LSN when the compaction began, so the
+// expire records its sweep journals stay on disk for the followers that
+// were caught up then. If that covers the whole log and the active
 // segment holds records, it is rotated first so they become a sealed,
 // deletable prefix — the "log shrinks after Snapshot" property operators
 // expect from compaction. Reclaim is best-effort: while a reader holds the
 // log it deletes nothing, and the next snapshot's reclaim catches up.
-func (lg *storeLog) reclaim(shard int) {
+func (lg *storeLog) reclaim(shard int, keep uint64) {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
 	lg.pending[shard] = 0
 	if lg.readers > 0 {
 		return
 	}
-	floor := uint64(math.MaxUint64)
+	floor := keep + 1
 	for _, p := range lg.pending {
 		if p != 0 && p < floor {
 			floor = p

@@ -68,7 +68,6 @@ func (s *DurableStore) ingest(lsn uint64, payload []byte) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	now := s.cfg.now().UnixNano()
 	sh := s.shardFor(m.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -83,7 +82,7 @@ func (s *DurableStore) ingest(lsn uint64, payload []byte) (bool, error) {
 		return false, err
 	}
 	s.noteIssuedID(m.ID)
-	applied, err := sh.tab.apply(m, applyReplay, now)
+	applied, err := sh.tab.apply(m, applyReplay, 0)
 	if err != nil {
 		return false, err
 	}
@@ -107,29 +106,10 @@ func (s *DurableStore) noteIssuedID(id string) {
 }
 
 // SetReplica flips the store between follower (true: local mutations
-// refused, sweeper off) and leader (false) roles. Promotion calls
-// SetReplica(false) and the sweeper starts on the next expiring
-// registration — or immediately, if recovered state can expire.
-func (s *DurableStore) SetReplica(replica bool) {
-	s.replica.Store(replica)
-	if !replica {
-		for _, sh := range s.shards {
-			sh.mu.RLock()
-			canExpire := false
-			for _, reg := range sh.tab.regs {
-				if reg.expiresAt != 0 {
-					canExpire = true
-					break
-				}
-			}
-			sh.mu.RUnlock()
-			if canExpire {
-				s.ensureSweeper()
-				return
-			}
-		}
-	}
-}
+// refused, sweeps expire nothing) and leader (false) roles. The sweeper
+// runs in both roles, so a promoted store journals the expire of every
+// elapsed lease on its next sweep.
+func (s *DurableStore) SetReplica(replica bool) { s.replica.Store(replica) }
 
 // IsReplica reports whether the store currently refuses local mutations.
 func (s *DurableStore) IsReplica() bool { return s.replica.Load() }

@@ -111,8 +111,9 @@ func TestTouchDefaultTTL(t *testing.T) {
 // TestTouchSurvivesRecovery is the crash-safety half: a renewal made
 // before a crash keeps the registration alive through a downtime that
 // outlives the ORIGINAL TTL — replay must not drop the register record
-// just because its own expiry lies in the past, and the trust grants
-// applied before the renewal must survive with it.
+// just because its own expiry lies in the past, the reopened store's
+// first sweep must not expire it, and the trust grants applied before the
+// renewal must survive with it.
 func TestTouchSurvivesRecovery(t *testing.T) {
 	clk := newFakeClock()
 	dir := t.TempDir()
@@ -147,8 +148,8 @@ func TestTouchSurvivesRecovery(t *testing.T) {
 	if rec.Renewals != 1 {
 		t.Errorf("Recovery().Renewals = %d, want 1", rec.Renewals)
 	}
-	if rec.Expired != 1 {
-		t.Errorf("Recovery().Expired = %d, want 1 (the unrenewed registration)", rec.Expired)
+	if n, err := st2.SweepExpired(); err != nil || n != 1 {
+		t.Errorf("first sweep after recovery = %d, %v; want 1 (the unrenewed registration)", n, err)
 	}
 	got, err := st2.Lookup(id)
 	if err != nil {

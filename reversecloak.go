@@ -173,7 +173,9 @@ func EnumerateReversals(g *Graph, algo Algorithm, pre *Preassignment, region []S
 }
 
 // NewServer builds a trusted anonymization server from per-algorithm
-// engines, holding its registrations in memory.
+// engines, holding its registrations in memory. The server runs a
+// background expiry sweep from the start, so Close it when done, even if
+// it never served.
 func NewServer(engines map[Algorithm]*Engine) (*Server, error) {
 	return anonymizer.NewServer(engines)
 }
