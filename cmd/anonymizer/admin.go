@@ -225,16 +225,20 @@ type dumpEntry struct {
 	Region    string         `json:"region_sha256"`
 	Reduced   []string       `json:"reductions_sha256"`
 	ReduceErr string         `json:"reduce_error,omitempty"`
+	Sealed    bool           `json:"sealed,omitempty"`
 }
 
 // runDump prints one deterministic JSON line per live registration of a
 // (stopped or restored) data directory, sorted by ID: the region digest,
 // the digest of every reduction level computed with the registration's
-// own keys, the trust table and the expiry. Two directories hold the same
-// visible state exactly when their dumps are byte-identical — the
-// verification step of the backup/restore runbook. The map flags
-// must match the ones the server ran with, or reductions cannot be
-// recomputed.
+// own keys, the trust table, the expiry and whether it carries sealed
+// levels. Two directories hold the same visible state exactly when their
+// dumps are byte-identical — the verification step of the backup/restore
+// runbook. A sealed registration is reduced both ways, by opening its
+// sealed levels and by search; a level that does not open or disagrees
+// becomes the entry's reduce_error. Any reduce_error makes dump exit
+// non-zero, after every line is printed. The map flags must match the
+// ones the server ran with, or reductions cannot be recomputed.
 func runDump(argv []string) error {
 	fs := flag.NewFlagSet("dump", flag.ExitOnError)
 	var (
@@ -275,6 +279,7 @@ func runDump(argv []string) error {
 			Default: reg.DefaultLevel(),
 			Grants:  reg.Grants(),
 			Region:  digestJSON(reg.Region()),
+			Sealed:  reg.Sealed(),
 		}
 		if !reg.Expiry().IsZero() {
 			e.Expires = reg.Expiry().UTC().Format(time.RFC3339Nano)
@@ -285,7 +290,7 @@ func runDump(argv []string) error {
 			return false
 		}
 		for lv := 0; lv <= reg.Levels(); lv++ {
-			reduced, err := reg.Reduce(engine, lv)
+			reduced, err := reg.VerifyReduce(engine, lv)
 			if err != nil {
 				e.ReduceErr = fmt.Sprintf("level %d: %v", lv, err)
 				break
@@ -300,12 +305,19 @@ func runDump(argv []string) error {
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
 	enc := json.NewEncoder(os.Stdout)
+	unreduced := 0
 	for _, e := range entries {
 		if err := enc.Encode(e); err != nil {
 			return err
 		}
+		if e.ReduceErr != "" {
+			unreduced++
+		}
 	}
 	fmt.Fprintf(os.Stderr, "dump: %d registrations\n", len(entries))
+	if unreduced > 0 {
+		return fmt.Errorf("dump: %d registrations do not reduce (see their reduce_error)", unreduced)
+	}
 	return nil
 }
 

@@ -243,13 +243,33 @@ func BenchmarkFsyncAlwaysWriters(b *testing.B) {
 
 // BenchmarkReduceDerived measures the derive-on-reduce path of a
 // derived-keys registration: every reduce re-derives the per-level keys
-// through HKDF from the master keyring, then peels the region. It calls
-// Registration.Reduce, which caches nothing, so it runs cache-off; a
-// server with a reduce cache may instead hold the derived set in
-// regcache's key tier (Server.regKeySet). Level 0 is the worst case —
-// every level's key is derived and used. scripts/check-allocs.sh gates
-// its allocs/op against testdata/alloc_baseline.json.
+// through HKDF from the master keyring, then peels the region by the
+// engine's search: the registration carries no sealed levels, like one
+// from an older log. It runs Registration.Reduce's path, which caches
+// nothing, so it runs cache-off; a server with a reduce cache may instead
+// hold the derived set in regcache's key tier (Server.regKeySet). Level 0
+// is the worst case — every level's key is derived and used.
+// scripts/check-allocs.sh gates its allocs/op against
+// testdata/alloc_baseline.json.
 func BenchmarkReduceDerived(b *testing.B) {
+	reg, _, engine := derivedBenchRegistration(b)
+	benchReduce(b, reg, engine, peelSearch)
+}
+
+// BenchmarkReduceSealed is BenchmarkReduceDerived's registration with
+// the sealed levels the server's anonymize makes: the same reduce opens
+// every level instead of searching for it. scripts/check-allocs.sh gates
+// its allocs/op against testdata/alloc_baseline.json.
+func BenchmarkReduceSealed(b *testing.B) {
+	reg, sealed, engine := derivedBenchRegistration(b)
+	reg.sealed = sealed
+	benchReduce(b, reg, engine, peelSealed)
+}
+
+// derivedBenchRegistration cuts the reduce benchmarks' region on a 16x16
+// grid under keys derived from a fixed master secret and returns its
+// unsealed registration, its sealed levels and the engine.
+func derivedBenchRegistration(b *testing.B) (*Registration, []byte, *cloak.Engine) {
 	g, err := mapgen.Grid(16, 16, 100)
 	if err != nil {
 		b.Fatal(err)
@@ -271,25 +291,36 @@ func BenchmarkReduceDerived(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var region *cloak.CloakedRegion
+	var (
+		region *cloak.CloakedRegion
+		tr     *cloak.Trace
+	)
 	for u := 0; u < g.NumSegments() && region == nil; u++ {
-		region, _, _ = engine.Anonymize(cloak.Request{
+		region, tr, _ = engine.Anonymize(cloak.Request{
 			UserSegment: roadnet.SegmentID(u), Profile: prof, Keys: ks.All(),
 		})
 	}
 	if region == nil {
 		b.Fatal("no feasible cloak on the bench grid")
 	}
+	sealed, err := sealLevels(region, tr, ks.All())
+	if err != nil {
+		b.Fatal(err)
+	}
 	policy, err := accessctl.NewPolicy(len(prof.Levels), len(prof.Levels))
 	if err != nil {
 		b.Fatal(err)
 	}
-	reg := NewDerivedRegistration(region, kr, 1, id, len(prof.Levels), policy)
+	return NewDerivedRegistration(region, kr, 1, id, len(prof.Levels), policy), sealed, engine
+}
+
+// benchReduce reduces reg to level 0 b.N times, each by path.
+func benchReduce(b *testing.B, reg *Registration, engine *cloak.Engine, path peelPath) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reg.Reduce(engine, 0); err != nil {
-			b.Fatal(err)
+		if _, got, err := reg.reduce(engine, 0); err != nil || got != path {
+			b.Fatalf("reduce by path %d, want %d: %v", got, path, err)
 		}
 	}
 }

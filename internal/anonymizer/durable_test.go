@@ -47,6 +47,23 @@ func fakeRegistration(t testing.TB, levels int) *Registration {
 	return NewRegistration(region, ks, policy)
 }
 
+// fakeSealedRegistration is fakeRegistration with sealed levels, sealed
+// as if each level had added the next of its segments in ID order.
+func fakeSealedRegistration(tb testing.TB, levels int) *Registration {
+	tb.Helper()
+	reg := fakeRegistration(tb, levels)
+	tr, next := &cloak.Trace{}, 1
+	for _, lm := range reg.region.Levels {
+		tr.LevelSeqs = append(tr.LevelSeqs, reg.region.Segments[next:next+lm.Steps])
+		next += lm.Steps
+	}
+	var err error
+	if reg.sealed, err = sealLevels(reg.region, tr, reg.keySet.All()); err != nil {
+		tb.Fatal(err)
+	}
+	return reg
+}
+
 // testMasterKeyring builds an in-memory keyring over deterministic
 // per-epoch secrets. The last listed epoch is active; epochs defaults to
 // {1} when empty.

@@ -40,6 +40,13 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 	hybridRec := registerRecord("r4", fakeRegistration(tb, 2))
 	hybridRec.KeyEpoch, hybridRec.KeyLevels = 1, 2
 	hybrid := frame(hybridRec)
+	// Sealed levels: a register record carrying them, and one whose
+	// sealed bytes are a byte short of what its region's steps give.
+	sealedReg := fakeSealedRegistration(tb, 2)
+	sealed := frame(registerRecord("r5", sealedReg))
+	shortRec := registerRecord("r6", sealedReg)
+	shortRec.Sealed = shortRec.Sealed[:len(shortRec.Sealed)-1]
+	sealedShort := frame(shortRec)
 
 	seeds = append(seeds,
 		nil,
@@ -53,6 +60,9 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		hybrid,
 		append(append([]byte{}, derivedReg...), dereg...),
 		derivedReg[:len(derivedReg)-2], // torn derived tail
+		sealed,
+		sealedShort,
+		append(append([]byte{}, sealed...), dereg...),
 	)
 	return seeds
 }
@@ -79,6 +89,14 @@ func FuzzDecodeWALRecord(f *testing.F) {
 				if refRec != m.Reg.derived() {
 					t.Fatalf("record (epoch=%d levels=%d keys=%d) decoded as derived=%v",
 						rec.KeyEpoch, rec.KeyLevels, len(rec.Keys), m.Reg.derived())
+				}
+				// Sealed bytes decode only at their region's length, and
+				// opening them with the record's own keys never panics.
+				if m.Reg.Sealed() && !sealedFits(m.Reg.region.Levels, m.Reg.sealed) {
+					t.Fatalf("%d sealed bytes decoded for levels %+v", len(m.Reg.sealed), m.Reg.region.Levels)
+				}
+				if grant, err := m.Reg.grant(0); err == nil && m.Reg.Sealed() {
+					m.Reg.openReduce(m.Reg.region, grant, 0)
 				}
 			}
 			// A derived record must fail cleanly, not decode as stored keys,

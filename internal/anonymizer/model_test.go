@@ -25,7 +25,9 @@ import (
 // requireModel. Every failure names the seed and the op.
 
 // modelReg is one registration as the model holds it. reductions, for an
-// engine-made region only, is the region reduced to each level 0..levels.
+// engine-made region only, is the region reduced to each level 0..levels
+// by the engine's search; sealed, whether the registration carries its
+// sealed levels (every engine-made one does).
 type modelReg struct {
 	region     string
 	keys       []string
@@ -33,6 +35,7 @@ type modelReg struct {
 	grants     map[string]int
 	expiresAt  int64 // unix ns; 0: no bound
 	reductions []string
+	sealed     bool
 }
 
 // model is the reference store: registrations, a clock and the store's
@@ -238,7 +241,10 @@ func (h *harness) register(tgt target) {
 	ks, err := reg.keys()
 	h.must(err)
 	r := &modelReg{region: h.encode(reg.region), keys: ks.EncodeHex(), def: d.levels,
-		grants: map[string]int{}, expiresAt: h.m.expiry(d.ttl)}
+		grants: map[string]int{}, expiresAt: h.m.expiry(d.ttl), sealed: d.engine}
+	if reg.Sealed() != d.engine {
+		h.fatalf("register %s: sealed %v for an engine-made region %v", id, reg.Sealed(), d.engine)
+	}
 	for lv := 0; d.engine && lv <= d.levels; lv++ {
 		reduced := reg.region
 		if lv < d.levels {
@@ -255,7 +261,8 @@ func (h *harness) register(tgt target) {
 
 // build makes a drawn registration for st to store. Derived keys are
 // derived for the ID st issues next: allocated up front for a key
-// reference, drawn by Register for key material.
+// reference, drawn by Register for key material. An engine-made region
+// carries its sealed levels, as the server's anonymize makes them.
 func (h *harness) build(d *draw, st *DurableStore) *Registration {
 	policy, err := accessctl.NewPolicy(d.levels, d.levels)
 	h.must(err)
@@ -266,10 +273,13 @@ func (h *harness) build(d *draw, st *DurableStore) *Registration {
 	}
 	h.must(err)
 	region := fakeRegistration(h.t, d.levels).region
+	var sealed []byte
 	if d.engine {
-		cut, _, err := h.engine.Anonymize(cloak.Request{UserSegment: d.user, Profile: profile.Profile{Levels: cacheTestProfile().Levels[:d.levels]}, Keys: ks.All()})
+		cut, tr, err := h.engine.Anonymize(cloak.Request{UserSegment: d.user, Profile: profile.Profile{Levels: cacheTestProfile().Levels[:d.levels]}, Keys: ks.All()})
 		if d.engine = err == nil; d.engine {
 			region = cut
+			sealed, err = sealLevels(cut, tr, ks.All())
+			h.must(err)
 		}
 	}
 	reg := NewRegistration(region, ks, policy)
@@ -277,6 +287,7 @@ func (h *harness) build(d *draw, st *DurableStore) *Registration {
 		st.AllocateID()
 		reg = NewDerivedRegistration(region, h.kr, h.kr.ActiveEpoch(), id, d.levels, policy)
 	}
+	reg.sealed = sealed
 	if d.ttl > 0 {
 		reg.SetExpiry(h.m.clk.Now().Add(d.ttl))
 	}
@@ -316,8 +327,9 @@ func errClass(err error) string {
 
 // requireModel fails unless st holds the model: every ID ever issued
 // resolves, or fails to, as in the model, with the same region bytes,
-// keys, default level, grants and expiry; an engine-made region reduces
-// to the model's bytes at every level; and Len is the model's. Len counts
+// keys, default level, grants, expiry and sealed levels; an engine-made
+// region reduces to the model's bytes at every level by opening its
+// sealed levels, never by search; and Len is the model's. Len counts
 // expired entries until an expire record removes them, so the caller
 // sweeps the leader first (opening a store removes nothing).
 func (h *harness) requireModel(label string, st *DurableStore) {
@@ -332,10 +344,13 @@ func (h *harness) requireModel(label string, st *DurableStore) {
 		ks, err := reg.keys()
 		h.must(err)
 		got := &modelReg{region: h.encode(reg.region), keys: ks.EncodeHex(), def: reg.DefaultLevel(),
-			grants: reg.Grants(), expiresAt: reg.expiresAt}
+			grants: reg.Grants(), expiresAt: reg.expiresAt, sealed: reg.Sealed()}
 		for lv := 0; want.reductions != nil && lv <= reg.Levels(); lv++ {
-			reduced, err := reg.Reduce(h.engine, lv)
+			reduced, path, err := reg.reduce(h.engine, lv)
 			h.must(err)
+			if got.sealed && lv < reg.Levels() && path != peelSealed {
+				h.fatalf("%s: %s reduced to level %d by search, not by its sealed levels", label, id, lv)
+			}
 			got.reductions = append(got.reductions, h.encode(reduced))
 		}
 		if !reflect.DeepEqual(got, want) {

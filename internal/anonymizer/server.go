@@ -478,11 +478,18 @@ func (s *Server) handleAnonymize(req *Request) *Response {
 		}
 		keySet = ks
 	}
-	region, _, err := engine.Anonymize(cloak.Request{
+	levelKeys := keySet.All()
+	region, trace, err := engine.Anonymize(cloak.Request{
 		UserSegment: req.UserSegment,
 		Profile:     *req.Profile,
-		Keys:        keySet.All(),
+		Keys:        levelKeys,
 	})
+	if err != nil {
+		return fail(err)
+	}
+	// Keep what the engine knew: each level's additions, sealed under
+	// its key, so a reduce opens them instead of searching.
+	sealed, err := sealLevels(region, trace, levelKeys)
 	if err != nil {
 		return fail(err)
 	}
@@ -499,6 +506,7 @@ func (s *Server) handleAnonymize(req *Request) *Response {
 	} else {
 		reg = &Registration{region: region, keySet: keySet, policy: policy}
 	}
+	reg.sealed = sealed
 	var expiresAtMillis int64
 	if req.TTLMillis > 0 {
 		expiry := s.store.cfg.now().Add(time.Duration(req.TTLMillis) * time.Millisecond)
@@ -672,8 +680,9 @@ func (s *Server) reduceProbe(req *Request) (*Response, *Registration, int) {
 }
 
 // reducePeel is the half of a reduce that may block — key derivation,
-// the engine, a wait on another request's peel of the same level — for
-// a registration and target reduceProbe resolved.
+// opening the sealed levels or the engine's search, a wait on another
+// request's peel of the same level — for a registration and target
+// reduceProbe resolved.
 func (s *Server) reducePeel(req *Request, reg *Registration, target int) *Response {
 	levels := reg.Levels()
 	engine, ok := s.engines[reg.region.Algorithm]
@@ -704,7 +713,9 @@ func (s *Server) reducePeel(req *Request, reg *Registration, target int) *Respon
 			if err != nil {
 				return nil, err
 			}
-			return engine.Deanonymize(base, grant, target)
+			reduced, path, err := reg.peel(engine, base, grant, target)
+			s.metrics.countPeel(path)
+			return reduced, err
 		})
 		if err != nil {
 			return fail(err)
@@ -720,7 +731,8 @@ func (s *Server) reducePeel(req *Request, reg *Registration, target int) *Respon
 		}
 		return reduceResp(req.RegionID, reduced, levels, target)
 	}
-	reduced, err := reg.Reduce(engine, target)
+	reduced, path, err := reg.reduce(engine, target)
+	s.metrics.countPeel(path)
 	if err != nil {
 		return fail(err)
 	}

@@ -30,6 +30,10 @@ type serverMetrics struct {
 	authRejects  atomic.Int64 // unauthenticated/revoked requests bounced
 	denied       atomic.Int64 // capability rejections
 	throttled    atomic.Int64 // rate-limit rejections
+
+	peelsSealed  atomic.Int64 // reduces that opened sealed levels
+	peelsSearch  atomic.Int64 // reduces the engine's search answered
+	sealFailures atomic.Int64 // sealed levels that did not open
 }
 
 // latencyBuckets are the histogram's upper bounds in seconds (+Inf is
@@ -93,6 +97,19 @@ func (m *serverMetrics) forOp(op Op) *opMetrics {
 // observe times one dispatched request into the op's histogram.
 func (m *serverMetrics) observe(op Op, d time.Duration, ok bool) {
 	m.forOp(op).observe(d, ok)
+}
+
+// countPeel counts one reduce that peeled, by how.
+func (m *serverMetrics) countPeel(path peelPath) {
+	switch path {
+	case peelSealed:
+		m.peelsSealed.Add(1)
+	case peelSealFailed:
+		m.sealFailures.Add(1)
+		m.peelsSearch.Add(1)
+	case peelSearch:
+		m.peelsSearch.Add(1)
+	}
 }
 
 // writeEngineMetrics renders the cloak engines' own counters
@@ -229,6 +246,13 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 
 	s.writeEngineMetrics(w)
+	fmt.Fprintf(w, "# HELP anonymizer_reduce_peels_total Reduces that peeled levels, by how: sealed = opened the levels sealed at register (no search), search = the engine's reversal search (registrations without sealed levels, or whose sealed levels did not open).\n")
+	fmt.Fprintf(w, "# TYPE anonymizer_reduce_peels_total counter\n")
+	fmt.Fprintf(w, "anonymizer_reduce_peels_total{path=\"sealed\"} %d\n", m.peelsSealed.Load())
+	fmt.Fprintf(w, "anonymizer_reduce_peels_total{path=\"search\"} %d\n", m.peelsSearch.Load())
+	fmt.Fprintf(w, "# HELP anonymizer_reduce_seal_failures_total Reduces of sealed registrations whose sealed levels did not open or did not fit the region; each was answered by search.\n")
+	fmt.Fprintf(w, "# TYPE anonymizer_reduce_seal_failures_total counter\n")
+	fmt.Fprintf(w, "anonymizer_reduce_seal_failures_total %d\n", m.sealFailures.Load())
 
 	// Read-path cache (WithReduceCacheBytes). Absent when disabled.
 	if c := s.cache; c != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/reversecloak/reversecloak/internal/cloak"
 	"github.com/reversecloak/reversecloak/internal/profile"
 	"github.com/reversecloak/reversecloak/internal/roadnet"
 )
@@ -128,12 +129,78 @@ func TestEngineMetrics(t *testing.T) {
 		t.Errorf("verifications: %d ok, %d ambiguous, %d exhausted, %d none for %d tagless and %d tagged levels",
 			outcome("ok"), outcome("ambiguous"), outcome("exhausted"), outcome("none"), tagless, tagged)
 	}
-	// The reduce peeled two levels; each tagless one is a search that
-	// must have found its chain.
-	ok := `anonymizer_cloak_searches_total{outcome="ok"}`
-	if grew := searches(got) - searches(before); grew > 2 || got[ok]-before[ok] != grew {
-		t.Errorf("reduce ran %d searches, %d ok; want at most one per level, all ok",
-			grew, got[ok]-before[ok])
+	// The reduce peeled two levels by opening what anonymize sealed: the
+	// engine searched nothing and derived no tag.
+	if grew := searches(got) - searches(before); grew != 0 {
+		t.Errorf("reduce of a sealed registration ran %d searches", grew)
+	}
+	for _, series := range []string{"anonymizer_cloak_search_nodes_total", "anonymizer_cloak_tag_prfs_total"} {
+		if got[series] != before[series] {
+			t.Errorf("reduce of a sealed registration moved %s: %d -> %d", series, before[series], got[series])
+		}
+	}
+}
+
+// TestReducePeelMetrics pins the reduce-path series: a fresh server
+// exports them at zero, a reduce of a registration anonymize made opens
+// its sealed levels, one of a registration without them searches, and a
+// reduce with nothing to peel counts neither.
+func TestReducePeelMetrics(t *testing.T) {
+	srv, addr, engine := startServer(t)
+	c := dial(t, addr)
+	peels := func() [3]uint64 {
+		m := scrape(t, srv)
+		return [3]uint64{m[`anonymizer_reduce_peels_total{path="sealed"}`],
+			m[`anonymizer_reduce_peels_total{path="search"}`], m["anonymizer_reduce_seal_failures_total"]}
+	}
+	m := scrape(t, srv)
+	for _, series := range []string{`anonymizer_reduce_peels_total{path="sealed"}`,
+		`anonymizer_reduce_peels_total{path="search"}`, "anonymizer_reduce_seal_failures_total"} {
+		if v, ok := m[series]; !ok || v != 0 {
+			t.Fatalf("fresh server reports %s = %d (exported: %v)", series, v, ok)
+		}
+	}
+	sealed, _, err := c.Anonymize(20, testProfile(), "RGE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := srv.store.Lookup(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, err := reg.keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, _, err := engine.Anonymize(cloak.Request{UserSegment: 27, Profile: testProfile(), Keys: ks.All()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsealed, err := srv.store.Register(NewRegistration(region, ks, reg.policy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{sealed, unsealed} {
+		if err := c.SetTrust(id, "reader", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []struct {
+		id      string
+		toLevel int
+		want    [3]uint64
+	}{
+		{sealed, 0, [3]uint64{1, 0, 0}},
+		{sealed, 2, [3]uint64{1, 0, 0}}, // the published level: nothing to peel
+		{unsealed, 1, [3]uint64{1, 1, 0}},
+		{sealed, 1, [3]uint64{2, 1, 0}},
+	} {
+		if _, _, err := c.Reduce(step.id, "reader", step.toLevel); err != nil {
+			t.Fatal(err)
+		}
+		if got := peels(); got != step.want {
+			t.Fatalf("after reduce(%s, %d): sealed/search/failures = %v, want %v", step.id, step.toLevel, got, step.want)
+		}
 	}
 }
 

@@ -29,7 +29,13 @@ type Registration struct {
 	keyEpoch  uint32
 	keyID     string
 	keyLevels int
-	policy    *accessctl.Policy
+	// sealed holds, level by level, which members each level added,
+	// sealed under a key only that level's key derives (seal.go): a
+	// reduce opens the levels it peels instead of searching for them.
+	// Nil when the registration was made without the engine's trace
+	// (older logs, NewRegistration callers); those reduce by search.
+	sealed []byte
+	policy *accessctl.Policy
 	// expiresAt is the registration's expiry instant in unix nanoseconds;
 	// 0 means the registration lives until deregistered. Expiry ends the
 	// region's recoverability exactly like a deregistration — the
@@ -131,24 +137,99 @@ func (r *Registration) DefaultLevel() int { return r.policy.DefaultLevel() }
 // copy; mutating it changes nothing).
 func (r *Registration) Grants() map[string]int { return r.policy.Grants() }
 
+// Sealed reports whether the registration carries sealed levels, so its
+// reduces open them instead of searching.
+func (r *Registration) Sealed() bool { return r.sealed != nil }
+
 // Reduce peels the registration's region down to level with the
 // registration's own keys: the server's reduce when no read cache is
 // installed, and what `anonymizer dump` uses to verify that a restored
 // store still reduces every region identically. Levels at or above the
-// published one return a clone of the published region.
+// published one return a clone of the published region. A sealed
+// registration opens the levels it peels; one without sealed levels, or
+// whose sealed levels do not open, is reversed by the engine's search
+// (Deanonymize), with the same output.
 func (r *Registration) Reduce(engine *cloak.Engine, level int) (*cloak.CloakedRegion, error) {
+	reduced, _, err := r.reduce(engine, level)
+	return reduced, err
+}
+
+// peelPath says how a reduce was answered, for /metrics.
+type peelPath uint8
+
+const (
+	// peelNone: nothing to peel.
+	peelNone peelPath = iota
+	// peelSealed: the sealed levels opened.
+	peelSealed
+	// peelSearch: no sealed levels; the engine searched.
+	peelSearch
+	// peelSealFailed: the sealed levels did not open; the engine searched.
+	peelSealFailed
+)
+
+// reduce is Reduce, reporting how it peeled.
+func (r *Registration) reduce(engine *cloak.Engine, level int) (*cloak.CloakedRegion, peelPath, error) {
 	if level >= r.Levels() {
-		return r.region.Clone(), nil
+		return r.region.Clone(), peelNone, nil
 	}
+	grant, err := r.grant(level)
+	if err != nil {
+		return nil, peelNone, err
+	}
+	return r.peel(engine, r.region, grant, level)
+}
+
+// grant resolves the keys of levels level+1.. of the registration.
+func (r *Registration) grant(level int) (map[int][]byte, error) {
 	ks, err := r.keys()
 	if err != nil {
 		return nil, err
 	}
-	grant, err := ks.Grant(level)
+	return ks.Grant(level)
+}
+
+// peel reduces base — the registration's region, or a finer reduction of
+// it — to target with the granted keys: by opening the sealed levels when
+// the registration has them and they open, by the engine's search
+// otherwise.
+func (r *Registration) peel(engine *cloak.Engine, base *cloak.CloakedRegion, grant map[int][]byte, target int) (*cloak.CloakedRegion, peelPath, error) {
+	path := peelSearch
+	if r.sealed != nil {
+		if reduced, ok := r.openReduce(base, grant, target); ok {
+			return reduced, peelSealed, nil
+		}
+		path = peelSealFailed
+	}
+	reduced, err := engine.Deanonymize(base, grant, target)
+	return reduced, path, err
+}
+
+// VerifyReduce is Reduce for a check: a sealed registration is reduced
+// both ways, by opening its sealed levels and by the engine's search, and
+// an open that fails or disagrees with the search is an error. `anonymizer
+// dump` runs it, so a dump proves the sealed levels survived whatever
+// carried the registration (backup, restore, replication).
+func (r *Registration) VerifyReduce(engine *cloak.Engine, level int) (*cloak.CloakedRegion, error) {
+	if r.sealed == nil || level >= r.Levels() {
+		return r.Reduce(engine, level)
+	}
+	grant, err := r.grant(level)
 	if err != nil {
 		return nil, err
 	}
-	return engine.Deanonymize(r.region, grant, level)
+	searched, err := engine.Deanonymize(r.region, grant, level)
+	if err != nil {
+		return nil, err
+	}
+	opened, ok := r.openReduce(r.region, grant, level)
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("%w: level %d does not open", errSealMismatch, level)
+	case !sameRegion(opened, searched):
+		return nil, fmt.Errorf("%w: level %d opens to another region than the search finds", errSealMismatch, level)
+	}
+	return searched, nil
 }
 
 // withDefaultExpiry returns reg, or — when reg carries no expiry of its

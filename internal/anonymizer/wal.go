@@ -87,6 +87,10 @@ type walRecord struct {
 	// KeyEpoch/KeyLevels is populated; a record carrying both is corrupt.
 	KeyEpoch  uint32 `json:"key_epoch,omitempty"`
 	KeyLevels int    `json:"key_levels,omitempty"`
+	// Sealed is the registration's sealed levels (seal.go); omitted for
+	// registrations without them. Its length is fixed by the region's
+	// step counts.
+	Sealed []byte `json:"sealed,omitempty"`
 	// ExpiresAt is the registration's expiry instant in unix nanoseconds;
 	// 0 (omitted) means the registration never expires.
 	ExpiresAt int64 `json:"expires_at,omitempty"`
@@ -212,6 +216,7 @@ func registerRecord(id string, reg *Registration) *walRecord {
 		Default:   reg.policy.DefaultLevel(),
 		Grants:    reg.policy.Grants(),
 		ExpiresAt: reg.expiresAt,
+		Sealed:    reg.sealed,
 	}
 	if reg.derived() {
 		rec.KeyEpoch = reg.keyEpoch
@@ -276,6 +281,10 @@ func decodeRegistration(rec *walRecord, kr *keys.Keyring) (*Registration, error)
 		return nil, fmt.Errorf("%w: register record %q without region",
 			ErrCorruptLog, rec.ID)
 	}
+	if len(rec.Sealed) != 0 && !sealedFits(rec.Region.Levels, rec.Sealed) {
+		return nil, fmt.Errorf("%w: register record %q carries %d sealed bytes, its region's levels take another length",
+			ErrCorruptLog, rec.ID, len(rec.Sealed))
+	}
 	derivedRef := rec.KeyEpoch != 0 || rec.KeyLevels != 0
 	if derivedRef && len(rec.Keys) != 0 {
 		return nil, fmt.Errorf("%w: register record %q carries both key material and a key reference",
@@ -337,5 +346,8 @@ func decodeRegistration(rec *walRecord, kr *keys.Keyring) (*Registration, error)
 		}
 	}
 	reg.policy = policy
+	if len(rec.Sealed) != 0 {
+		reg.sealed = rec.Sealed
+	}
 	return reg, nil
 }

@@ -58,23 +58,39 @@ func hkdfExtract(salt, secret []byte) []byte {
 }
 
 // hkdfExpand is RFC 5869 section 2.3, producing length output bytes from
-// the extracted PRK under one info string.
+// the extracted PRK under one info string. Each block is summed straight
+// into the output, and its counter byte is sliced from blockCounters, so
+// a call allocates only the HMAC and the output.
 func hkdfExpand(prk, info []byte, length int) []byte {
-	var (
-		out     = make([]byte, 0, length)
-		block   []byte
-		counter byte
-	)
-	for len(out) < length {
-		counter++
-		mac := hmac.New(sha256.New, prk)
-		mac.Write(block)
+	mac := hmac.New(sha256.New, prk)
+	out := make([]byte, 0, (length+sha256.Size-1)/sha256.Size*sha256.Size)
+	for counter := 1; len(out) < length; counter++ {
+		if len(out) > 0 { // T(n) = HMAC(PRK, T(n-1) | info | n); T(1) has no T(0)
+			mac.Reset()
+			mac.Write(out[len(out)-sha256.Size:])
+		}
 		mac.Write(info)
-		mac.Write([]byte{counter})
-		block = mac.Sum(nil)
-		out = append(out, block...)
+		mac.Write(blockCounters[counter : counter+1])
+		out = mac.Sum(out)
 	}
 	return out[:length]
+}
+
+// blockCounters[i] is i: HKDF-Expand's block counters, one byte each
+// (RFC 5869 caps the output at 255 blocks).
+var blockCounters = func() (c [256]byte) {
+	for i := range c {
+		c[i] = byte(i)
+	}
+	return c
+}()
+
+// Expand derives length bytes from one key under an info string (HKDF
+// expand, RFC 5869 section 2.3, with key as the PRK): one key, one info
+// string per purpose, so a key that drives one thing can key another
+// without the two outputs being related.
+func Expand(key, info []byte, length int) []byte {
+	return hkdfExpand(key, info, length)
 }
 
 // deriveInfo builds the domain-separated info string for one

@@ -354,3 +354,29 @@ func TestLoadKeyringErrors(t *testing.T) {
 		t.Errorf("bad hex secret err = %v", err)
 	}
 }
+
+// TestHKDFMatchesRFC5869 holds extract and expand to RFC 5869's test
+// case 1 (SHA-256), whose 42-byte output spans two expand blocks.
+func TestHKDFMatchesRFC5869(t *testing.T) {
+	unhex := func(s string) []byte {
+		b, err := hex.DecodeString(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	ikm := bytes.Repeat([]byte{0x0b}, 22)
+	salt := unhex("000102030405060708090a0b0c")
+	info := unhex("f0f1f2f3f4f5f6f7f8f9")
+	prk := hkdfExtract(salt, ikm)
+	if want := unhex("077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"); !bytes.Equal(prk, want) {
+		t.Fatalf("PRK %x, want %x", prk, want)
+	}
+	okm := Expand(prk, info, 42)
+	if want := unhex("3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"); !bytes.Equal(okm, want) {
+		t.Fatalf("OKM %x, want %x", okm, want)
+	}
+	if short := Expand(prk, info, 16); !bytes.Equal(short, okm[:16]) {
+		t.Fatalf("a 16-byte expand %x is not the 42-byte one's prefix %x", short, okm[:16])
+	}
+}

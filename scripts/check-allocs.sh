@@ -12,7 +12,7 @@ set -euo pipefail
 cd "$(cd "$(dirname "$0")" && pwd)/.."
 
 baseline=internal/anonymizer/testdata/alloc_baseline.json
-bench='BenchmarkServerThroughput/codec=(json|binary)/clients=64|BenchmarkReduceServerSide|BenchmarkReduceDerived|BenchmarkReduceCached|BenchmarkReducePipelinedHits|BenchmarkWALAppend'
+bench='BenchmarkServerThroughput/codec=(json|binary)/clients=64|BenchmarkReduceServerSide|BenchmarkReduceDerived|BenchmarkReduceSealed|BenchmarkReduceCached|BenchmarkReducePipelinedHits|BenchmarkWALAppend'
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 

@@ -4,7 +4,8 @@
 #   serve (durable) -> loadgen -> HOT backup over the wire -> stop server
 #   -> restore into a fresh dir -> dump both
 #   -> dumps byte-identical (same regions, same reductions at every
-#      level, same trust tables, same expiries);
+#      level, same trust tables, same expiries), every registration
+#      sealed and every sealed level opening to the search's answer;
 #   then the checked-in fixture archives (all cut at 4 stripes, restored
 #   re-striped to 16) against their golden dumps, the refusal of
 #   retired-layout and other-stripe-count directories, and the
@@ -79,6 +80,9 @@ echo "== dump both directories and compare"
 "$WORK/anonymizer" dump -data-dir "$WORK/d2" >"$WORK/d2.dump"
 [ -s "$WORK/d1.dump" ] || { echo "FAIL: empty dump — loadgen left no state"; exit 1; }
 cmp "$WORK/d1.dump" "$WORK/d2.dump" || { echo "FAIL: restore diverged from source"; exit 1; }
+# The server sealed every level it cloaked, and dump opened each one and
+# matched it against the search: the sealed levels survived the restore.
+grep -vq '"sealed":true' "$WORK/d1.dump" && { echo "FAIL: a served registration carries no sealed levels"; exit 1; }
 
 echo "== OK: $(wc -l <"$WORK/d1.dump") registrations identical across serve/restore"
 
@@ -150,6 +154,7 @@ grep -q '"keys"' "$WORK/dk"/wal-*.seg && { echo "FAIL: derived-keys store journa
 "$WORK/anonymizer" dump -data-dir "$WORK/dkr" -master-key-file "$WORK/master-keys.json" >"$WORK/dkr.dump"
 [ -s "$WORK/dk.dump" ] || { echo "FAIL: empty derived-keys dump"; exit 1; }
 cmp "$WORK/dk.dump" "$WORK/dkr.dump" || { echo "FAIL: derived-keys restore diverged"; exit 1; }
+grep -vq '"sealed":true' "$WORK/dk.dump" && { echo "FAIL: a derived-keys registration carries no sealed levels"; exit 1; }
 if "$WORK/anonymizer" dump -data-dir "$WORK/dkr" >/dev/null 2>&1; then
     echo "FAIL: derived-keys dir opened without its keyring"; exit 1
 fi

@@ -5,7 +5,8 @@
 #   ops bounce -> bad token bounces -> full-access tenant runs clean ->
 #   capability-capped tenant sees every write denied -> rate-limited
 #   tenant gets throttled -> a zipfian repeated-reduce leg exercises
-#   the read-path cache -> operator tenant takes a hot backup -> the
+#   the read-path cache, and every peel opens the levels anonymize
+#   sealed -> operator tenant takes a hot backup -> the
 #   tenants file is edited live and the revoked tenant loses access
 #   within the reload interval -> /metrics, /healthz and /readyz agree
 #   with everything the scenario did.
@@ -129,6 +130,19 @@ echo "== alpha hammers repeated reduces: the read-path cache must serve hits"
     -clients 2 -duration 1s -regions 24 -reduce-frac 0.9 -skew 1.5 | tee "$WORK/reduce.txt"
 grep -q "reduces: total=[1-9]" "$WORK/reduce.txt" || {
     echo "FAIL: the reduce leg issued no reduces"; exit 1; }
+# Every region here was cloaked by this server's anonymize, which seals
+# each level's additions: every peel opened them, and none searched.
+curl -fsS "http://$ADMIN/metrics" >"$WORK/reduce-metrics.txt"
+peels() {
+    grep -F "anonymizer_reduce_peels_total{path=\"$1\"}" "$WORK/reduce-metrics.txt" | awk '{print $NF}'
+}
+sealed_peels="$(peels sealed)"
+search_peels="$(peels search)"
+[ "${sealed_peels:-0}" -gt 0 ] && [ "$search_peels" = 0 ] || {
+    echo "FAIL: reduce peels sealed=${sealed_peels:-missing} search=${search_peels:-missing}, want sealed > 0 and search 0"
+    exit 1
+}
+echo "reduce peels: sealed=$sealed_peels search=$search_peels"
 
 echo "== the operator tenant takes a hot backup"
 "$WORK/anonymizer" backup -addr "$ADDR" -codec "$CODEC" -tenant alpha -token alpha-secret \
